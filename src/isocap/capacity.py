@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadExponent, DomainError, ParabolicMetric
+from .errors import DomainError, ParabolicMetric
 from .geometry import FOUR_PI, Gauge, RadialMetric
 from .numerics import DEFAULT_CFG, ToleranceConfig, integrate
-
-P_LOW = 1.0 + 1e-3
-P_HIGH = 3.0 - 1e-3
+from .specfun import check_p
 
 
 @dataclass
@@ -70,13 +68,8 @@ class FluxHolderReport:
     all_pass: bool
 
 
-def _check_p(p: float) -> None:
-    if not P_LOW <= p <= P_HIGH:
-        raise BadExponent(f"p={p} outside [{P_LOW}, {P_HIGH}]")
-
-
 def _cap_integrand(metric: RadialMetric, p: float,
-                   area0: float = FOUR_PI) -> Callable[[float], float]:
+                   area0: float) -> Callable[[float], float]:
     """Radial density of I_p, rescaled by (area0)^(1/(p-1)).
 
     The raw density area^(-1/(p-1)) under- or overflows for p near 1; the
@@ -97,25 +90,18 @@ def _cap_integrand(metric: RadialMetric, p: float,
 
 
 def _integral_to_inf(metric: RadialMetric, g: Callable[[float], float],
-                     lo: float, p: float,
+                     lo: float, big: float, p: float,
                      cfg: ToleranceConfig) -> Tuple[float, float]:
     """Integrate the capacity density g over [lo, inf).
 
-    Three pieces.  Up to R = max(cutoff_radius, 100*lo) a log substitution
-    s = lo*e^y resolves both the thin boundary layer of p near 1 and the
-    slowly varying tail of p near 3.  Beyond R the density is matched by
-    the exact power law g(R)*(s/R)^(-q), q = 2/(p-1), whose integral is
-    g(R)*R/(q-1); on an asymptotically flat end the residual decays one
+    Three pieces.  Up to the anchor big a log substitution s = lo*e^y
+    resolves both the thin boundary layer of p near 1 and the slowly
+    varying tail of p near 3.  Beyond big the density is matched by the
+    exact power law g(big)*(s/big)^(-q), q = 2/(p-1), whose integral is
+    g(big)*big/(q-1); on an asymptotically flat end the residual decays one
     power faster and is integrated numerically, so nothing is truncated.
     """
     q = 2.0 / (p - 1.0)
-    r_cap = metric.r_max
-    cap = 0.999 * r_cap if math.isfinite(r_cap) else math.inf
-    big = max(cfg.cutoff_radius, 100.0 * lo)
-    big = min(big, cap)
-    if big <= lo:
-        raise DomainError(f"metric domain [{lo}, {r_cap}] too short for capacity")
-
     span = math.log(big / lo)
     hy = lambda y: g(lo * math.exp(y)) * lo * math.exp(y)
     # In y the density decays at rate q-1; for p near 1 that makes a layer
@@ -132,7 +118,7 @@ def _integral_to_inf(metric: RadialMetric, g: Callable[[float], float],
     if tail == 0.0:
         return head, err
 
-    if math.isinf(r_cap):
+    if math.isinf(metric.r_max):
         def resid(s: float) -> float:
             return g(s) - g_big * (s / big) ** (-q)
         corr, cerr = integrate(resid, big, math.inf, cfg)
@@ -142,41 +128,71 @@ def _integral_to_inf(metric: RadialMetric, g: Callable[[float], float],
     return head + tail, err + abs(tail) * (10.0 * max(1.0, lo) / big)
 
 
-def _tail_diverges(g: Callable[[float], float], rho0: float,
-                   cfg: ToleranceConfig) -> bool:
-    """Decide p-parabolicity from the decay of decade increments.
+def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
+                    cfg: ToleranceConfig
+                    ) -> Tuple[List[float], List[float], List[float]]:
+    """Rescaled I_p from each of the strictly increasing radii to infinity.
 
-    For a convergent tail the contribution of successive decades shrinks;
-    for a (log-)divergent one it does not.  This is robust for the slowly
-    convergent tails near p = 3 that a fixed relative-growth threshold
-    would misclassify.
+    The only code that integrates the capacity density.  Node k rescales
+    by its own area A_k, and one semi-infinite integral at the last node
+    serves all:  J_k = int_{r_k}^{r_{k+1}} g_k + (A_{k+1}/A_k)^(-1/(p-1)) J_{k+1};
+    on growing areas the factor can only underflow (p near 1).  I_p
+    diverges when the density decays like s^-k with k <= 1; k is read
+    between big/10 and big, the anchor of the power-law tail, with the
+    slack 4.3e-4 at which a next-decade >= 0.999 * last-decade test flags
+    exact power laws.  A density that underflows to 0 converges.
+
+    Returns (A_k, J_k, err_k); every J_k is inf when I_p diverges.
     """
-    c = max(cfg.cutoff_radius, 100.0 * rho0)
-    d1, _ = integrate(g, c / 10.0, c, cfg)
-    d2, _ = integrate(g, c, 10.0 * c, cfg)
-    if d1 <= 0.0:
-        return False
-    return d2 >= 0.999 * d1
+    check_p(p)
+    if radii[0] < metric.domain_start - 1e-12:
+        raise DomainError(f"rho0={radii[0]} below domain start "
+                          f"{metric.domain_start}")
+    areas = [metric.area(r) for r in radii]
+    dens = [_cap_integrand(metric, p, a) for a in areas]
+    lo = radii[-1]
+    big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
+    if big <= lo:
+        raise DomainError(f"metric domain [{lo}, {metric.r_max}] too short "
+                          "for capacity")
+    near = max(big / 10.0, lo)
+    g_big, g_near = dens[-1](big), dens[-1](near)
+    if g_big > 0.0 and g_near > 0.0 and (
+            math.log(g_near / g_big) <= (1.0 + 4.3e-4) * math.log(big / near)):
+        return areas, [math.inf] * len(radii), [0.0] * len(radii)
+
+    tail, err = _integral_to_inf(metric, dens[-1], lo, big, p, cfg)
+    tails, errs = [tail], [err]
+    for k in range(len(radii) - 2, -1, -1):
+        inc, e = integrate(dens[k], radii[k], radii[k + 1], cfg)
+        carry = (areas[k + 1] / areas[k]) ** (-1.0 / (p - 1.0))
+        tail, err = inc + carry * tail, e + carry * err
+        tails.append(tail)
+        errs.append(err)
+    return areas, tails[::-1], errs[::-1]
+
+
+def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
+                cfg: ToleranceConfig) -> List[CapacityResult]:
+    """Normalized p-capacities of the spheres at strictly increasing radii."""
+    out = []
+    for rho, area0, ivalue, ierr in zip(radii,
+                                        *_capacity_tails(metric, radii, p, cfg)):
+        # unscaled I_p = area0^(-1/(p-1)) * ivalue, so I_p^(1-p) = area0 * ...
+        # (0 on a p-parabolic end, where I_p = inf)
+        flux = area0 * ivalue ** (1.0 - p)
+        ncap = ((p - 1.0) / (3.0 - p)) ** (p - 1.0) * flux / FOUR_PI
+        rel = (p - 1.0) * ierr / ivalue if ivalue > 0 else math.inf
+        out.append(CapacityResult(p=p, rho0=rho, ncap=ncap, flux=flux,
+                                  err_estimate=abs(ncap) * rel,
+                                  parabolic=math.isinf(ivalue)))
+    return out
 
 
 def p_capacity(metric: RadialMetric, rho0: float, p: float,
                cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """Normalized p-capacity of the centered sphere at rho0, 1 < p < 3."""
-    _check_p(p)
-    if rho0 < metric.domain_start - 1e-12:
-        raise DomainError(f"rho0={rho0} below domain start {metric.domain_start}")
-    area0 = metric.area(rho0)
-    g = _cap_integrand(metric, p, area0)
-    if _tail_diverges(g, rho0, cfg):
-        return CapacityResult(p=p, rho0=rho0, ncap=0.0, flux=0.0,
-                              err_estimate=0.0, parabolic=True)
-    ivalue, ierr = _integral_to_inf(metric, g, rho0, p, cfg)
-    # unscaled I_p = area0^(-1/(p-1)) * ivalue, so I_p^(1-p) = area0 * ...
-    flux = area0 * ivalue ** (1.0 - p)
-    ncap = ((p - 1.0) / (3.0 - p)) ** (p - 1.0) * flux / FOUR_PI
-    rel = (p - 1.0) * ierr / ivalue if ivalue > 0 else math.inf
-    return CapacityResult(p=p, rho0=rho0, ncap=ncap, flux=flux,
-                          err_estimate=abs(ncap) * rel, parabolic=False)
+    return _capacities(metric, [rho0], p, cfg)[0]
 
 
 def one_capacity(metric: RadialMetric, rho0: float,
@@ -184,39 +200,33 @@ def one_capacity(metric: RadialMetric, rho0: float,
     """1-capacity: least enclosing-sphere area over 4pi (hull area)."""
     from .flow import outward_hull  # deferred: flow imports geometry only
 
-    if rho0 < metric.domain_start - 1e-12:
-        raise DomainError(f"rho0={rho0} below domain start {metric.domain_start}")
     rho_star, hull_area = outward_hull(metric, rho0, cfg)
     return CapacityResult(p=1.0, rho0=rho0, ncap=hull_area / FOUR_PI,
                           flux=hull_area, err_estimate=0.0, parabolic=False,
                           rho_star=rho_star)
 
 
-def _tail_integrals(metric: RadialMetric, rho0: float, p: float,
-                    cfg: ToleranceConfig, n: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Geometric sample grid and rescaled I_p from each node to infinity."""
-    g = _cap_integrand(metric, p, metric.area(rho0))
-    hi = min(cfg.cutoff_radius, getattr(metric, "r_max", math.inf))
+def _potential(metric: RadialMetric, rho0: float, p: float,
+               cfg: ToleranceConfig, n: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Geometric grid from rho0, its areas, u = I_p(rho)/I_p(rho0) on it and
+    the rescaled I_p(rho0).  The grid ends a decade inside a finite domain,
+    so that its last node keeps a power-law anchor."""
+    hi = min(cfg.cutoff_radius, 0.1 * metric.r_max)
     rhos = np.geomspace(max(rho0, 1e-12), hi, n)
     rhos[0] = rho0
-    tails = np.empty(n)
-    tails[-1], _ = _integral_to_inf(metric, g, float(rhos[-1]), p, cfg)
-    for i in range(n - 2, -1, -1):
-        inc, _ = integrate(g, rhos[i], rhos[i + 1], cfg)
-        tails[i] = tails[i + 1] + inc
-    return rhos, tails
+    areas, tails, _ = map(np.array, _capacity_tails(metric, rhos, p, cfg))
+    if math.isinf(tails[0]):
+        raise ParabolicMetric(f"I_{p} diverges at rho0={rho0}")
+    u = (areas / areas[0]) ** (-1.0 / (p - 1.0)) * tails / tails[0]
+    return rhos, areas, u, float(tails[0])
 
 
 def capacitary_potential(metric: RadialMetric, rho0: float, p: float,
                          cfg: ToleranceConfig = DEFAULT_CFG,
                          n_samples: int = 200) -> PotentialCurve:
     """Radial p-capacitary potential sampled on a geometric grid."""
-    result = p_capacity(metric, rho0, p, cfg)
-    if result.parabolic:
-        raise ParabolicMetric(f"I_{p} diverges at rho0={rho0}")
-    rhos, tails = _tail_integrals(metric, rho0, p, cfg, n_samples)
-    u = tails / tails[0]
+    rhos, _, u, _ = _potential(metric, rho0, p, cfg, n_samples)
     u = np.clip(u, 1e-300, None)
     w = -(p - 1.0) * np.log(u)
     w[0] = 0.0
@@ -229,21 +239,14 @@ def verify_flux_holder(metric: RadialMetric, rho0: float, p: float,
     """Check |level set area|^p <= Ncap_p * (-V')^(p-1) along the p-flow.
 
     On level sets of a radial potential the Hoelder step is an equality,
-    so the relative gap measures pure quadrature error.
+    so the relative gap measures pure quadrature error: Ncap_p comes from
+    a single-radius capacity, the potential from the tails of the grid.
     """
-    result = p_capacity(metric, rho0, p, cfg)
-    if result.parabolic:
-        raise ParabolicMetric(f"I_{p} diverges at rho0={rho0}")
-    big_ncap = FOUR_PI * ((3.0 - p) / (p - 1.0)) ** (p - 1.0) * result.ncap
-    area0 = metric.area(rho0)
-    rhos, tails = _tail_integrals(metric, rho0, p, cfg, n_samples)
-    u = tails / tails[0]
-    iscaled = float(tails[0])  # area0^(1/(p-1)) * I_p(rho0)
-
+    rhos, areas, u, iscaled = _potential(metric, rho0, p, cfg, n_samples)
+    big_ncap = p_capacity(metric, rho0, p, cfg).flux  # = I_p(rho0)^(1-p)
+    area0 = float(areas[0])
     rows: List[FluxHolderRow] = []
-    max_gap = 0.0
-    for rho, t in zip(rhos, u):
-        area = metric.area(float(rho))
+    for rho, area, t in zip(rhos.tolist(), areas.tolist(), u.tolist()):
         # |grad u| = Phi^(1/(p-1)) * area^(-1/(p-1)), in rescaled pieces
         grad = (area0 / area) ** (1.0 / (p - 1.0)) / iscaled
         neg_vprime = area / grad
@@ -251,8 +254,8 @@ def verify_flux_holder(metric: RadialMetric, rho0: float, p: float,
         rhs = big_ncap * neg_vprime ** (p - 1.0)
         gap = abs(lhs - rhs) / rhs
         ok = lhs <= rhs * (1.0 + 1e-8)
-        max_gap = max(max_gap, gap)
-        rows.append(FluxHolderRow(t=float(t), rho=float(rho), lhs=lhs,
-                                  rhs=rhs, rel_gap=gap, passed=ok))
-    return FluxHolderReport(p=p, rho0=rho0, rows=rows, max_rel_gap=max_gap,
+        rows.append(FluxHolderRow(t=t, rho=rho, lhs=lhs, rhs=rhs,
+                                  rel_gap=gap, passed=ok))
+    return FluxHolderReport(p=p, rho0=rho0, rows=rows,
+                            max_rel_gap=max(r.rel_gap for r in rows),
                             all_pass=all(r.passed for r in rows))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import json
 import math
 import sys
 from typing import IO, List, Optional, Sequence
@@ -135,19 +136,24 @@ def _table(stream: IO[str], rows, header: Sequence[str], fmt: str) -> None:
         stream.write("  ".join(c.rjust(w) for c, w in zip(r, widths)) + "\n")
 
 
-def _cmd_sphere(args, metric, cfg, stream, fmt) -> int:
-    d = sphere_data(metric, args.rho, cfg)
-    pairs = [("rho", d.rho), ("area", d.area), ("volume", d.volume),
-             ("H", d.mean_curvature), ("m_H", d.hawking_mass),
-             ("willmore", d.willmore), ("R", d.scalar_curvature)]
+def _write_pairs(stream: IO[str], pairs, fmt: str) -> None:
+    """One (name, value) record as JSON, a CSV header plus row, or a table."""
     if fmt == "json":
-        import json
         stream.write(json.dumps(dict(pairs), indent=2) + "\n")
     elif fmt == "csv":
         stream.write(",".join(k for k, _ in pairs) + "\n")
-        stream.write(",".join(_MACHINE % v for _, v in pairs) + "\n")
+        stream.write(",".join(_MACHINE % v if isinstance(v, float) else str(v)
+                              for _, v in pairs) + "\n")
     else:
         _table(stream, pairs, ("quantity", "value"), _HUMAN)
+
+
+def _cmd_sphere(args, metric, cfg, stream, fmt) -> int:
+    d = sphere_data(metric, args.rho, cfg)
+    _write_pairs(stream, [("rho", d.rho), ("area", d.area),
+                          ("volume", d.volume), ("H", d.mean_curvature),
+                          ("m_H", d.hawking_mass), ("willmore", d.willmore),
+                          ("R", d.scalar_curvature)], fmt)
     return EXIT_OK
 
 
@@ -156,18 +162,9 @@ def _cmd_capacity(args, metric, cfg, stream, fmt) -> int:
         res = one_capacity(metric, args.rho0, cfg)
     else:
         res = p_capacity(metric, args.rho0, args.p, cfg)
-    pairs = [("p", res.p), ("rho0", res.rho0), ("ncap", res.ncap),
-             ("flux", res.flux), ("err", res.err_estimate),
-             ("parabolic", res.parabolic)]
-    if fmt == "json":
-        import json
-        stream.write(json.dumps(dict(pairs), indent=2) + "\n")
-    elif fmt == "csv":
-        stream.write(",".join(k for k, _ in pairs) + "\n")
-        stream.write(",".join(_MACHINE % v if isinstance(v, float) else str(v)
-                              for _, v in pairs) + "\n")
-    else:
-        _table(stream, pairs, ("quantity", "value"), _HUMAN)
+    _write_pairs(stream, [("p", res.p), ("rho0", res.rho0), ("ncap", res.ncap),
+                          ("flux", res.flux), ("err", res.err_estimate),
+                          ("parabolic", res.parabolic)], fmt)
     return EXIT_OK
 
 
@@ -179,14 +176,12 @@ def _cmd_flow(args, metric, cfg, stream, fmt) -> int:
 
 
 def _cmd_mass(args, metric, cfg, stream, fmt) -> int:
+    p_grid = [None if tok == "iso" else float(tok)
+              for tok in (t.strip() for t in args.p_grid.split(",")) if tok]
     r_grid = _parse_grid(args.r_grid)
-    reports = []
-    for tok in args.p_grid.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        p = None if tok == "iso" else float(tok)
-        reports.append(masses_mod.total_mass(metric, p, r_grid, cfg))
+    if r_grid is None and p_grid:
+        r_grid = masses_mod.default_r_grid(metric, cfg.extrap_terms, cfg)
+    reports = [masses_mod.total_mass(metric, p, r_grid, cfg) for p in p_grid]
     if fmt == "csv":
         for rep in reports:
             masses_mod.mass_report_to_csv(rep, stream)

@@ -22,8 +22,6 @@ from .errors import DomainError, InsufficientData
 from .geometry import RadialMetric, SphereData, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit, find_root
 
-SIXTEEN_PI = 16.0 * math.pi
-
 _SCAN_POINTS = 8192
 
 

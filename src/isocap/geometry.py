@@ -395,29 +395,24 @@ def find_minimal_spheres(metric: RadialMetric,
     grid = grid[grid >= max(metric.domain_start, 1e-12)]
     roots: List[float] = []
 
-    if metric.gauge is Gauge.GEODESIC:
-        def h_num(s: float) -> float:  # sign of H = sign of a'
-            return metric.profile_d2(s)[1]
-    else:
-        def h_num(s: float) -> float:  # f >= 0 vanishes only tangentially;
-            return metric.profile_d2(s)[1]  # scan its critical points instead
+    def h_num(s: float) -> float:
+        # geodesic: sign of H = sign of a'.  areal: f >= 0 vanishes only
+        # tangentially, so scan its critical points instead.
+        return metric.profile_d2(s)[1]
 
+    vals = np.array([h_num(s) for s in grid])
+    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    crossings = [find_root(h_num, grid[i], grid[i + 1], cfg) for i in flips]
     if metric.gauge is Gauge.AREAL:
         f0 = metric.profile_d2(grid[0])[0]
         if abs(f0) <= cfg.root_tol * max(1.0, grid[0]):
             roots.append(float(grid[0]))
-        vals = np.array([h_num(s) for s in grid])
-        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-            rc = find_root(h_num, grid[i], grid[i + 1], cfg)
-            if metric.profile_d2(rc)[0] <= math.sqrt(cfg.root_tol):
-                roots.append(rc)
+        roots += [rc for rc in crossings
+                  if metric.profile_d2(rc)[0] <= math.sqrt(cfg.root_tol)]
     else:
-        ap0 = metric.profile_d2(grid[0])[1]
-        if abs(ap0) <= cfg.root_tol:
+        if abs(vals[0]) <= cfg.root_tol:
             roots.append(float(grid[0]))
-        vals = np.array([h_num(s) for s in grid])
-        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-            roots.append(find_root(h_num, grid[i], grid[i + 1], cfg))
+        roots += crossings
 
     dedup: List[float] = []
     for r in sorted(roots):
@@ -522,7 +517,7 @@ def cylinder(a: float = 1.0) -> RadialMetric:
     """Round cylinder of sphere radius a (geodesic gauge, constant warping)."""
     if a <= 0.0:
         raise ConfigError("cylinder radius must be positive")
-    return RadialMetric(Gauge.GEODESIC, ExprProfile("a + 0*r", {"a": a}), 0.0,
+    return RadialMetric(Gauge.GEODESIC, ExprProfile("a", {"a": a}), 0.0,
                         label=f"cylinder:a={a:g}")
 
 

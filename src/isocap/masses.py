@@ -22,7 +22,8 @@ import statistics
 from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence
 
-from .capacity import one_capacity, p_capacity
+from .capacity import _capacities, one_capacity, p_capacity
+from .errors import InsufficientData
 from .geometry import FOUR_PI, RadialMetric, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit
 from .specfun import gauss_2f1
@@ -81,19 +82,26 @@ class IsoperimetricReport:
     threshold: Optional[float]  # smallest grid radius past which all pass
 
 
+def _quasilocal(metric: RadialMetric, radii: Sequence[float], p: float,
+                cfg: ToleranceConfig) -> List[float]:
+    """Iso-p-capacitary masses at increasing radii; +inf when p-parabolic."""
+    caps = ([one_capacity(metric, r, cfg) for r in radii] if p == 1.0
+            else _capacities(metric, radii, p, cfg))
+    vals = []
+    for cap in caps:
+        if cap.parabolic:
+            vals.append(math.inf)
+            continue
+        c, vol = cap.ncap, metric.volume(cap.rho0, cfg)
+        ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
+        vals.append((vol - ball) / (2.0 * math.pi * p * c ** (2.0 / (3.0 - p))))
+    return vals
+
+
 def quasilocal_mass(metric: RadialMetric, rho: float, p: float,
                     cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Iso-p-capacitary mass of the sphere at rho; +inf when p-parabolic."""
-    if p == 1.0:
-        c = one_capacity(metric, rho, cfg).ncap
-    else:
-        res = p_capacity(metric, rho, p, cfg)
-        if res.parabolic:
-            return math.inf
-        c = res.ncap
-    vol = metric.volume(rho, cfg)
-    ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
-    return (vol - ball) / (2.0 * math.pi * p * c ** (2.0 / (3.0 - p)))
+    return _quasilocal(metric, [rho], p, cfg)[0]
 
 
 def huisken_mass(metric: RadialMetric, rho: float,
@@ -121,19 +129,15 @@ def total_mass(metric: RadialMetric, p: Optional[float],
     if r_grid is None:
         r_grid = default_r_grid(metric, cfg.extrap_terms, cfg)
     radii = [float(r) for r in r_grid]
-    if p is None:
-        vals = [huisken_mass(metric, r, cfg) for r in radii]
-    else:
-        vals = [quasilocal_mass(metric, r, p, cfg) for r in radii]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InsufficientData("exhaustion radii must be strictly increasing")
+    vals = ([huisken_mass(metric, r, cfg) for r in radii] if p is None
+            else _quasilocal(metric, radii, p, cfg))
 
     label = metric.label
-    if any(math.isinf(v) for v in vals):
-        return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
-                          extrapolated_mass=math.inf, err_estimate=math.inf,
-                          verdict=DIVERGENT)
-    half = vals[len(vals) // 2:]
-    scale = statistics.median(abs(v) for v in half)
-    if abs(vals[-1]) > 10.0 * max(scale, 1e-12) and abs(vals[-1]) > 1.0:
+    scale = statistics.median(abs(v) for v in vals[len(vals) // 2:])
+    if any(math.isinf(v) for v in vals) or (
+            abs(vals[-1]) > 10.0 * max(scale, 1e-12) and abs(vals[-1]) > 1.0):
         return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
                           extrapolated_mass=math.inf, err_estimate=math.inf,
                           verdict=DIVERGENT)
@@ -148,6 +152,8 @@ def equivalence_report(metric: RadialMetric, p_grid: Sequence[float],
                        tol: float = 5e-3,
                        cfg: ToleranceConfig = DEFAULT_CFG) -> EquivalenceVerdict:
     """Compare extrapolated masses over a p-grid plus the Huisken sequence."""
+    if r_grid is None:
+        r_grid = default_r_grid(metric, cfg.extrap_terms, cfg)
     reports = [total_mass(metric, p, r_grid, cfg) for p in p_grid]
     reports.append(total_mass(metric, None, r_grid, cfg))
     limits = [r.extrapolated_mass for r in reports]
@@ -216,17 +222,14 @@ def mass_report_to_json(report: MassReport) -> str:
 
 
 def mass_report_to_csv(report: MassReport, stream: IO[str]) -> None:
+    def cell(v: float):
+        return "%.17g" % v if math.isfinite(v) else _num(v)
+
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["metric", "p", "radius", "quasilocal",
                 "extrapolated", "err", "verdict"])
     pstr = "" if report.p is None else "%.17g" % report.p
+    ends = [cell(report.extrapolated_mass), cell(report.err_estimate),
+            report.verdict]
     for r, q in zip(report.radii, report.quasilocal):
-        w.writerow([report.metric, pstr, "%.17g" % r,
-                    "%.17g" % q if math.isfinite(q) else _num(q),
-                    "%.17g" % report.extrapolated_mass
-                    if math.isfinite(report.extrapolated_mass)
-                    else _num(report.extrapolated_mass),
-                    "%.17g" % report.err_estimate
-                    if math.isfinite(report.err_estimate)
-                    else _num(report.err_estimate),
-                    report.verdict])
+        w.writerow([report.metric, pstr, "%.17g" % r, cell(q)] + ends)

@@ -15,10 +15,16 @@ from typing import Sequence, Tuple
 from .errors import BadExponent, NonConvergence
 from .numerics import DEFAULT_CFG, ToleranceConfig
 
-P_MIN = 1.0 + 1e-3
-P_MAX = 3.0 - 1e-3
+P_LOW = 1.0 + 1e-3
+P_HIGH = 3.0 - 1e-3
 
 _MAX_TERMS = 100_000
+
+
+def check_p(p: float) -> None:
+    """Raise BadExponent unless P_LOW <= p <= P_HIGH."""
+    if not P_LOW <= p <= P_HIGH:
+        raise BadExponent(f"p={p} outside [{P_LOW}, {P_HIGH}]")
 
 
 @dataclass(frozen=True)
@@ -31,8 +37,7 @@ class F21Params:
 
     @classmethod
     def from_p(cls, p: float) -> "F21Params":
-        if not P_MIN <= p <= P_MAX:
-            raise BadExponent(f"p={p} outside [{P_MIN}, {P_MAX}]")
+        check_p(p)
         return cls(0.5, (3.0 - p) / (p - 1.0), 2.0 / (p - 1.0))
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,9 +8,11 @@ from isocap.capacity import (capacitary_potential, one_capacity, p_capacity,
                              verify_flux_holder)
 from isocap.errors import BadExponent, DomainError, ParabolicMetric
 from isocap.geometry import (Gauge, cylinder, expr_metric, flat, scaled,
-                             schwarzschild)
+                             schwarzschild, table_metric, to_geodesic)
+from isocap.specfun import P_HIGH, P_LOW
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
+EXPONENTS = (P_LOW, 1.5, 2.0, 2.5, P_HIGH)
 
 
 def schw_ncap2(m, r0):
@@ -41,6 +44,61 @@ class TestSchwarzschildClosedForm:
     def test_horizon_capacity_equals_mass(self, m):
         res = p_capacity(schwarzschild(m), 2.0 * m, 2.0)
         assert res.ncap == pytest.approx(m, rel=1e-10)
+
+
+def schw_ncap_oracle(p, r0):
+    """Schwarzschild (m = 1) normalized p-capacity by mpmath quadrature.
+
+    With q = 2/(p-1), the substitution s = r0 * t^(-1/(q-1)) turns
+    I_p = int_{r0}^inf (4 pi s^2)^(-1/(p-1)) (1 - 2/s)^(-1/2) ds into
+    (4 pi r0^2)^(-1/(p-1)) * r0/(q-1) * int_0^1 (1 - (2/r0) t^(1/(q-1)))^(-1/2) dt.
+    """
+    with mpmath.workdps(30):
+        p, r0 = mpmath.mpf(p), mpmath.mpf(r0)
+        q = 2 / (p - 1)
+        rescaled = r0 / (q - 1) * mpmath.quad(
+            lambda t: (1 - 2 / r0 * t ** (1 / (q - 1))) ** -0.5, [0, 1])
+        return float(((p - 1) / (3 - p)) ** (p - 1) * r0 ** 2
+                     * rescaled ** (1 - p))
+
+
+class TestSchwarzschildOracle:
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.5, 2.9])
+    @pytest.mark.parametrize("rho0", [2.0, 3.0, 10.0])
+    def test_mpmath_quadrature(self, p, rho0):
+        # 1e-8: near p = 3 the power-law tail residual past cutoff_radius
+        # is resolved only to about 1e-8 of the capacity
+        assert p_capacity(schwarzschild(1.0), rho0, p).ncap == pytest.approx(
+            schw_ncap_oracle(p, rho0), rel=1e-8)
+
+    def test_oracle_matches_p2_closed_form(self):
+        assert schw_ncap_oracle(2.0, 3.0) == pytest.approx(
+            schw_ncap2(1.0, 3.0), rel=1e-14)
+
+
+class TestOtherFamilies:
+    """Tabulated and gauge-converted Schwarzschild against the areal one."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("rho0", [3.0, 10.0, 100.0])
+    def test_table(self, schwarzschild_csv, p, rho0):
+        table = table_metric(Gauge.AREAL, schwarzschild_csv)
+        assert p_capacity(table, rho0, p).ncap == pytest.approx(
+            p_capacity(schwarzschild(1.0), rho0, p).ncap, rel=1e-7)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_to_geodesic(self, p):
+        S = schwarzschild(1.0)
+        G = to_geodesic(S)
+        r = math.sqrt(G.area(10.0) / (4.0 * math.pi))
+        assert p_capacity(G, 10.0, p).ncap == pytest.approx(
+            p_capacity(S, r, p).ncap, rel=1e-8)
+
+    def test_table_holder(self, schwarzschild_csv):
+        table = table_metric(Gauge.AREAL, schwarzschild_csv)
+        rep = verify_flux_holder(table, 3.0, 2.0, n_samples=20)
+        assert rep.all_pass
+        assert rep.max_rel_gap <= 1e-8
 
 
 class TestScalingCovariance:
@@ -87,11 +145,13 @@ class TestParabolic:
         assert res.ncap == 0.0
 
     def test_cylinder_all_p(self):
-        for p in (1.1, 2.0, 2.9):
+        for p in (1.1, 2.9) + EXPONENTS:
             assert p_capacity(cylinder(1.0), 0.5, p).parabolic
 
     def test_flat_not_flagged_near_p3(self):
-        assert not p_capacity(flat(), 1.0, 2.999).parabolic
+        for metric, rho0 in ((flat(), 1.0), (schwarzschild(1.0), 3.0)):
+            for p in EXPONENTS:
+                assert not p_capacity(metric, rho0, p).parabolic
 
     def test_potential_raises(self):
         with pytest.raises(ParabolicMetric):

@@ -85,6 +85,20 @@ class TestMass:
         assert reports[1]["p"] is None
         assert abs(reports[0]["extrapolated"]) < 1e-9
 
+    def test_table_metric(self, capsys, schwarzschild_csv):
+        code, out, err = run(capsys, "mass", "--metric",
+                             f"table:areal:{schwarzschild_csv}",
+                             "--p-grid", "1,1.5,2,2.5,iso")
+        assert code == 0, err
+        for rep in json.loads(out):
+            assert rep["extrapolated"] == pytest.approx(1.0, abs=5e-3)
+
+    def test_unsorted_r_grid_exit_3(self, capsys):
+        code, _, err = run(capsys, "mass", "--metric", "schwarzschild:m=1",
+                           "--p-grid", "2", "--r-grid", "100,50,200,400,800,1600")
+        assert code == 3
+        assert "InsufficientData" in err
+
 
 class TestVerify:
     def test_holder_passes(self, capsys):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from isocap.geometry import cylinder, flat, scaled, schwarzschild
+from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
+                             table_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
                            asymptotic_isoperimetric_check, bmx_bound_check,
                            equivalence_report, huisken_mass,
@@ -43,6 +44,13 @@ class TestSchwarzschild:
         assert rep.verdict == CONVERGED
         assert rep.extrapolated_mass == pytest.approx(1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("p", [1.001, 1.25, 1.5, 2.0, 2.5, 2.9])
+    def test_one_pass_matches_per_radius(self, p):
+        S = schwarzschild(1.0)
+        rep = total_mass(S, p, GRID)
+        for r, v in zip(GRID, rep.quasilocal):
+            assert v == pytest.approx(quasilocal_mass(S, r, p), abs=1e-9)
+
     def test_huisken_sequence(self):
         rep = total_mass(schwarzschild(1.0), None, GRID)
         assert rep.p is None
@@ -59,6 +67,22 @@ class TestSchwarzschild:
         L = scaled(schwarzschild(1.0), 2.0)
         rep = total_mass(L, 2.0, [2 * r for r in GRID])
         assert rep.extrapolated_mass == pytest.approx(2.0, abs=1e-2)
+
+
+class TestOtherFamilies:
+    """Tabulated and gauge-converted Schwarzschild: total mass 1."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_table(self, schwarzschild_csv, p):
+        rep = total_mass(table_metric(Gauge.AREAL, schwarzschild_csv), p, GRID)
+        assert rep.verdict == CONVERGED
+        assert rep.extrapolated_mass == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_to_geodesic(self, p):
+        rep = total_mass(to_geodesic(schwarzschild(1.0)), p, GRID)
+        assert rep.verdict == CONVERGED
+        assert rep.extrapolated_mass == pytest.approx(1.0, abs=5e-3)
 
 
 class TestDivergent:

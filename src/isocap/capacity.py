@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ParabolicMetric
+from .flow import _outward_hulls
 from .geometry import FOUR_PI, Gauge, RadialMetric
 from .numerics import DEFAULT_CFG, ToleranceConfig, integrate
 from .specfun import check_p
@@ -175,6 +176,11 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
 def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
                 cfg: ToleranceConfig) -> List[CapacityResult]:
     """Normalized p-capacities of the spheres at strictly increasing radii."""
+    if p == 1.0:
+        hulls = _outward_hulls(metric, radii, cfg)
+        return [CapacityResult(p=1.0, rho0=rho, ncap=hull / FOUR_PI, flux=hull,
+                               err_estimate=0.0, parabolic=False, rho_star=star)
+                for rho, (star, hull) in zip(radii, hulls)]
     out = []
     for rho, area0, ivalue, ierr in zip(radii,
                                         *_capacity_tails(metric, radii, p, cfg)):
@@ -192,18 +198,14 @@ def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
 def p_capacity(metric: RadialMetric, rho0: float, p: float,
                cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """Normalized p-capacity of the centered sphere at rho0, 1 < p < 3."""
+    check_p(p)
     return _capacities(metric, [rho0], p, cfg)[0]
 
 
 def one_capacity(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """1-capacity: least enclosing-sphere area over 4pi (hull area)."""
-    from .flow import outward_hull  # deferred: flow imports geometry only
-
-    rho_star, hull_area = outward_hull(metric, rho0, cfg)
-    return CapacityResult(p=1.0, rho0=rho0, ncap=hull_area / FOUR_PI,
-                          flux=hull_area, err_estimate=0.0, parabolic=False,
-                          rho_star=rho_star)
+    return _capacities(metric, [rho0], 1.0, cfg)[0]
 
 
 def _potential(metric: RadialMetric, rho0: float, p: float,

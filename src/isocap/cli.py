@@ -21,9 +21,9 @@ from typing import IO, List, Optional, Sequence
 
 from . import flow as flow_mod
 from . import masses as masses_mod
-from .capacity import one_capacity, p_capacity, verify_flux_holder
+from .capacity import _capacities, verify_flux_holder
 from .errors import ConfigError, IsocapError
-from .geometry import check_hypotheses, metric_from_spec, sphere_data
+from .geometry import SIXTEEN_PI, check_hypotheses, metric_from_spec, sphere_data
 from .numerics import ToleranceConfig
 
 EXIT_OK = 0
@@ -93,8 +93,6 @@ def _resolve_metric(args, cp: configparser.ConfigParser):
         raise ConfigError("no metric given: use --metric or [metric] spec=...")
     try:
         return metric_from_spec(spec)
-    except IsocapError:
-        raise
     except Exception as exc:
         raise ConfigError(f"bad metric spec {spec!r}: {exc}")
 
@@ -118,13 +116,16 @@ def _resolve_tolerances(cp: configparser.ConfigParser) -> ToleranceConfig:
         raise ConfigError(str(exc))
 
 
-def _parse_grid(text: Optional[str]) -> Optional[List[float]]:
+def _parse_grid(text: Optional[str], item=float) -> Optional[list]:
     if text is None:
         return None
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        grid = [item(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
+        grid = []
+    if not grid:
         raise ConfigError(f"bad grid {text!r}")
+    return grid
 
 
 def _table(stream: IO[str], rows, header: Sequence[str], fmt: str) -> None:
@@ -158,10 +159,7 @@ def _cmd_sphere(args, metric, cfg, stream, fmt) -> int:
 
 
 def _cmd_capacity(args, metric, cfg, stream, fmt) -> int:
-    if args.p == 1.0:
-        res = one_capacity(metric, args.rho0, cfg)
-    else:
-        res = p_capacity(metric, args.rho0, args.p, cfg)
+    res = _capacities(metric, [args.rho0], args.p, cfg)[0]
     _write_pairs(stream, [("p", res.p), ("rho0", res.rho0), ("ncap", res.ncap),
                           ("flux", res.flux), ("err", res.err_estimate),
                           ("parabolic", res.parabolic)], fmt)
@@ -176,10 +174,10 @@ def _cmd_flow(args, metric, cfg, stream, fmt) -> int:
 
 
 def _cmd_mass(args, metric, cfg, stream, fmt) -> int:
-    p_grid = [None if tok == "iso" else float(tok)
-              for tok in (t.strip() for t in args.p_grid.split(",")) if tok]
+    p_grid = _parse_grid(args.p_grid,
+                         lambda tok: None if tok == "iso" else float(tok))
     r_grid = _parse_grid(args.r_grid)
-    if r_grid is None and p_grid:
+    if r_grid is None:
         r_grid = masses_mod.default_r_grid(metric, cfg.extrap_terms, cfg)
     reports = [masses_mod.total_mass(metric, p, r_grid, cfg) for p in p_grid]
     if fmt == "csv":
@@ -196,14 +194,10 @@ def _cmd_mass(args, metric, cfg, stream, fmt) -> int:
     return EXIT_OK
 
 
-def _rho_base(metric) -> float:
-    return metric.domain_start if metric.domain_start > 0.0 else 1.0
-
-
 def _verify_rows(suite: str, metric, cfg) -> List[tuple]:
     """Each row: (name, value, target, passed)."""
     rows = []
-    base = _rho_base(metric)
+    base = metric.domain_start if metric.domain_start > 0.0 else 1.0
     if suite == "equivalence":
         verdict = masses_mod.equivalence_report(metric, [1.0, 1.5, 2.0, 2.5],
                                                 cfg=cfg)
@@ -228,7 +222,7 @@ def _verify_rows(suite: str, metric, cfg) -> List[tuple]:
     elif suite == "willmore":
         track = flow_mod.weak_imcf(metric, base, 15.0, n_samples=300, cfg=cfg)
         lim, _ = flow_mod.willmore_limit(track, cfg=cfg)
-        rel = abs(lim - 16.0 * math.pi) / (16.0 * math.pi)
+        rel = abs(lim - SIXTEEN_PI) / SIXTEEN_PI
         rows.append(("willmore limit rel error", rel, "<= 1e-03", rel <= 1e-3))
     elif suite == "isoperimetric":
         rep_mass = masses_mod.total_mass(metric, 2.0, cfg=cfg)
@@ -244,12 +238,17 @@ def _verify_rows(suite: str, metric, cfg) -> List[tuple]:
     return rows
 
 
-def _cmd_verify(args, metric, cfg, stream, fmt) -> int:
-    rows = _verify_rows(args.suite, metric, cfg)
+def _write_checks(stream: IO[str], rows) -> bool:
+    """Table of (name, value, target, passed) rows; True when all pass."""
     display = [(name, val, target, "pass" if ok else "FAIL")
                for name, val, target, ok in rows]
     _table(stream, display, ("check", "value", "target", "status"), _HUMAN)
-    return EXIT_OK if all(ok for _, _, _, ok in rows) else EXIT_VERIFY_FAILED
+    return all(ok for _, _, _, ok in rows)
+
+
+def _cmd_verify(args, metric, cfg, stream, fmt) -> int:
+    rows = _verify_rows(args.suite, metric, cfg)
+    return EXIT_OK if _write_checks(stream, rows) else EXIT_VERIFY_FAILED
 
 
 def _cmd_hypotheses(args, metric, cfg, stream, fmt) -> int:
@@ -262,9 +261,7 @@ def _cmd_hypotheses(args, metric, cfg, stream, fmt) -> int:
             ("radial isoperimetric constant",
              rep.radial_isoperimetric_constant, "> 0",
              rep.radial_isoperimetric_constant > 0.0)]
-    display = [(name, val, target, "pass" if ok else "FAIL")
-               for name, val, target, ok in rows]
-    _table(stream, display, ("check", "value", "target", "status"), _HUMAN)
+    _write_checks(stream, rows)
     return EXIT_OK
 
 
@@ -293,11 +290,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fmt = (args.format or cp.get("output", "format", fallback=None)
                or _DEFAULT_FORMAT[args.command])
         out_path = args.out or cp.get("output", "path", fallback=None)
-    except ConfigError as exc:
-        print(f"isocap: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if out_path:
             with open(out_path, "w") as stream:
                 return _DISPATCH[args.command](args, metric, cfg, stream, fmt)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, List, Tuple, Union
+from typing import IO, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.optimize
@@ -64,12 +64,17 @@ class GerochReport:
     masses: List[float]
 
 
-def _area_grid(metric: RadialMetric, lo: float, hi: float,
-               n: int = _SCAN_POINTS) -> Tuple[np.ndarray, np.ndarray]:
-    grid = np.geomspace(max(lo, 1e-12), hi, n)
+def _area_grid(metric: RadialMetric, lo: float,
+               hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    grid = np.geomspace(max(lo, 1e-12), hi, _SCAN_POINTS)
     grid[0] = lo
     areas = np.array([metric.area(float(r)) for r in grid])
     return grid, areas
+
+
+def _suffix_min(areas: np.ndarray) -> np.ndarray:
+    """Least area at or past each node: the area still reachable outward."""
+    return np.minimum.accumulate(areas[::-1])[::-1]
 
 
 def _refine_min(metric: RadialMetric, lo: float, hi: float,
@@ -80,6 +85,34 @@ def _refine_min(metric: RadialMetric, lo: float, hi: float,
     return float(res.x), float(res.fun)
 
 
+def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
+                   cfg: ToleranceConfig) -> List[Tuple[float, float]]:
+    """(rho_star, hull_area) of each of the strictly increasing radii, all
+    read off one area scan from the innermost radius."""
+    if radii[0] < metric.domain_start - 1e-12:
+        raise DomainError(f"rho0={radii[0]} below domain start {metric.domain_start}")
+    hi = min(cfg.cutoff_radius, metric.r_max)
+    if radii[0] >= hi:
+        return [(r, metric.area(r)) for r in radii]
+    grid, areas = _area_grid(metric, radii[0], hi)
+    envelope = _suffix_min(areas)
+    hulls = []
+    for r in radii:
+        j = int(np.searchsorted(grid, r, side="right"))  # first node past r
+        base = float(areas[j - 1]) if grid[j - 1] == r else metric.area(r)
+        level = min(base, envelope[min(j, len(grid) - 1)]) * (1.0 + 1e-9)
+        # the outermost node within level is the last one the envelope admits
+        i = int(np.searchsorted(envelope, level, side="right")) - 1
+        hull = (r, base)
+        if i >= j:  # a node past r comes within level: refine the dip there
+            dip = _refine_min(metric, max(float(grid[i - 1]), r),
+                              float(grid[min(i + 1, len(grid) - 1)]), cfg)
+            if dip[1] < base * (1.0 - 1e-12):
+                hull = dip
+        hulls.append(hull)
+    return hulls
+
+
 def outward_hull(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> Tuple[float, float]:
     """Outermost radius minimizing sphere area over [rho0, inf).
@@ -88,24 +121,7 @@ def outward_hull(metric: RadialMetric, rho0: float,
     this is (rho0, area(rho0)); past a neck it is the bottom of the
     outermost dip at or below area(rho0).
     """
-    if rho0 < metric.domain_start - 1e-12:
-        raise DomainError(f"rho0={rho0} below domain start {metric.domain_start}")
-    hi = min(cfg.cutoff_radius, metric.r_max)
-    if hi <= rho0:
-        return rho0, metric.area(rho0)
-    grid, areas = _area_grid(metric, rho0, hi)
-    amin = areas.min()
-    near = np.nonzero(areas <= amin * (1.0 + 1e-9))[0]
-    i = int(near[-1])
-    if i == 0:
-        return rho0, float(areas[0])
-    lo_b = float(grid[max(i - 1, 0)])
-    hi_b = float(grid[min(i + 1, len(grid) - 1)])
-    rho_star, hull_area = _refine_min(metric, lo_b, hi_b, cfg)
-    base = metric.area(rho0)
-    if hull_area >= base * (1.0 - 1e-12):
-        return rho0, base
-    return rho_star, hull_area
+    return _outward_hulls(metric, [rho0], cfg)[0]
 
 
 def _outermost_root(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
@@ -128,8 +144,7 @@ def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
                 hull_area: float, t_max: float,
                 cfg: ToleranceConfig) -> List[Jump]:
     """Locate necks the outermost-root rule skips, as area-matched jumps."""
-    # suffix running minimum: area the flow can still reach going outward
-    envelope = np.minimum.accumulate(areas[::-1])[::-1]
+    envelope = _suffix_min(areas)
     skipped = areas > envelope * (1.0 + 1e-10)
     jumps: List[Jump] = []
     n = len(grid)

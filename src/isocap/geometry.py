@@ -33,6 +33,7 @@ from .errors import ConfigError, DomainError, EvalError, NonIntegrableThroat
 from .numerics import DEFAULT_CFG, ToleranceConfig, find_root, integrate
 
 FOUR_PI = 4.0 * math.pi
+SIXTEEN_PI = 16.0 * math.pi
 
 
 class Gauge(enum.Enum):
@@ -222,7 +223,7 @@ def sphere_data(metric: RadialMetric, rho: float,
         a, ap, app = v, d1, d2
         area = FOUR_PI * a * a
         H = 2.0 * ap / a
-        willmore = 16.0 * math.pi * ap * ap
+        willmore = SIXTEEN_PI * ap * ap
         m_H = 0.5 * a * (1.0 - ap * ap)
         R = 2.0 * (1.0 - ap * ap - 2.0 * a * app) / (a * a)
     else:
@@ -231,7 +232,7 @@ def sphere_data(metric: RadialMetric, rho: float,
             raise EvalError(f"areal coefficient f({rho}) = {f} < 0")
         area = FOUR_PI * rho * rho
         H = 2.0 * math.sqrt(f) / rho
-        willmore = 16.0 * math.pi * f
+        willmore = SIXTEEN_PI * f
         m_H = 0.5 * rho * (1.0 - f)
         R = 2.0 * (1.0 - f - rho * fp) / (rho * rho)
     return SphereData(rho=rho, area=area, volume=metric.volume(rho, cfg),
@@ -377,6 +378,10 @@ def to_geodesic(metric: RadialMetric,
 # ---------------------------------------------------------------------------
 # Minimal spheres and hypothesis checks
 
+_MINIMAL_PROBES = 4096  # sign changes of H, one per probe interval
+_PROBES = 256  # curvature, volume and validity probes
+
+
 def _probe_grid(metric: RadialMetric, cfg: ToleranceConfig,
                 n: int) -> np.ndarray:
     lo = max(metric.domain_start, 1e-6)
@@ -388,10 +393,9 @@ def _probe_grid(metric: RadialMetric, cfg: ToleranceConfig,
 
 
 def find_minimal_spheres(metric: RadialMetric,
-                         cfg: ToleranceConfig = DEFAULT_CFG,
-                         n_probe: int = 4096) -> List[float]:
+                         cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
     """Radii of all centered minimal spheres (H = 0), boundary included."""
-    grid = _probe_grid(metric, cfg, n_probe)
+    grid = _probe_grid(metric, cfg, _MINIMAL_PROBES)
     grid = grid[grid >= max(metric.domain_start, 1e-12)]
     roots: List[float] = []
 
@@ -422,14 +426,13 @@ def find_minimal_spheres(metric: RadialMetric,
 
 
 def check_hypotheses(metric: RadialMetric,
-                     cfg: ToleranceConfig = DEFAULT_CFG,
-                     n_probe: int = 256) -> HypothesisReport:
+                     cfg: ToleranceConfig = DEFAULT_CFG) -> HypothesisReport:
     """Grid-based certificate for the hypotheses of mass equivalence.
 
     The isoperimetric constant is estimated over radial competitors only
     (centered spheres); it is an upper bound certificate, not a proof.
     """
-    grid = _probe_grid(metric, cfg, n_probe)
+    grid = _probe_grid(metric, cfg, _PROBES)
     interior = [s for s in grid if s > metric.domain_start * (1 + 1e-9)
                 or metric.domain_start == 0.0]
     worst: Optional[Tuple[float, float]] = None
@@ -463,11 +466,10 @@ def check_hypotheses(metric: RadialMetric,
 
 
 def validate_metric(metric: RadialMetric,
-                    cfg: ToleranceConfig = DEFAULT_CFG,
-                    n_probe: int = 256) -> List[str]:
+                    cfg: ToleranceConfig = DEFAULT_CFG) -> List[str]:
     """Check the structural invariants; returns a list of violations."""
     issues: List[str] = []
-    grid = _probe_grid(metric, cfg, n_probe)
+    grid = _probe_grid(metric, cfg, _PROBES)
     try:
         vals = np.array([metric.profile_d2(s)[0] for s in grid])
     except Exception as exc:  # noqa: BLE001 - report, not crash
@@ -557,20 +559,13 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
         def fn(rho: float) -> Tuple[float, float, float]:
             v, d1, d2 = base.eval_d2(rho / lam)
             return lam * v, d1, d2 / lam
-        r_max = getattr(base, "r_max", math.inf) * lam
-        prof = FuncProfile(fn, label=f"scaled({lam:g})*{base.describe()}",
-                           r_max=r_max)
-        return RadialMetric(Gauge.GEODESIC, prof, metric.domain_start * lam,
-                            metric.boundary_kind,
-                            label=f"scaled:{lam:g}:{metric.label}")
-
-    def fn(r: float) -> Tuple[float, float, float]:
-        v, d1, d2 = base.eval_d2(r / lam)
-        return v, d1 / lam, d2 / (lam * lam)
-    r_max = getattr(base, "r_max", math.inf) * lam
+    else:
+        def fn(r: float) -> Tuple[float, float, float]:
+            v, d1, d2 = base.eval_d2(r / lam)
+            return v, d1 / lam, d2 / (lam * lam)
     prof = FuncProfile(fn, label=f"scaled({lam:g})*{base.describe()}",
-                       r_max=r_max)
-    return RadialMetric(Gauge.AREAL, prof, metric.domain_start * lam,
+                       r_max=getattr(base, "r_max", math.inf) * lam)
+    return RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                         metric.boundary_kind,
                         label=f"scaled:{lam:g}:{metric.label}")
 

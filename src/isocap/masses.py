@@ -24,11 +24,9 @@ from typing import IO, List, Optional, Sequence
 
 from .capacity import _capacities, one_capacity, p_capacity
 from .errors import InsufficientData
-from .geometry import FOUR_PI, RadialMetric, sphere_data
+from .geometry import FOUR_PI, SIXTEEN_PI, RadialMetric, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit
 from .specfun import gauss_2f1
-
-SIXTEEN_PI = 16.0 * math.pi
 
 CONVERGED = "CONVERGED"
 DIVERGENT = "DIVERGENT"
@@ -85,10 +83,8 @@ class IsoperimetricReport:
 def _quasilocal(metric: RadialMetric, radii: Sequence[float], p: float,
                 cfg: ToleranceConfig) -> List[float]:
     """Iso-p-capacitary masses at increasing radii; +inf when p-parabolic."""
-    caps = ([one_capacity(metric, r, cfg) for r in radii] if p == 1.0
-            else _capacities(metric, radii, p, cfg))
     vals = []
-    for cap in caps:
+    for cap in _capacities(metric, radii, p, cfg):
         if cap.parabolic:
             vals.append(math.inf)
             continue
@@ -129,8 +125,8 @@ def total_mass(metric: RadialMetric, p: Optional[float],
     if r_grid is None:
         r_grid = default_r_grid(metric, cfg.extrap_terms, cfg)
     radii = [float(r) for r in r_grid]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InsufficientData("exhaustion radii must be strictly increasing")
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InsufficientData("need non-empty, strictly increasing radii")
     vals = ([huisken_mass(metric, r, cfg) for r in radii] if p is None
             else _quasilocal(metric, radii, p, cfg))
 

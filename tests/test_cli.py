@@ -99,6 +99,18 @@ class TestMass:
         assert code == 3
         assert "InsufficientData" in err
 
+    @pytest.mark.parametrize("grids", [
+        ("--p-grid", "2,x"),
+        ("--p-grid", ","),
+        ("--p-grid", "2", "--r-grid", ","),
+        ("--p-grid", "1", "--r-grid", ","),
+        ("--p-grid", "2", "--r-grid", "100,x"),
+    ])
+    def test_bad_grid_exit_2(self, capsys, grids):
+        code, _, err = run(capsys, "mass", "--metric", "flat", *grids)
+        assert code == 2
+        assert "bad grid" in err
+
 
 class TestVerify:
     def test_holder_passes(self, capsys):
@@ -131,6 +143,12 @@ class TestConfig:
     def test_unknown_metric_exit_2(self, capsys):
         code, _, _ = run(capsys, "sphere", "--metric", "torus", "--rho", "2")
         assert code == 2
+
+    def test_malformed_expression_exit_2(self, capsys):
+        code, _, err = run(capsys, "sphere", "--metric", "expr:geodesic:r+",
+                           "--rho", "2")
+        assert code == 2
+        assert "config error" in err and "offset 2" in err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"

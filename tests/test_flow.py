@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from isocap.errors import DomainError, InsufficientData
-from isocap.flow import (Jump, SmoothSegment, flow_to_csv, geroch_check,
-                         outward_hull, weak_imcf, willmore_limit)
+from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
+                         flow_to_csv, geroch_check, outward_hull, weak_imcf,
+                         willmore_limit)
 from isocap.geometry import (Gauge, expr_metric, flat, schwarzschild,
                              tanh_step_mass_metric)
+from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
 
@@ -51,6 +53,46 @@ class TestOutwardHull:
     def test_below_domain(self):
         with pytest.raises(DomainError):
             outward_hull(schwarzschild(1.0), 0.5)
+
+
+def _between_nodes(metric, lo, k):
+    """Midpoint of nodes k and k+1 of the hull scan that starts at lo."""
+    hi = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
+    nodes = np.geomspace(lo, hi, _SCAN_POINTS)
+    return float(0.5 * (nodes[k] + nodes[k + 1]))
+
+
+class TestMultiRadiusHull:
+    """One scan for many radii against one scan per radius."""
+
+    @pytest.mark.parametrize("make,radii,k", [
+        (flat, [0.5, 1.0, 3.7, 10.0, 1e7], 700),
+        (lambda: schwarzschild(1.0), [2.0, 2.5, 10.0, 100.0], 300),
+        (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+         [0.5, 1.0, 4.0, 6.0, 20.0], 2500),
+    ])
+    def test_growing_area_bit_identical(self, make, radii, k):
+        metric = make()
+        radii = sorted(radii + [_between_nodes(metric, radii[0], k)])
+        assert _outward_hulls(metric, radii, DEFAULT_CFG) == [
+            outward_hull(metric, r) for r in radii]
+
+    def test_neck(self):
+        # inside the bump, across it, in the dip (one radius between scan
+        # nodes) and past it
+        metric = neck_metric()
+        radii = sorted([0.5, 1.0, 2.0, 2.9, 3.0, 3.3, 3.5, 3.7, 4.0, 10.0,
+                        _between_nodes(metric, 0.5, 846)])
+        hulls = _outward_hulls(metric, radii, DEFAULT_CFG)
+        assert any(rho != r for r, (rho, _) in zip(radii, hulls))
+        for r, (rho, area) in zip(radii, hulls):
+            rho1, area1 = outward_hull(metric, r)
+            assert rho == pytest.approx(rho1, abs=1e-8)
+            assert area == pytest.approx(area1, rel=1e-12)
+
+    def test_below_domain(self):
+        with pytest.raises(DomainError):
+            _outward_hulls(schwarzschild(1.0), [1.5, 3.0], DEFAULT_CFG)
 
 
 class TestAreaLaw:

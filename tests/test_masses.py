@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from isocap import flow
+from isocap.errors import InsufficientData
 from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
                              table_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
@@ -50,6 +52,22 @@ class TestSchwarzschild:
         rep = total_mass(S, p, GRID)
         for r, v in zip(GRID, rep.quasilocal):
             assert v == pytest.approx(quasilocal_mass(S, r, p), abs=1e-9)
+
+    def test_p1_sequence_scans_once(self, monkeypatch):
+        starts = []
+        area_grid = flow._area_grid
+
+        def counted(metric, lo, hi):
+            starts.append(lo)
+            return area_grid(metric, lo, hi)
+        monkeypatch.setattr(flow, "_area_grid", counted)
+        total_mass(schwarzschild(1.0), 1.0, GRID)
+        assert starts == [GRID[0]]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, None])
+    def test_empty_grid(self, p):
+        with pytest.raises(InsufficientData):
+            total_mass(schwarzschild(1.0), p, [])
 
     def test_huisken_sequence(self):
         rep = total_mass(schwarzschild(1.0), None, GRID)

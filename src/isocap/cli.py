@@ -291,7 +291,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                or _DEFAULT_FORMAT[args.command])
         out_path = args.out or cp.get("output", "path", fallback=None)
         if out_path:
-            with open(out_path, "w") as stream:
+            try:
+                stream = open(out_path, "w")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out_path!r}: "
+                                  f"{exc.strerror}") from None
+            with stream:
                 return _DISPATCH[args.command](args, metric, cfg, stream, fmt)
         return _DISPATCH[args.command](args, metric, cfg, sys.stdout, fmt)
     except ConfigError as exc:

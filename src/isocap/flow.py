@@ -68,8 +68,7 @@ def _area_grid(metric: RadialMetric, lo: float,
                hi: float) -> Tuple[np.ndarray, np.ndarray]:
     grid = np.geomspace(max(lo, 1e-12), hi, _SCAN_POINTS)
     grid[0] = lo
-    areas = np.array([metric.area(float(r)) for r in grid])
-    return grid, areas
+    return grid, metric.area(grid)
 
 
 def _suffix_min(areas: np.ndarray) -> np.ndarray:
@@ -99,7 +98,8 @@ def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
     hulls = []
     for r in radii:
         j = int(np.searchsorted(grid, r, side="right"))  # first node past r
-        base = float(areas[j - 1]) if grid[j - 1] == r else metric.area(r)
+        # the scalar area, not the scan's: array evaluation may differ by an ulp
+        base = metric.area(r)
         level = min(base, envelope[min(j, len(grid) - 1)]) * (1.0 + 1e-9)
         # the outermost node within level is the last one the envelope admits
         i = int(np.searchsorted(envelope, level, side="right")) - 1

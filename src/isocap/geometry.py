@@ -22,7 +22,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,7 +47,17 @@ class BoundaryKind(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Profiles: anything exposing eval_d2(r) -> (value, d1, d2)
+# Profiles: anything exposing eval_d2(r) -> (value, d1, d2) at one radius and
+# values(rs) -> the value at each radius of a 1-D array.  values raises the
+# typed errors eval_d2 raises; area scans and value-only probes call it once
+# per grid instead of once per node.
+
+
+def _mapped(fn: Callable[[float], Tuple[float, float, float]],
+            rs: np.ndarray) -> np.ndarray:
+    """Values of a scalar (value, d1, d2) callable, one call per radius."""
+    return np.array([fn(float(r))[0] for r in rs], dtype=float)
+
 
 class ExprProfile:
     """Profile backed by a parsed expression plus parameter bindings."""
@@ -66,6 +76,9 @@ class ExprProfile:
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return profiles.eval_d2(self.expr, r, self.params)
 
+    def values(self, rs: np.ndarray) -> np.ndarray:
+        return _mapped(self.eval_d2, rs)
+
     def describe(self) -> str:
         text = profiles.to_text(self.expr)
         if self.params:
@@ -75,16 +88,22 @@ class ExprProfile:
 
 
 class FuncProfile:
-    """Profile backed by a callable returning (value, d1, d2)."""
+    """Profile backed by a callable returning (value, d1, d2), plus
+    ``array_fn``, which maps a 1-D array of radii to the values there."""
 
     def __init__(self, fn: Callable[[float], Tuple[float, float, float]],
+                 array_fn: Callable[[np.ndarray], np.ndarray],
                  label: str = "func", r_max: float = math.inf):
         self.fn = fn
+        self.array_fn = array_fn
         self.label = label
         self.r_max = r_max
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self.fn(r)
+
+    def values(self, rs: np.ndarray) -> np.ndarray:
+        return self.array_fn(rs)
 
     def describe(self) -> str:
         return self.label
@@ -108,11 +127,20 @@ class TableProfile:
         self.r_max = float(radii[-1])
         self.label = label
 
-    def eval_d2(self, r: float) -> Tuple[float, float, float]:
+    def _check_range(self, r: float) -> None:
         if r < self.r_min - 1e-12 or r > self.r_max * (1 + 1e-12):
             raise EvalError(f"radius {r} outside table range "
                             f"[{self.r_min}, {self.r_max}]")
+
+    def eval_d2(self, r: float) -> Tuple[float, float, float]:
+        self._check_range(r)
         return float(self._interp(r)), float(self._d1(r)), float(self._d2(r))
+
+    def values(self, rs: np.ndarray) -> np.ndarray:
+        if rs.size:
+            self._check_range(float(rs.min()))
+            self._check_range(float(rs.max()))
+        return self._interp(rs)
 
     def describe(self) -> str:
         return self.label
@@ -170,10 +198,14 @@ class RadialMetric:
     def profile_d2(self, rho: float) -> Tuple[float, float, float]:
         return self.profile.eval_d2(rho)
 
-    def area(self, rho: float) -> float:
+    def area(self, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Area of the sphere at rho, or of each sphere of a 1-D radius array."""
         if self.gauge is Gauge.AREAL:
             return FOUR_PI * rho * rho
-        a = self.profile.eval_d2(rho)[0]
+        if isinstance(rho, np.ndarray):
+            a = self.profile.values(rho)
+        else:
+            a = self.profile.eval_d2(rho)[0]
         return FOUR_PI * a * a
 
     def _volume_integrand(self) -> Callable[[float], float]:
@@ -339,6 +371,9 @@ class _ConvertedProfile:
         i = max(i, 0)
         return float(self._rho_nodes[i]) + self._seg(float(self._r_nodes[i]), r)
 
+    def values(self, rhos: np.ndarray) -> np.ndarray:
+        return _mapped(self.eval_d2, rhos)
+
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
         if rho < 0.0 or rho > self.r_max * (1 + 1e-12):
             raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
@@ -471,7 +506,7 @@ def validate_metric(metric: RadialMetric,
     issues: List[str] = []
     grid = _probe_grid(metric, cfg, _PROBES)
     try:
-        vals = np.array([metric.profile_d2(s)[0] for s in grid])
+        vals = metric.profile.values(grid)
     except Exception as exc:  # noqa: BLE001 - report, not crash
         return [f"profile evaluation failed: {exc}"]
     if metric.gauge is Gauge.GEODESIC:
@@ -559,11 +594,17 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
         def fn(rho: float) -> Tuple[float, float, float]:
             v, d1, d2 = base.eval_d2(rho / lam)
             return lam * v, d1, d2 / lam
+
+        def array_fn(rhos: np.ndarray) -> np.ndarray:
+            return lam * base.values(rhos / lam)
     else:
         def fn(r: float) -> Tuple[float, float, float]:
             v, d1, d2 = base.eval_d2(r / lam)
             return v, d1 / lam, d2 / (lam * lam)
-    prof = FuncProfile(fn, label=f"scaled({lam:g})*{base.describe()}",
+
+        def array_fn(rs: np.ndarray) -> np.ndarray:
+            return base.values(rs / lam)
+    prof = FuncProfile(fn, array_fn, label=f"scaled({lam:g})*{base.describe()}",
                        r_max=getattr(base, "r_max", math.inf) * lam)
     return RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                         metric.boundary_kind,
@@ -581,7 +622,11 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     mu maps rho to (mass, d mass/d rho) with mass >= 0 and slope >= 0.  The
     warping factor solves a' = sqrt(1 - 2*mu/a) with a(0) = a0 > 2*mu(0),
     which makes the Hawking mass of the sphere at rho exactly mu(rho) and
-    the scalar curvature 4*mu'/(a' a^2) >= 0.
+    the scalar curvature 4*mu'/(a' a^2) >= 0.  Array evaluation (area scans,
+    ``validate_metric``) relies on mu being nondecreasing: it checks the
+    stall 1 - 2*mu/a <= 0 at the outermost radius only and calls mu nowhere
+    else, so a mu that dips or raises at an inner radius goes unnoticed
+    there, while ``eval_d2`` at that radius still raises.
     """
     mu0 = mu(0.0)[0]
     if a0 <= 2.0 * mu0:
@@ -606,7 +651,18 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
         app = (m * ap / (a * a) - mp / a) / ap
         return a, ap, app
 
-    prof = FuncProfile(fn, label=label, r_max=rho_max)
+    def array_fn(rhos: np.ndarray) -> np.ndarray:
+        # a' = 0 freezes a while mu cannot decrease, so the warping stalls on
+        # a half-line: if any node stalls, the outermost one does, and fn
+        # then raises at the first stalled node as the scalar path would
+        if rhos.size:
+            try:
+                fn(float(rhos.max()))
+            except EvalError:
+                return _mapped(fn, rhos)
+        return dense(rhos)[0]
+
+    prof = FuncProfile(fn, array_fn, label=label, r_max=rho_max)
     return RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
 
 

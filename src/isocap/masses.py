@@ -117,6 +117,28 @@ def default_r_grid(metric: RadialMetric, n: int = 6,
     return [base * 2.0 ** k for k in range(n)]
 
 
+def _diverges(radii: Sequence[float], vals: Sequence[float],
+              report_tol: float) -> bool:
+    """True for a p-parabolic sequence, one that ends far above the median
+    of its upper half, and one still growing at least like log r: its last
+    two steps have one sign, the last per unit of log r is no smaller than
+    the one before, and it exceeds the report tolerance.  Accelerators take
+    steady growth, such as a linear sequence, for a finite limit; a sequence
+    whose slope in log r shrinks, such as m + c/r, is never flagged."""
+    if any(math.isinf(v) for v in vals):
+        return True
+    scale = statistics.median(abs(v) for v in vals[len(vals) // 2:])
+    if abs(vals[-1]) > 10.0 * max(scale, 1e-12) and abs(vals[-1]) > 1.0:
+        return True
+    if len(vals) < 3 or radii[-3] <= 0.0:
+        return False
+    prev, last = vals[-2] - vals[-3], vals[-1] - vals[-2]
+    if prev * last <= 0.0 or abs(last) <= report_tol * max(1.0, abs(vals[-1])):
+        return False
+    return (abs(last) / math.log(radii[-1] / radii[-2])
+            >= abs(prev) / math.log(radii[-2] / radii[-3]))
+
+
 def total_mass(metric: RadialMetric, p: Optional[float],
                r_grid: Optional[Sequence[float]] = None,
                cfg: ToleranceConfig = DEFAULT_CFG,
@@ -131,9 +153,7 @@ def total_mass(metric: RadialMetric, p: Optional[float],
             else _quasilocal(metric, radii, p, cfg))
 
     label = metric.label
-    scale = statistics.median(abs(v) for v in vals[len(vals) // 2:])
-    if any(math.isinf(v) for v in vals) or (
-            abs(vals[-1]) > 10.0 * max(scale, 1e-12) and abs(vals[-1]) > 1.0):
+    if _diverges(radii, vals, report_tol):
         return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
                           extrapolated_mass=math.inf, err_estimate=math.inf,
                           verdict=DIVERGENT)

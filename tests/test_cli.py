@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,29 @@ class TestConfig:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["rho"] == 2.0
+
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "sphere", "--metric", "flat", "--rho", "2",
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in err
+
+
+class TestModuleEntry:
+    def test_python_m_isocap(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-m", "isocap", "sphere",
+                               "--metric", "flat", "--rho", "2",
+                               "--format", "json"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["rho"] == 2.0
 
 
 class TestDeterminism:

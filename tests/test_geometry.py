@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from isocap import flow
 from isocap.errors import ConfigError, EvalError, NonIntegrableThroat
-from isocap.geometry import (BoundaryKind, Gauge, check_hypotheses, cylinder,
+from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
+                             check_hypotheses, cylinder,
                              expr_metric, find_minimal_spheres, flat,
                              mass_profile_metric, metric_from_spec, scaled,
                              schwarzschild, sphere_data, table_metric,
@@ -218,6 +220,70 @@ class TestMassProfileGenerator:
 
         M = mass_profile_metric(mu, a0=2.0)
         assert sphere_data(M, 30.0).hawking_mass == pytest.approx(0.5, abs=1e-9)
+
+
+class TestArrayValues:
+    """profile.values against the scalar eval_d2 it stands for."""
+
+    @staticmethod
+    def scalar(metric, rs):
+        return np.array([metric.profile_d2(float(r))[0] for r in rs])
+
+    @pytest.mark.parametrize("metric, lo, hi, n", [
+        (expr_metric(Gauge.GEODESIC, NECK), 0.0, 12.0, 2000),
+        (schwarzschild(1.0), 2.0, 1e6, 2000),
+        (scaled(expr_metric(Gauge.GEODESIC, NECK), 2.0), 0.0, 24.0, 2000),
+        (scaled(schwarzschild(1.0), 0.5), 1.0, 1e5, 2000),
+        (to_geodesic(schwarzschild(1.0)), 0.0, 1e4, 40),
+    ], ids=["expr", "expr-areal", "scaled-expr", "scaled-areal", "converted"])
+    def test_bit_identical(self, metric, lo, hi, n):
+        rs = np.geomspace(max(lo, 1e-6), hi, n)
+        rs[0] = lo
+        assert np.array_equal(metric.profile.values(rs), self.scalar(metric, rs))
+
+    def test_table_bit_identical(self, schwarzschild_csv):
+        T = table_metric(Gauge.AREAL, schwarzschild_csv)
+        rs = np.geomspace(2.0, 1e6, 8192)
+        assert np.array_equal(T.profile.values(rs), self.scalar(T, rs))
+        with pytest.raises(EvalError, match="outside table range"):
+            T.profile.values(np.array([3.0, 2e6]))
+
+    def test_generated_within_an_ulp(self):
+        M = tanh_step_mass_metric(1.2, 4.0, 1.5)
+        rs = np.geomspace(0.5, 200.0, 8192)
+        ref = self.scalar(M, rs)
+        rel = np.abs(M.profile.values(rs) - ref) / ref
+        assert rel.max() <= 4.5e-16
+
+    def test_stalled_warping_raises_like_scalar(self):
+        # mu = rho outgrows a/2 near rho = 0.4 and the warping stalls for good
+        M = mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0, rho_max=50.0)
+        rs = np.geomspace(0.01, 20.0, 512)
+        first = None
+        for r in rs:
+            try:
+                M.area(float(r))
+            except EvalError as exc:
+                first = str(exc)
+                break
+        assert first is not None and "stalls" in first
+        with pytest.raises(EvalError) as info:
+            M.area(rs)
+        assert str(info.value) == first
+
+    def test_generated_scan_makes_no_scalar_calls(self, monkeypatch):
+        calls = []
+        eval_d2 = FuncProfile.eval_d2
+
+        def counted(self, r):
+            calls.append(r)
+            return eval_d2(self, r)
+        monkeypatch.setattr(FuncProfile, "eval_d2", counted)
+        for M in (tanh_step_mass_metric(1.0, 5.0, 1.0),
+                  scaled(tanh_step_mass_metric(1.0, 5.0, 1.0), 2.0)):
+            grid, areas = flow._area_grid(M, 0.5, 100.0)
+            assert len(areas) == len(grid)
+        assert calls == []
 
 
 class TestMetricSpec:

@@ -13,6 +13,7 @@ from isocap.masses import (CONVERGED, DIVERGENT,
                            equivalence_report, huisken_mass,
                            mass_report_to_csv, mass_report_to_json,
                            quasilocal_mass, total_mass)
+from isocap.masses import _diverges
 
 GRID = [50.0 * 2.0 ** k for k in range(6)]
 
@@ -109,6 +110,36 @@ class TestDivergent:
         assert rep.verdict == DIVERGENT
         assert math.isinf(rep.extrapolated_mass)
         assert all(math.isinf(v) for v in rep.quasilocal)
+
+    @pytest.mark.parametrize("p", [1.0, None])
+    def test_cylinder_growing_masses(self, p):
+        # hull and Huisken masses grow linearly in r; the accelerators alone
+        # took the sequence for exact and reported a negative limit
+        rep = total_mass(cylinder(1.0), p, GRID)
+        assert rep.quasilocal[-1] > rep.quasilocal[-2] > rep.quasilocal[-3] > 0
+        assert rep.verdict == DIVERGENT
+        assert math.isinf(rep.extrapolated_mass)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, None])
+    def test_uneven_grid_converging(self, p):
+        # the raw last step (80 -> 81 -> 400) grows sixtyfold, but per unit
+        # of log r it shrinks, as it does for every m + c/r sequence
+        rep = total_mass(schwarzschild(1.0), p, [10.0, 20.0, 40.0, 80.0,
+                                                81.0, 400.0])
+        assert rep.verdict == CONVERGED
+        assert math.isfinite(rep.extrapolated_mass)
+
+    @pytest.mark.parametrize("vals, expected", [
+        ([1.00, 1.05, 0.99], False),   # oscillates: the steps change sign
+        ([1.00, 0.95, 1.01], False),
+        ([1.00, 1.05, 1.06], False),   # slows down
+        ([1.00, 2.00, 3.00], True),    # logarithmic growth
+        ([1.00, 3.00, 7.00], True),    # linear growth
+        ([7.00, 5.00, 3.00], True),    # falls without bound
+        ([1.00, 1.002, 1.004], False),  # below the report tolerance
+    ])
+    def test_growth_rule(self, vals, expected):
+        assert _diverges([1.0, 2.0, 4.0], vals, 1e-2) is expected
 
 
 class TestBmxBound:

@@ -150,6 +150,8 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
         raise DomainError(f"rho0={radii[0]} below domain start "
                           f"{metric.domain_start}")
     areas = [metric.area(r) for r in radii]
+    if 0.0 in areas:
+        raise DomainError(f"sphere at rho={radii[areas.index(0.0)]} has zero area")
     dens = [_cap_integrand(metric, p, a) for a in areas]
     lo = radii[-1]
     big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)

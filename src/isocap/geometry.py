@@ -72,9 +72,10 @@ class ExprProfile:
         unbound = expr.names() - set(self.params)
         if unbound:
             raise ConfigError(f"undeclared parameters: {sorted(unbound)}")
+        self._compiled = profiles.compile(expr, self.params)
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
-        return profiles.eval_d2(self.expr, r, self.params)
+        return self._compiled(r)
 
     def values(self, rs: np.ndarray) -> np.ndarray:
         return _mapped(self.eval_d2, rs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence
 
 from .capacity import _capacities, one_capacity, p_capacity
-from .errors import InsufficientData
+from .errors import DomainError, InsufficientData
 from .geometry import FOUR_PI, SIXTEEN_PI, RadialMetric, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit
 from .specfun import gauss_2f1
@@ -89,6 +89,8 @@ def _quasilocal(metric: RadialMetric, radii: Sequence[float], p: float,
             vals.append(math.inf)
             continue
         c, vol = cap.ncap, metric.volume(cap.rho0, cfg)
+        if c == 0.0:  # p = 1 on a sphere of zero area
+            raise DomainError(f"sphere at rho={cap.rho0} has zero capacity")
         ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
         vals.append((vol - ball) / (2.0 * math.pi * p * c ** (2.0 / (3.0 - p))))
     return vals
@@ -104,6 +106,8 @@ def huisken_mass(metric: RadialMetric, rho: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Isoperimetric quasilocal mass of the sphere at rho."""
     area = metric.area(rho)
+    if area == 0.0:
+        raise DomainError(f"sphere at rho={rho} has zero area")
     vol = metric.volume(rho, cfg)
     return (2.0 / area) * (vol - area ** 1.5 / (6.0 * math.sqrt(math.pi)))
 

@@ -2,9 +2,11 @@
 
 Profiles are written in a small arithmetic language over the radial variable
 ``r`` plus named parameters, e.g. ``"1 - 2*m/r"`` or
-``"r + 1.5*exp(-4*(r-3)^2)"``.  Evaluation returns the value together with
-the first and second derivative in ``r``, computed with second-order dual
-numbers (exact to rounding, not finite differences).
+``"r + 1.5*exp(-4*(r-3)^2)"``.  ``compile`` turns an expression and its
+parameters into a tree of closures once; ``ExprProfile`` does so when it is
+built.  Evaluation returns the value with the first and second derivative in
+``r``, by the arithmetic of second-order dual numbers (exact to rounding, not
+finite differences).  ``eval_d2`` compiles and evaluates in one call.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from .errors import EvalError, ProfileSyntaxError, UnknownIdentifier
 
@@ -72,21 +74,19 @@ class ProfileExpr:
 
     def names(self):
         """All parameter names referenced (excludes ``r`` and ``pi``)."""
-        out = set()
-
         def walk(n):
-            if isinstance(n, Name) and n.ident not in ("r", "pi"):
-                out.add(n.ident)
-            elif isinstance(n, Neg):
-                walk(n.operand)
-            elif isinstance(n, Bin):
-                walk(n.left)
-                walk(n.right)
-            elif isinstance(n, Call):
-                for a in n.args:
-                    walk(a)
-        walk(self.ast)
-        return out
+            if isinstance(n, (Num, Name)):
+                return {n.ident} - {"r", "pi"} if isinstance(n, Name) else set()
+            return set().union(*map(walk, _operands(n)[1]))
+        return walk(self.ast)
+
+
+def _operands(n: Node) -> Tuple[str, Tuple[Node, ...]]:
+    if isinstance(n, Neg):
+        return "neg", (n.operand,)
+    if isinstance(n, Bin):
+        return n.op, (n.left, n.right)
+    return n.func, n.args
 
 
 # ---------------------------------------------------------------------------
@@ -225,151 +225,144 @@ def to_text(expr: ProfileExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Second-order dual numbers
+# Compilation: one closure per node, from r to (value, d/dr, d^2/dr^2), doing
+# the float operations of second-order dual numbers.
 
-class Dual2:
-    """Value with first and second derivative in the flow variable."""
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v: float, d1: float = 0.0, d2: float = 0.0):
-        self.v = v
-        self.d1 = d1
-        self.d2 = d2
-
-    def __add__(self, o):
-        return Dual2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    def __sub__(self, o):
-        return Dual2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __mul__(self, o):
-        return Dual2(self.v * o.v,
-                     self.d1 * o.v + self.v * o.d1,
-                     self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
-
-    def __truediv__(self, o):
-        if o.v == 0.0:
-            raise EvalError("division by zero")
-        w = self.v / o.v
-        wd1 = (self.d1 - w * o.d1) / o.v
-        wd2 = (self.d2 - 2.0 * wd1 * o.d1 - w * o.d2) / o.v
-        return Dual2(w, wd1, wd2)
-
-    def chain(self, f: float, df: float, d2f: float) -> "Dual2":
-        """Compose with a scalar map given (f, f', f'') at self.v."""
-        return Dual2(f, df * self.d1, d2f * self.d1 * self.d1 + df * self.d2)
+Triple = Tuple[float, float, float]
 
 
-def _dual_pow(base: Dual2, expo: Dual2) -> Dual2:
-    if expo.d1 == 0.0 and expo.d2 == 0.0:
-        c = expo.v
-        x = base.v
+def _chain(f: float, df: float, d2f: float, d1: float, d2: float) -> Triple:
+    """Compose with a scalar map given (f, f', f'') at the operand's value."""
+    return f, df * d1, d2f * d1 * d1 + df * d2
+
+
+def _log(v: float, d1: float, d2: float) -> Triple:
+    if v <= 0.0:
+        raise EvalError(f"log of non-positive value {v}")
+    return _chain(math.log(v), 1.0 / v, -1.0 / (v * v), d1, d2)
+
+
+def _sqrt(v: float, d1: float, d2: float) -> Triple:
+    if v == 0.0 and d1 == 0.0 and d2 == 0.0:
+        return 0.0, 0.0, 0.0
+    if v <= 0.0:
+        raise EvalError(f"sqrt of negative value {v}" if v < 0.0
+                        else "sqrt not differentiable at 0")
+    s = math.sqrt(v)
+    return _chain(s, 0.5 / s, -0.25 / (s * v), d1, d2)
+
+
+def _pow(x, xd1, xd2, c, cd1, cd2) -> Triple:
+    if cd1 == 0.0 and cd2 == 0.0:
         if x == 0.0 and c < 2.0:
             if c < 0.0:
                 raise EvalError("zero raised to a negative power")
             # derivatives of x^c blow up at 0 for c < 2; value is still fine
             if c in (0.0, 1.0):
-                return base.chain(x ** c, c * (x ** (c - 1.0) if c else 0.0), 0.0)
+                return _chain(x ** c, c * (x ** (c - 1.0) if c else 0.0), 0.0,
+                              xd1, xd2)
             raise EvalError(f"non-smooth power 0^{c}")
         if x < 0.0 and c != round(c):
             raise EvalError(f"negative base {x} with non-integer exponent {c}")
-        f = x ** c
-        df = c * x ** (c - 1.0) if c != 0.0 else 0.0
-        d2f = c * (c - 1.0) * x ** (c - 2.0) if c not in (0.0, 1.0) else 0.0
-        return base.chain(f, df, d2f)
-    if base.v <= 0.0:
+        return _chain(x ** c, c * x ** (c - 1.0) if c != 0.0 else 0.0,
+                      c * (c - 1.0) * x ** (c - 2.0) if c not in (0.0, 1.0) else 0.0,
+                      xd1, xd2)
+    if x <= 0.0:
         raise EvalError("variable exponent requires a positive base")
-    # x^y = exp(y*log x)
-    return _dual_exp(expo * _dual_log(base))
+    # x^c = exp(c*log x), the product as in _closure
+    lv, ld1, ld2 = _log(x, xd1, xd2)
+    return _KERNELS["exp"](c * lv, cd1 * lv + c * ld1,
+                           cd2 * lv + 2.0 * cd1 * ld1 + c * ld2)
 
 
-def _dual_exp(x: Dual2) -> Dual2:
-    e = math.exp(x.v)
-    return x.chain(e, e, e)
-
-
-def _dual_log(x: Dual2) -> Dual2:
-    if x.v <= 0.0:
-        raise EvalError(f"log of non-positive value {x.v}")
-    return x.chain(math.log(x.v), 1.0 / x.v, -1.0 / (x.v * x.v))
-
-
-def _dual_sqrt(x: Dual2) -> Dual2:
-    if x.v < 0.0:
-        raise EvalError(f"sqrt of negative value {x.v}")
-    if x.v == 0.0:
-        if x.d1 == 0.0 and x.d2 == 0.0:
-            return Dual2(0.0)
-        raise EvalError("sqrt not differentiable at 0")
-    s = math.sqrt(x.v)
-    return x.chain(s, 0.5 / s, -0.25 / (s * x.v))
-
-
-def _dual_minmax(func: str, a: Dual2, b: Dual2) -> Dual2:
-    if a.v == b.v:
-        warnings.warn(f"{func} differentiated one-sidedly at a tie", NonSmoothTie,
-                      stacklevel=4)
-        return a
-    if (a.v < b.v) == (func == "min"):
-        return a
-    return b
-
-
-_FUNC_EVAL = {
-    "exp": _dual_exp,
-    "log": _dual_log,
-    "sqrt": _dual_sqrt,
-    "sin": lambda x: x.chain(math.sin(x.v), math.cos(x.v), -math.sin(x.v)),
-    "cos": lambda x: x.chain(math.cos(x.v), -math.sin(x.v), -math.cos(x.v)),
-    "tanh": lambda x: x.chain(math.tanh(x.v),
-                              1.0 - math.tanh(x.v) ** 2,
-                              -2.0 * math.tanh(x.v) * (1.0 - math.tanh(x.v) ** 2)),
+_KERNELS = {  # maps of operand triples, for the less frequent nodes
+    "neg": lambda v, d1, d2: (-v, -d1, -d2),
+    "exp": lambda v, d1, d2: _chain(*[math.exp(v)] * 3, d1, d2),  # (e^v)' = e^v
+    "log": _log, "sqrt": _sqrt, "pow": _pow, "^": _pow,
+    "sin": lambda v, d1, d2: _chain(math.sin(v), math.cos(v), -math.sin(v), d1, d2),
+    "cos": lambda v, d1, d2: _chain(math.cos(v), -math.sin(v), -math.cos(v), d1, d2),
+    "tanh": lambda v, d1, d2: _chain(math.tanh(v), 1.0 - math.tanh(v) ** 2,
+                                     -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2),
+                                     d1, d2),
 }
 
 
-def _eval_node(n: Node, r: Dual2, params: ParamSet) -> Dual2:
-    if isinstance(n, Num):
-        return Dual2(n.value)
-    if isinstance(n, Name):
-        if n.ident == "r":
-            return r
-        if n.ident == "pi":
-            return Dual2(math.pi)
+def _closure(op: str, a, b=None):
+    kernel = _KERNELS.get(op)
+    if b is None:
+        return lambda r: kernel(*a(r))
+    if op == "+":
+        def f(r):
+            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
+            return av + bv, ad1 + bd1, ad2 + bd2
+    elif op == "-":
+        def f(r):
+            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
+            return av - bv, ad1 - bd1, ad2 - bd2
+    elif op == "*":
+        def f(r):
+            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
+            return av * bv, ad1 * bv + av * bd1, ad2 * bv + 2.0 * ad1 * bd1 + av * bd2
+    elif op == "/":
+        def f(r):
+            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
+            if bv == 0.0:
+                raise EvalError("division by zero")
+            w = av / bv
+            wd1 = (ad1 - w * bd1) / bv
+            return w, wd1, (ad2 - 2.0 * wd1 * bd1 - w * bd2) / bv
+    elif op in ("min", "max"):
+        def f(r):
+            x, y = a(r), b(r)
+            if x[0] == y[0]:
+                warnings.warn(f"{op} differentiated one-sidedly at a tie",
+                              NonSmoothTie, stacklevel=4)
+                return x
+            return x if (x[0] < y[0]) == (op == "min") else y
+    else:
+        return lambda r: kernel(*a(r), *b(r))
+    return f
+
+
+def _compile(n: Node, params: ParamSet):
+    """n's closure, and whether n is free of r and min/max; such n is folded
+    unless evaluating it raises (1/0), which is then left to each evaluation."""
+    if n == Name("r"):
+        return (lambda r: (r, 1.0, 0.0)), False
+    if isinstance(n, (Num, Name)):
+        def f(r):
+            if isinstance(n, Num) or n.ident == "pi":
+                return (n.value if isinstance(n, Num) else math.pi), 0.0, 0.0
+            if n.ident not in params:
+                raise UnknownIdentifier(f"unbound parameter {n.ident!r}")
+            return float(params[n.ident]), 0.0, 0.0
+        const = True
+    else:
+        op, operands = _operands(n)
+        fs, consts = zip(*(_compile(x, params) for x in operands))
+        f, const = _closure(op, *fs), all(consts) and op not in ("min", "max")
+    if const:
         try:
-            return Dual2(float(params[n.ident]))
-        except KeyError:
-            raise UnknownIdentifier(f"unbound parameter {n.ident!r}") from None
-    if isinstance(n, Neg):
-        x = _eval_node(n.operand, r, params)
-        return Dual2(-x.v, -x.d1, -x.d2)
-    if isinstance(n, Bin):
-        a = _eval_node(n.left, r, params)
-        b = _eval_node(n.right, r, params)
-        if n.op == "+":
-            return a + b
-        if n.op == "-":
-            return a - b
-        if n.op == "*":
-            return a * b
-        if n.op == "/":
-            return a / b
-        return _dual_pow(a, b)
-    # Call
-    if n.func == "pow":
-        return _dual_pow(_eval_node(n.args[0], r, params),
-                         _eval_node(n.args[1], r, params))
-    if n.func in ("min", "max"):
-        return _dual_minmax(n.func,
-                            _eval_node(n.args[0], r, params),
-                            _eval_node(n.args[1], r, params))
-    return _FUNC_EVAL[n.func](_eval_node(n.args[0], r, params))
+            t = f(0.0)
+        except Exception:  # leave the raise to each evaluation
+            return f, const
+        f = lambda r: t  # noqa: E731
+    return f, const
 
 
-def eval_d2(expr: ProfileExpr, r: float, params: ParamSet | None = None
-            ) -> Tuple[float, float, float]:
-    """Evaluate expr at radius r: returns (value, d/dr, d^2/dr^2)."""
-    out = _eval_node(expr.ast, Dual2(float(r), 1.0, 0.0), params or {})
-    if not (math.isfinite(out.v) and math.isfinite(out.d1) and math.isfinite(out.d2)):
+def compile(expr: ProfileExpr, params: ParamSet | None = None
+            ) -> Callable[[float], Triple]:
+    """Compile expr with params bound into a function of r returning
+    (value, d/dr, d^2/dr^2); it raises EvalError on a non-finite result."""
+    root = _compile(expr.ast, params or {})[0]
+    def evaluate(r: float) -> Triple:
+        v, d1, d2 = out = root(float(r))
+        if math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2):
+            return out
         raise EvalError(f"non-finite evaluation at r={r}")
-    return out.v, out.d1, out.d2
+    return evaluate
+
+
+def eval_d2(expr: ProfileExpr, r: float, params: ParamSet | None = None) -> Triple:
+    """Evaluate expr at radius r: returns (value, d/dr, d^2/dr^2)."""
+    return compile(expr, params)(r)

@@ -115,6 +115,13 @@ class TestMass:
         assert code == 2
         assert "bad grid" in err
 
+    @pytest.mark.parametrize("p_grid", ["iso", "1", "2", "1.5,2.5"])
+    def test_zero_area_radius_exit_3(self, capsys, p_grid):
+        code, _, err = run(capsys, "mass", "--metric", "flat",
+                           "--p-grid", p_grid, "--r-grid", "0,1,2")
+        assert code == 3
+        assert "DomainError" in err and "rho=0.0" in err
+
 
 class TestVerify:
     def test_holder_passes(self, capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from isocap import flow
-from isocap.errors import InsufficientData
+from isocap.errors import DomainError, InsufficientData
 from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
                              table_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
@@ -69,6 +69,17 @@ class TestSchwarzschild:
     def test_empty_grid(self, p):
         with pytest.raises(InsufficientData):
             total_mass(schwarzschild(1.0), p, [])
+
+    @pytest.mark.parametrize("p", [None, 1.0, 1.5, 2.0, 2.9])
+    def test_zero_area_radius(self, p):
+        # the sphere at rho = 0 of flat space is a point: no quasilocal mass
+        with pytest.raises(DomainError, match="rho=0.0 has zero"):
+            total_mass(flat(), p, [0.0, 1.0, 2.0])
+        with pytest.raises(DomainError, match="rho=0.0 has zero"):
+            if p is None:
+                huisken_mass(flat(), 0.0)
+            else:
+                quasilocal_mass(flat(), 0.0, p)
 
     def test_huisken_sequence(self):
         rep = total_mass(schwarzschild(1.0), None, GRID)

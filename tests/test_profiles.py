@@ -1,11 +1,15 @@
 import math
+import warnings
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isocap import geometry, profiles
 from isocap.errors import EvalError, ProfileSyntaxError, UnknownIdentifier
-from isocap.profiles import NonSmoothTie, eval_d2, parse, to_text
+from isocap.profiles import (_FUNCTIONS, Bin, Call, Name, Neg, NonSmoothTie, Num,
+                             eval_d2, parse, to_text)
 
 
 def fd_oracle(text, r, params=None, h=1e-4):
@@ -174,3 +178,169 @@ class TestRoundTrip:
         t1 = to_text(parse("r + 2*r^2"))
         t2 = to_text(parse(t1))
         assert t1 == t2
+
+
+# (value, d/dr, d^2/dr^2) as float.hex, recorded from the dual-number
+# interpreter that the compiled closures replaced.
+RN = {"m": 1.0, "q": 0.5}
+PARITY = [
+    ("1-2*m/r+q^2/r^2", 2.5, RN, ("0x1.eb851eb851eb7p-3", "0x1.26e978d4fdf3cp-2", "-0x1.bda5119ce0760p-3")),
+    ("1-2*m/r+q^2/r^2", 7.0, RN, ("0x1.705397829cbc1p-1", "0x1.426cf7ca432c0p-5", "-0x1.69a9a2cfe9d29p-7")),
+    ("1-2*m/r+q^2/r^2", 1000.0, RN, ("0x1.fef9e3864cb5cp-1", "0x1.0c5e4bff76b20p-19", "-0x1.12c65b1c2ba46p-28")),
+    ("1 - 2*m/r", 2.0, {"m": 1.0}, ("0x0.0p+0", "0x1.0000000000000p-1", "-0x1.0000000000000p-1")),
+    ("r + 1.5*exp(-4*(r-3)^2)", 0.5, None, ("0x1.000000002dcf5p-1", "0x1.00000001ca194p+0", "0x1.1895df362fd13p-27")),
+    ("r + 1.5*exp(-4*(r-3)^2)", 2.9, None, ("0x1.15d5f614e9bc4p+2", "0x1.1393c72bb36acp+1", "-0x1.536d7d4ae9754p+3")),
+    ("r + 1.5*exp(-4*(r-3)^2)", 3.0, None, ("0x1.2000000000000p+2", "0x1.0000000000000p+0", "-0x1.8000000000000p+3")),
+    ("r + 1.5*exp(-4*(r-3)^2)", 4.2, None, ("0x1.0d1a3de145e42p+2", "0x1.e8c479dbac350p-1", "0x1.9757ebb02391ap-2")),
+    ("sqrt(1 - 2/r)", 3.0, None, ("0x1.279a74590331dp-1", "0x1.8a2345cc04424p-3", "-0x1.8a2345cc04424p-3")),
+    ("-sqrt(0*r)", 1.5, None, ("-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0")),
+    ("exp(-r/2)", 1.3, None, ("0x1.0b499584682eap-1", "-0x1.0b499584682eap-2", "0x1.0b499584682eap-3")),
+    ("log(1 + r^2)", 0.7, None, ("0x1.9858c46692177p-2", "0x1.e112e63a6a860p-1", "0x1.d6771d87ea81ep-2")),
+    ("sin(2*r)", 0.4, None, ("0x1.6f494c2bffecdp-1", "0x1.64b6bde719865p+0", "-0x1.6f494c2bffecdp+1")),
+    ("cos(r)/(1 + r^2)", 0.7, None, ("0x1.06d1792832d9fp-1", "-0x1.d44fe512ce111p-1", "0x1.0874833a038a6p-1")),
+    ("tanh((r-5)/2)", 4.0, None, ("-0x1.d9353d7568af3p-2", "0x1.92a946fa34394p-2", "0x1.742740ed7f1d0p-3")),
+    ("pow(r, 3)", 2.0, None, ("0x1.0000000000000p+3", "0x1.8000000000000p+3", "0x1.8000000000000p+3")),
+    ("pow(r, 0.5)", 4.0, None, ("0x1.0000000000000p+1", "0x1.0000000000000p-2", "-0x1.0000000000000p-5")),
+    ("pow(2, r)", 1.5, None, ("0x1.6a09e667f3bccp+1", "0x1.f5e46537ab906p+0", "0x1.5be298adf0351p+0")),
+    ("r^2", 3.0, None, ("0x1.2000000000000p+3", "0x1.8000000000000p+2", "0x1.0000000000000p+1")),
+    ("(0-r)^3", 2.0, None, ("-0x1.0000000000000p+3", "-0x1.8000000000000p+3", "-0x1.8000000000000p+3")),
+    ("2^r", 3.0, None, ("0x1.ffffffffffffep+2", "0x1.62e42fefa39eep+2", "0x1.ebfbdff82c58dp+1")),
+    ("r^r", 1.7, None, ("0x1.3b7b1f59f3e83p+1", "0x1.e2e2511fc3cf1p+1", "0x1.ce58b421bf2c0p+2")),
+    ("r^0", 0.0, None, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("r^1", 0.0, None, ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0")),
+    ("(r-2)^0", 2.0, None, ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("min(r^2, 10*r)", 3.0, None, ("0x1.2000000000000p+3", "0x1.8000000000000p+2", "0x1.0000000000000p+1")),
+    ("max(r, 2)", 5.0, None, ("0x1.4000000000000p+2", "0x1.0000000000000p+0", "0x0.0p+0")),
+    ("max(r, 2)", 2.0, None, ("0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0")),
+    ("-(1-r)", 1.0, None, ("-0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0")),
+    ("pi*r", 2.0, None, ("0x1.921fb54442d18p+2", "0x1.921fb54442d18p+1", "0x0.0p+0")),
+    ("r/(r-1)", 0.0, None, ("-0x0.0p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+1")),
+    ("-r^2", -0.0, None, ("-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+1")),
+]
+
+
+@pytest.mark.parametrize("text,r,params,want", PARITY)
+def test_frozen_parity(text, r, params, want):
+    """Bit for bit, signed zeros included (float.hex keeps the sign)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonSmoothTie)
+        got = eval_d2(parse(text), r, params)
+    assert tuple(x.hex() for x in got) == want
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("text,r,message", [
+        ("0^(-1)", 1.0, "zero raised to a negative power"),
+        ("0^0.5", 1.0, "non-smooth power 0^0.5"),
+        ("(0-2)^0.5", 1.0, "negative base -2.0 with non-integer exponent 0.5"),
+        ("(0-r)^r", 1.5, "variable exponent requires a positive base"),
+        ("sqrt(r-2)", 2.0, "sqrt not differentiable at 0"),
+        ("r*r", 1e200, "non-finite evaluation at r=1e+200"),
+    ])
+    def test_message(self, text, r, message):
+        with pytest.raises(EvalError) as exc:
+            eval_d2(parse(text), r)
+        assert str(exc.value) == message
+
+    def test_constant_errors_raise_on_every_evaluation(self):
+        # building the profile succeeds; each evaluation raises
+        prof = geometry.ExprProfile("r + 1/(m-1)", {"m": 1.0})
+        for _ in range(2):
+            with pytest.raises(EvalError, match="division by zero"):
+                prof.eval_d2(2.0)
+        unbound = profiles.compile(parse("r*m"))
+        with pytest.raises(UnknownIdentifier, match="unbound parameter 'm'"):
+            unbound(2.0)
+
+    @pytest.mark.parametrize("text", ["max(r, 2)", "r + min(2, 2)"])
+    def test_tie_warns_on_every_evaluation(self, text):
+        f = profiles.compile(parse(text))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f(2.0)
+            f(2.0)
+        assert [w.category for w in caught] == [NonSmoothTie, NonSmoothTie]
+
+
+def test_compiles_once_per_profile(monkeypatch):
+    calls = []
+    compile_ = profiles.compile
+
+    def counting(*args):
+        calls.append(args)
+        return compile_(*args)
+    monkeypatch.setattr(profiles, "compile", counting)
+    metric = geometry.to_geodesic(geometry.schwarzschild(1.0))
+    for k in range(20):
+        geometry.sphere_data(metric, 1e-2 * 1e5 ** (k / 19))
+    assert len(calls) == 1
+
+
+# mpmath oracle: an independent evaluator of the parsed tree in 30-digit
+# arithmetic, differentiated numerically by mpmath.diff.
+_MP = {"sqrt": mpmath.sqrt, "exp": mpmath.exp, "log": mpmath.log,
+       "sin": mpmath.sin, "cos": mpmath.cos, "tanh": mpmath.tanh,
+       "pow": lambda a, b: a ** b, "min": min, "max": max}
+_MP_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+           "^": lambda a, b: a ** b}
+
+
+def _mp_eval(n, r, params):
+    if isinstance(n, Num):
+        return mpmath.mpf(n.value)
+    if isinstance(n, Name):
+        return r if n.ident == "r" else (
+            mpmath.pi if n.ident == "pi" else mpmath.mpf(params[n.ident]))
+    if isinstance(n, Neg):
+        return -_mp_eval(n.operand, r, params)
+    if isinstance(n, Bin):
+        return _MP_OPS[n.op](_mp_eval(n.left, r, params),
+                             _mp_eval(n.right, r, params))
+    return _MP[n.func](*(_mp_eval(a, r, params) for a in n.args))
+
+
+# every node type and every function; kinks of min/max at r = a and r = b
+ORACLE_CASES = [
+    "1 - 2*m/r + q^2/r^2",
+    "r + 1.5*exp(-4*(r-3)^2)",
+    "sqrt(1 + a*r^2) - pi*r^0.5",
+    "log(1 + r^2)*cos(b*r)",
+    "sin(a*r)/r + tanh((r-a)/b)",
+    "pow(r, a) + pow(b, r) - r^r",
+    "min(r^2, a*r) + max(r, b)",
+    "-r^3 + (0-r)^2",
+]
+
+
+def test_oracle_cases_cover_every_node_and_function():
+    seen = set()
+
+    def walk(n):
+        seen.add(type(n))
+        if isinstance(n, Call):
+            seen.add(n.func)
+        for child in (getattr(n, "operand", None), getattr(n, "left", None),
+                      getattr(n, "right", None), *getattr(n, "args", ())):
+            if child is not None:
+                walk(child)
+    for text in ORACLE_CASES:
+        walk(parse(text).ast)
+    assert {Num, Name, Neg, Bin, Call} | set(_FUNCTIONS) <= seen
+
+
+@pytest.mark.parametrize("text", ORACLE_CASES)
+@given(r=st.floats(0.5, 5.0), a=st.floats(0.5, 2.0), b=st.floats(0.5, 3.0),
+       m=st.floats(0.05, 0.2), q=st.floats(0.0, 0.1))
+@settings(max_examples=25, deadline=None)
+def test_matches_mpmath(text, r, a, b, m, q):
+    assume(abs(r - a) > 1e-3 and abs(r - b) > 1e-3)
+    params = {"a": a, "b": b, "m": m, "q": q}
+    expr = parse(text)
+    got = eval_d2(expr, r, params)
+    with mpmath.workdps(30):
+        f = lambda x: _mp_eval(expr.ast, x, params)
+        want = [f(mpmath.mpf(r))] + [mpmath.diff(f, mpmath.mpf(r), k)
+                                     for k in (1, 2)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * max(1, abs(w)), (g, w)

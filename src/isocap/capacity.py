@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ParabolicMetric
 from .flow import _outward_hulls
-from .geometry import FOUR_PI, Gauge, RadialMetric
+from .geometry import FOUR_PI, RadialMetric
 from .numerics import DEFAULT_CFG, ToleranceConfig, integrate
 from .specfun import check_p
 
@@ -77,17 +77,7 @@ def _cap_integrand(metric: RadialMetric, p: float,
     area ratio keeps the integrand of order one near rho0.
     """
     expo = -1.0 / (p - 1.0)
-    if metric.gauge is Gauge.GEODESIC:
-        def g(s: float) -> float:
-            a = metric.profile_d2(s)[0]
-            return (FOUR_PI * a * a / area0) ** expo
-    else:
-        def g(s: float) -> float:
-            f = metric.profile_d2(s)[0]
-            if f <= 0.0:
-                return 0.0
-            return (FOUR_PI * s * s / area0) ** expo / math.sqrt(f)
-    return g
+    return metric.density(lambda area: (area / area0) ** expo)
 
 
 def _integral_to_inf(metric: RadialMetric, g: Callable[[float], float],

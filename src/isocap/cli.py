@@ -178,7 +178,7 @@ def _cmd_mass(args, metric, cfg, stream, fmt) -> int:
                          lambda tok: None if tok == "iso" else float(tok))
     r_grid = _parse_grid(args.r_grid)
     if r_grid is None:
-        r_grid = masses_mod.default_r_grid(metric, cfg.extrap_terms, cfg)
+        r_grid = masses_mod.default_r_grid(metric, cfg)
     reports = [masses_mod.total_mass(metric, p, r_grid, cfg) for p in p_grid]
     if fmt == "csv":
         for rep in reports:

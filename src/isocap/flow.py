@@ -23,6 +23,7 @@ from .geometry import RadialMetric, SphereData, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit, find_root
 
 _SCAN_POINTS = 8192
+_WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
 
 
 @dataclass
@@ -239,17 +240,15 @@ def geroch_check(track: FlowTrack,
                         times=times, masses=masses)
 
 
-def willmore_limit(track: FlowTrack, tail_fraction: float = 0.25,
+def willmore_limit(track: FlowTrack,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> Tuple[float, float]:
     """Extrapolated limit of the Willmore energy along the flow.
 
     For an asymptotically flat end the limit is 16*pi.  Returns (limit,
     err_estimate).
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise DomainError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     n = len(track.samples)
-    k = max(cfg.extrap_terms, math.ceil(tail_fraction * n))
+    k = max(cfg.extrap_terms, math.ceil(_WILLMORE_TAIL * n))
     if n < cfg.extrap_terms:
         raise InsufficientData(f"flow track has only {n} samples")
     tail = track.samples[n - k:]

@@ -209,20 +209,23 @@ class RadialMetric:
             a = self.profile.eval_d2(rho)[0]
         return FOUR_PI * a * a
 
-    def _volume_integrand(self) -> Callable[[float], float]:
+    def density(self, weight: Callable[[float], float]
+                ) -> Callable[[float], float]:
+        """s -> weight(area(s)) * d(arclength)/ds, the radial integrand of
+        volumes (weight = identity) and capacities."""
         if self.gauge is Gauge.GEODESIC:
-            def dV(s: float) -> float:
+            def g(s: float) -> float:
                 a = self.profile.eval_d2(s)[0]
-                return FOUR_PI * a * a
+                return weight(FOUR_PI * a * a)
         else:
-            def dV(s: float) -> float:
+            def g(s: float) -> float:
                 f = self.profile.eval_d2(s)[0]
                 if f <= 0.0:
                     # integrable inverse square-root throat: regularize the
                     # isolated zero the quadrature may sample exactly
                     return 0.0
-                return FOUR_PI * s * s / math.sqrt(f)
-        return dV
+                return weight(FOUR_PI * s * s) / math.sqrt(f)
+        return g
 
     def volume(self, rho: float, cfg: ToleranceConfig = DEFAULT_CFG) -> float:
         """Volume enclosed between domain_start and rho (cached anchors)."""
@@ -234,7 +237,7 @@ class RadialMetric:
         base_rho, base_val = self._vol_rho[i], self._vol_val[i]
         if rho - base_rho <= 1e-14 * max(1.0, rho):
             return base_val
-        inc, _ = integrate(self._volume_integrand(), base_rho, rho, cfg)
+        inc, _ = integrate(self.density(lambda area: area), base_rho, rho, cfg)
         val = base_val + inc
         j = bisect_right(self._vol_rho, rho)
         self._vol_rho.insert(j, rho)
@@ -252,9 +255,12 @@ def sphere_data(metric: RadialMetric, rho: float,
         raise DomainError(f"rho={rho} below domain start {metric.domain_start}")
     rho = max(rho, metric.domain_start)
     v, d1, d2 = metric.profile_d2(rho)
+    a = v if metric.gauge is Gauge.GEODESIC else rho
+    area = FOUR_PI * a * a
+    if area == 0.0:
+        raise DomainError(f"sphere at rho={rho} has zero area")
     if metric.gauge is Gauge.GEODESIC:
-        a, ap, app = v, d1, d2
-        area = FOUR_PI * a * a
+        ap, app = d1, d2
         H = 2.0 * ap / a
         willmore = SIXTEEN_PI * ap * ap
         m_H = 0.5 * a * (1.0 - ap * ap)
@@ -263,7 +269,6 @@ def sphere_data(metric: RadialMetric, rho: float,
         f, fp = v, d1
         if f < 0.0:
             raise EvalError(f"areal coefficient f({rho}) = {f} < 0")
-        area = FOUR_PI * rho * rho
         H = 2.0 * math.sqrt(f) / rho
         willmore = SIXTEEN_PI * f
         m_H = 0.5 * rho * (1.0 - f)
@@ -279,24 +284,29 @@ def sphere_data(metric: RadialMetric, rho: float,
 class _ConvertedProfile:
     """Geodesic warping a(rho) obtained from an areal coefficient f(r).
 
-    a(rho) inverts rho(r) = integral of f^(-1/2); node values are bridged by
-    monotone cubic interpolation and sharpened by Newton steps on the exact
-    arclength relation.  Derivatives use the closed forms a' = sqrt(f(a)),
+    a(rho) inverts the arclength rho(r) = integral of f^(-1/2) dr, taken in
+    xi = sqrt(r - r_min), where its density 2*xi/sqrt(f) is smooth through a
+    simple zero of f at r_min.  Each panel between arclength nodes is summed
+    by the 10-point Gauss-Legendre rule, or adaptively where the 5-point
+    rule disagrees by more than quad_rel_tol (a kink, say).  The nodes are
+    bridged by monotone cubic interpolation and sharpened by Newton steps
+    on the exact arclength.  Derivatives use the closed forms a' = sqrt(f(a)),
     a'' = f'(a)/2, which are exact along the gauge change.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
         self._areal = areal
-        self._cfg = cfg
+        self._cfg = cfg  # the adaptive fallback's tolerances
         r_min = areal.domain_start
         span = min(cfg.cutoff_radius, areal.r_max)
         offsets = np.geomspace(max(1e-8, 1e-8 * max(1.0, r_min)),
                                span - r_min, 1200)
         r_nodes = np.concatenate(([r_min], r_min + offsets))
-        f0 = areal.profile_d2(r_min)[0]
+        f0, f0_d1, f0_d2 = areal.profile_d2(r_min)
         if f0 < -1e-10:
             raise EvalError(f"f({r_min}) = {f0} < 0")
-        if abs(f0) <= 1e-10:
+        has_throat = abs(f0) <= 1e-10
+        if has_throat:
             # Check the throat is an integrable inverse square root:
             # f ~ c*(r-r_min)^beta needs beta < 2.
             d1, d2 = 1e-6 * max(1.0, r_min), 2e-6 * max(1.0, r_min)
@@ -308,69 +318,56 @@ class _ConvertedProfile:
             if beta >= 1.95:
                 raise NonIntegrableThroat(
                     f"f vanishes to order {beta:.2f} >= 2 at r={r_min}")
+        taylor_band = 1e-5 * max(1.0, r_min) if has_throat else 0.0
 
-        f0_val, f0_d1, f0_d2 = areal.profile_d2(r_min)
-        taylor_band = 1e-5 * max(1.0, r_min)
-
-        def inv_sqrt_f(r: float) -> float:
-            f = areal.profile_d2(r)[0]
-            if f <= 0.0:
-                return 0.0
-            return 1.0 / math.sqrt(f)
-
-        def throat_integrand(xi: float) -> float:
-            # Arclength element in xi = sqrt(r - r_min):
-            #   2*xi/sqrt(f) = 2/sqrt(f/(r-r_min) * (1 + ...)).
-            # The ratio f/(r - r_min) is evaluated from the quadratic Taylor
-            # model close to the root, where direct evaluation of f suffers
-            # catastrophic cancellation, and the removable 0/0 at xi = 0
-            # disappears analytically.
+        def density(xi: np.ndarray) -> np.ndarray:
+            # Close to the root f = (r-r_min) * f/(r-r_min), with the ratio
+            # from the quadratic Taylor model: direct evaluation of f cancels
+            # catastrophically there.  f <= 0 is the integrable throat's
+            # isolated zero, regularized to density 0.
             h = xi * xi
-            if h < taylor_band:
-                ratio = f0_d1 + 0.5 * f0_d2 * h
-            else:
-                ratio = areal.profile_d2(r_min + h)[0] / h
-            if ratio <= 0.0:
-                return 0.0
-            return 2.0 / math.sqrt(ratio)
+            f = areal.profile.values(r_min + h)
+            f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * h) * h, f)
+            return 2.0 * xi / np.sqrt(np.where(f > 0.0, f, np.inf))
 
-        throat_band = r_min + 1e-3 * max(1.0, r_min)
-        has_throat = abs(f0_val) <= 1e-10
-
-        def seg(r_a: float, r_b: float) -> float:
-            """Arclength between r_a < r_b, regularized at the throat."""
-            if r_b <= r_a:
-                return 0.0
-            total = 0.0
-            if has_throat and r_a < throat_band:
-                r_mid = min(r_b, throat_band)
-                xi_a = math.sqrt(max(0.0, r_a - r_min))
-                xi_b = math.sqrt(r_mid - r_min)
-                if xi_b > xi_a:
-                    inc, _ = integrate(throat_integrand, xi_a, xi_b, self._cfg)
-                    total += inc
-                r_a = r_mid
-            if r_b > r_a:
-                inc, _ = integrate(inv_sqrt_f, r_a, r_b, self._cfg)
-                total += inc
-            return total
-
-        rho_nodes = np.empty_like(r_nodes)
-        rho_nodes[0] = 0.0
-        for i in range(1, len(r_nodes)):
-            rho_nodes[i] = rho_nodes[i - 1] + seg(r_nodes[i - 1], r_nodes[i])
+        self._density = density
+        self._density_at = lambda xi: float(density(np.array([xi]))[0])
+        self._r_nodes = r_nodes
+        self._xi_nodes = np.sqrt(r_nodes - r_min)
+        lo, hi = self._xi_nodes[:-1], self._xi_nodes[1:]
+        # Gauss-Legendre nodes and weights on [-1, 1], made here and not at
+        # import: leggauss starts LAPACK, 0.8 MB resident
+        self._gl10 = np.polynomial.legendre.leggauss(10)
+        x5, w5 = np.polynomial.legendre.leggauss(5)
+        both = self._weighted(lo, hi, np.concatenate((self._gl10[0], x5)))
+        panels, coarse = both[:, :10] @ self._gl10[1], both[:, 10:] @ w5
+        self._flagged = np.abs(panels - coarse) > cfg.quad_rel_tol * np.abs(panels)
+        for k in np.flatnonzero(self._flagged):
+            panels[k] = integrate(self._density_at, lo[k], hi[k], cfg)[0]
+        rho_nodes = np.concatenate(([0.0], np.cumsum(panels)))
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
-        self._r_nodes = r_nodes
         self._rho_nodes = rho_nodes
         self._interp = PchipInterpolator(rho_nodes, r_nodes)
-        self._seg = seg
         self.r_max = float(rho_nodes[-1])
 
+    def _weighted(self, lo, hi, x: np.ndarray) -> np.ndarray:
+        """Half width times the density at the rule nodes x (on [-1, 1]) of
+        the panels [lo, hi], scalars or arrays; the last axis runs over x."""
+        half = np.asarray(0.5 * (hi - lo))[..., None]
+        xi = np.asarray(0.5 * (lo + hi))[..., None] + half * x
+        return half * self._density(xi.ravel()).reshape(xi.shape)
+
     def _rho_of_r(self, r: float) -> float:
-        i = int(np.searchsorted(self._r_nodes, r)) - 1
-        i = max(i, 0)
-        return float(self._rho_nodes[i]) + self._seg(float(self._r_nodes[i]), r)
+        """Node arclength plus the partial panel up to r, by the same rule."""
+        i = min(max(int(np.searchsorted(self._r_nodes, r)) - 1, 0),
+                self._flagged.size - 1)
+        lo, hi = self._xi_nodes[i], math.sqrt(max(r - self._r_nodes[0], 0.0))
+        if self._flagged[i] and hi > lo:
+            part = integrate(self._density_at, lo, hi, self._cfg)[0]
+        else:
+            part = float(self._weighted(lo, hi, self._gl10[0]) @ self._gl10[1])
+        return float(self._rho_nodes[i]) + part
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
         return _mapped(self.eval_d2, rhos)

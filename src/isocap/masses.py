@@ -31,6 +31,8 @@ from .specfun import gauss_2f1
 CONVERGED = "CONVERGED"
 DIVERGENT = "DIVERGENT"
 INDETERMINATE = "INDETERMINATE"
+REPORT_TOL = 1e-2  # relative extrapolation error of a CONVERGED total mass
+EQUIVALENCE_TOL = 5e-3  # largest mass gap an equivalence report passes
 
 
 @dataclass
@@ -112,13 +114,13 @@ def huisken_mass(metric: RadialMetric, rho: float,
     return (2.0 / area) * (vol - area ** 1.5 / (6.0 * math.sqrt(math.pi)))
 
 
-def default_r_grid(metric: RadialMetric, n: int = 6,
+def default_r_grid(metric: RadialMetric,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
     """Geometric grid, ratio 2, from 50 capacitary radii of the boundary."""
     rho0 = metric.domain_start
     c1 = one_capacity(metric, max(rho0, 1e-3), cfg).ncap
     base = 50.0 * math.sqrt(c1)
-    return [base * 2.0 ** k for k in range(n)]
+    return [base * 2.0 ** k for k in range(cfg.extrap_terms)]
 
 
 def _diverges(radii: Sequence[float], vals: Sequence[float],
@@ -145,11 +147,10 @@ def _diverges(radii: Sequence[float], vals: Sequence[float],
 
 def total_mass(metric: RadialMetric, p: Optional[float],
                r_grid: Optional[Sequence[float]] = None,
-               cfg: ToleranceConfig = DEFAULT_CFG,
-               report_tol: float = 1e-2) -> MassReport:
+               cfg: ToleranceConfig = DEFAULT_CFG) -> MassReport:
     """Extrapolated total mass along an exhaustion; p=None for Huisken."""
     if r_grid is None:
-        r_grid = default_r_grid(metric, cfg.extrap_terms, cfg)
+        r_grid = default_r_grid(metric, cfg)
     radii = [float(r) for r in r_grid]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientData("need non-empty, strictly increasing radii")
@@ -157,23 +158,22 @@ def total_mass(metric: RadialMetric, p: Optional[float],
             else _quasilocal(metric, radii, p, cfg))
 
     label = metric.label
-    if _diverges(radii, vals, report_tol):
+    if _diverges(radii, vals, REPORT_TOL):
         return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
                           extrapolated_mass=math.inf, err_estimate=math.inf,
                           verdict=DIVERGENT)
     lim, err = extrapolate_limit(list(zip(radii, vals)), cfg)
-    verdict = CONVERGED if err <= report_tol * max(1.0, abs(lim)) else INDETERMINATE
+    verdict = CONVERGED if err <= REPORT_TOL * max(1.0, abs(lim)) else INDETERMINATE
     return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
                       extrapolated_mass=lim, err_estimate=err, verdict=verdict)
 
 
 def equivalence_report(metric: RadialMetric, p_grid: Sequence[float],
                        r_grid: Optional[Sequence[float]] = None,
-                       tol: float = 5e-3,
                        cfg: ToleranceConfig = DEFAULT_CFG) -> EquivalenceVerdict:
     """Compare extrapolated masses over a p-grid plus the Huisken sequence."""
     if r_grid is None:
-        r_grid = default_r_grid(metric, cfg.extrap_terms, cfg)
+        r_grid = default_r_grid(metric, cfg)
     reports = [total_mass(metric, p, r_grid, cfg) for p in p_grid]
     reports.append(total_mass(metric, None, r_grid, cfg))
     limits = [r.extrapolated_mass for r in reports]
@@ -181,8 +181,8 @@ def equivalence_report(metric: RadialMetric, p_grid: Sequence[float],
         gap = math.inf
     else:
         gap = max(limits) - min(limits)
-    return EquivalenceVerdict(reports=reports, max_pairwise_gap=gap, tol=tol,
-                              passed=gap <= tol)
+    return EquivalenceVerdict(reports=reports, max_pairwise_gap=gap,
+                              tol=EQUIVALENCE_TOL, passed=gap <= EQUIVALENCE_TOL)
 
 
 def bmx_bound_check(metric: RadialMetric, rho: float, p: float,

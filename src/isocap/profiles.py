@@ -353,10 +353,14 @@ def _compile(n: Node, params: ParamSet):
 def compile(expr: ProfileExpr, params: ParamSet | None = None
             ) -> Callable[[float], Triple]:
     """Compile expr with params bound into a function of r returning
-    (value, d/dr, d^2/dr^2); it raises EvalError on a non-finite result."""
+    (value, d/dr, d^2/dr^2); it raises EvalError on a non-finite result
+    and on a math error (overflow, domain, zero division) of its floats."""
     root = _compile(expr.ast, params or {})[0]
     def evaluate(r: float) -> Triple:
-        v, d1, d2 = out = root(float(r))
+        try:
+            v, d1, d2 = out = root(float(r))
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise EvalError(f"{exc} at r={r}") from None
         if math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2):
             return out
         raise EvalError(f"non-finite evaluation at r={r}")

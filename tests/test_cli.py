@@ -46,6 +46,17 @@ class TestSphere:
         obj = json.loads(out)
         assert obj["area"] == pytest.approx(50.26548245743669, rel=1e-15)
 
+    def test_zero_area_exit_3(self, capsys):
+        code, _, err = run(capsys, "sphere", "--metric", "flat", "--rho", "0")
+        assert code == 3
+        assert "DomainError" in err and "zero area" in err
+
+    def test_expression_overflow_exit_3(self, capsys):
+        code, _, err = run(capsys, "sphere", "--metric",
+                           "expr:geodesic:exp(r)", "--rho", "1000")
+        assert code == 3
+        assert "EvalError" in err and "r=1000" in err
+
 
 class TestCapacity:
     def test_flat_p2(self, capsys):
@@ -75,6 +86,12 @@ class TestFlow:
         lines = out.splitlines()
         assert lines[0] == "t,rho,area,volume,H,m_H,willmore,R,jump_flag"
         assert len(lines) == 5
+
+    def test_zero_area_exit_3(self, capsys):
+        code, _, err = run(capsys, "flow", "--metric", "flat", "--rho0", "0",
+                           "--tmax", "1", "--samples", "3")
+        assert code == 3
+        assert "DomainError" in err and "zero area" in err
 
 
 class TestMass:

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
-from isocap import flow
+from isocap import flow, geometry
 from isocap.errors import ConfigError, EvalError, NonIntegrableThroat
 from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
                              check_hypotheses, cylinder,
@@ -150,6 +151,93 @@ class TestGaugeConversion:
                         boundary_kind=BoundaryKind.MINIMAL)
         with pytest.raises(NonIntegrableThroat):
             to_geodesic(M)
+
+
+def rn_arclength(r, m, q):
+    """Closed-form arclength from the outer horizon r+ of the areal
+    Reissner-Nordstrom f = 1 - 2m/r + q^2/r^2 (Schwarzschild at q = 0):
+    rho = s + m*ln((s + r - m)/(r+ - m)), s = sqrt((r - r+)(r - r-))."""
+    d = math.sqrt(m * m - q * q)
+    rp, rm = m + d, m - d
+    s = math.sqrt((r - rp) * (r - rm))
+    return s + m * math.log1p((s + r - rp) / (rp - m))
+
+
+def kinked_arclength(r):
+    """Piecewise closed-form arclength of f = min(1 - 2/r, 0.5 + 0.01*r)
+    from r = 2: the linear piece holds between the two crossings."""
+    r1, r2 = (50.0 - math.sqrt(1700.0)) / 2, (50.0 + math.sqrt(1700.0)) / 2
+    schw = lambda x: rn_arclength(x, 1.0, 0.0)  # noqa: E731
+    lin = lambda x: 200.0 * math.sqrt(0.5 + 0.01 * x)  # noqa: E731
+    if r <= r1:
+        return schw(r)
+    if r <= r2:
+        return schw(r1) + lin(r) - lin(r1)
+    return schw(r1) + lin(r2) - lin(r1) + schw(r) - schw(r2)
+
+
+def arclength_nodes(metric):
+    """(r, rho) at the arclength nodes of a converted metric."""
+    return metric.profile._r_nodes, metric.profile._rho_nodes
+
+
+class TestGaugeConversionAccuracy:
+    """Arclength nodes and Newton-refined a(rho) against independent oracles."""
+
+    @pytest.mark.parametrize("m, q", [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0),
+                                      (1.0, 0.6), (0.5, 0.3), (2.0, 1.5)])
+    def test_closed_form(self, m, q):
+        if q == 0.0:
+            areal = schwarzschild(m)
+        else:
+            areal = expr_metric(Gauge.AREAL, "1 - 2*m/r + q^2/r^2",
+                                {"m": m, "q": q},
+                                domain_start=m + math.sqrt(m * m - q * q),
+                                boundary_kind=BoundaryKind.MINIMAL)
+        G = to_geodesic(areal)
+        rs, rhos = arclength_nodes(G)
+        exact = np.array([rn_arclength(r, m, q) for r in rs[1:]])
+        assert rhos[0] == 0.0
+        assert np.max(np.abs(rhos[1:] - exact) / exact) <= 2e-11
+        for k in range(20):  # the radii of the gauge-convert benchmark
+            rho = m * 1e-2 * 1e5 ** (k / 19)
+            r = G.profile_d2(rho)[0]
+            assert rn_arclength(r, m, q) == pytest.approx(rho, rel=2e-11)
+
+    def test_no_throat_matches_mpmath(self):
+        G = to_geodesic(expr_metric(Gauge.AREAL, "1/(1+1/r)", domain_start=1.0))
+        rs, rhos = arclength_nodes(G)
+        with mpmath.workdps(30):
+            for i in range(1, len(rs), 40):
+                exact = float(mpmath.quad(lambda x: mpmath.sqrt(1 + 1 / x),
+                                          [1, rs[i]]))
+                assert rhos[i] == pytest.approx(exact, rel=1e-13, abs=0.0)
+                assert G.profile_d2(exact)[0] == pytest.approx(rs[i], rel=1e-13)
+
+    def test_kinked_profile_falls_back(self):
+        # The 10-point rule alone misses the kinks at r = 4.38 and 45.6 by
+        # 8e-8 relative; the panels holding them go to adaptive quadrature.
+        G = to_geodesic(expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)",
+                                    domain_start=2.0,
+                                    boundary_kind=BoundaryKind.MINIMAL))
+        rs, rhos = arclength_nodes(G)
+        exact = np.array([kinked_arclength(r) for r in rs[1:]])
+        assert np.max(np.abs(rhos[1:] - exact) / exact) <= 1e-10
+        for r in (3.0, 4.3, 4.4, 10.0, 45.0, 46.0, 1e3):
+            assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
+
+    def test_quadrature_count(self, monkeypatch):
+        calls = []
+        integrate = geometry.integrate
+
+        def counting(*args):
+            calls.append(args)
+            return integrate(*args)
+        monkeypatch.setattr(geometry, "integrate", counting)
+        G = to_geodesic(schwarzschild(1.0))
+        for k in range(20):
+            sphere_data(G, 1e-2 * 1e5 ** (k / 19))
+        assert len(calls) <= 25
 
 
 class TestScaled:

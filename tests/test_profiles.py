@@ -111,6 +111,15 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_d2(parse("1/r"), 0.0)
 
+    @pytest.mark.parametrize("text,r", [
+        ("exp(r)", 1000.0),        # OverflowError: math range error
+        ("log(r)", 1e-320),        # ZeroDivisionError: -1/(v*v) underflows
+        ("sin(r)", math.inf),      # ValueError: math domain error
+    ])
+    def test_math_errors_are_typed(self, text, r):
+        with pytest.raises(EvalError, match=f"at r={r}"):
+            eval_d2(parse(text), r)
+
     def test_minmax_tie_warns(self):
         with pytest.warns(NonSmoothTie):
             eval_d2(parse("max(r, 2)"), 2.0)

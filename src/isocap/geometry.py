@@ -13,7 +13,10 @@ suite against finite differences):
               m_H  = (a/2)*(1-a'^2)         m_H  = (r/2)*(1-f)
               R    = 2*(1-a'^2-2*a*a'')/a^2 R    = 2*(1-f-r*f')/r^2
 
-Volumes are always measured from ``domain_start`` by quadrature.
+Volumes are measured from ``domain_start``: each increment past the nearest
+cached radius is summed on fixed Gauss-Legendre panels, in rho (geodesic)
+or in xi = sqrt(r - domain_start) (areal), where the density stays smooth
+through a throat; see ``RadialMetric.volume``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from . import numerics, profiles
-from .errors import ConfigError, DomainError, EvalError, NonIntegrableThroat
-from .numerics import DEFAULT_CFG, ToleranceConfig, find_root, integrate
+from .errors import (ConfigError, DomainError, EvalError, IsocapError,
+                     NonIntegrableThroat)
+from .numerics import DEFAULT_CFG, ToleranceConfig, find_root
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
@@ -48,9 +52,11 @@ class BoundaryKind(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # Profiles: anything exposing eval_d2(r) -> (value, d1, d2) at one radius and
-# values(rs) -> the value at each radius of a 1-D array.  values raises the
-# typed errors eval_d2 raises; area scans and value-only probes call it once
-# per grid instead of once per node.
+# values(rs) -> the value at each radius of a 1-D array, equal to eval_d2's
+# value there.  Area scans, volume panels and the conversion's Newton steps
+# call values once per array.  Each family computes values on the whole
+# array; where some radius fails, values raises the error eval_d2 raises at
+# the first failing radius, by running the scalar path through _mapped.
 
 
 def _mapped(fn: Callable[[float], Tuple[float, float, float]],
@@ -73,12 +79,14 @@ class ExprProfile:
         if unbound:
             raise ConfigError(f"undeclared parameters: {sorted(unbound)}")
         self._compiled = profiles.compile(expr, self.params)
+        self._compiled_array = profiles.compile_array(expr, self.params)
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self._compiled(r)
 
     def values(self, rs: np.ndarray) -> np.ndarray:
-        return _mapped(self.eval_d2, rs)
+        out = self._compiled_array(rs)
+        return _mapped(self.eval_d2, rs) if out is None else out
 
     def describe(self) -> str:
         text = profiles.to_text(self.expr)
@@ -185,6 +193,8 @@ class RadialMetric:
     label: str = ""
     _vol_rho: List[float] = field(default_factory=list, repr=False)
     _vol_val: List[float] = field(default_factory=list, repr=False)
+    _xi: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None,
+                                                              repr=False)
 
     def __post_init__(self):
         if not self.label:
@@ -212,7 +222,7 @@ class RadialMetric:
     def density(self, weight: Callable[[float], float]
                 ) -> Callable[[float], float]:
         """s -> weight(area(s)) * d(arclength)/ds, the radial integrand of
-        volumes (weight = identity) and capacities."""
+        capacities."""
         if self.gauge is Gauge.GEODESIC:
             def g(s: float) -> float:
                 a = self.profile.eval_d2(s)[0]
@@ -227,8 +237,56 @@ class RadialMetric:
                 return weight(FOUR_PI * s * s) / math.sqrt(f)
         return g
 
+    def _xi_density(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Areal gauge: xi -> d(arclength)/d(xi) = 2*xi/sqrt(f) at
+        r = domain_start + xi^2, on a 1-D array of xi.
+
+        The density is smooth through a simple zero of f at domain_start (a
+        throat): within 1e-5 of it, f = (r-r_min) * f/(r-r_min) with the
+        ratio from the quadratic Taylor model, since direct evaluation of f
+        cancels catastrophically there.  Where f <= 0 the density is 0.
+        Built once per metric.  Raises NonIntegrableThroat when f vanishes
+        at domain_start to order 2 or more.
+        """
+        if self._xi is not None:
+            return self._xi
+        r_min = self.domain_start
+        f0, f0_d1, f0_d2 = self.profile_d2(r_min)
+        has_throat = abs(f0) <= 1e-10
+        if has_throat:
+            # Check the throat is an integrable inverse square root:
+            # f ~ c*(r-r_min)^beta needs beta < 2.
+            d1, d2 = 1e-6 * max(1.0, r_min), 2e-6 * max(1.0, r_min)
+            f1 = self.profile_d2(r_min + d1)[0]
+            f2 = self.profile_d2(r_min + d2)[0]
+            if f1 <= 0.0 or f2 <= 0.0:
+                raise NonIntegrableThroat("f does not become positive off the throat")
+            beta = math.log(f2 / f1) / math.log(2.0)
+            if beta >= 1.95:
+                raise NonIntegrableThroat(
+                    f"f vanishes to order {beta:.2f} >= 2 at r={r_min}")
+        taylor_band = 1e-5 * max(1.0, r_min) if has_throat else 0.0
+
+        def density(xi: np.ndarray) -> np.ndarray:
+            h = xi * xi
+            f = self.profile.values(r_min + h)
+            f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * h) * h, f)
+            return 2.0 * xi / np.sqrt(np.where(f > 0.0, f, np.inf))
+
+        self._xi = density
+        return density
+
     def volume(self, rho: float, cfg: ToleranceConfig = DEFAULT_CFG) -> float:
-        """Volume enclosed between domain_start and rho (cached anchors)."""
+        """Volume enclosed between domain_start and rho (cached anchors).
+
+        The increment from the nearest anchor below rho is integrated in
+        t = rho - domain_start (geodesic gauge, density 4*pi*a^2) or in
+        t = xi (areal gauge, density 4*pi*r^2 * ``_xi_density``), from t_lo
+        at the anchor to t_hi at rho.  It is split at t_hi/2, t_hi/4, ...
+        as far as t_lo or t_hi/32, so a density that is smooth at the scale
+        of t is resolved from the boundary out, and all panels are summed
+        by ``numerics.gauss_legendre`` from one ``profile.values`` call.
+        """
         if rho < self.domain_start - 1e-12:
             raise DomainError(f"rho={rho} below domain start {self.domain_start}")
         if rho <= self.domain_start:
@@ -237,8 +295,25 @@ class RadialMetric:
         base_rho, base_val = self._vol_rho[i], self._vol_val[i]
         if rho - base_rho <= 1e-14 * max(1.0, rho):
             return base_val
-        inc, _ = integrate(self.density(lambda area: area), base_rho, rho, cfg)
-        val = base_val + inc
+        start = self.domain_start
+        if self.gauge is Gauge.GEODESIC:
+            lo, hi = base_rho - start, rho - start
+
+            def density(t: np.ndarray) -> np.ndarray:
+                a = self.profile.values(start + t)
+                return FOUR_PI * a * a
+        else:
+            lo, hi = math.sqrt(base_rho - start), math.sqrt(rho - start)
+            xi_density = self._xi_density()
+
+            def density(t: np.ndarray) -> np.ndarray:
+                r = start + t * t
+                return FOUR_PI * r * r * xi_density(t)
+        n = math.ceil(math.log2(hi / max(lo, hi / 64.0)))
+        edges = hi * 0.5 ** np.arange(n, -1.0, -1.0)
+        edges[0] = lo
+        inc = numerics.gauss_legendre(density, edges[:-1], edges[1:], cfg)
+        val = base_val + float(inc.sum())
         j = bisect_right(self._vol_rho, rho)
         self._vol_rho.insert(j, rho)
         self._vol_val.insert(j, val)
@@ -284,66 +359,32 @@ def sphere_data(metric: RadialMetric, rho: float,
 class _ConvertedProfile:
     """Geodesic warping a(rho) obtained from an areal coefficient f(r).
 
-    a(rho) inverts the arclength rho(r) = integral of f^(-1/2) dr, taken in
-    xi = sqrt(r - r_min), where its density 2*xi/sqrt(f) is smooth through a
-    simple zero of f at r_min.  Each panel between arclength nodes is summed
-    by the 10-point Gauss-Legendre rule, or adaptively where the 5-point
-    rule disagrees by more than quad_rel_tol (a kink, say).  The nodes are
-    bridged by monotone cubic interpolation and sharpened by Newton steps
-    on the exact arclength.  Derivatives use the closed forms a' = sqrt(f(a)),
-    a'' = f'(a)/2, which are exact along the gauge change.
+    a(rho) inverts the arclength rho(r), the integral of the areal metric's
+    ``_xi_density`` in xi = sqrt(r - r_min), which stays smooth through a
+    simple zero of f at r_min.  The panels between arclength nodes, and the
+    partial panel up to any r, are summed by ``numerics.gauss_legendre``.
+    The nodes are bridged by monotone cubic interpolation and sharpened by
+    Newton steps on the exact arclength, run on a whole array of radii at
+    once.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
+    which are exact along the gauge change.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
         self._areal = areal
-        self._cfg = cfg  # the adaptive fallback's tolerances
+        self._cfg = cfg  # the fixed rule's check and adaptive fallback
         r_min = areal.domain_start
+        f0 = areal.profile_d2(r_min)[0]
+        if f0 < -1e-10:
+            raise EvalError(f"f({r_min}) = {f0} < 0")
+        self._density = areal._xi_density()
         span = min(cfg.cutoff_radius, areal.r_max)
         offsets = np.geomspace(max(1e-8, 1e-8 * max(1.0, r_min)),
                                span - r_min, 1200)
         r_nodes = np.concatenate(([r_min], r_min + offsets))
-        f0, f0_d1, f0_d2 = areal.profile_d2(r_min)
-        if f0 < -1e-10:
-            raise EvalError(f"f({r_min}) = {f0} < 0")
-        has_throat = abs(f0) <= 1e-10
-        if has_throat:
-            # Check the throat is an integrable inverse square root:
-            # f ~ c*(r-r_min)^beta needs beta < 2.
-            d1, d2 = 1e-6 * max(1.0, r_min), 2e-6 * max(1.0, r_min)
-            f1 = areal.profile_d2(r_min + d1)[0]
-            f2 = areal.profile_d2(r_min + d2)[0]
-            if f1 <= 0.0 or f2 <= 0.0:
-                raise NonIntegrableThroat("f does not become positive off the throat")
-            beta = math.log(f2 / f1) / math.log(2.0)
-            if beta >= 1.95:
-                raise NonIntegrableThroat(
-                    f"f vanishes to order {beta:.2f} >= 2 at r={r_min}")
-        taylor_band = 1e-5 * max(1.0, r_min) if has_throat else 0.0
-
-        def density(xi: np.ndarray) -> np.ndarray:
-            # Close to the root f = (r-r_min) * f/(r-r_min), with the ratio
-            # from the quadratic Taylor model: direct evaluation of f cancels
-            # catastrophically there.  f <= 0 is the integrable throat's
-            # isolated zero, regularized to density 0.
-            h = xi * xi
-            f = areal.profile.values(r_min + h)
-            f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * h) * h, f)
-            return 2.0 * xi / np.sqrt(np.where(f > 0.0, f, np.inf))
-
-        self._density = density
-        self._density_at = lambda xi: float(density(np.array([xi]))[0])
         self._r_nodes = r_nodes
         self._xi_nodes = np.sqrt(r_nodes - r_min)
-        lo, hi = self._xi_nodes[:-1], self._xi_nodes[1:]
-        # Gauss-Legendre nodes and weights on [-1, 1], made here and not at
-        # import: leggauss starts LAPACK, 0.8 MB resident
-        self._gl10 = np.polynomial.legendre.leggauss(10)
-        x5, w5 = np.polynomial.legendre.leggauss(5)
-        both = self._weighted(lo, hi, np.concatenate((self._gl10[0], x5)))
-        panels, coarse = both[:, :10] @ self._gl10[1], both[:, 10:] @ w5
-        self._flagged = np.abs(panels - coarse) > cfg.quad_rel_tol * np.abs(panels)
-        for k in np.flatnonzero(self._flagged):
-            panels[k] = integrate(self._density_at, lo[k], hi[k], cfg)[0]
+        panels = numerics.gauss_legendre(self._density, self._xi_nodes[:-1],
+                                         self._xi_nodes[1:], cfg)
         rho_nodes = np.concatenate(([0.0], np.cumsum(panels)))
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
@@ -351,41 +392,43 @@ class _ConvertedProfile:
         self._interp = PchipInterpolator(rho_nodes, r_nodes)
         self.r_max = float(rho_nodes[-1])
 
-    def _weighted(self, lo, hi, x: np.ndarray) -> np.ndarray:
-        """Half width times the density at the rule nodes x (on [-1, 1]) of
-        the panels [lo, hi], scalars or arrays; the last axis runs over x."""
-        half = np.asarray(0.5 * (hi - lo))[..., None]
-        xi = np.asarray(0.5 * (lo + hi))[..., None] + half * x
-        return half * self._density(xi.ravel()).reshape(xi.shape)
+    def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
+        """Node arclength plus the partial panel up to each r."""
+        i = np.clip(np.searchsorted(self._r_nodes, r) - 1, 0,
+                    self._r_nodes.size - 2)
+        xi = np.sqrt(np.maximum(r - self._r_nodes[0], 0.0))
+        return self._rho_nodes[i] + numerics.gauss_legendre(
+            self._density, self._xi_nodes[i], xi, self._cfg)
 
-    def _rho_of_r(self, r: float) -> float:
-        """Node arclength plus the partial panel up to r, by the same rule."""
-        i = min(max(int(np.searchsorted(self._r_nodes, r)) - 1, 0),
-                self._flagged.size - 1)
-        lo, hi = self._xi_nodes[i], math.sqrt(max(r - self._r_nodes[0], 0.0))
-        if self._flagged[i] and hi > lo:
-            part = integrate(self._density_at, lo, hi, self._cfg)[0]
-        else:
-            part = float(self._weighted(lo, hi, self._gl10[0]) @ self._gl10[1])
-        return float(self._rho_nodes[i]) + part
+    def _radii(self, rhos: np.ndarray) -> np.ndarray:
+        """r = a(rho) at each rho of a 1-D array.  Every element takes the
+        steps it would take alone, so one radius gets the same bits in any
+        array; f is evaluated at every final r."""
+        outside = (rhos < 0.0) | (rhos > self.r_max * (1 + 1e-12))
+        if np.any(outside):
+            raise EvalError(f"rho={float(rhos[outside][0])} outside converted range "
+                            f"[0, {self.r_max}]")
+        r = self._interp(np.clip(rhos, 0.0, self.r_max))
+        r = np.clip(r, self._r_nodes[0], self._r_nodes[-1])
+        # Newton iterations on rho(r) = rho; d rho/dr = f^(-1/2)
+        live = np.ones(r.shape, dtype=bool)
+        for k in range(4):
+            f = self._areal.profile.values(r)
+            live &= f > 0.0
+            if k == 3 or not np.any(live):
+                return r
+            step = (self._rho_of_r(r) - rhos) * np.sqrt(np.where(live, f, 1.0))
+            r = np.where(live, r - step, r)
+            live &= np.abs(step) > 1e-14 * np.maximum(1.0, r)
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
-        return _mapped(self.eval_d2, rhos)
+        try:
+            return self._radii(np.asarray(rhos, dtype=float))
+        except IsocapError:  # the scalar path raises its first error
+            return _mapped(self.eval_d2, rhos)
 
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
-        if rho < 0.0 or rho > self.r_max * (1 + 1e-12):
-            raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
-        r = float(self._interp(min(max(rho, 0.0), self.r_max)))
-        r = min(max(r, self._r_nodes[0]), self._r_nodes[-1])
-        # Newton iterations on rho(r) = rho; d rho/dr = f^(-1/2)
-        for _ in range(3):
-            f = self._areal.profile_d2(r)[0]
-            if f <= 0.0:
-                break
-            step = (self._rho_of_r(r) - rho) * math.sqrt(f)
-            r -= step
-            if abs(step) <= 1e-14 * max(1.0, r):
-                break
+        r = float(self._radii(np.array([rho], dtype=float))[0])
         f, fp = self._areal.profile_d2(r)[:2]
         return r, math.sqrt(max(f, 0.0)), 0.5 * fp
 

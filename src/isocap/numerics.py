@@ -1,8 +1,9 @@
-"""Deterministic scalar numerics shared by every other module.
+"""Deterministic numerics shared by every other module.
 
-Adaptive quadrature on finite and semi-infinite intervals, bracketed root
-finding, and Aitken limit extrapolation.  All routines are pure functions of
-their inputs; there is no shared mutable state.
+Adaptive quadrature on finite and semi-infinite intervals, fixed-rule
+quadrature over arrays of panels, bracketed root finding, and Aitken limit
+extrapolation.  All routines are pure functions of their inputs; there is
+no shared mutable state.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
+import numpy as np
 import scipy.integrate
 import scipy.optimize
 
 from .errors import DomainError, InsufficientData, NoBracket, NonConvergence
 
-__all__ = ["ToleranceConfig", "integrate", "find_root", "extrapolate_limit"]
+__all__ = ["ToleranceConfig", "integrate", "gauss_legendre", "find_root",
+           "extrapolate_limit"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,52 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         if not math.isfinite(value) or abserr > 1e3 * budget:
             raise NonConvergence(f"quadrature failed on [{lo}, {hi}]: {tail[0]}")
     return value, abserr
+
+
+# Gauss-Legendre nodes on [-1, 1], 10 points then 5, and their weights, as
+# numpy.polynomial.legendre.leggauss gives them; written out because
+# leggauss starts LAPACK, which costs 0.9 MB resident.
+_GL_X = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+    -0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+    0.906179845938664])
+_GL10_W = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814])
+_GL5_W = np.array([0.23692688505618928, 0.4786286704993663,
+                   0.5688888888888887, 0.4786286704993663,
+                   0.23692688505618928])
+
+
+def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
+                   cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
+    """Integral of density over each panel [lo[k], hi[k]] of two 1-D arrays.
+
+    density maps a 1-D array of points to the integrand there; one call
+    serves every node of every panel.  Each panel is summed by the 10-point
+    Gauss-Legendre rule.  Where the 5-point rule disagrees by more than
+    quad_rel_tol relative, say at a kink or on a panel too wide for the
+    rule, or where a sum is not finite, the panel is integrated by
+    ``integrate`` instead.  A panel's sum depends on that panel alone, bit
+    for bit, whatever the other panels.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = (0.5 * (hi - lo))[:, None]
+    nodes = (0.5 * (lo + hi))[:, None] + half * _GL_X
+    y = half * density(nodes.ravel()).reshape(nodes.shape)
+    # row sums by numpy's reduction, not a matrix product: BLAS may sum a
+    # row in an order that depends on the number of rows
+    sums = (y[:, :10] * _GL10_W).sum(axis=1)
+    coarse = (y[:, 10:] * _GL5_W).sum(axis=1)
+    for k in np.flatnonzero(~(np.abs(sums - coarse) <= cfg.quad_rel_tol * np.abs(sums))):
+        sums[k] = integrate(lambda t: float(density(np.array([t]))[0]),
+                            lo[k], hi[k], cfg)[0]
+    return sums
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,

@@ -15,9 +15,11 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from .errors import EvalError, ProfileSyntaxError, UnknownIdentifier
+import numpy as np
+
+from .errors import EvalError, IsocapError, ProfileSyntaxError, UnknownIdentifier
 
 __all__ = ["ProfileExpr", "parse", "eval_d2", "to_text", "NonSmoothTie"]
 
@@ -370,3 +372,159 @@ def compile(expr: ProfileExpr, params: ParamSet | None = None
 def eval_d2(expr: ProfileExpr, r: float, params: ParamSet | None = None) -> Triple:
     """Evaluate expr at radius r: returns (value, d/dr, d^2/dr^2)."""
     return compile(expr, params)(r)
+
+
+# ---------------------------------------------------------------------------
+# Array compilation: the same tree over a 1-D array of radii, bit-identical
+# to the closures at every element.  + - * / and negation are numpy
+# expressions doing the closures' float operations in the closures' order,
+# which IEEE arithmetic rounds alike; ^, pow and the functions apply Python
+# ** and math per element, since numpy's vectorized exp, tanh and powers may
+# round differently (sqrt is correctly rounded in both).  A subtree free of
+# r is its scalar closure, evaluated once.  Where the scalar path raises at
+# some element, or takes a branch left to it, the array path gives up.
+
+class _Defer(Exception):
+    """Some element must be evaluated by the scalar closure."""
+
+
+def _each(fn: Callable[[float], float], v) -> np.ndarray:
+    # v is a scalar only for the constant base of a variable exponent
+    return np.array([fn(x) for x in np.atleast_1d(v).tolist()], dtype=float)
+
+
+def _powers(v: np.ndarray, c: float) -> np.ndarray:
+    return np.array([x ** c for x in v.tolist()], dtype=float)
+
+
+def _log_a(v, d1, d2):
+    # the scalar kernel raises at v <= 0, and where v*v underflows to 0
+    if np.any(v <= 0.0) or np.any(v * v == 0.0):
+        raise _Defer
+    return _chain(_each(math.log, v), 1.0 / v, -1.0 / (v * v), d1, d2)
+
+
+def _sqrt_a(v, d1, d2):
+    zero = (v == 0.0) & (d1 == 0.0) & (d2 == 0.0)
+    s = np.sqrt(v)
+    if np.any(~zero & ((v <= 0.0) | (s * v == 0.0))):
+        raise _Defer
+    return tuple(np.where(zero, 0.0, x)
+                 for x in _chain(s, 0.5 / s, -0.25 / (s * v), d1, d2))
+
+
+def _exp_a(v, d1, d2):
+    e = _each(math.exp, v)
+    return _chain(e, e, e, d1, d2)
+
+
+def _sin_a(v, d1, d2):
+    s, c = _each(math.sin, v), _each(math.cos, v)
+    return _chain(s, c, -s, d1, d2)
+
+
+def _cos_a(v, d1, d2):
+    s, c = _each(math.sin, v), _each(math.cos, v)
+    return _chain(c, -s, -c, d1, d2)
+
+
+def _tanh_a(v, d1, d2):
+    t = _each(math.tanh, v)
+    sech2 = 1.0 - _powers(t, 2)
+    return _chain(t, sech2, -2.0 * t * sech2, d1, d2)
+
+
+def _pow_a(x, xd1, xd2, c, cd1, cd2):
+    if np.ndim(c) == 0 and cd1 == 0.0 and cd2 == 0.0:  # a constant exponent
+        # ** raises at a zero base the scalar kernel rejects, but would give
+        # a complex power of a negative base
+        if np.any(x < 0.0) and c != round(c):
+            raise _Defer
+        return _chain(_powers(x, c),
+                      c * _powers(x, c - 1.0) if c != 0.0 else 0.0,
+                      c * (c - 1.0) * _powers(x, c - 2.0)
+                      if c not in (0.0, 1.0) else 0.0, xd1, xd2)
+    # elements with a stationary exponent take the scalar constant branch
+    if np.any((cd1 == 0.0) & (cd2 == 0.0)):
+        raise _Defer
+    lv, ld1, ld2 = _log_a(x, xd1, xd2)
+    return _exp_a(c * lv, cd1 * lv + c * ld1,
+                  cd2 * lv + 2.0 * cd1 * ld1 + c * ld2)
+
+
+def _div_a(av, ad1, ad2, bv, bd1, bd2):
+    if np.any(bv == 0.0):
+        raise _Defer
+    w = av / bv
+    wd1 = (ad1 - w * bd1) / bv
+    return w, wd1, (ad2 - 2.0 * wd1 * bd1 - w * bd2) / bv
+
+
+_ARRAY_KERNELS = {
+    "neg": _KERNELS["neg"],
+    "+": lambda av, ad1, ad2, bv, bd1, bd2: (av + bv, ad1 + bd1, ad2 + bd2),
+    "-": lambda av, ad1, ad2, bv, bd1, bd2: (av - bv, ad1 - bd1, ad2 - bd2),
+    "*": lambda av, ad1, ad2, bv, bd1, bd2: (
+        av * bv, ad1 * bv + av * bd1, ad2 * bv + 2.0 * ad1 * bd1 + av * bd2),
+    "/": _div_a, "^": _pow_a, "pow": _pow_a,
+    "log": _log_a, "sqrt": _sqrt_a, "exp": _exp_a, "tanh": _tanh_a,
+    "sin": _sin_a, "cos": _cos_a,
+}
+
+
+def _uses_r(n: Node) -> bool:
+    if isinstance(n, (Num, Name)):
+        return n == Name("r")
+    return any(map(_uses_r, _operands(n)[1]))
+
+
+def _compile_array(n: Node, params: ParamSet):
+    if not _uses_r(n):
+        f = _compile(n, params)[0]
+        return lambda rs: f(0.0)
+    if isinstance(n, Name):
+        return lambda rs: (rs, 1.0, 0.0)
+    op, operands = _operands(n)
+    fs = [_compile_array(x, params) for x in operands]
+    if op in ("min", "max"):
+        a, b = fs
+
+        def pick(rs):
+            x, y = a(rs), b(rs)
+            tie = x[0] == y[0]
+            if np.any(tie):
+                warnings.warn(f"{op} differentiated one-sidedly at a tie",
+                              NonSmoothTie, stacklevel=5)
+            take_x = tie | ((x[0] < y[0]) == (op == "min"))
+            return tuple(np.where(take_x, u, w) for u, w in zip(x, y))
+        return pick
+    kernel = _ARRAY_KERNELS[op]
+    if len(fs) == 1:
+        return lambda rs: kernel(*fs[0](rs))
+    a, b = fs
+    return lambda rs: kernel(*a(rs), *b(rs))
+
+
+def compile_array(expr: ProfileExpr, params: ParamSet | None = None
+                  ) -> Callable[[np.ndarray], Optional[np.ndarray]]:
+    """Compile expr with params bound into a function from a 1-D array of
+    radii to the values there, each bit-identical to ``compile``'s.  It
+    returns None when the scalar closure must decide: some element raises
+    there, or takes a branch the array path leaves to it."""
+    root = _compile_array(expr.ast, params or {})
+
+    def evaluate(rs: np.ndarray) -> Optional[np.ndarray]:
+        rs = np.asarray(rs, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                v, d1, d2 = root(rs)
+                # non-finite iff some term is, or the sum overflows (deferred)
+                finite = np.isfinite(v + d1 + d2).all()
+        except (_Defer, IsocapError, ArithmeticError, ValueError):
+            return None
+        if not finite:
+            return None
+        if isinstance(v, np.ndarray) and v is not rs:
+            return v
+        return np.array(np.broadcast_to(v, rs.shape))
+    return evaluate

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from isocap import flow, geometry
+from isocap import flow, geometry, numerics
 from isocap.errors import ConfigError, EvalError, NonIntegrableThroat
 from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
                              check_hypotheses, cylinder,
@@ -227,17 +227,58 @@ class TestGaugeConversionAccuracy:
             assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
 
     def test_quadrature_count(self, monkeypatch):
-        calls = []
-        integrate = geometry.integrate
+        calls = {"converted": 0, "expr": 0, "integrate": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return integrate(*args)
-        monkeypatch.setattr(geometry, "integrate", counting)
+        def counting(owner, name, key):
+            orig = getattr(owner, name)
+
+            def counted(*args):
+                calls[key] += 1
+                return orig(*args)
+            monkeypatch.setattr(owner, name, counted)
+        counting(geometry._ConvertedProfile, "eval_d2", "converted")
+        counting(geometry.ExprProfile, "eval_d2", "expr")
+        counting(numerics, "integrate", "integrate")
         G = to_geodesic(schwarzschild(1.0))
         for k in range(20):
             sphere_data(G, 1e-2 * 1e5 ** (k / 19))
-        assert len(calls) <= 25
+        # one scalar evaluation per sphere; the volumes go through values
+        assert calls["converted"] <= 20
+        assert calls["integrate"] == 0
+        assert calls["expr"] < 200
+
+
+def schwarzschild_volume(m, xi):
+    """Volume inside xi = sqrt(r - 2m) of Schwarzschild, in mpmath:
+    dV = 4 pi r^2 f^(-1/2) dr = 8 pi (2m + xi^2)^(5/2) d(xi)."""
+    return 4 * mpmath.pi * mpmath.quad(
+        lambda x: 2 * (2 * m + x * x) ** mpmath.mpf(2.5), [0, xi])
+
+
+class TestVolumeOracles:
+    @pytest.mark.parametrize("offset", [1e-6, 1e-4, 1e-2, 1.0, 100.0])
+    def test_areal_from_the_throat(self, offset):
+        r = 2.0 + offset
+        got = schwarzschild(1.0).volume(r)
+        with mpmath.workdps(30):
+            want = schwarzschild_volume(1, mpmath.sqrt(mpmath.mpf(r) - 2))
+            assert abs(got - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_converted(self, m):
+        # rho(xi) = integral of 2 sqrt(2m + x^2) from 0 to xi, solved for xi
+        G = to_geodesic(schwarzschild(m))
+        with mpmath.workdps(30):
+            mm = mpmath.mpf(m)
+            for k in range(20):  # the radii of the gauge-convert benchmark
+                rho = m * 1e-2 * 1e5 ** (k / 19)
+                xi = mpmath.findroot(
+                    lambda x: x * mpmath.sqrt(2 * mm + x * x) + 2 * mm
+                    * mpmath.asinh(x / mpmath.sqrt(2 * mm)) - rho,
+                    mpmath.sqrt(rho))
+                want = schwarzschild_volume(mm, xi)
+                got = sphere_data(G, rho).volume
+                assert abs(got - want) <= 1e-12 * want, rho
 
 
 class TestScaled:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from isocap import numerics
 from isocap.errors import DomainError, InsufficientData, NoBracket, NonConvergence
-from isocap.numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit, find_root, integrate
+from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
+                             find_root, gauss_legendre, integrate)
 
 
 def simpson_oracle(f, lo, hi, n=1_000_001):
@@ -48,6 +50,46 @@ class TestIntegrate:
     def test_divergent_raises(self):
         with pytest.raises(NonConvergence):
             integrate(lambda s: 1.0 / (1.0 + s), 0.0, math.inf)
+
+
+class TestGaussLegendre:
+    def test_constant_rules_match_leggauss(self):
+        x10, w10 = np.polynomial.legendre.leggauss(10)
+        x5, w5 = np.polynomial.legendre.leggauss(5)
+        for got, want in ((numerics._GL_X, np.concatenate((x10, x5))),
+                          (numerics._GL10_W, w10), (numerics._GL5_W, w5)):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_polynomials_exact(self):
+        # degree 19 is the 10-point rule's limit; the 5-point rule agrees
+        # up to degree 9, so no panel falls back
+        lo, hi = np.array([0.0, 1.0, -2.0]), np.array([1.0, 3.0, 2.0])
+        got = gauss_legendre(lambda x: x ** 9 + 1.0, lo, hi)
+        want = (hi ** 10 - lo ** 10) / 10.0 + (hi - lo)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_flagged_panel_falls_back(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return integrate(*args)
+        monkeypatch.setattr(numerics, "integrate", counting)
+        # |x - 0.3| has its kink inside the second panel only
+        got = gauss_legendre(lambda x: np.abs(x - 0.3), np.array([-2.0, 0.0]),
+                             np.array([-1.0, 1.0]))
+        assert calls == [(0.0, 1.0)]
+        assert got == pytest.approx([1.8, 0.29], rel=1e-12)
+
+    def test_panel_sum_independent_of_other_panels(self):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(0.0, 5.0, 300)
+        hi = lo + rng.uniform(0.0, 2.0, 300)
+        density = lambda x: np.exp(-x) * x ** 2.5  # noqa: E731
+        together = gauss_legendre(density, lo, hi)
+        alone = [gauss_legendre(density, lo[k:k + 1], hi[k:k + 1])[0]
+                 for k in range(lo.size)]
+        assert np.array_equal(together, alone)
 
 
 class TestFindRoot:

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -353,3 +354,99 @@ def test_matches_mpmath(text, r, a, b, m, q):
                                      for k in (1, 2)]
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-10 * max(1, abs(w)), (g, w)
+
+
+# Differential test of the array path: ExprProfile.values against eval_d2 at
+# each radius, over random trees with every node type and function.
+_LEAVES = st.sampled_from(["r", "r", "r", "a", "pi", "0", "1", "2", "0.5",
+                           "3", "1000"])
+
+
+def _grow(sub):
+    two = st.tuples(sub, sub)
+    return st.one_of(
+        st.builds(lambda op, ab: f"({ab[0]}{op}{ab[1]})",
+                  st.sampled_from("+-*/^"), two),
+        st.builds(lambda x: f"(-{x})", sub),
+        st.builds(lambda fn, x: f"{fn}({x})",
+                  st.sampled_from(["sqrt", "exp", "log", "sin", "cos", "tanh"]),
+                  sub),
+        st.builds(lambda fn, ab: f"{fn}({ab[0]},{ab[1]})",
+                  st.sampled_from(["pow", "min", "max"]), two))
+
+
+EXPRESSIONS = st.recursive(_LEAVES, _grow, max_leaves=10)
+RADII = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 1000.0, -1.5,
+                                   1e-320, 1e200]),
+                  st.floats(-4.0, 6.0))
+
+
+def check_values_match_scalar(text, rs, a=2.0):
+    """values(rs) is bit-identical to eval_d2 at each radius; where some
+    radius raises, values raises the first radius' EvalError; a tie that
+    the scalar path warns about warns NonSmoothTie on the array path."""
+    prof = geometry.ExprProfile(text, {"a": a})
+    rs = np.array(rs, dtype=float)
+    want, first = [], None
+    with warnings.catch_warnings(record=True) as scalar_warnings:
+        warnings.simplefilter("always")
+        for r in rs.tolist():
+            try:
+                want.append(prof.eval_d2(r)[0])
+            except EvalError as exc:
+                first = str(exc)
+                break
+    with warnings.catch_warnings(record=True) as array_warnings:
+        warnings.simplefilter("always")
+        if first is None:
+            got = prof.values(rs)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        else:
+            with pytest.raises(EvalError) as info:
+                prof.values(rs)
+            assert str(info.value) == first
+    tie = [w.category is NonSmoothTie for w in scalar_warnings]
+    if any(tie):
+        assert any(w.category is NonSmoothTie for w in array_warnings)
+
+
+@pytest.mark.parametrize("text,rs", [
+    ("1/0 + r", [1.0, 2.0]),
+    ("r/(r-2)", [1.0, 2.0, 3.0]),
+    ("log(r - 2)", [3.0, 2.5, 1.0]),
+    ("sqrt(r - 2)", [4.0, 2.0]),
+    ("sqrt(0*r) + r", [1.0, 2.0]),
+    ("log(r)", [1.0, 1e-320]),
+    ("max(log(r), 5)", [1.0, 1e-320]),  # the dropped argument raised
+    ("max(sqrt(r), 5)", [1.0, 1e-320]),
+    ("min(1e308*r^2, 1e308)", [1.0]),  # the tie keeps the first argument
+    ("exp(r)", [1.0, 1000.0]),
+    ("sin(r)", [1.0, math.inf]),
+    ("max(r, 2)", [1.0, 2.0, 3.0]),
+    ("min(r, a) + r", [1.0, 2.0]),
+    ("r^r + 2^r + r^2.5 + (0-r)^3", [0.5, 1.0, 2.0]),
+    ("2^max(r, 3)", [1.0, 4.0]),  # a stationary exponent: 2**3, not e^(3 ln 2)
+    ("(0-r)^0.5", [0.0, 1.0]),
+    ("r^(0.5)", [1.0, 0.0]),
+    ("pow(r - 1, 0) + pow(r - 1, 1) + (r-1)^(-1)", [2.0, 1.0]),
+    ("tanh(r) * cos(r) - sin(r)", [0.3, -2.0, 1e200]),
+    ("r*r", [1.0, 1e200]),
+])
+def test_values_cases(text, rs):
+    check_values_match_scalar(text, rs)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(r)", "exp(r)", "log(r)", "sin(r)", "cos(r)", "tanh(r)",
+    "r^2.5", "r^3", "pow(r, 1.5)", "2^r", "r^r", "1/r - r*r + (-r)"])
+def test_values_on_a_dense_grid(text):
+    # numpy's vectorized exp, tanh and powers round differently from math
+    # and ** at a few percent of these radii
+    check_values_match_scalar(text, np.linspace(0.1, 5.0, 512))
+
+
+@given(text=EXPRESSIONS, rs=st.lists(RADII, min_size=1, max_size=40),
+       a=st.sampled_from([2.0, 0.0, -1.0, 0.5]))
+@settings(max_examples=400, deadline=None)
+def test_values_match_eval_d2(text, rs, a):
+    check_values_match_scalar(text, rs, a)

@@ -19,10 +19,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ParabolicMetric
+from . import numerics
+from .errors import DomainError, NonConvergence, ParabolicMetric
 from .flow import _outward_hulls
-from .geometry import FOUR_PI, RadialMetric
-from .numerics import DEFAULT_CFG, ToleranceConfig, integrate
+from .geometry import FOUR_PI, Gauge, RadialMetric
+from .numerics import DEFAULT_CFG, ToleranceConfig
 from .specfun import check_p
 
 
@@ -69,100 +70,178 @@ class FluxHolderReport:
     all_pass: bool
 
 
-def _cap_integrand(metric: RadialMetric, p: float,
-                   area0: float) -> Callable[[float], float]:
-    """Radial density of I_p, rescaled by (area0)^(1/(p-1)).
+_PANEL = 0.5  # widest panel, in log r
+# Relative precision of the density values themselves, charged to every
+# gap: next to a throat f is known to about 1e-11 relative (the Taylor band
+# of RadialMetric._xi_density), which moved J by up to 3e-13 against
+# mpmath over 150 Reissner-Nordstrom slices.
+_DENSITY_REL = 1e-12
 
-    The raw density area^(-1/(p-1)) under- or overflows for p near 1; the
-    area ratio keeps the integrand of order one near rho0.
+
+def _tail_past(g: Sequence[float], big: float, q: float,
+               q1: float) -> Tuple[float, float]:
+    """Integral over [big, inf) of a density known at big, big/2 and big/4
+    (g, in that order), and its error; q1 = q - 1.
+
+    The density is fit by s^-q (A + B/s), the two leading terms of an
+    asymptotically flat end, through g[0] and g[1], and integrated in
+    closed form.  The error is the gap to the same fit through g[1] and
+    g[2].  Both fits are written in ratios to their anchor, so big^q is
+    never formed.
     """
-    expo = -1.0 / (p - 1.0)
-    return metric.density(lambda area: (area / area0) ** expo)
+    def fit(g1: float, g2: float) -> Tuple[float, float]:
+        # (s/anchor)^-q (a + b anchor/s) through g1 at anchor, g2 at anchor/2
+        t = g2 * 0.5 ** q
+        return 2.0 * g1 - t, t - g1
+
+    a, b = fit(g[0], g[1])
+    tail = big * (a / q1 + b / q)
+    # the second fit, anchored at big/2, integrated from big
+    a, b = fit(g[1], g[2])
+    other = big * 0.5 ** q * (a / q1 + 0.5 * b / q)
+    return tail, abs(tail - other)
 
 
-def _integral_to_inf(metric: RadialMetric, g: Callable[[float], float],
-                     lo: float, big: float, p: float,
-                     cfg: ToleranceConfig) -> Tuple[float, float]:
-    """Integrate the capacity density g over [lo, inf).
+def _offsets(q1: float, span: float) -> np.ndarray:
+    """Panel edges in y = log s past the start of a gap, up to span.
 
-    Three pieces.  Up to the anchor big a log substitution s = lo*e^y
-    resolves both the thin boundary layer of p near 1 and the slowly
-    varying tail of p near 3.  Beyond big the density is matched by the
-    exact power law g(big)*(s/big)^(-q), q = 2/(p-1), whose integral is
-    g(big)*big/(q-1); on an asymptotically flat end the residual decays one
-    power faster and is integrated numerically, so nothing is truncated.
+    In y the density of a gap decays about like exp(-(q-1) y).  The first
+    panels are 1.6/(q-1) wide, where the 5-point check of
+    ``numerics.gauss_legendre_err`` still passes on such a decay; past an
+    offset of 4/(q-1) each panel is 0.4 of its offset wide, so each panel's
+    5-point error stays well below quad_rel_tol of the gap's total, and no
+    panel is wider than half a unit.
     """
-    q = 2.0 / (p - 1.0)
-    span = math.log(big / lo)
-    hy = lambda y: g(lo * math.exp(y)) * lo * math.exp(y)
-    # In y the density decays at rate q-1; for p near 1 that makes a layer
-    # far thinner than the full span, which the subdivider would miss.
-    # Integrate the layer on its own panel first.
-    y1 = min(span, max(1.0, 40.0 / (q - 1.0)))
-    head, err = integrate(hy, 0.0, y1, cfg)
-    if y1 < span:
-        h2, e2 = integrate(hy, y1, span, cfg)
-        head, err = head + h2, err + e2
+    first = min(_PANEL, 1.6 / q1)
+    out = [first]
+    while out[-1] < span:
+        out.append(out[-1] + min(_PANEL, max(first, 0.4 * out[-1])))
+    return np.array(out)
 
-    g_big = g(big)
-    tail = g_big * big / (q - 1.0)
-    if tail == 0.0:
-        return head, err
 
-    if math.isinf(metric.r_max):
-        def resid(s: float) -> float:
-            return g(s) - g_big * (s / big) ** (-q)
-        corr, cerr = integrate(resid, big, math.inf, cfg)
-        return head + tail + corr, err + cerr
-    # No samples past the table edge: keep the power-law model and charge
-    # its leading 1/R correction to the error estimate.
-    return head + tail, err + abs(tail) * (10.0 * max(1.0, lo) / big)
+def _variable(metric: RadialMetric, r0: float
+              ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+                         Callable[[np.ndarray], Tuple[np.ndarray, ...]]]:
+    """The variable t the capacity density is integrated in, from r0 out.
+
+    Geodesic gauge: t = y = log s.  Areal gauge: t = sqrt(y - log r_min)
+    with r_min the domain start (r0 if the start is not positive), which
+    removes the inverse square root of a throat at r_min; d(arclength)/ds
+    comes from ``RadialMetric._xi_density``, which is accurate there.
+    Returns t as a function of y, and t -> (s, dl/dt, ds/dt).
+    """
+    if metric.gauge is Gauge.GEODESIC:
+        def at(t: np.ndarray) -> Tuple[np.ndarray, ...]:
+            s = np.exp(t)
+            return s, s, s
+        return (lambda y: y), at
+    start, xi_density = metric.domain_start, metric._xi_density()
+    r_min = start if start > 0.0 else r0
+
+    def at_u(t: np.ndarray) -> Tuple[np.ndarray, ...]:
+        grow = r_min * np.expm1(t * t)  # s - r_min
+        xi = np.sqrt(grow + (r_min - start))
+        s = r_min + grow
+        ds_dt = 2.0 * s * t
+        # dl/dt = dl/dxi * dxi/dt, and dxi/dt = ds/dt / (2 xi)
+        return s, xi_density(xi) * ds_dt / (2.0 * xi), ds_dt
+    log_min = math.log(r_min)
+    return (lambda y: np.sqrt(np.maximum(y - log_min, 0.0))), at_u
 
 
 def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
                     cfg: ToleranceConfig
-                    ) -> Tuple[List[float], List[float], List[float]]:
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rescaled I_p from each of the strictly increasing radii to infinity.
 
-    The only code that integrates the capacity density.  Node k rescales
-    by its own area A_k, and one semi-infinite integral at the last node
-    serves all:  J_k = int_{r_k}^{r_{k+1}} g_k + (A_{k+1}/A_k)^(-1/(p-1)) J_{k+1};
-    on growing areas the factor can only underflow (p near 1).  I_p
-    diverges when the density decays like s^-k with k <= 1; k is read
-    between big/10 and big, the anchor of the power-law tail, with the
-    slack 4.3e-4 at which a next-decade >= 0.999 * last-decade test flags
-    exact power laws.  A density that underflows to 0 converges.
+    The only code that integrates the capacity density.  Every gap
+    [r_k, r_{k+1}] and the head [r_last, big] are cut into the panels of
+    ``_offsets`` in y = log s, which resolve the p -> 1 boundary layer at
+    each gap's start.  All panels are summed by one
+    ``numerics.gauss_legendre_err`` call, in the variable of ``_variable``,
+    each checked against its gap's total; a node in gap k rescales the
+    density by that gap's area A_k, so p near 1 neither over- nor
+    underflows.  Past the anchor big the two-term closed form of
+    ``_tail_past`` takes over, on infinite and finite domains alike.  Then
+    J_k = int_{r_k}^{r_{k+1}} g_k + (A_{k+1}/A_k)^(-1/(p-1)) J_{k+1};
+    on growing areas the factor can only underflow (p near 1).  The error
+    of J_k sums the panels' estimates, _DENSITY_REL of each gap's integral
+    and the tail's estimate.
 
-    Returns (A_k, J_k, err_k); every J_k is inf when I_p diverges.
+    I_p diverges when the density decays like s^-k with k <= 1; k is read
+    between big/10 and big, with the slack 4.3e-4 at which a next-decade
+    >= 0.999 * last-decade test flags exact power laws.  A density that
+    underflows to 0 converges.
+
+    Returns arrays (A_k, J_k, err_k); every J_k is inf when I_p diverges.
     """
     check_p(p)
+    radii = np.asarray(radii, dtype=float)
     if radii[0] < metric.domain_start - 1e-12:
         raise DomainError(f"rho0={radii[0]} below domain start "
                           f"{metric.domain_start}")
-    areas = [metric.area(r) for r in radii]
-    if 0.0 in areas:
-        raise DomainError(f"sphere at rho={radii[areas.index(0.0)]} has zero area")
-    dens = [_cap_integrand(metric, p, a) for a in areas]
-    lo = radii[-1]
+    areas = np.asarray(metric.area(radii), dtype=float)
+    if np.any(areas == 0.0):
+        raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")
+    # q - 1 = (3-p)/(p-1) without the cancellation of 2/(p-1) - 1 near p = 3
+    expo, q, q1 = -1.0 / (p - 1.0), 2.0 / (p - 1.0), (3.0 - p) / (p - 1.0)
+    lo = float(radii[-1])
     big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
     if big <= lo:
         raise DomainError(f"metric domain [{lo}, {metric.r_max}] too short "
                           "for capacity")
+    t_of, at = _variable(metric, float(radii[0]))
+    # an area that falls far below a gap's start, with p near 1
+    overflow = f"I_{p} rescaled by the area of an inner radius overflows"
+
+    def density(t: np.ndarray, per_s: bool = False) -> np.ndarray:
+        """dI/dt (dI/ds if per_s), each node rescaled by its gap's area."""
+        s, dl_dt, ds_dt = at(t)
+        k = np.searchsorted(radii, s, side="right") - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (metric.area(s) / areas[k]) ** expo * dl_dt
+        if not np.all(np.isfinite(out)):
+            raise NonConvergence(overflow)
+        return out / ds_dt if per_s else out
+
     near = max(big / 10.0, lo)
-    g_big, g_near = dens[-1](big), dens[-1](near)
+    g_big, g_half, g_quarter, g_near = density(
+        t_of(np.log([big, big / 2.0, big / 4.0, near])), per_s=True)
     if g_big > 0.0 and g_near > 0.0 and (
             math.log(g_near / g_big) <= (1.0 + 4.3e-4) * math.log(big / near)):
-        return areas, [math.inf] * len(radii), [0.0] * len(radii)
+        n = len(radii)
+        return areas, np.full(n, math.inf), np.zeros(n)
 
-    tail, err = _integral_to_inf(metric, dens[-1], lo, big, p, cfg)
-    tails, errs = [tail], [err]
+    ends = np.log(np.append(radii, big))
+    offsets = _offsets(q1, float(np.diff(ends).max()))
+    # at a throat the areal variable starts from 0 like sqrt(y): there the
+    # first panel is halved twice in that variable, quartered twice in y
+    lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
+    edges, gap = [], []
+    for k in range(len(radii)):
+        inner = lead if k == 0 else offsets
+        inner = ends[k] + inner[inner < (ends[k + 1] - ends[k]) * (1.0 - 1e-9)]
+        edges.append(t_of(np.concatenate(([ends[k]], inner, [ends[k + 1]]))))
+        gap.append(np.full(inner.size + 1, k))
+    gap = np.concatenate(gap)
+    sums, errs = numerics.gauss_legendre_err(
+        density, np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]), cfg, gap)
+    inc = np.bincount(gap, weights=sums, minlength=len(radii))
+    inc_err = np.bincount(gap, weights=errs + _DENSITY_REL * np.abs(sums),
+                          minlength=len(radii))
+
+    tail, tail_err = _tail_past((g_big, g_half, g_quarter), big, q, q1)
+    with np.errstate(over="ignore"):
+        carry = (areas[1:] / areas[:-1]) ** expo
+    if not np.all(np.isfinite(carry)):
+        raise NonConvergence(overflow)
+    tails, errs_out = np.empty(len(radii)), np.empty(len(radii))
+    tails[-1], errs_out[-1] = inc[-1] + tail, inc_err[-1] + tail_err
     for k in range(len(radii) - 2, -1, -1):
-        inc, e = integrate(dens[k], radii[k], radii[k + 1], cfg)
-        carry = (areas[k + 1] / areas[k]) ** (-1.0 / (p - 1.0))
-        tail, err = inc + carry * tail, e + carry * err
-        tails.append(tail)
-        errs.append(err)
-    return areas, tails[::-1], errs[::-1]
+        tails[k] = inc[k] + carry[k] * tails[k + 1]
+        errs_out[k] = inc_err[k] + carry[k] * errs_out[k + 1]
+    return areas, tails, errs_out
 
 
 def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
@@ -174,8 +253,8 @@ def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
                                err_estimate=0.0, parabolic=False, rho_star=star)
                 for rho, (star, hull) in zip(radii, hulls)]
     out = []
-    for rho, area0, ivalue, ierr in zip(radii,
-                                        *_capacity_tails(metric, radii, p, cfg)):
+    tails = _capacity_tails(metric, radii, p, cfg)
+    for rho, area0, ivalue, ierr in zip(radii, *(t.tolist() for t in tails)):
         # unscaled I_p = area0^(-1/(p-1)) * ivalue, so I_p^(1-p) = area0 * ...
         # (0 on a p-parabolic end, where I_p = inf)
         flux = area0 * ivalue ** (1.0 - p)
@@ -209,7 +288,7 @@ def _potential(metric: RadialMetric, rho0: float, p: float,
     hi = min(cfg.cutoff_radius, 0.1 * metric.r_max)
     rhos = np.geomspace(max(rho0, 1e-12), hi, n)
     rhos[0] = rho0
-    areas, tails, _ = map(np.array, _capacity_tails(metric, rhos, p, cfg))
+    areas, tails, _ = _capacity_tails(metric, rhos, p, cfg)
     if math.isinf(tails[0]):
         raise ParabolicMetric(f"I_{p} diverges at rho0={rho0}")
     u = (areas / areas[0]) ** (-1.0 / (p - 1.0)) * tails / tails[0]

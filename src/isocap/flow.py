@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from typing import IO, List, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, InsufficientData
 from .geometry import RadialMetric, SphereData, sphere_data
-from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit, find_root
+from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
+                       find_root, minimize_bounded)
 
 _SCAN_POINTS = 8192
 _WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
@@ -79,10 +79,8 @@ def _suffix_min(areas: np.ndarray) -> np.ndarray:
 
 def _refine_min(metric: RadialMetric, lo: float, hi: float,
                 cfg: ToleranceConfig) -> Tuple[float, float]:
-    res = scipy.optimize.minimize_scalar(
-        metric.area, bounds=(lo, hi), method="bounded",
-        options={"xatol": cfg.root_tol})
-    return float(res.x), float(res.fun)
+    x, area = minimize_bounded(metric.area, lo, hi, cfg.root_tol)
+    return float(x), float(area)
 
 
 def _outward_hulls(metric: RadialMetric, radii: Sequence[float],

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from . import numerics, profiles
 from .errors import (ConfigError, DomainError, EvalError, IsocapError,
@@ -129,6 +127,8 @@ class TableProfile:
             raise ConfigError("table profile needs >= 4 (radius, value) rows")
         if np.any(np.diff(radii) <= 0):
             raise ConfigError("table radii must be strictly increasing")
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(radii, values)
         self._d1 = self._interp.derivative(1)
         self._d2 = self._interp.derivative(2)
@@ -219,24 +219,6 @@ class RadialMetric:
             a = self.profile.eval_d2(rho)[0]
         return FOUR_PI * a * a
 
-    def density(self, weight: Callable[[float], float]
-                ) -> Callable[[float], float]:
-        """s -> weight(area(s)) * d(arclength)/ds, the radial integrand of
-        capacities."""
-        if self.gauge is Gauge.GEODESIC:
-            def g(s: float) -> float:
-                a = self.profile.eval_d2(s)[0]
-                return weight(FOUR_PI * a * a)
-        else:
-            def g(s: float) -> float:
-                f = self.profile.eval_d2(s)[0]
-                if f <= 0.0:
-                    # integrable inverse square-root throat: regularize the
-                    # isolated zero the quadrature may sample exactly
-                    return 0.0
-                return weight(FOUR_PI * s * s) / math.sqrt(f)
-        return g
-
     def _xi_density(self) -> Callable[[np.ndarray], np.ndarray]:
         """Areal gauge: xi -> d(arclength)/d(xi) = 2*xi/sqrt(f) at
         r = domain_start + xi^2, on a 1-D array of xi.
@@ -245,13 +227,16 @@ class RadialMetric:
         throat): within 1e-5 of it, f = (r-r_min) * f/(r-r_min) with the
         ratio from the quadratic Taylor model, since direct evaluation of f
         cancels catastrophically there.  Where f <= 0 the density is 0.
-        Built once per metric.  Raises NonIntegrableThroat when f vanishes
-        at domain_start to order 2 or more.
+        Built once per metric.  Raises EvalError when f(domain_start) < 0,
+        NonIntegrableThroat when f vanishes at domain_start to order 2 or
+        more.
         """
         if self._xi is not None:
             return self._xi
         r_min = self.domain_start
         f0, f0_d1, f0_d2 = self.profile_d2(r_min)
+        if f0 < -1e-10:
+            raise EvalError(f"areal coefficient f({r_min}) = {f0} < 0")
         has_throat = abs(f0) <= 1e-10
         if has_throat:
             # Check the throat is an integrable inverse square root:
@@ -373,9 +358,6 @@ class _ConvertedProfile:
         self._areal = areal
         self._cfg = cfg  # the fixed rule's check and adaptive fallback
         r_min = areal.domain_start
-        f0 = areal.profile_d2(r_min)[0]
-        if f0 < -1e-10:
-            raise EvalError(f"f({r_min}) = {f0} < 0")
         self._density = areal._xi_density()
         span = min(cfg.cutoff_radius, areal.r_max)
         offsets = np.geomspace(max(1e-8, 1e-8 * max(1.0, r_min)),
@@ -389,6 +371,8 @@ class _ConvertedProfile:
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
         self._rho_nodes = rho_nodes
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(rho_nodes, r_nodes)
         self.r_max = float(rho_nodes[-1])
 
@@ -676,6 +660,8 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     def rhs(rho, y):
         m = mu(rho)[0]
         return [math.sqrt(max(0.0, 1.0 - 2.0 * m / y[0]))]
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (0.0, rho_max), [a0], dense_output=True,
                     rtol=1e-11, atol=1e-12, max_step=rho_max)

@@ -1,9 +1,10 @@
 """Deterministic numerics shared by every other module.
 
 Adaptive quadrature on finite and semi-infinite intervals, fixed-rule
-quadrature over arrays of panels, bracketed root finding, and Aitken limit
-extrapolation.  All routines are pure functions of their inputs; there is
-no shared mutable state.
+quadrature over arrays of panels, bracketed root finding and minimization
+(Brent 1973), and Aitken limit extrapolation.  All routines are pure
+functions of their inputs; there is no shared mutable state.  Only the
+adaptive quadrature uses scipy, which it imports when first called.
 """
 
 from __future__ import annotations
@@ -11,15 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from .errors import DomainError, InsufficientData, NoBracket, NonConvergence
 
-__all__ = ["ToleranceConfig", "integrate", "gauss_legendre", "find_root",
+__all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
+           "gauss_legendre_err", "find_root", "minimize_bounded",
            "extrapolate_limit"]
 
 
@@ -59,6 +59,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
     """
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    import scipy.integrate
 
     if math.isinf(hi):
         def g(u: float) -> float:
@@ -103,17 +104,24 @@ _GL5_W = np.array([0.23692688505618928, 0.4786286704993663,
                    0.23692688505618928])
 
 
-def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
-                   cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
-    """Integral of density over each panel [lo[k], hi[k]] of two 1-D arrays.
+def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
+                       cfg: ToleranceConfig = DEFAULT_CFG,
+                       group: Optional[np.ndarray] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Integral of density over each panel [lo[k], hi[k]] of two 1-D arrays,
+    and an error estimate of each.
 
     density maps a 1-D array of points to the integrand there; one call
     serves every node of every panel.  Each panel is summed by the 10-point
-    Gauss-Legendre rule.  Where the 5-point rule disagrees by more than
-    quad_rel_tol relative, say at a kink or on a panel too wide for the
-    rule, or where a sum is not finite, the panel is integrated by
-    ``integrate`` instead.  A panel's sum depends on that panel alone, bit
-    for bit, whatever the other panels.
+    Gauss-Legendre rule, and its error estimate is the difference from the
+    5-point rule.  Where that difference exceeds quad_rel_tol relative, say
+    at a kink or on a panel too wide for the rule, or where a sum is not
+    finite, the panel is integrated by ``integrate`` instead, with its
+    estimate.  The difference is relative to the panel's own sum, or, when
+    ``group`` maps each panel to the index of a total it is added into, to
+    the sum of |panel sums| of that total.  Without ``group`` a panel's sum
+    depends on that panel alone, bit for bit, whatever the other panels;
+    with it, on its group too, which decides whether it falls back.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = (0.5 * (hi - lo))[:, None]
@@ -122,30 +130,140 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     # row sums by numpy's reduction, not a matrix product: BLAS may sum a
     # row in an order that depends on the number of rows
     sums = (y[:, :10] * _GL10_W).sum(axis=1)
-    coarse = (y[:, 10:] * _GL5_W).sum(axis=1)
-    for k in np.flatnonzero(~(np.abs(sums - coarse) <= cfg.quad_rel_tol * np.abs(sums))):
-        sums[k] = integrate(lambda t: float(density(np.array([t]))[0]),
-                            lo[k], hi[k], cfg)[0]
-    return sums
+    errs = np.abs(sums - (y[:, 10:] * _GL5_W).sum(axis=1))
+    scale = np.abs(sums)
+    if group is not None:
+        scale = np.bincount(group, weights=scale)[group]
+    for k in np.flatnonzero(~(errs <= cfg.quad_rel_tol * scale)):
+        sums[k], errs[k] = integrate(lambda t: float(density(np.array([t]))[0]),
+                                     lo[k], hi[k], cfg)
+    return sums, errs
+
+
+def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
+                   cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
+    """The panel sums of ``gauss_legendre_err``."""
+    return gauss_legendre_err(density, lo, hi, cfg)[0]
+
+
+_ROOT_RTOL = 8.9e-16  # relative step floor of root finding, about 4 ulp
+_ROOT_MAX_ITER = 100
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MIN_MAX_EVALS = 500
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Locate a root of f inside the bracket [lo, hi].
 
-    Bisection with inverse interpolation (Brent); the returned point always
-    lies inside the initial bracket.  Raises NoBracket when f(lo) and f(hi)
-    have the same strict sign.
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps
+    while they shrink the bracket fast enough, bisection otherwise, to a
+    bracket of root_tol plus 4 ulp.  The returned point always lies inside
+    the initial bracket.  Raises NoBracket when f(lo) and f(hi) have the
+    same strict sign, NonConvergence after 100 iterations.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise NoBracket(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    x = scipy.optimize.brentq(f, lo, hi, xtol=cfg.root_tol, rtol=8.9e-16)
-    return min(max(x, lo), hi)
+    # cur: best iterate; blk: the other end of the bracket; pre: the
+    # previous iterate; scur and spre: the last two steps
+    xpre, fpre, xcur, fcur = lo, flo, hi, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (cfg.root_tol + _ROOT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return min(max(xcur, lo), hi)
+        stry = math.inf  # bisect unless interpolation is taken below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NonConvergence(f"root finding on [{lo}, {hi}] did not converge")
+
+
+def minimize_bounded(f: Callable[[float], float], lo: float, hi: float,
+                     xatol: float) -> Tuple[float, float]:
+    """A local minimum of f on [lo, hi] and f there.
+
+    Brent's fmin (Brent 1973, ch. 5): golden-section steps, replaced by
+    parabolic interpolation through the three best points while that
+    shrinks fast enough.  It stops once x is known to within
+    sqrt(eps)*|x| + xatol/3 (twice that as a bracket half-width), or after
+    500 evaluations, and never evaluates f at lo or hi.
+    """
+    # x: best point; w: second best; v: the previous w; d and e: the last
+    # two steps
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(_MIN_MAX_EVALS - 1):
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN * e
+        step = max(abs(d), tol1)
+        u = x - step if d < 0.0 else x + step
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _aitken_stage(seq: Sequence[float]) -> list:

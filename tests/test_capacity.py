@@ -4,11 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from isocap.capacity import (capacitary_potential, one_capacity, p_capacity,
-                             verify_flux_holder)
-from isocap.errors import BadExponent, DomainError, ParabolicMetric
+from isocap import numerics
+from isocap.capacity import (_capacities, _tail_past, capacitary_potential,
+                             one_capacity, p_capacity, verify_flux_holder)
+from isocap.errors import (BadExponent, DomainError, NonConvergence,
+                           ParabolicMetric)
 from isocap.geometry import (Gauge, cylinder, expr_metric, flat, scaled,
                              schwarzschild, table_metric, to_geodesic)
+from isocap.numerics import DEFAULT_CFG
 from isocap.specfun import P_HIGH, P_LOW
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
@@ -63,17 +66,82 @@ def schw_ncap_oracle(p, r0):
 
 
 class TestSchwarzschildOracle:
-    @pytest.mark.parametrize("p", [1.25, 1.5, 2.5, 2.9])
+    @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 2.5, 2.9, 2.99, 2.999])
     @pytest.mark.parametrize("rho0", [2.0, 3.0, 10.0])
     def test_mpmath_quadrature(self, p, rho0):
-        # 1e-8: near p = 3 the power-law tail residual past cutoff_radius
-        # is resolved only to about 1e-8 of the capacity
-        assert p_capacity(schwarzschild(1.0), rho0, p).ncap == pytest.approx(
-            schw_ncap_oracle(p, rho0), rel=1e-8)
+        # rho0 = 2 is the throat; p = 2.999 puts 98% of I_p past the tail
+        # anchor cutoff_radius
+        res = p_capacity(schwarzschild(1.0), rho0, p)
+        oracle = schw_ncap_oracle(p, rho0)
+        assert res.ncap == pytest.approx(oracle, rel=1e-11)
+        assert res.err_estimate >= abs(res.ncap - oracle)
 
     def test_oracle_matches_p2_closed_form(self):
         assert schw_ncap_oracle(2.0, 3.0) == pytest.approx(
             schw_ncap2(1.0, 3.0), rel=1e-14)
+
+
+def rn_ncap_oracle(p, r0, m, q):
+    """Reissner-Nordstrom normalized p-capacity by mpmath quadrature, as
+    ``schw_ncap_oracle``; at r0 = r_+ the float r0 is taken as the exact
+    horizon, as the throat model of the library does."""
+    with mpmath.workdps(30):
+        p, r0, m, q = map(mpmath.mpf, (p, r0, m, q))
+        f0 = lambda s: 1 - 2 * m / s + q * q / (s * s)  # noqa: E731
+        shift = f0(r0) if abs(f0(r0)) < 1e-10 else 0
+        k = 2 / (p - 1) - 1
+        rescaled = r0 / k * mpmath.quad(
+            lambda t: abs(f0(r0 * t ** (-1 / k)) - shift) ** -0.5, [0, 1])
+        return float(((p - 1) / (3 - p)) ** (p - 1) * r0 ** 2
+                     * rescaled ** (1 - p))
+
+
+class TestReissnerNordstromOracle:
+    """Capacities of a whole radius sequence, as ``total_mass`` takes them."""
+
+    M, Q = 1.9497356, 0.5
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 2.5, 2.9])
+    def test_mass_grid(self, p):
+        r_plus = self.M + math.sqrt(self.M ** 2 - self.Q ** 2)
+        metric = expr_metric(Gauge.AREAL, "1 - 2*m/r + q^2/r^2",
+                             {"m": self.M, "q": self.Q}, domain_start=r_plus)
+        radii = [r_plus] + [400.0 * 2.0 ** k for k in range(6)]
+        for res in _capacities(metric, radii, p, DEFAULT_CFG):
+            oracle = rn_ncap_oracle(p, res.rho0, self.M, self.Q)
+            # the parent's semi-infinite tail quadrature was off by up to
+            # 9e-10 here at p = 2.5, which total_mass amplifies 1e4-fold
+            assert res.ncap == pytest.approx(oracle, rel=1e-12)
+            assert res.err_estimate >= abs(res.ncap - oracle)
+
+
+class TestCapacityQuadrature:
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 2.999])
+    def test_no_adaptive_fallback(self, monkeypatch, p):
+        # every panel passes the fixed rule's check: scipy stays unloaded
+        def refuse(*args):
+            raise AssertionError(f"integrate called on {args[1:3]}")
+        monkeypatch.setattr(numerics, "integrate", refuse)
+        for metric, radii in ((schwarzschild(1.0), [2.0, 3.0, 6.0, 12.0]),
+                              (schwarzschild(1.0), [100.0 * 2 ** k for k in range(6)]),
+                              (flat(), [0.5, 1.0, 1000.0])):
+            _capacities(metric, radii, p, DEFAULT_CFG)
+
+    @pytest.mark.parametrize("p", [1.05, 1.8, 2.999])
+    def test_tail_exact_on_two_terms(self, p):
+        # g = (s/big)^-q (A + B big/s) is integrated exactly and both fits
+        # agree; at p = 1.05 big^q = 1e320 would overflow
+        big, A, B = 1e8, 3.0, 0.25
+        q = 2.0 / (p - 1.0)
+        g = [2.0 ** (k * q) * (A + B * 2.0 ** k) for k in range(3)]
+        tail, err = _tail_past(g, big, q, (3.0 - p) / (p - 1.0))
+        exact = big * (A / (q - 1.0) + B / q)
+        assert tail == pytest.approx(exact, rel=1e-12)
+        assert err <= 1e-12 * tail
+
+    def test_converted_err_is_finite(self):
+        res = p_capacity(to_geodesic(schwarzschild(1.0)), 10.0, 2.0)
+        assert 0.0 < res.err_estimate < 1e-9 * res.ncap
 
 
 class TestOtherFamilies:
@@ -163,6 +231,16 @@ class TestErrors:
         for p in (0.5, 1.0, 3.0, 4.0):
             with pytest.raises(BadExponent):
                 p_capacity(flat(), 1.0, p)
+
+    def test_deep_neck_near_p1_is_not_parabolic(self):
+        # the area falls 20-fold into the neck, and (1/20)^-1000 overflows:
+        # a typed failure, not a silent I_p = inf
+        M = expr_metric(Gauge.GEODESIC, "r*(1 - 0.9*exp(-(r-3)^2))")
+        with pytest.raises(NonConvergence):
+            p_capacity(M, 2.0, 1.001)
+        # mpmath: sqrt(1/3) / (4 pi sqrt(int_2^inf (4 pi a^2)^-2 d rho))
+        assert p_capacity(M, 2.0, 1.5).ncap == pytest.approx(
+            0.08873789782334478, rel=1e-12)
 
     def test_below_domain(self):
         with pytest.raises(DomainError):

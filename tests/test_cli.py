@@ -140,6 +140,15 @@ class TestMass:
         assert "DomainError" in err and "rho=0.0" in err
 
 
+    def test_negative_f_at_inner_boundary_exit_3(self, capsys):
+        # f = 1 - 2/r is -1 at the default areal r_min = 1
+        code, out, err = run(capsys, "mass", "--metric", "expr:areal:1-2/r",
+                             "--p-grid", "2,iso")
+        assert code == 3
+        assert out == ""
+        assert "EvalError" in err and "< 0" in err
+
+
 class TestVerify:
     def test_holder_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--metric", "schwarzschild:m=1",
@@ -236,6 +245,52 @@ class TestModuleEntry:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["rho"] == 2.0
+
+
+def run_isolated(code):
+    """Run python code in a fresh interpreter that imports isocap from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestScipyOnDemand:
+    """scipy is imported only by the families and fallbacks that use it."""
+
+    def test_mass_and_flow_leave_scipy_unloaded(self):
+        out = run_isolated(
+            "import contextlib, io, json, sys\n"
+            "import isocap\n"
+            "from isocap import cli\n"
+            "mass, track = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(mass):\n"
+            "    assert cli.main(['mass', '--metric', 'schwarzschild:m=1',\n"
+            "                     '--p-grid', '1,1.5,2,2.5,iso']) == 0\n"
+            "with contextlib.redirect_stdout(track):\n"
+            "    assert cli.main(['flow', '--metric', 'schwarzschild:m=1',\n"
+            "                     '--rho0', '3', '--tmax', '2',\n"
+            "                     '--samples', '8']) == 0\n"
+            "verdicts = [r['verdict'] for r in json.loads(mass.getvalue())]\n"
+            "print(verdicts, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert out.strip() == "['CONVERGED', 'CONVERGED', 'CONVERGED', " \
+            "'CONVERGED', 'CONVERGED'] []"
+
+    def test_generated_and_table_metrics_load_it(self, schwarzschild_csv):
+        out = run_isolated(
+            "import sys\n"
+            "from isocap import Gauge, flow, geometry, p_capacity\n"
+            "M = geometry.tanh_step_mass_metric(1.0, 5.0, 1.0)\n"
+            "track = flow.weak_imcf(M, 0.5, 2.0, n_samples=8)\n"
+            f"T = geometry.table_metric(Gauge.AREAL, {schwarzschild_csv!r})\n"
+            "print(round(p_capacity(T, 3.0, 2.0).ncap, 6),\n"
+            "      'scipy.integrate' in sys.modules,\n"
+            "      'scipy.interpolate' in sys.modules)\n")
+        ncap = 1.0 / (1.0 - (1.0 / 3.0) ** 0.5)  # m / (1 - sqrt(1 - 2m/r0))
+        assert out.split() == [str(round(ncap, 6)), "True", "True"]
 
 
 class TestDeterminism:

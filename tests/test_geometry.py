@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 
 from isocap import flow, geometry, numerics
+from isocap.capacity import p_capacity
 from isocap.errors import ConfigError, EvalError, NonIntegrableThroat
 from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
                              check_hypotheses, cylinder,
@@ -150,6 +151,17 @@ class TestGaugeConversion:
         M = expr_metric(Gauge.AREAL, "(1 - 1/r)^2", domain_start=1.0,
                         boundary_kind=BoundaryKind.MINIMAL)
         with pytest.raises(NonIntegrableThroat):
+            to_geodesic(M)
+
+    def test_negative_f_at_the_inner_boundary_rejected(self):
+        # f(1) = -1: no slice starts there; volumes, capacities and the
+        # gauge change all refuse it, as check_hypotheses does
+        M = metric_from_spec("expr:areal:1-2/r")
+        with pytest.raises(EvalError, match=r"f\(1\.0\) = -1\.0 < 0"):
+            M.volume(3.0)
+        with pytest.raises(EvalError):
+            p_capacity(M, 3.0, 2.0)
+        with pytest.raises(EvalError):
             to_geodesic(M)
 
 

@@ -1,13 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from isocap import numerics
 from isocap.errors import DomainError, InsufficientData, NoBracket, NonConvergence
 from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
-                             find_root, gauss_legendre, integrate)
+                             find_root, gauss_legendre, gauss_legendre_err,
+                             integrate, minimize_bounded)
 
 
 def simpson_oracle(f, lo, hi, n=1_000_001):
@@ -81,6 +84,32 @@ class TestGaussLegendre:
         assert calls == [(0.0, 1.0)]
         assert got == pytest.approx([1.8, 0.29], rel=1e-12)
 
+    def test_error_is_the_rules_difference(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.5])
+        sums, errs = gauss_legendre_err(np.exp, lo, hi)
+        assert np.allclose(sums, np.exp(hi) - np.exp(lo), rtol=1e-15, atol=0.0)
+        assert np.all(errs > 0.0)
+        assert np.all(errs <= 1e-10 * sums)
+        assert np.all(errs >= np.abs(sums - (np.exp(hi) - np.exp(lo))))
+
+    def test_group_checks_against_its_total(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return integrate(*args)
+        monkeypatch.setattr(numerics, "integrate", counting)
+        density = lambda x: np.exp(-20.0 * x)  # noqa: E731
+        lo, hi = np.array([0.0, 1.0]), np.array([0.05, 2.0])
+        alone, _ = gauss_legendre_err(density, lo, hi)
+        assert calls == [(1.0, 2.0)]  # too wide for the 5-point rule
+        calls.clear()
+        grouped, errs = gauss_legendre_err(density, lo, hi, group=np.array([0, 0]))
+        assert calls == []  # but negligible against the first panel
+        assert grouped[0] == alone[0]
+        assert grouped[1] == pytest.approx(alone[1], rel=1e-12)
+        assert errs[1] <= 1e-10 * grouped.sum()
+
     def test_panel_sum_independent_of_other_panels(self):
         rng = np.random.default_rng(7)
         lo = rng.uniform(0.0, 5.0, 300)
@@ -108,6 +137,59 @@ class TestFindRoot:
     def test_no_bracket(self):
         with pytest.raises(NoBracket):
             find_root(lambda v: v * v + 1.0, -1.0, 1.0)
+
+    def test_no_bracket_when_the_product_underflows(self):
+        with pytest.raises(NoBracket):
+            find_root(lambda v: 1e-200, 0.0, 1.0)
+
+    def test_matches_scipy_brentq(self):
+        # the same algorithm: the same evaluation points and root, bit for
+        # bit, each endpoint evaluated once
+        rng = random.Random(3)
+        for _ in range(300):
+            a, b, c = rng.uniform(-3, 3), rng.uniform(0.1, 5), rng.uniform(-2, 2)
+            for f in (lambda x: math.tanh(b * (x - a)) + 0.1 * c,
+                      lambda x: (x - a) ** 3 + c * (x - a),
+                      lambda x: math.exp(b * x) - math.exp(b * a)):
+                if f(-4.0) * f(4.5) >= 0.0:
+                    continue
+                ours, theirs = [], []
+                x = find_root(lambda v: ours.append(v) or f(v), -4.0, 4.5)
+                want = scipy.optimize.brentq(
+                    lambda v: theirs.append(v) or f(v), -4.0, 4.5,
+                    xtol=DEFAULT_CFG.root_tol, rtol=8.9e-16)
+                assert x == want
+                assert ours == theirs
+
+
+class TestMinimizeBounded:
+    def test_matches_scipy_bounded(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            a, b, c = rng.uniform(-2, 2), rng.uniform(0.5, 5), rng.uniform(0.1, 3)
+            lo = rng.uniform(-3.0, -2.0)
+            for f in (lambda x: b * (x - a) ** 2 + c,
+                      lambda x: math.cosh(b * (x - a)) + c * x,
+                      lambda x: (x - a) ** 4 - c * (x - a) ** 2):
+                ours, theirs = [], []
+                x, fx = minimize_bounded(lambda v: ours.append(v) or f(v),
+                                         lo, 3.0, 1e-12)
+                res = scipy.optimize.minimize_scalar(
+                    lambda v: theirs.append(v) or f(v), bounds=(lo, 3.0),
+                    method="bounded", options={"xatol": 1e-12})
+                assert (x, fx) == (res.x, res.fun)
+                assert ours == theirs
+
+    def test_quadratic(self):
+        x, fx = minimize_bounded(lambda v: (v - 0.3) ** 2 + 1.0, -1.0, 2.0, 1e-12)
+        assert x == pytest.approx(0.3, abs=1e-7)
+        assert fx == pytest.approx(1.0, abs=1e-14)
+
+    def test_monotone_stays_inside(self):
+        seen = []
+        x, _ = minimize_bounded(lambda v: seen.append(v) or v, 1.0, 2.0, 1e-12)
+        assert 1.0 < min(seen) and max(seen) < 2.0
+        assert x == pytest.approx(1.0, abs=1e-7)
 
 
 class TestExtrapolate:

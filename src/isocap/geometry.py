@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics, profiles
 from .errors import (ConfigError, DomainError, EvalError, IsocapError,
-                     NonIntegrableThroat)
+                     NonConvergence, NonIntegrableThroat)
 from .numerics import DEFAULT_CFG, ToleranceConfig, find_root
 
 FOUR_PI = 4.0 * math.pi
@@ -348,7 +348,8 @@ class _ConvertedProfile:
     ``_xi_density`` in xi = sqrt(r - r_min), which stays smooth through a
     simple zero of f at r_min.  The panels between arclength nodes, and the
     partial panel up to any r, are summed by ``numerics.gauss_legendre``.
-    The nodes are bridged by monotone cubic interpolation and sharpened by
+    Between nodes, r(rho) is first guessed by the cubic Hermite interpolant
+    with the exact slopes dr/drho = sqrt(f) at the nodes, then sharpened by
     Newton steps on the exact arclength, run on a whole array of radii at
     once.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
     which are exact along the gauge change.
@@ -371,10 +372,20 @@ class _ConvertedProfile:
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
         self._rho_nodes = rho_nodes
-        from scipy.interpolate import PchipInterpolator
-
-        self._interp = PchipInterpolator(rho_nodes, r_nodes)
+        self._slopes = np.sqrt(np.maximum(areal.profile.values(r_nodes), 0.0))
         self.r_max = float(rho_nodes[-1])
+
+    def _guess(self, rhos: np.ndarray) -> np.ndarray:
+        """Cubic Hermite r(rho) between the arclength nodes, with the
+        exact slopes; rhos lie in [0, r_max]."""
+        i = np.clip(np.searchsorted(self._rho_nodes, rhos) - 1, 0,
+                    self._rho_nodes.size - 2)
+        h = self._rho_nodes[i + 1] - self._rho_nodes[i]
+        x = (rhos - self._rho_nodes[i]) / h
+        r0, dr = self._r_nodes[i], self._r_nodes[i + 1] - self._r_nodes[i]
+        d0, d1 = h * self._slopes[i], h * self._slopes[i + 1]
+        return r0 + x * (d0 + x * ((3.0 * dr - 2.0 * d0 - d1)
+                                   + x * (d0 + d1 - 2.0 * dr)))
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         """Node arclength plus the partial panel up to each r."""
@@ -392,7 +403,7 @@ class _ConvertedProfile:
         if np.any(outside):
             raise EvalError(f"rho={float(rhos[outside][0])} outside converted range "
                             f"[0, {self.r_max}]")
-        r = self._interp(np.clip(rhos, 0.0, self.r_max))
+        r = self._guess(np.clip(rhos, 0.0, self.r_max))
         r = np.clip(r, self._r_nodes[0], self._r_nodes[-1])
         # Newton iterations on rho(r) = rho; d rho/dr = f^(-1/2)
         live = np.ones(r.shape, dtype=bool)
@@ -647,30 +658,31 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     mu maps rho to (mass, d mass/d rho) with mass >= 0 and slope >= 0.  The
     warping factor solves a' = sqrt(1 - 2*mu/a) with a(0) = a0 > 2*mu(0),
     which makes the Hawking mass of the sphere at rho exactly mu(rho) and
-    the scalar curvature 4*mu'/(a' a^2) >= 0.  Array evaluation (area scans,
-    ``validate_metric``) relies on mu being nondecreasing: it checks the
-    stall 1 - 2*mu/a <= 0 at the outermost radius only and calls mu nowhere
-    else, so a mu that dips or raises at an inner radius goes unnoticed
-    there, while ``eval_d2`` at that radius still raises.
+    the scalar curvature 4*mu'/(a' a^2) >= 0.  The ODE is solved once, on
+    [0, rho_max], by ``numerics.dormand_prince`` (rtol 1e-11, atol 1e-12);
+    a(rho) is its quartic dense output, the same bits from ``eval_d2`` and
+    from ``values``, and a', a'' come from the right-hand side.  Array
+    evaluation (area scans, ``validate_metric``) relies on mu being
+    nondecreasing: it checks the stall 1 - 2*mu/a <= 0 at the outermost
+    radius only and calls mu nowhere else, so a mu that dips or raises at
+    an inner radius goes unnoticed there, while ``eval_d2`` at that radius
+    still raises.
     """
     mu0 = mu(0.0)[0]
     if a0 <= 2.0 * mu0:
         raise ConfigError(f"need a0 > 2*mu(0) = {2 * mu0}")
 
-    def rhs(rho, y):
-        m = mu(rho)[0]
-        return [math.sqrt(max(0.0, 1.0 - 2.0 * m / y[0]))]
+    def rhs(rho: float, a: float) -> float:
+        return math.sqrt(max(0.0, 1.0 - 2.0 * mu(rho)[0] / a))
 
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (0.0, rho_max), [a0], dense_output=True,
-                    rtol=1e-11, atol=1e-12, max_step=rho_max)
-    if not sol.success:
-        raise ConfigError(f"mass-profile integration failed: {sol.message}")
-    dense = sol.sol
+    try:
+        dense = numerics.dormand_prince(rhs, 0.0, rho_max, a0,
+                                        rtol=1e-11, atol=1e-12)
+    except NonConvergence as exc:
+        raise ConfigError(f"mass-profile integration failed: {exc}") from None
 
     def fn(rho: float) -> Tuple[float, float, float]:
-        a = float(dense(rho)[0])
+        a = dense(rho)
         m, mp = mu(rho)
         ap = math.sqrt(max(0.0, 1.0 - 2.0 * m / a))
         if ap <= 0.0:
@@ -687,7 +699,7 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
                 fn(float(rhos.max()))
             except EvalError:
                 return _mapped(fn, rhos)
-        return dense(rhos)[0]
+        return dense.values(rhos)
 
     prof = FuncProfile(fn, array_fn, label=label, r_max=rho_max)
     return RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)

@@ -1,16 +1,18 @@
 """Deterministic numerics shared by every other module.
 
 Adaptive quadrature on finite and semi-infinite intervals, fixed-rule
-quadrature over arrays of panels, bracketed root finding and minimization
-(Brent 1973), and Aitken limit extrapolation.  All routines are pure
-functions of their inputs; there is no shared mutable state.  Only the
-adaptive quadrature uses scipy, which it imports when first called.
+quadrature over arrays of panels, a scalar Runge-Kutta ODE solver with
+dense output, bracketed root finding and minimization (Brent 1973), and
+Aitken limit extrapolation.  All routines are pure functions of their
+inputs; there is no shared mutable state.  Only the adaptive quadrature
+uses scipy, which it imports when first called.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import DomainError, InsufficientData, NoBracket, NonConvergence
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
-           "gauss_legendre_err", "find_root", "minimize_bounded",
-           "extrapolate_limit"]
+           "gauss_legendre_err", "dormand_prince", "DenseSolution",
+           "find_root", "minimize_bounded", "extrapolate_limit"]
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,132 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
     """The panel sums of ``gauss_legendre_err``."""
     return gauss_legendre_err(density, lo, hi, cfg)[0]
+
+
+# Dormand-Prince RK5(4) tableau (Dormand & Prince 1980): stage nodes, stage
+# rows, the 5th-order weights, the error weights (5th minus 4th order; the
+# last multiplies the first-same-as-last stage), and Shampine's (1986)
+# quartic dense-output coefficients, one row of four per stage.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)  # b2 = 0
+_DP_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+         1 / 40)  # e2 = 0
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+class DenseSolution:
+    """Dense output of ``dormand_prince``: on step i, from node t_i with
+    y_i and width h_i, y(t) = y_i + h_i*x*(q0 + x*(q1 + x*(q2 + x*q3)))
+    with x = (t - t_i)/h_i.  A t at a node takes the step that ends there;
+    a t outside [t0, t1] extends the first or last step.  The scalar call
+    and ``values`` run the same operations on the same coefficients, so
+    they agree bit for bit."""
+
+    def __init__(self, ts: list, ys: list, stages: list):
+        self._t = np.array(ts)
+        self._y = np.array(ys)
+        self._h = np.diff(self._t)
+        self._q = (np.array(stages) @ _DP_P).T
+        # the same numbers as lists, which the scalar call indexes faster
+        self._ts, self._ys, self._hs = ts, ys, self._h.tolist()
+        self._qs = list(zip(*self._q.tolist()))
+        self.steps = len(stages)
+
+    def __call__(self, t: float) -> float:
+        i = min(max(bisect_left(self._ts, t) - 1, 0), self.steps - 1)
+        h = self._hs[i]
+        x = (t - self._ts[i]) / h
+        q0, q1, q2, q3 = self._qs[i]
+        return self._ys[i] + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self._t, ts) - 1, 0, self.steps - 1)
+        h = self._h[i]
+        x = (ts - self._t[i]) / h
+        q0, q1, q2, q3 = self._q[:, i]
+        return self._y[i] + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
+
+
+def dormand_prince(fun: Callable[[float, float], float], t0: float,
+                   t1: float, y0: float, rtol: float,
+                   atol: float) -> DenseSolution:
+    """Solve the scalar ODE y' = fun(t, y), y(t0) = y0, on [t0, t1], t1 > t0.
+
+    Dormand-Prince RK5(4) on Python floats, with the step control of
+    scipy's RK45 (Hairer, Norsett and Wanner, Sec. II.4): the same
+    initial-step rule, the local error of a step measured against
+    atol + rtol*max(|y|, |y_new|), step factors 0.9*err^(-1/5) limited to
+    [0.2, 10], and no growth right after a rejection.  Raises
+    NonConvergence when the step falls below ten times the spacing of
+    floats at t.
+    """
+    c2, c3, c4, c5 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, b3, b4, b5, b6 = _DP_B
+    e1, e3, e4, e5, e6, e7 = _DP_E
+    length = t1 - t0
+    f = fun(t0, y0)
+    scale = atol + abs(y0) * rtol
+    d0, d1 = abs(y0 / scale), abs(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    d2 = abs((fun(t0 + h0, y0 + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, length)
+
+    t, y = t0, y0
+    ts, ys, stages = [t], [y], []
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NonConvergence("required step size is less than the "
+                                     f"spacing between numbers at t={t}")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            k2 = fun(t + c2 * h, y + (a21 * f) * h)
+            k3 = fun(t + c3 * h, y + (a31 * f + a32 * k2) * h)
+            k4 = fun(t + c4 * h, y + (a41 * f + a42 * k2 + a43 * k3) * h)
+            k5 = fun(t + c5 * h,
+                     y + (a51 * f + a52 * k2 + a53 * k3 + a54 * k4) * h)
+            k6 = fun(t + h, y + (a61 * f + a62 * k2 + a63 * k3 + a64 * k4
+                                 + a65 * k5) * h)
+            y_new = y + h * (b1 * f + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            f_new = fun(t_new, y_new)
+            err = (e1 * f + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6
+                   + e7 * f_new) * h
+            err = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        stages.append((f, k2, k3, k4, k5, k6, f_new))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return DenseSolution(ts, ys, stages)
 
 
 _ROOT_RTOL = 8.9e-16  # relative step floor of root finding, about 4 ulp

@@ -259,6 +259,26 @@ class TestGaugeConversionAccuracy:
         assert calls["integrate"] == 0
         assert calls["expr"] < 200
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_hermite_guess(self, m):
+        # the guess before any Newton step, against the converged radii
+        G = to_geodesic(schwarzschild(m))
+        rhos = np.geomspace(1e-2 * m, 1e3 * m, 2000)
+        r = G.profile.values(rhos)
+        assert np.max(np.abs(G.profile._guess(rhos) - r) / r) <= 2e-9
+
+    def test_newton_steps(self, monkeypatch):
+        # partial arclength panels over the 20 radii of the gauge-convert
+        # benchmark: one or two Newton steps each
+        G = to_geodesic(schwarzschild(1.0))
+        calls = []
+        rho_of_r = geometry._ConvertedProfile._rho_of_r
+        monkeypatch.setattr(geometry._ConvertedProfile, "_rho_of_r",
+                            lambda self, r: calls.append(r) or rho_of_r(self, r))
+        for k in range(20):
+            G.profile_d2(1e-2 * 1e5 ** (k / 19))
+        assert len(calls) <= 36
+
 
 def schwarzschild_volume(m, xi):
     """Volume inside xi = sqrt(r - 2m) of Schwarzschild, in mpmath:
@@ -362,6 +382,27 @@ class TestMassProfileGenerator:
         M = mass_profile_metric(mu, a0=2.0)
         assert sphere_data(M, 30.0).hawking_mass == pytest.approx(0.5, abs=1e-9)
 
+    def test_warping_is_the_dense_solution(self):
+        mass, center, width = 1.0, 5.0, 1.0
+        base = math.tanh(-center / width)
+
+        def rhs(rho, a):
+            t = math.tanh((rho - center) / width)
+            mu = mass * (t - base) / (1.0 - base)
+            return math.sqrt(max(0.0, 1.0 - 2.0 * mu / a))
+        dense = numerics.dormand_prince(rhs, 0.0, 1e6, 3.0, rtol=1e-11,
+                                        atol=1e-12)
+        rs = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 500)))
+        M = tanh_step_mass_metric(mass, center, width)
+        assert np.array_equal(M.profile.values(rs), dense.values(rs))
+
+    def test_integration_failure_is_a_config_error(self):
+        # mu = -inf past rho = 1 makes every step past it non-finite
+        def mu(rho):
+            return (0.0 if rho < 1.0 else -math.inf), 0.0
+        with pytest.raises(ConfigError, match="mass-profile integration failed"):
+            mass_profile_metric(mu, a0=2.0, rho_max=10.0)
+
 
 class TestArrayValues:
     """profile.values against the scalar eval_d2 it stands for."""
@@ -389,12 +430,10 @@ class TestArrayValues:
         with pytest.raises(EvalError, match="outside table range"):
             T.profile.values(np.array([3.0, 2e6]))
 
-    def test_generated_within_an_ulp(self):
+    def test_generated_bit_identical(self):
         M = tanh_step_mass_metric(1.2, 4.0, 1.5)
-        rs = np.geomspace(0.5, 200.0, 8192)
-        ref = self.scalar(M, rs)
-        rel = np.abs(M.profile.values(rs) - ref) / ref
-        assert rel.max() <= 4.5e-16
+        rs = np.concatenate(([0.0], np.geomspace(0.5, 200.0, 8190), [1e6]))
+        assert np.array_equal(M.profile.values(rs), self.scalar(M, rs))
 
     def test_stalled_warping_raises_like_scalar(self):
         # mu = rho outgrows a/2 near rho = 0.4 and the warping stalls for good

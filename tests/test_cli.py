@@ -259,7 +259,7 @@ def run_isolated(code):
 
 
 class TestScipyOnDemand:
-    """scipy is imported only by the families and fallbacks that use it."""
+    """scipy is imported only by `table:` metrics, which use it."""
 
     def test_mass_and_flow_leave_scipy_unloaded(self):
         out = run_isolated(
@@ -278,6 +278,36 @@ class TestScipyOnDemand:
             "print(verdicts, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert out.strip() == "['CONVERGED', 'CONVERGED', 'CONVERGED', " \
             "'CONVERGED', 'CONVERGED'] []"
+
+    def test_fallback_panels_run_without_it(self):
+        # each of these sends panels that fail the fixed rule's check to
+        # numerics.integrate, which is in-repo
+        out = run_isolated(
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from isocap import cli, flow, geometry, numerics, p_capacity\n"
+            "calls = []\n"
+            "adaptive = numerics.integrate\n"
+            "numerics.integrate = lambda *a: calls.append(a[1:3]) or adaptive(*a)\n"
+            "neck = 'expr:geodesic:r+1.5*exp(-4*(r-3)^2)'\n"
+            "for args in (['flow', '--metric', neck, '--rho0', '2',\n"
+            "              '--tmax', '3'], ['hypotheses', '--metric', neck]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(args) == 0\n"
+            "    print(len(calls) > 0)\n"
+            "    calls.clear()\n"
+            "M = geometry.tanh_step_mass_metric(1.0, 5.0, 1.0)\n"
+            "for p in (1.01, 1.1, 1.5, 2.0, 2.5, 2.9):\n"
+            "    for r0 in (0.5, 3.0, 10.0):\n"
+            "        assert p_capacity(M, r0, p).ncap > 0.0\n"
+            "print(len(calls) > 0)\n"
+            "calls.clear()\n"
+            "M = geometry.tanh_step_mass_metric(1.3760246384543378,\n"
+            "                                   5.7577886649501675,\n"
+            "                                   0.5186770010559407)\n"
+            "track = flow.weak_imcf(M, 0.5, 6.0, n_samples=40)\n"
+            "print(len(calls) > 0, len(track.samples))\n")
+        assert out.split() == ["True"] * 4 + ["40"]
 
     def test_only_table_metrics_load_it(self, schwarzschild_csv):
         # generated and gauge-converted metrics run with scipy unimportable

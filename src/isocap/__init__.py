@@ -16,8 +16,8 @@ from .geometry import (BoundaryKind, Gauge, HypothesisReport, RadialMetric,
                        SphereData, check_hypotheses, cylinder, expr_metric,
                        find_minimal_spheres, flat, mass_profile_metric,
                        metric_from_spec, scaled, schwarzschild, sphere_data,
-                       table_metric, tanh_step_mass_metric, to_geodesic,
-                       validate_metric)
+                       spheres, table_metric, tanh_step_mass_metric,
+                       to_geodesic, validate_metric)
 from .masses import (BmxResult, EquivalenceVerdict, IsoperimetricReport,
                      MassReport, asymptotic_isoperimetric_check,
                      bmx_bound_check, equivalence_report, huisken_mass,

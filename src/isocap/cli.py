@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,10 @@ _HUMAN = "%.6g"
 _SUITES = ("equivalence", "geroch", "bmx", "holder", "willmore", "isoperimetric")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process: argparse reads a
+    parser's actions and does not change them while parsing."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file with [metric], "
                         "[tolerances], [output] sections")

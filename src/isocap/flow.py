@@ -17,8 +17,8 @@ from typing import IO, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData
-from .geometry import RadialMetric, SphereData, sphere_data
+from .errors import DomainError, InsufficientData, IsocapError
+from .geometry import RadialMetric, SphereData, spheres
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
                        find_root, minimize_bounded)
 
@@ -144,17 +144,12 @@ def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
                 cfg: ToleranceConfig) -> List[Jump]:
     """Locate necks the outermost-root rule skips, as area-matched jumps."""
     envelope = _suffix_min(areas)
-    skipped = areas > envelope * (1.0 + 1e-10)
+    skipped = np.concatenate(([False], areas > envelope * (1.0 + 1e-10),
+                              [False]))
+    edges = np.flatnonzero(skipped[1:] != skipped[:-1]).tolist()
     jumps: List[Jump] = []
     n = len(grid)
-    i = 0
-    while i < n:
-        if not skipped[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and skipped[j]:
-            j += 1
+    for i, j in zip(edges[::2], edges[1::2]):
         # run [i, j): the flow jumps over it; the landing neck bottom sits
         # just past index j-1
         lo_b = float(grid[j - 1])
@@ -166,10 +161,9 @@ def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
             hi_r = float(grid[i])
             try:
                 s1 = find_root(lambda r: metric.area(r) - area_j, lo_r, hi_r, cfg)
-            except Exception:
+            except IsocapError:
                 s1 = float(grid[i])
             jumps.append(Jump(t=t_j, rho_before=s1, rho_after=s2))
-        i = j
     return jumps
 
 
@@ -216,11 +210,9 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
                                 rho_start=seg_start_rho,
                                 rho_end=radius_at(t_max)))
 
-    times = np.linspace(0.0, t_max, n_samples)
-    samples: List[Tuple[float, SphereData]] = []
-    for t in times:
-        rho = radius_at(float(t))
-        samples.append((float(t), sphere_data(metric, rho, cfg)))
+    times = np.linspace(0.0, t_max, n_samples).tolist()
+    samples = list(zip(times, spheres(metric, [radius_at(t) for t in times],
+                                      cfg)))
     return FlowTrack(rho0=rho0, initial_area=hull_area,
                      events=events, samples=samples)
 

@@ -16,7 +16,10 @@ suite against finite differences):
 Volumes are measured from ``domain_start``: each increment past the nearest
 cached radius is summed on fixed Gauss-Legendre panels, in rho (geodesic)
 or in xi = sqrt(r - domain_start) (areal), where the density stays smooth
-through a throat; see ``RadialMetric.volume``.
+through a throat.  ``RadialMetric.volumes`` sums the increments of a whole
+list of radii with one panel call, and ``spheres`` takes the volumes of its
+list of spheres from one ``volumes`` call; ``RadialMetric.volume`` and
+``sphere_data`` are their one-radius cases, with the same bits.
 """
 
 from __future__ import annotations
@@ -262,80 +265,128 @@ class RadialMetric:
         return density
 
     def volume(self, rho: float, cfg: ToleranceConfig = DEFAULT_CFG) -> float:
-        """Volume enclosed between domain_start and rho (cached anchors).
+        """Volume enclosed between domain_start and rho; see ``volumes``."""
+        return self.volumes((rho,), cfg)[0]
 
-        The increment from the nearest anchor below rho is integrated in
-        t = rho - domain_start (geodesic gauge, density 4*pi*a^2) or in
-        t = xi (areal gauge, density 4*pi*r^2 * ``_xi_density``), from t_lo
-        at the anchor to t_hi at rho.  It is split at t_hi/2, t_hi/4, ...
-        as far as t_lo or t_hi/32, so a density that is smooth at the scale
-        of t is resolved from the boundary out, and all panels are summed
-        by ``numerics.gauss_legendre`` from one ``profile.values`` call.
+    def volumes(self, rhos: Sequence[float],
+                cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
+        """Volume enclosed between domain_start and each radius of rhos.
+
+        Every radius becomes a cached anchor.  A new radius adds the
+        increment from the largest anchor below it, a cached radius or an
+        earlier radius of rhos, integrated in t = rho - domain_start
+        (geodesic gauge, density 4*pi*a^2) or in t = xi (areal gauge,
+        density 4*pi*r^2 * ``_xi_density``), from t_lo at the anchor to t_hi
+        at the radius.  It is split at t_hi/2, t_hi/4, ... as far as t_lo
+        or t_hi/32, so a density that is smooth at the scale of t is
+        resolved from the boundary out.  The panels of all radii are summed
+        by one ``numerics.gauss_legendre`` call, which makes one
+        ``profile.values`` call; a panel's sum depends on that panel alone,
+        so each volume has the bits that one call per radius, in the order
+        given, would give.
         """
-        if rho < self.domain_start - 1e-12:
-            raise DomainError(f"rho={rho} below domain start {self.domain_start}")
-        if rho <= self.domain_start:
-            return 0.0
-        i = bisect_right(self._vol_rho, rho) - 1
-        base_rho, base_val = self._vol_rho[i], self._vol_val[i]
-        if rho - base_rho <= 1e-14 * max(1.0, rho):
-            return base_val
+        start = self.domain_start
+        areal = self.gauge is Gauge.AREAL
+        anchors = list(self._vol_rho)  # the cached radii and each new one
+        lo: List[float] = []
+        hi: List[float] = []
+        cuts = [0]  # increment k owns the panels cuts[k]:cuts[k + 1]
+        for rho in rhos:
+            if rho < start - 1e-12:
+                raise DomainError(f"rho={rho} below domain start {start}")
+            if rho <= start:
+                continue
+            i = bisect_right(anchors, rho) - 1
+            if rho - anchors[i] <= 1e-14 * max(1.0, rho):
+                continue
+            t_lo, t_hi = anchors[i] - start, rho - start
+            if areal:
+                t_lo, t_hi = math.sqrt(t_lo), math.sqrt(t_hi)
+            n = math.ceil(math.log2(t_hi / max(t_lo, t_hi / 64.0)))
+            edges = [t_lo] + [t_hi * 0.5 ** j for j in range(n - 1, -1, -1)]
+            lo += edges[:-1]
+            hi += edges[1:]
+            cuts.append(len(lo))
+            anchors.insert(i + 1, rho)
+        if len(cuts) > 1:
+            sums = numerics.gauss_legendre(self._volume_density(),
+                                           np.array(lo), np.array(hi), cfg)
+        # the same walk on the cache, now that every increment is known
+        out: List[float] = []
+        k = 0
+        for rho in rhos:
+            if rho <= start:
+                out.append(0.0)
+                continue
+            i = bisect_right(self._vol_rho, rho) - 1
+            val = self._vol_val[i]
+            if rho - self._vol_rho[i] > 1e-14 * max(1.0, rho):
+                val += float(sums[cuts[k]:cuts[k + 1]].sum())
+                k += 1
+                self._vol_rho.insert(i + 1, rho)
+                self._vol_val.insert(i + 1, val)
+            out.append(val)
+        return out
+
+    def _volume_density(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The volume density in the variable t of ``volumes``."""
         start = self.domain_start
         if self.gauge is Gauge.GEODESIC:
-            lo, hi = base_rho - start, rho - start
-
             def density(t: np.ndarray) -> np.ndarray:
                 a = self.profile.values(start + t)
                 return FOUR_PI * a * a
-        else:
-            lo, hi = math.sqrt(base_rho - start), math.sqrt(rho - start)
-            xi_density = self._xi_density()
+            return density
+        xi_density = self._xi_density()
 
-            def density(t: np.ndarray) -> np.ndarray:
-                r = start + t * t
-                return FOUR_PI * r * r * xi_density(t)
-        n = math.ceil(math.log2(hi / max(lo, hi / 64.0)))
-        edges = hi * 0.5 ** np.arange(n, -1.0, -1.0)
-        edges[0] = lo
-        inc = numerics.gauss_legendre(density, edges[:-1], edges[1:], cfg)
-        val = base_val + float(inc.sum())
-        j = bisect_right(self._vol_rho, rho)
-        self._vol_rho.insert(j, rho)
-        self._vol_val.insert(j, val)
-        return val
+        def density(t: np.ndarray) -> np.ndarray:
+            r = start + t * t
+            return FOUR_PI * r * r * xi_density(t)
+        return density
 
 
 # ---------------------------------------------------------------------------
 # Per-sphere quantities
 
+def spheres(metric: RadialMetric, radii: Sequence[float],
+            cfg: ToleranceConfig = DEFAULT_CFG) -> List[SphereData]:
+    """All SphereData fields of the centered sphere at each radius; the
+    volumes come from one ``RadialMetric.volumes`` call."""
+    out: List[SphereData] = []
+    for rho in radii:
+        if rho < metric.domain_start - 1e-12:
+            raise DomainError(f"rho={rho} below domain start {metric.domain_start}")
+        rho = max(rho, metric.domain_start)
+        v, d1, d2 = metric.profile_d2(rho)
+        a = v if metric.gauge is Gauge.GEODESIC else rho
+        area = FOUR_PI * a * a
+        if area == 0.0:
+            raise DomainError(f"sphere at rho={rho} has zero area")
+        if metric.gauge is Gauge.GEODESIC:
+            ap, app = d1, d2
+            H = 2.0 * ap / a
+            willmore = SIXTEEN_PI * ap * ap
+            m_H = 0.5 * a * (1.0 - ap * ap)
+            R = 2.0 * (1.0 - ap * ap - 2.0 * a * app) / (a * a)
+        else:
+            f, fp = v, d1
+            if f < 0.0:
+                raise EvalError(f"areal coefficient f({rho}) = {f} < 0")
+            H = 2.0 * math.sqrt(f) / rho
+            willmore = SIXTEEN_PI * f
+            m_H = 0.5 * rho * (1.0 - f)
+            R = 2.0 * (1.0 - f - rho * fp) / (rho * rho)
+        out.append(SphereData(rho=rho, area=area, volume=0.0, mean_curvature=H,
+                              hawking_mass=m_H, willmore=willmore,
+                              scalar_curvature=R))
+    for data, vol in zip(out, metric.volumes([d.rho for d in out], cfg)):
+        data.volume = vol
+    return out
+
+
 def sphere_data(metric: RadialMetric, rho: float,
                 cfg: ToleranceConfig = DEFAULT_CFG) -> SphereData:
     """All SphereData fields of the centered sphere at radius rho."""
-    if rho < metric.domain_start - 1e-12:
-        raise DomainError(f"rho={rho} below domain start {metric.domain_start}")
-    rho = max(rho, metric.domain_start)
-    v, d1, d2 = metric.profile_d2(rho)
-    a = v if metric.gauge is Gauge.GEODESIC else rho
-    area = FOUR_PI * a * a
-    if area == 0.0:
-        raise DomainError(f"sphere at rho={rho} has zero area")
-    if metric.gauge is Gauge.GEODESIC:
-        ap, app = d1, d2
-        H = 2.0 * ap / a
-        willmore = SIXTEEN_PI * ap * ap
-        m_H = 0.5 * a * (1.0 - ap * ap)
-        R = 2.0 * (1.0 - ap * ap - 2.0 * a * app) / (a * a)
-    else:
-        f, fp = v, d1
-        if f < 0.0:
-            raise EvalError(f"areal coefficient f({rho}) = {f} < 0")
-        H = 2.0 * math.sqrt(f) / rho
-        willmore = SIXTEEN_PI * f
-        m_H = 0.5 * rho * (1.0 - f)
-        R = 2.0 * (1.0 - f - rho * fp) / (rho * rho)
-    return SphereData(rho=rho, area=area, volume=metric.volume(rho, cfg),
-                      mean_curvature=H, hawking_mass=m_H, willmore=willmore,
-                      scalar_curvature=R)
+    return spheres(metric, (rho,), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +555,15 @@ def check_hypotheses(metric: RadialMetric,
     (centered spheres); it is an upper bound certificate, not a proof.
     """
     grid = _probe_grid(metric, cfg, _PROBES)
-    interior = [s for s in grid if s > metric.domain_start * (1 + 1e-9)
-                or metric.domain_start == 0.0]
+    start = metric.domain_start
+    interior = [s for s in grid if s > start
+                and (s > start * (1 + 1e-9) or start == 0.0)]
     worst: Optional[Tuple[float, float]] = None
     kappa = math.inf
-    for s in interior:
-        if s <= metric.domain_start:
-            continue
-        data = sphere_data(metric, s, cfg)
+    for data in spheres(metric, interior, cfg):
         if data.scalar_curvature < -1e-10 and \
                 (worst is None or data.scalar_curvature < worst[0]):
-            worst = (data.scalar_curvature, s)
+            worst = (data.scalar_curvature, data.rho)
         if data.volume > 0.0:
             kappa = min(kappa, data.area ** 3 / data.volume ** 2)
 

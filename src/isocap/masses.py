@@ -85,12 +85,15 @@ class IsoperimetricReport:
 def _quasilocal(metric: RadialMetric, radii: Sequence[float], p: float,
                 cfg: ToleranceConfig) -> List[float]:
     """Iso-p-capacitary masses at increasing radii; +inf when p-parabolic."""
+    caps = _capacities(metric, radii, p, cfg)
+    vols = iter(metric.volumes([cap.rho0 for cap in caps if not cap.parabolic],
+                               cfg))
     vals = []
-    for cap in _capacities(metric, radii, p, cfg):
+    for cap in caps:
         if cap.parabolic:
             vals.append(math.inf)
             continue
-        c, vol = cap.ncap, metric.volume(cap.rho0, cfg)
+        c, vol = cap.ncap, next(vols)
         if c == 0.0:  # p = 1 on a sphere of zero area
             raise DomainError(f"sphere at rho={cap.rho0} has zero capacity")
         ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
@@ -208,11 +211,11 @@ def asymptotic_isoperimetric_check(metric: RadialMetric, m_bound: float,
                                    ) -> IsoperimetricReport:
     """Check |Omega| <= |S|^(3/2)/(6 sqrt(pi)) + (m/2)|S| on large spheres."""
     rows: List[IsoperimetricRow] = []
-    for rho in r_grid:
-        area = metric.area(float(rho))
-        vol = metric.volume(float(rho), cfg)
+    radii = [float(rho) for rho in r_grid]
+    for rho, vol in zip(radii, metric.volumes(radii, cfg)):
+        area = metric.area(rho)
         bound = area ** 1.5 / (6.0 * math.sqrt(math.pi)) + 0.5 * m_bound * area
-        rows.append(IsoperimetricRow(rho=float(rho), volume=vol, bound=bound,
+        rows.append(IsoperimetricRow(rho=rho, volume=vol, bound=bound,
                                      passed=vol <= bound * (1.0 + 1e-12)))
     threshold: Optional[float] = None
     for row in reversed(rows):

@@ -1,14 +1,13 @@
 """Deterministic numerics shared by every other module.
 
-Adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals,
-fixed-rule quadrature over arrays of panels, a scalar Runge-Kutta ODE
-solver with dense output, bracketed root finding and minimization (Brent
-1973), and Aitken limit extrapolation.  Both quadratures take array
-integrands: the fixed rule sums any number of panels from one call, and
-the adaptive rule makes one call per bisection, within
-``ToleranceConfig.max_subdivisions`` subintervals.  All routines are pure
-functions of their inputs; there is no shared mutable state, and none
-needs more than numpy.
+Adaptive Gauss-Kronrod quadrature on finite intervals, fixed-rule
+quadrature over arrays of panels, a scalar Runge-Kutta ODE solver with
+dense output, bracketed root finding and minimization (Brent 1973), and
+Aitken limit extrapolation.  Both quadratures take array integrands: the
+fixed rule sums any number of panels from one call, and the adaptive rule
+makes one call per bisection, within ``ToleranceConfig.max_subdivisions``
+subintervals.  All routines are pure functions of their inputs; there is
+no shared mutable state, and none needs more than numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, NoBracket, NonConvergence
+from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
+                     NonConvergence)
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "dormand_prince", "DenseSolution",
@@ -94,39 +94,31 @@ _EPS = float(np.finfo(float).eps)
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               cfg: ToleranceConfig = DEFAULT_CFG) -> Tuple[float, float]:
-    """Integrate f over (lo, hi); hi may be ``math.inf``.
+    """Integrate f over the finite interval (lo, hi).
 
     f maps a 1-D array of points to the integrand there.  Adaptive
     Gauss-Kronrod quadrature (Piessens et al. 1983): the interval is summed
     by the rule of ``_kronrod``, then the subinterval with the largest error
     estimate is bisected, one call of f serving both halves, until the
     summed estimate is within max(quad_abs_tol, quad_rel_tol*|value|) or
-    there are max_subdivisions subintervals.  The semi-infinite range is
-    mapped to [0, 1) by the rational substitution s = lo + u/(1-u), never
-    truncated at a hard cutoff; the map works at unit scale, so a tail that
-    lives at s - lo >> 1 is better integrated in closed form or rescaled
-    (s^-2 from 1e8 reads 1.4e-13 for 1e-8).  Returns the value and the
-    summed estimate.
+    there are max_subdivisions subintervals.  Returns the value and the
+    summed estimate.  A tail out to infinity is left to the caller, as
+    ``capacity`` integrates its tail in closed form: a map of [lo, inf)
+    onto a finite range resolves one scale only, and misses a tail that
+    lives far from it.
 
-    Raises NonConvergence when the value is not finite, or when the budget
-    is exhausted with an estimate above 1e3 times the requested accuracy;
-    DomainError when lo >= hi.
+    Raises ConfigError when a bound is infinite; NonConvergence when the
+    value is not finite, or when the budget is exhausted with an estimate
+    above 1e3 times the requested accuracy; DomainError when lo >= hi.
     """
+    if math.isinf(lo) or math.isinf(hi):
+        raise ConfigError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if math.isinf(hi):
-        def g(u: np.ndarray) -> np.ndarray:
-            w = 1.0 - u
-            # a node rounded onto u = 1 gives inf or nan, which is bisected
-            # away or, on an exhausted budget, raised
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return f(lo + u / w) / (w * w)
-        a, b = 0.0, 1.0
-    else:
-        g, a, b = f, float(lo), float(hi)
+    a, b = float(lo), float(hi)
     # one entry per subinterval: its edges, sum and error estimate
     edges = [(a, b)]
-    sums, errs = (v.tolist() for v in _kronrod(g, np.array([a]), np.array([b])))
+    sums, errs = (v.tolist() for v in _kronrod(f, np.array([a]), np.array([b])))
     while True:
         value, err = sum(sums), sum(errs)
         budget = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(value))
@@ -135,7 +127,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         k = errs.index(max(errs))
         left, right = edges[k]
         mid = 0.5 * (left + right)
-        halves, half_errs = _kronrod(g, np.array([left, mid]),
+        halves, half_errs = _kronrod(f, np.array([left, mid]),
                                      np.array([mid, right]))
         edges[k:k + 1] = (left, mid), (mid, right)
         sums[k:k + 1] = halves.tolist()

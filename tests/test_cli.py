@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from isocap import cli
 from isocap.cli import main
 
 
@@ -332,6 +333,21 @@ class TestScipyOnDemand:
 
 
 class TestDeterminism:
+    def test_one_parser_per_process(self, capsys):
+        def exits(*argv):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+        cases = [("--help",), ("flow", "--help"), ("flow", "--metric", "flat"),
+                 ("nope",)]
+        first = [exits(*argv) for argv in cases]
+        assert [code for code, _, _ in first] == [0, 0, 2, 2]
+        assert run(capsys, "sphere", "--metric", "flat", "--rho", "2")[0] == 0
+        assert [exits(*argv) for argv in cases] == first
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser.__wrapped__().format_help() == first[0][1]
+
     def test_byte_identical(self, capsys):
         outs = []
         for _ in range(2):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isocap.errors import DomainError, InsufficientData
+from isocap import flow, numerics
+from isocap.errors import DomainError, InsufficientData, NoBracket
 from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
                          flow_to_csv, geroch_check, outward_hull, weak_imcf,
                          willmore_limit)
@@ -145,6 +148,100 @@ class TestJumps:
     def test_jump_beyond_tmax_dropped(self):
         track = weak_imcf(neck_metric(), 2.0, 0.5, n_samples=20)
         assert track.jumps == []
+
+
+def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
+    """Reference for ``_find_jumps``: the skipped runs found node by node."""
+    envelope = flow._suffix_min(areas)
+    skipped = areas > envelope * (1.0 + 1e-10)
+    jumps, n, i = [], len(grid), 0
+    while i < n:
+        if not skipped[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and skipped[j]:
+            j += 1
+        s2, area_j = flow._refine_min(metric, float(grid[j - 1]),
+                                      float(grid[min(j + 1, n - 1)]), cfg)
+        t_j = math.log(area_j / hull_area)
+        if 0.0 < t_j <= t_max:
+            try:
+                s1 = flow.find_root(lambda r: metric.area(r) - area_j,
+                                    float(grid[max(i - 2, 0)]),
+                                    float(grid[i]), cfg)
+            except NoBracket:
+                s1 = float(grid[i])
+            jumps.append(Jump(t=t_j, rho_before=s1, rho_after=s2))
+        i = j
+    return jumps
+
+
+class TestFindJumps:
+    TWO_NECKS = "r + 1.5*exp(-4*(r-3)^2) + 3*exp(-2*(r-9)^2)"
+
+    def scan(self, text, rho0):
+        metric = expr_metric(Gauge.GEODESIC, text)
+        rho_star, hull = outward_hull(metric, rho0)
+        grid, areas = flow._area_grid(metric, rho_star, 40.0)
+        return metric, grid, areas, hull
+
+    @pytest.mark.parametrize("text, rho0, t_max, n_jumps", [
+        (TWO_NECKS, 1.0, 6.0, 2), (TWO_NECKS, 1.0, 1.0, 0),
+        (NECK, 2.0, 3.0, 1), ("r", 1.0, 3.0, 0)])
+    def test_equal_to_node_loop(self, text, rho0, t_max, n_jumps):
+        metric, grid, areas, hull = self.scan(text, rho0)
+        got = flow._find_jumps(metric, grid, areas, hull, t_max, DEFAULT_CFG)
+        want = find_jumps_loop(metric, grid, areas, hull, t_max, DEFAULT_CFG)
+        assert got == want
+        assert len(got) == n_jumps
+
+    def test_root_errors(self, monkeypatch):
+        metric, grid, areas, hull = self.scan(NECK, 2.0)
+        run = list(np.flatnonzero(areas > flow._suffix_min(areas) * (1 + 1e-10)))
+
+        def no_bracket(*args):
+            raise NoBracket("no sign change")
+        monkeypatch.setattr(flow, "find_root", no_bracket)
+        (jump,) = flow._find_jumps(metric, grid, areas, hull, 3.0, DEFAULT_CFG)
+        assert jump.rho_before == grid[run[0]]
+
+        def broken(*args):  # a programming error is not a missing bracket
+            raise ZeroDivisionError
+        monkeypatch.setattr(flow, "find_root", broken)
+        with pytest.raises(ZeroDivisionError):
+            flow._find_jumps(metric, grid, areas, hull, 3.0, DEFAULT_CFG)
+
+
+class TestSampleVolumes:
+    def test_one_panel_call_for_all_samples(self, monkeypatch):
+        M = tanh_step_mass_metric(1.0, 5.0, 1.0)
+        calls = []
+        rule = numerics.gauss_legendre
+        monkeypatch.setattr(numerics, "gauss_legendre",
+                            lambda *a: calls.append(a[1].size) or rule(*a))
+        track = weak_imcf(M, 0.5, 6.0, n_samples=40)
+        assert len(calls) == 1
+        assert len(track.samples) == 40
+
+    @settings(max_examples=25, deadline=None)
+    @given(mass=st.floats(0.3, 2.0), center=st.floats(2.0, 8.0),
+           width=st.floats(0.5, 2.5), rho0=st.floats(0.1, 3.0))
+    def test_tanh_step_flow_properties(self, mass, center, width, rho0):
+        # R >= 0, so the Hawking mass cannot drop along the weak flow
+        # (Geroch; Huisken and Ilmanen 2001)
+        M = tanh_step_mass_metric(mass, center, width)
+        track = weak_imcf(M, rho0, 6.0, n_samples=40)
+        rep = geroch_check(track)
+        assert rep.monotone, rep.worst_drop
+        rhos = [d.rho for _, d in track.samples]
+        vols = [d.volume for _, d in track.samples]
+        for t, d in track.samples:
+            assert abs(d.area - track.initial_area * math.exp(t)) <= 1e-10 * d.area
+        assert all(b >= a for a, b in zip(rhos, rhos[1:]))
+        assert all(b >= a for a, b in zip(vols, vols[1:]))
+        fresh = tanh_step_mass_metric(mass, center, width)
+        assert vols == [fresh.volume(r) for r in rhos]
 
 
 class TestGeroch:

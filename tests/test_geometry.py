@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.integrate
 
 from isocap import flow, geometry, numerics
 from isocap.capacity import p_capacity
-from isocap.errors import ConfigError, EvalError, NonIntegrableThroat
+from isocap.errors import (ConfigError, DomainError, EvalError,
+                           NonIntegrableThroat)
 from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
                              check_hypotheses, cylinder,
                              expr_metric, find_minimal_spheres, flat,
@@ -311,6 +313,82 @@ class TestVolumeOracles:
                 want = schwarzschild_volume(mm, xi)
                 got = sphere_data(G, rho).volume
                 assert abs(got - want) <= 1e-12 * want, rho
+
+
+def sequential_volume(metric, rho, cfg=numerics.DEFAULT_CFG):
+    """Reference for ``volumes``: one radius per call, one
+    ``gauss_legendre`` call per new radius, on the metric's own cache."""
+    start = metric.domain_start
+    if rho <= start:
+        return 0.0
+    i = bisect_right(metric._vol_rho, rho) - 1
+    base_rho, base_val = metric._vol_rho[i], metric._vol_val[i]
+    if rho - base_rho <= 1e-14 * max(1.0, rho):
+        return base_val
+    lo, hi = base_rho - start, rho - start
+    if metric.gauge is Gauge.AREAL:
+        lo, hi = math.sqrt(lo), math.sqrt(hi)
+    n = math.ceil(math.log2(hi / max(lo, hi / 64.0)))
+    edges = hi * 0.5 ** np.arange(n, -1.0, -1.0)
+    edges[0] = lo
+    val = base_val + float(numerics.gauss_legendre(
+        metric._volume_density(), edges[:-1], edges[1:], cfg).sum())
+    metric._vol_rho.insert(i + 1, rho)
+    metric._vol_val.insert(i + 1, val)
+    return val
+
+
+class TestBatchedVolumes:
+    FAMILIES = {
+        "flat": flat,
+        "schwarzschild": lambda: schwarzschild(1.0),
+        "neck": lambda: expr_metric(Gauge.GEODESIC, NECK),
+        "scaled": lambda: scaled(schwarzschild(1.0), 2.0),
+        "generated": lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+        "converted": lambda: to_geodesic(schwarzschild(1.0)),
+    }
+    # past a cached anchor at 3: unsorted, a repeat, a near repeat, the
+    # domain start and just below it, radii below the anchor, one next to
+    # the boundary and a gap of more than six panels
+    OFFSETS = (4.0, 1.0, 1.0, 0.0, -1e-13, 0.5, 4.0 + 1e-15, 1e-4, 9.0,
+               2.0, 2e3)
+
+    def check(self, make):
+        ref, batched, single = make(), make(), make()
+        start = ref.domain_start
+        radii = [start + x for x in self.OFFSETS]
+        for metric in (ref, batched, single):
+            metric.volume(start + 3.0)
+        want = [sequential_volume(ref, r) for r in radii]
+        assert np.array_equal(batched.volumes(radii), want)
+        assert np.array_equal([single.volume(r) for r in radii], want)
+        for metric in (batched, single):
+            assert metric._vol_rho == ref._vol_rho
+            assert np.array_equal(metric._vol_val, ref._vol_val)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_equal_to_one_radius_per_call(self, family):
+        self.check(self.FAMILIES[family])
+
+    def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv):
+        self.check(lambda: table_metric(Gauge.AREAL, schwarzschild_csv))
+
+    def test_one_panel_call(self, monkeypatch):
+        M = schwarzschild(1.0)
+        calls = []
+        rule = numerics.gauss_legendre
+        monkeypatch.setattr(numerics, "gauss_legendre",
+                            lambda *a: calls.append(a[1].size) or rule(*a))
+        vols = M.volumes([2.0 + 1.5 ** k for k in range(40)])
+        assert len(calls) == 1 and calls[0] <= 6 * 40
+        assert M.volumes([3.0, 2.0 + 1.5 ** 39, 2.0]) == [vols[0], vols[-1], 0.0]
+        assert len(calls) == 1  # cache hits integrate nothing
+
+    def test_below_domain_raises_before_any_work(self):
+        S = schwarzschild(1.0)
+        with pytest.raises(DomainError):
+            S.volumes([3.0, 1.0])
+        assert S._vol_rho == [2.0]
 
 
 class TestScaled:

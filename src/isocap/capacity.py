@@ -177,9 +177,7 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
     """
     check_p(p)
     radii = np.asarray(radii, dtype=float)
-    if radii[0] < metric.domain_start - 1e-12:
-        raise DomainError(f"rho0={radii[0]} below domain start "
-                          f"{metric.domain_start}")
+    metric.check_start(radii[0])
     areas = np.asarray(metric.area(radii), dtype=float)
     if np.any(areas == 0.0):
         raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")

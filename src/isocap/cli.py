@@ -265,8 +265,7 @@ def _cmd_hypotheses(args, metric, cfg, stream, fmt) -> int:
             ("radial isoperimetric constant",
              rep.radial_isoperimetric_constant, "> 0",
              rep.radial_isoperimetric_constant > 0.0)]
-    _write_checks(stream, rows)
-    return EXIT_OK
+    return EXIT_OK if _write_checks(stream, rows) else EXIT_VERIFY_FAILED
 
 
 _DISPATCH = {

@@ -87,8 +87,7 @@ def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
                    cfg: ToleranceConfig) -> List[Tuple[float, float]]:
     """(rho_star, hull_area) of each of the strictly increasing radii, all
     read off one area scan from the innermost radius."""
-    if radii[0] < metric.domain_start - 1e-12:
-        raise DomainError(f"rho0={radii[0]} below domain start {metric.domain_start}")
+    metric.check_start(radii[0])
     hi = min(cfg.cutoff_radius, metric.r_max)
     if radii[0] >= hi:
         return [(r, metric.area(r)) for r in radii]

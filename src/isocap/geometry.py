@@ -55,9 +55,11 @@ class BoundaryKind(enum.Enum):
 # Profiles: anything exposing eval_d2(r) -> (value, d1, d2) at one radius and
 # values(rs) -> the value at each radius of a 1-D array, equal to eval_d2's
 # value there.  Area scans, volume panels and the conversion's Newton steps
-# call values once per array.  Each family computes values on the whole
-# array; where some radius fails, values raises the error eval_d2 raises at
-# the first failing radius, by running the scalar path through _mapped.
+# call values once per array.  Every family computes values itself, on the
+# whole array and with in-repo code (tables and the conversion's first guess
+# through numerics.HermiteSpline); where some radius fails, values raises the
+# error eval_d2 raises at the first failing radius, by running the scalar
+# path through _mapped.
 
 
 def _mapped(fn: Callable[[float], Tuple[float, float, float]],
@@ -120,7 +122,12 @@ class FuncProfile:
 
 
 class TableProfile:
-    """Monotone cubic interpolation of tabulated (radius, value) pairs."""
+    """Monotone piecewise cubic interpolation of tabulated (radius, value)
+    pairs: ``numerics.HermiteSpline`` with the node slopes of
+    ``numerics.pchip_slopes`` (Fritsch and Carlson 1980), computed once.
+    It preserves the monotonicity of the data between nodes; its first
+    derivative is continuous and its second is not, so curvatures that use
+    f' or a'' are less accurate than values."""
 
     def __init__(self, radii: Sequence[float], values: Sequence[float],
                  label: str = "table"):
@@ -130,11 +137,8 @@ class TableProfile:
             raise ConfigError("table profile needs >= 4 (radius, value) rows")
         if np.any(np.diff(radii) <= 0):
             raise ConfigError("table radii must be strictly increasing")
-        from scipy.interpolate import PchipInterpolator
-
-        self._interp = PchipInterpolator(radii, values)
-        self._d1 = self._interp.derivative(1)
-        self._d2 = self._interp.derivative(2)
+        self._spline = numerics.HermiteSpline(
+            radii, values, numerics.pchip_slopes(radii, values))
         self.r_min = float(radii[0])
         self.r_max = float(radii[-1])
         self.label = label
@@ -146,13 +150,13 @@ class TableProfile:
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         self._check_range(r)
-        return float(self._interp(r)), float(self._d1(r)), float(self._d2(r))
+        return self._spline(r)
 
     def values(self, rs: np.ndarray) -> np.ndarray:
         if rs.size:
             self._check_range(float(rs.min()))
             self._check_range(float(rs.max()))
-        return self._interp(rs)
+        return self._spline.values(rs)
 
     def describe(self) -> str:
         return self.label
@@ -211,6 +215,12 @@ class RadialMetric:
 
     def profile_d2(self, rho: float) -> Tuple[float, float, float]:
         return self.profile.eval_d2(rho)
+
+    def check_start(self, rho: float) -> None:
+        """Raise DomainError for a radius below domain_start by more than
+        the rounding slack 1e-12."""
+        if rho < self.domain_start - 1e-12:
+            raise DomainError(f"rho={rho} below domain start {self.domain_start}")
 
     def area(self, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Area of the sphere at rho, or of each sphere of a 1-D radius array."""
@@ -292,8 +302,7 @@ class RadialMetric:
         hi: List[float] = []
         cuts = [0]  # increment k owns the panels cuts[k]:cuts[k + 1]
         for rho in rhos:
-            if rho < start - 1e-12:
-                raise DomainError(f"rho={rho} below domain start {start}")
+            self.check_start(rho)
             if rho <= start:
                 continue
             i = bisect_right(anchors, rho) - 1
@@ -353,8 +362,7 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
     volumes come from one ``RadialMetric.volumes`` call."""
     out: List[SphereData] = []
     for rho in radii:
-        if rho < metric.domain_start - 1e-12:
-            raise DomainError(f"rho={rho} below domain start {metric.domain_start}")
+        metric.check_start(rho)
         rho = max(rho, metric.domain_start)
         v, d1, d2 = metric.profile_d2(rho)
         a = v if metric.gauge is Gauge.GEODESIC else rho
@@ -423,20 +431,10 @@ class _ConvertedProfile:
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
         self._rho_nodes = rho_nodes
-        self._slopes = np.sqrt(np.maximum(areal.profile.values(r_nodes), 0.0))
+        slopes = np.sqrt(np.maximum(areal.profile.values(r_nodes), 0.0))
+        # the first guess of r(rho) between the nodes
+        self._guess = numerics.HermiteSpline(rho_nodes, r_nodes, slopes).values
         self.r_max = float(rho_nodes[-1])
-
-    def _guess(self, rhos: np.ndarray) -> np.ndarray:
-        """Cubic Hermite r(rho) between the arclength nodes, with the
-        exact slopes; rhos lie in [0, r_max]."""
-        i = np.clip(np.searchsorted(self._rho_nodes, rhos) - 1, 0,
-                    self._rho_nodes.size - 2)
-        h = self._rho_nodes[i + 1] - self._rho_nodes[i]
-        x = (rhos - self._rho_nodes[i]) / h
-        r0, dr = self._r_nodes[i], self._r_nodes[i + 1] - self._r_nodes[i]
-        d0, d1 = h * self._slopes[i], h * self._slopes[i + 1]
-        return r0 + x * (d0 + x * ((3.0 * dr - 2.0 * d0 - d1)
-                                   + x * (d0 + d1 - 2.0 * dr)))
 
     def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
         """Node arclength plus the partial panel up to each r."""

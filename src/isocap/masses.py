@@ -107,14 +107,21 @@ def quasilocal_mass(metric: RadialMetric, rho: float, p: float,
     return _quasilocal(metric, [rho], p, cfg)[0]
 
 
+def _huisken(metric: RadialMetric, radii: Sequence[float],
+             cfg: ToleranceConfig) -> List[float]:
+    """Isoperimetric quasilocal masses at increasing radii, the volumes
+    from one ``volumes`` call."""
+    areas = [metric.area(rho) for rho in radii]
+    if 0.0 in areas:
+        raise DomainError(f"sphere at rho={radii[areas.index(0.0)]} has zero area")
+    return [(2.0 / area) * (vol - area ** 1.5 / (6.0 * math.sqrt(math.pi)))
+            for area, vol in zip(areas, metric.volumes(radii, cfg))]
+
+
 def huisken_mass(metric: RadialMetric, rho: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Isoperimetric quasilocal mass of the sphere at rho."""
-    area = metric.area(rho)
-    if area == 0.0:
-        raise DomainError(f"sphere at rho={rho} has zero area")
-    vol = metric.volume(rho, cfg)
-    return (2.0 / area) * (vol - area ** 1.5 / (6.0 * math.sqrt(math.pi)))
+    return _huisken(metric, [rho], cfg)[0]
 
 
 def default_r_grid(metric: RadialMetric,
@@ -157,7 +164,7 @@ def total_mass(metric: RadialMetric, p: Optional[float],
     radii = [float(r) for r in r_grid]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientData("need non-empty, strictly increasing radii")
-    vals = ([huisken_mass(metric, r, cfg) for r in radii] if p is None
+    vals = (_huisken(metric, radii, cfg) if p is None
             else _quasilocal(metric, radii, p, cfg))
 
     label = metric.label

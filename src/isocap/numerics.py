@@ -1,9 +1,10 @@
 """Deterministic numerics shared by every other module.
 
 Adaptive Gauss-Kronrod quadrature on finite intervals, fixed-rule
-quadrature over arrays of panels, a scalar Runge-Kutta ODE solver with
-dense output, bracketed root finding and minimization (Brent 1973), and
-Aitken limit extrapolation.  Both quadratures take array integrands: the
+quadrature over arrays of panels, piecewise cubic Hermite interpolation
+with monotone (PCHIP) slopes, a scalar Runge-Kutta ODE solver with dense
+output, bracketed root finding and minimization (Brent 1973), and Aitken
+limit extrapolation.  Both quadratures take array integrands: the
 fixed rule sums any number of panels from one call, and the adaptive rule
 makes one call per bisection, within ``ToleranceConfig.max_subdivisions``
 subintervals.  All routines are pure functions of their inputs; there is
@@ -12,8 +13,9 @@ no shared mutable state, and none needs more than numpy.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -23,7 +25,8 @@ from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
                      NonConvergence)
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
-           "gauss_legendre_err", "dormand_prince", "DenseSolution",
+           "gauss_legendre_err", "hermite", "HermiteSpline", "pchip_slopes",
+           "dormand_prince", "DenseSolution",
            "find_root", "minimize_bounded", "extrapolate_limit"]
 
 
@@ -203,6 +206,79 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
     """The panel sums of ``gauss_legendre_err``."""
     return gauss_legendre_err(density, lo, hi, cfg)[0]
+
+
+def hermite(x, y0, d0, c2, c3):
+    """The cubic y0 + x*(d0 + x*(c2 + x*c3)) and its first and second
+    derivatives in x, on Python floats or numpy arrays alike."""
+    return (y0 + x * (d0 + x * (c2 + x * c3)),
+            d0 + x * (2.0 * c2 + 3.0 * x * c3),
+            2.0 * c2 + 6.0 * x * c3)
+
+
+class HermiteSpline:
+    """Piecewise cubic Hermite interpolant of nodes t_i, values y_i and
+    slopes s_i.  On interval i, with width h, x = (t - t_i)/h, d0 = h*s_i,
+    d1 = h*s_{i+1} and dy = y_{i+1} - y_i, the cubic is ``hermite`` with
+    c2 = 3*dy - 2*d0 - d1 and c3 = d0 + d1 - 2*dy.  A t at a node takes the
+    interval that starts there; a t outside [t_0, t_n] extends the first or
+    last cubic.  The scalar call, which returns (y, y', y''), and
+    ``values`` run the same operations on the same coefficients, so they
+    agree bit for bit."""
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, slopes: np.ndarray):
+        self._t = t
+        self._h = np.diff(t)
+        dy = np.diff(y)
+        d0, d1 = self._h * slopes[:-1], self._h * slopes[1:]
+        self._c = (y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy)
+
+    @functools.cached_property
+    def _lists(self) -> tuple:
+        """The same numbers as lists, which the scalar call indexes faster;
+        built on the first scalar call."""
+        return (self._t.tolist(), self._h.tolist(),
+                list(zip(*(c.tolist() for c in self._c))))
+
+    def __call__(self, t: float) -> Tuple[float, float, float]:
+        t = float(t)
+        ts, hs, cs = self._lists
+        i = min(max(bisect_right(ts, t) - 1, 0), len(hs) - 1)
+        h = hs[i]
+        v, d1, d2 = hermite((t - ts[i]) / h, *cs[i])
+        return v, d1 / h, d2 / (h * h)
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0,
+                    self._h.size - 1)
+        return hermite((ts - self._t[i]) / self._h[i],
+                       *(c[i] for c in self._c))[0]
+
+
+def pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone piecewise cubic through (t_i, y_i): the
+    weighted harmonic mean of the adjacent secant slopes where they share a
+    sign, else 0 (Fritsch and Carlson 1980; Fritsch and Butland 1984), and
+    at each end the one-sided three-point estimate, set to 0 where its sign
+    differs from the end secant's and limited to 3 times that secant where
+    the first two secants differ in sign (Moler, Numerical Computing with
+    MATLAB, 2004, Sec. 3.6).  Needs at least 3 nodes."""
+    h = np.diff(t)
+    m = np.diff(y) / h
+    slopes = np.zeros_like(y)
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    w1 = (2.0 * h[1:] + h[:-1])[inner]
+    w2 = (h[1:] + 2.0 * h[:-1])[inner]
+    slopes[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner])
+                                 / (w1 + w2))
+    for k, j in ((0, 1), (-1, -2)):  # each end secant and its neighbour
+        d = ((2.0 * h[k] + h[j]) * m[k] - h[k] * m[j]) / (h[k] + h[j])
+        if np.sign(d) != np.sign(m[k]):
+            d = 0.0
+        elif np.sign(m[k]) != np.sign(m[j]) and abs(d) > 3.0 * abs(m[k]):
+            d = 3.0 * m[k]
+        slopes[k] = d
+    return slopes
 
 
 # Dormand-Prince RK5(4) tableau (Dormand & Prince 1980): stage nodes, stage

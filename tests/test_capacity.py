@@ -118,7 +118,7 @@ class TestReissnerNordstromOracle:
 class TestCapacityQuadrature:
     @pytest.mark.parametrize("p", [1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 2.999])
     def test_no_adaptive_fallback(self, monkeypatch, p):
-        # every panel passes the fixed rule's check: scipy stays unloaded
+        # every panel passes the fixed rule's check: no adaptive fallback
         def refuse(*args):
             raise AssertionError(f"integrate called on {args[1:3]}")
         monkeypatch.setattr(numerics, "integrate", refuse)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isocap import cli
@@ -171,6 +172,15 @@ class TestHypotheses:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_failed_check_exits_1(self, capsys):
+        # the neck has R < 0 and two interior minimal spheres
+        code, out, err = run(capsys, "hypotheses", "--metric",
+                             "expr:geodesic:r+1.5*exp(-4*(r-3)^2)")
+        assert code == 1
+        assert err == ""
+        fails = [l.strip().split("  ")[0] for l in out.splitlines() if "FAIL" in l]
+        assert fails == ["scalar curvature >= 0", "no interior minimal sphere"]
+
 
 class TestConfig:
     def test_missing_metric_exit_2(self, capsys):
@@ -260,7 +270,7 @@ def run_isolated(code):
 
 
 class TestScipyOnDemand:
-    """scipy is imported only by `table:` metrics, which use it."""
+    """No path imports scipy: the package needs numpy only."""
 
     def test_mass_and_flow_leave_scipy_unloaded(self):
         out = run_isolated(
@@ -282,7 +292,8 @@ class TestScipyOnDemand:
 
     def test_fallback_panels_run_without_it(self):
         # each of these sends panels that fail the fixed rule's check to
-        # numerics.integrate, which is in-repo
+        # numerics.integrate, which is in-repo; the neck fails two of the
+        # hypothesis checks, so that command exits 1
         out = run_isolated(
             "import contextlib, io, sys\n"
             "sys.modules['scipy'] = None\n"
@@ -291,10 +302,11 @@ class TestScipyOnDemand:
             "adaptive = numerics.integrate\n"
             "numerics.integrate = lambda *a: calls.append(a[1:3]) or adaptive(*a)\n"
             "neck = 'expr:geodesic:r+1.5*exp(-4*(r-3)^2)'\n"
-            "for args in (['flow', '--metric', neck, '--rho0', '2',\n"
-            "              '--tmax', '3'], ['hypotheses', '--metric', neck]):\n"
+            "for args, code in ((['flow', '--metric', neck, '--rho0', '2',\n"
+            "                     '--tmax', '3'], 0),\n"
+            "                   (['hypotheses', '--metric', neck], 1)):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(args) == 0\n"
+            "        assert cli.main(args) == code\n"
             "    print(len(calls) > 0)\n"
             "    calls.clear()\n"
             "M = geometry.tanh_step_mass_metric(1.0, 5.0, 1.0)\n"
@@ -310,26 +322,61 @@ class TestScipyOnDemand:
             "print(len(calls) > 0, len(track.samples))\n")
         assert out.split() == ["True"] * 4 + ["40"]
 
-    def test_only_table_metrics_load_it(self, schwarzschild_csv):
-        # generated and gauge-converted metrics run with scipy unimportable
+    def test_no_path_loads_it(self, schwarzschild_csv, tmp_path):
+        # every family through every CLI entry point, and the library-only
+        # families through the library, with scipy unimportable: each
+        # command exits 0, 1 or 3 and none ends in a traceback
+        geodesic_csv = tmp_path / "schwarzschild_geodesic.csv"
+        r = 2.0 + np.concatenate(([0.0], np.geomspace(1e-8, 1e6, 1500)))
+        rho = np.sqrt(r * (r - 2.0)) + 2.0 * np.log(
+            (np.sqrt(r) + np.sqrt(r - 2.0)) / np.sqrt(2.0))
+        geodesic_csv.write_text("".join(
+            f"{x!r},{y!r}\n" for x, y in zip(rho.tolist(), r.tolist())))
+        families = ["flat", "schwarzschild:m=1", "cylinder:a=2",
+                    "expr:geodesic:r+1.5*exp(-4*(r-3)^2)",
+                    "expr:areal:1-2*m/r+q^2/r^2:m=1,q=0.5,"
+                    "r_min=1.8660254037844386",
+                    f"table:areal:{schwarzschild_csv}",
+                    f"table:geodesic:{geodesic_csv}"]
+        commands = [["sphere", "--rho", "3"],
+                    ["capacity", "--rho0", "3", "--p", "1"],
+                    ["capacity", "--rho0", "3", "--p", "2"],
+                    ["flow", "--rho0", "3", "--tmax", "2", "--samples", "20"],
+                    ["mass", "--p-grid", "1,2,iso"], ["hypotheses"]]
+        commands += [["verify", "--suite", s] for s in cli._SUITES]
         out = run_isolated(
-            "import sys\n"
+            "import contextlib, io, json, sys\n"
             "sys.modules['scipy'] = None\n"
-            "from isocap import flow, geometry\n"
-            "M = geometry.tanh_step_mass_metric(1.0, 5.0, 1.0)\n"
-            "track = flow.weak_imcf(M, 0.5, 2.0, n_samples=8)\n"
-            "G = geometry.to_geodesic(geometry.schwarzschild(1.0))\n"
-            "d = geometry.sphere_data(G, 3.0)\n"
-            "print(len(track.samples), round(d.hawking_mass, 9))\n")
-        assert out.split() == ["8", "1.0"]
-        out = run_isolated(
-            "import sys\n"
-            "from isocap import Gauge, geometry, p_capacity\n"
-            f"T = geometry.table_metric(Gauge.AREAL, {schwarzschild_csv!r})\n"
-            "print(round(p_capacity(T, 3.0, 2.0).ncap, 6),\n"
-            "      'scipy.interpolate' in sys.modules)\n")
-        ncap = 1.0 / (1.0 - (1.0 / 3.0) ** 0.5)  # m / (1 - sqrt(1 - 2m/r0))
-        assert out.split() == [str(round(ncap, 6)), "True"]
+            "from isocap import cli, geometry, numerics\n"
+            "from isocap import p_capacity, sphere_data, total_mass, weak_imcf\n"
+            f"families, commands = {families!r}, {commands!r}\n"
+            "codes = []\n"
+            "for spec in families:\n"
+            "    for argv in commands:\n"
+            "        err = io.StringIO()\n"
+            "        with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "                contextlib.redirect_stderr(err):\n"
+            "            code = cli.main(argv[:1] + ['--metric', spec] + argv[1:])\n"
+            "        codes.append((spec, argv[0], code, err.getvalue()))\n"
+            "S = geometry.schwarzschild(1.0)\n"
+            "for M in (geometry.scaled(S, 2.0),\n"
+            "          geometry.tanh_step_mass_metric(1.0, 5.0, 1.0),\n"
+            "          geometry.to_geodesic(S)):\n"
+            "    rho = M.domain_start + 3.0\n"
+            "    assert sphere_data(M, rho).area > 0.0\n"
+            "    assert p_capacity(M, rho, 2.0).ncap > 0.0\n"
+            "    assert total_mass(M, 2.0).verdict == 'CONVERGED'\n"
+            "    assert len(weak_imcf(M, rho, 2.0, n_samples=20).samples) == 20\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.startswith('scipy') and mod is not None]\n"
+            "print(json.dumps([codes, loaded]))\n")
+        codes, loaded = json.loads(out)
+        assert len(codes) == len(families) * len(commands)
+        for spec, command, code, err in codes:
+            assert code in (0, 1, 3), (spec, command, code, err)
+            assert "Traceback" not in err
+            assert code != 3 or err.startswith("isocap: "), (spec, command, err)
+        assert loaded == []
 
 
 class TestDeterminism:

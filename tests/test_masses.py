@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from isocap import flow
+from isocap import flow, numerics
 from isocap.errors import DomainError, InsufficientData
 from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
                              table_metric, to_geodesic)
@@ -85,6 +85,26 @@ class TestSchwarzschild:
         rep = total_mass(schwarzschild(1.0), None, GRID)
         assert rep.p is None
         assert rep.extrapolated_mass == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("make", [flat, lambda: schwarzschild(1.0),
+                                      lambda: to_geodesic(schwarzschild(1.0))])
+    def test_huisken_sequence_one_volumes_call(self, make):
+        # one call per radius, in order, on one metric gives the same bits
+        M = make()
+        per_radius = [huisken_mass(M, r) for r in GRID]
+        M, calls = make(), []
+        volumes = M.volumes
+        M.volumes = lambda *a: calls.append(list(a[0])) or volumes(*a)
+        rep = total_mass(M, None, GRID)
+        assert calls == [GRID]
+        assert rep.quasilocal == per_radius
+
+    def test_huisken_zero_area_before_volumes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("volume work before the area check")
+        monkeypatch.setattr(numerics, "gauss_legendre", refuse)
+        with pytest.raises(DomainError, match="rho=0.0 has zero"):
+            total_mass(flat(), None, [0.0, 1.0, 2.0])
 
     def test_equivalence(self):
         verdict = equivalence_report(schwarzschild(1.0),

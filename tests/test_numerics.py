@@ -5,12 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.interpolate
 import scipy.optimize
 
 from isocap import numerics
 from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket,
                            NonConvergence)
-from isocap.geometry import metric_from_spec
+from isocap.geometry import TableProfile, metric_from_spec
 from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, dormand_prince,
                              extrapolate_limit, find_root, gauss_legendre,
                              gauss_legendre_err, integrate, minimize_bounded)
@@ -362,6 +363,70 @@ class TestDormandPrince:
             return 1.0 if t < 1.0 else math.nan
         with pytest.raises(NonConvergence, match="spacing between numbers"):
             dormand_prince(rhs, 0.0, 10.0, 1.0, rtol=1e-11, atol=1e-12)
+
+
+def pchip_tables():
+    """(radii, values) of the Schwarzschild f = 1 - 2/r on 2000 geometric
+    radii, of 300 random samples, and of a table with flat runs, sign
+    changes and one-sided ends."""
+    r = np.geomspace(2.0, 1e6, 2000)
+    yield "schwarzschild", r, 1.0 - 2.0 / r
+    rng = np.random.default_rng(7)
+    yield "random", np.cumsum(rng.uniform(1e-3, 1.0, 300)), rng.normal(size=300)
+    yield "runs", np.cumsum(rng.uniform(0.9, 1.1, 24)), np.array(
+        [0, 1, -8, -8, -8, 1, 2, 2, 2, 1, 0, -1, -1, 3, 3, 0.5, 0.2, 0, 0,
+         -2, -1, 1, 5, 5.5], dtype=float)
+
+
+class TestPchip:
+    """``pchip_slopes`` and ``HermiteSpline`` against scipy's
+    ``PchipInterpolator``, the same algorithm with other rounding."""
+
+    @pytest.mark.parametrize("name, t, y", [
+        pytest.param(*table, id=table[0]) for table in pchip_tables()])
+    def test_matches_scipy(self, name, t, y):
+        ref = scipy.interpolate.PchipInterpolator(t, y)
+        # scipy keeps the slope at each interval's left node in c[2]; the
+        # last node's slope is the mirrored table's first, negated
+        mirrored = scipy.interpolate.PchipInterpolator(-t[::-1], y[::-1])
+        want = np.append(ref.c[2], -mirrored.c[2][0])
+        slopes = numerics.pchip_slopes(t, y)
+        assert np.all(np.abs(slopes - want) <= 1e-15 * np.abs(want))
+        if name == "runs":  # flat runs, extrema, and both limited end slopes
+            m = np.diff(y) / np.diff(t)
+            assert (slopes[1:-1] == 0.0).sum() == 14
+            assert slopes[0] == 3.0 * m[0] and slopes[-1] == 0.0
+
+        spline = numerics.HermiteSpline(t, y, slopes)
+        rng = np.random.default_rng(11)
+        pts = np.concatenate((rng.uniform(t[0], t[-1], 100_000), t))
+        got = np.array([spline(s) for s in pts]).T
+        assert np.array_equal(got[0], spline.values(pts))
+        # scipy's cubic in s = x - t_i: c0 s^3 + c1 s^2 + c2 s + c3
+        i = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, t.size - 2)
+        h = np.diff(t)[i]
+        size = sum(np.abs(ref.c[3 - k, i]) * h ** k for k in range(4))
+        for k in range(3):
+            err = np.abs(got[k] - ref(pts, nu=k))
+            assert np.all(err <= 1e-14 * size / h ** k), (k, np.max(err))
+
+    def test_table_scalar_and_array_agree(self):
+        for _, t, y in pchip_tables():
+            T = TableProfile(t, y)
+            grid = np.sort(np.concatenate(
+                (t, np.linspace(t[0], t[-1], 5000),
+                 [t[0] - 1e-13, t[-1] * (1 + 1e-13)])))
+            scalar = np.array([T.eval_d2(s)[0] for s in grid])
+            assert np.array_equal(T.values(grid), scalar)
+            assert np.array_equal(T.values(t), y)
+
+    def test_monotone_data_stay_monotone(self):
+        t = np.array([0.0, 1.0, 1.1, 3.0, 3.05, 8.0])
+        y = np.array([0.0, 0.1, 5.0, 5.1, 5.1, 9.0])
+        v = numerics.HermiteSpline(t, y, numerics.pchip_slopes(t, y)).values(
+            np.linspace(0.0, 8.0, 20001))
+        assert np.all(np.diff(v) >= 0.0)
+        assert v.min() == 0.0 and v.max() == 9.0
 
 
 class TestExtrapolate:

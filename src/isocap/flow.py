@@ -1,12 +1,12 @@
 """Weak inverse mean curvature flow for rotationally symmetric metrics.
 
-The weak flow of a centered sphere stays a centered sphere, and its area
-obeys the exponential law area(t) = hull_area * exp(t).  The radius at
-time t is therefore the outermost solution of area(rho) = target; the
-jump semantics of the weak formulation come out automatically, since the
-outermost root skips every neck whose area dips below the current level.
-Jumps preserve area: the flow leaves a rising branch at radius s1 and
-reappears past the neck at the matching-area radius s2 > s1.
+The weak flow of a centered sphere stays a centered sphere: at time t it
+is the outermost sphere of area hull_area * exp(t) anywhere on the end
+(Huisken and Ilmanen 2001).  One area scan from rho0 serves a whole flow;
+its envelope, the least area still reachable outward from each node,
+gives the hull, the radius at every time and the necks the flow jumps
+over.  Jumps preserve area: the flow leaves a rising branch at radius s1
+and reappears past the neck at the matching-area radius s2 > s1.
 """
 
 from __future__ import annotations
@@ -83,32 +83,34 @@ def _refine_min(metric: RadialMetric, lo: float, hi: float,
     return float(x), float(area)
 
 
+def _read_hull(metric: RadialMetric, grid: np.ndarray, envelope: np.ndarray,
+               r: float, cfg: ToleranceConfig) -> Tuple[float, float]:
+    """(rho_star, hull_area) of a radius r of a hull scan, read off the
+    scan's envelope (its suffix minimum)."""
+    j = int(np.searchsorted(grid, r, side="right"))  # first node past r
+    base = metric.area(r)  # a scalar call: r is in general not a scan node
+    level = min(base, envelope[min(j, len(grid) - 1)]) * (1.0 + 1e-9)
+    # the outermost node within level is the last one the envelope admits
+    i = int(np.searchsorted(envelope, level, side="right")) - 1
+    if i >= j:  # a node past r comes within level: refine the dip there
+        dip = _refine_min(metric, max(float(grid[i - 1]), r),
+                          float(grid[min(i + 1, len(grid) - 1)]), cfg)
+        if dip[1] < base * (1.0 - 1e-12):
+            return dip
+    return r, base
+
+
 def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
                    cfg: ToleranceConfig) -> List[Tuple[float, float]]:
     """(rho_star, hull_area) of each of the strictly increasing radii, all
     read off one area scan from the innermost radius."""
     metric.check_start(radii[0])
-    hi = min(cfg.cutoff_radius, metric.r_max)
-    if radii[0] >= hi:
+    limit = min(cfg.cutoff_radius, metric.r_max)
+    if radii[0] >= limit:
         return [(r, metric.area(r)) for r in radii]
-    grid, areas = _area_grid(metric, radii[0], hi)
+    grid, areas = _area_grid(metric, radii[0], limit)
     envelope = _suffix_min(areas)
-    hulls = []
-    for r in radii:
-        j = int(np.searchsorted(grid, r, side="right"))  # first node past r
-        # the scalar area, not the scan's: array evaluation may differ by an ulp
-        base = metric.area(r)
-        level = min(base, envelope[min(j, len(grid) - 1)]) * (1.0 + 1e-9)
-        # the outermost node within level is the last one the envelope admits
-        i = int(np.searchsorted(envelope, level, side="right")) - 1
-        hull = (r, base)
-        if i >= j:  # a node past r comes within level: refine the dip there
-            dip = _refine_min(metric, max(float(grid[i - 1]), r),
-                              float(grid[min(i + 1, len(grid) - 1)]), cfg)
-            if dip[1] < base * (1.0 - 1e-12):
-                hull = dip
-        hulls.append(hull)
-    return hulls
+    return [_read_hull(metric, grid, envelope, r, cfg) for r in radii]
 
 
 def outward_hull(metric: RadialMetric, rho0: float,
@@ -122,27 +124,11 @@ def outward_hull(metric: RadialMetric, rho0: float,
     return _outward_hulls(metric, [rho0], cfg)[0]
 
 
-def _outermost_root(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
-                    target: float, cfg: ToleranceConfig) -> float:
-    """Largest radius in the scan range with area(rho) = target."""
-    diffs = areas - target
-    sign_change = np.nonzero(diffs[:-1] * diffs[1:] <= 0.0)[0]
-    if len(sign_change) == 0:
-        if abs(diffs[0]) <= 1e-9 * target:
-            return float(grid[0])
-        raise DomainError(f"no sphere of area {target} in scan range")
-    i = int(sign_change[-1])
-    if diffs[i] == 0.0 and diffs[i + 1] == 0.0:
-        return float(grid[i + 1])
-    return find_root(lambda r: metric.area(r) - target,
-                     float(grid[i]), float(grid[i + 1]), cfg)
-
-
 def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
-                hull_area: float, t_max: float,
+                envelope: np.ndarray, hull_area: float, t_max: float,
                 cfg: ToleranceConfig) -> List[Jump]:
-    """Locate necks the outermost-root rule skips, as area-matched jumps."""
-    envelope = _suffix_min(areas)
+    """Locate necks the outermost-root rule skips, as area-matched jumps, on
+    a scan from the hull whose envelope may reach past its last node."""
     skipped = np.concatenate(([False], areas > envelope * (1.0 + 1e-10),
                               [False]))
     edges = np.flatnonzero(skipped[1:] != skipped[:-1]).tolist()
@@ -169,49 +155,59 @@ def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
 def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
               n_samples: int = 200,
               cfg: ToleranceConfig = DEFAULT_CFG) -> FlowTrack:
-    """Run the weak flow from the sphere at rho0 up to time t_max."""
-    if t_max <= 0.0:
+    """Run the weak flow from the sphere at rho0 up to time t_max.
+
+    The hull, the jumps and the radius at each of the n_samples times on
+    [0, t_max] are read off the hull scan from rho0.  Raises DomainError
+    for t_max not positive, n_samples < 1, or a domain that ends before
+    the area reaches hull_area * exp(t_max).
+    """
+    if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max}")
-    rho_star, hull_area = outward_hull(metric, rho0, cfg)
-
-    target_max = hull_area * math.exp(t_max)
-    hi = max(2.0 * rho_star, 1.0)
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be at least 1, got {n_samples}")
+    metric.check_start(rho0)
     limit = min(cfg.cutoff_radius, metric.r_max)
-    while metric.area(hi) < 1.02 * target_max:
-        if hi >= limit:
-            if metric.area(limit) < target_max:
-                raise DomainError(
-                    f"metric domain ends before the flow reaches t={t_max}")
-            hi = limit
-            break
-        hi = min(hi * 2.0, limit)
+    too_short = f"metric domain ends before the flow reaches t={t_max}"
+    if rho0 >= limit:
+        raise DomainError(too_short)
+    grid, areas = _area_grid(metric, rho0, limit)
+    envelope = _suffix_min(areas)
+    rho_star, hull_area = _read_hull(metric, grid, envelope, rho0, cfg)
+    times = np.linspace(0.0, t_max, n_samples).tolist()
+    targets = [hull_area * math.exp(t) for t in times + [t_max]]
+    if areas[-1] < targets[-1]:
+        raise DomainError(too_short)
 
-    grid, areas = _area_grid(metric, rho_star, hi)
-    jumps = _find_jumps(metric, grid, areas, hull_area, t_max, cfg)
+    # the scan from the hull, which replaces the last node before it, up
+    # to the first node whose envelope passes 1.02 times the final area; a
+    # run of skipped nodes that starts before that node ends before it
+    start = int(np.searchsorted(grid, rho_star, side="right")) - 1
+    stop = max(start + 1, int(np.searchsorted(envelope, 1.02 * targets[-1],
+                                              side="right")))
+    grid[start], areas[start] = rho_star, hull_area
+    envelope[start] = min(hull_area, envelope[start + 1])
+    grid, areas, envelope = (x[start:stop + 1] for x in (grid, areas, envelope))
+    cut = stop - start
+    jumps = _find_jumps(metric, grid[:cut], areas[:cut], envelope[:cut],
+                        hull_area, t_max, cfg)
+    # past the last node within a target every area exceeds it, so that
+    # node and the next bracket the outermost sphere of the target area
+    nodes = np.minimum(np.searchsorted(envelope, targets, side="right") - 1,
+                       len(grid) - 2).tolist()
+    radii = [find_root(lambda r, a=a: metric.area(r) - a, float(grid[k]),
+                       float(grid[k + 1]), cfg) for a, k in zip(targets, nodes)]
 
     events: List[Union[Jump, SmoothSegment]] = []
     if rho_star > rho0 * (1.0 + 1e-12) + 1e-12:
         events.append(Jump(t=0.0, rho_before=rho0, rho_after=rho_star))
-
-    def radius_at(t: float) -> float:
-        return _outermost_root(metric, grid, areas,
-                               hull_area * math.exp(t), cfg)
-
-    bounds = [0.0] + [j.t for j in jumps] + [t_max]
-    seg_start_rho = rho_star
-    for k, jump in enumerate(jumps):
-        events.append(SmoothSegment(t_start=bounds[k], t_end=jump.t,
-                                    rho_start=seg_start_rho,
-                                    rho_end=jump.rho_before))
-        events.append(jump)
-        seg_start_rho = jump.rho_after
-    events.append(SmoothSegment(t_start=bounds[-2], t_end=t_max,
-                                rho_start=seg_start_rho,
-                                rho_end=radius_at(t_max)))
-
-    times = np.linspace(0.0, t_max, n_samples).tolist()
-    samples = list(zip(times, spheres(metric, [radius_at(t) for t in times],
-                                      cfg)))
+    t_start, rho_start = 0.0, rho_star
+    for jump in jumps:
+        events += [SmoothSegment(t_start, jump.t, rho_start, jump.rho_before),
+                   jump]
+        t_start, rho_start = jump.t, jump.rho_after
+    events.append(SmoothSegment(t_start, t_max, rho_start, radii[-1]))
+    samples = list(zip(times, spheres(metric, radii[:-1], cfg)))
     return FlowTrack(rho0=rho0, initial_area=hull_area,
                      events=events, samples=samples)
 

@@ -825,7 +825,10 @@ def _parse_kv(chunks: Sequence[str]) -> dict:
                 raise ConfigError(f"expected key=value, got {item!r}")
             key, val = item.split("=", 1)
             try:
-                out[key.strip()] = float(val)
+                value = float(val)
             except ValueError:
                 raise ConfigError(f"non-numeric value in {item!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"non-finite value in {item!r}")
+            out[key.strip()] = value
     return out

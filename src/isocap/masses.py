@@ -126,11 +126,18 @@ def huisken_mass(metric: RadialMetric, rho: float,
 
 def default_r_grid(metric: RadialMetric,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
-    """Geometric grid, ratio 2, from 50 capacitary radii of the boundary."""
-    rho0 = metric.domain_start
+    """Geometric grid, ratio 2, from 50 capacitary radii of the boundary.
+
+    A boundary sphere of zero area is a pole, like flat space's centre at
+    0: the capacitary radius is read 1e-3 past it, and the grid starts at
+    the pole.
+    """
+    rho0, start = metric.domain_start, 0.0
+    if rho0 >= 1e-3 and metric.area(rho0) == 0.0:
+        rho0, start = rho0 + 1e-3, rho0
     c1 = one_capacity(metric, max(rho0, 1e-3), cfg).ncap
     base = 50.0 * math.sqrt(c1)
-    return [base * 2.0 ** k for k in range(cfg.extrap_terms)]
+    return [start + base * 2.0 ** k for k in range(cfg.extrap_terms)]
 
 
 def _diverges(radii: Sequence[float], vals: Sequence[float],

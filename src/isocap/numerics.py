@@ -46,6 +46,9 @@ class ToleranceConfig:
     cutoff_radius: float = 1e8
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.quad_rel_tol, self.quad_abs_tol,
+                                       self.root_tol, self.cutoff_radius))):
+            raise ValueError("tolerances and cutoff_radius must be finite")
         if min(self.quad_rel_tol, self.quad_abs_tol, self.root_tol) <= 0.0:
             raise ValueError("tolerances must be strictly positive")
         if self.extrap_terms < 3:

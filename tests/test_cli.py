@@ -95,6 +95,18 @@ class TestFlow:
         assert code == 3
         assert "DomainError" in err and "zero area" in err
 
+    @pytest.mark.parametrize("args, name", [
+        (("--tmax", "1", "--samples", "0"), "n_samples"),
+        (("--tmax", "1", "--samples", "-3"), "n_samples"),
+        (("--tmax", "nan"), "t_max"),
+    ])
+    def test_bad_arguments_exit_3(self, capsys, args, name):
+        code, out, err = run(capsys, "flow", "--metric", "flat", "--rho0", "1",
+                             *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("isocap: DomainError: " + name)
+
 
 class TestMass:
     def test_json_reports(self, capsys):
@@ -115,6 +127,19 @@ class TestMass:
         assert code == 0, err
         for rep in json.loads(out):
             assert rep["extrapolated"] == pytest.approx(1.0, abs=5e-3)
+
+    def test_default_grid_from_a_pole(self, capsys):
+        # flat space with its pole at rho = 2: the area is 0 at the domain
+        # start, so the default grid starts there as flat's starts at 0
+        code, out, err = run(capsys, "mass", "--metric",
+                             "expr:geodesic:r-2:rho_min=2",
+                             "--p-grid", "1,1.5,2,2.5,iso")
+        assert code == 0, err
+        for rep in json.loads(out):
+            assert rep["verdict"] == "CONVERGED"
+            assert min(rep["radii"]) > 2.0
+            assert max(map(abs, rep["quasilocal"])) <= 1e-12
+            assert abs(rep["extrapolated"]) <= 1e-12
 
     def test_unsorted_r_grid_exit_3(self, capsys):
         code, _, err = run(capsys, "mass", "--metric", "schwarzschild:m=1",
@@ -221,6 +246,26 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("command, metric, tolerance", [
+        ("hypotheses", "expr:geodesic:r:rho_min=nan", None),
+        ("mass", "schwarzschild:m=nan", None),
+        ("mass", "expr:geodesic:k*r:k=inf", None),
+        ("mass", "flat", "root_tol = nan"),
+        ("mass", "flat", "quad_abs_tol = nan"),
+        ("mass", "flat", "cutoff_radius = inf"),
+    ])
+    def test_non_finite_exit_2(self, capsys, tmp_path, command, metric,
+                               tolerance):
+        argv = [command, "--metric", metric]
+        if tolerance:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[tolerances]\n{tolerance}\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("isocap: config error:") and "finite" in err
+
     def test_missing_config_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "sphere", "--config", "/no/such.ini",
                          "--rho", "2")
@@ -321,6 +366,30 @@ class TestScipyOnDemand:
             "track = flow.weak_imcf(M, 0.5, 6.0, n_samples=40)\n"
             "print(len(calls) > 0, len(track.samples))\n")
         assert out.split() == ["True"] * 4 + ["40"]
+
+    def test_exit_codes_without_it(self, tmp_path):
+        # a 400-row areal Schwarzschild table on [2, 1e4], without header;
+        # the neck fails two of the hypothesis checks, so that command exits 1
+        table = tmp_path / "schwarzschild.csv"
+        r = np.geomspace(2.0, 1e4, 400)
+        table.write_text("".join(f"{x!r},{1.0 - 2.0 / x!r}\n"
+                                 for x in r.tolist()))
+        spec = f"table:areal:{table}"
+        neck = "expr:geodesic:r+1.5*exp(-4*(r-3)^2)"
+        commands = [["mass", "--metric", spec, "--p-grid", "1,2,iso"],
+                    ["flow", "--metric", spec, "--rho0", "3", "--tmax", "2"],
+                    ["hypotheses", "--metric", "schwarzschild:m=1"],
+                    ["hypotheses", "--metric", neck]]
+        out = run_isolated(
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from isocap import cli\n"
+            "codes = []\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(codes)\n")
+        assert out.strip() == "[0, 0, 0, 1]"
 
     def test_no_path_loads_it(self, schwarzschild_csv, tmp_path):
         # every family through every CLI entry point, and the library-only

@@ -16,6 +16,7 @@ from isocap.geometry import (Gauge, expr_metric, flat, schwarzschild,
 from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
+FAR_NECK = "r - 45*exp(-((r-60)/3)^2)"
 
 
 def neck_metric():
@@ -149,6 +150,39 @@ class TestJumps:
         track = weak_imcf(neck_metric(), 2.0, 0.5, n_samples=20)
         assert track.jumps == []
 
+    def test_far_neck(self):
+        # the area first reaches its t = 5 value at rho ~ 24.4, but the neck
+        # at rho ~ 60 dips below it, so the flow must jump there
+        track = weak_imcf(expr_metric(Gauge.GEODESIC, FAR_NECK), 2.0, 5.0,
+                          n_samples=60)
+        (jump,) = track.jumps
+        # oracle: one-million-point scan of a(rho) across the neck
+        rho = np.linspace(55.0, 65.0, 1_000_001)
+        a_min = float((rho - 45.0 * np.exp(-((rho - 60.0) / 3.0) ** 2)).min())
+        assert a_min == pytest.approx(14.949972171, abs=1e-9)
+        assert jump.t == pytest.approx(2.0 * math.log(a_min / 2.0), abs=1e-9)
+        assert jump.rho_after == pytest.approx(59.8999, abs=1e-4)
+        t, d = track.samples[-1]
+        assert t == 5.0 and d.rho > jump.rho_after
+        assert abs(d.area - track.initial_area * math.exp(t)) <= 1e-10 * d.area
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("make, rho0, t_max", [
+        (flat, 1.0, 3.0),
+        (neck_metric, 3.0, 2.0),
+        (lambda: expr_metric(Gauge.GEODESIC, FAR_NECK), 2.0, 5.0),
+        (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0),
+    ])
+    def test_one_area_scan_per_flow(self, monkeypatch, make, rho0, t_max):
+        calls = []
+        scan = flow._area_grid
+        monkeypatch.setattr(flow, "_area_grid",
+                            lambda *a: calls.append(a[1:]) or scan(*a))
+        metric = make()
+        weak_imcf(metric, rho0, t_max, n_samples=20)
+        assert calls == [(rho0, min(DEFAULT_CFG.cutoff_radius, metric.r_max))]
+
 
 def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
     """Reference for ``_find_jumps``: the skipped runs found node by node."""
@@ -191,7 +225,8 @@ class TestFindJumps:
         (NECK, 2.0, 3.0, 1), ("r", 1.0, 3.0, 0)])
     def test_equal_to_node_loop(self, text, rho0, t_max, n_jumps):
         metric, grid, areas, hull = self.scan(text, rho0)
-        got = flow._find_jumps(metric, grid, areas, hull, t_max, DEFAULT_CFG)
+        got = flow._find_jumps(metric, grid, areas, flow._suffix_min(areas),
+                               hull, t_max, DEFAULT_CFG)
         want = find_jumps_loop(metric, grid, areas, hull, t_max, DEFAULT_CFG)
         assert got == want
         assert len(got) == n_jumps
@@ -203,14 +238,17 @@ class TestFindJumps:
         def no_bracket(*args):
             raise NoBracket("no sign change")
         monkeypatch.setattr(flow, "find_root", no_bracket)
-        (jump,) = flow._find_jumps(metric, grid, areas, hull, 3.0, DEFAULT_CFG)
+        envelope = flow._suffix_min(areas)
+        (jump,) = flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
+                                   DEFAULT_CFG)
         assert jump.rho_before == grid[run[0]]
 
         def broken(*args):  # a programming error is not a missing bracket
             raise ZeroDivisionError
         monkeypatch.setattr(flow, "find_root", broken)
         with pytest.raises(ZeroDivisionError):
-            flow._find_jumps(metric, grid, areas, hull, 3.0, DEFAULT_CFG)
+            flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
+                             DEFAULT_CFG)
 
 
 class TestSampleVolumes:
@@ -321,3 +359,23 @@ class TestArguments:
     def test_bad_tmax(self):
         with pytest.raises(DomainError):
             weak_imcf(flat(), 1.0, -1.0)
+
+    @pytest.mark.parametrize("t_max, n_samples", [
+        (0.0, 10), (math.nan, 10), (1.0, 0), (1.0, -3)])
+    def test_bad_tmax_or_samples(self, t_max, n_samples):
+        with pytest.raises(DomainError):
+            weak_imcf(flat(), 1.0, t_max, n_samples=n_samples)
+
+    def test_one_sample(self):
+        track = weak_imcf(flat(), 1.0, 2.0, n_samples=1)
+        assert [(t, d.rho) for t, d in track.samples] == [(0.0, 1.0)]
+        assert track.events[-1].rho_end == pytest.approx(math.e, rel=1e-12)
+
+    @pytest.mark.parametrize("make, rho0, t_max", [
+        (flat, 1.0, 40.0),  # area 4pi e^40 lies past the cutoff radius 1e8
+        (flat, 2e8, 1.0),   # rho0 past the cutoff radius
+        (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 40.0),
+    ])
+    def test_domain_ends_first(self, make, rho0, t_max):
+        with pytest.raises(DomainError, match="domain ends"):
+            weak_imcf(make(), rho0, t_max)

@@ -3,11 +3,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocap import flow, numerics
 from isocap.errors import DomainError, InsufficientData
 from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
-                             table_metric, to_geodesic)
+                             table_metric, tanh_step_mass_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
                            asymptotic_isoperimetric_check, bmx_bound_check,
                            equivalence_report, huisken_mass,
@@ -189,6 +191,17 @@ class TestBmxBound:
         for rho in (2.0, 3.0, 10.0):
             res = bmx_bound_check(schwarzschild(1.0), rho, 2.0)
             assert abs(res.slack) / res.rhs <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(mass=st.floats(0.3, 2.0), center=st.floats(2.0, 8.0),
+           width=st.floats(0.5, 2.5))
+    def test_tanh_step_property(self, mass, center, width):
+        # R >= 0 and the area grows on these metrics (Bray and Miao 2008)
+        M = tanh_step_mass_metric(mass, center, width)
+        for rho in (0.5, 3.0, 10.0, 50.0):
+            for p in (1.5, 2.0, 2.5):
+                res = bmx_bound_check(M, rho, p)
+                assert res.passed, (rho, p, res.slack)
 
     @pytest.mark.parametrize("rho", [1.0, 5.0, 50.0])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])

@@ -245,6 +245,8 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
 def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
                 cfg: ToleranceConfig) -> List[CapacityResult]:
     """Normalized p-capacities of the spheres at strictly increasing radii."""
+    for rho in radii:  # a NaN passes any test of increasing order
+        metric.check_start(rho)
     if p == 1.0:
         hulls = _outward_hulls(metric, radii, cfg)
         return [CapacityResult(p=1.0, rho0=rho, ncap=hull / FOUR_PI, flux=hull,

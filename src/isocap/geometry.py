@@ -19,7 +19,10 @@ or in xi = sqrt(r - domain_start) (areal), where the density stays smooth
 through a throat.  ``RadialMetric.volumes`` sums the increments of a whole
 list of radii with one panel call, and ``spheres`` takes the volumes of its
 list of spheres from one ``volumes`` call; ``RadialMetric.volume`` and
-``sphere_data`` are their one-radius cases, with the same bits.
+``sphere_data`` are their one-radius cases, with the same bits.  A metric
+converted by ``to_geodesic`` caches no volumes: one Newton solve in xi per
+list of radii gives a(rho) and the volume, read off maps that share their
+panels with the arclength (``_ConvertedProfile``).
 """
 
 from __future__ import annotations
@@ -217,8 +220,10 @@ class RadialMetric:
         return self.profile.eval_d2(rho)
 
     def check_start(self, rho: float) -> None:
-        """Raise DomainError for a radius below domain_start by more than
-        the rounding slack 1e-12."""
+        """Raise DomainError for a radius that is not finite, or below
+        domain_start by more than the rounding slack 1e-12."""
+        if not math.isfinite(rho):
+            raise DomainError(f"rho={rho} is not finite")
         if rho < self.domain_start - 1e-12:
             raise DomainError(f"rho={rho} below domain start {self.domain_start}")
 
@@ -282,7 +287,9 @@ class RadialMetric:
                 cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
         """Volume enclosed between domain_start and each radius of rhos.
 
-        Every radius becomes a cached anchor.  A new radius adds the
+        A gauge-converted metric reads each volume off the volume map of its
+        profile, one solve for the whole list; see ``_ConvertedProfile``.
+        Otherwise every radius becomes a cached anchor.  A new radius adds the
         increment from the largest anchor below it, a cached radius or an
         earlier radius of rhos, integrated in t = rho - domain_start
         (geodesic gauge, density 4*pi*a^2) or in t = xi (areal gauge,
@@ -295,14 +302,18 @@ class RadialMetric:
         so each volume has the bits that one call per radius, in the order
         given, would give.
         """
+        for rho in rhos:
+            self.check_start(rho)
         start = self.domain_start
+        if isinstance(self.profile, _ConvertedProfile):
+            clamped = np.array([max(rho, start) for rho in rhos], dtype=float)
+            return self.profile._solve(clamped)[1].tolist()
         areal = self.gauge is Gauge.AREAL
         anchors = list(self._vol_rho)  # the cached radii and each new one
         lo: List[float] = []
         hi: List[float] = []
         cuts = [0]  # increment k owns the panels cuts[k]:cuts[k + 1]
         for rho in rhos:
-            self.check_start(rho)
             if rho <= start:
                 continue
             i = bisect_right(anchors, rho) - 1
@@ -358,13 +369,19 @@ class RadialMetric:
 
 def spheres(metric: RadialMetric, radii: Sequence[float],
             cfg: ToleranceConfig = DEFAULT_CFG) -> List[SphereData]:
-    """All SphereData fields of the centered sphere at each radius; the
-    volumes come from one ``RadialMetric.volumes`` call."""
-    out: List[SphereData] = []
+    """All SphereData fields of the centered sphere at each radius.  The
+    volumes come from one ``RadialMetric.volumes`` call, or, on a
+    gauge-converted metric, from the one solve that also gives a, a', a''."""
     for rho in radii:
         metric.check_start(rho)
-        rho = max(rho, metric.domain_start)
-        v, d1, d2 = metric.profile_d2(rho)
+    radii = [max(rho, metric.domain_start) for rho in radii]
+    converted = isinstance(metric.profile, _ConvertedProfile)
+    if converted:
+        triples, vols = metric.profile.spheres(radii)
+    else:
+        triples = map(metric.profile_d2, radii)
+    out: List[SphereData] = []
+    for rho, (v, d1, d2) in zip(radii, triples):
         a = v if metric.gauge is Gauge.GEODESIC else rho
         area = FOUR_PI * a * a
         if area == 0.0:
@@ -386,7 +403,9 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
         out.append(SphereData(rho=rho, area=area, volume=0.0, mean_curvature=H,
                               hawking_mass=m_H, willmore=willmore,
                               scalar_curvature=R))
-    for data, vol in zip(out, metric.volumes([d.rho for d in out], cfg)):
+    if not converted:
+        vols = metric.volumes(radii, cfg)
+    for data, vol in zip(out, vols):
         data.volume = vol
     return out
 
@@ -403,15 +422,27 @@ def sphere_data(metric: RadialMetric, rho: float,
 class _ConvertedProfile:
     """Geodesic warping a(rho) obtained from an areal coefficient f(r).
 
-    a(rho) inverts the arclength rho(r), the integral of the areal metric's
-    ``_xi_density`` in xi = sqrt(r - r_min), which stays smooth through a
-    simple zero of f at r_min.  The panels between arclength nodes, and the
-    partial panel up to any r, are summed by ``numerics.gauss_legendre``.
-    Between nodes, r(rho) is first guessed by the cubic Hermite interpolant
-    with the exact slopes dr/drho = sqrt(f) at the nodes, then sharpened by
-    Newton steps on the exact arclength, run on a whole array of radii at
-    once.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
-    which are exact along the gauge change.
+    The conversion works in xi = sqrt(r - r_min), the variable of the areal
+    metric's ``_xi_density``, which stays smooth through a simple zero of f
+    at r_min.  Two maps of xi share 1200 panels between nodes xi_i and one
+    evaluation of that density: the arclength rho(xi), its integral, and
+    the enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Either
+    map at xi is its value at the node below plus the partial panel from
+    there, and one ``numerics.gauss_legendre`` call sums both partial
+    panels.
+
+    ``_solve`` inverts rho(xi) on a whole array of radii at once: a first
+    guess of r(rho) from the cubic Hermite interpolant with the exact slopes
+    dr/drho = sqrt(f) at the nodes, then Newton steps in xi, whose slope
+    d(rho)/d(xi) is ``_xi_density`` itself.  The volume comes from the same
+    partial panels as the last step's arclength, moved along by that step
+    at the rate dV/d(xi) = 4*pi*r^2 * d(rho)/d(xi).  Near a throat both maps
+    carry the error of the quadratic Taylor band of ``_xi_density``, up to
+    about 1e-11 relative, and it cancels only while they share panels.  So
+    one solve gives a(rho) and the volume of the sphere at rho, and a
+    converted metric's ``volumes`` and ``spheres`` read them from here.
+    Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2, which
+    are exact along the gauge change.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
@@ -425,9 +456,10 @@ class _ConvertedProfile:
         r_nodes = np.concatenate(([r_min], r_min + offsets))
         self._r_nodes = r_nodes
         self._xi_nodes = np.sqrt(r_nodes - r_min)
-        panels = numerics.gauss_legendre(self._density, self._xi_nodes[:-1],
+        panels = numerics.gauss_legendre(self._map_density, self._xi_nodes[:-1],
                                          self._xi_nodes[1:], cfg)
-        rho_nodes = np.concatenate(([0.0], np.cumsum(panels)))
+        rho_nodes, self._vol_nodes = np.concatenate(
+            (np.zeros((2, 1)), np.cumsum(panels, axis=1)), axis=1)
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
         self._rho_nodes = rho_nodes
@@ -436,45 +468,72 @@ class _ConvertedProfile:
         self._guess = numerics.HermiteSpline(rho_nodes, r_nodes, slopes).values
         self.r_max = float(rho_nodes[-1])
 
-    def _rho_of_r(self, r: np.ndarray) -> np.ndarray:
-        """Node arclength plus the partial panel up to each r."""
-        i = np.clip(np.searchsorted(self._r_nodes, r) - 1, 0,
-                    self._r_nodes.size - 2)
-        xi = np.sqrt(np.maximum(r - self._r_nodes[0], 0.0))
-        return self._rho_nodes[i] + numerics.gauss_legendre(
-            self._density, self._xi_nodes[i], xi, self._cfg)
+    def _map_density(self, xi: np.ndarray) -> np.ndarray:
+        """d(rho)/d(xi) and dV/d(xi) at each xi of a 1-D array, as two rows."""
+        d = self._density(xi)
+        r = self._r_nodes[0] + xi * xi
+        return np.stack((d, FOUR_PI * r * r * d))
 
-    def _radii(self, rhos: np.ndarray) -> np.ndarray:
-        """r = a(rho) at each rho of a 1-D array.  Every element takes the
-        steps it would take alone, so one radius gets the same bits in any
-        array; f is evaluated at every final r."""
+    def _maps(self, xi: np.ndarray) -> np.ndarray:
+        """rho(xi) and V(xi) at each xi of a 1-D array, as two rows: the
+        node values plus the partial panels."""
+        i = np.clip(np.searchsorted(self._xi_nodes, xi) - 1, 0,
+                    self._xi_nodes.size - 2)
+        return np.stack((self._rho_nodes[i], self._vol_nodes[i])) + \
+            numerics.gauss_legendre(self._map_density, self._xi_nodes[i], xi,
+                                    self._cfg)
+
+    def _solve(self, rhos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """r = a(rho) and the volume V enclosed by the sphere at each rho of
+        a 1-D array.  Newton steps in xi, at most three: after each, the
+        next one is predicted as F''*step^2/(2*slope), with F'' the change
+        of slope over the step, and an element stops once that is below
+        1e-14*xi.  So the density is evaluated at every final xi, and a
+        profile error there raises here, as it would in ``eval_d2``.  Every
+        element takes the steps it would take alone, so one radius gets the
+        same bits in any array."""
         outside = (rhos < 0.0) | (rhos > self.r_max * (1 + 1e-12))
         if np.any(outside):
             raise EvalError(f"rho={float(rhos[outside][0])} outside converted range "
                             f"[0, {self.r_max}]")
+        r_min = self._r_nodes[0]
         r = self._guess(np.clip(rhos, 0.0, self.r_max))
-        r = np.clip(r, self._r_nodes[0], self._r_nodes[-1])
-        # Newton iterations on rho(r) = rho; d rho/dr = f^(-1/2)
-        live = np.ones(r.shape, dtype=bool)
-        for k in range(4):
-            f = self._areal.profile.values(r)
-            live &= f > 0.0
-            if k == 3 or not np.any(live):
-                return r
-            step = (self._rho_of_r(r) - rhos) * np.sqrt(np.where(live, f, 1.0))
-            r = np.where(live, r - step, r)
-            live &= np.abs(step) > 1e-14 * np.maximum(1.0, r)
+        xi = np.sqrt(np.clip(r, r_min, self._r_nodes[-1]) - r_min)
+        slope = self._density(xi)  # 0 where f <= 0, and at xi = 0 off a throat
+        vol = np.empty_like(xi)
+        todo = np.arange(xi.size)  # the elements still taking steps
+        for _ in range(3):
+            if not todo.size:
+                break
+            x, d = xi[todo], slope[todo]
+            arc, v = self._maps(x)
+            step = np.divide(arc - rhos[todo], d, out=np.zeros_like(d),
+                             where=d > 0.0)
+            vol[todo] = v - FOUR_PI * (r_min + x * x) ** 2 * d * step
+            xi[todo] = x - step
+            slope[todo] = self._density(xi[todo])
+            todo = todo[np.abs((slope[todo] - d) * step)
+                        > 2e-14 * xi[todo] * slope[todo]]
+        return r_min + xi * xi, vol
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
         try:
-            return self._radii(np.asarray(rhos, dtype=float))
+            return self._solve(np.asarray(rhos, dtype=float))[0]
         except IsocapError:  # the scalar path raises its first error
             return _mapped(self.eval_d2, rhos)
 
-    def eval_d2(self, rho: float) -> Tuple[float, float, float]:
-        r = float(self._radii(np.array([rho], dtype=float))[0])
+    def _triple(self, r: float) -> Tuple[float, float, float]:
         f, fp = self._areal.profile_d2(r)[:2]
         return r, math.sqrt(max(f, 0.0)), 0.5 * fp
+
+    def eval_d2(self, rho: float) -> Tuple[float, float, float]:
+        return self._triple(float(self._solve(np.array([rho], dtype=float))[0][0]))
+
+    def spheres(self, rhos: Sequence[float]
+                ) -> Tuple[List[Tuple[float, float, float]], List[float]]:
+        """(a, a', a'') and the enclosed volume at each rho, from one solve."""
+        r, vol = self._solve(np.array(rhos, dtype=float))
+        return [self._triple(x) for x in r.tolist()], vol.tolist()
 
     def describe(self) -> str:
         return f"geodesic({self._areal.profile.describe()})"

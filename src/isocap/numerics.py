@@ -176,32 +176,38 @@ def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     """Integral of density over each panel [lo[k], hi[k]] of two 1-D arrays,
     and an error estimate of each.
 
-    density maps a 1-D array of points to the integrand there; one call
-    serves every node of every panel.  Each panel is summed by the 10-point
-    Gauss-Legendre rule, and its error estimate is the difference from the
-    5-point rule.  Where that difference exceeds quad_rel_tol relative, say
-    at a kink or on a panel too wide for the rule, or where a sum is not
-    finite, the panel is integrated by ``integrate`` instead, with its
-    estimate: adaptive bisection that calls density once per bisection, on
-    the 21 nodes of each half.  The difference is relative to the panel's
+    density maps a 1-D array of points to the integrand there, or to a 2-D
+    array with one row per integrand, and then the sums and estimates have
+    one row per integrand too; one call serves every node of every panel.
+    Each panel is summed by the 10-point Gauss-Legendre rule, and its error
+    estimate is the difference from the 5-point rule.  Where that
+    difference exceeds quad_rel_tol relative, say at a kink or on a panel
+    too wide for the rule, or where a sum is not finite, the panel is
+    integrated by ``integrate`` instead, with its estimate: adaptive
+    bisection that calls density once per bisection, on the 21 nodes of
+    each half.  The difference is relative to the panel's
     own sum, or, when ``group`` maps each panel to the index of a total it
-    is added into, to the sum of |panel sums| of that total.  Without ``group`` a panel's sum
-    depends on that panel alone, bit for bit, whatever the other panels;
-    with it, on its group too, which decides whether it falls back.
+    is added into, to the sum of |panel sums| of that total (one integrand
+    only).  Without ``group`` a panel's sum depends on that panel alone, bit
+    for bit, whatever the other panels; with it, on its group too, which
+    decides whether it falls back.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = (0.5 * (hi - lo))[:, None]
     nodes = (0.5 * (lo + hi))[:, None] + half * _GL_X
-    y = half * density(nodes.ravel()).reshape(nodes.shape)
+    y = density(nodes.ravel())
+    y = half * y.reshape(y.shape[:-1] + nodes.shape)
     # row sums by numpy's reduction, not a matrix product: BLAS may sum a
     # row in an order that depends on the number of rows
-    sums = (y[:, :10] * _GL10_W).sum(axis=1)
-    errs = np.abs(sums - (y[:, 10:] * _GL5_W).sum(axis=1))
+    sums = (y[..., :10] * _GL10_W).sum(axis=-1)
+    errs = np.abs(sums - (y[..., 10:] * _GL5_W).sum(axis=-1))
     scale = np.abs(sums)
     if group is not None:
         scale = np.bincount(group, weights=scale)[group]
-    for k in np.flatnonzero(~(errs <= cfg.quad_rel_tol * scale)):
-        sums[k], errs[k] = integrate(density, lo[k], hi[k], cfg)
+    for at in zip(*np.nonzero(~(errs <= cfg.quad_rel_tol * scale))):
+        # at is (k,) for one integrand, (row, k) for several
+        f = density if sums.ndim == 1 else lambda x, j=at[0]: density(x)[j]
+        sums[at], errs[at] = integrate(f, lo[at[-1]], hi[at[-1]], cfg)
     return sums, errs
 
 

@@ -207,6 +207,27 @@ class TestHypotheses:
         assert fails == ["scalar curvature >= 0", "no interior minimal sphere"]
 
 
+class TestNonFiniteRadii:
+    @pytest.mark.parametrize("args", [
+        ("flow", "--rho0", "nan", "--tmax", "1"),
+        ("mass", "--r-grid", "10,20,nan"),
+        ("mass", "--r-grid", "10,20,inf", "--p-grid", "iso"),
+        ("mass", "--r-grid", "10,nan,40,80,160,320", "--p-grid", "2"),
+        ("mass", "--r-grid", "10,nan,40,80,160,320", "--p-grid", "1"),
+        ("sphere", "--rho", "inf"),
+        ("sphere", "--rho", "nan"),
+        ("capacity", "--rho0", "inf", "--p", "2"),
+    ], ids=["flow-nan", "mass-nan", "mass-iso-inf", "mass-p2-nan", "mass-p1-nan",
+            "sphere-inf", "sphere-nan", "capacity-inf"])
+    def test_exit_3(self, capsys, args):
+        code, out, err = run(capsys, args[0], "--metric", "schwarzschild:m=1",
+                             *args[1:])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("isocap: DomainError: rho=") and "not finite" in err
+        assert "Traceback" not in err
+
+
 class TestConfig:
     def test_missing_metric_exit_2(self, capsys):
         code, _, err = run(capsys, "sphere", "--rho", "2")

@@ -240,6 +240,15 @@ class TestGaugeConversionAccuracy:
         for r in (3.0, 4.3, 4.4, 10.0, 45.0, 46.0, 1e3):
             assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
 
+    @staticmethod
+    def count_panels(monkeypatch):
+        """Sizes of the partial-panel calls of the xi solve."""
+        sizes = []
+        maps = geometry._ConvertedProfile._maps
+        monkeypatch.setattr(geometry._ConvertedProfile, "_maps",
+                            lambda self, xi: sizes.append(xi.size) or maps(self, xi))
+        return sizes
+
     def test_quadrature_count(self, monkeypatch):
         calls = {"converted": 0, "expr": 0, "integrate": 0}
 
@@ -254,10 +263,12 @@ class TestGaugeConversionAccuracy:
         counting(geometry.ExprProfile, "eval_d2", "expr")
         counting(numerics, "integrate", "integrate")
         G = to_geodesic(schwarzschild(1.0))
+        panels = self.count_panels(monkeypatch)
         for k in range(20):
             sphere_data(G, 1e-2 * 1e5 ** (k / 19))
-        # one scalar evaluation per sphere; the volumes go through values
-        assert calls["converted"] <= 20
+        # one xi solve per sphere gives a, a', a'' and the volume
+        assert calls["converted"] == 0
+        assert sum(panels) <= 36
         assert calls["integrate"] == 0
         assert calls["expr"] < 200
 
@@ -270,16 +281,26 @@ class TestGaugeConversionAccuracy:
         assert np.max(np.abs(G.profile._guess(rhos) - r) / r) <= 2e-9
 
     def test_newton_steps(self, monkeypatch):
-        # partial arclength panels over the 20 radii of the gauge-convert
-        # benchmark: one or two Newton steps each
+        # partial panels over the 20 radii of the gauge-convert benchmark:
+        # one Newton step each today, and room for a second on a few
         G = to_geodesic(schwarzschild(1.0))
-        calls = []
-        rho_of_r = geometry._ConvertedProfile._rho_of_r
-        monkeypatch.setattr(geometry._ConvertedProfile, "_rho_of_r",
-                            lambda self, r: calls.append(r) or rho_of_r(self, r))
+        panels = self.count_panels(monkeypatch)
         for k in range(20):
             G.profile_d2(1e-2 * 1e5 ** (k / 19))
-        assert len(calls) <= 36
+        assert sum(panels) <= 36
+
+    def test_one_guess_per_solve(self):
+        G = to_geodesic(schwarzschild(1.0))
+        calls = []
+        guess = G.profile._guess
+        G.profile._guess = lambda rhos: calls.append(rhos.size) or guess(rhos)
+        radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)]
+        for rho in radii:
+            sphere_data(G, rho)
+        assert calls == [1] * 20
+        calls.clear()
+        geometry.spheres(G, radii)
+        assert calls == [20]
 
 
 def schwarzschild_volume(m, xi):
@@ -315,10 +336,73 @@ class TestVolumeOracles:
                 assert abs(got - want) <= 1e-12 * want, rho
 
 
+    def test_converted_rn(self):
+        # f = (r - rp)(r - rm)/r^2 with the throat rp = 1.8 as a float in
+        # both; in xi = sqrt(r - rp), with d = rp - rm:
+        # rho = xi sqrt(xi^2 + d) + (rp + rm) asinh(xi/sqrt(d)) and
+        # dV = 8 pi (rp + xi^2)^3 / sqrt(xi^2 + d) d(xi)
+        G = to_geodesic(rn_factored())
+        with mpmath.workdps(30):
+            rp, rm = mpmath.mpf(1.8), mpmath.mpf(0.2)
+            d = rp - rm
+            for k in range(20):
+                rho = 1e-2 * 1e5 ** (k / 19)
+                xi = mpmath.findroot(
+                    lambda x: x * mpmath.sqrt(x * x + d) + (rp + rm)
+                    * mpmath.asinh(x / mpmath.sqrt(d)) - rho, mpmath.sqrt(rho))
+                want = 8 * mpmath.pi * mpmath.quad(
+                    lambda x: (rp + x * x) ** 3 / mpmath.sqrt(x * x + d), [0, xi])
+                got = sphere_data(G, rho).volume
+                assert abs(got - want) <= 1e-12 * want, rho
+
+    def test_converted_no_throat(self):
+        # f = r/(r + 1) from r = 1: rho = sqrt(r(r+1)) + asinh(sqrt(r))
+        # - sqrt(2) - asinh(1), dV = 4 pi r^2 sqrt(1 + 1/r) dr
+        G = to_geodesic(no_throat())
+        with mpmath.workdps(30):
+            arc = lambda r: (mpmath.sqrt(r * (r + 1)) + mpmath.asinh(  # noqa: E731
+                mpmath.sqrt(r)) - mpmath.sqrt(2) - mpmath.asinh(1))
+            for k in range(20):
+                rho = 1e-2 * 1e5 ** (k / 19)
+                r = mpmath.findroot(lambda x: arc(x) - rho, 1 + rho)
+                want = 4 * mpmath.pi * mpmath.quad(
+                    lambda x: x * x * mpmath.sqrt(1 + 1 / x), [1, r])
+                got = sphere_data(G, rho).volume
+                assert abs(got - want) <= 1e-12 * want, rho
+
+    @pytest.mark.parametrize("make, m", [
+        (lambda: schwarzschild(0.5), 0.5), (lambda: schwarzschild(2.0), 2.0),
+        (lambda: rn_factored(), 1.0), (lambda: no_throat(), 1.0)],
+        ids=["schwarzschild-0.5", "schwarzschild-2", "rn", "no-throat"])
+    def test_converted_gauge_invariant(self, make, m):
+        # the volume inside a sphere does not depend on the gauge
+        G, areal = to_geodesic(make()), make()
+        for k in range(20):
+            rho = m * 1e-2 * 1e5 ** (k / 19)
+            if rho < m:
+                continue
+            d = sphere_data(G, rho)
+            want = areal.volume(math.sqrt(d.area / (4 * math.pi)))
+            assert abs(d.volume - want) <= 1e-13 * want, rho
+
+
+def rn_factored():
+    """The Reissner-Nordstrom slice m = 1, q = 0.6 with f in factored form."""
+    return expr_metric(Gauge.AREAL, "(r-rp)*(r-rm)/r^2", {"rp": 1.8, "rm": 0.2},
+                       domain_start=1.8, boundary_kind=BoundaryKind.MINIMAL)
+
+
+def no_throat():
+    return expr_metric(Gauge.AREAL, "1/(1+1/r)", domain_start=1.0)
+
+
 def sequential_volume(metric, rho, cfg=numerics.DEFAULT_CFG):
     """Reference for ``volumes``: one radius per call, one
-    ``gauss_legendre`` call per new radius, on the metric's own cache."""
+    ``gauss_legendre`` call per new radius, on the metric's own cache; on a
+    gauge-converted metric, one xi solve per radius, which caches nothing."""
     start = metric.domain_start
+    if isinstance(metric.profile, geometry._ConvertedProfile):
+        return float(metric.profile._solve(np.array([max(rho, start)]))[1][0])
     if rho <= start:
         return 0.0
     i = bisect_right(metric._vol_rho, rho) - 1
@@ -373,6 +457,15 @@ class TestBatchedVolumes:
     def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv):
         self.check(lambda: table_metric(Gauge.AREAL, schwarzschild_csv))
 
+    def test_converted_spheres_equal_bits(self):
+        radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)][::-1]
+        G = to_geodesic(schwarzschild(1.0))
+        want = G.volumes(radii)
+        assert [G.volume(r) for r in radii] == want
+        assert [d.volume for d in geometry.spheres(G, radii)] == want
+        assert [sphere_data(G, r).volume for r in radii] == want
+        assert G._vol_rho == [0.0]
+
     def test_one_panel_call(self, monkeypatch):
         M = schwarzschild(1.0)
         calls = []
@@ -383,6 +476,15 @@ class TestBatchedVolumes:
         assert len(calls) == 1 and calls[0] <= 6 * 40
         assert M.volumes([3.0, 2.0 + 1.5 ** 39, 2.0]) == [vols[0], vols[-1], 0.0]
         assert len(calls) == 1  # cache hits integrate nothing
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    @pytest.mark.parametrize("family", ["schwarzschild", "converted"])
+    def test_non_finite_radius_raises(self, family, rho):
+        M = self.FAMILIES[family]()
+        with pytest.raises(DomainError, match="not finite"):
+            M.volume(rho)
+        with pytest.raises(DomainError, match="not finite"):
+            sphere_data(M, rho)
 
     def test_below_domain_raises_before_any_work(self):
         S = schwarzschild(1.0)

@@ -212,6 +212,24 @@ class TestGaussLegendre:
         assert grouped[1] == pytest.approx(alone[1], rel=1e-12)
         assert errs[1] <= 1e-10 * grouped.sum()
 
+    def test_rows_integrate_like_one_integrand_each(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return integrate(*args)
+        monkeypatch.setattr(numerics, "integrate", counting)
+        smooth = lambda x: np.exp(-x) * (1.0 + x * x)  # noqa: E731
+        kinked = lambda x: np.abs(x - 0.3)  # noqa: E731
+        lo, hi = np.array([-2.0, 0.0]), np.array([-1.0, 1.0])
+        sums, errs = gauss_legendre_err(
+            lambda x: np.stack((smooth(x), kinked(x))), lo, hi)
+        assert calls == [(0.0, 1.0)]  # only the kinked row's second panel
+        for row, density in enumerate((smooth, kinked)):
+            alone, alone_errs = gauss_legendre_err(density, lo, hi)
+            assert np.array_equal(sums[row], alone)
+            assert np.array_equal(errs[row], alone_errs)
+
     def test_panel_sum_independent_of_other_panels(self):
         rng = np.random.default_rng(7)
         lo = rng.uniform(0.0, 5.0, 300)

@@ -57,12 +57,12 @@ class BoundaryKind(enum.Enum):
 # ---------------------------------------------------------------------------
 # Profiles: anything exposing eval_d2(r) -> (value, d1, d2) at one radius and
 # values(rs) -> the value at each radius of a 1-D array, equal to eval_d2's
-# value there.  Area scans, volume panels and the conversion's Newton steps
-# call values once per array.  Every family computes values itself, on the
-# whole array and with in-repo code (tables and the conversion's first guess
-# through numerics.HermiteSpline); where some radius fails, values raises the
-# error eval_d2 raises at the first failing radius, by running the scalar
-# path through _mapped.
+# value there.  Area scans, volume panels and the conversion's build call
+# values once per array.  Every family computes values itself, on the whole
+# array and with in-repo code (tables through numerics.HermiteSpline, the
+# conversion through its Legendre series); where some radius fails, values
+# raises the error eval_d2 raises at the first failing radius, by running
+# the scalar path through _mapped.
 
 
 def _mapped(fn: Callable[[float], Tuple[float, float, float]],
@@ -306,8 +306,7 @@ class RadialMetric:
             self.check_start(rho)
         start = self.domain_start
         if isinstance(self.profile, _ConvertedProfile):
-            clamped = np.array([max(rho, start) for rho in rhos], dtype=float)
-            return self.profile._solve(clamped)[1].tolist()
+            return self.profile.solve_list([max(rho, start) for rho in rhos])[1]
         areal = self.gauge is Gauge.AREAL
         anchors = list(self._vol_rho)  # the cached radii and each new one
         lo: List[float] = []
@@ -424,101 +423,92 @@ class _ConvertedProfile:
 
     The conversion works in xi = sqrt(r - r_min), the variable of the areal
     metric's ``_xi_density``, which stays smooth through a simple zero of f
-    at r_min.  Two maps of xi share 1200 panels between nodes xi_i and one
-    evaluation of that density: the arclength rho(xi), its integral, and
-    the enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Either
-    map at xi is its value at the node below plus the partial panel from
-    there, and one ``numerics.gauss_legendre`` call sums both partial
-    panels.
+    at r_min.  The build splits xi into 1200 panels, halving those that
+    need it (``numerics.legendre_panels``), and keeps two maps of xi as
+    per-panel Legendre series of degree 10, both read off one set of
+    density samples: the arclength rho(xi), the integral of that density,
+    and the enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Near
+    a throat both maps carry the error of the quadratic Taylor band of
+    ``_xi_density``, up to about 1e-11 relative, and it cancels because
+    they share their samples.
 
-    ``_solve`` inverts rho(xi) on a whole array of radii at once: a first
-    guess of r(rho) from the cubic Hermite interpolant with the exact slopes
-    dr/drho = sqrt(f) at the nodes, then Newton steps in xi, whose slope
-    d(rho)/d(xi) is ``_xi_density`` itself.  The volume comes from the same
-    partial panels as the last step's arclength, moved along by that step
-    at the rate dV/d(xi) = 4*pi*r^2 * d(rho)/d(xi).  Near a throat both maps
-    carry the error of the quadratic Taylor band of ``_xi_density``, up to
-    about 1e-11 relative, and it cancels only while they share panels.  So
-    one solve gives a(rho) and the volume of the sphere at rho, and a
-    converted metric's ``volumes`` and ``spheres`` read them from here.
-    Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2, which
-    are exact along the gauge change.
+    ``_solve`` finds the panel of rho among the arclength nodes, inverts
+    the panel's arclength series in its local variable
+    (``numerics.legendre_inverse``, no quadrature and no profile call) and
+    reads the volume off the other series there.  So one solve gives
+    a(rho) and the volume of the sphere at rho, and a converted metric's
+    ``volumes`` and ``spheres`` read them from here.  The same body runs on
+    a Python float, for one radius, and on an array, for many, with equal
+    bits.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
+    which are exact along the gauge change.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
         self._areal = areal
-        self._cfg = cfg  # the fixed rule's check and adaptive fallback
         r_min = areal.domain_start
         self._density = areal._xi_density()
         span = min(cfg.cutoff_radius, areal.r_max)
         offsets = np.geomspace(max(1e-8, 1e-8 * max(1.0, r_min)),
                                span - r_min, 1200)
-        r_nodes = np.concatenate(([r_min], r_min + offsets))
-        self._r_nodes = r_nodes
-        self._xi_nodes = np.sqrt(r_nodes - r_min)
-        panels = numerics.gauss_legendre(self._map_density, self._xi_nodes[:-1],
-                                         self._xi_nodes[1:], cfg)
-        rho_nodes, self._vol_nodes = np.concatenate(
-            (np.zeros((2, 1)), np.cumsum(panels, axis=1)), axis=1)
+        xi = np.sqrt(np.concatenate(([r_min], r_min + offsets)) - r_min)
+        lo, hi, coeffs, sums = numerics.legendre_panels(
+            self._map_density, xi[:-1], xi[1:], cfg)
+        rho_nodes, vol_nodes = np.concatenate(
+            (np.zeros((2, 1)), np.cumsum(sums, axis=1)), axis=1)
         if not np.all(np.diff(rho_nodes) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
+        self._r_nodes = r_min + np.append(lo, hi[-1]) ** 2  # r at each rho node
         self._rho_nodes = rho_nodes
-        slopes = np.sqrt(np.maximum(areal.profile.values(r_nodes), 0.0))
-        # the first guess of r(rho) between the nodes
-        self._guess = numerics.HermiteSpline(rho_nodes, r_nodes, slopes).values
         self.r_max = float(rho_nodes[-1])
+        start_slope = numerics.legendre(-1.0, coeffs[0].T)[1]
+        # one row per panel: its first node's rho and V, the arclength
+        # across it and its slope at the start, its middle and half width,
+        # and the coefficients of both maps
+        self._rows = np.column_stack(
+            (rho_nodes[:-1], vol_nodes[:-1], sums[0],
+             np.maximum(start_slope, 0.0), 0.5 * (lo + hi), 0.5 * (hi - lo),
+             coeffs[0], coeffs[1]))
+        self._starts = rho_nodes[:-1].tolist()
 
     def _map_density(self, xi: np.ndarray) -> np.ndarray:
         """d(rho)/d(xi) and dV/d(xi) at each xi of a 1-D array, as two rows."""
         d = self._density(xi)
-        r = self._r_nodes[0] + xi * xi
+        r = self._areal.domain_start + xi * xi
         return np.stack((d, FOUR_PI * r * r * d))
 
-    def _maps(self, xi: np.ndarray) -> np.ndarray:
-        """rho(xi) and V(xi) at each xi of a 1-D array, as two rows: the
-        node values plus the partial panels."""
-        i = np.clip(np.searchsorted(self._xi_nodes, xi) - 1, 0,
-                    self._xi_nodes.size - 2)
-        return np.stack((self._rho_nodes[i], self._vol_nodes[i])) + \
-            numerics.gauss_legendre(self._map_density, self._xi_nodes[i], xi,
-                                    self._cfg)
+    def _solve(self, rho):
+        """The row of the panel that holds rho and the local variable t
+        there, on a Python float or on each element of a 1-D array alike."""
+        limit = self.r_max * (1 + 1e-12)
+        if isinstance(rho, float):
+            if not 0.0 <= rho <= limit:
+                self._outside(rho)
+            row = self._rows[bisect_right(self._starts, rho) - 1].tolist()
+            sqrt = math.sqrt
+        else:
+            outside = ~((rho >= 0.0) & (rho <= limit))
+            if np.any(outside):
+                self._outside(float(rho[outside][0]))
+            row = self._rows[np.searchsorted(self._rho_nodes[:-1], rho,
+                                             side="right") - 1].T
+            sqrt = np.sqrt
+        rho0, _, arc, slope = row[:4]
+        return row, numerics.legendre_inverse(rho - rho0, arc, slope, row[6:17], sqrt)
 
-    def _solve(self, rhos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """r = a(rho) and the volume V enclosed by the sphere at each rho of
-        a 1-D array.  Newton steps in xi, at most three: after each, the
-        next one is predicted as F''*step^2/(2*slope), with F'' the change
-        of slope over the step, and an element stops once that is below
-        1e-14*xi.  So the density is evaluated at every final xi, and a
-        profile error there raises here, as it would in ``eval_d2``.  Every
-        element takes the steps it would take alone, so one radius gets the
-        same bits in any array."""
-        outside = (rhos < 0.0) | (rhos > self.r_max * (1 + 1e-12))
-        if np.any(outside):
-            raise EvalError(f"rho={float(rhos[outside][0])} outside converted range "
-                            f"[0, {self.r_max}]")
-        r_min = self._r_nodes[0]
-        r = self._guess(np.clip(rhos, 0.0, self.r_max))
-        xi = np.sqrt(np.clip(r, r_min, self._r_nodes[-1]) - r_min)
-        slope = self._density(xi)  # 0 where f <= 0, and at xi = 0 off a throat
-        vol = np.empty_like(xi)
-        todo = np.arange(xi.size)  # the elements still taking steps
-        for _ in range(3):
-            if not todo.size:
-                break
-            x, d = xi[todo], slope[todo]
-            arc, v = self._maps(x)
-            step = np.divide(arc - rhos[todo], d, out=np.zeros_like(d),
-                             where=d > 0.0)
-            vol[todo] = v - FOUR_PI * (r_min + x * x) ** 2 * d * step
-            xi[todo] = x - step
-            slope[todo] = self._density(xi[todo])
-            todo = todo[np.abs((slope[todo] - d) * step)
-                        > 2e-14 * xi[todo] * slope[todo]]
-        return r_min + xi * xi, vol
+    def _outside(self, rho: float):
+        raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
+
+    def _radius(self, row, t):
+        """r = a(rho) = r_min + xi^2 at the local variable t of a row."""
+        xi = row[4] + row[5] * t
+        return self._areal.domain_start + xi * xi
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
+        rhos = np.asarray(rhos, dtype=float)
         try:
-            return self._solve(np.asarray(rhos, dtype=float))[0]
+            r = self._radius(*self._solve(rhos))
+            self._areal.profile.values(r)  # where eval_d2 would raise
+            return r
         except IsocapError:  # the scalar path raises its first error
             return _mapped(self.eval_d2, rhos)
 
@@ -527,13 +517,21 @@ class _ConvertedProfile:
         return r, math.sqrt(max(f, 0.0)), 0.5 * fp
 
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
-        return self._triple(float(self._solve(np.array([rho], dtype=float))[0][0]))
+        return self._triple(self._radius(*self._solve(float(rho))))
+
+    def solve_list(self, rhos: Sequence[float]) -> Tuple[List[float], List[float]]:
+        """a(rho) and the enclosed volume at each rho of a list: on Python
+        floats for one radius, by one array solve for more."""
+        one = len(rhos) == 1
+        row, t = self._solve(float(rhos[0]) if one else np.array(rhos, dtype=float))
+        r, vol = self._radius(row, t), row[1] + numerics.legendre(t, row[17:])[0]
+        return ([r], [vol]) if one else (r.tolist(), vol.tolist())
 
     def spheres(self, rhos: Sequence[float]
                 ) -> Tuple[List[Tuple[float, float, float]], List[float]]:
         """(a, a', a'') and the enclosed volume at each rho, from one solve."""
-        r, vol = self._solve(np.array(rhos, dtype=float))
-        return [self._triple(x) for x in r.tolist()], vol.tolist()
+        r, vol = self.solve_list(rhos)
+        return [self._triple(x) for x in r], vol
 
     def describe(self) -> str:
         return f"geodesic({self._areal.profile.describe()})"

@@ -1,7 +1,8 @@
 """Deterministic numerics shared by every other module.
 
 Adaptive Gauss-Kronrod quadrature on finite intervals, fixed-rule
-quadrature over arrays of panels, piecewise cubic Hermite interpolation
+quadrature over arrays of panels, antiderivatives as per-panel Legendre
+series and their inverse, piecewise cubic Hermite interpolation
 with monotone (PCHIP) slopes, a scalar Runge-Kutta ODE solver with dense
 output, bracketed root finding and minimization (Brent 1973), and Aitken
 limit extrapolation.  Both quadratures take array integrands: the
@@ -25,7 +26,8 @@ from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
                      NonConvergence)
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
-           "gauss_legendre_err", "hermite", "HermiteSpline", "pchip_slopes",
+           "gauss_legendre_err", "legendre_panels", "legendre_integral",
+           "legendre", "legendre_inverse", "hermite", "HermiteSpline", "pchip_slopes",
            "dormand_prince", "DenseSolution",
            "find_root", "minimize_bounded", "extrapolate_limit"]
 
@@ -215,6 +217,155 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                    cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
     """The panel sums of ``gauss_legendre_err``."""
     return gauss_legendre_err(density, lo, hi, cfg)[0]
+
+
+def _legendre_integral_matrix() -> np.ndarray:
+    """The 10x11 matrix from the samples of a density at the nodes
+    _GL_X[:10] to the Legendre coefficients of its antiderivative from -1.
+    The samples fix the degree-9 interpolant sum_n c_n P_n, with
+    c_n = (2n+1)/2 * sum_j w_j P_n(x_j) y_j (the 10-point rule is exact on
+    P_n times the interpolant, of degree <= 18); its antiderivative is
+    c_0 (P_0 + P_1) plus c_n (P_{n+1} - P_{n-1})/(2n+1) for n >= 1."""
+    x = _GL_X[:10]
+    p = [np.ones_like(x), x]
+    for n in range(1, 9):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    to_c = np.array([(n + 0.5) * _GL10_W * p[n] for n in range(10)]).T
+    integral = np.zeros((10, 11))
+    integral[0, :2] = 1.0
+    for n in range(1, 10):
+        integral[n, n + 1], integral[n, n - 1] = 1 / (2 * n + 1), -1 / (2 * n + 1)
+    return np.einsum("jn,nk->jk", to_c, integral)
+
+
+_LEG_INT = _legendre_integral_matrix()
+# the recurrences P_{n+1} = (2n+1)/(n+1) t P_n - n/(n+1) P_{n-1} and
+# P'_{n+1} = P'_{n-1} + (2n+1) P_n, for n = 1 to 9
+_LEG_REC = [((2 * n + 1) / (n + 1), n / (n + 1), 2.0 * n + 1.0)
+            for n in range(1, 10)]
+_NEWTON_STEPS = 5
+_SLOPE_FLOOR = 1e-10  # of the series' total, added to every Newton slope
+
+
+def legendre_integral(y: np.ndarray) -> np.ndarray:
+    """Legendre coefficients on [-1, 1] of the antiderivative from -1 of
+    the degree-9 interpolant of samples at the 10-point Gauss nodes: the
+    last axis of y, 10 samples, becomes 11 coefficients.  Exact for a
+    density of degree <= 9.  By einsum, not a matrix product: BLAS may sum
+    a row in an order that depends on the number of rows, and its buffers
+    cost resident memory."""
+    return np.einsum("...j,jk->...k", y, _LEG_INT)
+
+
+def legendre(t, c):
+    """The Legendre series sum_n c[n]*P_n(t), 2 to 11 terms, and its
+    derivative in t, by the three-term recurrence: on a Python float t with
+    a sequence of floats c, or on an array t with a sequence of arrays c,
+    with the same operations, so with the same bits."""
+    p0, p1, d0, d1 = 1.0, t, 0.0, 1.0
+    value, slope = c[0] + c[1] * t, c[1]
+    for (a, b, k), cn in zip(_LEG_REC, c[2:]):
+        p0, p1, d0, d1 = p1, a * t * p1 - b * p0, d1, d0 + k * p1
+        value = value + cn * p1
+        slope = slope + cn * d1
+    return value, slope
+
+
+def legendre_inverse(q, total, slope0, c, sqrt):
+    """The t in [-1, 1] where the increasing series c, 0 at t = -1, takes
+    the value q: on Python floats with sqrt = math.sqrt, or on arrays with
+    np.sqrt, with the same bits.  total is the series at t = 1 and
+    slope0 >= 0 its slope at -1.  The first guess inverts the quadratic
+    in u = t + 1 with that value and slope at u = 0 and the value total at
+    u = 2, exact where the density is linear in t, also where it starts
+    from 0.  Five Newton steps follow: they settle to rounding a density
+    exp(t), which changes by a factor of 7.4 across [-1, 1], while
+    exp(a*t) passes the check of ``legendre_panels`` only for a below 0.9,
+    a factor of 6.  Every
+    slope is raised by 1e-10 of total: that leaves the root where it is
+    and barely slows the steps, but keeps them finite where the density
+    vanishes."""
+    floor = _SLOPE_FLOOR * total
+    u = 2.0 * q / (slope0 + sqrt(abs(slope0 * slope0 + (total - 2.0 * slope0) * q))
+                   + floor)
+    t = u - 1.0
+    for _ in range(_NEWTON_STEPS):
+        value, slope = legendre(t, c)
+        t = t - (value - q) / (slope + floor)
+    return t
+
+
+def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
+                    cfg: ToleranceConfig = DEFAULT_CFG
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Antiderivatives of density, panel by panel, as Legendre series.
+
+    density maps a 1-D array of points to a 2-D array with one row per
+    integrand.  Each panel [lo[k], hi[k]] is sampled at the 15 nodes of
+    ``gauss_legendre_err`` and passes, as there, where in every row the
+    10-point sum is within quad_rel_tol of itself from the 5-point one.  A
+    panel that fails is halved level by level, all failing halves of a
+    level in one density call, until every piece passes; a piece passes
+    where the difference is within its share, by width, of its panel's
+    allowance, so the differences of a panel's pieces add up to at most
+    that allowance, and a kink where the density vanishes is resolved in
+    a bounded number of levels.  Once halving a panel
+    again would give it more than max_subdivisions pieces, its pieces
+    stand if, in every row, their summed sums are finite and their summed
+    differences are within 1e3 times max(quad_abs_tol, quad_rel_tol*|sum|),
+    as ``integrate`` accepts an exhausted budget; otherwise NonConvergence.
+
+    Returns the pieces sorted by lo: their edges lo and hi, the 11
+    coefficients in the piece's local variable t = (2x - lo - hi)/(hi - lo)
+    of each row's antiderivative from lo (``legendre_integral`` scaled by
+    the half width), shape (rows, pieces, 11), and each row's 10-point sum
+    over each piece, shape (rows, pieces).
+    """
+    lo0 = lo = np.asarray(lo, dtype=float)
+    hi0 = hi = np.asarray(hi, dtype=float)
+    owner = np.arange(lo.size)  # the panel each piece of this level halves
+    pieces = np.ones(lo.size, dtype=int)
+    done = []  # (owner, lo, hi, coefficients, sums, errs) of accepted pieces
+    while lo.size:
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+        y = density(nodes.ravel())
+        y = y.reshape(y.shape[:-1] + nodes.shape)
+        sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
+        errs = np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
+        if not done:
+            tol = cfg.quad_rel_tol * np.abs(sums)
+        # a piece may have its share, by width, of its panel's tolerance
+        bad = ~np.all(errs * (hi0 - lo0)[owner] <= tol[:, owner] * (hi - lo),
+                      axis=0)
+        more = pieces + np.bincount(owner[bad], minlength=pieces.size)
+        for k in np.flatnonzero(more > cfg.max_subdivisions):
+            # panel k's budget is spent: its pieces stand, good or not
+            mine = [(s[:, o == k], e[:, o == k]) for o, _, _, _, s, e in done]
+            mine.append((sums[:, owner == k], errs[:, owner == k]))
+            total, err = (np.concatenate(v, axis=1).sum(axis=1) for v in zip(*mine))
+            budget = np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(total))
+            if not np.all(np.isfinite(total) & (err <= 1e3 * budget)):
+                raise NonConvergence(
+                    f"quadrature failed on [{lo0[k]}, {hi0[k]}]: values "
+                    f"{total.tolist()}, error estimates {err.tolist()} after "
+                    f"{pieces[k]} pieces")
+            bad &= owner != k
+        good = ~bad
+        pieces += np.bincount(owner[bad], minlength=pieces.size)
+        done.append((owner[good], lo[good], hi[good],
+                     half[good, None] * legendre_integral(y[:, good, :10]),
+                     sums[:, good], errs[:, good]))
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo, hi = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
+        owner = np.concatenate((owner[bad], owner[bad]))
+    if len(done) == 1:
+        return done[0][1:5]
+    _, lo, hi, coeffs, sums, _ = zip(*done)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.argsort(lo)
+    return (lo[order], hi[order], np.concatenate(coeffs, axis=1)[:, order],
+            np.concatenate(sums, axis=1)[:, order])
 
 
 def hermite(x, y0, d0, c2, c3):

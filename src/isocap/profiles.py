@@ -394,6 +394,10 @@ def _each(fn: Callable[[float], float], v) -> np.ndarray:
 
 
 def _powers(v: np.ndarray, c: float) -> np.ndarray:
+    if c == 1.0:  # x ** 1.0 is x, and x ** 0.0 is 1.0, for every float x
+        return v
+    if c == 0.0:
+        return np.ones_like(v)
     return np.array([x ** c for x in v.tolist()], dtype=float)
 
 

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.interpolate
 
 from isocap import flow, geometry, numerics
 from isocap.capacity import p_capacity
@@ -230,10 +231,9 @@ class TestGaugeConversionAccuracy:
 
     def test_kinked_profile_falls_back(self):
         # The 10-point rule alone misses the kinks at r = 4.38 and 45.6 by
-        # 8e-8 relative; the panels holding them go to adaptive quadrature.
-        G = to_geodesic(expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)",
-                                    domain_start=2.0,
-                                    boundary_kind=BoundaryKind.MINIMAL))
+        # 8e-8 relative; the panels holding them are halved until each
+        # piece's series resolves its part.
+        G = to_geodesic(kinked())
         rs, rhos = arclength_nodes(G)
         exact = np.array([kinked_arclength(r) for r in rs[1:]])
         assert np.max(np.abs(rhos[1:] - exact) / exact) <= 1e-10
@@ -241,66 +241,105 @@ class TestGaugeConversionAccuracy:
             assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
 
     @staticmethod
-    def count_panels(monkeypatch):
-        """Sizes of the partial-panel calls of the xi solve."""
-        sizes = []
-        maps = geometry._ConvertedProfile._maps
-        monkeypatch.setattr(geometry._ConvertedProfile, "_maps",
-                            lambda self, xi: sizes.append(xi.size) or maps(self, xi))
-        return sizes
+    def counting(monkeypatch, owner, name, calls):
+        """Count the calls of owner.name under calls[name]."""
+        orig = getattr(owner, name)
 
-    def test_quadrature_count(self, monkeypatch):
-        calls = {"converted": 0, "expr": 0, "integrate": 0}
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args)
+        monkeypatch.setattr(owner, name, counted)
 
-        def counting(owner, name, key):
-            orig = getattr(owner, name)
-
-            def counted(*args):
-                calls[key] += 1
-                return orig(*args)
-            monkeypatch.setattr(owner, name, counted)
-        counting(geometry._ConvertedProfile, "eval_d2", "converted")
-        counting(geometry.ExprProfile, "eval_d2", "expr")
-        counting(numerics, "integrate", "integrate")
+    def test_quadrature_count(self, monkeypatch, schwarzschild_csv):
+        calls = {}
+        self.counting(monkeypatch, numerics, "integrate", calls)
+        for make in (kinked, lambda: table_metric(Gauge.AREAL, schwarzschild_csv)):
+            to_geodesic(make())
+        assert calls == {}  # flagged panels are halved, not integrated
         G = to_geodesic(schwarzschild(1.0))
-        panels = self.count_panels(monkeypatch)
-        for k in range(20):
-            sphere_data(G, 1e-2 * 1e5 ** (k / 19))
-        # one xi solve per sphere gives a, a', a'' and the volume
-        assert calls["converted"] == 0
-        assert sum(panels) <= 36
-        assert calls["integrate"] == 0
-        assert calls["expr"] < 200
+        for owner, name in ((numerics, "gauss_legendre_err"),
+                            (numerics, "gauss_legendre"),
+                            (numerics, "legendre_panels"),
+                            (geometry.ExprProfile, "values"),
+                            (geometry.ExprProfile, "eval_d2")):
+            self.counting(monkeypatch, owner, name, calls)
+        # one solve on floats per call, then a' and a'' from one parent call
+        for k in range(20):  # the radii of the gauge-convert benchmark
+            rho = 1e-2 * 1e5 ** (k / 19)
+            for call, parent_calls in ((lambda: sphere_data(G, rho), 1),
+                                       (lambda: G.profile_d2(rho), 1),
+                                       (lambda: G.volume(rho), 0)):
+                calls.clear()
+                call()
+                assert calls == ({"eval_d2": 1} if parent_calls else {})
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
-    def test_hermite_guess(self, m):
+    def test_in_panel_guess(self, m, monkeypatch):
         # the guess before any Newton step, against the converged radii
         G = to_geodesic(schwarzschild(m))
         rhos = np.geomspace(1e-2 * m, 1e3 * m, 2000)
         r = G.profile.values(rhos)
-        assert np.max(np.abs(G.profile._guess(rhos) - r) / r) <= 2e-9
+        monkeypatch.setattr(numerics, "_NEWTON_STEPS", 0)
+        assert np.max(np.abs(G.profile.values(rhos) - r) / r) <= 1e-7
 
     def test_newton_steps(self, monkeypatch):
-        # partial panels over the 20 radii of the gauge-convert benchmark:
-        # one Newton step each today, and room for a second on a few
-        G = to_geodesic(schwarzschild(1.0))
-        panels = self.count_panels(monkeypatch)
-        for k in range(20):
-            G.profile_d2(1e-2 * 1e5 ** (k / 19))
-        assert sum(panels) <= 36
+        # five steps settle every radius: more change r by rounding only,
+        # also at rho = 0, where a metric without a throat has density 0
+        for areal in (schwarzschild(1.0), rn_factored(), no_throat(), kinked()):
+            G = to_geodesic(areal)
+            rhos = np.concatenate(([0.0, 1e-300, 1e-12],
+                                   np.geomspace(1e-9, G.profile.r_max, 4000)))
+            r = G.profile.values(rhos)
+            assert r[0] == areal.domain_start
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_NEWTON_STEPS", 8)
+                assert np.max(np.abs(G.profile.values(rhos) - r) / r) <= 1e-15
 
-    def test_one_guess_per_solve(self):
+    def test_one_solve_per_call(self, monkeypatch):
+        # one radius runs on Python floats, a list on one array
         G = to_geodesic(schwarzschild(1.0))
         calls = []
-        guess = G.profile._guess
-        G.profile._guess = lambda rhos: calls.append(rhos.size) or guess(rhos)
+        solve = geometry._ConvertedProfile._solve
+        monkeypatch.setattr(geometry._ConvertedProfile, "_solve",
+                            lambda self, rho: calls.append(rho) or solve(self, rho))
         radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)]
         for rho in radii:
             sphere_data(G, rho)
-        assert calls == [1] * 20
+        assert calls == radii and all(type(rho) is float for rho in calls)
         calls.clear()
         geometry.spheres(G, radii)
-        assert calls == [20]
+        assert len(calls) == 1 and np.array_equal(calls[0], radii)
+
+    def test_table_matches_quad(self, schwarzschild_csv):
+        # arclength of the tabulated f = 1 - 2/r: the table's monotone
+        # cubic, scipy's PchipInterpolator, integrated by quad between the
+        # table radii; the first interval, which holds the throat at r = 2,
+        # in u = sqrt(r - 2)
+        T = table_metric(Gauge.AREAL, schwarzschild_csv)
+        G = to_geodesic(T)
+        radii = np.loadtxt(schwarzschild_csv, delimiter=",", skiprows=1)[:, 0]
+        ref = scipy.interpolate.PchipInterpolator(radii, 1.0 - 2.0 / radii)
+        targets = np.geomspace(2.0 + 1e-6, 1e5, 20)
+        cut = np.searchsorted(radii, targets[-1])
+
+        def piece(i, s):  # arclength over radii[i] .. radii[i] + s
+            c3, c2, c1, c0 = ref.c[:, i]
+            if i == 0:
+                return scipy.integrate.quad(
+                    lambda u: 2.0 / math.sqrt(c1 + u * u * (c2 + u * u * c3)),
+                    0.0, math.sqrt(s), epsabs=0.0, epsrel=1e-13)[0]
+            return scipy.integrate.quad(
+                lambda x: 1.0 / math.sqrt(c0 + x * (c1 + x * (c2 + x * c3))),
+                0.0, s, epsabs=0.0, epsrel=1e-13)[0]
+        nodes = np.cumsum([0.0] + [piece(i, radii[i + 1] - radii[i])
+                                   for i in range(cut)])
+        for r in targets:
+            i = np.searchsorted(radii, r) - 1
+            rho = nodes[i] + piece(i, r - radii[i])
+            assert G.profile_d2(rho)[0] == pytest.approx(r, rel=1e-10)
+        rhos = np.geomspace(1e-6, G.profile.r_max, 2000)
+        assert np.array_equal(G.profile.values(rhos),
+                              [G.profile_d2(float(x))[0] for x in rhos])
 
 
 def schwarzschild_volume(m, xi):
@@ -396,13 +435,18 @@ def no_throat():
     return expr_metric(Gauge.AREAL, "1/(1+1/r)", domain_start=1.0)
 
 
+def kinked():
+    return expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)", domain_start=2.0,
+                       boundary_kind=BoundaryKind.MINIMAL)
+
+
 def sequential_volume(metric, rho, cfg=numerics.DEFAULT_CFG):
     """Reference for ``volumes``: one radius per call, one
     ``gauss_legendre`` call per new radius, on the metric's own cache; on a
     gauge-converted metric, one xi solve per radius, which caches nothing."""
     start = metric.domain_start
     if isinstance(metric.profile, geometry._ConvertedProfile):
-        return float(metric.profile._solve(np.array([max(rho, start)]))[1][0])
+        return metric.profile.solve_list([max(rho, start)])[1][0]
     if rho <= start:
         return 0.0
     i = bisect_right(metric._vol_rho, rho) - 1
@@ -594,10 +638,13 @@ class TestArrayValues:
     @pytest.mark.parametrize("metric, lo, hi, n", [
         (expr_metric(Gauge.GEODESIC, NECK), 0.0, 12.0, 2000),
         (schwarzschild(1.0), 2.0, 1e6, 2000),
+        (expr_metric(Gauge.AREAL, "1 - 2/r + 0.36/r^2", domain_start=1.8),
+         1.8, 1e6, 2000),
         (scaled(expr_metric(Gauge.GEODESIC, NECK), 2.0), 0.0, 24.0, 2000),
         (scaled(schwarzschild(1.0), 0.5), 1.0, 1e5, 2000),
         (to_geodesic(schwarzschild(1.0)), 0.0, 1e4, 40),
-    ], ids=["expr", "expr-areal", "scaled-expr", "scaled-areal", "converted"])
+    ], ids=["expr", "expr-areal", "expr-rn", "scaled-expr", "scaled-areal",
+            "converted"])
     def test_bit_identical(self, metric, lo, hi, n):
         rs = np.geomspace(max(lo, 1e-6), hi, n)
         rs[0] = lo
@@ -630,6 +677,15 @@ class TestArrayValues:
         with pytest.raises(EvalError) as info:
             M.area(rs)
         assert str(info.value) == first
+
+    def test_converted_outside_range_raises_like_scalar(self):
+        G = to_geodesic(schwarzschild(1.0))
+        rs = np.array([1.0, 2.0 * G.profile.r_max, -1.0])
+        with pytest.raises(EvalError, match="outside converted range") as scalar:
+            G.profile_d2(float(rs[1]))
+        with pytest.raises(EvalError) as array:
+            G.profile.values(rs)
+        assert str(array.value) == str(scalar.value)
 
     def test_generated_scan_makes_no_scalar_calls(self, monkeypatch):
         calls = []

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.interpolate
 import scipy.optimize
+from numpy.polynomial import legendre
 
 from isocap import numerics
 from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket,
@@ -239,6 +240,125 @@ class TestGaussLegendre:
         alone = [gauss_legendre(density, lo[k:k + 1], hi[k:k + 1])[0]
                  for k in range(lo.size)]
         assert np.array_equal(together, alone)
+
+
+class TestLegendreSeries:
+    """``legendre``, ``legendre_integral`` and ``legendre_inverse`` against
+    numpy.polynomial.legendre, and ``legendre_panels``."""
+
+    def test_series_matches_legval(self):
+        rng = np.random.default_rng(5)
+        t = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 500)))
+        for n in range(2, 12):
+            c = rng.normal(size=n)
+            value, slope = numerics.legendre(t, c)
+            size = np.abs(c).sum()
+            assert np.all(np.abs(value - legendre.legval(t, c)) <= 1e-14 * size)
+            assert np.all(np.abs(slope - legendre.legval(t, legendre.legder(c)))
+                          <= 1e-14 * n * n * size)
+
+    def test_float_and_array_bits(self):
+        rng = np.random.default_rng(6)
+        t = rng.uniform(-1.0, 1.0, 300)
+        c = rng.normal(size=(11, t.size))  # one series per point
+        got = numerics.legendre(t, c)
+        for i in range(t.size):
+            one = numerics.legendre(float(t[i]), c[:, i].tolist())
+            assert (got[0][i], got[1][i]) == one
+            assert all(type(v) is float for v in one)
+        q = rng.uniform(0.0, 2.0, t.size)
+        coeffs = numerics.legendre_integral(rng.uniform(0.5, 2.0, (t.size, 10))).T
+        total = numerics.legendre(1.0, coeffs)[0]
+        slope0 = numerics.legendre(-1.0, coeffs)[1]
+        many = numerics.legendre_inverse(q * total / 2.0, total, slope0, coeffs, np.sqrt)
+        for i in range(t.size):
+            assert many[i] == numerics.legendre_inverse(
+                float(q[i] * total[i] / 2.0), float(total[i]), float(slope0[i]),
+                coeffs[:, i].tolist(), math.sqrt)
+
+    def test_transform_exact_to_degree_9(self):
+        rng = np.random.default_rng(8)
+        for degree in range(10):
+            c = rng.normal(size=degree + 1)
+            y = legendre.legval(numerics._GL_X[:10], c)
+            want = np.zeros(11)
+            want[:degree + 2] = legendre.legint(c, lbnd=-1)
+            got = numerics.legendre_integral(y)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(c).sum())
+
+    @pytest.mark.parametrize("density", [
+        lambda x: 1.0 + 0.5 * np.sin(3.0 * x), lambda x: x + 1.0,
+        lambda x: np.exp(x), lambda x: 1.0 / (1.0 + 4.0 * x * x)],
+        ids=["wavy", "from-zero", "exp", "bump"])
+    def test_inverse(self, density):
+        # the root of each value, also where the density starts from 0, on
+        # densities that change by more than those of panels that pass
+        c = numerics.legendre_integral(density(numerics._GL_X[:10]))
+        total = legendre.legval(1.0, c)
+        slope0 = max(legendre.legval(-1.0, legendre.legder(c)), 0.0)
+        q = np.concatenate(([0.0, 1e-300, 1e-12 * total, total],
+                            np.linspace(0.0, total, 1001)))
+        t = numerics.legendre_inverse(q, total, slope0, c, np.sqrt)
+        assert np.all(np.abs(legendre.legval(t, c) - q) <= 1e-14 * total)
+        # where the density starts from 0 the series is flat at t = -1, so
+        # its rounding there moves the root by up to about sqrt(eps)
+        assert np.all(np.abs(t) <= 1.0 + 1e-7)
+
+    def test_panels_smooth(self):
+        calls = []
+        lo, hi = np.array([0.0, 0.1, 0.2]), np.array([0.1, 0.2, 0.25])
+        pieces = numerics.legendre_panels(
+            lambda x: calls.append(x.size) or np.stack((np.exp(x), 1.0 / (1.0 + x))),
+            lo, hi)
+        assert calls == [45]  # no panel is halved
+        p_lo, p_hi, coeffs, sums = pieces
+        assert np.array_equal(p_lo, lo) and np.array_equal(p_hi, hi)
+        t = np.linspace(-1.0, 1.0, 101)
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
+        for row, exact in enumerate((lambda v: np.exp(v), lambda v: np.log1p(v))):
+            want = exact(x) - exact(lo)[:, None]
+            got = np.array([legendre.legval(t, c) for c in coeffs[row]])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+            assert np.allclose(sums[row], want[:, -1], rtol=1e-14, atol=0.0)
+
+    def test_panels_halve_at_a_kink(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("integrate called")
+        monkeypatch.setattr(numerics, "integrate", refuse)
+        calls = []
+        kink = lambda x: np.abs(x - 0.3)  # noqa: E731
+        lo, hi, coeffs, sums = numerics.legendre_panels(
+            lambda x: calls.append(x.size) or np.stack((np.exp(-x), kink(x))),
+            np.array([-2.0, 0.0]), np.array([-1.0, 1.0]))
+        # the first panel passes; the second is halved level by level, the
+        # failing halves of each level in one call
+        assert lo[0] == -2.0 and hi[0] == -1.0 and 1 < len(calls) < 40
+        assert lo[1] == 0.0 and hi[-1] == 1.0 and np.array_equal(lo[2:], hi[1:-1])
+        assert sums[1, 0] == pytest.approx(1.8, rel=1e-14)
+        assert sums[1, 1:].sum() == pytest.approx(0.29, rel=1e-12)
+        # the antiderivative within each piece
+        t = np.linspace(-1.0, 1.0, 41)
+        for k in range(1, lo.size):
+            x = 0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * t
+            exact = lambda v: np.where(v < 0.3, 0.3 * v - 0.5 * v * v,  # noqa: E731
+                                       0.045 + 0.5 * (v - 0.3) ** 2)
+            got = legendre.legval(t, coeffs[1, k])
+            assert np.all(np.abs(got - (exact(x) - exact(lo[k]))) <= 1e-12)
+
+    def test_panels_exhausted_budget(self):
+        kink = lambda x: np.abs(x - 0.3)[None]  # noqa: E731
+        lo, hi = np.array([0.0]), np.array([1.0])
+        # 12 pieces miss by 1.3e-10, within 1e3 times the tolerance: they stand
+        got_lo, _, _, sums = numerics.legendre_panels(
+            kink, lo, hi, ToleranceConfig(max_subdivisions=12))
+        assert got_lo.size == 12
+        assert sums.sum() == pytest.approx(0.29, rel=1e-9)
+        # 8 pieces miss by 3e-8: NonConvergence, as integrate would raise
+        with pytest.raises(NonConvergence, match="after 8 pieces"):
+            numerics.legendre_panels(kink, lo, hi,
+                                     ToleranceConfig(max_subdivisions=8))
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvergence):
+            numerics.legendre_panels(lambda x: np.sqrt(x - 0.5)[None], lo, hi)
 
 
 class TestFindRoot:

@@ -22,7 +22,7 @@ from .masses import (BmxResult, EquivalenceVerdict, IsoperimetricReport,
                      MassReport, asymptotic_isoperimetric_check,
                      bmx_bound_check, equivalence_report, huisken_mass,
                      mass_report_to_csv, mass_report_to_json,
-                     quasilocal_mass, total_mass)
+                     quasilocal_mass, total_mass, total_masses)
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
                        find_root, integrate)
 from .profiles import ProfileExpr, eval_d2, parse

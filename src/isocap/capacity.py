@@ -149,20 +149,22 @@ def _variable(metric: RadialMetric, r0: float
     return (lambda y: np.sqrt(np.maximum(y - log_min, 0.0))), at_u
 
 
-def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
-                    cfg: ToleranceConfig
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rescaled I_p from each of the strictly increasing radii to infinity.
+def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
+                    ps: Sequence[float], cfg: ToleranceConfig
+                    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rescaled I_p from each of the strictly increasing radii to infinity, per p.
 
     The only code that integrates the capacity density.  Every gap
     [r_k, r_{k+1}] and the head [r_last, big] are cut into the panels of
     ``_offsets`` in y = log s, which resolve the p -> 1 boundary layer at
-    each gap's start.  All panels are summed by one
-    ``numerics.gauss_legendre_err`` call, in the variable of ``_variable``,
-    each checked against its gap's total; a node in gap k rescales the
-    density by that gap's area A_k, so p near 1 neither over- nor
-    underflows.  Past the anchor big the two-term closed form of
-    ``_tail_past`` takes over, on infinite and finite domains alike.  Then
+    each gap's start.  The panels of all p's with equal edges are summed by
+    one ``numerics.gauss_legendre_err`` call, one row per p, in the variable
+    of ``_variable``, each checked against its gap's total: the metric is
+    evaluated once per node for all of them, and each row has the bits of a
+    call with its p alone.  A node in gap k rescales the density by that
+    gap's area A_k, so p near 1 neither over- nor underflows.  Past the
+    anchor big the two-term closed form of ``_tail_past`` takes over, on
+    infinite and finite domains alike.  Then
     J_k = int_{r_k}^{r_{k+1}} g_k + (A_{k+1}/A_k)^(-1/(p-1)) J_{k+1};
     on growing areas the factor can only underflow (p near 1).  The error
     of J_k sums the panels' estimates, _DENSITY_REL of each gap's integral
@@ -173,96 +175,122 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float], p: float,
     >= 0.999 * last-decade test flags exact power laws.  A density that
     underflows to 0 converges.
 
-    Returns arrays (A_k, J_k, err_k); every J_k is inf when I_p diverges.
+    Returns arrays (A_k, J_k, err_k) per p; every J_k is inf when I_p diverges.
     """
-    check_p(p)
+    for p in ps:
+        check_p(p)
+    if not ps:
+        return []
     radii = np.asarray(radii, dtype=float)
     metric.check_start(radii[0])
     areas = np.asarray(metric.area(radii), dtype=float)
     if np.any(areas == 0.0):
         raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")
-    # q - 1 = (3-p)/(p-1) without the cancellation of 2/(p-1) - 1 near p = 3
-    expo, q, q1 = -1.0 / (p - 1.0), 2.0 / (p - 1.0), (3.0 - p) / (p - 1.0)
-    lo = float(radii[-1])
+    lo, n = float(radii[-1]), len(radii)
     big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
     if big <= lo:
         raise DomainError(f"metric domain [{lo}, {metric.r_max}] too short "
                           "for capacity")
     t_of, at = _variable(metric, float(radii[0]))
     # an area that falls far below a gap's start, with p near 1
-    overflow = f"I_{p} rescaled by the area of an inner radius overflows"
+    overflow = "I_{} rescaled by the area of an inner radius overflows"
 
-    def density(t: np.ndarray, per_s: bool = False) -> np.ndarray:
-        """dI/dt (dI/ds if per_s), each node rescaled by its gap's area."""
+    def density(t: np.ndarray, group: Sequence[float]) -> Tuple[np.ndarray, ...]:
+        """dI/dt of each p of group, one row each, rescaled by gap; ds/dt."""
         s, dl_dt, ds_dt = at(t)
         k = np.searchsorted(radii, s, side="right") - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (metric.area(s) / areas[k]) ** expo * dl_dt
-        if not np.all(np.isfinite(out)):
-            raise NonConvergence(overflow)
-        return out / ds_dt if per_s else out
+            ratio = metric.area(s) / areas[k]
+            # a Python float exponent per row: numpy takes 1/x for a scalar
+            # -1.0, which pow on a column of exponents does not round alike
+            out = np.stack([ratio ** (-1.0 / (p - 1.0)) * dl_dt for p in group])
+        for p, ok in zip(group, np.isfinite(out).all(axis=1)):
+            if not ok:
+                raise NonConvergence(overflow.format(p))
+        return out, ds_dt
 
     near = max(big / 10.0, lo)
-    g_big, g_half, g_quarter, g_near = density(
-        t_of(np.log([big, big / 2.0, big / 4.0, near])), per_s=True)
-    if g_big > 0.0 and g_near > 0.0 and (
-            math.log(g_near / g_big) <= (1.0 + 4.3e-4) * math.log(big / near)):
-        n = len(radii)
-        return areas, np.full(n, math.inf), np.zeros(n)
-
+    probe, ds_dt = density(t_of(np.log([big, big / 2.0, big / 4.0, near])), ps)
+    probe = (probe / ds_dt).tolist()  # dI/ds
+    out = [(areas, np.full(n, math.inf), np.zeros(n))] * len(ps)
+    live = [i for i, (g_big, _, _, g_near) in enumerate(probe) if not (
+        g_big > 0.0 and g_near > 0.0 and math.log(g_near / g_big)
+        <= (1.0 + 4.3e-4) * math.log(big / near))]
+    if not live:
+        return out
+    if radii[0] <= 0.0:  # no panel in y = log s starts at s = 0
+        raise DomainError(f"capacity of the sphere at rho={radii[0]} needs rho > 0")
     ends = np.log(np.append(radii, big))
-    offsets = _offsets(q1, float(np.diff(ends).max()))
-    # at a throat the areal variable starts from 0 like sqrt(y): there the
-    # first panel is halved twice in that variable, quartered twice in y
-    lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
-    edges, gap = [], []
-    for k in range(len(radii)):
-        inner = lead if k == 0 else offsets
-        inner = ends[k] + inner[inner < (ends[k + 1] - ends[k]) * (1.0 - 1e-9)]
-        edges.append(t_of(np.concatenate(([ends[k]], inner, [ends[k + 1]]))))
-        gap.append(np.full(inner.size + 1, k))
-    gap = np.concatenate(gap)
-    sums, errs = numerics.gauss_legendre_err(
-        density, np.concatenate([e[:-1] for e in edges]),
-        np.concatenate([e[1:] for e in edges]), cfg, gap)
-    inc = np.bincount(gap, weights=sums, minlength=len(radii))
-    inc_err = np.bincount(gap, weights=errs + _DENSITY_REL * np.abs(sums),
-                          minlength=len(radii))
+    span = float(np.diff(ends).max())
+    groups: dict = {}  # panel offsets -> indices of the p's they serve
+    for i in live:
+        offsets = _offsets((3.0 - ps[i]) / (ps[i] - 1.0), span)
+        groups.setdefault(offsets.tobytes(), (offsets, []))[1].append(i)
 
-    tail, tail_err = _tail_past((g_big, g_half, g_quarter), big, q, q1)
-    with np.errstate(over="ignore"):
-        carry = (areas[1:] / areas[:-1]) ** expo
-    if not np.all(np.isfinite(carry)):
-        raise NonConvergence(overflow)
-    tails, errs_out = np.empty(len(radii)), np.empty(len(radii))
-    tails[-1], errs_out[-1] = inc[-1] + tail, inc_err[-1] + tail_err
-    for k in range(len(radii) - 2, -1, -1):
-        tails[k] = inc[k] + carry[k] * tails[k + 1]
-        errs_out[k] = inc_err[k] + carry[k] * errs_out[k + 1]
-    return areas, tails, errs_out
+    for offsets, members in groups.values():
+        # at a throat the areal variable starts from 0 like sqrt(y): the
+        # first panel is halved twice in that variable, quartered twice in y
+        lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
+        edges, gap = [], []
+        for k in range(n):
+            inner = lead if k == 0 else offsets
+            inner = ends[k] + inner[inner < (ends[k + 1] - ends[k]) * (1.0 - 1e-9)]
+            edges.append(t_of(np.concatenate(([ends[k]], inner, [ends[k + 1]]))))
+            gap.append(np.full(inner.size + 1, k))
+        gap = np.concatenate(gap)
+        group = [ps[i] for i in members]
+        sums, errs = numerics.gauss_legendre_err(
+            lambda t: density(t, group)[0], np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]), cfg, gap)
+        for i, p, row, row_err in zip(members, group, sums, errs):
+            # q - 1 without the cancellation of 2/(p-1) - 1 near p = 3
+            q, q1 = 2.0 / (p - 1.0), (3.0 - p) / (p - 1.0)
+            inc = np.bincount(gap, weights=row, minlength=n)
+            inc_err = np.bincount(gap, weights=row_err + _DENSITY_REL * np.abs(row),
+                                  minlength=n)
+            tail, tail_err = _tail_past(probe[i][:3], big, q, q1)
+            with np.errstate(over="ignore"):
+                carry = (areas[1:] / areas[:-1]) ** (-1.0 / (p - 1.0))
+            if not np.all(np.isfinite(carry)):
+                raise NonConvergence(overflow.format(p))
+            tails, errs_out = np.empty(n), np.empty(n)
+            tails[-1], errs_out[-1] = inc[-1] + tail, inc_err[-1] + tail_err
+            for k in range(n - 2, -1, -1):
+                tails[k] = inc[k] + carry[k] * tails[k + 1]
+                errs_out[k] = inc_err[k] + carry[k] * errs_out[k + 1]
+            out[i] = (areas, tails, errs_out)
+    return out
 
 
-def _capacities(metric: RadialMetric, radii: Sequence[float], p: float,
-                cfg: ToleranceConfig) -> List[CapacityResult]:
-    """Normalized p-capacities of the spheres at strictly increasing radii."""
+def _capacities(metric: RadialMetric, radii: Sequence[float],
+                ps: Sequence[float], cfg: ToleranceConfig
+                ) -> List[List[CapacityResult]]:
+    """Normalized p-capacities of the spheres at strictly increasing radii,
+    one list per exponent of ps; one ``_capacity_tails`` pass serves every
+    p > 1."""
     for rho in radii:  # a NaN passes any test of increasing order
         metric.check_start(rho)
-    if p == 1.0:
-        hulls = _outward_hulls(metric, radii, cfg)
-        return [CapacityResult(p=1.0, rho0=rho, ncap=hull / FOUR_PI, flux=hull,
-                               err_estimate=0.0, parabolic=False, rho_star=star)
-                for rho, (star, hull) in zip(radii, hulls)]
+    tails = iter(_capacity_tails(metric, radii, [p for p in ps if p != 1.0], cfg))
     out = []
-    tails = _capacity_tails(metric, radii, p, cfg)
-    for rho, area0, ivalue, ierr in zip(radii, *(t.tolist() for t in tails)):
-        # unscaled I_p = area0^(-1/(p-1)) * ivalue, so I_p^(1-p) = area0 * ...
-        # (0 on a p-parabolic end, where I_p = inf)
-        flux = area0 * ivalue ** (1.0 - p)
-        ncap = ((p - 1.0) / (3.0 - p)) ** (p - 1.0) * flux / FOUR_PI
-        rel = (p - 1.0) * ierr / ivalue if ivalue > 0 else math.inf
-        out.append(CapacityResult(p=p, rho0=rho, ncap=ncap, flux=flux,
-                                  err_estimate=abs(ncap) * rel,
-                                  parabolic=math.isinf(ivalue)))
+    for p in ps:
+        if p == 1.0:
+            hulls = _outward_hulls(metric, radii, cfg)
+            out.append([CapacityResult(p=1.0, rho0=rho, ncap=hull / FOUR_PI,
+                                       flux=hull, err_estimate=0.0,
+                                       parabolic=False, rho_star=star)
+                        for rho, (star, hull) in zip(radii, hulls)])
+            continue
+        caps = []
+        for rho, area0, ivalue, ierr in zip(radii, *(t.tolist() for t in next(tails))):
+            # unscaled I_p = area0^(-1/(p-1)) * ivalue, so I_p^(1-p) =
+            # area0 * ... (0 on a p-parabolic end, where I_p = inf)
+            flux = area0 * ivalue ** (1.0 - p)
+            ncap = ((p - 1.0) / (3.0 - p)) ** (p - 1.0) * flux / FOUR_PI
+            rel = (p - 1.0) * ierr / ivalue if ivalue > 0 else math.inf
+            caps.append(CapacityResult(p=p, rho0=rho, ncap=ncap, flux=flux,
+                                       err_estimate=abs(ncap) * rel,
+                                       parabolic=math.isinf(ivalue)))
+        out.append(caps)
     return out
 
 
@@ -270,13 +298,13 @@ def p_capacity(metric: RadialMetric, rho0: float, p: float,
                cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """Normalized p-capacity of the centered sphere at rho0, 1 < p < 3."""
     check_p(p)
-    return _capacities(metric, [rho0], p, cfg)[0]
+    return _capacities(metric, [rho0], [p], cfg)[0][0]
 
 
 def one_capacity(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """1-capacity: least enclosing-sphere area over 4pi (hull area)."""
-    return _capacities(metric, [rho0], 1.0, cfg)[0]
+    return _capacities(metric, [rho0], [1.0], cfg)[0][0]
 
 
 def _potential(metric: RadialMetric, rho0: float, p: float,
@@ -288,7 +316,7 @@ def _potential(metric: RadialMetric, rho0: float, p: float,
     hi = min(cfg.cutoff_radius, 0.1 * metric.r_max)
     rhos = np.geomspace(max(rho0, 1e-12), hi, n)
     rhos[0] = rho0
-    areas, tails, _ = _capacity_tails(metric, rhos, p, cfg)
+    areas, tails, _ = _capacity_tails(metric, rhos, [p], cfg)[0]
     if math.isinf(tails[0]):
         raise ParabolicMetric(f"I_{p} diverges at rho0={rho0}")
     u = (areas / areas[0]) ** (-1.0 / (p - 1.0)) * tails / tails[0]

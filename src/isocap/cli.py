@@ -123,13 +123,10 @@ def _resolve_tolerances(cp: configparser.ConfigParser) -> ToleranceConfig:
 def _parse_grid(text: Optional[str], item=float) -> Optional[list]:
     if text is None:
         return None
-    try:
-        grid = [item(x.strip()) for x in text.split(",") if x.strip()]
+    try:  # an empty token, as in "2," or "10,,20", is no number either
+        return [item(x.strip()) for x in text.split(",")]
     except ValueError:
-        grid = []
-    if not grid:
-        raise ConfigError(f"bad grid {text!r}")
-    return grid
+        raise ConfigError(f"bad grid {text!r}") from None
 
 
 def _table(stream: IO[str], rows, header: Sequence[str], fmt: str) -> None:
@@ -163,7 +160,7 @@ def _cmd_sphere(args, metric, cfg, stream, fmt) -> int:
 
 
 def _cmd_capacity(args, metric, cfg, stream, fmt) -> int:
-    res = _capacities(metric, [args.rho0], args.p, cfg)[0]
+    res = _capacities(metric, [args.rho0], [args.p], cfg)[0][0]
     _write_pairs(stream, [("p", res.p), ("rho0", res.rho0), ("ncap", res.ncap),
                           ("flux", res.flux), ("err", res.err_estimate),
                           ("parabolic", res.parabolic)], fmt)
@@ -180,10 +177,8 @@ def _cmd_flow(args, metric, cfg, stream, fmt) -> int:
 def _cmd_mass(args, metric, cfg, stream, fmt) -> int:
     p_grid = _parse_grid(args.p_grid,
                          lambda tok: None if tok == "iso" else float(tok))
-    r_grid = _parse_grid(args.r_grid)
-    if r_grid is None:
-        r_grid = masses_mod.default_r_grid(metric, cfg)
-    reports = [masses_mod.total_mass(metric, p, r_grid, cfg) for p in p_grid]
+    reports = masses_mod.total_masses(metric, p_grid, _parse_grid(args.r_grid),
+                                      cfg)
     if fmt == "csv":
         for rep in reports:
             masses_mod.mass_report_to_csv(rep, stream)

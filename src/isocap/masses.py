@@ -26,7 +26,7 @@ from .capacity import _capacities, one_capacity, p_capacity
 from .errors import DomainError, InsufficientData
 from .geometry import FOUR_PI, SIXTEEN_PI, RadialMetric, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit
-from .specfun import gauss_2f1
+from .specfun import check_p, gauss_2f1
 
 CONVERGED = "CONVERGED"
 DIVERGENT = "DIVERGENT"
@@ -82,46 +82,53 @@ class IsoperimetricReport:
     threshold: Optional[float]  # smallest grid radius past which all pass
 
 
-def _quasilocal(metric: RadialMetric, radii: Sequence[float], p: float,
-                cfg: ToleranceConfig) -> List[float]:
-    """Iso-p-capacitary masses at increasing radii; +inf when p-parabolic."""
-    caps = _capacities(metric, radii, p, cfg)
-    vols = iter(metric.volumes([cap.rho0 for cap in caps if not cap.parabolic],
-                               cfg))
-    vals = []
-    for cap in caps:
-        if cap.parabolic:
-            vals.append(math.inf)
+def _quasilocal(metric: RadialMetric, radii: Sequence[float],
+                p_grid: Sequence[Optional[float]],
+                cfg: ToleranceConfig) -> List[List[float]]:
+    """Quasilocal masses at increasing radii, one list per entry of p_grid:
+    iso-p-capacitary (+inf when p-parabolic), or isoperimetric for None.
+    One capacity pass serves every p, one ``volumes`` call every radius."""
+    ps = list(dict.fromkeys(p for p in p_grid if p is not None))
+    caps = dict(zip(ps, _capacities(metric, radii, ps, cfg)))
+    if None in p_grid:
+        areas = [metric.area(rho) for rho in radii]
+        if 0.0 in areas:
+            raise DomainError(f"sphere at rho={radii[areas.index(0.0)]} "
+                              "has zero area")
+    want = [rho for k, rho in enumerate(radii)
+            if None in p_grid or any(not row[k].parabolic for row in caps.values())]
+    vols = dict(zip(want, metric.volumes(want, cfg)))
+    out = []
+    for p in p_grid:
+        if p is None:
+            out.append([(2.0 / a) * (vols[rho] - a ** 1.5 / (6.0 * math.sqrt(math.pi)))
+                        for rho, a in zip(radii, areas)])
             continue
-        c, vol = cap.ncap, next(vols)
-        if c == 0.0:  # p = 1 on a sphere of zero area
-            raise DomainError(f"sphere at rho={cap.rho0} has zero capacity")
-        ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
-        vals.append((vol - ball) / (2.0 * math.pi * p * c ** (2.0 / (3.0 - p))))
-    return vals
+        vals = []
+        for cap in caps[p]:
+            if cap.parabolic:
+                vals.append(math.inf)
+                continue
+            c = cap.ncap
+            if c == 0.0:  # p = 1 on a sphere of zero area
+                raise DomainError(f"sphere at rho={cap.rho0} has zero capacity")
+            ball = (FOUR_PI / 3.0) * c ** (3.0 / (3.0 - p))
+            vals.append((vols[cap.rho0] - ball)
+                        / (2.0 * math.pi * p * c ** (2.0 / (3.0 - p))))
+        out.append(vals)
+    return out
 
 
 def quasilocal_mass(metric: RadialMetric, rho: float, p: float,
                     cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Iso-p-capacitary mass of the sphere at rho; +inf when p-parabolic."""
-    return _quasilocal(metric, [rho], p, cfg)[0]
-
-
-def _huisken(metric: RadialMetric, radii: Sequence[float],
-             cfg: ToleranceConfig) -> List[float]:
-    """Isoperimetric quasilocal masses at increasing radii, the volumes
-    from one ``volumes`` call."""
-    areas = [metric.area(rho) for rho in radii]
-    if 0.0 in areas:
-        raise DomainError(f"sphere at rho={radii[areas.index(0.0)]} has zero area")
-    return [(2.0 / area) * (vol - area ** 1.5 / (6.0 * math.sqrt(math.pi)))
-            for area, vol in zip(areas, metric.volumes(radii, cfg))]
+    return _quasilocal(metric, [rho], [p], cfg)[0][0]
 
 
 def huisken_mass(metric: RadialMetric, rho: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> float:
     """Isoperimetric quasilocal mass of the sphere at rho."""
-    return _huisken(metric, [rho], cfg)[0]
+    return _quasilocal(metric, [rho], [None], cfg)[0][0]
 
 
 def default_r_grid(metric: RadialMetric,
@@ -162,37 +169,45 @@ def _diverges(radii: Sequence[float], vals: Sequence[float],
             >= abs(prev) / math.log(radii[-2] / radii[-3]))
 
 
-def total_mass(metric: RadialMetric, p: Optional[float],
-               r_grid: Optional[Sequence[float]] = None,
-               cfg: ToleranceConfig = DEFAULT_CFG) -> MassReport:
-    """Extrapolated total mass along an exhaustion; p=None for Huisken."""
+def total_masses(metric: RadialMetric, p_grid: Sequence[Optional[float]],
+                 r_grid: Optional[Sequence[float]] = None,
+                 cfg: ToleranceConfig = DEFAULT_CFG) -> List[MassReport]:
+    """Extrapolated total masses along one exhaustion, one report per entry
+    of p_grid in order, None for Huisken; each has the bits that a grid of
+    that entry alone gives.  Every p is checked before any work."""
+    for p in p_grid:
+        if p is not None and p != 1.0:
+            check_p(p)
     if r_grid is None:
         r_grid = default_r_grid(metric, cfg)
     radii = [float(r) for r in r_grid]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientData("need non-empty, strictly increasing radii")
-    vals = (_huisken(metric, radii, cfg) if p is None
-            else _quasilocal(metric, radii, p, cfg))
+    reports = []
+    for p, vals in zip(p_grid, _quasilocal(metric, radii, p_grid, cfg)):
+        lim, err, verdict = math.inf, math.inf, DIVERGENT
+        if not _diverges(radii, vals, REPORT_TOL):
+            lim, err = extrapolate_limit(list(zip(radii, vals)), cfg)
+            verdict = (CONVERGED if err <= REPORT_TOL * max(1.0, abs(lim))
+                       else INDETERMINATE)
+        reports.append(MassReport(metric=metric.label, p=p, radii=radii,
+                                  quasilocal=vals, extrapolated_mass=lim,
+                                  err_estimate=err, verdict=verdict))
+    return reports
 
-    label = metric.label
-    if _diverges(radii, vals, REPORT_TOL):
-        return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
-                          extrapolated_mass=math.inf, err_estimate=math.inf,
-                          verdict=DIVERGENT)
-    lim, err = extrapolate_limit(list(zip(radii, vals)), cfg)
-    verdict = CONVERGED if err <= REPORT_TOL * max(1.0, abs(lim)) else INDETERMINATE
-    return MassReport(metric=label, p=p, radii=radii, quasilocal=vals,
-                      extrapolated_mass=lim, err_estimate=err, verdict=verdict)
+
+def total_mass(metric: RadialMetric, p: Optional[float],
+               r_grid: Optional[Sequence[float]] = None,
+               cfg: ToleranceConfig = DEFAULT_CFG) -> MassReport:
+    """Extrapolated total mass along an exhaustion; p=None for Huisken."""
+    return total_masses(metric, [p], r_grid, cfg)[0]
 
 
 def equivalence_report(metric: RadialMetric, p_grid: Sequence[float],
                        r_grid: Optional[Sequence[float]] = None,
                        cfg: ToleranceConfig = DEFAULT_CFG) -> EquivalenceVerdict:
     """Compare extrapolated masses over a p-grid plus the Huisken sequence."""
-    if r_grid is None:
-        r_grid = default_r_grid(metric, cfg)
-    reports = [total_mass(metric, p, r_grid, cfg) for p in p_grid]
-    reports.append(total_mass(metric, None, r_grid, cfg))
+    reports = total_masses(metric, [*p_grid, None], r_grid, cfg)
     limits = [r.extrapolated_mass for r in reports]
     if any(not math.isfinite(v) for v in limits):
         gap = math.inf

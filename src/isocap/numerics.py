@@ -189,10 +189,11 @@ def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     bisection that calls density once per bisection, on the 21 nodes of
     each half.  The difference is relative to the panel's
     own sum, or, when ``group`` maps each panel to the index of a total it
-    is added into, to the sum of |panel sums| of that total (one integrand
-    only).  Without ``group`` a panel's sum depends on that panel alone, bit
-    for bit, whatever the other panels; with it, on its group too, which
-    decides whether it falls back.
+    is added into, to the sum of |panel sums| of that total, in the panel's
+    own row.  Without ``group`` a panel's sum depends on that panel alone,
+    bit for bit, whatever the other panels; with it, on its group too, which
+    decides whether it falls back.  A row's sums never depend on the other
+    rows.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = (0.5 * (hi - lo))[:, None]
@@ -205,7 +206,8 @@ def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     errs = np.abs(sums - (y[..., 10:] * _GL5_W).sum(axis=-1))
     scale = np.abs(sums)
     if group is not None:
-        scale = np.bincount(group, weights=scale)[group]
+        scale = np.apply_along_axis(
+            lambda row: np.bincount(group, weights=row)[group], -1, scale)
     for at in zip(*np.nonzero(~(errs <= cfg.quad_rel_tol * scale))):
         # at is (k,) for one integrand, (row, k) for several
         f = density if sums.ndim == 1 else lambda x, j=at[0]: density(x)[j]

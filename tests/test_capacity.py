@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from isocap import numerics
+from isocap import capacity, numerics
 from isocap.capacity import (_capacities, _tail_past, capacitary_potential,
                              one_capacity, p_capacity, verify_flux_holder)
 from isocap.errors import (BadExponent, DomainError, NonConvergence,
@@ -107,7 +107,7 @@ class TestReissnerNordstromOracle:
         metric = expr_metric(Gauge.AREAL, "1 - 2*m/r + q^2/r^2",
                              {"m": self.M, "q": self.Q}, domain_start=r_plus)
         radii = [r_plus] + [400.0 * 2.0 ** k for k in range(6)]
-        for res in _capacities(metric, radii, p, DEFAULT_CFG):
+        for res in _capacities(metric, radii, [p], DEFAULT_CFG)[0]:
             oracle = rn_ncap_oracle(p, res.rho0, self.M, self.Q)
             # the parent's semi-infinite tail quadrature was off by up to
             # 9e-10 here at p = 2.5, which total_mass amplifies 1e4-fold
@@ -125,7 +125,7 @@ class TestCapacityQuadrature:
         for metric, radii in ((schwarzschild(1.0), [2.0, 3.0, 6.0, 12.0]),
                               (schwarzschild(1.0), [100.0 * 2 ** k for k in range(6)]),
                               (flat(), [0.5, 1.0, 1000.0])):
-            _capacities(metric, radii, p, DEFAULT_CFG)
+            _capacities(metric, radii, [p], DEFAULT_CFG)
 
     @pytest.mark.parametrize("p", [1.05, 1.8, 2.999])
     def test_tail_exact_on_two_terms(self, p):
@@ -241,6 +241,19 @@ class TestErrors:
         # mpmath: sqrt(1/3) / (4 pi sqrt(int_2^inf (4 pi a^2)^-2 d rho))
         assert p_capacity(M, 2.0, 1.5).ncap == pytest.approx(
             0.08873789782334478, rel=1e-12)
+
+    def test_radius_zero_of_positive_area(self, monkeypatch):
+        # no panel in y = log s starts at s = 0: a typed failure, where the
+        # panel offsets of an infinite span once grew without bound
+        def refuse(*args):
+            raise AssertionError("panel offsets from log(0)")
+        monkeypatch.setattr(capacity, "_offsets", refuse)
+        M = expr_metric(Gauge.GEODESIC, "r + 1")
+        for p in (1.5, 2.0):
+            with pytest.raises(DomainError, match="rho=0.0 needs rho > 0"):
+                p_capacity(M, 0.0, p)
+        # a p-parabolic end needs no panels
+        assert p_capacity(cylinder(1.0), 0.0, 2.0).parabolic
 
     def test_below_domain(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isocap import cli
+from isocap import capacity, cli, masses
 from isocap.cli import main
+from isocap.geometry import ExprProfile, metric_from_spec
+
+# a Reissner-Nordstrom slice, m = 1.3 and q = 0.6, from its outer horizon
+RN_SPEC = ("expr:areal:1-2*m/r+q^2/r^2:m=1.3,q=0.6,r_min="
+           + repr(1.3 + math.sqrt(1.3 ** 2 - 0.6 ** 2)))
 
 
 def run(capsys, *argv):
@@ -158,6 +164,56 @@ class TestMass:
         code, _, err = run(capsys, "mass", "--metric", "flat", *grids)
         assert code == 2
         assert "bad grid" in err
+
+    @pytest.mark.parametrize("grids", [
+        ("--p-grid", "2,"),
+        ("--p-grid", "2", "--r-grid", "10,,20,40,80,160,320"),
+    ])
+    def test_empty_grid_token_exit_2(self, capsys, grids):
+        code, out, err = run(capsys, "mass", "--metric", "flat", *grids)
+        assert code == 2 and out == ""
+        assert "bad grid" in err
+
+    @pytest.mark.parametrize("p_grid, bad", [("1,2,3", "p=3.0"),
+                                             ("iso,2,3.5,0.5", "p=3.5")])
+    def test_p_grid_checked_before_any_work(self, capsys, monkeypatch,
+                                            p_grid, bad):
+        def refuse(*args):
+            raise AssertionError("capacity work before the p check")
+        monkeypatch.setattr(capacity, "_outward_hulls", refuse)
+        monkeypatch.setattr(capacity, "_capacity_tails", refuse)
+        code, out, err = run(capsys, "mass", "--metric", "schwarzschild:m=1",
+                             "--p-grid", p_grid)
+        assert code == 3 and out == ""
+        assert f"BadExponent: {bad} outside" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("spec, p_grid", [
+        ("schwarzschild:m=1", "1,1.5,2,2.5,iso"),
+        (RN_SPEC, "1.2,2,2,iso"),
+        ("cylinder", "1,2,iso"),
+    ])
+    def test_grid_prints_the_bytes_of_one_call_per_p(
+            self, capsys, monkeypatch, spec, p_grid, fmt):
+        argv = ("mass", "--metric", spec, "--p-grid", p_grid, "--format", fmt)
+        code, batched, _ = run(capsys, *argv)
+        assert code == 0
+        one_pass = masses.total_masses
+        monkeypatch.setattr(masses, "total_masses", lambda _, grid, *a: [
+            one_pass(metric_from_spec(spec), [p], *a)[0] for p in grid])
+        assert run(capsys, *argv) == (0, batched, "")
+
+    def test_one_profile_pass_per_grid(self, capsys, monkeypatch):
+        # one probe, one panel pass for p = 1.5, 2, 2.5, one volumes call;
+        # the area scans of p = 1 are closed-form in the areal gauge
+        calls = []
+        values = ExprProfile.values
+        monkeypatch.setattr(ExprProfile, "values",
+                            lambda self, x: calls.append(x.size) or values(self, x))
+        code, _, err = run(capsys, "mass", "--metric", RN_SPEC,
+                           "--p-grid", "1,1.5,2,2.5,iso")
+        assert code == 0, err
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("p_grid", ["iso", "1", "2", "1.5,2.5"])
     def test_zero_area_radius_exit_3(self, capsys, p_grid):

@@ -2,19 +2,21 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap import flow, numerics
-from isocap.errors import DomainError, InsufficientData
-from isocap.geometry import (Gauge, cylinder, flat, scaled, schwarzschild,
+from isocap import capacity, flow, numerics
+from isocap.errors import BadExponent, DomainError, InsufficientData
+from isocap.geometry import (Gauge, cylinder, expr_metric, flat,
+                             metric_from_spec, scaled, schwarzschild,
                              table_metric, tanh_step_mass_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
                            asymptotic_isoperimetric_check, bmx_bound_check,
                            equivalence_report, huisken_mass,
                            mass_report_to_csv, mass_report_to_json,
-                           quasilocal_mass, total_mass)
+                           quasilocal_mass, total_mass, total_masses)
 from isocap.masses import _diverges
 
 GRID = [50.0 * 2.0 ** k for k in range(6)]
@@ -119,6 +121,73 @@ class TestSchwarzschild:
         L = scaled(schwarzschild(1.0), 2.0)
         rep = total_mass(L, 2.0, [2 * r for r in GRID])
         assert rep.extrapolated_mass == pytest.approx(2.0, abs=1e-2)
+
+
+def _reissner_nordstrom(m, q):
+    r_plus = m + math.sqrt(m * m - q * q)
+    return lambda: expr_metric(Gauge.AREAL, "1 - 2*m/r + q^2/r^2",
+                               {"m": m, "q": q}, domain_start=r_plus)
+
+
+@pytest.fixture(scope="module")
+def table_400(tmp_path_factory):
+    """Areal Schwarzschild f = 1 - 2/r (m = 1) tabulated in 400 rows."""
+    path = tmp_path_factory.mktemp("tables") / "schwarzschild_400.csv"
+    radii = np.geomspace(2.0, 1e6, 400)
+    path.write_text("r,f\n" + "".join(f"{r!r},{1.0 - 2.0 / r!r}\n"
+                                       for r in radii.tolist()))
+    return str(path)
+
+
+class TestTotalMasses:
+    """One capacity pass for a whole p-grid, with the bits of one
+    ``total_mass`` call per entry."""
+
+    METRICS = {
+        "flat": flat,
+        "schwarzschild": lambda: schwarzschild(1.0),
+        "rn-0.5": _reissner_nordstrom(1.0, 0.5),
+        "rn-1.95": _reissner_nordstrom(1.9497356, 0.5),
+        "rn-0.7": _reissner_nordstrom(0.7, 0.55),
+        "bump": lambda: metric_from_spec("expr:geodesic:r+1.5*exp(-4*(r-3)^2)"),
+        "converted": lambda: to_geodesic(schwarzschild(1.0)),
+        "cylinder": cylinder,
+    }
+
+    @pytest.mark.parametrize("p_grid", [
+        [1.0, 1.5, 2.0, 2.5, None],
+        [1.001, 1.2, 1.3, 2.0, 2.999],  # several groups of panel edges
+        [2.0, 2.0, None, None],
+    ])
+    @pytest.mark.parametrize("name", [*METRICS, "table"])
+    def test_bits_of_one_call_per_p(self, name, p_grid, table_400):
+        make = self.METRICS.get(
+            name, lambda: table_metric(Gauge.AREAL, table_400))
+        reports = total_masses(make(), p_grid)
+        assert reports == [total_mass(make(), p) for p in p_grid]
+        assert [rep.p for rep in reports] == p_grid
+        if name == "cylinder":
+            assert {rep.verdict for rep in reports} == {DIVERGENT}
+
+    def test_one_volumes_call(self):
+        M, calls = schwarzschild(1.0), []
+        volumes = M.volumes
+        M.volumes = lambda *a: calls.append(list(a[0])) or volumes(*a)
+        total_masses(M, [1.0, 1.5, 2.0, None], GRID)
+        assert calls == [GRID]
+
+    @pytest.mark.parametrize("p_grid, bad", [
+        ([1.0, 2.0, 3.0], "p=3.0"),
+        ([None, 2.0, 3.5, 0.5], "p=3.5"),  # the first bad p in grid order
+        ([0.5, 3.5], "p=0.5"),
+    ])
+    def test_every_p_checked_before_any_work(self, monkeypatch, p_grid, bad):
+        def refuse(*args):
+            raise AssertionError("capacity work before the p check")
+        monkeypatch.setattr(capacity, "_outward_hulls", refuse)
+        monkeypatch.setattr(capacity, "_capacity_tails", refuse)
+        with pytest.raises(BadExponent, match=bad + " outside"):
+            total_masses(schwarzschild(1.0), p_grid)
 
 
 class TestOtherFamilies:

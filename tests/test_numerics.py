@@ -230,6 +230,22 @@ class TestGaussLegendre:
             alone, alone_errs = gauss_legendre_err(density, lo, hi)
             assert np.array_equal(sums[row], alone)
             assert np.array_equal(errs[row], alone_errs)
+        # grouped, each row is checked against its own row's total: the
+        # steep row's wide panel is negligible there, the faint late kink is
+        # not, though it would be against the steep row's total
+        steep = lambda x: 1e6 * np.exp(-20.0 * x)  # noqa: E731
+        late = lambda x: 1e-6 * np.abs(x - 1.3)  # noqa: E731
+        lo, hi, group = np.array([0.0, 1.0]), np.array([0.05, 2.0]), np.array([0, 0])
+        calls.clear()
+        sums, errs = gauss_legendre_err(
+            lambda x: np.stack((steep(x), late(x))), lo, hi, group=group)
+        assert calls == [(1.0, 2.0)]  # only the late row's second panel
+        for row, density in enumerate((steep, late)):
+            calls.clear()
+            alone, alone_errs = gauss_legendre_err(density, lo, hi, group=group)
+            assert calls == [(1.0, 2.0)] * row
+            assert np.array_equal(sums[row], alone)
+            assert np.array_equal(errs[row], alone_errs)
 
     def test_panel_sum_independent_of_other_panels(self):
         rng = np.random.default_rng(7)

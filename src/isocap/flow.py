@@ -4,9 +4,12 @@ The weak flow of a centered sphere stays a centered sphere: at time t it
 is the outermost sphere of area hull_area * exp(t) anywhere on the end
 (Huisken and Ilmanen 2001).  One area scan from rho0 serves a whole flow;
 its envelope, the least area still reachable outward from each node,
-gives the hull, the radius at every time and the necks the flow jumps
-over.  Jumps preserve area: the flow leaves a rising branch at radius s1
-and reappears past the neck at the matching-area radius s2 > s1.
+gives the hull, a bracket of the radius at every sample time and the
+necks the flow jumps over.  One safeguarded Newton pass over all those
+brackets gives the sample radii, and the profile's (value, d1, d2) at
+each radius gives its sphere data.  Jumps preserve area: the flow leaves
+a rising branch at radius s1 and reappears past the neck at the
+matching-area radius s2 > s1.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from typing import IO, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientData, IsocapError
-from .geometry import RadialMetric, SphereData, spheres
+from .geometry import (FOUR_PI, Gauge, RadialMetric, SphereData, Triples,
+                       spheres)
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
-                       find_root, minimize_bounded)
+                       find_root, minimize_bounded, newton_roots)
 
 _SCAN_POINTS = 8192
 _WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
@@ -152,6 +156,36 @@ def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
     return jumps
 
 
+def _sample_radii(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
+                  envelope: np.ndarray, targets: np.ndarray,
+                  cfg: ToleranceConfig) -> Tuple[List[float], Triples]:
+    """The outermost radius of each target area on a scan, and the
+    profile's (value, d1, d2) arrays there.
+
+    Past the last node within a target every area exceeds it, so that node
+    and the next bracket the radius.  All radii are solved together by
+    ``numerics.newton_roots`` on area(rho) = target, with area' = 8*pi*a*a'
+    from one ``profile.triple`` call per step, from the secant between the
+    bracketing nodes, whose areas the scan already holds.
+    """
+    k = np.minimum(np.searchsorted(envelope, targets, side="right") - 1,
+                   len(grid) - 2)
+    lo, hi = grid[k], grid[k + 1]
+    below, above = areas[k] - targets, areas[k + 1] - targets
+    start = lo - below * (hi - lo) / (above - below)
+    geodesic = metric.gauge is Gauge.GEODESIC
+    triples = np.empty((3, len(targets)))
+
+    def area_slope(rhos: np.ndarray, ks: np.ndarray):
+        v, d1, d2 = metric.profile.triple(rhos)
+        triples[:, ks] = v, d1, d2
+        a, ap = (v, d1) if geodesic else (rhos, 1.0)
+        return FOUR_PI * a * a - targets[ks], 2.0 * FOUR_PI * a * ap
+
+    radii = newton_roots(area_slope, start, lo, hi, cfg)
+    return radii.tolist(), triples
+
+
 def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
               n_samples: int = 200,
               cfg: ToleranceConfig = DEFAULT_CFG) -> FlowTrack:
@@ -167,6 +201,10 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
     metric.check_start(rho0)
+    # a rho0 below domain_start by the rounding slack starts at
+    # domain_start, as spheres would move it: the samples' triples are
+    # taken at the radii as solved
+    rho0 = max(rho0, metric.domain_start)
     limit = min(cfg.cutoff_radius, metric.r_max)
     too_short = f"metric domain ends before the flow reaches t={t_max}"
     if rho0 >= limit:
@@ -191,12 +229,8 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     cut = stop - start
     jumps = _find_jumps(metric, grid[:cut], areas[:cut], envelope[:cut],
                         hull_area, t_max, cfg)
-    # past the last node within a target every area exceeds it, so that
-    # node and the next bracket the outermost sphere of the target area
-    nodes = np.minimum(np.searchsorted(envelope, targets, side="right") - 1,
-                       len(grid) - 2).tolist()
-    radii = [find_root(lambda r, a=a: metric.area(r) - a, float(grid[k]),
-                       float(grid[k + 1]), cfg) for a, k in zip(targets, nodes)]
+    radii, triples = _sample_radii(metric, grid, areas, envelope,
+                                   np.array(targets), cfg)
 
     events: List[Union[Jump, SmoothSegment]] = []
     if rho_star > rho0 * (1.0 + 1e-12) + 1e-12:
@@ -207,7 +241,8 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
                    jump]
         t_start, rho_start = jump.t, jump.rho_after
     events.append(SmoothSegment(t_start, t_max, rho_start, radii[-1]))
-    samples = list(zip(times, spheres(metric, radii[:-1], cfg)))
+    samples = list(zip(times, spheres(metric, radii[:-1], cfg,
+                                      [x[:-1] for x in triples])))
     return FlowTrack(rho0=rho0, initial_area=hull_area,
                      events=events, samples=samples)
 

@@ -55,20 +55,27 @@ class BoundaryKind(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Profiles: anything exposing eval_d2(r) -> (value, d1, d2) at one radius and
-# values(rs) -> the value at each radius of a 1-D array, equal to eval_d2's
-# value there.  Area scans, volume panels and the conversion's build call
-# values once per array.  Every family computes values itself, on the whole
-# array and with in-repo code (tables through numerics.HermiteSpline, the
-# conversion through its Legendre series); where some radius fails, values
-# raises the error eval_d2 raises at the first failing radius, by running
-# the scalar path through _mapped.
+# Profiles: anything exposing three forms of one radial function.
+#   eval_d2(r)  -> (value, d1, d2) at one radius, on Python floats;
+#   values(rs)  -> the value at each radius of a 1-D array;
+#   triple(rs)  -> the arrays (value, d1, d2) at each radius of a 1-D array.
+# Each element of values and triple has the bits of eval_d2 at its radius.
+# Area scans, volume panels and the conversion's build call values once per
+# array; sphere data, minimal-sphere probes and the flow's Newton steps call
+# triple once per array.  Every family computes both array forms itself,
+# with in-repo code (tables through numerics.HermiteSpline, the conversion
+# through its Legendre series); where some radius fails, they raise the
+# error eval_d2 raises at the first failing radius, by running the scalar
+# path through _mapped.
+
+Triples = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _mapped(fn: Callable[[float], Tuple[float, float, float]],
-            rs: np.ndarray) -> np.ndarray:
-    """Values of a scalar (value, d1, d2) callable, one call per radius."""
-    return np.array([fn(float(r))[0] for r in rs], dtype=float)
+            rs: np.ndarray) -> Triples:
+    """(value, d1, d2) arrays of a scalar callable, one call per radius."""
+    return tuple(np.array([fn(float(r)) for r in rs],
+                          dtype=float).reshape(-1, 3).T)
 
 
 class ExprProfile:
@@ -91,6 +98,10 @@ class ExprProfile:
         return self._compiled(r)
 
     def values(self, rs: np.ndarray) -> np.ndarray:
+        out = self._compiled_array(rs, 1)
+        return _mapped(self.eval_d2, rs)[0] if out is None else out[0]
+
+    def triple(self, rs: np.ndarray) -> Triples:
         out = self._compiled_array(rs)
         return _mapped(self.eval_d2, rs) if out is None else out
 
@@ -104,13 +115,16 @@ class ExprProfile:
 
 class FuncProfile:
     """Profile backed by a callable returning (value, d1, d2), plus
-    ``array_fn``, which maps a 1-D array of radii to the values there."""
+    ``array_fn`` and ``triple_fn``, which map a 1-D array of radii to the
+    values there and to the (value, d1, d2) arrays there."""
 
     def __init__(self, fn: Callable[[float], Tuple[float, float, float]],
                  array_fn: Callable[[np.ndarray], np.ndarray],
+                 triple_fn: Callable[[np.ndarray], Triples],
                  label: str = "func", r_max: float = math.inf):
         self.fn = fn
         self.array_fn = array_fn
+        self.triple_fn = triple_fn
         self.label = label
         self.r_max = r_max
 
@@ -119,6 +133,9 @@ class FuncProfile:
 
     def values(self, rs: np.ndarray) -> np.ndarray:
         return self.array_fn(rs)
+
+    def triple(self, rs: np.ndarray) -> Triples:
+        return self.triple_fn(rs)
 
     def describe(self) -> str:
         return self.label
@@ -155,11 +172,20 @@ class TableProfile:
         self._check_range(r)
         return self._spline(r)
 
+    def _check_ranges(self, rs: np.ndarray) -> None:
+        """The range check of eval_d2 at each radius of an array, in order."""
+        if rs.size and (rs.min() < self.r_min - 1e-12
+                        or rs.max() > self.r_max * (1 + 1e-12)):
+            for r in rs.tolist():
+                self._check_range(r)
+
     def values(self, rs: np.ndarray) -> np.ndarray:
-        if rs.size:
-            self._check_range(float(rs.min()))
-            self._check_range(float(rs.max()))
+        self._check_ranges(rs)
         return self._spline.values(rs)
+
+    def triple(self, rs: np.ndarray) -> Triples:
+        self._check_ranges(rs)
+        return self._spline.triple(rs)
 
     def describe(self) -> str:
         return self.label
@@ -367,20 +393,31 @@ class RadialMetric:
 # Per-sphere quantities
 
 def spheres(metric: RadialMetric, radii: Sequence[float],
-            cfg: ToleranceConfig = DEFAULT_CFG) -> List[SphereData]:
-    """All SphereData fields of the centered sphere at each radius.  The
-    volumes come from one ``RadialMetric.volumes`` call, or, on a
-    gauge-converted metric, from the one solve that also gives a, a', a''."""
+            cfg: ToleranceConfig = DEFAULT_CFG,
+            triples: Optional[Triples] = None) -> List[SphereData]:
+    """All SphereData fields of the centered sphere at each radius.
+
+    The profile's (a, a', a'') or (f, f', f'') at the radii come from one
+    ``profile.triple`` call, or from ``triples`` when the caller already
+    has them, and the volumes from one ``RadialMetric.volumes`` call.  On a
+    gauge-converted metric without ``triples``, one solve gives both.  A
+    single radius takes ``eval_d2``, with the same bits: numpy's per-call
+    overhead makes a one-element array cost more than the scalar path.
+    """
     for rho in radii:
         metric.check_start(rho)
     radii = [max(rho, metric.domain_start) for rho in radii]
-    converted = isinstance(metric.profile, _ConvertedProfile)
-    if converted:
-        triples, vols = metric.profile.spheres(radii)
+    vols = None
+    if triples is None and isinstance(metric.profile, _ConvertedProfile):
+        rows, vols = metric.profile.spheres(radii)
+    elif triples is None and len(radii) == 1:
+        rows = [metric.profile_d2(radii[0])]
     else:
-        triples = map(metric.profile_d2, radii)
+        if triples is None:
+            triples = metric.profile.triple(np.array(radii, dtype=float))
+        rows = zip(*(x.tolist() for x in triples))
     out: List[SphereData] = []
-    for rho, (v, d1, d2) in zip(radii, triples):
+    for rho, (v, d1, d2) in zip(radii, rows):
         a = v if metric.gauge is Gauge.GEODESIC else rho
         area = FOUR_PI * a * a
         if area == 0.0:
@@ -402,7 +439,7 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
         out.append(SphereData(rho=rho, area=area, volume=0.0, mean_curvature=H,
                               hawking_mass=m_H, willmore=willmore,
                               scalar_curvature=R))
-    if not converted:
+    if vols is None:
         vols = metric.volumes(radii, cfg)
     for data, vol in zip(out, vols):
         data.volume = vol
@@ -504,13 +541,18 @@ class _ConvertedProfile:
         return self._areal.domain_start + xi * xi
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
+        return self.triple(rhos)[0]
+
+    def triple(self, rhos: np.ndarray) -> Triples:
+        """``_triple`` at each rho of an array, from one array solve."""
         rhos = np.asarray(rhos, dtype=float)
         try:
             r = self._radius(*self._solve(rhos))
-            self._areal.profile.values(r)  # where eval_d2 would raise
-            return r
+            f, fp = self._areal.profile.triple(r)[:2]
         except IsocapError:  # the scalar path raises its first error
             return _mapped(self.eval_d2, rhos)
+        # np.where keeps max's -0.0, which np.maximum turns into 0.0
+        return r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp
 
     def _triple(self, r: float) -> Tuple[float, float, float]:
         f, fp = self._areal.profile_d2(r)[:2]
@@ -581,12 +623,11 @@ def find_minimal_spheres(metric: RadialMetric,
         # tangentially, so scan its critical points instead.
         return metric.profile_d2(s)[1]
 
-    vals = np.array([h_num(s) for s in grid])
+    v, vals = metric.profile.triple(grid)[:2]
     flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     crossings = [find_root(h_num, grid[i], grid[i + 1], cfg) for i in flips]
     if metric.gauge is Gauge.AREAL:
-        f0 = metric.profile_d2(grid[0])[0]
-        if abs(f0) <= cfg.root_tol * max(1.0, grid[0]):
+        if abs(v[0]) <= cfg.root_tol * max(1.0, grid[0]):
             roots.append(float(grid[0]))
         roots += [rc for rc in crossings
                   if metric.profile_d2(rc)[0] <= math.sqrt(cfg.root_tol)]
@@ -737,6 +778,10 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
 
         def array_fn(rhos: np.ndarray) -> np.ndarray:
             return lam * base.values(rhos / lam)
+
+        def triple_fn(rhos: np.ndarray) -> Triples:
+            v, d1, d2 = base.triple(rhos / lam)
+            return lam * v, d1, d2 / lam
     else:
         def fn(r: float) -> Tuple[float, float, float]:
             v, d1, d2 = base.eval_d2(r / lam)
@@ -744,7 +789,12 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
 
         def array_fn(rs: np.ndarray) -> np.ndarray:
             return base.values(rs / lam)
-    prof = FuncProfile(fn, array_fn, label=f"scaled({lam:g})*{base.describe()}",
+
+        def triple_fn(rs: np.ndarray) -> Triples:
+            v, d1, d2 = base.triple(rs / lam)
+            return v, d1 / lam, d2 / (lam * lam)
+    prof = FuncProfile(fn, array_fn, triple_fn,
+                       label=f"scaled({lam:g})*{base.describe()}",
                        r_max=getattr(base, "r_max", math.inf) * lam)
     return RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                         metric.boundary_kind,
@@ -764,13 +814,17 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     which makes the Hawking mass of the sphere at rho exactly mu(rho) and
     the scalar curvature 4*mu'/(a' a^2) >= 0.  The ODE is solved once, on
     [0, rho_max], by ``numerics.dormand_prince`` (rtol 1e-11, atol 1e-12);
-    a(rho) is its quartic dense output, the same bits from ``eval_d2`` and
-    from ``values``, and a', a'' come from the right-hand side.  Array
-    evaluation (area scans, ``validate_metric``) relies on mu being
-    nondecreasing: it checks the stall 1 - 2*mu/a <= 0 at the outermost
-    radius only and calls mu nowhere else, so a mu that dips or raises at
-    an inner radius goes unnoticed there, while ``eval_d2`` at that radius
-    still raises.
+    a(rho) is its quartic dense output, the same bits from all three
+    profile forms, and a', a'' come from the right-hand side.  ``triple``
+    calls mu once per radius on a Python float, as ``eval_d2`` does, and
+    runs the a', a'' arithmetic in numpy with the same bits; where any
+    radius stalls, raises or gives a non-finite result it runs ``eval_d2``
+    radius by radius, which raises the first error.  ``values`` (area
+    scans, ``validate_metric``) relies on mu being nondecreasing: it
+    checks the stall 1 - 2*mu/a <= 0 at the outermost radius only and
+    calls mu nowhere else, so a mu that dips or raises at an inner radius
+    goes unnoticed there, while ``eval_d2`` and ``triple`` at that radius
+    still raise.
     """
     mu0 = mu(0.0)[0]
     if a0 <= 2.0 * mu0:
@@ -802,10 +856,28 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
             try:
                 fn(float(rhos.max()))
             except EvalError:
-                return _mapped(fn, rhos)
+                return _mapped(fn, rhos)[0]
         return dense.values(rhos)
 
-    prof = FuncProfile(fn, array_fn, label=label, r_max=rho_max)
+    def triple_fn(rhos: np.ndarray) -> Triples:
+        # mu runs on Python floats, as in fn: np.tanh and math.tanh round
+        # differently.  An element where mu raises, or that fn would reject
+        # or gives a non-finite value, sends the whole array to fn, which
+        # raises the first error in order.
+        try:
+            m, mp = np.array([mu(rho) for rho in rhos.tolist()],
+                             dtype=float).reshape(-1, 2).T
+        except (IsocapError, ArithmeticError, ValueError):
+            return _mapped(fn, rhos)
+        a = dense.values(rhos)
+        with np.errstate(all="ignore"):
+            ap = np.sqrt(1.0 - 2.0 * m / a)
+            app = (m * ap / (a * a) - mp / a) / ap
+        if not (np.all(ap > 0.0) and np.isfinite(app).all()):
+            return _mapped(fn, rhos)
+        return a, ap, app
+
+    prof = FuncProfile(fn, array_fn, triple_fn, label=label, r_max=rho_max)
     return RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
 
 

@@ -29,7 +29,8 @@ __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "legendre_panels", "legendre_integral",
            "legendre", "legendre_inverse", "hermite", "HermiteSpline", "pchip_slopes",
            "dormand_prince", "DenseSolution",
-           "find_root", "minimize_bounded", "extrapolate_limit"]
+           "find_root", "newton_roots", "minimize_bounded",
+           "extrapolate_limit"]
 
 
 @dataclass(frozen=True)
@@ -384,9 +385,9 @@ class HermiteSpline:
     d1 = h*s_{i+1} and dy = y_{i+1} - y_i, the cubic is ``hermite`` with
     c2 = 3*dy - 2*d0 - d1 and c3 = d0 + d1 - 2*dy.  A t at a node takes the
     interval that starts there; a t outside [t_0, t_n] extends the first or
-    last cubic.  The scalar call, which returns (y, y', y''), and
-    ``values`` run the same operations on the same coefficients, so they
-    agree bit for bit."""
+    last cubic.  The scalar call, which returns (y, y', y''), ``values``
+    and ``triple`` run the same operations on the same coefficients, so
+    they agree bit for bit."""
 
     def __init__(self, t: np.ndarray, y: np.ndarray, slopes: np.ndarray):
         self._t = t
@@ -410,11 +411,21 @@ class HermiteSpline:
         v, d1, d2 = hermite((t - ts[i]) / h, *cs[i])
         return v, d1 / h, d2 / (h * h)
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
+    def _local(self, ts: np.ndarray) -> tuple:
+        """``hermite`` at each t of an array, in its interval's x, and the
+        interval widths."""
         i = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0,
                     self._h.size - 1)
-        return hermite((ts - self._t[i]) / self._h[i],
-                       *(c[i] for c in self._c))[0]
+        h = self._h[i]
+        return hermite((ts - self._t[i]) / h, *(c[i] for c in self._c)), h
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return self._local(ts)[0][0]
+
+    def triple(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, y', y'') at each t of a 1-D array."""
+        (v, d1, d2), h = self._local(ts)
+        return v, d1 / h, d2 / (h * h)
 
 
 def pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -626,6 +637,49 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = f(xcur)
     raise NonConvergence(f"root finding on [{lo}, {hi}] did not converge")
+
+
+def newton_roots(fdf: Callable[[np.ndarray, np.ndarray],
+                               Tuple[np.ndarray, np.ndarray]],
+                 x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 cfg: ToleranceConfig = DEFAULT_CFG) -> np.ndarray:
+    """Roots of many functions at once, one in each bracket [lo_k, hi_k]
+    where f_k(lo_k) <= 0 <= f_k(hi_k), from the starts x_k in the brackets.
+
+    fdf(xs, ks) returns f and f' at the points xs of the elements ks (an
+    index array); the last point it sees of an element is the root
+    returned.  A safeguarded Newton iteration on every element (rtsafe,
+    Press et al., Numerical Recipes, 3rd ed., Sec. 9.4): each element
+    keeps its bracket and bisects it where the Newton step would leave it,
+    or would not halve the step before last.  An element stops at a point
+    where f = 0, or where the next step is at most half of ``find_root``'s
+    tolerance, root_tol + 8.9e-16*|x|.  Raises NonConvergence after 100
+    iterations.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    last = hi - lo  # the step before last; the bracket, at the start
+    todo = np.arange(x.size)
+    for _ in range(_ROOT_MAX_ITER):
+        xs = x[todo]
+        f, df = fdf(xs, todo)
+        lo[todo] = np.where(f < 0.0, xs, lo[todo])
+        hi[todo] = np.where(f > 0.0, xs, hi[todo])
+        a, b = lo[todo], hi[todo]
+        with np.errstate(all="ignore"):  # df = 0 gives no Newton step
+            newton = xs - f / df
+            slow = np.abs(2.0 * f) > np.abs(last[todo] * df)
+        bisect = slow | ~((newton >= a) & (newton <= b))
+        nxt = np.where(bisect, 0.5 * (a + b), newton)
+        step = nxt - xs
+        done = (f == 0.0) | (np.abs(step)
+                             <= 0.5 * (cfg.root_tol + _ROOT_RTOL * np.abs(xs)))
+        x[todo] = np.where(done, xs, nxt)
+        last[todo] = step
+        todo = todo[~done]
+        if not todo.size:
+            return x
+    raise NonConvergence(f"Newton iteration on {todo.size} brackets did not "
+                         f"converge in {_ROOT_MAX_ITER} steps")
 
 
 def minimize_bounded(f: Callable[[float], float], lo: float, hi: float,

@@ -444,8 +444,11 @@ def _pow_a(x, xd1, xd2, c, cd1, cd2):
         # a complex power of a negative base
         if np.any(x < 0.0) and c != round(c):
             raise _Defer
+        # for c = 0 the scalar kernel's zero-base branch gives c * 0.0,
+        # which is -0.0 at c = -0.0
         return _chain(_powers(x, c),
-                      c * _powers(x, c - 1.0) if c != 0.0 else 0.0,
+                      c * _powers(x, c - 1.0) if c != 0.0
+                      else np.where(x == 0.0, c * 0.0, 0.0),
                       c * (c - 1.0) * _powers(x, c - 2.0)
                       if c not in (0.0, 1.0) else 0.0, xd1, xd2)
     # elements with a stationary exponent take the scalar constant branch
@@ -509,26 +512,33 @@ def _compile_array(n: Node, params: ParamSet):
     return lambda rs: kernel(*a(rs), *b(rs))
 
 
+ArrayTriple = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def compile_array(expr: ProfileExpr, params: ParamSet | None = None
-                  ) -> Callable[[np.ndarray], Optional[np.ndarray]]:
+                  ) -> Callable[..., Optional[ArrayTriple]]:
     """Compile expr with params bound into a function from a 1-D array of
-    radii to the values there, each bit-identical to ``compile``'s.  It
-    returns None when the scalar closure must decide: some element raises
-    there, or takes a branch the array path leaves to it."""
+    radii to the arrays (value, d/dr, d^2/dr^2) there, each element
+    bit-identical to ``compile``'s; with ``parts=1`` it returns the values
+    alone, as a one-element tuple.  It returns None when the scalar
+    closure must decide: some element raises there, or takes a branch the
+    array path leaves to it."""
     root = _compile_array(expr.ast, params or {})
 
-    def evaluate(rs: np.ndarray) -> Optional[np.ndarray]:
+    def evaluate(rs: np.ndarray, parts: int = 3) -> Optional[ArrayTriple]:
         rs = np.asarray(rs, dtype=float)
         try:
             with np.errstate(all="ignore"):
-                v, d1, d2 = root(rs)
+                out = root(rs)
                 # non-finite iff some term is, or the sum overflows (deferred)
-                finite = np.isfinite(v + d1 + d2).all()
+                finite = np.isfinite(out[0] + out[1] + out[2]).all()
         except (_Defer, IsocapError, ArithmeticError, ValueError):
             return None
         if not finite:
             return None
-        if isinstance(v, np.ndarray) and v is not rs:
-            return v
-        return np.array(np.broadcast_to(v, rs.shape))
+        # a term free of r is a float, and the value of ``r`` is rs itself
+        return tuple(x if isinstance(x, np.ndarray) and x is not rs
+                     and x.shape == rs.shape
+                     else np.array(np.broadcast_to(x, rs.shape))
+                     for x in out[:parts])
     return evaluate

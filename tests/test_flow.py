@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocap import flow, numerics
-from isocap.errors import DomainError, InsufficientData, NoBracket
+from isocap.errors import (DomainError, InsufficientData, NoBracket,
+                           NonConvergence)
 from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
                          flow_to_csv, geroch_check, outward_hull, weak_imcf,
                          willmore_limit)
-from isocap.geometry import (Gauge, expr_metric, flat, schwarzschild,
-                             tanh_step_mass_metric)
+from isocap.geometry import (FuncProfile, Gauge, expr_metric, flat, scaled,
+                             schwarzschild, spheres, tanh_step_mass_metric,
+                             to_geodesic)
 from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
@@ -280,6 +282,115 @@ class TestSampleVolumes:
         assert all(b >= a for a, b in zip(vols, vols[1:]))
         fresh = tanh_step_mass_metric(mass, center, width)
         assert vols == [fresh.volume(r) for r in rhos]
+
+
+def brent_radii(metric, grid, areas, envelope, targets, cfg):
+    """Reference for ``_sample_radii``: one scalar Brent solve per target
+    on the same bracketing scan nodes."""
+    nodes = np.minimum(np.searchsorted(envelope, targets, side="right") - 1,
+                       len(grid) - 2).tolist()
+    return [numerics.find_root(lambda r, a=a: metric.area(r) - a,
+                               float(grid[k]), float(grid[k + 1]), cfg)
+            for a, k in zip(targets.tolist(), nodes)]
+
+
+FLOW_CASES = {
+    "flat": (flat, 1.0, 5.0),
+    "neck": (neck_metric, 2.0, 4.0),
+    "two-necks": (lambda: expr_metric(Gauge.GEODESIC, TestFindJumps.TWO_NECKS),
+                  1.0, 6.0),
+    "far-neck": (lambda: expr_metric(Gauge.GEODESIC, FAR_NECK), 2.0, 5.0),
+    "schwarzschild": (lambda: schwarzschild(1.0), 2.0, 8.0),
+    "converted": (lambda: to_geodesic(schwarzschild(1.0)), 0.0, 6.0),
+    "tanh-step": (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0),
+    "scaled-tanh-step": (lambda: scaled(tanh_step_mass_metric(1.0, 5.0, 1.0),
+                                        2.0), 1.0, 6.0),
+    "oscillating": (lambda: expr_metric(Gauge.GEODESIC, "r*(1+0.3*sin(r))"),
+                    1.0, 6.0),
+}
+
+
+class TestNewtonSamples:
+    """All sample radii of a flow from one ``numerics.newton_roots`` pass."""
+
+    @pytest.mark.parametrize("name", sorted(FLOW_CASES))
+    def test_radii_match_brent(self, name, monkeypatch):
+        make, rho0, t_max = FLOW_CASES[name]
+        seen = []
+        solve = flow._sample_radii
+        monkeypatch.setattr(flow, "_sample_radii",
+                            lambda *a: seen.append(a) or solve(*a))
+        metric = make()
+        track = weak_imcf(metric, rho0, t_max, n_samples=40)
+        (args,) = seen
+        want = np.array(brent_radii(*args))
+        got = np.array([d.rho for _, d in track.samples])
+        tol = 2.0 * (DEFAULT_CFG.root_tol + 8.9e-16 * want[:-1])
+        assert np.all(np.abs(got - want[:-1]) <= tol)
+        assert track.events[-1].rho_end == pytest.approx(want[-1], abs=tol[-1])
+        for t, d in track.samples:
+            assert abs(d.area - track.initial_area * math.exp(t)) <= 1e-10 * d.area
+
+    @pytest.mark.parametrize("name", sorted(FLOW_CASES))
+    def test_sphere_data_from_the_newton_triples(self, name):
+        # the samples carry the bits spheres computes at their radii
+        make, rho0, t_max = FLOW_CASES[name]
+        track = weak_imcf(make(), rho0, t_max, n_samples=40)
+        fresh = make()
+        want = spheres(fresh, [d.rho for _, d in track.samples])
+        assert [d for _, d in track.samples] == want
+
+    @pytest.mark.parametrize("make, rho0", [
+        (flat, 1.0), (neck_metric, 3.0),
+        (lambda: to_geodesic(schwarzschild(1.0)), 0.0)])
+    def test_first_sample_at_the_hull(self, make, rho0, monkeypatch):
+        # the t = 0 target is the hull's own area: the secant start is a
+        # node of that area, accepted without a step.  On the converted
+        # Schwarzschild metric a' = 0 at rho0 = 0, and the area stays at the
+        # hull's to rounding up to the scan node the flow starts from.
+        metric = make()
+        seen = []
+        triple = metric.profile.triple
+        monkeypatch.setattr(metric.profile, "triple",
+                            lambda rs: seen.append(rs.copy()) or triple(rs))
+        rho_star, hull = outward_hull(make(), rho0)
+        with np.errstate(all="raise"):
+            track = weak_imcf(metric, rho0, 3.0, n_samples=20)
+        t0, first = track.samples[0]
+        assert t0 == 0.0 and first.area == hull
+        if rho0 > 0.0:
+            assert first.rho == rho_star
+        else:
+            assert first.rho < 1e-7 and first.mean_curvature == 0.0
+        assert all(np.isfinite(rs).all() for rs in seen)
+        assert all(math.isfinite(v) for _, d in track.samples
+                   for v in vars(d).values())
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            weak_imcf(tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0,
+                      n_samples=40)
+
+    def test_tanh_step_flow_counts(self, monkeypatch):
+        calls = {"find_root": 0, "triple": 0, "eval_d2": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(flow, "find_root",
+                            counted("find_root", flow.find_root))
+        for name in ("triple", "eval_d2"):
+            monkeypatch.setattr(FuncProfile, name,
+                                counted(name, getattr(FuncProfile, name)))
+        metric = tanh_step_mass_metric(1.0, 5.0, 1.0)
+        track = weak_imcf(metric, 0.5, 6.0, n_samples=40)
+        assert geroch_check(track).monotone
+        assert calls["find_root"] == 0
+        assert 1 <= calls["triple"] <= 5
+        assert calls["eval_d2"] <= 5
 
 
 class TestGeroch:

@@ -628,12 +628,39 @@ class TestMassProfileGenerator:
             mass_profile_metric(mu, a0=2.0, rho_max=10.0)
 
 
+def hex_rows(rows):
+    return [[x.hex() for x in np.asarray(row, dtype=float).tolist()]
+            for row in rows]
+
+
 class TestArrayValues:
-    """profile.values against the scalar eval_d2 it stands for."""
+    """profile.values and profile.triple against the scalar eval_d2 they
+    stand for: 0 ulp, sign of zero included, and the same first error."""
 
     @staticmethod
     def scalar(metric, rs):
-        return np.array([metric.profile_d2(float(r))[0] for r in rs])
+        return list(zip(*(metric.profile_d2(r) for r in rs.tolist())))
+
+    def check_bits(self, metric, rs):
+        want = self.scalar(metric, rs)
+        assert hex_rows([metric.profile.values(rs)]) == hex_rows(want[:1])
+        assert hex_rows(metric.profile.triple(rs)) == hex_rows(want)
+
+    @staticmethod
+    def check_first_error(metric, rs):
+        first = None
+        for r in rs.tolist():
+            try:
+                metric.profile_d2(r)
+            except EvalError as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        for form in (metric.profile.values, metric.profile.triple):
+            with pytest.raises(EvalError) as info:
+                form(rs)
+            assert str(info.value) == first
+        return first
 
     @pytest.mark.parametrize("metric, lo, hi, n", [
         (expr_metric(Gauge.GEODESIC, NECK), 0.0, 12.0, 2000),
@@ -648,44 +675,47 @@ class TestArrayValues:
     def test_bit_identical(self, metric, lo, hi, n):
         rs = np.geomspace(max(lo, 1e-6), hi, n)
         rs[0] = lo
-        assert np.array_equal(metric.profile.values(rs), self.scalar(metric, rs))
+        self.check_bits(metric, rs)
 
     def test_table_bit_identical(self, schwarzschild_csv):
         T = table_metric(Gauge.AREAL, schwarzschild_csv)
-        rs = np.geomspace(2.0, 1e6, 8192)
-        assert np.array_equal(T.profile.values(rs), self.scalar(T, rs))
-        with pytest.raises(EvalError, match="outside table range"):
-            T.profile.values(np.array([3.0, 2e6]))
+        self.check_bits(T, np.geomspace(2.0, 1e6, 8192))
+        # the radius past the end comes first; the one below the start is
+        # the array's minimum
+        first = self.check_first_error(T, np.array([3.0, 2e6, 1.0]))
+        assert "radius 2000000.0 outside table range" in first
 
     def test_generated_bit_identical(self):
         M = tanh_step_mass_metric(1.2, 4.0, 1.5)
         rs = np.concatenate(([0.0], np.geomspace(0.5, 200.0, 8190), [1e6]))
-        assert np.array_equal(M.profile.values(rs), self.scalar(M, rs))
+        self.check_bits(M, rs)
+        self.check_bits(scaled(M, 3.0), rs * 3.0)
 
     def test_stalled_warping_raises_like_scalar(self):
         # mu = rho outgrows a/2 near rho = 0.4 and the warping stalls for good
         M = mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0, rho_max=50.0)
         rs = np.geomspace(0.01, 20.0, 512)
-        first = None
-        for r in rs:
-            try:
-                M.area(float(r))
-            except EvalError as exc:
-                first = str(exc)
-                break
-        assert first is not None and "stalls" in first
-        with pytest.raises(EvalError) as info:
+        assert "stalls" in self.check_first_error(M, rs)
+        with pytest.raises(EvalError, match="stalls"):
             M.area(rs)
-        assert str(info.value) == first
+        self.check_first_error(scaled(M, 2.0), rs * 2.0)
+
+    def test_mass_profile_error_after_a_stall(self):
+        # mu raises past rho = 5 and the warping stalls near 0.4: the stall
+        # at the smaller radius comes first, as on the scalar path
+        def mu(rho):
+            if rho > 5.0:
+                raise EvalError(f"mu undefined at {rho}")
+            return rho, 1.0
+        M = mass_profile_metric(mu, a0=1.0, rho_max=5.0)
+        assert "stalls" in self.check_first_error(M, np.array([1.0, 6.0, 0.1]))
+        assert "mu undefined" in self.check_first_error(M, np.array([0.1, 6.0]))
 
     def test_converted_outside_range_raises_like_scalar(self):
         G = to_geodesic(schwarzschild(1.0))
-        rs = np.array([1.0, 2.0 * G.profile.r_max, -1.0])
-        with pytest.raises(EvalError, match="outside converted range") as scalar:
-            G.profile_d2(float(rs[1]))
-        with pytest.raises(EvalError) as array:
-            G.profile.values(rs)
-        assert str(array.value) == str(scalar.value)
+        first = self.check_first_error(
+            G, np.array([1.0, 2.0 * G.profile.r_max, -1.0]))
+        assert "outside converted range" in first
 
     def test_generated_scan_makes_no_scalar_calls(self, monkeypatch):
         calls = []
@@ -699,7 +729,25 @@ class TestArrayValues:
                   scaled(tanh_step_mass_metric(1.0, 5.0, 1.0), 2.0)):
             grid, areas = flow._area_grid(M, 0.5, 100.0)
             assert len(areas) == len(grid)
+            assert find_minimal_spheres(M) == []
         assert calls == []
+
+
+class TestArrayHypotheses:
+    """check_hypotheses with one triple call per probe grid reports what
+    the scalar profile calls report."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+        lambda: expr_metric(Gauge.GEODESIC, NECK),
+        lambda: to_geodesic(schwarzschild(1.0)),
+    ], ids=["generated", "neck", "converted"])
+    def test_report_equal_to_scalar_probes(self, make, monkeypatch):
+        got = check_hypotheses(make())
+        metric = make()
+        monkeypatch.setattr(metric.profile, "triple",
+                            lambda rs: geometry._mapped(metric.profile.eval_d2, rs))
+        assert got == check_hypotheses(metric)
 
 
 class TestMetricSpec:

@@ -15,7 +15,8 @@ from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket
 from isocap.geometry import TableProfile, metric_from_spec
 from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, dormand_prince,
                              extrapolate_limit, find_root, gauss_legendre,
-                             gauss_legendre_err, integrate, minimize_bounded)
+                             gauss_legendre_err, integrate, minimize_bounded,
+                             newton_roots)
 
 
 def simpson_oracle(f, lo, hi, n=1_000_001):
@@ -416,6 +417,52 @@ class TestFindRoot:
                     xtol=DEFAULT_CFG.root_tol, rtol=8.9e-16)
                 assert x == want
                 assert ours == theirs
+
+
+class TestNewtonRoots:
+    @staticmethod
+    def cubic(c, calls=None):
+        """fdf of x^3 - c_k, recording each call's element count."""
+        def fdf(x, k):
+            if calls is not None:
+                calls.append(len(k))
+            return x ** 3 - c[k], 3.0 * x * x
+        return fdf
+
+    def test_roots_within_the_find_root_tolerance(self):
+        c = np.geomspace(1e-6, 1e6, 41)
+        lo, hi = np.cbrt(c) * 0.9, np.cbrt(c) * 1.2
+        calls = []
+        x = newton_roots(self.cubic(c, calls), lo, lo, hi)
+        ref = [find_root(lambda v, ck=ck: v ** 3 - ck, a, b)
+               for ck, a, b in zip(c.tolist(), lo.tolist(), hi.tolist())]
+        tol = 2.0 * (DEFAULT_CFG.root_tol + 8.9e-16 * np.abs(x))
+        assert np.all(np.abs(x - ref) <= tol)
+        # solved elements drop out of the later calls
+        assert calls[0] == 41 and calls == sorted(calls, reverse=True)
+
+    def test_zero_at_the_start_is_taken_as_is(self):
+        x = newton_roots(lambda x, k: (x - 2.0, np.ones_like(x)),
+                         np.array([2.0]), np.array([2.0]), np.array([3.0]))
+        assert x.tolist() == [2.0]
+
+    def test_flat_start_bisects_without_nan(self):
+        # f' = 0 at the start: no Newton step, a bisection instead
+        seen = []
+
+        def fdf(x, k):
+            seen.extend(x.tolist())
+            return x * x - 1.0, 2.0 * x
+        x = newton_roots(fdf, np.array([0.0]), np.array([0.0]), np.array([3.0]))
+        assert abs(x[0] - 1.0) <= DEFAULT_CFG.root_tol
+        assert seen[1] == 1.5 and all(map(math.isfinite, seen))
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 2)
+        c = np.array([2.0])
+        with pytest.raises(NonConvergence, match="did not converge"):
+            newton_roots(self.cubic(c), np.array([0.0]), np.array([0.0]),
+                         np.array([10.0]))
 
 
 class TestMinimizeBounded:

@@ -382,9 +382,10 @@ RADII = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 1000.0, -1.5,
 
 
 def check_values_match_scalar(text, rs, a=2.0):
-    """values(rs) is bit-identical to eval_d2 at each radius; where some
-    radius raises, values raises the first radius' EvalError; a tie that
-    the scalar path warns about warns NonSmoothTie on the array path."""
+    """values(rs) and triple(rs) are bit-identical to eval_d2 at each
+    radius; where some radius raises, both raise the first radius'
+    EvalError; a tie that the scalar path warns about warns NonSmoothTie
+    on both array paths."""
     prof = geometry.ExprProfile(text, {"a": a})
     rs = np.array(rs, dtype=float)
     want, first = [], None
@@ -392,22 +393,25 @@ def check_values_match_scalar(text, rs, a=2.0):
         warnings.simplefilter("always")
         for r in rs.tolist():
             try:
-                want.append(prof.eval_d2(r)[0])
+                want.append(prof.eval_d2(r))
             except EvalError as exc:
                 first = str(exc)
                 break
-    with warnings.catch_warnings(record=True) as array_warnings:
-        warnings.simplefilter("always")
-        if first is None:
-            got = prof.values(rs)
-            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-        else:
-            with pytest.raises(EvalError) as info:
-                prof.values(rs)
-            assert str(info.value) == first
-    tie = [w.category is NonSmoothTie for w in scalar_warnings]
-    if any(tie):
-        assert any(w.category is NonSmoothTie for w in array_warnings)
+    tie = any(w.category is NonSmoothTie for w in scalar_warnings)
+    for form in (prof.values, prof.triple):
+        with warnings.catch_warnings(record=True) as array_warnings:
+            warnings.simplefilter("always")
+            if first is None:
+                got = form(rs)
+                got = [got] if form == prof.values else got
+                assert [[x.hex() for x in g.tolist()] for g in got] == \
+                    [[t[k].hex() for t in want] for k in range(len(got))]
+            else:
+                with pytest.raises(EvalError) as info:
+                    form(rs)
+                assert str(info.value) == first
+        if tie:
+            assert any(w.category is NonSmoothTie for w in array_warnings)
 
 
 @pytest.mark.parametrize("text,rs", [
@@ -431,6 +435,7 @@ def check_values_match_scalar(text, rs, a=2.0):
     ("pow(r - 1, 0) + pow(r - 1, 1) + (r-1)^(-1)", [2.0, 1.0]),
     ("tanh(r) * cos(r) - sin(r)", [0.3, -2.0, 1e200]),
     ("r*r", [1.0, 1e200]),
+    ("pow(r, -0)", [0.0, 1.0]),  # d/dr is -0.0 at the zero base, else 0.0
 ])
 def test_values_cases(text, rs):
     check_values_match_scalar(text, rs)

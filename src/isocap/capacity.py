@@ -303,7 +303,12 @@ def p_capacity(metric: RadialMetric, rho0: float, p: float,
 
 def one_capacity(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
-    """1-capacity: least enclosing-sphere area over 4pi (hull area)."""
+    """1-capacity: least enclosing-sphere area over 4pi (hull area).
+
+    On an areal metric the sphere at rho0 >= 0 is its own hull and no scan
+    is made; otherwise the hull is read off one area scan from rho0 (see
+    ``flow.outward_hull``).
+    """
     return _capacities(metric, [rho0], [1.0], cfg)[0][0]
 
 

@@ -107,10 +107,15 @@ def _read_hull(metric: RadialMetric, grid: np.ndarray, envelope: np.ndarray,
 def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
                    cfg: ToleranceConfig) -> List[Tuple[float, float]]:
     """(rho_star, hull_area) of each of the strictly increasing radii, all
-    read off one area scan from the innermost radius."""
+    read off one area scan from the innermost radius.
+
+    No scan is made where each sphere is its own hull: from the end of the
+    scan range on, and on an areal metric from r = 0 on, where the area
+    4*pi*r^2 only grows (``_read_hull`` would return (r, area(r)) too).
+    """
     metric.check_start(radii[0])
     limit = min(cfg.cutoff_radius, metric.r_max)
-    if radii[0] >= limit:
+    if radii[0] >= limit or (metric.gauge is Gauge.AREAL and radii[0] >= 0.0):
         return [(r, metric.area(r)) for r in radii]
     grid, areas = _area_grid(metric, radii[0], limit)
     envelope = _suffix_min(areas)
@@ -123,7 +128,9 @@ def outward_hull(metric: RadialMetric, rho0: float,
 
     Returns (rho_star, hull_area).  For an area profile that only grows
     this is (rho0, area(rho0)); past a neck it is the bottom of the
-    outermost dip at or below area(rho0).
+    outermost dip at or below area(rho0).  An areal sphere at r >= 0 is
+    its own hull and costs no scan; any other radius below the scan limit
+    costs one 8192-node area scan.
     """
     return _outward_hulls(metric, [rho0], cfg)[0]
 

@@ -355,7 +355,8 @@ class RadialMetric:
             anchors.insert(i + 1, rho)
         if len(cuts) > 1:
             sums = numerics.gauss_legendre(self._volume_density(),
-                                           np.array(lo), np.array(hi), cfg)
+                                           np.array(lo), np.array(hi),
+                                           cfg).tolist()
         # the same walk on the cache, now that every increment is known
         out: List[float] = []
         k = 0
@@ -366,7 +367,12 @@ class RadialMetric:
             i = bisect_right(self._vol_rho, rho) - 1
             val = self._vol_val[i]
             if rho - self._vol_rho[i] > 1e-14 * max(1.0, rho):
-                val += float(sums[cuts[k]:cuts[k + 1]].sum())
+                # left to right, as numpy sums up to 7 elements (at most 6
+                # panels here); built-in sum compensates from Python 3.12
+                inc = 0.0
+                for panel in sums[cuts[k]:cuts[k + 1]]:
+                    inc += panel
+                val += inc
                 k += 1
                 self._vol_rho.insert(i + 1, rho)
                 self._vol_val.insert(i + 1, val)

@@ -137,7 +137,8 @@ def default_r_grid(metric: RadialMetric,
 
     A boundary sphere of zero area is a pole, like flat space's centre at
     0: the capacitary radius is read 1e-3 past it, and the grid starts at
-    the pole.
+    the pole.  The boundary's 1-capacity costs one hull scan on a geodesic
+    metric and none on an areal one, whose spheres are their own hulls.
     """
     rho0, start = metric.domain_start, 0.0
     if rho0 >= 1e-3 and metric.area(rho0) == 0.0:

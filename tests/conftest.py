@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+from isocap import flow
+
 
 def pytest_terminal_summary(terminalreporter):
     # surface the one-line acceptance criterion results in every run,
@@ -23,3 +25,31 @@ def schwarzschild_csv(tmp_path_factory):
     rows = "".join(f"{r!r},{1.0 - 2.0 / r!r}\n" for r in radii.tolist())
     path.write_text("r,f\n" + rows)
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def table_400(tmp_path_factory):
+    """Areal Schwarzschild f = 1 - 2/r (m = 1) tabulated in 400 rows."""
+    path = tmp_path_factory.mktemp("tables") / "schwarzschild_400.csv"
+    radii = np.geomspace(2.0, 1e6, 400)
+    path.write_text("r,f\n" + "".join(f"{r!r},{1.0 - 2.0 / r!r}\n"
+                                       for r in radii.tolist()))
+    return str(path)
+
+
+def _scan_read(metric, radii, cfg):
+    """The hulls of strictly increasing radii read off one area scan from
+    the innermost radius (``flow._outward_hulls`` below the scan limit,
+    without its areal shortcut)."""
+    metric.check_start(radii[0])
+    limit = min(cfg.cutoff_radius, metric.r_max)
+    if radii[0] >= limit:
+        return [(r, metric.area(r)) for r in radii]
+    grid, areas = flow._area_grid(metric, radii[0], limit)
+    envelope = flow._suffix_min(areas)
+    return [flow._read_hull(metric, grid, envelope, r, cfg) for r in radii]
+
+
+@pytest.fixture
+def scan_read():
+    return _scan_read

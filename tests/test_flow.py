@@ -12,9 +12,9 @@ from isocap.errors import (DomainError, InsufficientData, NoBracket,
 from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
                          flow_to_csv, geroch_check, outward_hull, weak_imcf,
                          willmore_limit)
-from isocap.geometry import (FuncProfile, Gauge, expr_metric, flat, scaled,
-                             schwarzschild, spheres, tanh_step_mass_metric,
-                             to_geodesic)
+from isocap.geometry import (FuncProfile, Gauge, expr_metric, flat,
+                             metric_from_spec, scaled, schwarzschild, spheres,
+                             table_metric, tanh_step_mass_metric, to_geodesic)
 from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
@@ -99,6 +99,70 @@ class TestMultiRadiusHull:
     def test_below_domain(self):
         with pytest.raises(DomainError):
             _outward_hulls(schwarzschild(1.0), [1.5, 3.0], DEFAULT_CFG)
+
+
+def _hex(hulls):
+    return [(float(rho).hex(), float(area).hex()) for rho, area in hulls]
+
+
+class TestArealHull:
+    """An areal sphere at r >= 0 is its own hull: no scan, and the bits of
+    the scan read."""
+
+    METRICS = {
+        "schwarzschild": lambda: schwarzschild(1.0),
+        "rn-throat": lambda: expr_metric(
+            Gauge.AREAL, "1 - 2*m/r + q^2/r^2", {"m": 1.3, "q": 0.6},
+            domain_start=1.3 + math.sqrt(1.3 ** 2 - 0.6 ** 2)),
+        "expr-spec": lambda: metric_from_spec("expr:areal:1"),
+        "from-zero": lambda: expr_metric(Gauge.AREAL, "1", domain_start=0.0),
+    }
+
+    def radii(self, metric, first):
+        """The domain start (or first), a radius between scan nodes, one
+        just below the scan limit and two at or past it."""
+        limit = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
+        nodes = flow._area_grid(metric, first, limit)[0]
+        return [first, float(0.5 * (nodes[1234] + nodes[1235])),
+                float(np.nextafter(limit, 0.0)), limit, 2.0 * limit]
+
+    @pytest.mark.parametrize("name", [*METRICS, "table"])
+    def test_bits_of_the_scan_read(self, name, table_400, scan_read,
+                                   monkeypatch):
+        make = self.METRICS.get(name, lambda: table_metric(Gauge.AREAL, table_400))
+        metric, area_grid = make(), flow._area_grid
+        firsts = [metric.domain_start]
+        if name == "from-zero":
+            firsts.append(-1e-13)  # below 0 within the start slack: scanned
+        for first in firsts:
+            radii = self.radii(metric, first)
+            want = scan_read(metric, radii, DEFAULT_CFG)
+            assert [rho for rho, _ in want] == radii  # nothing dips
+            singles = [scan_read(metric, [r], DEFAULT_CFG)[0]
+                       for r in radii if r < radii[-2]]
+            scans = []
+            with monkeypatch.context() as mp:
+                mp.setattr(flow, "_area_grid",
+                           lambda *a: scans.append(a[1]) or area_grid(*a))
+                hulls = _outward_hulls(metric, radii, DEFAULT_CFG)
+                lone = [outward_hull(metric, r) for r in radii[:-2]]
+            assert _hex(hulls) == _hex(want)
+            assert _hex(lone) == _hex(singles)
+            # below 0 both the list and the lone first radius are scanned
+            assert scans == ([] if first >= 0.0 else [first, first])
+
+    def test_negative_start_scans(self, monkeypatch):
+        # the area 4*pi*r^2 falls on [-1, 0]: the hull of r = -1 is the
+        # point sphere at 0, found by the scan
+        metric = expr_metric(Gauge.AREAL, "1", domain_start=-1.0)
+        scans, area_grid = [], flow._area_grid
+        monkeypatch.setattr(flow, "_area_grid",
+                            lambda *a: scans.append(a[1]) or area_grid(*a))
+        (rho, area), (rho2, area2) = _outward_hulls(metric, [-1.0, 2.0],
+                                                    DEFAULT_CFG)
+        assert scans == [-1.0]
+        assert abs(rho) < 1e-6 and area < 1e-10
+        assert (rho2, area2) == (2.0, 16.0 * math.pi)
 
 
 class TestAreaLaw:

@@ -59,6 +59,8 @@ class TestSchwarzschild:
             assert v == pytest.approx(quasilocal_mass(S, r, p), abs=1e-9)
 
     def test_p1_sequence_scans_once(self, monkeypatch):
+        # an areal sphere is its own hull: no scan; a geodesic metric reads
+        # every hull of the sequence off one scan from its first radius
         starts = []
         area_grid = flow._area_grid
 
@@ -66,8 +68,13 @@ class TestSchwarzschild:
             starts.append(lo)
             return area_grid(metric, lo, hi)
         monkeypatch.setattr(flow, "_area_grid", counted)
-        total_mass(schwarzschild(1.0), 1.0, GRID)
-        assert starts == [GRID[0]]
+        for make, scans in [(lambda: schwarzschild(1.0), []),
+                            (lambda: to_geodesic(schwarzschild(1.0)), [GRID[0]]),
+                            (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+                             [GRID[0]])]:
+            starts.clear()
+            total_mass(make(), 1.0, GRID)
+            assert starts == scans
 
     @pytest.mark.parametrize("p", [1.0, 2.0, None])
     def test_empty_grid(self, p):
@@ -129,16 +136,6 @@ def _reissner_nordstrom(m, q):
                                {"m": m, "q": q}, domain_start=r_plus)
 
 
-@pytest.fixture(scope="module")
-def table_400(tmp_path_factory):
-    """Areal Schwarzschild f = 1 - 2/r (m = 1) tabulated in 400 rows."""
-    path = tmp_path_factory.mktemp("tables") / "schwarzschild_400.csv"
-    radii = np.geomspace(2.0, 1e6, 400)
-    path.write_text("r,f\n" + "".join(f"{r!r},{1.0 - 2.0 / r!r}\n"
-                                       for r in radii.tolist()))
-    return str(path)
-
-
 class TestTotalMasses:
     """One capacity pass for a whole p-grid, with the bits of one
     ``total_mass`` call per entry."""
@@ -168,6 +165,25 @@ class TestTotalMasses:
         assert [rep.p for rep in reports] == p_grid
         if name == "cylinder":
             assert {rep.verdict for rep in reports} == {DIVERGENT}
+
+    @pytest.mark.parametrize("name", ["schwarzschild", "rn-0.5", "table"])
+    def test_areal_p_grid_makes_no_scan(self, name, table_400, scan_read,
+                                        monkeypatch):
+        make = self.METRICS.get(
+            name, lambda: table_metric(Gauge.AREAL, table_400))
+        # the scan read costs two scans: the default grid's boundary hull
+        # and the p = 1 row
+        p_grid, scans = [1.0, 1.5, 2.0, 2.5, None], []
+        area_grid = flow._area_grid
+        monkeypatch.setattr(flow, "_area_grid",
+                            lambda *a: scans.append(a[1]) or area_grid(*a))
+        with monkeypatch.context() as mp:
+            mp.setattr(capacity, "_outward_hulls", scan_read)
+            scanned = total_masses(make(), p_grid)
+        assert len(scans) == 2
+        scans.clear()
+        assert total_masses(make(), p_grid) == scanned
+        assert scans == []
 
     def test_one_volumes_call(self):
         M, calls = schwarzschild(1.0), []

@@ -42,6 +42,9 @@ from .numerics import DEFAULT_CFG, ToleranceConfig, find_root
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
+# |f(domain_start)| of an areal metric up to which f vanishes there (a
+# throat), so that a rounded f slightly below 0 still counts as 0
+_THROAT_TOL = 1e-10
 
 
 class Gauge(enum.Enum):
@@ -279,9 +282,9 @@ class RadialMetric:
             return self._xi
         r_min = self.domain_start
         f0, f0_d1, f0_d2 = self.profile_d2(r_min)
-        if f0 < -1e-10:
+        if f0 < -_THROAT_TOL:
             raise EvalError(f"areal coefficient f({r_min}) = {f0} < 0")
-        has_throat = abs(f0) <= 1e-10
+        has_throat = abs(f0) <= _THROAT_TOL
         if has_throat:
             # Check the throat is an integrable inverse square root:
             # f ~ c*(r-r_min)^beta needs beta < 2.
@@ -408,7 +411,9 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
     has them, and the volumes from one ``RadialMetric.volumes`` call.  On a
     gauge-converted metric without ``triples``, one solve gives both.  A
     single radius takes ``eval_d2``, with the same bits: numpy's per-call
-    overhead makes a one-element array cost more than the scalar path.
+    overhead makes a one-element array cost more than the scalar path.  An
+    areal f at domain_start within _THROAT_TOL below 0 counts as 0 (a
+    throat); any other f < 0 raises EvalError.
     """
     for rho in radii:
         metric.check_start(rho)
@@ -436,6 +441,8 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
             R = 2.0 * (1.0 - ap * ap - 2.0 * a * app) / (a * a)
         else:
             f, fp = v, d1
+            if -_THROAT_TOL <= f < 0.0 and rho == metric.domain_start:
+                f = 0.0  # a throat, where f rounds below 0
             if f < 0.0:
                 raise EvalError(f"areal coefficient f({rho}) = {f} < 0")
             H = 2.0 * math.sqrt(f) / rho

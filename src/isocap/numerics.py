@@ -1,15 +1,16 @@
 """Deterministic numerics shared by every other module.
 
-Adaptive Gauss-Kronrod quadrature on finite intervals, fixed-rule
-quadrature over arrays of panels, antiderivatives as per-panel Legendre
-series and their inverse, piecewise cubic Hermite interpolation
-with monotone (PCHIP) slopes, a scalar Runge-Kutta ODE solver with dense
-output, bracketed root finding and minimization (Brent 1973), and Aitken
-limit extrapolation.  Both quadratures take array integrands: the
-fixed rule sums any number of panels from one call, and the adaptive rule
-makes one call per bisection, within ``ToleranceConfig.max_subdivisions``
-subintervals.  All routines are pure functions of their inputs; there is
-no shared mutable state, and none needs more than numpy.
+Quadrature over arrays of panels: a fixed Gauss-Legendre rule, and one
+adaptive refinement behind it, which halves the panels the fixed rule
+flags level by level on the 21-point Gauss-Kronrod rule, one integrand
+call per level for all of them, within ``ToleranceConfig.max_subdivisions``
+pieces per panel; ``integrate`` is that refinement on one finite interval.
+Antiderivatives as per-panel Legendre series and their inverse, piecewise
+cubic Hermite interpolation with monotone (PCHIP) slopes, a scalar
+Runge-Kutta ODE solver with dense output, bracketed root finding and
+minimization (Brent 1973), and Aitken limit extrapolation.  All routines
+are pure functions of their inputs; there is no shared mutable state, and
+none needs more than numpy.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ class ToleranceConfig:
     quad_abs_tol: float = 1e-12
     root_tol: float = 1e-12
     max_subdivisions: int = 60
-    """Budget of ``integrate``: the most subintervals it bisects the range
-    into, so at most this many integrand calls.  On an exhausted budget
-    the value stands if finite and its error estimate is within 1e3 times
-    max(quad_abs_tol, quad_rel_tol*|value|); otherwise NonConvergence."""
+    """Budget of the adaptive refinement (``_refine``): the most pieces it
+    halves one panel into, an integer >= 1.  On an exhausted budget the
+    panel's value stands if finite and its error estimate is within 1e3
+    times its allowance, max(quad_abs_tol, quad_rel_tol*|value|) for
+    ``integrate``; otherwise NonConvergence."""
     extrap_terms: int = 6
     cutoff_radius: float = 1e8
 
@@ -54,6 +56,9 @@ class ToleranceConfig:
             raise ValueError("tolerances and cutoff_radius must be finite")
         if min(self.quad_rel_tol, self.quad_abs_tol, self.root_tol) <= 0.0:
             raise ValueError("tolerances must be strictly positive")
+        budget = self.max_subdivisions
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise ValueError("max_subdivisions must be an integer >= 1")
         if self.extrap_terms < 3:
             raise ValueError("extrap_terms must be at least 3")
         if self.cutoff_radius <= 1.0:
@@ -103,73 +108,101 @@ _EPS = float(np.finfo(float).eps)
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
               cfg: ToleranceConfig = DEFAULT_CFG) -> Tuple[float, float]:
-    """Integrate f over the finite interval (lo, hi).
-
-    f maps a 1-D array of points to the integrand there.  Adaptive
-    Gauss-Kronrod quadrature (Piessens et al. 1983): the interval is summed
-    by the rule of ``_kronrod``, then the subinterval with the largest error
-    estimate is bisected, one call of f serving both halves, until the
-    summed estimate is within max(quad_abs_tol, quad_rel_tol*|value|) or
-    there are max_subdivisions subintervals.  Returns the value and the
-    summed estimate.  A tail out to infinity is left to the caller, as
-    ``capacity`` integrates its tail in closed form: a map of [lo, inf)
-    onto a finite range resolves one scale only, and misses a tail that
-    lives far from it.
-
-    Raises ConfigError when a bound is infinite; NonConvergence when the
-    value is not finite, or when the budget is exhausted with an estimate
-    above 1e3 times the requested accuracy; DomainError when lo >= hi.
-    """
+    """Integrate f, which maps a 1-D array of points to the integrand there,
+    over the finite interval (lo, hi), one panel of ``_refine`` with the
+    allowance max(quad_abs_tol, quad_rel_tol*|value|); returns the value
+    and the summed error estimate.  A tail out to infinity is left to the
+    caller, as ``capacity`` integrates its tail in closed form: a map of
+    [lo, inf) onto a finite range resolves one scale only, and misses a
+    tail that lives far from it.  Raises ConfigError when a bound is
+    infinite; NonConvergence as ``_refine`` does; DomainError when
+    lo >= hi."""
     if math.isinf(lo) or math.isinf(hi):
         raise ConfigError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    a, b = float(lo), float(hi)
-    # one entry per subinterval: its edges, sum and error estimate
-    edges = [(a, b)]
-    sums, errs = (v.tolist() for v in _kronrod(f, np.array([a]), np.array([b])))
-    while True:
-        value, err = sum(sums), sum(errs)
-        budget = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(value))
-        if err <= budget or len(edges) >= cfg.max_subdivisions:
-            break
-        k = errs.index(max(errs))
-        left, right = edges[k]
-        mid = 0.5 * (left + right)
-        halves, half_errs = _kronrod(f, np.array([left, mid]),
-                                     np.array([mid, right]))
-        edges[k:k + 1] = (left, mid), (mid, right)
-        sums[k:k + 1] = halves.tolist()
-        errs[k:k + 1] = half_errs.tolist()
-    if not math.isfinite(value) or err > 1e3 * budget:
-        raise NonConvergence(f"quadrature failed on [{lo}, {hi}]: value "
-                             f"{value}, error estimate {err} after "
-                             f"{len(edges)} subintervals")
-    return value, err
+    *_, total, err = _refine(f, np.array([float(lo)]), np.array([float(hi)]),
+                             np.zeros((1, 1)), cfg)
+    return float(total[0, 0]), float(err[0, 0])
 
 
-def _kronrod(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-             hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """21-point Gauss-Kronrod sums of g over the panels [lo[k], hi[k]] of
-    two 1-D arrays, from one call of g, and the error estimate of each.
-
-    The estimate is QUADPACK's: the difference d from the embedded 10-point
-    Gauss rule, scaled to resasc*min(1, (200*d/resasc)^1.5), where resasc
-    is the integral of |g - mean of g|, and kept above 50 ulp of the
-    integral of |g|.  A panel whose estimate is NaN gets inf, so it is the
-    first to be bisected.
-    """
-    half = (0.5 * (hi - lo))[:, None]
-    nodes = (0.5 * (lo + hi))[:, None] + half * _GK_X
-    y = half * g(nodes.ravel()).reshape(nodes.shape)
+def _gauss_kronrod(density: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                   hi: np.ndarray) -> tuple:
+    """21-point Gauss-Kronrod sums (Piessens et al. 1983) over the pieces
+    [lo[k], hi[k]] from one call of density (1-D points to one row or a 2-D
+    array of rows): the samples at ``_GK_X``, shape (pieces, rows, 21), and
+    each row's sum, estimate, and whether the estimate is inf or above its
+    floor, 50 ulp of the integral of |g|.  The estimate is inf where the
+    difference d from the 10-point Gauss rule is not finite, else the larger
+    of d and QUADPACK's resasc*min(1, (200*d/resasc)^1.5), resasc being the
+    integral of |g - mean g|: at a kink both rules err alike."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+    y = np.reshape(density(nodes.ravel()), (-1,) + nodes.shape).swapaxes(0, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sums = (y * _GK_W).sum(axis=1)
-        diff = np.abs(sums - (y[:, :10] * _GL10_W).sum(axis=1))
-        resasc = (np.abs(y - 0.5 * sums[:, None]) * _GK_W).sum(axis=1)
-        errs = np.where(resasc > 0.0, resasc * np.minimum(
-            1.0, (200.0 * diff / resasc) ** 1.5), diff)
-        errs = np.maximum(errs, 50.0 * _EPS * (np.abs(y) * _GK_W).sum(axis=1))
-    return sums, np.where(np.isnan(errs), np.inf, errs)
+        scaled = half[:, None, None] * y
+        sums = (scaled * _GK_W).sum(axis=-1)
+        diff = np.abs(sums - (scaled[..., :10] * _GL10_W).sum(axis=-1))
+        resasc = (np.abs(scaled - 0.5 * sums[..., None]) * _GK_W).sum(axis=-1)
+        rough = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+        floor = 50.0 * _EPS * (np.abs(scaled) * _GK_W).sum(axis=-1)
+    est = np.where(np.isfinite(diff), np.fmax(np.fmax(diff, rough), floor), np.inf)
+    return y, sums, est, (est > floor) | np.isinf(est)
+
+
+def _refine(density: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, scale: np.ndarray, cfg: ToleranceConfig,
+            rows: Optional[np.ndarray] = None) -> tuple:
+    """Adaptive ``_gauss_kronrod`` sums over the panels [lo[k], hi[k]], in
+    the rows of each that the boolean array rows marks (all by default;
+    rows and scale have shape (rows, panels)).  A panel's allowance in a
+    row is max(quad_abs_tol, quad_rel_tol*max(scale, |sum|)), what is not
+    finite counting as 0.  Level by level, in one density call, a panel
+    whose summed estimates exceed its allowance in a marked row halves
+    each piece whose estimate exceeds, in a marked row, its floor and the
+    allowance over the panel's piece count, the largest relative to the
+    allowance first, up to max_subdivisions pieces.  A panel with no piece
+    to halve stands if, in every marked row, its sum is finite and its
+    summed estimates are within 1e3 allowances; else NonConvergence.
+    Returns the pieces' edges and samples at ``_GK_X``, shape
+    (pieces, rows, 21), and the panel sums and estimates, (rows, panels)."""
+    n = lo.size
+    scale = np.where(np.isfinite(scale), scale, 0.0)
+    rows = np.ones(scale.shape, dtype=bool) if rows is None else rows
+    owner, count, p_lo, p_hi = np.arange(n), np.ones(n, dtype=int), lo, hi
+    y, sums, est, above = _gauss_kronrod(density, lo, hi)
+    while True:
+        total, err = (np.array([np.bincount(owner, weights=row, minlength=n)
+                                for row in v.T]) for v in (sums, est))
+        size = np.fmax(scale, np.abs(np.where(np.isfinite(total), total, 0.0)))
+        allow = np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * size)
+        with np.errstate(over="ignore"):
+            excess = np.max(np.where(rows[:, owner].T & above,
+                                     est / allow[:, owner].T, 0.0), axis=1)
+        done = np.all((err <= allow) | ~rows, axis=0)
+        split = ~done[owner] & (excess * count[owner] > 1.0)
+        # panel by panel, the pieces to halve first, largest excess first
+        pick = np.lexsort((-excess, ~split, owner))
+        rank = np.arange(pick.size) - np.searchsorted(owner[pick], owner[pick])
+        split[pick[rank >= (cfg.max_subdivisions - count)[owner[pick]]]] = False
+        grow = np.bincount(owner[split], minlength=n)
+        stands = np.all(((err <= 1e3 * allow) & np.isfinite(total)) | ~rows, axis=0)
+        for k in np.flatnonzero((grow == 0) & ~stands):
+            raise NonConvergence(
+                f"quadrature failed on [{lo[k]}, {hi[k]}]: values "
+                f"{total[rows[:, k], k].tolist()}, error estimates "
+                f"{err[rows[:, k], k].tolist()} after {count[k]} pieces")
+        if not split.any():
+            return p_lo, p_hi, y, total, err
+        count += grow
+        a, b = p_lo[split], p_hi[split]
+        mid = 0.5 * (a + b)
+        new_lo, new_hi = np.concatenate((a, mid)), np.concatenate((mid, b))
+        new = (np.tile(owner[split], 2), new_lo, new_hi,
+               *_gauss_kronrod(density, new_lo, new_hi))
+        owner, p_lo, p_hi, y, sums, est, above = (
+            np.concatenate((v[~split], w))
+            for v, w in zip((owner, p_lo, p_hi, y, sums, est, above), new))
 
 
 def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -182,38 +215,36 @@ def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     density maps a 1-D array of points to the integrand there, or to a 2-D
     array with one row per integrand, and then the sums and estimates have
     one row per integrand too; one call serves every node of every panel.
-    Each panel is summed by the 10-point Gauss-Legendre rule, and its error
-    estimate is the difference from the 5-point rule.  Where that
-    difference exceeds quad_rel_tol relative, say at a kink or on a panel
-    too wide for the rule, or where a sum is not finite, the panel is
-    integrated by ``integrate`` instead, with its estimate: adaptive
-    bisection that calls density once per bisection, on the 21 nodes of
-    each half.  The difference is relative to the panel's
-    own sum, or, when ``group`` maps each panel to the index of a total it
-    is added into, to the sum of |panel sums| of that total, in the panel's
-    own row.  Without ``group`` a panel's sum depends on that panel alone,
-    bit for bit, whatever the other panels; with it, on its group too, which
-    decides whether it falls back.  A row's sums never depend on the other
-    rows.
+    Each panel is summed by the 10-point Gauss-Legendre rule, its estimate
+    being the difference from the 5-point rule.  Where that is not within
+    quad_rel_tol of the panel's |sum|, or, when ``group`` maps each panel
+    to the index of a total it is added into, of that total's sum of
+    |panel sums|, that row of the panel takes the sum and estimate of
+    ``_refine``, as a panel of its own refined in that row alone.  Without
+    ``group`` a panel's sum depends on that panel alone, bit for bit; with
+    it, on its group too.  A row's sums never depend on the other rows.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = (0.5 * (hi - lo))[:, None]
     nodes = (0.5 * (lo + hi))[:, None] + half * _GL_X
     y = density(nodes.ravel())
-    y = half * y.reshape(y.shape[:-1] + nodes.shape)
+    one_row = y.ndim == 1
+    y = half * y.reshape((-1,) + nodes.shape)
     # row sums by numpy's reduction, not a matrix product: BLAS may sum a
     # row in an order that depends on the number of rows
     sums = (y[..., :10] * _GL10_W).sum(axis=-1)
     errs = np.abs(sums - (y[..., 10:] * _GL5_W).sum(axis=-1))
     scale = np.abs(sums)
     if group is not None:
-        scale = np.apply_along_axis(
-            lambda row: np.bincount(group, weights=row)[group], -1, scale)
-    for at in zip(*np.nonzero(~(errs <= cfg.quad_rel_tol * scale))):
-        # at is (k,) for one integrand, (row, k) for several
-        f = density if sums.ndim == 1 else lambda x, j=at[0]: density(x)[j]
-        sums[at], errs[at] = integrate(f, lo[at[-1]], hi[at[-1]], cfg)
-    return sums, errs
+        scale = np.array([np.bincount(group, weights=row)[group] for row in scale])
+    row, k = np.nonzero(~(errs <= cfg.quad_rel_tol * scale))
+    if k.size:
+        item, shape = np.arange(k.size), (sums.shape[0], k.size)
+        own, mark = np.zeros(shape), np.zeros(shape, dtype=bool)
+        own[row, item], mark[row, item] = scale[row, k], True
+        *_, total, err = _refine(density, lo[k], hi[k], own, cfg, mark)
+        sums[row, k], errs[row, k] = total[row, item], err[row, item]
+    return (sums[0], errs[0]) if one_row else (sums, errs)
 
 
 def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -306,69 +337,35 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     density maps a 1-D array of points to a 2-D array with one row per
     integrand.  Each panel [lo[k], hi[k]] is sampled at the 15 nodes of
     ``gauss_legendre_err`` and passes, as there, where in every row the
-    10-point sum is within quad_rel_tol of itself from the 5-point one.  A
-    panel that fails is halved level by level, all failing halves of a
-    level in one density call, until every piece passes; a piece passes
-    where the difference is within its share, by width, of its panel's
-    allowance, so the differences of a panel's pieces add up to at most
-    that allowance, and a kink where the density vanishes is resolved in
-    a bounded number of levels.  Once halving a panel
-    again would give it more than max_subdivisions pieces, its pieces
-    stand if, in every row, their summed sums are finite and their summed
-    differences are within 1e3 times max(quad_abs_tol, quad_rel_tol*|sum|),
-    as ``integrate`` accepts an exhausted budget; otherwise NonConvergence.
-
-    Returns the pieces sorted by lo: their edges lo and hi, the 11
-    coefficients in the piece's local variable t = (2x - lo - hi)/(hi - lo)
-    of each row's antiderivative from lo (``legendre_integral`` scaled by
-    the half width), shape (rows, pieces, 11), and each row's 10-point sum
-    over each piece, shape (rows, pieces).
+    10-point sum is within quad_rel_tol of itself from the 5-point one.
+    The panels that fail go to ``_refine`` together, with their |10-point
+    sums| as scale; the first 10 of a refined piece's 21 nodes are the
+    Gauss nodes.  Returns the pieces sorted by lo: their edges lo and hi,
+    each row's antiderivative from lo as 11 coefficients in the local
+    t = (2x - lo - hi)/(hi - lo), ``legendre_integral`` of the 10 Gauss
+    samples times the half width, shape (rows, pieces, 11), and the
+    10-point sums of the same samples, shape (rows, pieces).
     """
-    lo0 = lo = np.asarray(lo, dtype=float)
-    hi0 = hi = np.asarray(hi, dtype=float)
-    owner = np.arange(lo.size)  # the panel each piece of this level halves
-    pieces = np.ones(lo.size, dtype=int)
-    done = []  # (owner, lo, hi, coefficients, sums, errs) of accepted pieces
-    while lo.size:
-        half = 0.5 * (hi - lo)
-        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
-        y = density(nodes.ravel())
-        y = y.reshape(y.shape[:-1] + nodes.shape)
-        sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
-        errs = np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
-        if not done:
-            tol = cfg.quad_rel_tol * np.abs(sums)
-        # a piece may have its share, by width, of its panel's tolerance
-        bad = ~np.all(errs * (hi0 - lo0)[owner] <= tol[:, owner] * (hi - lo),
-                      axis=0)
-        more = pieces + np.bincount(owner[bad], minlength=pieces.size)
-        for k in np.flatnonzero(more > cfg.max_subdivisions):
-            # panel k's budget is spent: its pieces stand, good or not
-            mine = [(s[:, o == k], e[:, o == k]) for o, _, _, _, s, e in done]
-            mine.append((sums[:, owner == k], errs[:, owner == k]))
-            total, err = (np.concatenate(v, axis=1).sum(axis=1) for v in zip(*mine))
-            budget = np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(total))
-            if not np.all(np.isfinite(total) & (err <= 1e3 * budget)):
-                raise NonConvergence(
-                    f"quadrature failed on [{lo0[k]}, {hi0[k]}]: values "
-                    f"{total.tolist()}, error estimates {err.tolist()} after "
-                    f"{pieces[k]} pieces")
-            bad &= owner != k
-        good = ~bad
-        pieces += np.bincount(owner[bad], minlength=pieces.size)
-        done.append((owner[good], lo[good], hi[good],
-                     half[good, None] * legendre_integral(y[:, good, :10]),
-                     sums[:, good], errs[:, good]))
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo, hi = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
-        owner = np.concatenate((owner[bad], owner[bad]))
-    if len(done) == 1:
-        return done[0][1:5]
-    _, lo, hi, coeffs, sums, _ = zip(*done)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+    y = density(nodes.ravel())
+    y = y.reshape(y.shape[:-1] + nodes.shape)
+    sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
+    errs = np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
+    good = np.all(errs <= cfg.quad_rel_tol * np.abs(sums), axis=0)
+    coeffs = half[good, None] * legendre_integral(y[:, good, :10])
+    if good.all():
+        return lo, hi, coeffs, sums
+    p_lo, p_hi, p_y, _, _ = _refine(density, lo[~good], hi[~good],
+                                    np.abs(sums[:, ~good]), cfg)
+    half, p_y = 0.5 * (p_hi - p_lo), p_y[..., :10].swapaxes(0, 1)
+    lo, hi = np.concatenate((lo[good], p_lo)), np.concatenate((hi[good], p_hi))
+    coeffs = np.concatenate((coeffs, half[:, None] * legendre_integral(p_y)), axis=1)
+    sums = np.concatenate((sums[:, good], half * np.einsum("...j,j->...", p_y, _GL10_W)),
+                          axis=1)
     order = np.argsort(lo)
-    return (lo[order], hi[order], np.concatenate(coeffs, axis=1)[:, order],
-            np.concatenate(sums, axis=1)[:, order])
+    return lo[order], hi[order], coeffs[:, order], sums[:, order]
 
 
 def hermite(x, y0, d0, c2, c3):

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from isocap import flow
+from isocap import flow, numerics
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -53,3 +53,19 @@ def _scan_read(metric, radii, cfg):
 @pytest.fixture
 def scan_read():
     return _scan_read
+
+
+@pytest.fixture
+def refined(monkeypatch):
+    """The panels sent to the adaptive refinement, ``numerics._refine``:
+    one list per call, of (rows refined, lo, hi) per panel."""
+    calls = []
+    core = numerics._refine
+
+    def spy(density, lo, hi, scale, cfg, rows=None):
+        marked = np.ones(scale.shape, dtype=bool) if rows is None else rows
+        calls.append([(tuple(np.flatnonzero(m).tolist()), a, b)
+                      for m, a, b in zip(marked.T, lo.tolist(), hi.tolist())])
+        return core(density, lo, hi, scale, cfg, rows)
+    monkeypatch.setattr(numerics, "_refine", spy)
+    return calls

@@ -118,14 +118,31 @@ class TestReissnerNordstromOracle:
 class TestCapacityQuadrature:
     @pytest.mark.parametrize("p", [1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 2.999])
     def test_no_adaptive_fallback(self, monkeypatch, p):
-        # every panel passes the fixed rule's check: no adaptive fallback
-        def refuse(*args):
-            raise AssertionError(f"integrate called on {args[1:3]}")
-        monkeypatch.setattr(numerics, "integrate", refuse)
+        # every panel passes the fixed rule's check: no adaptive refinement
+        def refuse(density, lo, hi, scale, cfg):
+            raise AssertionError(f"refinement called on {lo}, {hi}")
+        monkeypatch.setattr(numerics, "_refine", refuse)
         for metric, radii in ((schwarzschild(1.0), [2.0, 3.0, 6.0, 12.0]),
                               (schwarzschild(1.0), [100.0 * 2 ** k for k in range(6)]),
                               (flat(), [0.5, 1.0, 1000.0])):
             _capacities(metric, radii, [p], DEFAULT_CFG)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_refined_kinks_honest(self, refined, p):
+        # the panels holding the kinks of f = min(1 - 2/r, 0.5 + 0.01*r) at
+        # r = 4.38 and 45.6 are refined; against a run at 1e-12, err bounds
+        # the capacity's error, where the bare 21- vs 10-point difference
+        # understates it 10-fold at p = 2 from r = 2
+        metric = expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)", domain_start=2.0)
+        tight = numerics.ToleranceConfig(quad_rel_tol=1e-12, quad_abs_tol=1e-20,
+                                         max_subdivisions=200)
+        for r0 in (2.0, 3.0):
+            refined.clear()
+            res = p_capacity(metric, r0, p)
+            assert refined
+            ref = p_capacity(metric, r0, p, cfg=tight)
+            assert abs(res.ncap - ref.ncap) <= res.err_estimate
+            assert ref.err_estimate <= 1e-11 * ref.ncap
 
     @pytest.mark.parametrize("p", [1.05, 1.8, 2.999])
     def test_tail_exact_on_two_terms(self, p):

@@ -59,6 +59,34 @@ class TestSphere:
         assert code == 3
         assert "DomainError" in err and "zero area" in err
 
+    # f(r_min) rounds to -5.6e-17 at this outer horizon
+    HORIZON = "2.4532562594670795"
+    RN_HORIZON = "expr:areal:1-2*m/r+q^2/r^2:m=1.3,q=0.6,r_min=" + HORIZON
+
+    def test_at_outer_horizon(self, capsys):
+        # f rounds below 0 by less than the throat tolerance at the domain
+        # start: read as 0, so H and the Willmore energy vanish
+        assert ExprProfile("1-2*m/r+q^2/r^2", {"m": 1.3, "q": 0.6}).eval_d2(
+            float(self.HORIZON))[0] < 0.0
+        code, out, _ = run(capsys, "sphere", "--metric", self.RN_HORIZON,
+                           "--rho", self.HORIZON, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["m_H"] == pytest.approx(float(self.HORIZON) / 2, rel=1e-12)
+        assert obj["H"] == 0.0 and obj["willmore"] == 0.0 and obj["volume"] == 0.0
+        code, out, _ = run(capsys, "flow", "--metric", self.RN_HORIZON,
+                           "--rho0", self.HORIZON, "--tmax", "1", "--samples", "3")
+        assert code == 0 and len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize("spec, rho", [
+        ("expr:areal:1-2/r-1e-9:r_min=2", "2"),  # f = -1e-9 at the start
+        ("expr:areal:(r-3)^2-1e-12:r_min=2", "3"),  # f < 0 past the start
+    ])
+    def test_negative_f_exit_3(self, capsys, spec, rho):
+        code, _, err = run(capsys, "sphere", "--metric", spec, "--rho", rho)
+        assert code == 3
+        assert "EvalError" in err and "< 0" in err
+
     def test_expression_overflow_exit_3(self, capsys):
         code, _, err = run(capsys, "sphere", "--metric",
                            "expr:geodesic:exp(r)", "--rho", "1000")
@@ -323,6 +351,16 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3", "2.5"])
+    def test_bad_budget_exit_2(self, capsys, tmp_path, budget):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[tolerances]\nmax_subdivisions = {budget}\n")
+        code, out, err = run(capsys, "sphere", "--metric", "flat", "--rho", "2",
+                             "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("isocap: config error:")
+        assert "max_subdivisions" in err
+
     @pytest.mark.parametrize("command, metric, tolerance", [
         ("hypotheses", "expr:geodesic:r:rho_min=nan", None),
         ("mass", "schwarzschild:m=nan", None),
@@ -414,15 +452,15 @@ class TestScipyOnDemand:
 
     def test_fallback_panels_run_without_it(self):
         # each of these sends panels that fail the fixed rule's check to
-        # numerics.integrate, which is in-repo; the neck fails two of the
-        # hypothesis checks, so that command exits 1
+        # the adaptive refinement numerics._refine, which is in-repo; the
+        # neck fails two of the hypothesis checks, so that command exits 1
         out = run_isolated(
             "import contextlib, io, sys\n"
             "sys.modules['scipy'] = None\n"
             "from isocap import cli, flow, geometry, numerics, p_capacity\n"
             "calls = []\n"
-            "adaptive = numerics.integrate\n"
-            "numerics.integrate = lambda *a: calls.append(a[1:3]) or adaptive(*a)\n"
+            "adaptive = numerics._refine\n"
+            "numerics._refine = lambda *a: calls.append(a[1:3]) or adaptive(*a)\n"
             "neck = 'expr:geodesic:r+1.5*exp(-4*(r-3)^2)'\n"
             "for args, code in ((['flow', '--metric', neck, '--rho0', '2',\n"
             "                     '--tmax', '3'], 0),\n"

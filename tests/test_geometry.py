@@ -240,6 +240,30 @@ class TestGaugeConversionAccuracy:
         for r in (3.0, 4.3, 4.4, 10.0, 45.0, 46.0, 1e3):
             assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
 
+    def test_kinked_against_mpmath(self):
+        # the refined panels at the kinks, against mpmath in xi = sqrt(r - 2)
+        # with breakpoints at the kinks: the radius at the arclength of r,
+        # and the volume there
+        G = to_geodesic(kinked())
+        with mpmath.workdps(30):
+            def arclength(xi):  # 2*xi/sqrt(f), where 1 - 2/r = xi^2/r
+                r = 2 + xi * xi
+                linear = mpmath.mpf("0.5") + r / 100
+                if 1 - 2 / r <= linear:
+                    return 2 * mpmath.sqrt(r)
+                return 2 * xi / mpmath.sqrt(linear)
+
+            def volume(xi):
+                return 4 * mpmath.pi * (2 + xi * xi) ** 2 * arclength(xi)
+            kinks = [mpmath.sqrt((50 + s * mpmath.sqrt(1700)) / 2 - 2) for s in (-1, 1)]
+            for r in (4.0, 4.4, 20.0, 46.0, 1e3):
+                xi = mpmath.sqrt(mpmath.mpf(r) - 2)
+                points = [0] + [k for k in kinks if k < xi] + [xi]
+                rho = float(mpmath.quad(arclength, points))
+                want = float(mpmath.quad(volume, points))
+                assert G.profile_d2(rho)[0] == pytest.approx(r, rel=1e-10)
+                assert G.volume(rho) == pytest.approx(want, rel=1e-10)
+
     @staticmethod
     def counting(monkeypatch, owner, name, calls):
         """Count the calls of owner.name under calls[name]."""
@@ -250,13 +274,16 @@ class TestGaugeConversionAccuracy:
             return orig(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    def test_quadrature_count(self, monkeypatch, schwarzschild_csv):
+    def test_quadrature_count(self, monkeypatch, schwarzschild_csv, refined):
         calls = {}
-        self.counting(monkeypatch, numerics, "integrate", calls)
         for make in (kinked, lambda: table_metric(Gauge.AREAL, schwarzschild_csv)):
             to_geodesic(make())
-        assert calls == {}  # flagged panels are halved, not integrated
+        # the flagged panels of a build are refined together, in both rows
+        assert len(refined) == 2
+        assert all(rows == (0, 1) for call in refined for rows, _, _ in call)
+        refined.clear()
         G = to_geodesic(schwarzschild(1.0))
+        assert refined == []
         for owner, name in ((numerics, "gauss_legendre_err"),
                             (numerics, "gauss_legendre"),
                             (numerics, "legendre_panels"),

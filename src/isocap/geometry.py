@@ -468,13 +468,19 @@ def sphere_data(metric: RadialMetric, rho: float,
 # ---------------------------------------------------------------------------
 # Gauge conversion
 
+# geometric panels of xi between the first offset and the conversion limit,
+# about 50 per decade of xi
+_XI_PANELS = 400
+
+
 class _ConvertedProfile:
     """Geodesic warping a(rho) obtained from an areal coefficient f(r).
 
     The conversion works in xi = sqrt(r - r_min), the variable of the areal
     metric's ``_xi_density``, which stays smooth through a simple zero of f
-    at r_min.  The build splits xi into 1200 panels, halving those that
-    need it (``numerics.legendre_panels``), and keeps two maps of xi as
+    at r_min.  The build splits xi into ``_XI_PANELS`` geometric panels up
+    to min(cutoff_radius, r_max), halving those that need it
+    (``numerics.legendre_panels``), and keeps two maps of xi as
     per-panel Legendre series of degree 10, both read off one set of
     density samples: the arclength rho(xi), the integral of that density,
     and the enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Near
@@ -484,8 +490,9 @@ class _ConvertedProfile:
 
     ``_solve`` finds the panel of rho among the arclength nodes, inverts
     the panel's arclength series in its local variable
-    (``numerics.legendre_inverse``, no quadrature and no profile call) and
-    reads the volume off the other series there.  So one solve gives
+    (``numerics.legendre_inverse``, from the series' value and slope at the
+    panel's start and middle, kept per panel; no quadrature and no profile
+    call) and reads the volume off the other series there.  So one solve gives
     a(rho) and the volume of the sphere at rho, and a converted metric's
     ``volumes`` and ``spheres`` read them from here.  The same body runs on
     a Python float, for one radius, and on an array, for many, with equal
@@ -496,10 +503,13 @@ class _ConvertedProfile:
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
         self._areal = areal
         r_min = areal.domain_start
-        self._density = areal._xi_density()
         span = min(cfg.cutoff_radius, areal.r_max)
-        offsets = np.geomspace(max(1e-8, 1e-8 * max(1.0, r_min)),
-                               span - r_min, 1200)
+        first = max(1e-8, 1e-8 * max(1.0, r_min))
+        if not first < span - r_min:
+            raise DomainError(f"domain start {r_min} leaves no range to convert "
+                              f"below min(cutoff_radius, r_max) = {span}")
+        self._density = areal._xi_density()
+        offsets = np.geomspace(first, span - r_min, _XI_PANELS)
         xi = np.sqrt(np.concatenate(([r_min], r_min + offsets)) - r_min)
         lo, hi, coeffs, sums = numerics.legendre_panels(
             self._map_density, xi[:-1], xi[1:], cfg)
@@ -511,13 +521,15 @@ class _ConvertedProfile:
         self._rho_nodes = rho_nodes
         self.r_max = float(rho_nodes[-1])
         start_slope = numerics.legendre(-1.0, coeffs[0].T)[1]
+        mid, mid_slope = numerics.legendre(0.0, coeffs[0].T)
         # one row per panel: its first node's rho and V, the arclength
-        # across it and its slope at the start, its middle and half width,
-        # and the coefficients of both maps
+        # across it and to its middle, the arclength's slope at its start
+        # and middle, its middle and half width in xi, and the coefficients
+        # of both maps
         self._rows = np.column_stack(
-            (rho_nodes[:-1], vol_nodes[:-1], sums[0],
-             np.maximum(start_slope, 0.0), 0.5 * (lo + hi), 0.5 * (hi - lo),
-             coeffs[0], coeffs[1]))
+            (rho_nodes[:-1], vol_nodes[:-1], sums[0], mid,
+             np.maximum(start_slope, 0.0), np.maximum(mid_slope, 0.0),
+             0.5 * (lo + hi), 0.5 * (hi - lo), coeffs[0], coeffs[1]))
         self._starts = rho_nodes[:-1].tolist()
 
     def _map_density(self, xi: np.ndarray) -> np.ndarray:
@@ -534,23 +546,20 @@ class _ConvertedProfile:
             if not 0.0 <= rho <= limit:
                 self._outside(rho)
             row = self._rows[bisect_right(self._starts, rho) - 1].tolist()
-            sqrt = math.sqrt
         else:
             outside = ~((rho >= 0.0) & (rho <= limit))
             if np.any(outside):
                 self._outside(float(rho[outside][0]))
             row = self._rows[np.searchsorted(self._rho_nodes[:-1], rho,
                                              side="right") - 1].T
-            sqrt = np.sqrt
-        rho0, _, arc, slope = row[:4]
-        return row, numerics.legendre_inverse(rho - rho0, arc, slope, row[6:17], sqrt)
+        return row, numerics.legendre_inverse(rho - row[0], *row[2:6], row[8:19])
 
     def _outside(self, rho: float):
         raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
 
     def _radius(self, row, t):
         """r = a(rho) = r_min + xi^2 at the local variable t of a row."""
-        xi = row[4] + row[5] * t
+        xi = row[6] + row[7] * t
         return self._areal.domain_start + xi * xi
 
     def values(self, rhos: np.ndarray) -> np.ndarray:
@@ -576,11 +585,15 @@ class _ConvertedProfile:
 
     def solve_list(self, rhos: Sequence[float]) -> Tuple[List[float], List[float]]:
         """a(rho) and the enclosed volume at each rho of a list: on Python
-        floats for one radius, by one array solve for more."""
+        floats for one radius, by one array solve for more.  The volume at
+        rho = 0, the inner boundary, is exactly 0."""
         one = len(rhos) == 1
-        row, t = self._solve(float(rhos[0]) if one else np.array(rhos, dtype=float))
-        r, vol = self._radius(row, t), row[1] + numerics.legendre(t, row[17:])[0]
-        return ([r], [vol]) if one else (r.tolist(), vol.tolist())
+        rho = float(rhos[0]) if one else np.array(rhos, dtype=float)
+        row, t = self._solve(rho)
+        r, vol = self._radius(row, t), row[1] + numerics.legendre(t, row[19:])[0]
+        if one:
+            return [r], [vol if rho > 0.0 else 0.0]
+        return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()
 
     def spheres(self, rhos: Sequence[float]
                 ) -> Tuple[List[Tuple[float, float, float]], List[float]]:
@@ -597,7 +610,8 @@ def to_geodesic(metric: RadialMetric,
     """Convert an areal-gauge metric to the geodesic gauge.
 
     Raises NonIntegrableThroat when the arclength to the inner boundary
-    diverges.
+    diverges, DomainError when domain_start leaves no range below
+    min(cutoff_radius, r_max) to convert.
     """
     if metric.gauge is Gauge.GEODESIC:
         return metric

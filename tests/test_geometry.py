@@ -167,6 +167,14 @@ class TestGaugeConversion:
         with pytest.raises(EvalError):
             to_geodesic(M)
 
+    @pytest.mark.parametrize("start", [1e8, 2e8])
+    def test_start_at_or_past_the_cutoff_rejected(self, start, recwarn):
+        # the conversion spans domain_start to min(cutoff_radius, r_max)
+        M = expr_metric(Gauge.AREAL, "1-2/r", {}, domain_start=start)
+        with pytest.raises(DomainError, match="no range to convert"):
+            to_geodesic(M)
+        assert len(recwarn) == 0
+
 
 def rn_arclength(r, m, q):
     """Closed-form arclength from the outer horizon r+ of the areal
@@ -275,15 +283,22 @@ class TestGaugeConversionAccuracy:
         monkeypatch.setattr(owner, name, counted)
 
     def test_quadrature_count(self, monkeypatch, schwarzschild_csv, refined):
-        calls = {}
+        calls, sizes = {}, []
+        density = geometry._ConvertedProfile._map_density
+        monkeypatch.setattr(geometry._ConvertedProfile, "_map_density",
+                            lambda self, xi: sizes.append(xi.size) or density(self, xi))
         for make in (kinked, lambda: table_metric(Gauge.AREAL, schwarzschild_csv)):
+            sizes.clear()
+            refined.clear()
             to_geodesic(make())
-        # the flagged panels of a build are refined together, in both rows
-        assert len(refined) == 2
-        assert all(rows == (0, 1) for call in refined for rows, _, _ in call)
+            # the flagged panels of a build are refined together, in both rows
+            assert len(refined) == 1 and len(sizes) > 1
+            assert all(rows == (0, 1) for rows, _, _ in refined[0])
+        sizes.clear()
         refined.clear()
         G = to_geodesic(schwarzschild(1.0))
-        assert refined == []
+        # one density call on the 15 nodes of each of the 400 panels
+        assert sizes == [6000] and refined == []
         for owner, name in ((numerics, "gauss_legendre_err"),
                             (numerics, "gauss_legendre"),
                             (numerics, "legendre_panels"),
@@ -321,6 +336,18 @@ class TestGaugeConversionAccuracy:
             with monkeypatch.context() as patch:
                 patch.setattr(numerics, "_NEWTON_STEPS", 8)
                 assert np.max(np.abs(G.profile.values(rhos) - r) / r) <= 1e-15
+
+    @pytest.mark.parametrize("make", [
+        lambda: schwarzschild(1.0), lambda: rn_factored(), lambda: no_throat()],
+        ids=["schwarzschild", "rn", "no-throat"])
+    def test_panel_count_converged(self, make, monkeypatch):
+        # twice the panels move a(rho) and the volume by rounding only
+        rhos = np.geomspace(1e-6, 1e7, 300).tolist()
+        coarse = to_geodesic(make()).profile.solve_list(rhos)
+        monkeypatch.setattr(geometry, "_XI_PANELS", 2 * geometry._XI_PANELS)
+        fine = to_geodesic(make()).profile.solve_list(rhos)
+        for got, want in zip(fine, coarse):
+            assert np.max(np.abs(np.subtract(got, want)) / want) <= 1e-13
 
     def test_one_solve_per_call(self, monkeypatch):
         # one radius runs on Python floats, a list on one array
@@ -527,6 +554,17 @@ class TestBatchedVolumes:
 
     def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv):
         self.check(lambda: table_metric(Gauge.AREAL, schwarzschild_csv))
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "flat"]
+                             + ["table", "converted-rn"])
+    def test_zero_at_the_inner_boundary(self, family, schwarzschild_csv):
+        # flat is left out: its sphere at 0 has no area
+        M = {"table": lambda: table_metric(Gauge.AREAL, schwarzschild_csv),
+             "converted-rn": lambda: to_geodesic(rn_factored()),
+             **self.FAMILIES}[family]()
+        start = M.domain_start
+        assert sphere_data(M, start).volume == 0.0
+        assert [d.volume for d in geometry.spheres(M, [start, start + 1.0])][0] == 0.0
 
     def test_converted_spheres_equal_bits(self):
         radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)][::-1]

@@ -315,13 +315,39 @@ class TestLegendreSeries:
             assert all(type(v) is float for v in one)
         q = rng.uniform(0.0, 2.0, t.size)
         coeffs = numerics.legendre_integral(rng.uniform(0.5, 2.0, (t.size, 10))).T
-        total = numerics.legendre(1.0, coeffs)[0]
-        slope0 = numerics.legendre(-1.0, coeffs)[1]
-        many = numerics.legendre_inverse(q * total / 2.0, total, slope0, coeffs, np.sqrt)
+        guide = self.guide(coeffs)
+        many = numerics.legendre_inverse(q * guide[0] / 2.0, *guide, coeffs)
         for i in range(t.size):
             assert many[i] == numerics.legendre_inverse(
-                float(q[i] * total[i] / 2.0), float(total[i]), float(slope0[i]),
-                coeffs[:, i].tolist(), math.sqrt)
+                float(q[i] * guide[0][i] / 2.0), *(float(g[i]) for g in guide),
+                coeffs[:, i].tolist())
+
+    @staticmethod
+    def guide(c):
+        """The total, middle value and start and middle slopes of the series
+        c (one per column), as ``legendre_inverse`` takes them."""
+        total = numerics.legendre(1.0, c)[0]
+        mid, slope_mid = numerics.legendre(0.0, c)
+        return total, mid, numerics.legendre(-1.0, c)[1], slope_mid
+
+    def test_half_panel_guess_bits(self, monkeypatch):
+        # the first guess alone, on floats and on arrays, at the ends of the
+        # series and exactly at its middle value, where the lower half's
+        # quadratic ends; densities exp(k*t) with |k| < 0.9, as panels that
+        # pass their check, so each half's quadratic increases to its end,
+        # which it meets up to the slope floor of 1e-10 of the total
+        monkeypatch.setattr(numerics, "_NEWTON_STEPS", 0)
+        k = np.random.default_rng(9).uniform(-0.9, 0.9, (50, 1))
+        coeffs = numerics.legendre_integral(np.exp(k * numerics._GL_X[:10])).T
+        total, mid, slope0, slope_mid = self.guide(coeffs)
+        for q, want in ((np.zeros(50), -1.0), (mid, 0.0), (total, 1.0)):
+            many = numerics.legendre_inverse(q, total, mid, slope0, slope_mid, coeffs)
+            one = [numerics.legendre_inverse(
+                float(q[i]), float(total[i]), float(mid[i]), float(slope0[i]),
+                float(slope_mid[i]), coeffs[:, i].tolist()) for i in range(50)]
+            assert np.array_equal(many, one)
+            assert all(type(t) is float for t in one)
+            assert np.all(np.abs(many - want) <= 1e-9)
 
     def test_transform_exact_to_degree_9(self):
         rng = np.random.default_rng(8)
@@ -341,11 +367,12 @@ class TestLegendreSeries:
         # the root of each value, also where the density starts from 0, on
         # densities that change by more than those of panels that pass
         c = numerics.legendre_integral(density(numerics._GL_X[:10]))
-        total = legendre.legval(1.0, c)
-        slope0 = max(legendre.legval(-1.0, legendre.legder(c)), 0.0)
-        q = np.concatenate(([0.0, 1e-300, 1e-12 * total, total],
+        total, mid = legendre.legval(1.0, c), legendre.legval(0.0, c)
+        slope0, slope_mid = (max(legendre.legval(t, legendre.legder(c)), 0.0)
+                             for t in (-1.0, 0.0))
+        q = np.concatenate(([0.0, 1e-300, 1e-12 * total, mid, total],
                             np.linspace(0.0, total, 1001)))
-        t = numerics.legendre_inverse(q, total, slope0, c, np.sqrt)
+        t = numerics.legendre_inverse(q, total, mid, slope0, slope_mid, c)
         assert np.all(np.abs(legendre.legval(t, c) - q) <= 1e-14 * total)
         # where the density starts from 0 the series is flat at t = -1, so
         # its rounding there moves the root by up to about sqrt(eps)

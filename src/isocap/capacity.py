@@ -188,9 +188,9 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
         raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")
     lo, n = float(radii[-1]), len(radii)
     big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
-    if big <= lo:
-        raise DomainError(f"metric domain [{lo}, {metric.r_max}] too short "
-                          "for capacity")
+    if big <= lo or big / 4.0 < metric.domain_start:  # the probes reach big/4
+        raise DomainError(f"metric domain [{metric.domain_start}, "
+                          f"{metric.r_max}] too short for capacity")
     t_of, at = _variable(metric, float(radii[0]))
     # an area that falls far below a gap's start, with p near 1
     overflow = "I_{} rescaled by the area of an inner radius overflows"

@@ -95,17 +95,16 @@ class ExprProfile:
         if unbound:
             raise ConfigError(f"undeclared parameters: {sorted(unbound)}")
         self._compiled = profiles.compile(expr, self.params)
-        self._compiled_array = profiles.compile_array(expr, self.params)
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self._compiled(r)
 
     def values(self, rs: np.ndarray) -> np.ndarray:
-        out = self._compiled_array(rs, 1)
+        out = self._compiled.array(rs, 1)
         return _mapped(self.eval_d2, rs)[0] if out is None else out[0]
 
     def triple(self, rs: np.ndarray) -> Triples:
-        out = self._compiled_array(rs)
+        out = self._compiled.array(rs)
         return _mapped(self.eval_d2, rs) if out is None else out
 
     def describe(self) -> str:
@@ -778,18 +777,20 @@ def table_metric(gauge: Gauge, path: str,
     """Metric from a two-column CSV (radius, profile value)."""
     import csv
 
-    radii, values = [], []
+    radii, values, header = [], [], False
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
-                radii.append(float(row[0]))
-                values.append(float(row[1]))
+                r, v = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                if not radii:  # allow one header row
+                if not (radii or header):  # allow one header row
+                    header = True
                     continue
                 raise ConfigError(f"bad table row {row!r} in {path}") from None
+            radii.append(r)
+            values.append(v)
     prof = TableProfile(radii, values, label=f"table:{path}")
     return RadialMetric(gauge, prof, radii[0], boundary_kind)
 

@@ -261,17 +261,28 @@ def _num(v: float):
     return v
 
 
+def _json(v) -> str:
+    """v as json.dumps writes it, floats by float.__repr__ when finite."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    return "null" if v is None else json.dumps(v)
+
+
 def mass_report_to_json(report: MassReport) -> str:
-    obj = {
-        "metric": report.metric,
-        "p": report.p,
-        "radii": report.radii,
-        "quasilocal": [_num(v) for v in report.quasilocal],
-        "extrapolated": _num(report.extrapolated_mass),
-        "err": _num(report.err_estimate),
-        "verdict": report.verdict,
-    }
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """The bytes of json.dumps(obj, indent=2), written directly: indent
+    selects json's pure-Python encoder, which costs more than this."""
+    def array(vs):
+        return "[\n    " + ",\n    ".join(map(_json, vs)) + "\n  ]" if vs else "[]"
+
+    fields = [("metric", _json(report.metric)), ("p", _json(report.p)),
+              ("radii", array(report.radii)),
+              ("quasilocal", array([_num(v) for v in report.quasilocal])),
+              ("extrapolated", _json(_num(report.extrapolated_mass))),
+              ("err", _json(_num(report.err_estimate))),
+              ("verdict", _json(report.verdict))]
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}"
 
 
 def mass_report_to_csv(report: MassReport, stream: IO[str]) -> None:

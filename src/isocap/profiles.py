@@ -2,15 +2,19 @@
 
 Profiles are written in a small arithmetic language over the radial variable
 ``r`` plus named parameters, e.g. ``"1 - 2*m/r"`` or
-``"r + 1.5*exp(-4*(r-3)^2)"``.  ``compile`` turns an expression and its
-parameters into a tree of closures once; ``ExprProfile`` does so when it is
-built.  Evaluation returns the value with the first and second derivative in
-``r``, by the arithmetic of second-order dual numbers (exact to rounding, not
-finite differences).  ``eval_d2`` compiles and evaluates in one call.
+``"r + 1.5*exp(-4*(r-3)^2)"``.  Evaluation returns the value with the first
+and second derivative in ``r``, by the arithmetic of second-order dual
+numbers (exact to rounding, not finite differences).  A parsed tree emits
+Python source once, compiled and cached per tree; ``compile`` binds
+parameters to that code, ``ExprProfile`` does so when it is built, and
+``eval_d2`` compiles and evaluates in one call, reusing the tree's code.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
+import itertools
 import math
 import re
 import warnings
@@ -82,6 +86,11 @@ class ProfileExpr:
             return set().union(*map(walk, _operands(n)[1]))
         return walk(self.ast)
 
+    @functools.cached_property
+    def _bind(self):
+        """bind(params) of this tree's compiled code (see _code)."""
+        return _code(repr(self.ast), self.ast)
+
 
 def _operands(n: Node) -> Tuple[str, Tuple[Node, ...]]:
     if isinstance(n, Neg):
@@ -122,7 +131,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -199,6 +207,7 @@ class _Parser:
                                  {"num", "ident", "(", "-"})
 
 
+@functools.lru_cache(maxsize=128)
 def parse(text: str) -> ProfileExpr:
     """Parse expression text; raises ProfileSyntaxError / UnknownIdentifier."""
     if not text or not text.strip():
@@ -227,170 +236,30 @@ def to_text(expr: ProfileExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one closure per node, from r to (value, d/dr, d^2/dr^2), doing
-# the float operations of second-order dual numbers.
+# Emission: one walk of a tree writes the source of two evaluators from r to
+# (value, d/dr, d^2/dr^2) by the float operations of second-order dual
+# numbers, operands before their node, left before right: a scalar one on
+# floats, with every raise point and branch, and an array one, the same lines
+# on a 1-D numpy array of radii and bit-identical at each element.  IEEE
+# arithmetic rounds numpy's + - * / as it rounds floats; math and ** apply per
+# element, since numpy's exp, tanh and powers may round differently (sqrt is
+# correctly rounded in both).  Where the scalar code raises or branches at
+# some element, the array code raises _Defer and the caller runs the scalar
+# code per radius; min and max select per element.  ``bind(P)`` folds each
+# subtree free of r and of min/max with the parameters P, and returns the
+# scalar evaluator, carrying the array one as ``.array``.  A fold that raises
+# (1/(m-1) at m = 1, an unbound parameter) is left to every evaluation.
 
 Triple = Tuple[float, float, float]
+_CACHE_SIZE = 128  # trees whose compiled code is kept
 
-
-def _chain(f: float, df: float, d2f: float, d1: float, d2: float) -> Triple:
-    """Compose with a scalar map given (f, f', f'') at the operand's value."""
-    return f, df * d1, d2f * d1 * d1 + df * d2
-
-
-def _log(v: float, d1: float, d2: float) -> Triple:
-    if v <= 0.0:
-        raise EvalError(f"log of non-positive value {v}")
-    return _chain(math.log(v), 1.0 / v, -1.0 / (v * v), d1, d2)
-
-
-def _sqrt(v: float, d1: float, d2: float) -> Triple:
-    if v == 0.0 and d1 == 0.0 and d2 == 0.0:
-        return 0.0, 0.0, 0.0
-    if v <= 0.0:
-        raise EvalError(f"sqrt of negative value {v}" if v < 0.0
-                        else "sqrt not differentiable at 0")
-    s = math.sqrt(v)
-    return _chain(s, 0.5 / s, -0.25 / (s * v), d1, d2)
-
-
-def _pow(x, xd1, xd2, c, cd1, cd2) -> Triple:
-    if cd1 == 0.0 and cd2 == 0.0:
-        if x == 0.0 and c < 2.0:
-            if c < 0.0:
-                raise EvalError("zero raised to a negative power")
-            # derivatives of x^c blow up at 0 for c < 2; value is still fine
-            if c in (0.0, 1.0):
-                return _chain(x ** c, c * (x ** (c - 1.0) if c else 0.0), 0.0,
-                              xd1, xd2)
-            raise EvalError(f"non-smooth power 0^{c}")
-        if x < 0.0 and c != round(c):
-            raise EvalError(f"negative base {x} with non-integer exponent {c}")
-        return _chain(x ** c, c * x ** (c - 1.0) if c != 0.0 else 0.0,
-                      c * (c - 1.0) * x ** (c - 2.0) if c not in (0.0, 1.0) else 0.0,
-                      xd1, xd2)
-    if x <= 0.0:
-        raise EvalError("variable exponent requires a positive base")
-    # x^c = exp(c*log x), the product as in _closure
-    lv, ld1, ld2 = _log(x, xd1, xd2)
-    return _KERNELS["exp"](c * lv, cd1 * lv + c * ld1,
-                           cd2 * lv + 2.0 * cd1 * ld1 + c * ld2)
-
-
-_KERNELS = {  # maps of operand triples, for the less frequent nodes
-    "neg": lambda v, d1, d2: (-v, -d1, -d2),
-    "exp": lambda v, d1, d2: _chain(*[math.exp(v)] * 3, d1, d2),  # (e^v)' = e^v
-    "log": _log, "sqrt": _sqrt, "pow": _pow, "^": _pow,
-    "sin": lambda v, d1, d2: _chain(math.sin(v), math.cos(v), -math.sin(v), d1, d2),
-    "cos": lambda v, d1, d2: _chain(math.cos(v), -math.sin(v), -math.cos(v), d1, d2),
-    "tanh": lambda v, d1, d2: _chain(math.tanh(v), 1.0 - math.tanh(v) ** 2,
-                                     -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2),
-                                     d1, d2),
-}
-
-
-def _closure(op: str, a, b=None):
-    kernel = _KERNELS.get(op)
-    if b is None:
-        return lambda r: kernel(*a(r))
-    if op == "+":
-        def f(r):
-            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
-            return av + bv, ad1 + bd1, ad2 + bd2
-    elif op == "-":
-        def f(r):
-            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
-            return av - bv, ad1 - bd1, ad2 - bd2
-    elif op == "*":
-        def f(r):
-            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
-            return av * bv, ad1 * bv + av * bd1, ad2 * bv + 2.0 * ad1 * bd1 + av * bd2
-    elif op == "/":
-        def f(r):
-            (av, ad1, ad2), (bv, bd1, bd2) = a(r), b(r)
-            if bv == 0.0:
-                raise EvalError("division by zero")
-            w = av / bv
-            wd1 = (ad1 - w * bd1) / bv
-            return w, wd1, (ad2 - 2.0 * wd1 * bd1 - w * bd2) / bv
-    elif op in ("min", "max"):
-        def f(r):
-            x, y = a(r), b(r)
-            if x[0] == y[0]:
-                warnings.warn(f"{op} differentiated one-sidedly at a tie",
-                              NonSmoothTie, stacklevel=4)
-                return x
-            return x if (x[0] < y[0]) == (op == "min") else y
-    else:
-        return lambda r: kernel(*a(r), *b(r))
-    return f
-
-
-def _compile(n: Node, params: ParamSet):
-    """n's closure, and whether n is free of r and min/max; such n is folded
-    unless evaluating it raises (1/0), which is then left to each evaluation."""
-    if n == Name("r"):
-        return (lambda r: (r, 1.0, 0.0)), False
-    if isinstance(n, (Num, Name)):
-        def f(r):
-            if isinstance(n, Num) or n.ident == "pi":
-                return (n.value if isinstance(n, Num) else math.pi), 0.0, 0.0
-            if n.ident not in params:
-                raise UnknownIdentifier(f"unbound parameter {n.ident!r}")
-            return float(params[n.ident]), 0.0, 0.0
-        const = True
-    else:
-        op, operands = _operands(n)
-        fs, consts = zip(*(_compile(x, params) for x in operands))
-        f, const = _closure(op, *fs), all(consts) and op not in ("min", "max")
-    if const:
-        try:
-            t = f(0.0)
-        except Exception:  # leave the raise to each evaluation
-            return f, const
-        f = lambda r: t  # noqa: E731
-    return f, const
-
-
-def compile(expr: ProfileExpr, params: ParamSet | None = None
-            ) -> Callable[[float], Triple]:
-    """Compile expr with params bound into a function of r returning
-    (value, d/dr, d^2/dr^2); it raises EvalError on a non-finite result
-    and on a math error (overflow, domain, zero division) of its floats."""
-    root = _compile(expr.ast, params or {})[0]
-    def evaluate(r: float) -> Triple:
-        try:
-            v, d1, d2 = out = root(float(r))
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise EvalError(f"{exc} at r={r}") from None
-        if math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2):
-            return out
-        raise EvalError(f"non-finite evaluation at r={r}")
-    return evaluate
-
-
-def eval_d2(expr: ProfileExpr, r: float, params: ParamSet | None = None) -> Triple:
-    """Evaluate expr at radius r: returns (value, d/dr, d^2/dr^2)."""
-    return compile(expr, params)(r)
-
-
-# ---------------------------------------------------------------------------
-# Array compilation: the same tree over a 1-D array of radii, bit-identical
-# to the closures at every element.  + - * / and negation are numpy
-# expressions doing the closures' float operations in the closures' order,
-# which IEEE arithmetic rounds alike; ^, pow and the functions apply Python
-# ** and math per element, since numpy's vectorized exp, tanh and powers may
-# round differently (sqrt is correctly rounded in both).  A subtree free of
-# r is its scalar closure, evaluated once.  Where the scalar path raises at
-# some element, or takes a branch left to it, the array path gives up.
 
 class _Defer(Exception):
-    """Some element must be evaluated by the scalar closure."""
+    """Some element must be evaluated by the scalar code."""
 
 
-def _each(fn: Callable[[float], float], v) -> np.ndarray:
-    # v is a scalar only for the constant base of a variable exponent
-    return np.array([fn(x) for x in np.atleast_1d(v).tolist()], dtype=float)
+def _each(fn: Callable, v: np.ndarray, *args) -> np.ndarray:
+    return np.fromiter(map(fn, v.tolist(), *args), float, v.size)
 
 
 def _powers(v: np.ndarray, c: float) -> np.ndarray:
@@ -398,147 +267,277 @@ def _powers(v: np.ndarray, c: float) -> np.ndarray:
         return v
     if c == 0.0:
         return np.ones_like(v)
-    return np.array([x ** c for x in v.tolist()], dtype=float)
+    return _each(pow, v, itertools.repeat(c))
 
 
-def _log_a(v, d1, d2):
-    # the scalar kernel raises at v <= 0, and where v*v underflows to 0
-    if np.any(v <= 0.0) or np.any(v * v == 0.0):
-        raise _Defer
-    return _chain(_each(math.log, v), 1.0 / v, -1.0 / (v * v), d1, d2)
+def _edge_power(x: float, c: float) -> Triple:
+    """x^c and its derivatives in x at a zero base with c < 2, where they
+    blow up unless c is 0 or 1, and at a negative base with c fractional."""
+    if x < 0.0:
+        raise EvalError(f"negative base {x} with non-integer exponent {c}")
+    if c < 0.0:
+        raise EvalError("zero raised to a negative power")
+    if c not in (0.0, 1.0):
+        raise EvalError(f"non-smooth power 0^{c}")
+    return x ** c, c * (x ** (c - 1.0) if c else 0.0), 0.0
 
 
-def _sqrt_a(v, d1, d2):
-    zero = (v == 0.0) & (d1 == 0.0) & (d2 == 0.0)
-    s = np.sqrt(v)
-    if np.any(~zero & ((v <= 0.0) | (s * v == 0.0))):
-        raise _Defer
-    return tuple(np.where(zero, 0.0, x)
-                 for x in _chain(s, 0.5 / s, -0.25 / (s * v), d1, d2))
+def _whole(out: tuple, rs: np.ndarray, parts: int) -> tuple:
+    # a part free of r is a float, and the value of ``r`` is rs itself
+    return tuple(x.copy() if x is rs else x if isinstance(x, np.ndarray)
+                 else np.full(rs.shape, x) for x in out[:parts])
 
 
-def _exp_a(v, d1, d2):
-    e = _each(math.exp, v)
-    return _chain(e, e, e, d1, d2)
+_NAMESPACE = dict(
+    {"_" + f: getattr(math, f) for f in ("exp", "log", "sin", "cos", "tanh",
+                                         "sqrt", "isfinite")},
+    EvalError=EvalError, IsocapError=IsocapError, NonSmoothTie=NonSmoothTie,
+    UnknownIdentifier=UnknownIdentifier,
+    _Defer=_Defer, _warn=warnings.warn, _sqrt_a=np.sqrt, _isfinite_a=np.isfinite,
+    _any=np.any, _where=np.where, _asarray=np.asarray, _errstate=np.errstate,
+    _each=_each, _powers=_powers, _edge_power=_edge_power, _whole=_whole,
+    _no_array=lambda rs, parts=3: None)
 
 
-def _sin_a(v, d1, d2):
-    s, c = _each(math.sin, v), _each(math.cos, v)
-    return _chain(s, c, -s, d1, d2)
-
-
-def _cos_a(v, d1, d2):
-    s, c = _each(math.sin, v), _each(math.cos, v)
-    return _chain(c, -s, -c, d1, d2)
-
-
-def _tanh_a(v, d1, d2):
-    t = _each(math.tanh, v)
-    sech2 = 1.0 - _powers(t, 2)
-    return _chain(t, sech2, -2.0 * t * sech2, d1, d2)
-
-
-def _pow_a(x, xd1, xd2, c, cd1, cd2):
-    if np.ndim(c) == 0 and cd1 == 0.0 and cd2 == 0.0:  # a constant exponent
-        # ** raises at a zero base the scalar kernel rejects, but would give
-        # a complex power of a negative base
-        if np.any(x < 0.0) and c != round(c):
-            raise _Defer
-        # for c = 0 the scalar kernel's zero-base branch gives c * 0.0,
-        # which is -0.0 at c = -0.0
-        return _chain(_powers(x, c),
-                      c * _powers(x, c - 1.0) if c != 0.0
-                      else np.where(x == 0.0, c * 0.0, 0.0),
-                      c * (c - 1.0) * _powers(x, c - 2.0)
-                      if c not in (0.0, 1.0) else 0.0, xd1, xd2)
-    # elements with a stationary exponent take the scalar constant branch
-    if np.any((cd1 == 0.0) & (cd2 == 0.0)):
-        raise _Defer
-    lv, ld1, ld2 = _log_a(x, xd1, xd2)
-    return _exp_a(c * lv, cd1 * lv + c * ld1,
-                  cd2 * lv + 2.0 * cd1 * ld1 + c * ld2)
-
-
-def _div_a(av, ad1, ad2, bv, bd1, bd2):
-    if np.any(bv == 0.0):
-        raise _Defer
-    w = av / bv
-    wd1 = (ad1 - w * bd1) / bv
-    return w, wd1, (ad2 - 2.0 * wd1 * bd1 - w * bd2) / bv
-
-
-_ARRAY_KERNELS = {
-    "neg": _KERNELS["neg"],
-    "+": lambda av, ad1, ad2, bv, bd1, bd2: (av + bv, ad1 + bd1, ad2 + bd2),
-    "-": lambda av, ad1, ad2, bv, bd1, bd2: (av - bv, ad1 - bd1, ad2 - bd2),
-    "*": lambda av, ad1, ad2, bv, bd1, bd2: (
-        av * bv, ad1 * bv + av * bd1, ad2 * bv + 2.0 * ad1 * bd1 + av * bd2),
-    "/": _div_a, "^": _pow_a, "pow": _pow_a,
-    "log": _log_a, "sqrt": _sqrt_a, "exp": _exp_a, "tanh": _tanh_a,
-    "sin": _sin_a, "cos": _cos_a,
+# Templates of the emitted lines.  A node's operands are name triples a, b
+# (value, d1, d2); its own names are o+"v", o+"d1", o+"d2".
+_ARITH = {
+    "neg": "{o}v = -{a[0]}\n{o}d1 = -{a[1]}\n{o}d2 = -{a[2]}",
+    "+": "{o}v = {a[0]} + {b[0]}\n{o}d1 = {a[1]} + {b[1]}\n{o}d2 = {a[2]} + {b[2]}",
+    "-": "{o}v = {a[0]} - {b[0]}\n{o}d1 = {a[1]} - {b[1]}\n{o}d2 = {a[2]} - {b[2]}",
+    "*": "{o}v = {a[0]} * {b[0]}\n{o}d1 = {a[1]} * {b[0]} + {a[0]} * {b[1]}\n"
+         "{o}d2 = {a[2]} * {b[0]} + 2.0 * {a[1]} * {b[1]} + {a[0]} * {b[2]}",
+    "/": "{o}v = {a[0]} / {b[0]}\n{o}d1 = ({a[1]} - {o}v * {b[1]}) / {b[0]}\n"
+         "{o}d2 = ({a[2]} - 2.0 * {o}d1 * {b[1]} - {o}v * {b[2]}) / {b[0]}",
 }
+# a map f of one operand: lines setting o+"v" = f and names of f', f''; the
+# chain rule follows.  {exp}, {log}, ... apply math (per element on arrays)
+_MAPS = {
+    "exp": ("{o}v = {exp}", "{o}v", "{o}v"),  # (e^v)' = e^v
+    "sin": ("{o}v = {sin}\n{o}c = {cos}", "{o}c", "-{o}v"),
+    "cos": ("{o}v = {cos}\n{o}s = {sin}", "-{o}s", "-{o}v"),
+    "tanh": ("{o}v = {tanh}\n{o}f1 = 1.0 - {square}\n"
+             "{o}f2 = -2.0 * {o}v * {o}f1", "{o}f1", "{o}f2"),
+    "log": ("{o}v = {log}\n{o}f1 = 1.0 / {a[0]}\n"
+            "{o}f2 = -1.0 / ({a[0]} * {a[0]})", "{o}f1", "{o}f2"),
+    "sqrt": ("{o}v = {sqrt}\n{o}f1 = 0.5 / {o}v\n"
+             "{o}f2 = -0.25 / ({o}v * {a[0]})", "{o}f1", "{o}f2"),
+}
+_CHAIN = "{o}d1 = {f1} * {a[1]}\n{o}d2 = {f2} * {a[1]} * {a[1]} + {f1} * {a[2]}"
+_SQRT_ZERO = """\
+if {a[0]} == 0.0 and {a[1]} == 0.0 and {a[2]} == 0.0:
+    {o}v = {o}d1 = {o}d2 = 0.0
+else:"""
+# x^c where the exponent c is stationary (cd1 = cd2 = 0), leaving the chain;
+# _edge_power takes a zero base with c < 2 and a negative base with c not
+# an integer, and the array code defers there
+_POWER = """\
+if {x} == 0.0 and {c} < 2.0 or {x} < 0.0 and {c} != round({c}):
+    {o}v, {o}f1, {o}f2 = _edge_power({x}, {c})
+else:
+    {o}v = {x} ** {c}
+    {o}f1 = {c} * {x} ** ({c} - 1.0) if {c} != 0.0 else 0.0
+    {o}f2 = {c} * ({c} - 1.0) * {x} ** ({c} - 2.0) if {c} not in (0.0, 1.0) else 0.0"""
+_POWER_A = """\
+if {c} < 2.0 and ({x} == 0.0).any() or ({x} < 0.0).any() and {c} != round({c}):
+    raise _Defer
+{o}v = _powers({x}, {c})
+{o}f1 = {c} * _powers({x}, {c} - 1.0) if {c} != 0.0 else 0.0
+{o}f2 = {c} * ({c} - 1.0) * _powers({x}, {c} - 2.0) if {c} not in (0.0, 1.0) else 0.0"""
+# min and max: the first operand at a tie, where take holds, else the second
+_PICK = """\
+if {a[0]} == {b[0]}:
+    _warn("{op} differentiated one-sidedly at a tie", NonSmoothTie, stacklevel=2)
+{o}v, {o}d1, {o}d2 = ({a[0]}, {a[1]}, {a[2]}) if {take} else ({b[0]}, {b[1]}, {b[2]})"""
+_PICK_A = """\
+if ({a[0]} == {b[0]}).any():
+    _warn("{op} differentiated one-sidedly at a tie", NonSmoothTie, stacklevel=2)
+{o}k = {take}
+{o}v = _where({o}k, {a[0]}, {b[0]})
+{o}d1 = _where({o}k, {a[1]}, {b[1]})
+{o}d2 = _where({o}k, {a[2]}, {b[2]})"""
 
 
-def _uses_r(n: Node) -> bool:
-    if isinstance(n, (Num, Name)):
-        return n == Name("r")
-    return any(map(_uses_r, _operands(n)[1]))
+class _Emitter:
+    """Writes the lines of one tree's evaluators; names are unique per tree."""
+
+    def __init__(self):
+        self.consts: Dict[str, float] = {}  # number leaves
+        self.slots: Dict[int, Tuple[str, Node]] = {}  # folded subtrees
+        self.flags: Dict[int, Tuple[bool, bool]] = {}
+        self.lines, self.pad, self.names = [], "", itertools.count()
+
+    def put(self, template: str, **names) -> None:
+        self.lines += [self.pad + line
+                       for line in template.format(**names).split("\n")]
+
+    def flag(self, n: Node) -> Tuple[bool, bool]:
+        """Whether n uses r, and whether it folds (free of r and min/max)."""
+        got = self.flags.get(id(n))
+        if got is None:
+            if isinstance(n, (Num, Name)):
+                got = (n == Name("r"), n != Name("r"))
+            else:
+                op, kids = _operands(n)
+                got = (any(self.flag(k)[0] for k in kids), op not in ("min", "max")
+                       and all(self.flag(k)[1] for k in kids))
+            self.flags[id(n)] = got
+        return got
+
+    def walk(self, n: Node, arr: bool, fold: bool) -> Tuple[str, str, str]:
+        """Emit n; returns the names of its value, d1 and d2.  arr: in the
+        array evaluator; fold: a folding subtree reads its bound slot."""
+        if n == Name("r"):
+            return ("rs" if arr else "x"), "1.0", "0.0"
+        if isinstance(n, Num) or n == Name("pi"):
+            value = n.value if isinstance(n, Num) else math.pi
+            if math.isfinite(value):  # parenthesized, for a sign
+                return f"({value!r})", "0.0", "0.0"
+            k = f"_c{len(self.consts)}"
+            self.consts[k] = value
+            return k, "0.0", "0.0"
+        if fold and self.flag(n)[1]:
+            k = self.slots.setdefault(id(n), (f"k{len(self.slots)}", n))[0]
+            return k + "v", k + "d1", k + "d2"
+        if isinstance(n, Name):
+            o = f"t{next(self.names)}"
+            self.put("if {n!r} not in P:\n"
+                     '    raise UnknownIdentifier("unbound parameter {n!r}")\n'
+                     "{o} = float(P[{n!r}])", o=o, n=n.ident)
+            return o, "0.0", "0.0"
+        op, kids = _operands(n)
+        args = [self.walk(k, arr, fold) for k in kids]
+        return self.op(op, args, [arr and self.flag(k)[0] for k in kids])
+
+    def op(self, op: str, args, arrs) -> Tuple[str, str, str]:
+        """Emit op on operand triples; arrs: which operands are arrays."""
+        o, a, b = f"t{next(self.names)}", args[0], args[-1]
+        if op == "/":
+            self.check(arrs[1], f"{b[0]} == 0.0", '"division by zero"')
+        if op in _ARITH:
+            self.put(_ARITH[op], o=o, a=a, b=b)
+        elif op in ("min", "max"):
+            take = (f"{a[0]} <= {b[0]}" if op == "min" else
+                    f"{'~(' if any(arrs) else 'not ('}{a[0]} < {b[0]})")
+            self.put(_PICK_A if any(arrs) else _PICK, op=op, o=o, a=a, b=b,
+                     take=take)
+        elif op in ("^", "pow"):
+            self.power(o, a, b, *arrs)
+        else:
+            self.map(op, o, a, arrs[0])
+        return o + "v", o + "d1", o + "d2"
+
+    def check(self, arr: bool, cond: str, error: Optional[str]) -> None:
+        """Raise error where cond holds; on an array, defer instead."""
+        self.put("if ({c}).any():\n    raise _Defer" if arr
+                 else "if {c}:\n    raise EvalError({e})", c=cond, e=error)
+
+    def map(self, op: str, o: str, a, arr: bool) -> None:
+        v = a[0]
+        if op == "log" and not arr:
+            self.check(False, f"{v} <= 0.0", f'f"log of non-positive value {{{v}}}"')
+        if op == "sqrt" and not arr:
+            self.put(_SQRT_ZERO, o=o, a=a)
+            self.pad += "    "
+            self.check(False, f"{v} <= 0.0", f'f"sqrt of negative value {{{v}}}" '
+                       f'if {v} < 0.0 else "sqrt not differentiable at 0"')
+        lines, f1, f2 = _MAPS[op]
+        fns = {f: f"_each(_{f}, {v})" if arr else f"_{f}({v})"
+               for f in ("exp", "log", "sin", "cos", "tanh", "sqrt")}
+        self.put(lines, **dict(fns, sqrt=f"_sqrt_a({v})") if arr else fns,
+                 o=o, a=a, square=f"_powers({o}v, 2)" if arr else f"{o}v ** 2")
+        self.put(_CHAIN, o=o, a=a, f1=f1.format(o=o), f2=f2.format(o=o))
+        if arr and op in ("log", "sqrt"):  # where the scalar code raises
+            self.check(True, f"({v} <= 0.0) | ({v if op == 'log' else o + 'v'}"
+                       f" * {v} == 0.0)", None)
+        if op == "sqrt" and not arr:
+            self.pad = self.pad[:-4]
+
+    def power(self, o: str, x, c, ax: bool, ac: bool) -> None:
+        stationary = dict(template=(_POWER_A if ax else _POWER) + "\n" + _CHAIN,
+                          o=o, x=x[0], c=c[0], a=x, f1=o + "f1", f2=o + "f2")
+        if c[1] == c[2] == "0.0":  # a number or a parameter: no other branch
+            return self.put(**stationary)
+        if ac:  # elements with a stationary exponent take the branch below
+            self.put("if _any(({c[1]} == 0.0) & ({c[2]} == 0.0)):\n"
+                     "    raise _Defer", c=c)
+        else:
+            self.put("if {c[1]} == 0.0 and {c[2]} == 0.0:", c=c)
+            self.pad += "    "
+            self.put(**stationary)
+            self.pad = self.pad[:-4]
+            self.put("else:")
+            self.pad += "    "
+        # x^c = exp(c*log x)
+        self.check(ax, f"{x[0]} <= 0.0", '"variable exponent requires a positive base"')
+        lg = self.op("log", [x], [ax])
+        self.map("exp", o, self.op("*", [c, lg], [ac, ax]), ax or ac)
+        if not ac:
+            self.pad = self.pad[:-4]
 
 
-def _compile_array(n: Node, params: ParamSet):
-    if not _uses_r(n):
-        f = _compile(n, params)[0]
-        return lambda rs: f(0.0)
-    if isinstance(n, Name):
-        return lambda rs: (rs, 1.0, 0.0)
-    op, operands = _operands(n)
-    fs = [_compile_array(x, params) for x in operands]
-    if op in ("min", "max"):
-        a, b = fs
-
-        def pick(rs):
-            x, y = a(rs), b(rs)
-            tie = x[0] == y[0]
-            if np.any(tie):
-                warnings.warn(f"{op} differentiated one-sidedly at a tie",
-                              NonSmoothTie, stacklevel=5)
-            take_x = tie | ((x[0] < y[0]) == (op == "min"))
-            return tuple(np.where(take_x, u, w) for u, w in zip(x, y))
-        return pick
-    kernel = _ARRAY_KERNELS[op]
-    if len(fs) == 1:
-        return lambda rs: kernel(*fs[0](rs))
-    a, b = fs
-    return lambda rs: kernel(*a(rs), *b(rs))
-
-
-ArrayTriple = Tuple[np.ndarray, np.ndarray, np.ndarray]
+def _evaluators(em: _Emitter, ast: Node, fold: bool) -> list:
+    """Lines defining the evaluators ``scalar`` and ``array`` inside bind;
+    where nothing folds, ``array`` always defers."""
+    em.lines = []
+    v, d1, d2 = em.walk(ast, False, fold)
+    lines = ["def scalar(r):", "    try:", "        x = float(r)",
+             *("        " + s for s in em.lines),
+             "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
+             '        raise EvalError(f"{exc} at r={r}") from None',
+             f"    if _isfinite({v}) and _isfinite({d1}) and _isfinite({d2}):",
+             f"        return {v}, {d1}, {d2}",
+             '    raise EvalError(f"non-finite evaluation at r={r}")']
+    if not fold:
+        return lines + ["array = _no_array"]
+    em.lines = []
+    v, d1, d2 = em.walk(ast, True, True)
+    return lines + [
+        "def array(rs, parts=3):", "    rs = _asarray(rs, dtype=float)",
+        "    try:", '        with _errstate(all="ignore"):',
+        *("            " + s for s in em.lines),
+        # non-finite iff some part is, or the sum overflows (deferred)
+        f"            finite = _isfinite_a({v} + {d1} + {d2}).all()",
+        "    except (_Defer, IsocapError, ArithmeticError, ValueError):",
+        "        return None",
+        f"    return _whole(({v}, {d1}, {d2}), rs, parts) if finite else None"]
 
 
-def compile_array(expr: ProfileExpr, params: ParamSet | None = None
-                  ) -> Callable[..., Optional[ArrayTriple]]:
-    """Compile expr with params bound into a function from a 1-D array of
-    radii to the arrays (value, d/dr, d^2/dr^2) there, each element
-    bit-identical to ``compile``'s; with ``parts=1`` it returns the values
-    alone, as a one-element tuple.  It returns None when the scalar
-    closure must decide: some element raises there, or takes a branch the
-    array path leaves to it."""
-    root = _compile_array(expr.ast, params or {})
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _code(key: str, ast: Node, fold: bool = True
+          ) -> Callable[[ParamSet], Callable[[float], Triple]]:
+    """Emit and compile one tree's evaluators; returns its ``bind``.  The key
+    repr(ast) tells -0.0 from 0.0 and the number inf from a name.  Code that
+    folds nothing is compiled only for a bind whose folds raise."""
+    em = _Emitter()
+    body = _evaluators(em, ast, fold)
+    em.lines = []
+    for k, n in em.slots.values():
+        em.put(f"{k}v, {k}d1, {k}d2 = {', '.join(em.walk(n, False, False))}")
+    if em.lines:
+        body = ["try:", *("    " + s for s in em.lines),
+                "except Exception:", "    return _raw(P)", *body]
+    src = "\n".join(["def bind(P):", *("    " + s for s in body),
+                     "    scalar.array = array", "    return scalar"])
+    namespace = dict(_NAMESPACE, _raw=lambda P: _code(key, ast, False)(P),
+                     **em.consts)
+    exec(builtins.compile(src, "<isocap profile>", "exec"), namespace)
+    return namespace["bind"]
 
-    def evaluate(rs: np.ndarray, parts: int = 3) -> Optional[ArrayTriple]:
-        rs = np.asarray(rs, dtype=float)
-        try:
-            with np.errstate(all="ignore"):
-                out = root(rs)
-                # non-finite iff some term is, or the sum overflows (deferred)
-                finite = np.isfinite(out[0] + out[1] + out[2]).all()
-        except (_Defer, IsocapError, ArithmeticError, ValueError):
-            return None
-        if not finite:
-            return None
-        # a term free of r is a float, and the value of ``r`` is rs itself
-        return tuple(x if isinstance(x, np.ndarray) and x is not rs
-                     and x.shape == rs.shape
-                     else np.array(np.broadcast_to(x, rs.shape))
-                     for x in out[:parts])
-    return evaluate
+
+def compile(expr: ProfileExpr, params: ParamSet | None = None
+            ) -> Callable[[float], Triple]:
+    """Bind params to expr's compiled code.  Returns a function of r giving
+    (value, d/dr, d^2/dr^2); it raises EvalError on a non-finite result and
+    on a math error (overflow, domain, zero division) of its floats.  Its
+    attribute ``array`` maps a 1-D array of radii to the arrays (value,
+    d/dr, d^2/dr^2) there, each element bit-identical to the function's; with
+    ``parts=1`` it returns the values alone, as a one-element tuple.  It
+    returns None when the scalar code must decide: some element raises there,
+    or takes a branch the array code leaves to it."""
+    return expr._bind(params or {})
+
+
+def eval_d2(expr: ProfileExpr, r: float, params: ParamSet | None = None) -> Triple:
+    """Evaluate expr at radius r: returns (value, d/dr, d^2/dr^2)."""
+    return compile(expr, params)(r)

@@ -107,6 +107,16 @@ class TestCapacity:
         assert code == 0
         assert json.loads(out)["ncap"] == pytest.approx(4.0, rel=1e-10)
 
+    def test_domain_too_short_exit_3(self, capsys, tmp_path):
+        # on [1, 4] the tail probes reach 0.999 = (0.999 * 4) / 4, below
+        # the domain start
+        table = tmp_path / "short.csv"
+        table.write_text("1,1\n2,2\n3,3\n4,4\n")
+        code, _, err = run(capsys, "capacity", "--metric",
+                           f"table:geodesic:{table}", "--rho0", "2", "--p", "2")
+        assert code == 3
+        assert "DomainError: metric domain [1.0, 4.0] too short for capacity" in err
+
     def test_bad_exponent_exit_3(self, capsys):
         code, _, err = run(capsys, "capacity", "--metric", "flat",
                            "--rho0", "2", "--p", "5")
@@ -327,6 +337,25 @@ class TestConfig:
                            "--rho", "2")
         assert code == 2
         assert "config error" in err and "offset 2" in err
+
+    @pytest.mark.parametrize("head,bad", [
+        ("r,f\nradius,value\n", "['radius', 'value']"),  # two header rows
+        # numpy reprs: the first row passes for the header
+        ("", "['np.float64(4.0)', ' np.float64(0.5)']"),
+    ])
+    def test_bad_table_rows_exit_2(self, capsys, tmp_path, head, bad):
+        table = tmp_path / "t.csv"
+        rows = [(2.0 + k, 1.0 - 2.0 / (2.0 + k)) for k in range(6)]
+        if head:
+            body = "".join(f"{r!r},{f!r}\n" for r, f in rows)
+        else:
+            body = "".join(f"np.float64({r!r}), np.float64({round(f, 1)!r})\n"
+                           for r, f in rows[1:])
+        table.write_text(head + body)
+        code, _, err = run(capsys, "sphere", "--metric", f"table:areal:{table}",
+                           "--rho", "3")
+        assert code == 2
+        assert f"bad table row {bad}" in err
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -17,7 +17,7 @@ from isocap.masses import (CONVERGED, DIVERGENT,
                            equivalence_report, huisken_mass,
                            mass_report_to_csv, mass_report_to_json,
                            quasilocal_mass, total_mass, total_masses)
-from isocap.masses import _diverges
+from isocap.masses import INDETERMINATE, MassReport, _diverges, _num
 
 GRID = [50.0 * 2.0 ** k for k in range(6)]
 
@@ -346,6 +346,31 @@ class TestExport:
         row = lines[1].split(",")
         assert float(row[2]) == GRID[0]
         assert float(row[3]) == rep.quasilocal[0]
+
+    @pytest.mark.parametrize("report", [
+        MassReport('a "label" \u00e9', None, [], [], math.nan, math.inf,
+                   INDETERMINATE),
+        MassReport("schwarzschild:m=1", 2.0, [1, 2.0, 1e300, 5e-324],
+                   [math.inf, -math.inf, math.nan, -0.0], -math.inf, 0.0,
+                   CONVERGED),
+        MassReport("m", 1.5, [math.inf, -math.inf, math.nan], [1.0 / 3.0],
+                   0.1, math.nan, DIVERGENT),
+    ])
+    def test_json_bytes(self, report):
+        """The direct writer prints the bytes of json.dumps(obj, indent=2)."""
+        obj = {"metric": report.metric, "p": report.p, "radii": report.radii,
+               "quasilocal": [_num(v) for v in report.quasilocal],
+               "extrapolated": _num(report.extrapolated_mass),
+               "err": _num(report.err_estimate), "verdict": report.verdict}
+        assert mass_report_to_json(report) == json.dumps(obj, indent=2)
+
+    def test_json_bytes_of_a_real_report(self):
+        rep = total_mass(cylinder(1.0), 2.0, [1, 2, 4, 8, 16, 32])
+        obj = {"metric": rep.metric, "p": rep.p, "radii": rep.radii,
+               "quasilocal": [_num(v) for v in rep.quasilocal],
+               "extrapolated": _num(rep.extrapolated_mass),
+               "err": _num(rep.err_estimate), "verdict": rep.verdict}
+        assert mass_report_to_json(rep) == json.dumps(obj, indent=2)
 
     def test_huisken_p_field(self):
         rep = total_mass(schwarzschild(1.0), None, GRID)

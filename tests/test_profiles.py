@@ -455,3 +455,76 @@ def test_values_on_a_dense_grid(text):
 @settings(max_examples=400, deadline=None)
 def test_values_match_eval_d2(text, rs, a):
     check_values_match_scalar(text, rs, a)
+
+
+class TestEmitter:
+    """One emitted source per tree, bound to each profile's parameters."""
+
+    def test_one_source_per_tree(self, monkeypatch):
+        calls = []
+        emitter = profiles._Emitter
+        monkeypatch.setattr(profiles, "_Emitter",
+                            lambda: calls.append(1) or emitter())
+        profiles._code.cache_clear()
+        profiles.parse.cache_clear()
+        text = "1-2*m/r+q^2/r^2"
+        a = geometry.ExprProfile(text, {"m": 1.3, "q": 0.6})
+        b = geometry.ExprProfile(text, RN)
+        rs = [2.5, 7.0, 1000.0]
+        got_b = [b.eval_d2(r) for r in rs]
+        got_a = [a.eval_d2(r) for r in rs]
+        assert len(calls) == 1
+        # b has the frozen bits of its parameters, a its own
+        want_b = [w for t, _, p, w in PARITY if t == text and p == RN]
+        assert [tuple(x.hex() for x in g) for g in got_b] == want_b
+        assert got_a != got_b
+        assert [a.eval_d2(r) for r in rs] == got_a
+        profiles._code.cache_clear()
+        profiles.parse.cache_clear()
+        fresh = geometry.ExprProfile(text, {"m": 1.3, "q": 0.6})
+        assert len(calls) == 2
+        assert [fresh.eval_d2(r) for r in rs] == got_a
+        for form in ("values", "triple"):
+            assert np.array_equal(getattr(a, form)(np.array(rs)),
+                                  getattr(fresh, form)(np.array(rs)))
+
+    def test_cache_is_bounded_and_exact(self):
+        for k in range(profiles._CACHE_SIZE + 5):
+            profiles.compile(parse(f"r + {k}"))
+        assert profiles._code.cache_info().currsize == profiles._CACHE_SIZE
+        # trees that compare equal (-0.0 == 0.0) or print alike (the number
+        # inf and a parameter inf) but evaluate apart compile apart
+        plus = lambda leaf: profiles.ProfileExpr(Bin("+", Name("r"), leaf), "r+0")
+        assert profiles.compile(plus(Num(-0.0)))(-0.0)[0].hex() == "-0x0.0p+0"
+        assert profiles.compile(plus(Num(0.0)))(-0.0)[0].hex() == "0x0.0p+0"
+        with pytest.raises(EvalError, match="non-finite"):
+            profiles.compile(plus(Num(math.inf)))(1.0)
+        with pytest.raises(UnknownIdentifier, match="'inf'"):
+            profiles.compile(plus(Name("inf")))(1.0)
+
+    def test_failed_fold_raises_on_every_evaluation(self):
+        # the same code folds 1/(m-1) at m = 2, and leaves it to every
+        # evaluation at m = 1, in every form
+        good = geometry.ExprProfile("r + 1/(m-1)", {"m": 2.0})
+        assert good.eval_d2(2.0) == (3.0, 1.0, 0.0)
+        bad = geometry.ExprProfile("r + 1/(m-1)", {"m": 1.0})
+        for _ in range(2):
+            for call in (lambda: bad.eval_d2(2.0),
+                         lambda: bad.values(np.array([1.0, 2.0])),
+                         lambda: bad.triple(np.array([1.0, 2.0]))):
+                with pytest.raises(EvalError, match="division by zero"):
+                    call()
+        unbound = profiles.compile(parse("r + 1/(m-1)"))
+        for _ in range(2):
+            with pytest.raises(UnknownIdentifier, match="unbound parameter 'm'"):
+                unbound(2.0)
+        assert good.eval_d2(2.0) == (3.0, 1.0, 0.0)
+
+    def test_unfolded_tie_warns_on_every_evaluation(self):
+        prof = geometry.ExprProfile("r + min(2, 2)")
+        rs = np.array([1.0, 3.0])
+        for call in (lambda: prof.eval_d2(1.0), lambda: prof.values(rs),
+                     lambda: prof.triple(rs)):
+            for _ in range(2):
+                with pytest.warns(NonSmoothTie):
+                    call()

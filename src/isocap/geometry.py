@@ -233,12 +233,25 @@ class RadialMetric:
     _vol_val: List[float] = field(default_factory=list, repr=False)
     _xi: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None,
                                                               repr=False)
+    # the area never falls from this radius on (see own_hull); set by the
+    # constructors that know it, never by a caller
+    _hull_from: float = field(default=math.inf, init=False, repr=False)
 
     def __post_init__(self):
         if not self.label:
             self.label = f"{self.gauge.value}:{self.profile.describe()}"
         self._vol_rho = [self.domain_start]
         self._vol_val = [0.0]
+        if self.gauge is Gauge.AREAL:  # 4*pi*r^2 grows from r = 0 on
+            self._hull_from = 0.0
+
+    def own_hull(self, rho: float) -> bool:
+        """Whether the sphere at rho is its own outward-minimizing hull
+        because the area cannot fall from rho on: an areal sphere at
+        r >= 0, any sphere of a ``mass_profile_metric`` (a' >= 0, a0 > 0)
+        or of ``to_geodesic`` of an areal metric from r_min >= 0 (a = r
+        with a' = sqrt(f) >= 0), and ``scaled`` copies of these."""
+        return rho >= self._hull_from
 
     @property
     def r_max(self) -> float:
@@ -615,9 +628,12 @@ def to_geodesic(metric: RadialMetric,
     if metric.gauge is Gauge.GEODESIC:
         return metric
     prof = _ConvertedProfile(metric, cfg)
-    return RadialMetric(gauge=Gauge.GEODESIC, profile=prof, domain_start=0.0,
-                        boundary_kind=metric.boundary_kind,
-                        label=f"geodesic<{metric.label}>")
+    out = RadialMetric(gauge=Gauge.GEODESIC, profile=prof, domain_start=0.0,
+                       boundary_kind=metric.boundary_kind,
+                       label=f"geodesic<{metric.label}>")
+    if metric.own_hull(metric.domain_start):  # rho(r) keeps r's order
+        out._hull_from = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +812,10 @@ def table_metric(gauge: Gauge, path: str,
 
 
 def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
-    """Homothety g -> lam^2 g, realized on the radial profile."""
+    """Homothety g -> lam^2 g, realized on the radial profile.  Raises
+    ConfigError unless lam is finite and positive."""
+    if not 0.0 < lam < math.inf:
+        raise ConfigError(f"need a finite scale lam > 0, got {lam}")
     base = metric.profile
 
     if metric.gauge is Gauge.GEODESIC:
@@ -824,9 +843,11 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
     prof = FuncProfile(fn, array_fn, triple_fn,
                        label=f"scaled({lam:g})*{base.describe()}",
                        r_max=getattr(base, "r_max", math.inf) * lam)
-    return RadialMetric(metric.gauge, prof, metric.domain_start * lam,
-                        metric.boundary_kind,
-                        label=f"scaled:{lam:g}:{metric.label}")
+    out = RadialMetric(metric.gauge, prof, metric.domain_start * lam,
+                       metric.boundary_kind,
+                       label=f"scaled:{lam:g}:{metric.label}")
+    out._hull_from = lam * metric._hull_from
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +861,10 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     mu maps rho to (mass, d mass/d rho) with mass >= 0 and slope >= 0.  The
     warping factor solves a' = sqrt(1 - 2*mu/a) with a(0) = a0 > 2*mu(0),
     which makes the Hawking mass of the sphere at rho exactly mu(rho) and
-    the scalar curvature 4*mu'/(a' a^2) >= 0.  The ODE is solved once, on
+    the scalar curvature 4*mu'/(a' a^2) >= 0.  a0 and rho_max must be
+    finite and positive (ConfigError otherwise); with a0 > 0 and a' >= 0
+    the area never falls, so every sphere is its own outward-minimizing
+    hull (``RadialMetric.own_hull``).  The ODE is solved once, on
     [0, rho_max], by ``numerics.dormand_prince`` (rtol 1e-11, atol 1e-12);
     a(rho) is its quartic dense output, the same bits from all three
     profile forms, and a', a'' come from the right-hand side.  ``triple``
@@ -854,8 +878,12 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     goes unnoticed there, while ``eval_d2`` and ``triple`` at that radius
     still raise.
     """
+    if not 0.0 < a0 < math.inf:
+        raise ConfigError(f"need a finite a0 > 0, got {a0}")
+    if not 0.0 < rho_max < math.inf:
+        raise ConfigError(f"need a finite rho_max > 0, got {rho_max}")
     mu0 = mu(0.0)[0]
-    if a0 <= 2.0 * mu0:
+    if not a0 > 2.0 * mu0:
         raise ConfigError(f"need a0 > 2*mu(0) = {2 * mu0}")
 
     def rhs(rho: float, a: float) -> float:
@@ -906,15 +934,19 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
         return a, ap, app
 
     prof = FuncProfile(fn, array_fn, triple_fn, label=label, r_max=rho_max)
-    return RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
+    metric = RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
+    metric._hull_from = 0.0  # a > 0 and a' >= 0: the area never falls
+    return metric
 
 
 def tanh_step_mass_metric(mass: float, center: float, width: float,
                           a0: Optional[float] = None,
                           rho_max: float = 1e6) -> RadialMetric:
     """R >= 0 metric whose Hawking mass rises smoothly from ~0 to ``mass``."""
-    if mass < 0.0 or width <= 0.0:
-        raise ConfigError("need mass >= 0 and width > 0")
+    if not (0.0 <= mass < math.inf and 0.0 < width < math.inf
+            and math.isfinite(center)):
+        raise ConfigError("need finite mass >= 0, center and width > 0, got "
+                          f"mass={mass}, center={center}, width={width}")
     if a0 is None:
         a0 = max(1.0, 3.0 * mass)
 

@@ -530,8 +530,11 @@ def dormand_prince(fun: Callable[[float, float], float], t0: float,
     atol + rtol*max(|y|, |y_new|), step factors 0.9*err^(-1/5) limited to
     [0.2, 10], and no growth right after a rejection.  Raises
     NonConvergence when the step falls below ten times the spacing of
-    floats at t.
+    floats at t or is not finite (a NaN y0 or error estimate), DomainError
+    unless t0 < t1 are finite.
     """
+    if not -math.inf < t0 < t1 < math.inf:
+        raise DomainError(f"need finite t0 < t1, got [{t0}, {t1}]")
     c2, c3, c4, c5 = _DP_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
@@ -556,9 +559,9 @@ def dormand_prince(fun: Callable[[float, float], float], t0: float,
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
-                raise NonConvergence("required step size is less than the "
-                                     f"spacing between numbers at t={t}")
+            if not min_step <= h_abs < math.inf:  # false for a NaN step
+                raise NonConvergence(f"step size {h_abs} is not finite or less "
+                                     f"than the spacing between numbers at t={t}")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
             k2 = fun(t + c2 * h, y + (a21 * f) * h)

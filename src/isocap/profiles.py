@@ -78,13 +78,10 @@ class ProfileExpr:
     ast: Node
     text: str
 
-    def names(self):
-        """All parameter names referenced (excludes ``r`` and ``pi``)."""
-        def walk(n):
-            if isinstance(n, (Num, Name)):
-                return {n.ident} - {"r", "pi"} if isinstance(n, Name) else set()
-            return set().union(*map(walk, _operands(n)[1]))
-        return walk(self.ast)
+    def names(self) -> frozenset:
+        """All parameter names referenced (excludes ``r`` and ``pi``), kept
+        with the tree's compiled code."""
+        return self._bind.names
 
     @functools.cached_property
     def _bind(self):
@@ -222,8 +219,8 @@ def to_text(expr: ProfileExpr) -> str:
     """Canonical fully parenthesized rendering; parse(to_text(e)) == e."""
 
     def render(n: Node) -> str:
-        if isinstance(n, Num):
-            return repr(n.value)
+        if isinstance(n, Num):  # 1e999 parses back to inf, "inf" to a name
+            return "1e999" if n.value == math.inf else repr(n.value)
         if isinstance(n, Name):
             return n.ident
         if isinstance(n, Neg):
@@ -366,6 +363,7 @@ class _Emitter:
         self.slots: Dict[int, Tuple[str, Node]] = {}  # folded subtrees
         self.flags: Dict[int, Tuple[bool, bool]] = {}
         self.lines, self.pad, self.names = [], "", itertools.count()
+        self.params: set = set()  # parameter names read
 
     def put(self, template: str, **names) -> None:
         self.lines += [self.pad + line
@@ -400,6 +398,7 @@ class _Emitter:
             k = self.slots.setdefault(id(n), (f"k{len(self.slots)}", n))[0]
             return k + "v", k + "d1", k + "d2"
         if isinstance(n, Name):
+            self.params.add(n.ident)
             o = f"t{next(self.names)}"
             self.put("if {n!r} not in P:\n"
                      '    raise UnknownIdentifier("unbound parameter {n!r}")\n'
@@ -506,9 +505,10 @@ def _evaluators(em: _Emitter, ast: Node, fold: bool) -> list:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _code(key: str, ast: Node, fold: bool = True
           ) -> Callable[[ParamSet], Callable[[float], Triple]]:
-    """Emit and compile one tree's evaluators; returns its ``bind``.  The key
-    repr(ast) tells -0.0 from 0.0 and the number inf from a name.  Code that
-    folds nothing is compiled only for a bind whose folds raise."""
+    """Emit and compile one tree's evaluators; returns its ``bind``, whose
+    attribute ``names`` holds the tree's parameter names.  The key repr(ast)
+    tells -0.0 from 0.0 and the number inf from a name.  Code that folds
+    nothing is compiled only for a bind whose folds raise."""
     em = _Emitter()
     body = _evaluators(em, ast, fold)
     em.lines = []
@@ -522,7 +522,9 @@ def _code(key: str, ast: Node, fold: bool = True
     namespace = dict(_NAMESPACE, _raw=lambda P: _code(key, ast, False)(P),
                      **em.consts)
     exec(builtins.compile(src, "<isocap profile>", "exec"), namespace)
-    return namespace["bind"]
+    bind = namespace["bind"]
+    bind.names = frozenset(em.params)
+    return bind
 
 
 def compile(expr: ProfileExpr, params: ParamSet | None = None

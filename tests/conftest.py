@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,3 +72,21 @@ def refined(monkeypatch):
         return core(density, lo, hi, scale, cfg, rows)
     monkeypatch.setattr(numerics, "_refine", spy)
     return calls
+
+
+def _run_isolated(code, timeout=120):
+    """Run python code in a fresh interpreter that imports isocap from src;
+    its standard output.  Fails on a non-zero exit, and on a run past
+    timeout seconds, which kills the interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def run_isolated():
+    return _run_isolated

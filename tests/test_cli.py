@@ -447,21 +447,10 @@ class TestModuleEntry:
         assert json.loads(proc.stdout)["rho"] == 2.0
 
 
-def run_isolated(code):
-    """Run python code in a fresh interpreter that imports isocap from src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 class TestScipyOnDemand:
     """No path imports scipy: the package needs numpy only."""
 
-    def test_mass_and_flow_leave_scipy_unloaded(self):
+    def test_mass_and_flow_leave_scipy_unloaded(self, run_isolated):
         out = run_isolated(
             "import contextlib, io, json, sys\n"
             "import isocap\n"
@@ -479,7 +468,7 @@ class TestScipyOnDemand:
         assert out.strip() == "['CONVERGED', 'CONVERGED', 'CONVERGED', " \
             "'CONVERGED', 'CONVERGED'] []"
 
-    def test_fallback_panels_run_without_it(self):
+    def test_fallback_panels_run_without_it(self, run_isolated):
         # each of these sends panels that fail the fixed rule's check to
         # the adaptive refinement numerics._refine, which is in-repo; the
         # neck fails two of the hypothesis checks, so that command exits 1
@@ -511,7 +500,7 @@ class TestScipyOnDemand:
             "print(len(calls) > 0, len(track.samples))\n")
         assert out.split() == ["True"] * 4 + ["40"]
 
-    def test_exit_codes_without_it(self, tmp_path):
+    def test_exit_codes_without_it(self, tmp_path, run_isolated):
         # a 400-row areal Schwarzschild table on [2, 1e4], without header;
         # the neck fails two of the hypothesis checks, so that command exits 1
         table = tmp_path / "schwarzschild.csv"
@@ -535,7 +524,7 @@ class TestScipyOnDemand:
             "print(codes)\n")
         assert out.strip() == "[0, 0, 0, 1]"
 
-    def test_no_path_loads_it(self, schwarzschild_csv, tmp_path):
+    def test_no_path_loads_it(self, schwarzschild_csv, tmp_path, run_isolated):
         # every family through every CLI entry point, and the library-only
         # families through the library, with scipy unimportable: each
         # command exits 0, 1 or 3 and none ends in a traceback

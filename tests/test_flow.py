@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocap import flow, numerics
-from isocap.errors import (DomainError, InsufficientData, NoBracket,
-                           NonConvergence)
+from isocap.errors import (DomainError, EvalError, InsufficientData,
+                           NoBracket, NonConvergence)
 from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
                          flow_to_csv, geroch_check, outward_hull, weak_imcf,
                          willmore_limit)
-from isocap.geometry import (FuncProfile, Gauge, expr_metric, flat,
-                             metric_from_spec, scaled, schwarzschild, spheres,
-                             table_metric, tanh_step_mass_metric, to_geodesic)
+from isocap.geometry import (FuncProfile, Gauge, RadialMetric, expr_metric,
+                             flat, mass_profile_metric, metric_from_spec,
+                             scaled, schwarzschild, spheres, table_metric,
+                             tanh_step_mass_metric, to_geodesic)
 from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
@@ -106,8 +107,9 @@ def _hex(hulls):
 
 
 class TestArealHull:
-    """An areal sphere at r >= 0 is its own hull: no scan, and the bits of
-    the scan read."""
+    """A sphere whose area cannot fall (an areal sphere at r >= 0, a
+    generated metric, a conversion from r_min >= 0, scaled copies) is its
+    own hull: no scan, and the bits of the scan read."""
 
     METRICS = {
         "schwarzschild": lambda: schwarzschild(1.0),
@@ -116,15 +118,22 @@ class TestArealHull:
             domain_start=1.3 + math.sqrt(1.3 ** 2 - 0.6 ** 2)),
         "expr-spec": lambda: metric_from_spec("expr:areal:1"),
         "from-zero": lambda: expr_metric(Gauge.AREAL, "1", domain_start=0.0),
+        "tanh-step": lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+        "scaled-tanh-step": lambda: scaled(tanh_step_mass_metric(1.0, 5.0, 1.0),
+                                           2.0),
+        "converted": lambda: to_geodesic(schwarzschild(1.0)),
     }
 
     def radii(self, metric, first):
         """The domain start (or first), a radius between scan nodes, one
-        just below the scan limit and two at or past it."""
+        just below the scan limit and two at or past it: an areal area
+        needs no profile there, a geodesic profile ends just past it."""
         limit = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
         nodes = flow._area_grid(metric, first, limit)[0]
+        past = (2.0 * limit if metric.gauge is Gauge.AREAL
+                else float(np.nextafter(limit, math.inf)))
         return [first, float(0.5 * (nodes[1234] + nodes[1235])),
-                float(np.nextafter(limit, 0.0)), limit, 2.0 * limit]
+                float(np.nextafter(limit, 0.0)), limit, past]
 
     @pytest.mark.parametrize("name", [*METRICS, "table"])
     def test_bits_of_the_scan_read(self, name, table_400, scan_read,
@@ -163,6 +172,27 @@ class TestArealHull:
         assert scans == [-1.0]
         assert abs(rho) < 1e-6 and area < 1e-10
         assert (rho2, area2) == (2.0, 16.0 * math.pi)
+
+    def test_converted_negative_start_scans(self, monkeypatch):
+        # converted from r_min = -1, a = r falls to 0 at rho = 1: the hull
+        # of rho = 0 is found by the scan
+        metric = to_geodesic(expr_metric(Gauge.AREAL, "1", domain_start=-1.0))
+        assert not metric.own_hull(0.0)
+        scans, area_grid = [], flow._area_grid
+        monkeypatch.setattr(flow, "_area_grid",
+                            lambda *a: scans.append(a[1]) or area_grid(*a))
+        (rho, area), = _outward_hulls(metric, [0.0], DEFAULT_CFG)
+        assert scans == [0.0]
+        assert abs(rho - 1.0) < 1e-6 and area < 1e-10
+
+    def test_stalled_generated_flow_raises(self):
+        # mu = rho outgrows a/2 near rho = 0.4: the warping stalls there,
+        # and the flow's scan meets the stall
+        metric = mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0,
+                                     rho_max=10.0)
+        assert metric.own_hull(0.1)
+        with pytest.raises(EvalError, match="stalls"):
+            weak_imcf(metric, 0.1, 2.0, n_samples=10)
 
 
 class TestAreaLaw:
@@ -243,11 +273,19 @@ class TestOneScan:
     def test_one_area_scan_per_flow(self, monkeypatch, make, rho0, t_max):
         calls = []
         scan = flow._area_grid
-        monkeypatch.setattr(flow, "_area_grid",
-                            lambda *a: calls.append(a[1:]) or scan(*a))
+
+        def counted(*a):
+            grid, areas = scan(*a)
+            calls.append((a[1], a[2], len(grid)))
+            return grid, areas
+        monkeypatch.setattr(flow, "_area_grid", counted)
         metric = make()
         weak_imcf(metric, rho0, t_max, n_samples=20)
-        assert calls == [(rho0, min(DEFAULT_CFG.cutoff_radius, metric.r_max))]
+        # a generated metric is its own hull: its one scan has 256 nodes
+        points = (flow._OWN_HULL_POINTS if metric.label.startswith("masstep")
+                  else _SCAN_POINTS)
+        assert calls == [(rho0, min(DEFAULT_CFG.cutoff_radius, metric.r_max),
+                          points)]
 
 
 def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
@@ -372,6 +410,41 @@ FLOW_CASES = {
     "oscillating": (lambda: expr_metric(Gauge.GEODESIC, "r*(1+0.3*sin(r))"),
                     1.0, 6.0),
 }
+
+
+class TestOwnHullFlows:
+    """A flow from its own hull against the same flow on the 8192-node hull
+    scan, with the own-hull predicate patched off."""
+
+    @pytest.mark.parametrize("name", ["converted", "scaled-tanh-step",
+                                      "schwarzschild", "tanh-step"])
+    def test_samples_match_the_hull_scan(self, name, monkeypatch):
+        make, rho0, t_max = FLOW_CASES[name]
+        sizes = []
+        scan = flow._area_grid
+
+        def counted(*a):
+            grid, areas = scan(*a)
+            sizes.append(len(grid))
+            return grid, areas
+        monkeypatch.setattr(flow, "_area_grid", counted)
+        track = weak_imcf(make(), rho0, t_max, n_samples=40)
+        monkeypatch.setattr(RadialMetric, "own_hull", lambda self, rho: False)
+        ref = weak_imcf(make(), rho0, t_max, n_samples=40)
+        assert sizes == [flow._OWN_HULL_POINTS, _SCAN_POINTS]
+        assert (track.rho0, track.initial_area) == (ref.rho0, ref.initial_area)
+        assert track.jumps == ref.jumps == []
+        got = np.array([d.rho for _, d in track.samples])
+        want = np.array([d.rho for _, d in ref.samples])
+        close = np.abs(got - want) <= DEFAULT_CFG.root_tol + 8.9e-16 * want
+        # on the converted metric a' = 0 at rho0 = 0, and the area stays at
+        # the hull's to rounding up to about 5e-8: at t = 0 each path stops
+        # at an exact root of that plateau
+        first, ref_first = track.samples[0][1], ref.samples[0][1]
+        close[0] |= first.area == ref_first.area == track.initial_area
+        assert close.all()
+        end, ref_end = track.events[-1].rho_end, ref.events[-1].rho_end
+        assert abs(end - ref_end) <= DEFAULT_CFG.root_tol + 8.9e-16 * ref_end
 
 
 class TestNewtonSamples:

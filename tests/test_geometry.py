@@ -603,6 +603,12 @@ class TestBatchedVolumes:
 
 
 class TestScaled:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale_is_a_config_error(self, lam):
+        # lam = 0 built a metric whose sphere data divided by zero
+        with pytest.raises(ConfigError, match="lam > 0"):
+            scaled(schwarzschild(1.0), lam)
+
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_homothety_covariance(self, lam):
         S = schwarzschild(1.0)
@@ -691,6 +697,50 @@ class TestMassProfileGenerator:
             return (0.0 if rho < 1.0 else -math.inf), 0.0
         with pytest.raises(ConfigError, match="mass-profile integration failed"):
             mass_profile_metric(mu, a0=2.0, rho_max=10.0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((math.nan, 5.0, 1.0), {}), ((math.inf, 5.0, 1.0), {}),
+        ((-1.0, 5.0, 1.0), {}), ((1.0, math.nan, 1.0), {}),
+        ((1.0, -math.inf, 1.0), {}), ((1.0, 5.0, 0.0), {}),
+        ((1.0, 5.0, math.nan), {}), ((1.0, 5.0, math.inf), {}),
+        ((1.0, 5.0, 1.0), {"a0": 0.0}), ((1.0, 5.0, 1.0), {"a0": -2.0}),
+        ((1.0, 5.0, 1.0), {"a0": math.inf}),
+        ((1.0, 5.0, 1.0), {"rho_max": -1.0}), ((1.0, 5.0, 1.0), {"rho_max": 0.0}),
+        ((1.0, 5.0, 1.0), {"rho_max": math.nan}),
+    ])
+    def test_bad_arguments_are_config_errors(self, args, kwargs):
+        with pytest.raises(ConfigError):
+            tanh_step_mass_metric(*args, **kwargs)
+
+    def test_negative_mass_at_zero_start(self):
+        # a0 = 0 passed a0 > 2*mu(0) = -2 and divided by a = 0
+        with pytest.raises(ConfigError, match="a0 > 0"):
+            mass_profile_metric(lambda rho: (-1.0, 0.0), a0=0.0)
+
+    @pytest.mark.parametrize("kwargs", ["a0=math.nan", "rho_max=math.inf"])
+    def test_non_finite_start_or_end_returns(self, run_isolated, kwargs):
+        # both looped for good in numerics.dormand_prince: a run that hangs
+        # again fails at the timeout
+        out = run_isolated(
+            "import math\n"
+            "from isocap.errors import ConfigError\n"
+            "from isocap.geometry import tanh_step_mass_metric\n"
+            "try:\n"
+            f"    tanh_step_mass_metric(1.0, 5.0, 1.0, {kwargs})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n", timeout=60)
+        assert "need a finite" in out
+
+    @pytest.mark.parametrize("make", [
+        lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+        lambda: mass_profile_metric(lambda rho: (0.25, 0.0), a0=1.0),
+        lambda: scaled(tanh_step_mass_metric(1.0, 5.0, 1.0), 3.0),
+    ])
+    def test_own_hulls(self, make):
+        # a > 0 and a' >= 0: the area never falls, from the start on
+        M = make()
+        assert M.own_hull(M.domain_start) and M.own_hull(50.0)
+        assert not M.own_hull(-1e-13)
 
 
 def hex_rows(rows):

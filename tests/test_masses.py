@@ -59,8 +59,9 @@ class TestSchwarzschild:
             assert v == pytest.approx(quasilocal_mass(S, r, p), abs=1e-9)
 
     def test_p1_sequence_scans_once(self, monkeypatch):
-        # an areal sphere is its own hull: no scan; a geodesic metric reads
-        # every hull of the sequence off one scan from its first radius
+        # an areal sphere, a converted one and a generated one are their own
+        # hulls: no scan; another geodesic metric reads every hull of the
+        # sequence off one scan from its first radius
         starts = []
         area_grid = flow._area_grid
 
@@ -69,8 +70,9 @@ class TestSchwarzschild:
             return area_grid(metric, lo, hi)
         monkeypatch.setattr(flow, "_area_grid", counted)
         for make, scans in [(lambda: schwarzschild(1.0), []),
-                            (lambda: to_geodesic(schwarzschild(1.0)), [GRID[0]]),
-                            (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+                            (lambda: to_geodesic(schwarzschild(1.0)), []),
+                            (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), []),
+                            (lambda: expr_metric(Gauge.GEODESIC, "r+1"),
                              [GRID[0]])]:
             starts.clear()
             total_mass(make(), 1.0, GRID)

@@ -626,6 +626,25 @@ class TestDormandPrince:
         with pytest.raises(NonConvergence, match="spacing between numbers"):
             dormand_prince(rhs, 0.0, 10.0, 1.0, rtol=1e-11, atol=1e-12)
 
+    @pytest.mark.parametrize("t1, y0, error", [
+        ("10.0", "math.nan", "NonConvergence"),
+        ("math.inf", "1.0", "DomainError"), ("math.nan", "1.0", "DomainError"),
+        ("0.0", "1.0", "DomainError")])
+    def test_non_finite_arguments(self, run_isolated, t1, y0, error):
+        # a NaN step never fell below the floor, and an infinite end never
+        # came: both looped for good, and a run that hangs again fails at
+        # the timeout; an empty interval made no step to build output from
+        out = run_isolated(
+            "import math\n"
+            "from isocap.errors import IsocapError\n"
+            "from isocap.numerics import dormand_prince\n"
+            "try:\n"
+            f"    dormand_prince(lambda t, y: 1.0, 0.0, {t1}, {y0},\n"
+            "                   rtol=1e-11, atol=1e-12)\n"
+            "except IsocapError as exc:\n"
+            "    print(type(exc).__name__)\n", timeout=60)
+        assert out.strip() == error
+
 
 def pchip_tables():
     """(radii, values) of the Schwarzschild f = 1 - 2/r on 2000 geometric

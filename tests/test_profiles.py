@@ -189,6 +189,31 @@ class TestRoundTrip:
         t2 = to_text(parse(t1))
         assert t1 == t2
 
+    @pytest.mark.parametrize("text", ["r+1e999", "r*2e400-inf", "-1e999/r"])
+    def test_infinite_number_round_trip(self, text):
+        # the number inf prints as 1e999, not as the name inf
+        expr = parse(text)
+        again = parse(to_text(expr))
+        assert again.ast == expr.ast and again.names() == expr.names()
+        assert "1e999" in to_text(expr)
+
+
+class TestNames:
+    @pytest.mark.parametrize("text,names", [
+        ("r + pi", set()),
+        ("1 - 2*m/r + q^2/r^2", {"m", "q"}),
+        ("a*min(r, b) + max(c, d^r) - exp(-e)", {"a", "b", "c", "d", "e"}),
+        ("inf + r*1e999", {"inf"}),
+    ])
+    def test_parameter_names(self, text, names):
+        assert parse(text).names() == names
+
+    def test_kept_with_the_compiled_code(self):
+        # a tree parsed from another text shares the code and its names
+        one, other = parse("m*r + 1"), parse("m * r+1")
+        assert one is not other and one.ast == other.ast
+        assert one.names() is other.names() == {"m"}
+
 
 # (value, d/dr, d^2/dr^2) as float.hex, recorded from the dual-number
 # interpreter that the compiled closures replaced.

@@ -36,6 +36,10 @@ _MACHINE = "%.17g"
 _HUMAN = "%.6g"
 
 _SUITES = ("equivalence", "geroch", "bmx", "holder", "willmore", "isoperimetric")
+_FORMATS = ("human", "json", "csv")
+_SECTIONS = {"metric": ("spec",), "output": ("format", "path"),
+             "tolerances": tuple(f.name for f in
+                                 dataclasses.fields(ToleranceConfig))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "[tolerances], [output] sections")
     common.add_argument("--metric", help="metric spec string (overrides config)")
     common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", choices=("human", "json", "csv"),
+    common.add_argument("--format", choices=_FORMATS,
                         help="output format where applicable")
 
     top = argparse.ArgumentParser(prog="isocap", description=__doc__,
@@ -88,6 +92,14 @@ def _load_config(path: Optional[str]) -> configparser.ConfigParser:
         read = cp.read(path)
         if not read:
             raise ConfigError(f"config file not found: {path}")
+    for section in cp.sections():
+        for key in cp.options(section):
+            if key not in _SECTIONS.get(section, ()):
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    fmt = cp.get("output", "format", fallback=None)
+    if fmt is not None and fmt not in _FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}; use "
+                          f"{', '.join(_FORMATS)}")
     return cp
 
 
@@ -102,13 +114,8 @@ def _resolve_metric(args, cp: configparser.ConfigParser):
 
 
 def _resolve_tolerances(cp: configparser.ConfigParser) -> ToleranceConfig:
-    if not cp.has_section("tolerances"):
-        return ToleranceConfig()
-    fields = {f.name: f.type for f in dataclasses.fields(ToleranceConfig)}
     kwargs = {}
-    for key, raw in cp.items("tolerances"):
-        if key not in fields:
-            raise ConfigError(f"unknown tolerance {key!r}")
+    for key, raw in cp.items("tolerances") if cp.has_section("tolerances") else ():
         try:
             kwargs[key] = int(raw) if key in ("max_subdivisions",
                                               "extrap_terms") else float(raw)

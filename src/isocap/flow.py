@@ -11,12 +11,12 @@ each radius gives its sphere data.  Jumps preserve area: the flow leaves
 a rising branch at radius s1 and reappears past the neck at the
 matching-area radius s2 > s1.
 
-Where the area cannot fall (``RadialMetric.own_hull``: an areal sphere
-at r >= 0, generated metrics, conversions of areal metrics from
-r_min >= 0 and scaled copies of these) each sphere is its own hull.  The
-hull then costs no scan, and a flow brackets its samples on a
-256-node scan: the envelope of a non-decreasing area is the area itself,
-so no neck can hide between nodes.  Other metrics scan 8192 nodes.
+Where the area cannot fall (``RadialMetric.own_hull``) each sphere is its
+own hull.  The hull then costs no scan, and a flow brackets its samples
+on a 256-node scan: the envelope of a non-decreasing area is the area
+itself, so no neck can hide between nodes.  Other metrics scan 8192
+nodes.  A neck's bottom is the root of the area's slope, which every
+profile gives exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import DomainError, InsufficientData, IsocapError
 from .geometry import (FOUR_PI, Gauge, RadialMetric, SphereData, Triples,
                        spheres)
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
-                       find_root, minimize_bounded, newton_roots)
+                       find_root, newton_roots)
 
 _SCAN_POINTS = 8192
 _OWN_HULL_POINTS = 256  # the scan of a flow from its own hull
@@ -91,8 +91,22 @@ def _suffix_min(areas: np.ndarray) -> np.ndarray:
 
 def _refine_min(metric: RadialMetric, lo: float, hi: float,
                 cfg: ToleranceConfig) -> Tuple[float, float]:
-    x, area = minimize_bounded(metric.area, lo, hi, cfg.root_tol)
-    return float(x), float(area)
+    """(rho, area) of the least area on [lo, hi] about a neck bottom: the
+    root of the area's slope, a*a' (a = r in the areal gauge), where that
+    slope rises through 0 on the bracket, else the end of smaller area.
+    Each radius costs one profile call."""
+    geodesic = metric.gauge is Gauge.GEODESIC
+    seen = {}  # radius -> (a, a')
+
+    def slope(x: float) -> float:
+        if x not in seen:
+            seen[x] = metric.profile_d2(x)[:2] if geodesic else (x, 1.0)
+        return seen[x][0] * seen[x][1]
+
+    s_lo, s_hi = slope(lo), slope(hi)
+    x = (find_root(slope, lo, hi, cfg) if s_lo < 0.0 < s_hi
+         else min((lo, hi), key=lambda end: abs(seen[end][0])))
+    return x, FOUR_PI * seen[x][0] * seen[x][0]
 
 
 def _read_hull(metric: RadialMetric, grid: np.ndarray, envelope: np.ndarray,
@@ -138,11 +152,8 @@ def outward_hull(metric: RadialMetric, rho0: float,
     Returns (rho_star, hull_area).  For an area profile that only grows
     this is (rho0, area(rho0)); past a neck it is the bottom of the
     outermost dip at or below area(rho0).  A sphere where the area cannot
-    fall (``RadialMetric.own_hull``: an areal sphere at r >= 0, any sphere
-    of a generated metric, of a conversion of an areal metric from
-    r_min >= 0, or of a scaled copy of these) is its own hull and costs no
-    scan; any other radius below the scan limit costs one 8192-node area
-    scan.
+    fall (``RadialMetric.own_hull``) is its own hull and costs no scan; any
+    other radius below the scan limit costs one 8192-node area scan.
     """
     return _outward_hulls(metric, [rho0], cfg)[0]
 

@@ -58,18 +58,19 @@ class BoundaryKind(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Profiles: anything exposing three forms of one radial function.
+# Profiles: three forms of one radial function.
 #   eval_d2(r)  -> (value, d1, d2) at one radius, on Python floats;
 #   values(rs)  -> the value at each radius of a 1-D array;
 #   triple(rs)  -> the arrays (value, d1, d2) at each radius of a 1-D array.
 # Each element of values and triple has the bits of eval_d2 at its radius.
 # Area scans, volume panels and the conversion's build call values once per
 # array; sphere data, minimal-sphere probes and the flow's Newton steps call
-# triple once per array.  Every family computes both array forms itself,
+# triple once per array.  A family supplies eval_d2 and one hook,
+# _arrays(rs, parts), which computes the first parts (1 or 3) of the arrays
 # with in-repo code (tables through numerics.HermiteSpline, the conversion
-# through its Legendre series); where some radius fails, they raise the
-# error eval_d2 raises at the first failing radius, by running the scalar
-# path through _mapped.
+# through its Legendre series), or returns None where some radius fails;
+# _Profile then runs eval_d2 radius by radius, which raises the error of the
+# first failing radius.
 
 Triples = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -81,7 +82,21 @@ def _mapped(fn: Callable[[float], Tuple[float, float, float]],
                           dtype=float).reshape(-1, 3).T)
 
 
-class ExprProfile:
+class _Profile:
+    """The array forms of a profile, from its hook ``_arrays``."""
+
+    r_max = math.inf
+
+    def values(self, rs: np.ndarray) -> np.ndarray:
+        out = self._arrays(rs, 1)
+        return _mapped(self.eval_d2, rs)[0] if out is None else out[0]
+
+    def triple(self, rs: np.ndarray) -> Triples:
+        out = self._arrays(rs, 3)
+        return _mapped(self.eval_d2, rs) if out is None else out
+
+
+class ExprProfile(_Profile):
     """Profile backed by a parsed expression plus parameter bindings."""
 
     def __init__(self, expr: profiles.ProfileExpr, params: Optional[dict] = None,
@@ -95,17 +110,10 @@ class ExprProfile:
         if unbound:
             raise ConfigError(f"undeclared parameters: {sorted(unbound)}")
         self._compiled = profiles.compile(expr, self.params)
+        self._arrays = self._compiled.array
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self._compiled(r)
-
-    def values(self, rs: np.ndarray) -> np.ndarray:
-        out = self._compiled.array(rs, 1)
-        return _mapped(self.eval_d2, rs)[0] if out is None else out[0]
-
-    def triple(self, rs: np.ndarray) -> Triples:
-        out = self._compiled.array(rs)
-        return _mapped(self.eval_d2, rs) if out is None else out
 
     def describe(self) -> str:
         text = profiles.to_text(self.expr)
@@ -115,35 +123,26 @@ class ExprProfile:
         return text
 
 
-class FuncProfile:
-    """Profile backed by a callable returning (value, d1, d2), plus
-    ``array_fn`` and ``triple_fn``, which map a 1-D array of radii to the
-    values there and to the (value, d1, d2) arrays there."""
+class FuncProfile(_Profile):
+    """Profile backed by a callable returning (value, d1, d2), plus the
+    hook ``arrays(rs, parts)`` of ``_Profile``."""
 
     def __init__(self, fn: Callable[[float], Tuple[float, float, float]],
-                 array_fn: Callable[[np.ndarray], np.ndarray],
-                 triple_fn: Callable[[np.ndarray], Triples],
+                 arrays: Callable[[np.ndarray, int], Optional[tuple]],
                  label: str = "func", r_max: float = math.inf):
         self.fn = fn
-        self.array_fn = array_fn
-        self.triple_fn = triple_fn
+        self._arrays = arrays
         self.label = label
         self.r_max = r_max
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self.fn(r)
 
-    def values(self, rs: np.ndarray) -> np.ndarray:
-        return self.array_fn(rs)
-
-    def triple(self, rs: np.ndarray) -> Triples:
-        return self.triple_fn(rs)
-
     def describe(self) -> str:
         return self.label
 
 
-class TableProfile:
+class TableProfile(_Profile):
     """Monotone piecewise cubic interpolation of tabulated (radius, value)
     pairs: ``numerics.HermiteSpline`` with the node slopes of
     ``numerics.pchip_slopes`` (Fritsch and Carlson 1980), computed once.
@@ -165,29 +164,18 @@ class TableProfile:
         self.r_max = float(radii[-1])
         self.label = label
 
-    def _check_range(self, r: float) -> None:
+    def eval_d2(self, r: float) -> Tuple[float, float, float]:
         if r < self.r_min - 1e-12 or r > self.r_max * (1 + 1e-12):
             raise EvalError(f"radius {r} outside table range "
                             f"[{self.r_min}, {self.r_max}]")
-
-    def eval_d2(self, r: float) -> Tuple[float, float, float]:
-        self._check_range(r)
         return self._spline(r)
 
-    def _check_ranges(self, rs: np.ndarray) -> None:
-        """The range check of eval_d2 at each radius of an array, in order."""
+    def _arrays(self, rs: np.ndarray, parts: int) -> Optional[tuple]:
         if rs.size and (rs.min() < self.r_min - 1e-12
                         or rs.max() > self.r_max * (1 + 1e-12)):
-            for r in rs.tolist():
-                self._check_range(r)
-
-    def values(self, rs: np.ndarray) -> np.ndarray:
-        self._check_ranges(rs)
-        return self._spline.values(rs)
-
-    def triple(self, rs: np.ndarray) -> Triples:
-        self._check_ranges(rs)
-        return self._spline.triple(rs)
+            return None
+        return ((self._spline.values(rs),) if parts == 1
+                else self._spline.triple(rs))
 
     def describe(self) -> str:
         return self.label
@@ -255,7 +243,7 @@ class RadialMetric:
 
     @property
     def r_max(self) -> float:
-        return getattr(self.profile, "r_max", math.inf)
+        return self.profile.r_max
 
     def profile_d2(self, rho: float) -> Tuple[float, float, float]:
         return self.profile.eval_d2(rho)
@@ -485,7 +473,7 @@ def sphere_data(metric: RadialMetric, rho: float,
 _XI_PANELS = 400
 
 
-class _ConvertedProfile:
+class _ConvertedProfile(_Profile):
     """Geodesic warping a(rho) obtained from an areal coefficient f(r).
 
     The conversion works in xi = sqrt(r - r_min), the variable of the areal
@@ -574,19 +562,15 @@ class _ConvertedProfile:
         xi = row[6] + row[7] * t
         return self._areal.domain_start + xi * xi
 
-    def values(self, rhos: np.ndarray) -> np.ndarray:
-        return self.triple(rhos)[0]
-
-    def triple(self, rhos: np.ndarray) -> Triples:
+    def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
         """``_triple`` at each rho of an array, from one array solve."""
-        rhos = np.asarray(rhos, dtype=float)
         try:
-            r = self._radius(*self._solve(rhos))
+            r = self._radius(*self._solve(np.asarray(rhos, dtype=float)))
             f, fp = self._areal.profile.triple(r)[:2]
         except IsocapError:  # the scalar path raises its first error
-            return _mapped(self.eval_d2, rhos)
+            return None
         # np.where keeps max's -0.0, which np.maximum turns into 0.0
-        return r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp
+        return (r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp)[:parts]
 
     def _triple(self, r: float) -> Tuple[float, float, float]:
         f, fp = self._areal.profile_d2(r)[:2]
@@ -817,32 +801,23 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
     if not 0.0 < lam < math.inf:
         raise ConfigError(f"need a finite scale lam > 0, got {lam}")
     base = metric.profile
+    # lam*a(rho/lam) in the geodesic gauge, f(r/lam) in the areal one: the
+    # value times mul, d1 over div1, d2 over div2; a factor 1.0 is exact
+    mul, div1, div2 = ((lam, 1.0, lam) if metric.gauge is Gauge.GEODESIC
+                       else (1.0, lam, lam * lam))
 
-    if metric.gauge is Gauge.GEODESIC:
-        def fn(rho: float) -> Tuple[float, float, float]:
-            v, d1, d2 = base.eval_d2(rho / lam)
-            return lam * v, d1, d2 / lam
+    def fn(r: float) -> Tuple[float, float, float]:
+        v, d1, d2 = base.eval_d2(r / lam)
+        return mul * v, d1 / div1, d2 / div2
 
-        def array_fn(rhos: np.ndarray) -> np.ndarray:
-            return lam * base.values(rhos / lam)
+    def arrays(rs: np.ndarray, parts: int) -> tuple:
+        if parts == 1:
+            return (mul * base.values(rs / lam),)
+        v, d1, d2 = base.triple(rs / lam)
+        return mul * v, d1 / div1, d2 / div2
 
-        def triple_fn(rhos: np.ndarray) -> Triples:
-            v, d1, d2 = base.triple(rhos / lam)
-            return lam * v, d1, d2 / lam
-    else:
-        def fn(r: float) -> Tuple[float, float, float]:
-            v, d1, d2 = base.eval_d2(r / lam)
-            return v, d1 / lam, d2 / (lam * lam)
-
-        def array_fn(rs: np.ndarray) -> np.ndarray:
-            return base.values(rs / lam)
-
-        def triple_fn(rs: np.ndarray) -> Triples:
-            v, d1, d2 = base.triple(rs / lam)
-            return v, d1 / lam, d2 / (lam * lam)
-    prof = FuncProfile(fn, array_fn, triple_fn,
-                       label=f"scaled({lam:g})*{base.describe()}",
-                       r_max=getattr(base, "r_max", math.inf) * lam)
+    prof = FuncProfile(fn, arrays, label=f"scaled({lam:g})*{base.describe()}",
+                       r_max=base.r_max * lam)
     out = RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                        metric.boundary_kind,
                        label=f"scaled:{lam:g}:{metric.label}")
@@ -867,16 +842,17 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     hull (``RadialMetric.own_hull``).  The ODE is solved once, on
     [0, rho_max], by ``numerics.dormand_prince`` (rtol 1e-11, atol 1e-12);
     a(rho) is its quartic dense output, the same bits from all three
-    profile forms, and a', a'' come from the right-hand side.  ``triple``
-    calls mu once per radius on a Python float, as ``eval_d2`` does, and
-    runs the a', a'' arithmetic in numpy with the same bits; where any
-    radius stalls, raises or gives a non-finite result it runs ``eval_d2``
-    radius by radius, which raises the first error.  ``values`` (area
-    scans, ``validate_metric``) relies on mu being nondecreasing: it
-    checks the stall 1 - 2*mu/a <= 0 at the outermost radius only and
-    calls mu nowhere else, so a mu that dips or raises at an inner radius
-    goes unnoticed there, while ``eval_d2`` and ``triple`` at that radius
-    still raise.
+    profile forms, and a', a'' come from the right-hand side.  The array
+    hook (see ``_Profile``) serves ``triple`` by calling mu once per radius
+    on a Python float, as ``eval_d2`` does, and running the a', a''
+    arithmetic in numpy with the same bits; where any radius stalls,
+    raises or gives a non-finite result it returns None, so ``eval_d2``
+    runs radius by radius and raises the first error.  For ``values``
+    (area scans, ``validate_metric``) it relies on mu being
+    nondecreasing: it checks the stall 1 - 2*mu/a <= 0 at the outermost
+    radius only and calls mu nowhere else, so a mu that dips or raises at
+    an inner radius goes unnoticed there, while ``eval_d2`` and ``triple``
+    at that radius still raise.
     """
     if not 0.0 < a0 < math.inf:
         raise ConfigError(f"need a finite a0 > 0, got {a0}")
@@ -904,36 +880,33 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
         app = (m * ap / (a * a) - mp / a) / ap
         return a, ap, app
 
-    def array_fn(rhos: np.ndarray) -> np.ndarray:
-        # a' = 0 freezes a while mu cannot decrease, so the warping stalls on
-        # a half-line: if any node stalls, the outermost one does, and fn
-        # then raises at the first stalled node as the scalar path would
-        if rhos.size:
-            try:
-                fn(float(rhos.max()))
-            except EvalError:
-                return _mapped(fn, rhos)[0]
-        return dense.values(rhos)
-
-    def triple_fn(rhos: np.ndarray) -> Triples:
+    def arrays(rhos: np.ndarray, parts: int) -> Optional[tuple]:
+        if parts == 1:
+            # a' = 0 freezes a while mu cannot decrease: if any node stalls,
+            # the outermost one does; the scalar path raises at the first
+            if rhos.size:
+                try:
+                    fn(float(rhos.max()))
+                except EvalError:
+                    return None
+            return (dense.values(rhos),)
         # mu runs on Python floats, as in fn: np.tanh and math.tanh round
         # differently.  An element where mu raises, or that fn would reject
-        # or gives a non-finite value, sends the whole array to fn, which
-        # raises the first error in order.
+        # or gives a non-finite value, leaves the array to the scalar path.
         try:
             m, mp = np.array([mu(rho) for rho in rhos.tolist()],
                              dtype=float).reshape(-1, 2).T
         except (IsocapError, ArithmeticError, ValueError):
-            return _mapped(fn, rhos)
+            return None
         a = dense.values(rhos)
         with np.errstate(all="ignore"):
             ap = np.sqrt(1.0 - 2.0 * m / a)
             app = (m * ap / (a * a) - mp / a) / ap
         if not (np.all(ap > 0.0) and np.isfinite(app).all()):
-            return _mapped(fn, rhos)
+            return None
         return a, ap, app
 
-    prof = FuncProfile(fn, array_fn, triple_fn, label=label, r_max=rho_max)
+    prof = FuncProfile(fn, arrays, label=label, r_max=rho_max)
     metric = RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
     metric._hull_from = 0.0  # a > 0 and a' >= 0: the area never falls
     return metric
@@ -968,26 +941,31 @@ def metric_from_spec(spec: str) -> RadialMetric:
     """Build a metric from a CLI/config specification string.
 
     Accepted forms: ``flat``, ``schwarzschild:m=1``, ``cylinder:a=2``,
-    ``expr:geodesic:<text>[:k=v,...]``, ``table:areal:<path>``.
+    ``expr:geodesic:<text>[:k=v,...]``, ``table:areal:<path>``.  An expr
+    metric starts at ``rho_min`` or ``r_min``, by default at 0 (geodesic)
+    or 1 (areal).  A key the metric does not use, a key given twice, both
+    start keys and an areal start below 0 raise ConfigError.
     """
     parts = spec.split(":")
     family = parts[0].strip().lower()
-    if family == "flat":
-        return flat()
-    if family in ("schwarzschild", "cylinder"):
-        kv = _parse_kv(parts[1:])
-        if family == "schwarzschild":
-            return schwarzschild(kv.pop("m", 1.0))
-        return cylinder(kv.pop("a", 1.0))
+    simple = {"flat": (flat, ()), "schwarzschild": (schwarzschild, ("m",)),
+              "cylinder": (cylinder, ("a",))}
+    if family in simple:
+        build, keys = simple[family]
+        return build(**_parse_kv(parts[1:], keys))
     if family == "expr":
-        if len(parts) < 3:
-            raise ConfigError("expr metric needs expr:<gauge>:<expression>")
+        if not 3 <= len(parts) <= 4:
+            raise ConfigError("expr metric needs expr:<gauge>:<expression>[:k=v,...]")
         gauge = _parse_gauge(parts[1])
         text = parts[2].strip().strip('"')
-        params = _parse_kv(parts[3:4]) if len(parts) > 3 else {}
-        start = params.pop("rho_min", params.pop("r_min", 0.0))
-        if gauge is Gauge.AREAL and start <= 0.0:
-            start = 1.0
+        params = _parse_kv(parts[3:], profiles.parse(text).names()
+                           | {"rho_min", "r_min"})
+        starts = [params.pop(k) for k in ("rho_min", "r_min") if k in params]
+        if len(starts) > 1:
+            raise ConfigError("give one of rho_min and r_min, not both")
+        start = starts[0] if starts else (1.0 if gauge is Gauge.AREAL else 0.0)
+        if gauge is Gauge.AREAL and start < 0.0:
+            raise ConfigError(f"areal r_min must be >= 0, got {start}")
         return expr_metric(gauge, text, params, domain_start=start)
     if family == "table":
         if len(parts) < 3:
@@ -1004,7 +982,8 @@ def _parse_gauge(text: str) -> Gauge:
                           "use geodesic or areal") from None
 
 
-def _parse_kv(chunks: Sequence[str]) -> dict:
+def _parse_kv(chunks: Sequence[str], known) -> dict:
+    """The key=value items of chunks, each key one of known, at most once."""
     out = {}
     for chunk in chunks:
         for item in chunk.split(","):
@@ -1013,11 +992,17 @@ def _parse_kv(chunks: Sequence[str]) -> dict:
             if "=" not in item:
                 raise ConfigError(f"expected key=value, got {item!r}")
             key, val = item.split("=", 1)
+            key = key.strip()
+            if key not in known:
+                raise ConfigError(f"unused key {key!r}; this metric takes "
+                                  f"{sorted(known) or 'none'}")
+            if key in out:
+                raise ConfigError(f"key {key!r} given twice")
             try:
                 value = float(val)
             except ValueError:
                 raise ConfigError(f"non-numeric value in {item!r}") from None
             if not math.isfinite(value):
                 raise ConfigError(f"non-finite value in {item!r}")
-            out[key.strip()] = value
+            out[key] = value
     return out

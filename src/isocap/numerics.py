@@ -7,10 +7,10 @@ call per level for all of them, within ``ToleranceConfig.max_subdivisions``
 pieces per panel; ``integrate`` is that refinement on one finite interval.
 Antiderivatives as per-panel Legendre series and their inverse, piecewise
 cubic Hermite interpolation with monotone (PCHIP) slopes, a scalar
-Runge-Kutta ODE solver with dense output, bracketed root finding and
-minimization (Brent 1973), and Aitken limit extrapolation.  All routines
-are pure functions of their inputs; there is no shared mutable state, and
-none needs more than numpy.
+Runge-Kutta ODE solver with dense output, bracketed root finding (Brent
+1973) and a safeguarded Newton pass over many brackets at once, and Aitken
+limit extrapolation.  All routines are pure functions of their inputs;
+there is no shared mutable state, and none needs more than numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "legendre_panels", "legendre_integral",
            "legendre", "legendre_inverse", "hermite", "HermiteSpline", "pchip_slopes",
            "dormand_prince", "DenseSolution",
-           "find_root", "newton_roots", "minimize_bounded",
+           "find_root", "newton_roots",
            "extrapolate_limit"]
 
 
@@ -591,9 +591,6 @@ def dormand_prince(fun: Callable[[float, float], float], t0: float,
 
 _ROOT_RTOL = 8.9e-16  # relative step floor of root finding, about 4 ulp
 _ROOT_MAX_ITER = 100
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_MIN_MAX_EVALS = 500
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
@@ -689,67 +686,6 @@ def newton_roots(fdf: Callable[[np.ndarray, np.ndarray],
             return x
     raise NonConvergence(f"Newton iteration on {todo.size} brackets did not "
                          f"converge in {_ROOT_MAX_ITER} steps")
-
-
-def minimize_bounded(f: Callable[[float], float], lo: float, hi: float,
-                     xatol: float) -> Tuple[float, float]:
-    """A local minimum of f on [lo, hi] and f there.
-
-    Brent's fmin (Brent 1973, ch. 5): golden-section steps, replaced by
-    parabolic interpolation through the three best points while that
-    shrinks fast enough.  It stops once x is known to within
-    sqrt(eps)*|x| + xatol/3 (twice that as a bracket half-width), or after
-    500 evaluations, and never evaluates f at lo or hi.
-    """
-    # x: best point; w: second best; v: the previous w; d and e: the last
-    # two steps
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for _ in range(_MIN_MAX_EVALS - 1):
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        step = max(abs(d), tol1)
-        u = x - step if d < 0.0 else x + step
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
 
 
 def _aitken_stage(seq: Sequence[float]) -> list:

@@ -380,6 +380,31 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("ini, word", [
+        ("[metric]\nspec = flat\n\n[output]\nformat = xml\n", "xml"),
+        ("[metric]\nspec = flat\n\n[output]\nformt = json\n", "formt"),
+        ("[metric]\nspec = flat\nspce = flat\n", "spce"),
+        ("[metric]\nspec = flat\n\n[tolerence]\nroot_tol = 1e-9\n",
+         "tolerence"),
+    ], ids=["format", "output-key", "metric-key", "section"])
+    def test_bad_config_entry_exit_2(self, capsys, tmp_path, ini, word):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        code, out, err = run(capsys, "sphere", "--config", str(cfg),
+                             "--rho", "2")
+        assert code == 2
+        assert out == "" and err.startswith("isocap: config error:")
+        assert word in err
+
+    def test_config_format_and_path(self, capsys, tmp_path):
+        target = tmp_path / "sphere.csv"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[metric]\nspec = flat\n\n[output]\nformat = csv\n"
+                       f"path = {target}\n")
+        code, out, _ = run(capsys, "sphere", "--config", str(cfg), "--rho", "2")
+        assert code == 0 and out == ""
+        assert target.read_text().startswith("rho,")
+
     @pytest.mark.parametrize("budget", ["0", "-3", "2.5"])
     def test_bad_budget_exit_2(self, capsys, tmp_path, budget):
         cfg = tmp_path / "run.ini"
@@ -409,6 +434,30 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("isocap: config error:") and "finite" in err
+
+    @pytest.mark.parametrize("spec, word", [
+        ("schwarzschild:mass=2", "'mass'"),
+        ("cylinder:radius=3", "'radius'"),
+        ("flat:m=2", "'m'"),
+        ("expr:geodesic:r:rho_min=1,r_min=2", "not both"),
+        ("expr:areal:1-2*m/r:m=1,r_mn=5", "'r_mn'"),
+        ("expr:areal:1:r_min=-1", ">= 0"),
+        ("schwarzschild:m=2,m=3", "twice"),
+        ("expr:areal:1-2*m/r:m=1:r_min=3", "expr:<gauge>"),
+    ], ids=["schwarzschild-key", "cylinder-key", "flat-key", "both-starts",
+            "expr-key", "negative-areal-start", "repeated-key", "extra-part"])
+    def test_bad_spec_key_exit_2(self, capsys, spec, word):
+        code, out, err = run(capsys, "sphere", "--metric", spec, "--rho", "5")
+        assert code == 2
+        assert out == "" and err.startswith("isocap: config error:")
+        assert word in err
+
+    @pytest.mark.parametrize("spec, start", [
+        ("expr:areal:1", 1.0), ("expr:areal:1:r_min=0", 0.0),
+        ("expr:areal:1:rho_min=0.5", 0.5), ("expr:geodesic:r", 0.0),
+        ("expr:geodesic:r:r_min=2", 2.0)])
+    def test_spec_domain_start(self, spec, start):
+        assert metric_from_spec(spec).domain_start == start
 
     def test_missing_config_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "sphere", "--config", "/no/such.ini",

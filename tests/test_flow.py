@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,38 @@ class TestOutwardHull:
     def test_below_domain(self):
         with pytest.raises(DomainError):
             outward_hull(schwarzschild(1.0), 0.5)
+
+
+class TestNeckBottoms:
+    """Hull and landing radii at a neck bottom against mpmath's root of a'."""
+
+    TWO_NECKS = "r + 1.5*exp(-4*(r-3)^2) + 3*exp(-2*(r-9)^2)"
+
+    @staticmethod
+    def bottom(rho):
+        """The root of a' near rho, for NECK and TWO_NECKS."""
+        def slope(r):
+            return (1 - 12 * (r - 3) * mpmath.exp(-4 * (r - 3) ** 2)
+                    - 12 * (r - 9) * mpmath.exp(-2 * (r - 9) ** 2))
+        with mpmath.workdps(40):
+            return float(mpmath.findroot(slope, rho))
+
+    def test_hull(self):
+        rho, area = outward_hull(neck_metric(), 3.0)
+        want = self.bottom(rho)
+        assert abs(rho - want) <= 1e-13 * want
+        assert area == neck_metric().area(rho)
+
+    @pytest.mark.parametrize("text, rho0, t_max, n_jumps", [
+        (NECK, 2.0, 3.0, 1), (TWO_NECKS, 1.0, 6.0, 2)])
+    def test_jump_landings(self, text, rho0, t_max, n_jumps):
+        track = weak_imcf(expr_metric(Gauge.GEODESIC, text), rho0, t_max,
+                          n_samples=20)
+        jumps = [j for j in track.jumps if j.t > 0.0]
+        assert len(jumps) == n_jumps
+        for jump in jumps:
+            want = self.bottom(jump.rho_after)
+            assert abs(jump.rho_after - want) <= 1e-13 * want
 
 
 def _between_nodes(metric, lo, k):
@@ -300,8 +333,12 @@ def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
         j = i
         while j < n and skipped[j]:
             j += 1
-        s2, area_j = flow._refine_min(metric, float(grid[j - 1]),
-                                      float(grid[min(j + 1, n - 1)]), cfg)
+        # the neck bottom: the root of the area's slope a*a' on the
+        # bracket of the node before the run's end and the node after it
+        s2 = flow.find_root(lambda r: math.prod(metric.profile_d2(r)[:2]),
+                            float(grid[j - 1]), float(grid[min(j + 1, n - 1)]),
+                            cfg)
+        area_j = metric.area(s2)
         t_j = math.log(area_j / hull_area)
         if 0.0 < t_j <= t_max:
             try:
@@ -338,18 +375,27 @@ class TestFindJumps:
     def test_root_errors(self, monkeypatch):
         metric, grid, areas, hull = self.scan(NECK, 2.0)
         run = list(np.flatnonzero(areas > flow._suffix_min(areas) * (1 + 1e-10)))
+        # the takeoff solve brackets the run's first node and the node two
+        # before it; the neck bottom's solve goes through unpatched
+        takeoff = (float(grid[max(run[0] - 2, 0)]), float(grid[run[0]]))
+        find_root = flow.find_root
 
-        def no_bracket(*args):
-            raise NoBracket("no sign change")
-        monkeypatch.setattr(flow, "find_root", no_bracket)
+        def failing(error):
+            def solve(f, lo, hi, cfg):
+                if (lo, hi) == takeoff:
+                    raise error
+                return find_root(f, lo, hi, cfg)
+            return solve
+        monkeypatch.setattr(flow, "find_root",
+                            failing(NoBracket("no sign change")))
         envelope = flow._suffix_min(areas)
         (jump,) = flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
                                    DEFAULT_CFG)
         assert jump.rho_before == grid[run[0]]
+        assert jump.rho_after > grid[run[-1]]
 
-        def broken(*args):  # a programming error is not a missing bracket
-            raise ZeroDivisionError
-        monkeypatch.setattr(flow, "find_root", broken)
+        # a programming error is not a missing bracket
+        monkeypatch.setattr(flow, "find_root", failing(ZeroDivisionError))
         with pytest.raises(ZeroDivisionError):
             flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
                              DEFAULT_CFG)

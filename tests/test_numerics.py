@@ -15,8 +15,7 @@ from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket
 from isocap.geometry import TableProfile, metric_from_spec
 from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, dormand_prince,
                              extrapolate_limit, find_root, gauss_legendre,
-                             gauss_legendre_err, integrate, minimize_bounded,
-                             newton_roots)
+                             gauss_legendre_err, integrate, newton_roots)
 
 
 def simpson_oracle(f, lo, hi, n=1_000_001):
@@ -524,36 +523,6 @@ class TestNewtonRoots:
         with pytest.raises(NonConvergence, match="did not converge"):
             newton_roots(self.cubic(c), np.array([0.0]), np.array([0.0]),
                          np.array([10.0]))
-
-
-class TestMinimizeBounded:
-    def test_matches_scipy_bounded(self):
-        rng = random.Random(4)
-        for _ in range(300):
-            a, b, c = rng.uniform(-2, 2), rng.uniform(0.5, 5), rng.uniform(0.1, 3)
-            lo = rng.uniform(-3.0, -2.0)
-            for f in (lambda x: b * (x - a) ** 2 + c,
-                      lambda x: math.cosh(b * (x - a)) + c * x,
-                      lambda x: (x - a) ** 4 - c * (x - a) ** 2):
-                ours, theirs = [], []
-                x, fx = minimize_bounded(lambda v: ours.append(v) or f(v),
-                                         lo, 3.0, 1e-12)
-                res = scipy.optimize.minimize_scalar(
-                    lambda v: theirs.append(v) or f(v), bounds=(lo, 3.0),
-                    method="bounded", options={"xatol": 1e-12})
-                assert (x, fx) == (res.x, res.fun)
-                assert ours == theirs
-
-    def test_quadratic(self):
-        x, fx = minimize_bounded(lambda v: (v - 0.3) ** 2 + 1.0, -1.0, 2.0, 1e-12)
-        assert x == pytest.approx(0.3, abs=1e-7)
-        assert fx == pytest.approx(1.0, abs=1e-14)
-
-    def test_monotone_stays_inside(self):
-        seen = []
-        x, _ = minimize_bounded(lambda v: seen.append(v) or v, 1.0, 2.0, 1e-12)
-        assert 1.0 < min(seen) and max(seen) < 2.0
-        assert x == pytest.approx(1.0, abs=1e-7)
 
 
 def warping_rhs(mass, center, width):

@@ -135,7 +135,7 @@ def _variable(metric: RadialMetric, r0: float
             s = np.exp(t)
             return s, s, s
         return (lambda y: y), at
-    start, xi_density = metric.domain_start, metric._xi_density()
+    start, xi_density = metric.domain_start, metric._xi_density
     r_min = start if start > 0.0 else r0
 
     def at_u(t: np.ndarray) -> Tuple[np.ndarray, ...]:

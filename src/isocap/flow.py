@@ -100,7 +100,7 @@ def _refine_min(metric: RadialMetric, lo: float, hi: float,
 
     def slope(x: float) -> float:
         if x not in seen:
-            seen[x] = metric.profile_d2(x)[:2] if geodesic else (x, 1.0)
+            seen[x] = metric.profile.eval_d2(x)[:2] if geodesic else (x, 1.0)
         return seen[x][0] * seen[x][1]
 
     s_lo, s_hi = slope(lo), slope(hi)
@@ -232,11 +232,10 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
         raise DomainError(f"t_max must be positive, got {t_max}")
     if n_samples < 1:
         raise DomainError(f"n_samples must be at least 1, got {n_samples}")
-    metric.check_start(rho0)
     # a rho0 below domain_start by the rounding slack starts at
     # domain_start, as spheres would move it: the samples' triples are
     # taken at the radii as solved
-    rho0 = max(rho0, metric.domain_start)
+    rho0 = metric.check_start(rho0)
     limit = min(cfg.cutoff_radius, metric.r_max)
     too_short = f"metric domain ends before the flow reaches t={t_max}"
     if rho0 >= limit:

@@ -13,21 +13,21 @@ suite against finite differences):
               m_H  = (a/2)*(1-a'^2)         m_H  = (r/2)*(1-f)
               R    = 2*(1-a'^2-2*a*a'')/a^2 R    = 2*(1-f-r*f')/r^2
 
-Volumes are measured from ``domain_start``: each increment past the nearest
-cached radius is summed on fixed Gauss-Legendre panels, in rho (geodesic)
-or in xi = sqrt(r - domain_start) (areal), where the density stays smooth
-through a throat.  ``RadialMetric.volumes`` sums the increments of a whole
-list of radii with one panel call, and ``spheres`` takes the volumes of its
-list of spheres from one ``volumes`` call; ``RadialMetric.volume`` and
-``sphere_data`` are their one-radius cases, with the same bits.  A metric
-converted by ``to_geodesic`` caches no volumes: one Newton solve in xi per
-list of radii gives a(rho) and the volume, read off maps that share their
+Volumes are measured from ``domain_start``: ``RadialMetric.volumes`` walks
+the distinct radii of its list upward, each adding the increment from the
+one before on fixed Gauss-Legendre panels in rho (geodesic) or in
+xi = sqrt(r - domain_start) (areal), where the density stays smooth through
+a throat, all by one panel call.  A metric keeps no volumes between calls.
+``spheres``, ``RadialMetric.volume`` and ``sphere_data`` take theirs from
+one ``volumes`` call or, on a metric converted by ``to_geodesic``, from one
+Newton solve in xi that reads a(rho) and the volume off maps sharing their
 panels with the arclength (``_ConvertedProfile``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -217,10 +217,6 @@ class RadialMetric:
     domain_start: float
     boundary_kind: BoundaryKind = BoundaryKind.NONE
     label: str = ""
-    _vol_rho: List[float] = field(default_factory=list, repr=False)
-    _vol_val: List[float] = field(default_factory=list, repr=False)
-    _xi: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None,
-                                                              repr=False)
     # the area never falls from this radius on (see own_hull); set by the
     # constructors that know it, never by a caller
     _hull_from: float = field(default=math.inf, init=False, repr=False)
@@ -228,8 +224,6 @@ class RadialMetric:
     def __post_init__(self):
         if not self.label:
             self.label = f"{self.gauge.value}:{self.profile.describe()}"
-        self._vol_rho = [self.domain_start]
-        self._vol_val = [0.0]
         if self.gauge is Gauge.AREAL:  # 4*pi*r^2 grows from r = 0 on
             self._hull_from = 0.0
 
@@ -245,16 +239,15 @@ class RadialMetric:
     def r_max(self) -> float:
         return self.profile.r_max
 
-    def profile_d2(self, rho: float) -> Tuple[float, float, float]:
-        return self.profile.eval_d2(rho)
-
-    def check_start(self, rho: float) -> None:
+    def check_start(self, rho: float) -> float:
         """Raise DomainError for a radius that is not finite, or below
-        domain_start by more than the rounding slack 1e-12."""
+        domain_start by more than the rounding slack 1e-12; else return
+        max(rho, domain_start)."""
         if not math.isfinite(rho):
             raise DomainError(f"rho={rho} is not finite")
         if rho < self.domain_start - 1e-12:
             raise DomainError(f"rho={rho} below domain start {self.domain_start}")
+        return max(rho, self.domain_start)
 
     def area(self, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Area of the sphere at rho, or of each sphere of a 1-D radius array."""
@@ -266,6 +259,7 @@ class RadialMetric:
             a = self.profile.eval_d2(rho)[0]
         return FOUR_PI * a * a
 
+    @functools.cached_property
     def _xi_density(self) -> Callable[[np.ndarray], np.ndarray]:
         """Areal gauge: xi -> d(arclength)/d(xi) = 2*xi/sqrt(f) at
         r = domain_start + xi^2, on a 1-D array of xi.
@@ -278,10 +272,8 @@ class RadialMetric:
         NonIntegrableThroat when f vanishes at domain_start to order 2 or
         more.
         """
-        if self._xi is not None:
-            return self._xi
         r_min = self.domain_start
-        f0, f0_d1, f0_d2 = self.profile_d2(r_min)
+        f0, f0_d1, f0_d2 = self.profile.eval_d2(r_min)
         if f0 < -_THROAT_TOL:
             raise EvalError(f"areal coefficient f({r_min}) = {f0} < 0")
         has_throat = abs(f0) <= _THROAT_TOL
@@ -289,8 +281,8 @@ class RadialMetric:
             # Check the throat is an integrable inverse square root:
             # f ~ c*(r-r_min)^beta needs beta < 2.
             d1, d2 = 1e-6 * max(1.0, r_min), 2e-6 * max(1.0, r_min)
-            f1 = self.profile_d2(r_min + d1)[0]
-            f2 = self.profile_d2(r_min + d2)[0]
+            f1 = self.profile.eval_d2(r_min + d1)[0]
+            f2 = self.profile.eval_d2(r_min + d2)[0]
             if f1 <= 0.0 or f2 <= 0.0:
                 raise NonIntegrableThroat("f does not become positive off the throat")
             beta = math.log(f2 / f1) / math.log(2.0)
@@ -305,7 +297,6 @@ class RadialMetric:
             f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * h) * h, f)
             return 2.0 * xi / np.sqrt(np.where(f > 0.0, f, np.inf))
 
-        self._xi = density
         return density
 
     def volume(self, rho: float, cfg: ToleranceConfig = DEFAULT_CFG) -> float:
@@ -318,36 +309,30 @@ class RadialMetric:
 
         A gauge-converted metric reads each volume off the volume map of its
         profile, one solve for the whole list; see ``_ConvertedProfile``.
-        Otherwise every radius becomes a cached anchor.  A new radius adds the
-        increment from the largest anchor below it, a cached radius or an
-        earlier radius of rhos, integrated in t = rho - domain_start
-        (geodesic gauge, density 4*pi*a^2) or in t = xi (areal gauge,
-        density 4*pi*r^2 * ``_xi_density``), from t_lo at the anchor to t_hi
-        at the radius.  It is split at t_hi/2, t_hi/4, ... as far as t_lo
-        or t_hi/32, so a density that is smooth at the scale of t is
-        resolved from the boundary out.  The panels of all radii are summed
-        by one ``numerics.gauss_legendre`` call, which makes one
-        ``profile.values`` call; a panel's sum depends on that panel alone,
-        so each volume has the bits that one call per radius, in the order
-        given, would give.
+        Otherwise each distinct radius, in ascending order, adds the
+        increment from t_lo at the radius before (domain_start for the
+        first) to t_hi at itself, in t = rho - domain_start (geodesic gauge,
+        density 4*pi*a^2) or t = xi (areal gauge, density 4*pi*r^2 *
+        ``_xi_density``), split at t_hi/2, t_hi/4, ... as far as t_lo or
+        t_hi/32, so a density smooth at the scale of t is resolved from the
+        boundary out.  A radius within 1e-14 relative of the one before
+        takes its volume.  One ``numerics.gauss_legendre`` call, with one
+        ``profile.values`` call, sums all panels.  The result depends on
+        the set of radii alone, not on their order or on earlier calls.
         """
-        for rho in rhos:
-            self.check_start(rho)
+        rhos = [self.check_start(rho) for rho in rhos]
         start = self.domain_start
         if isinstance(self.profile, _ConvertedProfile):
-            return self.profile.solve_list([max(rho, start) for rho in rhos])[1]
+            return self.profile.solve_list(rhos)[1]
         areal = self.gauge is Gauge.AREAL
-        anchors = list(self._vol_rho)  # the cached radii and each new one
+        anchors = [start]  # domain_start and each radius with an increment
         lo: List[float] = []
         hi: List[float] = []
-        cuts = [0]  # increment k owns the panels cuts[k]:cuts[k + 1]
-        for rho in rhos:
-            if rho <= start:
+        cuts = [0]  # anchors[k + 1] owns the panels cuts[k]:cuts[k + 1]
+        for rho in sorted(set(rhos)):
+            if rho - anchors[-1] <= 1e-14 * max(1.0, rho):
                 continue
-            i = bisect_right(anchors, rho) - 1
-            if rho - anchors[i] <= 1e-14 * max(1.0, rho):
-                continue
-            t_lo, t_hi = anchors[i] - start, rho - start
+            t_lo, t_hi = anchors[-1] - start, rho - start
             if areal:
                 t_lo, t_hi = math.sqrt(t_lo), math.sqrt(t_hi)
             n = math.ceil(math.log2(t_hi / max(t_lo, t_hi / 64.0)))
@@ -355,32 +340,20 @@ class RadialMetric:
             lo += edges[:-1]
             hi += edges[1:]
             cuts.append(len(lo))
-            anchors.insert(i + 1, rho)
-        if len(cuts) > 1:
+            anchors.append(rho)
+        vals = [0.0]
+        if lo:
             sums = numerics.gauss_legendre(self._volume_density(),
                                            np.array(lo), np.array(hi),
                                            cfg).tolist()
-        # the same walk on the cache, now that every increment is known
-        out: List[float] = []
-        k = 0
-        for rho in rhos:
-            if rho <= start:
-                out.append(0.0)
-                continue
-            i = bisect_right(self._vol_rho, rho) - 1
-            val = self._vol_val[i]
-            if rho - self._vol_rho[i] > 1e-14 * max(1.0, rho):
+            for a, b in zip(cuts, cuts[1:]):
                 # left to right, as numpy sums up to 7 elements (at most 6
                 # panels here); built-in sum compensates from Python 3.12
                 inc = 0.0
-                for panel in sums[cuts[k]:cuts[k + 1]]:
+                for panel in sums[a:b]:
                     inc += panel
-                val += inc
-                k += 1
-                self._vol_rho.insert(i + 1, rho)
-                self._vol_val.insert(i + 1, val)
-            out.append(val)
-        return out
+                vals.append(vals[-1] + inc)
+        return [vals[bisect_right(anchors, rho) - 1] for rho in rhos]
 
     def _volume_density(self) -> Callable[[np.ndarray], np.ndarray]:
         """The volume density in the variable t of ``volumes``."""
@@ -390,7 +363,7 @@ class RadialMetric:
                 a = self.profile.values(start + t)
                 return FOUR_PI * a * a
             return density
-        xi_density = self._xi_density()
+        xi_density = self._xi_density
 
         def density(t: np.ndarray) -> np.ndarray:
             r = start + t * t
@@ -415,14 +388,12 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
     areal f at domain_start within _THROAT_TOL below 0 counts as 0 (a
     throat); any other f < 0 raises EvalError.
     """
-    for rho in radii:
-        metric.check_start(rho)
-    radii = [max(rho, metric.domain_start) for rho in radii]
+    radii = [metric.check_start(rho) for rho in radii]
     vols = None
     if triples is None and isinstance(metric.profile, _ConvertedProfile):
         rows, vols = metric.profile.spheres(radii)
     elif triples is None and len(radii) == 1:
-        rows = [metric.profile_d2(radii[0])]
+        rows = [metric.profile.eval_d2(radii[0])]
     else:
         if triples is None:
             triples = metric.profile.triple(np.array(radii, dtype=float))
@@ -508,7 +479,7 @@ class _ConvertedProfile(_Profile):
         if not first < span - r_min:
             raise DomainError(f"domain start {r_min} leaves no range to convert "
                               f"below min(cutoff_radius, r_max) = {span}")
-        self._density = areal._xi_density()
+        self._density = areal._xi_density
         offsets = np.geomspace(first, span - r_min, _XI_PANELS)
         xi = np.sqrt(np.concatenate(([r_min], r_min + offsets)) - r_min)
         lo, hi, coeffs, sums = numerics.legendre_panels(
@@ -573,7 +544,7 @@ class _ConvertedProfile(_Profile):
         return (r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp)[:parts]
 
     def _triple(self, r: float) -> Tuple[float, float, float]:
-        f, fp = self._areal.profile_d2(r)[:2]
+        f, fp = self._areal.profile.eval_d2(r)[:2]
         return r, math.sqrt(max(f, 0.0)), 0.5 * fp
 
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
@@ -647,7 +618,7 @@ def find_minimal_spheres(metric: RadialMetric,
     def h_num(s: float) -> float:
         # geodesic: sign of H = sign of a'.  areal: f >= 0 vanishes only
         # tangentially, so scan its critical points instead.
-        return metric.profile_d2(s)[1]
+        return metric.profile.eval_d2(s)[1]
 
     v, vals = metric.profile.triple(grid)[:2]
     flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
@@ -656,7 +627,7 @@ def find_minimal_spheres(metric: RadialMetric,
         if abs(v[0]) <= cfg.root_tol * max(1.0, grid[0]):
             roots.append(float(grid[0]))
         roots += [rc for rc in crossings
-                  if metric.profile_d2(rc)[0] <= math.sqrt(cfg.root_tol)]
+                  if metric.profile.eval_d2(rc)[0] <= math.sqrt(cfg.root_tol)]
     else:
         if abs(vals[0]) <= cfg.root_tol:
             roots.append(float(grid[0]))
@@ -725,7 +696,7 @@ def validate_metric(metric: RadialMetric,
             issues.append("warping factor does not grow beyond every bound "
                           "(asymptotic largeness violated)")
         if metric.boundary_kind is BoundaryKind.MINIMAL:
-            ap = metric.profile_d2(metric.domain_start)[1]
+            ap = metric.profile.eval_d2(metric.domain_start)[1]
             if abs(ap) > math.sqrt(cfg.root_tol):
                 issues.append(f"minimal boundary requires a'(rho_min)=0, got {ap}")
     else:
@@ -734,7 +705,7 @@ def validate_metric(metric: RadialMetric,
         if np.any(vals < -1e-12):
             issues.append("areal coefficient f must be nonnegative")
         if metric.boundary_kind is BoundaryKind.MINIMAL:
-            f0 = metric.profile_d2(metric.domain_start)[0]
+            f0 = metric.profile.eval_d2(metric.domain_start)[0]
             if abs(f0) > math.sqrt(cfg.root_tol):
                 issues.append(f"minimal boundary requires f(r_min)=0, got {f0}")
     return issues
@@ -944,7 +915,7 @@ def metric_from_spec(spec: str) -> RadialMetric:
     ``expr:geodesic:<text>[:k=v,...]``, ``table:areal:<path>``.  An expr
     metric starts at ``rho_min`` or ``r_min``, by default at 0 (geodesic)
     or 1 (areal).  A key the metric does not use, a key given twice, both
-    start keys and an areal start below 0 raise ConfigError.
+    start keys and a start below 0 raise ConfigError.
     """
     parts = spec.split(":")
     family = parts[0].strip().lower()
@@ -964,8 +935,8 @@ def metric_from_spec(spec: str) -> RadialMetric:
         if len(starts) > 1:
             raise ConfigError("give one of rho_min and r_min, not both")
         start = starts[0] if starts else (1.0 if gauge is Gauge.AREAL else 0.0)
-        if gauge is Gauge.AREAL and start < 0.0:
-            raise ConfigError(f"areal r_min must be >= 0, got {start}")
+        if start < 0.0:
+            raise ConfigError(f"rho_min or r_min must be >= 0, got {start}")
         return expr_metric(gauge, text, params, domain_start=start)
     if family == "table":
         if len(parts) < 3:

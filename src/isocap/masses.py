@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence
 
 from .capacity import _capacities, one_capacity, p_capacity
-from .errors import DomainError, InsufficientData
+from .errors import ConfigError, DomainError, InsufficientData
 from .geometry import FOUR_PI, SIXTEEN_PI, RadialMetric, sphere_data
 from .numerics import DEFAULT_CFG, ToleranceConfig, extrapolate_limit
 from .specfun import check_p, gauss_2f1
@@ -139,13 +139,18 @@ def default_r_grid(metric: RadialMetric,
     0: the capacitary radius is read 1e-3 past it, and the grid starts at
     the pole.  The boundary's 1-capacity costs one hull scan on a geodesic
     metric and none on an areal one, whose spheres are their own hulls.
+    Raises ConfigError where ``extrap_terms`` overflows the grid.
     """
     rho0, start = metric.domain_start, 0.0
     if rho0 >= 1e-3 and metric.area(rho0) == 0.0:
         rho0, start = rho0 + 1e-3, rho0
     c1 = one_capacity(metric, max(rho0, 1e-3), cfg).ncap
     base = 50.0 * math.sqrt(c1)
-    return [start + base * 2.0 ** k for k in range(cfg.extrap_terms)]
+    try:  # base * 2**k exactly, or OverflowError past the largest float
+        return [start + math.ldexp(base, k) for k in range(cfg.extrap_terms)]
+    except OverflowError:
+        raise ConfigError(f"extrap_terms = {cfg.extrap_terms} takes the default "
+                          "radius grid past the largest float") from None
 
 
 def _diverges(radii: Sequence[float], vals: Sequence[float],

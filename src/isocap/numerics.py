@@ -56,11 +56,10 @@ class ToleranceConfig:
             raise ValueError("tolerances and cutoff_radius must be finite")
         if min(self.quad_rel_tol, self.quad_abs_tol, self.root_tol) <= 0.0:
             raise ValueError("tolerances must be strictly positive")
-        budget = self.max_subdivisions
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise ValueError("max_subdivisions must be an integer >= 1")
-        if self.extrap_terms < 3:
-            raise ValueError("extrap_terms must be at least 3")
+        for name, least in (("max_subdivisions", 1), ("extrap_terms", 3)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
         if self.cutoff_radius <= 1.0:
             raise ValueError("cutoff_radius must exceed 1")
 

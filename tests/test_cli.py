@@ -10,6 +10,7 @@ import pytest
 
 from isocap import capacity, cli, masses
 from isocap.cli import main
+from isocap.errors import ConfigError
 from isocap.geometry import ExprProfile, metric_from_spec
 
 # a Reissner-Nordstrom slice, m = 1.3 and q = 0.6, from its outer horizon
@@ -415,6 +416,18 @@ class TestConfig:
         assert out == "" and err.startswith("isocap: config error:")
         assert "max_subdivisions" in err
 
+    @pytest.mark.parametrize("terms, word", [("2000", "largest float"),
+                                             ("3.5", "extrap_terms")])
+    def test_bad_extrap_terms_exit_2(self, capsys, tmp_path, terms, word):
+        # 2000 raised OverflowError from the default radius grid (exit 1)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[tolerances]\nextrap_terms = {terms}\n")
+        code, out, err = run(capsys, "mass", "--metric", "flat",
+                             "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("isocap: config error:")
+        assert word in err
+
     @pytest.mark.parametrize("command, metric, tolerance", [
         ("hypotheses", "expr:geodesic:r:rho_min=nan", None),
         ("mass", "schwarzschild:m=nan", None),
@@ -442,10 +455,12 @@ class TestConfig:
         ("expr:geodesic:r:rho_min=1,r_min=2", "not both"),
         ("expr:areal:1-2*m/r:m=1,r_mn=5", "'r_mn'"),
         ("expr:areal:1:r_min=-1", ">= 0"),
+        ("expr:geodesic:r:rho_min=-1", ">= 0"),
         ("schwarzschild:m=2,m=3", "twice"),
         ("expr:areal:1-2*m/r:m=1:r_min=3", "expr:<gauge>"),
     ], ids=["schwarzschild-key", "cylinder-key", "flat-key", "both-starts",
-            "expr-key", "negative-areal-start", "repeated-key", "extra-part"])
+            "expr-key", "negative-areal-start", "negative-geodesic-start",
+            "repeated-key", "extra-part"])
     def test_bad_spec_key_exit_2(self, capsys, spec, word):
         code, out, err = run(capsys, "sphere", "--metric", spec, "--rho", "5")
         assert code == 2
@@ -455,9 +470,14 @@ class TestConfig:
     @pytest.mark.parametrize("spec, start", [
         ("expr:areal:1", 1.0), ("expr:areal:1:r_min=0", 0.0),
         ("expr:areal:1:rho_min=0.5", 0.5), ("expr:geodesic:r", 0.0),
-        ("expr:geodesic:r:r_min=2", 2.0)])
+        ("expr:geodesic:r:r_min=2", 2.0), ("expr:geodesic:r:rho_min=-1", None)])
     def test_spec_domain_start(self, spec, start):
-        assert metric_from_spec(spec).domain_start == start
+        # a start below 0 is refused in either gauge (None)
+        if start is None:
+            with pytest.raises(ConfigError, match=">= 0"):
+                metric_from_spec(spec)
+        else:
+            assert metric_from_spec(spec).domain_start == start
 
     def test_missing_config_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "sphere", "--config", "/no/such.ini",

@@ -335,7 +335,7 @@ def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
             j += 1
         # the neck bottom: the root of the area's slope a*a' on the
         # bracket of the node before the run's end and the node after it
-        s2 = flow.find_root(lambda r: math.prod(metric.profile_d2(r)[:2]),
+        s2 = flow.find_root(lambda r: math.prod(metric.profile.eval_d2(r)[:2]),
                             float(grid[j - 1]), float(grid[min(j + 1, n - 1)]),
                             cfg)
         area_j = metric.area(s2)
@@ -429,7 +429,7 @@ class TestSampleVolumes:
         assert all(b >= a for a, b in zip(rhos, rhos[1:]))
         assert all(b >= a for a, b in zip(vols, vols[1:]))
         fresh = tanh_step_mass_metric(mass, center, width)
-        assert vols == [fresh.volume(r) for r in rhos]
+        assert vols == fresh.volumes(rhos)
 
 
 def brent_radii(metric, grid, areas, envelope, targets, cfg):

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -27,11 +26,11 @@ def simpson_volume(metric, rho, n=400_001):
     lo = metric.domain_start
     xs = np.linspace(lo, rho, n)
     if metric.gauge is Gauge.GEODESIC:
-        ys = [4 * math.pi * metric.profile_d2(x)[0] ** 2 for x in xs]
+        ys = [4 * math.pi * metric.profile.eval_d2(x)[0] ** 2 for x in xs]
     else:
         ys = []
         for x in xs:
-            f = metric.profile_d2(x)[0]
+            f = metric.profile.eval_d2(x)[0]
             ys.append(4 * math.pi * x * x / math.sqrt(f) if f > 0 else 0.0)
     return float(scipy.integrate.simpson(ys, x=xs))
 
@@ -138,7 +137,7 @@ class TestGaugeConversion:
         rho4, _ = scipy.integrate.quad(
             lambda r: 1.0 / math.sqrt(1.0 - 2.0 / r), 2.0, 4.0,
             epsabs=1e-13, epsrel=1e-13, points=[2.0])
-        a, ap, app = G.profile_d2(rho4)
+        a, ap, app = G.profile.eval_d2(rho4)
         assert a == pytest.approx(4.0, rel=1e-8)
         assert ap == pytest.approx(math.sqrt(1.0 - 2.0 / 4.0), rel=1e-8)
 
@@ -224,7 +223,7 @@ class TestGaugeConversionAccuracy:
         assert np.max(np.abs(rhos[1:] - exact) / exact) <= 2e-11
         for k in range(20):  # the radii of the gauge-convert benchmark
             rho = m * 1e-2 * 1e5 ** (k / 19)
-            r = G.profile_d2(rho)[0]
+            r = G.profile.eval_d2(rho)[0]
             assert rn_arclength(r, m, q) == pytest.approx(rho, rel=2e-11)
 
     def test_no_throat_matches_mpmath(self):
@@ -235,7 +234,7 @@ class TestGaugeConversionAccuracy:
                 exact = float(mpmath.quad(lambda x: mpmath.sqrt(1 + 1 / x),
                                           [1, rs[i]]))
                 assert rhos[i] == pytest.approx(exact, rel=1e-13, abs=0.0)
-                assert G.profile_d2(exact)[0] == pytest.approx(rs[i], rel=1e-13)
+                assert G.profile.eval_d2(exact)[0] == pytest.approx(rs[i], rel=1e-13)
 
     def test_kinked_profile_falls_back(self):
         # The 10-point rule alone misses the kinks at r = 4.38 and 45.6 by
@@ -246,7 +245,7 @@ class TestGaugeConversionAccuracy:
         exact = np.array([kinked_arclength(r) for r in rs[1:]])
         assert np.max(np.abs(rhos[1:] - exact) / exact) <= 1e-10
         for r in (3.0, 4.3, 4.4, 10.0, 45.0, 46.0, 1e3):
-            assert G.profile_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
+            assert G.profile.eval_d2(kinked_arclength(r))[0] == pytest.approx(r, rel=1e-10)
 
     def test_kinked_against_mpmath(self):
         # the refined panels at the kinks, against mpmath in xi = sqrt(r - 2)
@@ -269,7 +268,7 @@ class TestGaugeConversionAccuracy:
                 points = [0] + [k for k in kinks if k < xi] + [xi]
                 rho = float(mpmath.quad(arclength, points))
                 want = float(mpmath.quad(volume, points))
-                assert G.profile_d2(rho)[0] == pytest.approx(r, rel=1e-10)
+                assert G.profile.eval_d2(rho)[0] == pytest.approx(r, rel=1e-10)
                 assert G.volume(rho) == pytest.approx(want, rel=1e-10)
 
     @staticmethod
@@ -309,7 +308,7 @@ class TestGaugeConversionAccuracy:
         for k in range(20):  # the radii of the gauge-convert benchmark
             rho = 1e-2 * 1e5 ** (k / 19)
             for call, parent_calls in ((lambda: sphere_data(G, rho), 1),
-                                       (lambda: G.profile_d2(rho), 1),
+                                       (lambda: G.profile.eval_d2(rho), 1),
                                        (lambda: G.volume(rho), 0)):
                 calls.clear()
                 call()
@@ -390,10 +389,10 @@ class TestGaugeConversionAccuracy:
         for r in targets:
             i = np.searchsorted(radii, r) - 1
             rho = nodes[i] + piece(i, r - radii[i])
-            assert G.profile_d2(rho)[0] == pytest.approx(r, rel=1e-10)
+            assert G.profile.eval_d2(rho)[0] == pytest.approx(r, rel=1e-10)
         rhos = np.geomspace(1e-6, G.profile.r_max, 2000)
         assert np.array_equal(G.profile.values(rhos),
-                              [G.profile_d2(float(x))[0] for x in rhos])
+                              [G.profile.eval_d2(float(x))[0] for x in rhos])
 
 
 def schwarzschild_volume(m, xi):
@@ -494,30 +493,30 @@ def kinked():
                        boundary_kind=BoundaryKind.MINIMAL)
 
 
-def sequential_volume(metric, rho, cfg=numerics.DEFAULT_CFG):
-    """Reference for ``volumes``: one radius per call, one
-    ``gauss_legendre`` call per new radius, on the metric's own cache; on a
-    gauge-converted metric, one xi solve per radius, which caches nothing."""
+def walk_volumes(metric, radii, cfg=numerics.DEFAULT_CFG):
+    """Reference for ``volumes``: the distinct radii in ascending order,
+    each adding its increment from the one before with one
+    ``gauss_legendre`` call per increment; on a gauge-converted metric, one
+    xi solve per radius."""
     start = metric.domain_start
+    radii = [max(rho, start) for rho in radii]
     if isinstance(metric.profile, geometry._ConvertedProfile):
-        return metric.profile.solve_list([max(rho, start)])[1][0]
-    if rho <= start:
-        return 0.0
-    i = bisect_right(metric._vol_rho, rho) - 1
-    base_rho, base_val = metric._vol_rho[i], metric._vol_val[i]
-    if rho - base_rho <= 1e-14 * max(1.0, rho):
-        return base_val
-    lo, hi = base_rho - start, rho - start
-    if metric.gauge is Gauge.AREAL:
-        lo, hi = math.sqrt(lo), math.sqrt(hi)
-    n = math.ceil(math.log2(hi / max(lo, hi / 64.0)))
-    edges = hi * 0.5 ** np.arange(n, -1.0, -1.0)
-    edges[0] = lo
-    val = base_val + float(numerics.gauss_legendre(
-        metric._volume_density(), edges[:-1], edges[1:], cfg).sum())
-    metric._vol_rho.insert(i + 1, rho)
-    metric._vol_val.insert(i + 1, val)
-    return val
+        return [metric.profile.solve_list([rho])[1][0] for rho in radii]
+    anchors, vals = [start], [0.0]
+    for rho in sorted(set(radii)):
+        if rho - anchors[-1] <= 1e-14 * max(1.0, rho):
+            continue
+        lo, hi = anchors[-1] - start, rho - start
+        if metric.gauge is Gauge.AREAL:
+            lo, hi = math.sqrt(lo), math.sqrt(hi)
+        n = math.ceil(math.log2(hi / max(lo, hi / 64.0)))
+        edges = hi * 0.5 ** np.arange(n, -1.0, -1.0)
+        edges[0] = lo
+        vals.append(vals[-1] + float(numerics.gauss_legendre(
+            metric._volume_density(), edges[:-1], edges[1:], cfg).sum()))
+        anchors.append(rho)
+    return [vals[max(i for i, x in enumerate(anchors) if x <= rho)]
+            for rho in radii]
 
 
 class TestBatchedVolumes:
@@ -529,24 +528,18 @@ class TestBatchedVolumes:
         "generated": lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
         "converted": lambda: to_geodesic(schwarzschild(1.0)),
     }
-    # past a cached anchor at 3: unsorted, a repeat, a near repeat, the
-    # domain start and just below it, radii below the anchor, one next to
-    # the boundary and a gap of more than six panels
+    # unsorted, a repeat, a near repeat, the domain start and just below
+    # it, one next to the boundary and a gap of more than six panels
     OFFSETS = (4.0, 1.0, 1.0, 0.0, -1e-13, 0.5, 4.0 + 1e-15, 1e-4, 9.0,
-               2.0, 2e3)
+               2.0, 2e3, 3.0)
 
     def check(self, make):
-        ref, batched, single = make(), make(), make()
-        start = ref.domain_start
+        metric = make()
+        start = metric.domain_start
         radii = [start + x for x in self.OFFSETS]
-        for metric in (ref, batched, single):
-            metric.volume(start + 3.0)
-        want = [sequential_volume(ref, r) for r in radii]
-        assert np.array_equal(batched.volumes(radii), want)
-        assert np.array_equal([single.volume(r) for r in radii], want)
-        for metric in (batched, single):
-            assert metric._vol_rho == ref._vol_rho
-            assert np.array_equal(metric._vol_val, ref._vol_val)
+        assert np.array_equal(metric.volumes(radii), walk_volumes(metric, radii))
+        assert np.array_equal([metric.volume(r) for r in radii],
+                              [walk_volumes(metric, [r])[0] for r in radii])
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_equal_to_one_radius_per_call(self, family):
@@ -554,6 +547,26 @@ class TestBatchedVolumes:
 
     def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv):
         self.check(lambda: table_metric(Gauge.AREAL, schwarzschild_csv))
+
+    @pytest.mark.parametrize("family", list(FAMILIES) + ["table"])
+    def test_independent_of_call_history_and_order(self, family,
+                                                   schwarzschild_csv):
+        make = {"table": lambda: table_metric(Gauge.AREAL, schwarzschild_csv),
+                **self.FAMILIES}[family]
+        M = make()
+        start = M.domain_start
+        radii = [start + x for x in self.OFFSETS]
+        want = make().volumes(radii)
+        M.volume(start + 2.5)
+        M.volumes([start + 7.0, start + 0.25])
+        sphere_data(M, start + 6.0)
+        geometry.spheres(M, [start + 1.5, start + 3.5])
+        check_hypotheses(M)
+        assert M.volumes(radii) == want
+        M.volume(start + 3.2)
+        assert M.volumes(radii) == want
+        order = [7, 2, 11, 0, 5, 9, 1, 3, 10, 4, 8, 6]
+        assert M.volumes([radii[k] for k in order]) == [want[k] for k in order]
 
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "flat"]
                              + ["table", "converted-rn"])
@@ -573,7 +586,7 @@ class TestBatchedVolumes:
         assert [G.volume(r) for r in radii] == want
         assert [d.volume for d in geometry.spheres(G, radii)] == want
         assert [sphere_data(G, r).volume for r in radii] == want
-        assert G._vol_rho == [0.0]
+        assert G.volumes(radii) == want
 
     def test_one_panel_call(self, monkeypatch):
         M = schwarzschild(1.0)
@@ -581,10 +594,13 @@ class TestBatchedVolumes:
         rule = numerics.gauss_legendre
         monkeypatch.setattr(numerics, "gauss_legendre",
                             lambda *a: calls.append(a[1].size) or rule(*a))
-        vols = M.volumes([2.0 + 1.5 ** k for k in range(40)])
+        radii = [2.0 + 1.5 ** k for k in range(40)]
+        vols = M.volumes(radii)
         assert len(calls) == 1 and calls[0] <= 6 * 40
-        assert M.volumes([3.0, 2.0 + 1.5 ** 39, 2.0]) == [vols[0], vols[-1], 0.0]
-        assert len(calls) == 1  # cache hits integrate nothing
+        assert M.volumes(radii[::-1]) == vols[::-1]
+        assert len(calls) == 2 and calls[1] == calls[0]
+        assert M.volumes([2.0, 2.0 - 1e-13]) == [0.0, 0.0]
+        assert len(calls) == 2  # no radius past the start integrates nothing
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf])
     @pytest.mark.parametrize("family", ["schwarzschild", "converted"])
@@ -595,11 +611,13 @@ class TestBatchedVolumes:
         with pytest.raises(DomainError, match="not finite"):
             sphere_data(M, rho)
 
-    def test_below_domain_raises_before_any_work(self):
+    def test_below_domain_raises_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("volume work before the domain check")
         S = schwarzschild(1.0)
+        monkeypatch.setattr(numerics, "gauss_legendre", refuse)
         with pytest.raises(DomainError):
             S.volumes([3.0, 1.0])
-        assert S._vol_rho == [2.0]
 
 
 class TestScaled:
@@ -754,7 +772,7 @@ class TestArrayValues:
 
     @staticmethod
     def scalar(metric, rs):
-        return list(zip(*(metric.profile_d2(r) for r in rs.tolist())))
+        return list(zip(*(metric.profile.eval_d2(r) for r in rs.tolist())))
 
     def check_bits(self, metric, rs):
         want = self.scalar(metric, rs)
@@ -766,7 +784,7 @@ class TestArrayValues:
         first = None
         for r in rs.tolist():
             try:
-                metric.profile_d2(r)
+                metric.profile.eval_d2(r)
             except EvalError as exc:
                 first = str(exc)
                 break

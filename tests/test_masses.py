@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocap import capacity, flow, numerics
-from isocap.errors import BadExponent, DomainError, InsufficientData
+from isocap.errors import (BadExponent, ConfigError, DomainError,
+                           InsufficientData)
 from isocap.geometry import (Gauge, cylinder, expr_metric, flat,
                              metric_from_spec, scaled, schwarzschild,
                              table_metric, tanh_step_mass_metric, to_geodesic)
@@ -78,6 +79,11 @@ class TestSchwarzschild:
             total_mass(make(), 1.0, GRID)
             assert starts == scans
 
+    def test_default_grid_overflow(self):
+        cfg = numerics.ToleranceConfig(extrap_terms=2000)
+        with pytest.raises(ConfigError, match="largest float"):
+            total_mass(flat(), None, cfg=cfg)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, None])
     def test_empty_grid(self, p):
         with pytest.raises(InsufficientData):
@@ -102,15 +108,19 @@ class TestSchwarzschild:
     @pytest.mark.parametrize("make", [flat, lambda: schwarzschild(1.0),
                                       lambda: to_geodesic(schwarzschild(1.0))])
     def test_huisken_sequence_one_volumes_call(self, make):
-        # one call per radius, in order, on one metric gives the same bits
-        M = make()
-        per_radius = [huisken_mass(M, r) for r in GRID]
+        # the masses take their volumes from one call on the whole grid
         M, calls = make(), []
         volumes = M.volumes
         M.volumes = lambda *a: calls.append(list(a[0])) or volumes(*a)
         rep = total_mass(M, None, GRID)
         assert calls == [GRID]
-        assert rep.quasilocal == per_radius
+        areas = [M.area(r) for r in GRID]
+        assert rep.quasilocal == [
+            (2.0 / a) * (v - a ** 1.5 / (6.0 * math.sqrt(math.pi)))
+            for a, v in zip(areas, make().volumes(GRID))]
+        fresh = make()
+        assert rep.quasilocal == pytest.approx(
+            [huisken_mass(fresh, r) for r in GRID], rel=1e-12, abs=1e-12)
 
     def test_huisken_zero_area_before_volumes(self, monkeypatch):
         def refuse(*args):

@@ -725,6 +725,12 @@ class TestToleranceConfig:
         with pytest.raises(ValueError, match="max_subdivisions"):
             ToleranceConfig(max_subdivisions=budget)
 
+    @pytest.mark.parametrize("terms", [2, -1, 3.5, 6.0, True])
+    def test_rejects_bad_extrap_terms(self, terms):
+        # 3.5 was accepted, then total_mass raised TypeError
+        with pytest.raises(ValueError, match="extrap_terms must be an integer"):
+            ToleranceConfig(extrap_terms=terms)
+
     def test_rejects_small_cutoff(self):
         with pytest.raises(ValueError):
             ToleranceConfig(cutoff_radius=0.5)

@@ -71,6 +71,7 @@ class FluxHolderReport:
 
 
 _PANEL = 0.5  # widest panel, in log r
+HOLDER_TOL = 1e-8  # largest passing relative excess in verify_flux_holder
 # Relative precision of the density values themselves, charged to every
 # gap: next to a throat f is known to about 1e-11 relative (the Taylor band
 # of RadialMetric._xi_density), which moved J by up to 3e-13 against
@@ -359,7 +360,7 @@ def verify_flux_holder(metric: RadialMetric, rho0: float, p: float,
         lhs = area ** p
         rhs = big_ncap * neg_vprime ** (p - 1.0)
         gap = abs(lhs - rhs) / rhs
-        ok = lhs <= rhs * (1.0 + 1e-8)
+        ok = lhs <= rhs * (1.0 + HOLDER_TOL)
         rows.append(FluxHolderRow(t=t, rho=rho, lhs=lhs, rhs=rhs,
                                   rel_gap=gap, passed=ok))
     return FluxHolderReport(p=p, rho0=rho0, rows=rows,

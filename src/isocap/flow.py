@@ -36,6 +36,7 @@ from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
 _SCAN_POINTS = 8192
 _OWN_HULL_POINTS = 256  # the scan of a flow from its own hull
 _WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
+GEROCH_TOL = 1e-8  # largest passing Hawking mass drop, over max(1, |m_H|)
 
 
 @dataclass
@@ -281,8 +282,7 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
                      events=events, samples=samples)
 
 
-def geroch_check(track: FlowTrack,
-                 cfg: ToleranceConfig = DEFAULT_CFG) -> GerochReport:
+def geroch_check(track: FlowTrack) -> GerochReport:
     """Verify Hawking-mass monotonicity along the sampled flow."""
     times = [t for t, _ in track.samples]
     masses = [d.hawking_mass for _, d in track.samples]
@@ -290,7 +290,7 @@ def geroch_check(track: FlowTrack,
     for a, b in zip(masses, masses[1:]):
         worst = max(worst, a - b)
     scale = max(1.0, max(abs(m) for m in masses))
-    return GerochReport(monotone=worst <= 1e-8 * scale, worst_drop=worst,
+    return GerochReport(monotone=worst <= GEROCH_TOL * scale, worst_drop=worst,
                         times=times, masses=masses)
 
 

@@ -99,13 +99,11 @@ class _Profile:
 class ExprProfile(_Profile):
     """Profile backed by a parsed expression plus parameter bindings."""
 
-    def __init__(self, expr: profiles.ProfileExpr, params: Optional[dict] = None,
-                 r_max: float = math.inf):
+    def __init__(self, expr: profiles.ProfileExpr, params: Optional[dict] = None):
         if isinstance(expr, str):
             expr = profiles.parse(expr)
         self.expr = expr
         self.params = dict(params or {})
-        self.r_max = r_max
         unbound = expr.names() - set(self.params)
         if unbound:
             raise ConfigError(f"undeclared parameters: {sorted(unbound)}")
@@ -596,6 +594,7 @@ def to_geodesic(metric: RadialMetric,
 
 _MINIMAL_PROBES = 4096  # sign changes of H, one per probe interval
 _PROBES = 256  # curvature, volume and validity probes
+SCALAR_CURVATURE_FLOOR = -1e-10  # least R at a probe that counts as R >= 0
 
 
 def _probe_grid(metric: RadialMetric, cfg: ToleranceConfig,
@@ -654,7 +653,7 @@ def check_hypotheses(metric: RadialMetric,
     worst: Optional[Tuple[float, float]] = None
     kappa = math.inf
     for data in spheres(metric, interior, cfg):
-        if data.scalar_curvature < -1e-10 and \
+        if data.scalar_curvature < SCALAR_CURVATURE_FLOOR and \
                 (worst is None or data.scalar_curvature < worst[0]):
             worst = (data.scalar_curvature, data.rho)
         if data.volume > 0.0:

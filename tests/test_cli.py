@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env(**extra):
+    """The environment of an interpreter that imports isocap from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def check_rows(out):
+    """(check, target, status) of each row of a verify or hypotheses table."""
+    head, *rows = [re.split(r" {2,}", line.strip()) for line in out.splitlines()]
+    assert head == ["check", "value", "target", "status"]
+    return [(check, target, status) for check, _, target, status in rows]
 
 
 class TestSphere:
@@ -272,11 +287,24 @@ class TestMass:
 
 
 class TestVerify:
-    def test_holder_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--metric", "schwarzschild:m=1",
-                           "--suite", "holder")
-        assert code == 0
-        assert "pass" in out
+    SUITE_ROWS = {
+        "equivalence": [("max pairwise mass gap", "<= 0.005")],
+        "geroch": [("worst Hawking mass drop", "<= 1e-08 rel")],
+        "bmx": [(f"bmx rho={rho} p={p}", ">= 0")
+                for rho in ("2", "3", "5", "10", "100")
+                for p in ("1.5", "2", "2.5")],
+        "holder": [(f"holder gap p={p}", "<= 1e-08") for p in ("1.5", "2", "2.5")],
+        "willmore": [("willmore limit rel error", "<= 1e-03")],
+        "isoperimetric": [("isoperimetric m=1.1 threshold", "finite")],
+    }
+
+    @pytest.mark.parametrize("suite", cli._SUITES)
+    def test_schwarzschild_rows(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--metric", "schwarzschild:m=1",
+                             "--suite", suite)
+        assert code == 0 and err == ""
+        assert check_rows(out) == [(check, target, "pass")
+                                   for check, target in self.SUITE_ROWS[suite]]
 
     def test_equivalence_fails_on_cylinder(self, capsys):
         code, out, _ = run(capsys, "verify", "--metric", "cylinder:a=2",
@@ -298,8 +326,10 @@ class TestHypotheses:
                              "expr:geodesic:r+1.5*exp(-4*(r-3)^2)")
         assert code == 1
         assert err == ""
-        fails = [l.strip().split("  ")[0] for l in out.splitlines() if "FAIL" in l]
-        assert fails == ["scalar curvature >= 0", "no interior minimal sphere"]
+        assert check_rows(out) == [
+            ("scalar curvature >= 0", ">= -1e-10", "FAIL"),
+            ("no interior minimal sphere", "0", "FAIL"),
+            ("radial isoperimetric constant", "> 0", "pass")]
 
 
 class TestNonFiniteRadii:
@@ -502,15 +532,67 @@ class TestConfig:
         assert "cannot write" in err
 
 
+class TestOptionPlacement:
+    """Options follow their subcommand, and --format goes only to sphere,
+    capacity and mass; anything else is a usage error, not an option taken
+    and then ignored."""
+
+    def exits(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("option", [
+        ("--metric", "flat"), ("--config", "run.ini"), ("--out", "x.json"),
+        ("--format", "json")], ids=["metric", "config", "out", "format"])
+    def test_before_the_subcommand_exit_2(self, capsys, tmp_path, monkeypatch,
+                                          option):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.ini").write_text("[metric]\nspec = flat\n")
+        code, out, err = self.exits(capsys, *option, "sphere", "--metric",
+                                    "flat", "--rho", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: isocap ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    @pytest.mark.parametrize("argv", [
+        ("flow", "--rho0", "3", "--tmax", "1"), ("verify", "--suite", "holder"),
+        ("hypotheses",)], ids=["flow", "verify", "hypotheses"])
+    def test_format_where_unread_exit_2(self, capsys, argv):
+        code, out, err = self.exits(capsys, *argv, "--metric", "flat",
+                                    "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: isocap ")
+        assert "unrecognized arguments: --format json" in err
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_leaves_early(self, unbuffered):
+        # 2000 flow samples are about 270 kB, past any pipe buffer, so the
+        # writer meets the closed pipe in a write or in the last flush
+        env = src_env(PYTHONUNBUFFERED="1" if unbuffered else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isocap", "flow", "--metric",
+             "schwarzschild:m=1", "--rho0", "3", "--tmax", "2",
+             "--samples", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first == b"t,rho,area,volume,H,m_H,willmore,R,jump_flag\n"
+        assert err == b""
+
+
 class TestModuleEntry:
     def test_python_m_isocap(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.run([sys.executable, "-m", "isocap", "sphere",
                                "--metric", "flat", "--rho", "2",
                                "--format", "json"],
-                              capture_output=True, text=True, env=env,
+                              capture_output=True, text=True, env=src_env(),
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["rho"] == 2.0
@@ -665,6 +747,25 @@ class TestDeterminism:
         assert [exits(*argv) for argv in cases] == first
         assert cli._build_parser() is cli._build_parser()
         assert cli._build_parser.__wrapped__().format_help() == first[0][1]
+
+    def test_cached_code_keeps_mass_bytes(self, run_isolated):
+        # m=1.7 after m=1.3 in one process binds the code compiled for the
+        # Reissner-Nordstrom text; a fresh process compiles it anew
+        def last_output(*specs):
+            return run_isolated(
+                "import contextlib, io, sys\n"
+                "from isocap.cli import main\n"
+                f"for spec in {list(specs)!r}:\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        assert main(['mass', '--metric', spec, '--p-grid',\n"
+                "                     '1,1.5,2,2.5,iso']) == 0\n"
+                "sys.stdout.write(buf.getvalue())\n")
+        rn = "expr:areal:1-2*m/r+q^2/r^2"
+        fresh = last_output(rn + ":m=1.7,q=0.6,r_min=3.2905973720586865")
+        assert last_output(rn + ":m=1.3,q=0.6,r_min=2.4532562594670795",
+                           rn + ":m=1.7,q=0.6,r_min=3.2905973720586865") == fresh
+        assert len(json.loads(fresh)) == 5
 
     def test_byte_identical(self, capsys):
         outs = []

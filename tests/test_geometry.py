@@ -52,6 +52,30 @@ class TestFlat:
         assert validate_metric(flat()) == []
 
 
+class TestValidateMetric:
+    @pytest.mark.parametrize("gauge, text, start, kind, issue", [
+        (Gauge.GEODESIC, "r + log(r-5)", 0.0, BoundaryKind.NONE,
+         "profile evaluation failed: log of non-positive value -5.0"),
+        (Gauge.GEODESIC, "r - 5", 0.0, BoundaryKind.NONE,
+         "warping factor must be positive on the probe grid"),
+        (Gauge.GEODESIC, "2", 0.0, BoundaryKind.NONE,
+         "warping factor does not grow beyond every bound "
+         "(asymptotic largeness violated)"),
+        (Gauge.GEODESIC, "r + 1", 0.0, BoundaryKind.MINIMAL,
+         "minimal boundary requires a'(rho_min)=0, got 1.0"),
+        (Gauge.AREAL, "1", 0.0, BoundaryKind.NONE,
+         "areal gauge requires r > 0"),
+        (Gauge.AREAL, "1 - 2/r", 1.0, BoundaryKind.NONE,
+         "areal coefficient f must be nonnegative"),
+        (Gauge.AREAL, "1 - 1/r", 2.0, BoundaryKind.MINIMAL,
+         "minimal boundary requires f(r_min)=0, got 0.5"),
+    ], ids=["evaluation", "positive", "largeness", "geodesic-minimal",
+            "areal-start", "areal-sign", "areal-minimal"])
+    def test_each_issue(self, gauge, text, start, kind, issue):
+        M = geometry.RadialMetric(gauge, geometry.ExprProfile(text), start, kind)
+        assert validate_metric(M) == [issue]
+
+
 class TestSchwarzschild:
     def test_hawking_mass_exact_at_all_radii(self):
         S = schwarzschild(1.0)
@@ -225,6 +249,14 @@ class TestGaugeConversionAccuracy:
             rho = m * 1e-2 * 1e5 ** (k / 19)
             r = G.profile.eval_d2(rho)[0]
             assert rn_arclength(r, m, q) == pytest.approx(rho, rel=2e-11)
+
+    def test_schwarzschild_inner_sphere_and_rho_10(self):
+        # the horizon exactly; the sphere at rho = 10 to 1e-12
+        G = to_geodesic(schwarzschild(1.0))
+        inner = sphere_data(G, 0.0)
+        assert inner.area == 16 * math.pi and inner.volume == 0.0
+        r = math.sqrt(sphere_data(G, 10.0).area / (4 * math.pi))
+        assert abs(rn_arclength(r, 1.0, 0.0) - 10.0) <= 1e-12 * 10.0
 
     def test_no_throat_matches_mpmath(self):
         G = to_geodesic(expr_metric(Gauge.AREAL, "1/(1+1/r)", domain_start=1.0))
@@ -410,6 +442,14 @@ class TestVolumeOracles:
         with mpmath.workdps(30):
             want = schwarzschild_volume(1, mpmath.sqrt(mpmath.mpf(r) - 2))
             assert abs(got - want) <= 1e-11 * want
+
+    def test_areal_schwarzschild_9(self):
+        # 30 digits: at 15 the inverse square root at r = 2 costs 2.6e-11
+        got = schwarzschild(1.0).volume(9.0)
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda r: 4 * mpmath.pi * r ** 2 / mpmath.sqrt(1 - 2 / r), [2, 9]))
+        assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_converted(self, m):

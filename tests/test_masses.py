@@ -259,6 +259,24 @@ class TestDivergent:
         assert rep.verdict == CONVERGED
         assert math.isfinite(rep.extrapolated_mass)
 
+    def test_ends_far_above_the_median(self):
+        # the Huisken masses fall toward 1, then a mass step of 500 about
+        # r = 1500 lifts the last one to 392: the growth rule passes a last
+        # step against the sign of the one before, the median rule does not
+        M = expr_metric(Gauge.AREAL, "1 - 2*(1 + 250*(1 + tanh((r-1500)/50)))/r",
+                        domain_start=3.0)
+        rep = total_mass(M, None, [50.0, 100.0, 200.0, 400.0, 800.0, 2000.0])
+        vals = rep.quasilocal
+        assert vals[-2] < vals[-3] < 1.02 and vals[-1] > 390.0
+        assert rep.verdict == DIVERGENT
+        assert math.isinf(rep.extrapolated_mass)
+
+    def test_two_radii_reach_the_extrapolation(self):
+        # too short for the growth rule, so the extrapolation's own length
+        # check refuses the sequence
+        with pytest.raises(InsufficientData, match="got 2"):
+            total_mass(schwarzschild(1.0), None, [10.0, 20.0])
+
     @pytest.mark.parametrize("vals, expected", [
         ([1.00, 1.05, 0.99], False),   # oscillates: the steps change sign
         ([1.00, 0.95, 1.01], False),

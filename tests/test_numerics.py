@@ -446,6 +446,12 @@ class TestFindRoot:
     def test_endpoint_root(self):
         assert find_root(lambda v: v - 1.0, 1.0, 2.0) == 1.0
 
+    def test_upper_endpoint_root(self):
+        # f(hi) = 0 returns hi after the two endpoint evaluations
+        calls = []
+        assert find_root(lambda v: calls.append(v) or v - 2.0, 0.0, 2.0) == 2.0
+        assert calls == [0.0, 2.0]
+
     def test_inside_bracket(self):
         x = find_root(lambda v: math.cos(v), 0.0, 3.0)
         assert 0.0 <= x <= 3.0
@@ -703,6 +709,26 @@ class TestExtrapolate:
     def test_too_few_terms(self):
         with pytest.raises(InsufficientData):
             extrapolate_limit([(1, 1.0), (2, 2.0)])
+
+    def test_nan_term_gives_the_raw_tail(self):
+        # a NaN makes the first Aitken stage and Neville column non-finite:
+        # the last term stands, with the last raw difference as its error
+        vals = [1.0, math.nan, 1.5, 1.25, 1.125, 1.0625]
+        assert extrapolate_limit(list(zip(range(1, 7), vals))) == (1.0625,
+                                                                   0.0625)
+
+    def test_aitken_blow_up_gives_the_raw_tail(self):
+        # a second difference of 1e-10 on a linear sequence puts the first
+        # Aitken stage at -1e10, past ten times the raw tail; Neville's
+        # extrapolation to 20 does not certify itself tenfold better
+        vals = [0.0, 1.0, 2.0 + 1e-10, 3.0, 4.0, 5.0]
+        assert extrapolate_limit(list(zip(range(1, 7), vals))) == (5.0, 1.0)
+
+    def test_neville_overflow_leaves_aitken(self):
+        # the first Neville column doubles 1.5e308 past the largest float;
+        # Aitken takes the constant tail as exact
+        seq = [(n, 1.5e308) for n in range(1, 7)]
+        assert extrapolate_limit(seq) == (1.5e308, 0.0)
 
     def test_non_monotone_params(self):
         with pytest.raises(InsufficientData):

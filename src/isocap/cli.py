@@ -222,7 +222,7 @@ def _verify_rows(suite: str, metric, cfg) -> List[tuple]:
             for p in (1.5, 2.0, 2.5):
                 b = masses_mod.bmx_bound_check(metric, base * rho_mul, p, cfg)
                 rows.append((f"bmx rho={base * rho_mul:g} p={p:g}",
-                             b.slack, ">= 0", b.passed))
+                             b.slack, f">= -{masses_mod.BMX_TOL:.0e} rel", b.passed))
     elif suite == "holder":
         for p in (1.5, 2.0, 2.5):
             rep = verify_flux_holder(metric, base, p, cfg=cfg)
@@ -243,7 +243,8 @@ def _verify_rows(suite: str, metric, cfg) -> List[tuple]:
         rep = masses_mod.asymptotic_isoperimetric_check(metric, m_bound, grid, cfg)
         ok = rep.threshold is not None
         rows.append((f"isoperimetric m={m_bound:g} threshold",
-                     rep.threshold if ok else math.inf, "finite", ok))
+                     rep.threshold if ok else math.inf,
+                     f"finite, excess <= {masses_mod.ISOPERIMETRIC_TOL:.0e} rel", ok))
     return rows
 
 

@@ -461,12 +461,15 @@ class _ConvertedProfile(_Profile):
     the panel's arclength series in its local variable
     (``numerics.legendre_inverse``, from the series' value and slope at the
     panel's start and middle, kept per panel; no quadrature and no profile
-    call) and reads the volume off the other series there.  So one solve gives
+    call: up to five Newton steps, which stop once the iterate repeats, at
+    a fixed point or on a 2-cycle, with the bits of all five) and reads the
+    volume off the other series there, its value alone.  So one solve gives
     a(rho) and the volume of the sphere at rho, and a converted metric's
     ``volumes`` and ``spheres`` read them from here.  The same body runs on
     a Python float, for one radius, and on an array, for many, with equal
     bits.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
-    which are exact along the gauge change.
+    which are exact along the gauge change, from one parent call: ``eval_d2``
+    for one radius, ``triple`` for many.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
@@ -534,16 +537,20 @@ class _ConvertedProfile(_Profile):
     def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
         """``_triple`` at each rho of an array, from one array solve."""
         try:
-            r = self._radius(*self._solve(np.asarray(rhos, dtype=float)))
-            f, fp = self._areal.profile.triple(r)[:2]
+            return self._triples(self._radius(*self._solve(
+                np.asarray(rhos, dtype=float))))[:parts]
         except IsocapError:  # the scalar path raises its first error
             return None
-        # np.where keeps max's -0.0, which np.maximum turns into 0.0
-        return (r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp)[:parts]
 
     def _triple(self, r: float) -> Tuple[float, float, float]:
         f, fp = self._areal.profile.eval_d2(r)[:2]
         return r, math.sqrt(max(f, 0.0)), 0.5 * fp
+
+    def _triples(self, r: np.ndarray) -> Triples:
+        """``_triple`` at each r of an array, from one parent ``triple``."""
+        f, fp = self._areal.profile.triple(r)[:2]
+        # np.where keeps max's -0.0, which np.maximum turns into 0.0
+        return r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp
 
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
         return self._triple(self._radius(*self._solve(float(rho))))
@@ -555,16 +562,20 @@ class _ConvertedProfile(_Profile):
         one = len(rhos) == 1
         rho = float(rhos[0]) if one else np.array(rhos, dtype=float)
         row, t = self._solve(rho)
-        r, vol = self._radius(row, t), row[1] + numerics.legendre(t, row[19:])[0]
+        r = self._radius(row, t)
+        vol = row[1] + numerics.legendre(t, row[19:], slope=False)
         if one:
             return [r], [vol if rho > 0.0 else 0.0]
         return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()
 
     def spheres(self, rhos: Sequence[float]
                 ) -> Tuple[List[Tuple[float, float, float]], List[float]]:
-        """(a, a', a'') and the enclosed volume at each rho, from one solve."""
+        """(a, a', a'') and the enclosed volume at each rho, from one solve
+        and, for two or more radii, one parent ``triple`` call."""
         r, vol = self.solve_list(rhos)
-        return [self._triple(x) for x in r], vol
+        if len(r) == 1:
+            return [self._triple(r[0])], vol
+        return list(zip(*(x.tolist() for x in self._triples(np.array(r))))), vol
 
     def describe(self) -> str:
         return f"geodesic({self._areal.profile.describe()})"
@@ -621,7 +632,8 @@ def find_minimal_spheres(metric: RadialMetric,
 
     v, vals = metric.profile.triple(grid)[:2]
     flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    crossings = [find_root(h_num, grid[i], grid[i + 1], cfg) for i in flips]
+    crossings = [find_root(h_num, float(grid[i]), float(grid[i + 1]), cfg)
+                 for i in flips]
     if metric.gauge is Gauge.AREAL:
         if abs(v[0]) <= cfg.root_tol * max(1.0, grid[0]):
             roots.append(float(grid[0]))

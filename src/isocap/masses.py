@@ -33,6 +33,8 @@ DIVERGENT = "DIVERGENT"
 INDETERMINATE = "INDETERMINATE"
 REPORT_TOL = 1e-2  # relative extrapolation error of a CONVERGED total mass
 EQUIVALENCE_TOL = 5e-3  # largest mass gap an equivalence report passes
+BMX_TOL = 1e-8  # largest passing relative excess of the capacity over its bound
+ISOPERIMETRIC_TOL = 1e-12  # largest passing relative excess of a volume over its bound
 
 
 @dataclass
@@ -237,7 +239,7 @@ def bmx_bound_check(metric: RadialMetric, rho: float, p: float,
     f = gauss_2f1(p, x, cfg)
     rhs = (data.area / FOUR_PI) ** ((3.0 - p) / 2.0) * f ** (1.0 - p)
     return BmxResult(rho=rho, p=p, x=x, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                     passed=lhs <= rhs * (1.0 + 1e-8))
+                     passed=lhs <= rhs * (1.0 + BMX_TOL))
 
 
 def asymptotic_isoperimetric_check(metric: RadialMetric, m_bound: float,
@@ -251,7 +253,7 @@ def asymptotic_isoperimetric_check(metric: RadialMetric, m_bound: float,
         area = metric.area(rho)
         bound = area ** 1.5 / (6.0 * math.sqrt(math.pi)) + 0.5 * m_bound * area
         rows.append(IsoperimetricRow(rho=rho, volume=vol, bound=bound,
-                                     passed=vol <= bound * (1.0 + 1e-12)))
+                                     passed=vol <= bound * (1.0 + ISOPERIMETRIC_TOL)))
     threshold: Optional[float] = None
     for row in reversed(rows):
         if not row.passed:

@@ -290,18 +290,21 @@ def legendre_integral(y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,jk->...k", y, _LEG_INT)
 
 
-def legendre(t, c):
+def legendre(t, c, slope=True):
     """The Legendre series sum_n c[n]*P_n(t), 2 to 11 terms, and its
     derivative in t, by the three-term recurrence: on a Python float t with
     a sequence of floats c, or on an array t with a sequence of arrays c,
-    with the same operations, so with the same bits."""
+    with the same operations, so with the same bits.  With slope false, the
+    value alone, with the same bits, and the derivative is not formed."""
     p0, p1, d0, d1 = 1.0, t, 0.0, 1.0
-    value, slope = c[0] + c[1] * t, c[1]
+    value, d = c[0] + c[1] * t, c[1]
     for (a, b, k), cn in zip(_LEG_REC, c[2:]):
-        p0, p1, d0, d1 = p1, a * t * p1 - b * p0, d1, d0 + k * p1
+        if slope:
+            d0, d1 = d1, d0 + k * p1
+            d = d + cn * d1
+        p0, p1 = p1, a * t * p1 - b * p0
         value = value + cn * p1
-        slope = slope + cn * d1
-    return value, slope
+    return (value, d) if slope else value
 
 
 def legendre_inverse(q, total, mid, slope0, slope_mid, c):
@@ -314,16 +317,23 @@ def legendre_inverse(q, total, mid, slope0, slope_mid, c):
     half's start value and slope and its end value: exact where the
     density is linear in t, also where it starts from 0, and otherwise off
     by about the cube of the panel width, an eighth of what the quadratic
-    across the whole panel misses.  Five Newton steps follow: they settle to
-    rounding a density exp(t), which changes by a factor of 7.4 across
-    [-1, 1], while exp(a*t) passes the check of ``legendre_panels`` only
-    for a below 0.9, a factor of 6.  Every slope is raised by 1e-10 of
+    across the whole panel misses.  Up to five Newton steps follow: they
+    settle to rounding a density exp(t), which changes by a factor of 7.4
+    across [-1, 1], while exp(a*t) passes the check of ``legendre_panels``
+    only for a below 0.9, a factor of 6.  Every slope is raised by 1e-10 of
     total: that leaves the root where it is and barely slows the steps,
-    but keeps them finite where the density vanishes."""
+    but keeps them finite where the density vanishes.
+
+    A step is a function of t alone, so the steps stop, with the t that
+    all five would end on, once each t repeats: a step that returns its
+    own t (a fixed point) or the t before it (a 2-cycle, whose two points
+    alternate, so the parity of the steps left picks one).  An array stops
+    when every element has repeated.  No step makes -0.0 from anything
+    but -0.0, so equal iterates have equal bits."""
     if isinstance(q, np.ndarray):
-        sqrt, pick = np.sqrt, np.where
+        sqrt, pick, every = np.sqrt, np.where, np.all
     else:
-        sqrt, pick = math.sqrt, lambda upper, a, b: a if upper else b
+        sqrt, pick, every = math.sqrt, (lambda upper, a, b: a if upper else b), bool
     upper = q > mid
     start, s = pick(upper, mid, 0.0), pick(upper, slope_mid, slope0)
     rise = pick(upper, total - mid, mid)
@@ -331,9 +341,13 @@ def legendre_inverse(q, total, mid, slope0, slope_mid, c):
     part = q - start
     u = 2.0 * part / (s + sqrt(abs(s * s + 4.0 * (rise - s) * part)) + floor)
     t = u + pick(upper, 0.0, -1.0)
-    for _ in range(_NEWTON_STEPS):
+    before = math.nan  # the t before the current one; equal to no t
+    for left in range(_NEWTON_STEPS - 1, -1, -1):
         value, slope = legendre(t, c)
-        t = t - (value - q) / (slope + floor)
+        step = t - (value - q) / (slope + floor)
+        if every((step == t) | (step == before)):
+            return t if left % 2 else step
+        before, t = t, step
     return t
 
 
@@ -362,9 +376,9 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
     errs = np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
     good = np.all(errs <= cfg.quad_rel_tol * np.abs(sums), axis=0)
-    coeffs = half[good, None] * legendre_integral(y[:, good, :10])
     if good.all():
-        return lo, hi, coeffs, sums
+        return lo, hi, half[:, None] * legendre_integral(y[..., :10]), sums
+    coeffs = half[good, None] * legendre_integral(y[:, good, :10])
     p_lo, p_hi, p_y, _, _ = _refine(density, lo[~good], hi[~good],
                                     np.abs(sums[:, ~good]), cfg)
     half, p_y = 0.5 * (p_hi - p_lo), p_y[..., :10].swapaxes(0, 1)
@@ -750,6 +764,8 @@ def extrapolate_limit(seq: Sequence[Tuple[float, float]],
     tails such as 1/n).  The better self-certified result wins; the error
     estimate is that accelerator's last inter-stage difference.  If both
     diverge, the raw final value is returned with the last raw difference.
+    Raises InsufficientData unless the parameters increase strictly from
+    above 0, where their inverses are finite.
     """
     if len(seq) < cfg.extrap_terms:
         raise InsufficientData(
@@ -757,6 +773,8 @@ def extrapolate_limit(seq: Sequence[Tuple[float, float]],
     params = [float(s[0]) for s in seq]
     if any(b <= a for a, b in zip(params, params[1:])):
         raise InsufficientData("parameters must be strictly increasing")
+    if params[0] <= 0.0:
+        raise InsufficientData(f"parameters must be positive, got {params[0]}")
 
     values = [float(s[1]) for s in seq]
     lim_a, err_a = _aitken_limit(values)

@@ -611,6 +611,13 @@ class TestWillmore:
         with pytest.raises(InsufficientData):
             willmore_limit(track)
 
+    def test_tail_from_t0(self):
+        # six samples, the fewest it takes, start at t = 0, where the
+        # extrapolation in 1/t raised ZeroDivisionError
+        track = weak_imcf(schwarzschild(1.0), 2.0, 1.0, n_samples=6)
+        with pytest.raises(InsufficientData, match="must be positive"):
+            willmore_limit(track)
+
 
 class TestCsvExport:
     def test_columns_and_formatting(self):

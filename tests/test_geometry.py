@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -137,7 +138,7 @@ class TestNeck:
 
     def test_two_interior_minimal_spheres(self):
         roots = find_minimal_spheres(expr_metric(Gauge.GEODESIC, NECK))
-        assert len(roots) == 2
+        assert len(roots) == 2 and all(type(r) is float for r in roots)
         # oracle: dense scan of a'(rho) sign changes
         rho = np.linspace(0.5, 6.0, 1_000_001)
         a = rho + 1.5 * np.exp(-4 * (rho - 3) ** 2)
@@ -367,6 +368,50 @@ class TestGaugeConversionAccuracy:
             with monkeypatch.context() as patch:
                 patch.setattr(numerics, "_NEWTON_STEPS", 8)
                 assert np.max(np.abs(G.profile.values(rhos) - r) / r) <= 1e-15
+
+    @pytest.mark.parametrize("make", [
+        lambda: schwarzschild(1.0), lambda: rn_factored(), lambda: no_throat(),
+        lambda: kinked()], ids=["schwarzschild", "rn", "no-throat", "kinked"])
+    def test_early_exit_bits(self, make, monkeypatch):
+        # the exit on a repeated iterate against all five Newton steps from
+        # the same first guess, on floats and on arrays
+        G = to_geodesic(make())
+        rhos = np.concatenate(([0.0, 1e-300, 1e-12],
+                               np.geomspace(1e-9, G.profile.r_max, 4000)))
+        calls = []
+        inverse = numerics.legendre_inverse
+        monkeypatch.setattr(numerics, "legendre_inverse", lambda *args: calls.append(
+            (args, inverse(*args))) or calls[-1][1])
+        G.profile.values(rhos)
+        for rho in rhos.tolist():
+            G.profile.eval_d2(rho)
+        assert len(calls) == 1 + rhos.size
+        cycles = {float: 0, np.ndarray: 0}
+        for args, got in calls:
+            q, total, *_, c = args
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_NEWTON_STEPS", 0)
+                ts = [inverse(*args)]
+            for _ in range(5):
+                value, slope = numerics.legendre(ts[-1], c)
+                ts.append(ts[-1] - (value - q) / (slope + numerics._SLOPE_FLOOR * total))
+            assert type(got) is type(ts[-1])
+            assert np.asarray(got).tobytes() == np.asarray(ts[-1]).tobytes()
+            cycles[type(got)] += np.sum((ts[-1] == ts[-3]) & (ts[-1] != ts[-2]))
+        # about one in six radii ends in a 2-cycle, on either path
+        assert min(cycles.values()) >= 400
+
+    def test_newton_count(self, monkeypatch):
+        # the 20 radii of the gauge-convert benchmark: 5 Newton steps each
+        # without the exit, and value-only volume reads
+        G = to_geodesic(schwarzschild(1.0))
+        calls = []
+        series = numerics.legendre
+        monkeypatch.setattr(numerics, "legendre", lambda t, c, slope=True: calls.append(
+            slope) or series(t, c, slope))
+        for k in range(20):
+            sphere_data(G, 1e-2 * 1e5 ** (k / 19))
+        assert calls.count(False) == 20 and calls.count(True) <= 60
 
     @pytest.mark.parametrize("make", [
         lambda: schwarzschild(1.0), lambda: rn_factored(), lambda: no_throat()],
@@ -620,13 +665,23 @@ class TestBatchedVolumes:
         assert [d.volume for d in geometry.spheres(M, [start, start + 1.0])][0] == 0.0
 
     def test_converted_spheres_equal_bits(self):
-        radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)][::-1]
-        G = to_geodesic(schwarzschild(1.0))
-        want = G.volumes(radii)
-        assert [G.volume(r) for r in radii] == want
-        assert [d.volume for d in geometry.spheres(G, radii)] == want
-        assert [sphere_data(G, r).volume for r in radii] == want
-        assert G.volumes(radii) == want
+        # every field of a list, from one solve and one parent triple call,
+        # against each radius alone on Python floats, sign of zero included
+        radii = [0.0] + [1e-2 * 1e5 ** (k / 19) for k in range(20)][::-1]
+        fields = [f.name for f in dataclasses.fields(geometry.SphereData)]
+        # -(2-r)/r is -0.0 at r = 2, where the sphere's H = 2*a'/a is -0.0
+        for areal in (schwarzschild(1.0), rn_factored(), kinked(),
+                      expr_metric(Gauge.AREAL, "-(2-r)/r", domain_start=2.0)):
+            G = to_geodesic(areal)
+            want = G.volumes(radii)
+            assert [G.volume(r) for r in radii] == want
+            assert [d.volume for d in geometry.spheres(G, radii)] == want
+            assert [sphere_data(G, r).volume for r in radii] == want
+            assert G.volumes(radii) == want
+            assert (hex_rows([[getattr(d, f) for f in fields]
+                              for d in geometry.spheres(G, radii)])
+                    == hex_rows([[getattr(sphere_data(G, r), f) for f in fields]
+                                 for r in radii]))
 
     def test_one_panel_call(self, monkeypatch):
         M = schwarzschild(1.0)

@@ -308,10 +308,12 @@ class TestLegendreSeries:
         t = rng.uniform(-1.0, 1.0, 300)
         c = rng.normal(size=(11, t.size))  # one series per point
         got = numerics.legendre(t, c)
+        assert np.array_equal(numerics.legendre(t, c, slope=False), got[0])
         for i in range(t.size):
             one = numerics.legendre(float(t[i]), c[:, i].tolist())
             assert (got[0][i], got[1][i]) == one
             assert all(type(v) is float for v in one)
+            assert numerics.legendre(float(t[i]), c[:, i].tolist(), False) == one[0]
         q = rng.uniform(0.0, 2.0, t.size)
         coeffs = numerics.legendre_integral(rng.uniform(0.5, 2.0, (t.size, 10))).T
         guide = self.guide(coeffs)
@@ -734,6 +736,12 @@ class TestExtrapolate:
         with pytest.raises(InsufficientData):
             extrapolate_limit([(1, 0.0), (3, 0.0), (2, 0.0),
                                (4, 0.0), (5, 0.0), (6, 0.0)])
+
+    @pytest.mark.parametrize("first", [0.0, -1.0])
+    def test_rejects_params_from_zero_down(self, first):
+        # Neville extrapolates in 1/parameter; at 0 that was ZeroDivisionError
+        with pytest.raises(InsufficientData, match="must be positive"):
+            extrapolate_limit([(first, 1.0)] + [(n, 1.0 + 1.0 / n) for n in range(1, 6)])
 
 
 class TestToleranceConfig:

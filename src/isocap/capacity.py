@@ -306,9 +306,10 @@ def one_capacity(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> CapacityResult:
     """1-capacity: least enclosing-sphere area over 4pi (hull area).
 
-    On an areal metric the sphere at rho0 >= 0 is its own hull and no scan
-    is made; otherwise the hull is read off one area scan from rho0 (see
-    ``flow.outward_hull``).
+    Where the sphere at rho0 is its own hull (``RadialMetric.own_hull``:
+    an areal metric from r >= 0, among others) nothing is searched;
+    otherwise the hull is read off the critical points of the area, found
+    once per metric and cfg (see ``flow.outward_hull``).
     """
     return _capacities(metric, [rho0], [1.0], cfg)[0][0]
 

@@ -2,21 +2,15 @@
 
 The weak flow of a centered sphere stays a centered sphere: at time t it
 is the outermost sphere of area hull_area * exp(t) anywhere on the end
-(Huisken and Ilmanen 2001).  One area scan from rho0 serves a whole flow;
-its envelope, the least area still reachable outward from each node,
-gives the hull, a bracket of the radius at every sample time and the
-necks the flow jumps over.  One safeguarded Newton pass over all those
-brackets gives the sample radii, and the profile's (value, d1, d2) at
-each radius gives its sphere data.  Jumps preserve area: the flow leaves
-a rising branch at radius s1 and reappears past the neck at the
-matching-area radius s2 > s1.
-
-Where the area cannot fall (``RadialMetric.own_hull``) each sphere is its
-own hull.  The hull then costs no scan, and a flow brackets its samples
-on a 256-node scan: the envelope of a non-decreasing area is the area
-itself, so no neck can hide between nodes.  Other metrics scan 8192
-nodes.  A neck's bottom is the root of the area's slope, which every
-profile gives exactly.
+(Huisken and Ilmanen 2001).  The critical points of the area
+(``RadialMetric.critical_points``), between which the area is monotone,
+give the hull and the necks the flow jumps over; a jump preserves area.
+The areas their search probes, past the hull and with the critical radii
+as nodes, bracket the radius at every sample time on one monotone piece,
+and one safeguarded Newton pass over all the brackets solves them.  Where
+the area cannot fall (``RadialMetric.own_hull``) each sphere is its own
+hull, no critical point is looked for, and a 256-node area scan from it
+gives the brackets.
 """
 
 from __future__ import annotations
@@ -27,14 +21,13 @@ from typing import IO, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, IsocapError
-from .geometry import (FOUR_PI, Gauge, RadialMetric, SphereData, Triples,
-                       spheres)
+from .errors import DomainError, InsufficientData
+from .geometry import (FOUR_PI, CriticalPoint, Gauge, RadialMetric,
+                       SphereData, Triples, spheres)
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
                        find_root, newton_roots)
 
-_SCAN_POINTS = 8192
-_OWN_HULL_POINTS = 256  # the scan of a flow from its own hull
+_FLOW_POINTS = 256  # the scan of a flow from its own hull
 _WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
 GEROCH_TOL = 1e-8  # largest passing Hawking mass drop, over max(1, |m_H|)
 
@@ -78,112 +71,67 @@ class GerochReport:
     masses: List[float]
 
 
-def _area_grid(metric: RadialMetric, lo: float, hi: float,
-               points: int = _SCAN_POINTS) -> Tuple[np.ndarray, np.ndarray]:
-    grid = np.geomspace(max(lo, 1e-12), hi, points)
-    grid[0] = lo
-    return grid, metric.area(grid)
-
-
-def _suffix_min(areas: np.ndarray) -> np.ndarray:
-    """Least area at or past each node: the area still reachable outward."""
-    return np.minimum.accumulate(areas[::-1])[::-1]
-
-
-def _refine_min(metric: RadialMetric, lo: float, hi: float,
-                cfg: ToleranceConfig) -> Tuple[float, float]:
-    """(rho, area) of the least area on [lo, hi] about a neck bottom: the
-    root of the area's slope, a*a' (a = r in the areal gauge), where that
-    slope rises through 0 on the bracket, else the end of smaller area.
-    Each radius costs one profile call."""
-    geodesic = metric.gauge is Gauge.GEODESIC
-    seen = {}  # radius -> (a, a')
-
-    def slope(x: float) -> float:
-        if x not in seen:
-            seen[x] = metric.profile.eval_d2(x)[:2] if geodesic else (x, 1.0)
-        return seen[x][0] * seen[x][1]
-
-    s_lo, s_hi = slope(lo), slope(hi)
-    x = (find_root(slope, lo, hi, cfg) if s_lo < 0.0 < s_hi
-         else min((lo, hi), key=lambda end: abs(seen[end][0])))
-    return x, FOUR_PI * seen[x][0] * seen[x][0]
-
-
-def _read_hull(metric: RadialMetric, grid: np.ndarray, envelope: np.ndarray,
-               r: float, cfg: ToleranceConfig) -> Tuple[float, float]:
-    """(rho_star, hull_area) of a radius r of a hull scan, read off the
-    scan's envelope (its suffix minimum)."""
-    j = int(np.searchsorted(grid, r, side="right"))  # first node past r
-    base = metric.area(r)  # a scalar call: r is in general not a scan node
-    level = min(base, envelope[min(j, len(grid) - 1)]) * (1.0 + 1e-9)
-    # the outermost node within level is the last one the envelope admits
-    i = int(np.searchsorted(envelope, level, side="right")) - 1
-    if i >= j:  # a node past r comes within level: refine the dip there
-        dip = _refine_min(metric, max(float(grid[i - 1]), r),
-                          float(grid[min(i + 1, len(grid) - 1)]), cfg)
-        if dip[1] < base * (1.0 - 1e-12):
-            return dip
-    return r, base
-
-
 def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
                    cfg: ToleranceConfig) -> List[Tuple[float, float]]:
-    """(rho_star, hull_area) of each of the strictly increasing radii, all
-    read off one area scan from the innermost radius.
-
-    No scan is made where each sphere is its own hull: from the end of the
-    scan range on, and where the area cannot fall from the innermost
-    radius on (``RadialMetric.own_hull``; ``_read_hull`` would return
-    (r, area(r)) too).
-    """
+    """(rho_star, hull_area) of each of the strictly increasing radii (see
+    ``outward_hull``).  Where the innermost radius is its own hull
+    (``RadialMetric.own_hull``) or lies at or past the end of the probe
+    range, so is each radius, and no critical point is looked for."""
     metric.check_start(radii[0])
     limit = min(cfg.cutoff_radius, metric.r_max)
     if radii[0] >= limit or metric.own_hull(radii[0]):
         return [(r, metric.area(r)) for r in radii]
-    grid, areas = _area_grid(metric, radii[0], limit)
-    envelope = _suffix_min(areas)
-    return [_read_hull(metric, grid, envelope, r, cfg) for r in radii]
+    # the end of the probe range, then each area minimum, outermost first
+    floors = [(limit, metric.area(limit))] + [
+        (p.rho, p.area) for p in reversed(metric.critical_points(cfg))
+        if p.minimum]
+
+    def hull(r: float) -> Tuple[float, float]:
+        base = (r, metric.area(r))
+        dip = min((f for f in floors if f[0] > r), key=lambda f: f[1],
+                  default=base)  # the first, outermost, of equal areas
+        return dip if dip[1] < base[1] else base
+    return [hull(r) for r in radii]
 
 
 def outward_hull(metric: RadialMetric, rho0: float,
                  cfg: ToleranceConfig = DEFAULT_CFG) -> Tuple[float, float]:
     """Outermost radius minimizing sphere area over [rho0, inf).
 
-    Returns (rho_star, hull_area).  For an area profile that only grows
-    this is (rho0, area(rho0)); past a neck it is the bottom of the
-    outermost dip at or below area(rho0).  A sphere where the area cannot
-    fall (``RadialMetric.own_hull``) is its own hull and costs no scan; any
-    other radius below the scan limit costs one 8192-node area scan.
+    Returns (rho_star, hull_area): the least area among rho0, the area
+    minima past it (``RadialMetric.critical_points``) and the end of the
+    probe range, min(cutoff_radius, r_max); of equal least areas the
+    outermost, unless area(rho0) is no larger.  A sphere where the area
+    cannot fall (``RadialMetric.own_hull``) is its own hull and costs no
+    search; the critical points are searched once per metric and cfg.
     """
     return _outward_hulls(metric, [rho0], cfg)[0]
 
 
-def _find_jumps(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
-                envelope: np.ndarray, hull_area: float, t_max: float,
+def _find_jumps(metric: RadialMetric, points: Sequence[CriticalPoint],
+                rho_star: float, hull_area: float, t_max: float,
                 cfg: ToleranceConfig) -> List[Jump]:
-    """Locate necks the outermost-root rule skips, as area-matched jumps, on
-    a scan from the hull whose envelope may reach past its last node."""
-    skipped = np.concatenate(([False], areas > envelope * (1.0 + 1e-10),
-                              [False]))
-    edges = np.flatnonzero(skipped[1:] != skipped[:-1]).tolist()
-    jumps: List[Jump] = []
-    n = len(grid)
-    for i, j in zip(edges[::2], edges[1::2]):
-        # run [i, j): the flow jumps over it; the landing neck bottom sits
-        # just past index j-1
-        lo_b = float(grid[j - 1])
-        hi_b = float(grid[min(j + 1, n - 1)])
-        s2, area_j = _refine_min(metric, lo_b, hi_b, cfg)
-        t_j = math.log(area_j / hull_area)
-        if 0.0 < t_j <= t_max:
-            lo_r = float(grid[max(i - 2, 0)])
-            hi_r = float(grid[i])
-            try:
-                s1 = find_root(lambda r: metric.area(r) - area_j, lo_r, hi_r, cfg)
-            except IsocapError:
-                s1 = float(grid[i])
-            jumps.append(Jump(t=t_j, rho_before=s1, rho_after=s2))
+    """The jumps of a flow from its hull up to t_max.  A jump lands on each
+    area minimum past the hull that is lower than every later one, at the
+    time its area is reached once above the hull's.  It leaves at the
+    first crossing of that area past the previous landing, on the rising
+    piece up to the next maximum."""
+    points = [p for p in points if p.rho > rho_star]
+    landings, floor = [], math.inf
+    for p in reversed(points):
+        if p.minimum and p.area < floor:
+            floor = p.area
+            if p.area > hull_area:
+                landings.append(p)
+    jumps, last = [], rho_star
+    for land in reversed(landings):
+        t = math.log(land.area / hull_area)
+        if t > t_max:
+            break
+        top = next(p.rho for p in points if p.rho > last and not p.minimum)
+        s1 = find_root(lambda r: metric.area(r) - land.area, last, top, cfg)
+        jumps.append(Jump(t=t, rho_before=s1, rho_after=land.rho))
+        last = land.rho
     return jumps
 
 
@@ -222,12 +170,14 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
               cfg: ToleranceConfig = DEFAULT_CFG) -> FlowTrack:
     """Run the weak flow from the sphere at rho0 up to time t_max.
 
-    The hull, the jumps and the radius at each of the n_samples times on
-    [0, t_max] are read off the hull scan from rho0.  Where the sphere at
-    rho0 is its own hull (``RadialMetric.own_hull``) the hull is
-    (rho0, area(rho0)) and the scan has 256 nodes; elsewhere it has 8192.
-    Raises DomainError for t_max not positive, n_samples < 1, or a domain
-    that ends before the area reaches hull_area * exp(t_max).
+    The hull is ``outward_hull``'s, and the jumps come from the same
+    critical points; where the sphere at rho0 is its own hull
+    (``RadialMetric.own_hull``) the hull is (rho0, area(rho0)) and there
+    are none.  The radius at each of the n_samples times on [0, t_max] is
+    bracketed on the area probes past the hull with the critical radii as
+    nodes (``RadialMetric.area_probes``), or on a 256-node scan from an own
+    hull.  Raises DomainError for t_max not positive, n_samples < 1, or a
+    domain that ends before the area reaches hull_area * exp(t_max).
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max}")
@@ -241,29 +191,24 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     too_short = f"metric domain ends before the flow reaches t={t_max}"
     if rho0 >= limit:
         raise DomainError(too_short)
-    own = metric.own_hull(rho0)
-    grid, areas = _area_grid(metric, rho0, limit,
-                             _OWN_HULL_POINTS if own else _SCAN_POINTS)
-    envelope = _suffix_min(areas)
-    rho_star, hull_area = ((rho0, metric.area(rho0)) if own else
-                           _read_hull(metric, grid, envelope, rho0, cfg))
+    rho_star, hull_area = _outward_hulls(metric, [rho0], cfg)[0]
+    if metric.own_hull(rho0):
+        points: Sequence[CriticalPoint] = []
+        grid = np.geomspace(max(rho0, 1e-12), limit, _FLOW_POINTS)
+        grid[0] = rho0
+        areas = metric.area(grid)
+    else:
+        nodes, node_areas, points = metric.area_probes(cfg)
+        keep = nodes > rho_star
+        grid = np.concatenate(([rho_star], nodes[keep]))
+        areas = np.concatenate(([hull_area], node_areas[keep]))
+    areas[0] = hull_area
+    envelope = np.minimum.accumulate(areas[::-1])[::-1]  # least area past
     times = np.linspace(0.0, t_max, n_samples).tolist()
     targets = [hull_area * math.exp(t) for t in times + [t_max]]
     if areas[-1] < targets[-1]:
         raise DomainError(too_short)
-
-    # the scan from the hull, which replaces the last node before it, up
-    # to the first node whose envelope passes 1.02 times the final area; a
-    # run of skipped nodes that starts before that node ends before it
-    start = int(np.searchsorted(grid, rho_star, side="right")) - 1
-    stop = max(start + 1, int(np.searchsorted(envelope, 1.02 * targets[-1],
-                                              side="right")))
-    grid[start], areas[start] = rho_star, hull_area
-    envelope[start] = min(hull_area, envelope[start + 1])
-    grid, areas, envelope = (x[start:stop + 1] for x in (grid, areas, envelope))
-    cut = stop - start
-    jumps = _find_jumps(metric, grid[:cut], areas[:cut], envelope[:cut],
-                        hull_area, t_max, cfg)
+    jumps = _find_jumps(metric, points, rho_star, hull_area, t_max, cfg)
     radii, triples = _sample_radii(metric, grid, areas, envelope,
                                    np.array(targets), cfg)
 

@@ -31,7 +31,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class BoundaryKind(enum.Enum):
 #   triple(rs)  -> the arrays (value, d1, d2) at each radius of a 1-D array.
 # Each element of values and triple has the bits of eval_d2 at its radius.
 # Area scans, volume panels and the conversion's build call values once per
-# array; sphere data, minimal-sphere probes and the flow's Newton steps call
+# array; sphere data, critical-point probes and the flow's Newton steps call
 # triple once per array.  A family supplies eval_d2 and one hook,
 # _arrays(rs, parts), which computes the first parts (1 or 3) of the arrays
 # with in-repo code (tables through numerics.HermiteSpline, the conversion
@@ -195,6 +195,14 @@ class SphereData:
     scalar_curvature: float
 
 
+class CriticalPoint(NamedTuple):
+    """A radius where the area slope a*a' changes sign, and its area."""
+
+    rho: float
+    area: float  # 0.0 where a itself changes sign (a pole)
+    minimum: bool  # the area falls to rho and rises past it
+
+
 @dataclass
 class HypothesisReport:
     scalar_curvature_nonneg: bool
@@ -218,6 +226,8 @@ class RadialMetric:
     # the area never falls from this radius on (see own_hull); set by the
     # constructors that know it, never by a caller
     _hull_from: float = field(default=math.inf, init=False, repr=False)
+    _critical: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -236,6 +246,26 @@ class RadialMetric:
     @property
     def r_max(self) -> float:
         return self.profile.r_max
+
+    def critical_points(self, cfg: ToleranceConfig = DEFAULT_CFG
+                        ) -> List[CriticalPoint]:
+        """The critical points of the area in increasing radius: the sign
+        changes of a*a' (a = r, a' = 1 in the areal gauge) between
+        neighbouring probes, refined by ``numerics.find_root``.  The 8192
+        probes are evenly spaced in log rho from max(domain_start, 1e-6) to
+        min(cutoff_radius, r_max), after domain_start below 1e-6: a neck
+        narrower than one spacing can be missed, and a plateau (a' = 0
+        throughout) has none.  A pole (a changes sign) has area 0."""
+        return self.area_probes(cfg)[2]
+
+    def area_probes(self, cfg: ToleranceConfig = DEFAULT_CFG
+                    ) -> Tuple[np.ndarray, np.ndarray, List[CriticalPoint]]:
+        """The probes and critical radii in increasing order, the area at
+        each (monotone between neighbours), and the critical points; one
+        search per cfg, whose arrays callers share and must not write."""
+        if cfg not in self._critical:
+            self._critical[cfg] = _area_probes(self, cfg)
+        return self._critical[cfg]
 
     def check_start(self, rho: float) -> float:
         """Raise DomainError for a radius that is not finite, or below
@@ -396,7 +426,7 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
         if triples is None:
             triples = metric.profile.triple(np.array(radii, dtype=float))
         rows = zip(*(x.tolist() for x in triples))
-    out: List[SphereData] = []
+    fields = []  # every field but the volume, each sphere checked first
     for rho, (v, d1, d2) in zip(radii, rows):
         a = v if metric.gauge is Gauge.GEODESIC else rho
         area = FOUR_PI * a * a
@@ -418,14 +448,11 @@ def spheres(metric: RadialMetric, radii: Sequence[float],
             willmore = SIXTEEN_PI * f
             m_H = 0.5 * rho * (1.0 - f)
             R = 2.0 * (1.0 - f - rho * fp) / (rho * rho)
-        out.append(SphereData(rho=rho, area=area, volume=0.0, mean_curvature=H,
-                              hawking_mass=m_H, willmore=willmore,
-                              scalar_curvature=R))
+        fields.append((rho, area, H, m_H, willmore, R))
     if vols is None:
         vols = metric.volumes(radii, cfg)
-    for data, vol in zip(out, vols):
-        data.volume = vol
-    return out
+    return [SphereData(rho, area, vol, H, m_H, willmore, R)
+            for (rho, area, H, m_H, willmore, R), vol in zip(fields, vols)]
 
 
 def sphere_data(metric: RadialMetric, rho: float,
@@ -603,7 +630,7 @@ def to_geodesic(metric: RadialMetric,
 # ---------------------------------------------------------------------------
 # Minimal spheres and hypothesis checks
 
-_MINIMAL_PROBES = 4096  # sign changes of H, one per probe interval
+_AREA_PROBES = 8192  # critical points: sign changes of a*a', one per interval
 _PROBES = 256  # curvature, volume and validity probes
 SCALAR_CURVATURE_FLOOR = -1e-10  # least R at a probe that counts as R >= 0
 
@@ -618,31 +645,55 @@ def _probe_grid(metric: RadialMetric, cfg: ToleranceConfig,
     return grid
 
 
+def _area_probes(metric: RadialMetric, cfg: ToleranceConfig
+                 ) -> Tuple[np.ndarray, np.ndarray, List[CriticalPoint]]:
+    """``RadialMetric.area_probes``, computed."""
+    grid = _probe_grid(metric, cfg, _AREA_PROBES)
+    geodesic = metric.gauge is Gauge.GEODESIC
+    a, ap = metric.profile.triple(grid)[:2] if geodesic else (grid, 1.0)
+    sign = np.sign(a * ap)
+
+    def area_slope(x: float) -> float:
+        return math.prod(metric.profile.eval_d2(x)[:2]) if geodesic else x
+    points = []
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
+        rho = find_root(area_slope, float(grid[i]), float(grid[i + 1]), cfg)
+        pole = (a[i] < 0.0) != (a[i + 1] < 0.0)  # a changes sign, not a'
+        points.append(CriticalPoint(rho, 0.0 if pole else metric.area(rho),
+                                    bool(sign[i] < 0.0)))
+    nodes = np.concatenate((grid, [p.rho for p in points]))
+    order = np.argsort(nodes, kind="stable")
+    areas = np.concatenate((FOUR_PI * a * a, [p.area for p in points]))
+    return nodes[order], areas[order], points
+
+
 def find_minimal_spheres(metric: RadialMetric,
                          cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
-    """Radii of all centered minimal spheres (H = 0), boundary included."""
-    grid = _probe_grid(metric, cfg, _MINIMAL_PROBES)
-    grid = grid[grid >= max(metric.domain_start, 1e-12)]
+    """Radii of all centered minimal spheres (H = 0), boundary included.
+
+    Geodesic gauge: domain_start when a' there is within root_tol, and the
+    critical points of the area (``RadialMetric.critical_points``) with
+    a != 0.  Areal gauge, where f >= 0 vanishes only tangentially: the
+    first probe when |f| <= root_tol * max(1, rho) there, and the sign
+    changes of f' on the same probes where f <= sqrt(root_tol).
+    """
     roots: List[float] = []
-
-    def h_num(s: float) -> float:
-        # geodesic: sign of H = sign of a'.  areal: f >= 0 vanishes only
-        # tangentially, so scan its critical points instead.
-        return metric.profile.eval_d2(s)[1]
-
-    v, vals = metric.profile.triple(grid)[:2]
-    flips = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    crossings = [find_root(h_num, float(grid[i]), float(grid[i + 1]), cfg)
-                 for i in flips]
-    if metric.gauge is Gauge.AREAL:
+    if metric.gauge is Gauge.GEODESIC:
+        start = metric.domain_start
+        if abs(metric.profile.triple(np.array([start]))[1][0]) <= cfg.root_tol:
+            roots.append(start)
+        roots += [p.rho for p in metric.critical_points(cfg) if p.area != 0.0]
+    else:
+        grid = _probe_grid(metric, cfg, _AREA_PROBES)
+        grid = grid[grid >= max(metric.domain_start, 1e-12)]
+        v, d1 = metric.profile.triple(grid)[:2]
         if abs(v[0]) <= cfg.root_tol * max(1.0, grid[0]):
             roots.append(float(grid[0]))
-        roots += [rc for rc in crossings
-                  if metric.profile.eval_d2(rc)[0] <= math.sqrt(cfg.root_tol)]
-    else:
-        if abs(vals[0]) <= cfg.root_tol:
-            roots.append(float(grid[0]))
-        roots += crossings
+        for i in np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0):
+            rc = find_root(lambda s: metric.profile.eval_d2(s)[1],
+                           float(grid[i]), float(grid[i + 1]), cfg)
+            if metric.profile.eval_d2(rc)[0] <= math.sqrt(cfg.root_tol):
+                roots.append(rc)
 
     dedup: List[float] = []
     for r in sorted(roots):

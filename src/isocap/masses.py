@@ -139,8 +139,9 @@ def default_r_grid(metric: RadialMetric,
 
     A boundary sphere of zero area is a pole, like flat space's centre at
     0: the capacitary radius is read 1e-3 past it, and the grid starts at
-    the pole.  The boundary's 1-capacity costs one hull scan on a geodesic
-    metric and none on an areal one, whose spheres are their own hulls.
+    the pole.  The boundary's 1-capacity costs one critical-point search
+    on a geodesic metric (``flow.outward_hull``) and none on an areal one,
+    whose spheres are their own hulls.
     Raises ConfigError where ``extrap_terms`` overflows the grid.
     """
     rho0, start = metric.domain_start, 0.0

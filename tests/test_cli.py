@@ -339,6 +339,18 @@ class TestHypotheses:
             ("no interior minimal sphere", "0", "FAIL"),
             ("radial isoperimetric constant", "> 0", "pass")]
 
+    @pytest.mark.parametrize("spec, code, scalar", [
+        ("cylinder:a=1", 0, "pass"), ("expr:geodesic:1+r^2", 1, "FAIL")])
+    def test_minimal_start_is_not_interior(self, capsys, spec, code, scalar):
+        # a' = 0 at domain_start 0: the start sphere is minimal, and only
+        # an interior one fails the check
+        got, out, err = run(capsys, "hypotheses", "--metric", spec)
+        assert (got, err) == (code, "")
+        assert check_rows(out) == [
+            ("scalar curvature >= 0", ">= -1e-10", scalar),
+            ("no interior minimal sphere", "0", "pass"),
+            ("radial isoperimetric constant", "> 0", "pass")]
+
 
 class TestNonFiniteRadii:
     @pytest.mark.parametrize("args", [

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from isocap import flow, numerics
 from isocap.errors import (DomainError, EvalError, InsufficientData,
-                           NoBracket, NonConvergence)
-from isocap.flow import (_SCAN_POINTS, Jump, SmoothSegment, _outward_hulls,
-                         flow_to_csv, geroch_check, outward_hull, weak_imcf,
-                         willmore_limit)
-from isocap.geometry import (FuncProfile, Gauge, RadialMetric, expr_metric,
-                             flat, mass_profile_metric, metric_from_spec,
-                             scaled, schwarzschild, spheres, table_metric,
-                             tanh_step_mass_metric, to_geodesic)
+                           NonConvergence)
+from isocap.flow import (Jump, SmoothSegment, _outward_hulls, flow_to_csv,
+                         geroch_check, outward_hull, weak_imcf, willmore_limit)
+from isocap.geometry import (FuncProfile, Gauge, RadialMetric,
+                             check_hypotheses, expr_metric,
+                             find_minimal_spheres, flat, mass_profile_metric,
+                             metric_from_spec, scaled, schwarzschild, spheres,
+                             table_metric, tanh_step_mass_metric, to_geodesic)
 from isocap.numerics import DEFAULT_CFG
 
 NECK = "r + 1.5*exp(-4*(r-3)^2)"
@@ -62,6 +62,14 @@ class TestOutwardHull:
         with pytest.raises(DomainError):
             outward_hull(schwarzschild(1.0), 0.5)
 
+    def test_second_hull_probes_nothing(self, searches, monkeypatch):
+        metric = neck_metric()
+        first = outward_hull(metric, 3.0)
+        monkeypatch.setattr(metric.profile, "triple", None)  # no probe grid
+        assert outward_hull(metric, 3.0) == first
+        assert outward_hull(metric, 3.0, DEFAULT_CFG) == first
+        assert searches == [metric]
+
 
 class TestNeckBottoms:
     """Hull and landing radii at a neck bottom against mpmath's root of a'."""
@@ -95,15 +103,23 @@ class TestNeckBottoms:
             assert abs(jump.rho_after - want) <= 1e-13 * want
 
 
-def _between_nodes(metric, lo, k):
-    """Midpoint of nodes k and k+1 of the hull scan that starts at lo."""
-    hi = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
-    nodes = np.geomspace(lo, hi, _SCAN_POINTS)
+def _between_nodes(scan_grid, metric, lo, k):
+    """Midpoint of nodes k and k+1 of the reference scan from lo."""
+    nodes = scan_grid(metric, lo)[0]
     return float(0.5 * (nodes[k] + nodes[k + 1]))
 
 
+def _close_hulls(got, want):
+    """Hulls within the root tolerance of a reference's: a radius within
+    2 * root_tol plus 8 ulp, an area within 1e-13 relative."""
+    return all(abs(rho - rho1) <= 2.0 * DEFAULT_CFG.root_tol + 1.8e-15 * rho1
+               and abs(area - area1) <= 1e-13 * area1
+               for (rho, area), (rho1, area1) in zip(got, want, strict=True))
+
+
 class TestMultiRadiusHull:
-    """One scan for many radii against one scan per radius."""
+    """The hulls of many radii against those of one radius at a time and
+    against the reference scan."""
 
     @pytest.mark.parametrize("make,radii,k", [
         (flat, [0.5, 1.0, 3.7, 10.0, 1e7], 700),
@@ -111,24 +127,31 @@ class TestMultiRadiusHull:
         (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
          [0.5, 1.0, 4.0, 6.0, 20.0], 2500),
     ])
-    def test_growing_area_bit_identical(self, make, radii, k):
+    def test_growing_area_bit_identical(self, make, radii, k, scan_grid):
         metric = make()
-        radii = sorted(radii + [_between_nodes(metric, radii[0], k)])
+        radii = sorted(radii + [_between_nodes(scan_grid, metric, radii[0], k)])
         assert _outward_hulls(metric, radii, DEFAULT_CFG) == [
             outward_hull(metric, r) for r in radii]
 
-    def test_neck(self):
+    def test_neck(self, scan_grid, scan_read):
         # inside the bump, across it, in the dip (one radius between scan
         # nodes) and past it
         metric = neck_metric()
         radii = sorted([0.5, 1.0, 2.0, 2.9, 3.0, 3.3, 3.5, 3.7, 4.0, 10.0,
-                        _between_nodes(metric, 0.5, 846)])
+                        _between_nodes(scan_grid, metric, 0.5, 846)])
         hulls = _outward_hulls(metric, radii, DEFAULT_CFG)
         assert any(rho != r for r, (rho, _) in zip(radii, hulls))
-        for r, (rho, area) in zip(radii, hulls):
-            rho1, area1 = outward_hull(metric, r)
-            assert rho == pytest.approx(rho1, abs=1e-8)
-            assert area == pytest.approx(area1, rel=1e-12)
+        assert hulls == [outward_hull(metric, r) for r in radii]
+        assert _close_hulls(hulls, scan_read(metric, radii))
+
+    @pytest.mark.parametrize("text", [NECK, "r + 1.5*exp(-4*(r-3)^2) + "
+                                      "3*exp(-2*(r-9)^2)", FAR_NECK])
+    def test_against_the_scan_read(self, text, scan_read):
+        # 23 start radii across every bump, dip and rising piece
+        metric = expr_metric(Gauge.GEODESIC, text)
+        radii = np.geomspace(0.5, 80.0, 23).tolist()
+        assert _close_hulls([outward_hull(metric, r) for r in radii],
+                            [scan_read(metric, [r])[0] for r in radii])
 
     def test_below_domain(self):
         with pytest.raises(DomainError):
@@ -142,7 +165,8 @@ def _hex(hulls):
 class TestArealHull:
     """A sphere whose area cannot fall (an areal sphere at r >= 0, a
     generated metric, a conversion from r_min >= 0, scaled copies) is its
-    own hull: no scan, and the bits of the scan read."""
+    own hull: no critical-point search, and the bits of the reference
+    scan read."""
 
     METRICS = {
         "schwarzschild": lambda: schwarzschild(1.0),
@@ -157,66 +181,58 @@ class TestArealHull:
         "converted": lambda: to_geodesic(schwarzschild(1.0)),
     }
 
-    def radii(self, metric, first):
+    def radii(self, metric, first, scan_grid):
         """The domain start (or first), a radius between scan nodes, one
         just below the scan limit and two at or past it: an areal area
         needs no profile there, a geodesic profile ends just past it."""
         limit = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
-        nodes = flow._area_grid(metric, first, limit)[0]
+        nodes = scan_grid(metric, first)[0]
         past = (2.0 * limit if metric.gauge is Gauge.AREAL
                 else float(np.nextafter(limit, math.inf)))
         return [first, float(0.5 * (nodes[1234] + nodes[1235])),
                 float(np.nextafter(limit, 0.0)), limit, past]
 
     @pytest.mark.parametrize("name", [*METRICS, "table"])
-    def test_bits_of_the_scan_read(self, name, table_400, scan_read,
-                                   monkeypatch):
+    def test_bits_of_the_scan_read(self, name, table_400, scan_grid,
+                                   scan_read, searches):
         make = self.METRICS.get(name, lambda: table_metric(Gauge.AREAL, table_400))
-        metric, area_grid = make(), flow._area_grid
+        metric = make()
         firsts = [metric.domain_start]
         if name == "from-zero":
-            firsts.append(-1e-13)  # below 0 within the start slack: scanned
+            firsts.append(-1e-13)  # below 0 within the start slack: searched
         for first in firsts:
-            radii = self.radii(metric, first)
+            radii = self.radii(metric, first, scan_grid)
             want = scan_read(metric, radii, DEFAULT_CFG)
             assert [rho for rho, _ in want] == radii  # nothing dips
             singles = [scan_read(metric, [r], DEFAULT_CFG)[0]
                        for r in radii if r < radii[-2]]
-            scans = []
-            with monkeypatch.context() as mp:
-                mp.setattr(flow, "_area_grid",
-                           lambda *a: scans.append(a[1]) or area_grid(*a))
-                hulls = _outward_hulls(metric, radii, DEFAULT_CFG)
-                lone = [outward_hull(metric, r) for r in radii[:-2]]
+            searches.clear()
+            hulls = _outward_hulls(metric, radii, DEFAULT_CFG)
+            lone = [outward_hull(metric, r) for r in radii[:-2]]
             assert _hex(hulls) == _hex(want)
             assert _hex(lone) == _hex(singles)
-            # below 0 both the list and the lone first radius are scanned
-            assert scans == ([] if first >= 0.0 else [first, first])
+            # below 0 the list searches, and the lone radii read its points
+            assert len(searches) == (first < 0.0)
 
-    def test_negative_start_scans(self, monkeypatch):
+    def test_negative_start_scans(self, searches):
         # the area 4*pi*r^2 falls on [-1, 0]: the hull of r = -1 is the
-        # point sphere at 0, found by the scan
+        # point sphere at 0, a minimum of area 0 of the one search
         metric = expr_metric(Gauge.AREAL, "1", domain_start=-1.0)
-        scans, area_grid = [], flow._area_grid
-        monkeypatch.setattr(flow, "_area_grid",
-                            lambda *a: scans.append(a[1]) or area_grid(*a))
         (rho, area), (rho2, area2) = _outward_hulls(metric, [-1.0, 2.0],
                                                     DEFAULT_CFG)
-        assert scans == [-1.0]
-        assert abs(rho) < 1e-6 and area < 1e-10
+        assert searches == [metric]
+        assert abs(rho) < 1e-12 and area == 0.0
         assert (rho2, area2) == (2.0, 16.0 * math.pi)
 
-    def test_converted_negative_start_scans(self, monkeypatch):
+    def test_converted_negative_start_scans(self, searches):
         # converted from r_min = -1, a = r falls to 0 at rho = 1: the hull
-        # of rho = 0 is found by the scan
+        # of rho = 0 is that pole, a minimum of area 0
         metric = to_geodesic(expr_metric(Gauge.AREAL, "1", domain_start=-1.0))
         assert not metric.own_hull(0.0)
-        scans, area_grid = [], flow._area_grid
-        monkeypatch.setattr(flow, "_area_grid",
-                            lambda *a: scans.append(a[1]) or area_grid(*a))
         (rho, area), = _outward_hulls(metric, [0.0], DEFAULT_CFG)
-        assert scans == [0.0]
-        assert abs(rho - 1.0) < 1e-6 and area < 1e-10
+        assert searches == [metric]
+        assert abs(rho - 1.0) < 1e-6 and area == 0.0
+        assert find_minimal_spheres(metric) == []  # a pole is not minimal
 
     def test_stalled_generated_flow_raises(self):
         # mu = rho outgrows a/2 near rho = 0.4: the warping stalls there,
@@ -226,6 +242,78 @@ class TestArealHull:
         assert metric.own_hull(0.1)
         with pytest.raises(EvalError, match="stalls"):
             weak_imcf(metric, 0.1, 2.0, n_samples=10)
+
+
+NECK_FAMILY = "r - 2*w*exp(-((r-R)/w)^2)"
+
+
+class TestResolution:
+    """The resolution contract on r - 2w*exp(-((r-R)/w)^2).  Its area
+    falls on R + x*w for x in (-1.277, -0.269), a stretch of 1.008*w/R in
+    log rho; the probes are 3.9e-3 apart there, so a neck with w/R above
+    3.9e-3 is always found.  At R = 10 and 1000 the necks from w/R = 2e-3
+    up are found, which covers every neck the 8192-node hull scan of a flow
+    from rho0 = 2 jumped over; the hull, the flow's jumps and
+    check_hypotheses see a neck alike, or none of them does."""
+
+    RATIOS = [1e-3, 1.5e-3, 2e-3, 2.78e-3, 5e-3, 1e-2]
+
+    @staticmethod
+    def metric(R, ratio):
+        return expr_metric(Gauge.GEODESIC, NECK_FAMILY,
+                           {"w": ratio * R, "R": R})
+
+    @staticmethod
+    def roots(R, w):
+        """The bump top and the neck bottom: the roots of a' by mpmath."""
+        def slope(x):
+            return 1 + 4 * x * mpmath.exp(-x * x)
+        with mpmath.workdps(40):
+            return [float(R + w * mpmath.findroot(slope, x0))
+                    for x0 in (-1.3, -0.27)]
+
+    @pytest.mark.parametrize("R", [10.0, 1000.0])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_hull_jumps_and_hypotheses_agree(self, R, ratio):
+        metric, w = self.metric(R, ratio), ratio * R
+        seen = ratio >= 2e-3
+        rep = check_hypotheses(metric)
+        track = weak_imcf(metric, 2.0, 2.0 * math.log(R), n_samples=5)
+        jumps = [j for j in track.jumps if j.t > 0.0]
+        inside = R - 0.8 * w  # on the falling side
+        rho, area = outward_hull(metric, inside)
+        if not seen:
+            assert rep.offending_radii == [] and rep.no_interior_minimal
+            assert jumps == []
+            assert (rho, area) == (inside, metric.area(inside))
+            return
+        top, bottom = rep.offending_radii
+        for got, want in zip((top, bottom), self.roots(R, w), strict=True):
+            assert abs(got - want) <= 2.0 * DEFAULT_CFG.root_tol + 1.8e-15 * want
+        (jump,) = jumps
+        assert jump.rho_after == bottom == rho
+        assert area == metric.area(bottom)
+        assert jump.rho_before < top
+        assert jump.t == math.log(area / track.initial_area)
+
+    @pytest.mark.parametrize("make", [
+        neck_metric,
+        lambda: expr_metric(Gauge.GEODESIC, FAR_NECK),
+        lambda: TestResolution.metric(1000.0, 2.78e-3),
+    ], ids=["neck", "far-neck", "family"])
+    def test_fresh_and_searched_metrics_agree(self, make):
+        # every read of the critical points has the same bits on a fresh
+        # metric and on one that has already searched them
+        def results(metric):
+            track = weak_imcf(metric, 2.0, 5.0, n_samples=7)
+            return repr((outward_hull(metric, 2.0), outward_hull(metric, 3.2),
+                         track.events, track.samples,
+                         find_minimal_spheres(metric),
+                         check_hypotheses(metric)))
+        warm = make()
+        warm.critical_points()
+        check_hypotheses(warm)
+        assert results(warm) == results(make())
 
 
 class TestAreaLaw:
@@ -297,108 +385,64 @@ class TestJumps:
 
 
 class TestOneScan:
+    # (searches, scans) by (rho0, t_max): a flow from its own hull (the
+    # generated metric) scans 256 nodes; any other reads the probes
+    COUNTS = {(1.0, 3.0): (1, []), (3.0, 2.0): (1, []),
+              (2.0, 5.0): (1, []), (0.5, 6.0): (0, [256])}
+
     @pytest.mark.parametrize("make, rho0, t_max", [
         (flat, 1.0, 3.0),
         (neck_metric, 3.0, 2.0),
         (lambda: expr_metric(Gauge.GEODESIC, FAR_NECK), 2.0, 5.0),
         (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0),
     ])
-    def test_one_area_scan_per_flow(self, monkeypatch, make, rho0, t_max):
-        calls = []
-        scan = flow._area_grid
-
-        def counted(*a):
-            grid, areas = scan(*a)
-            calls.append((a[1], a[2], len(grid)))
-            return grid, areas
-        monkeypatch.setattr(flow, "_area_grid", counted)
-        metric = make()
+    def test_one_area_scan_per_flow(self, make, rho0, t_max, searches):
+        # one critical-point search, or one 256-node scan from an own hull
+        metric, sizes = make(), []
+        area = metric.area
+        metric.area = lambda rho: (isinstance(rho, np.ndarray)
+                                   and sizes.append(rho.size)) or area(rho)
         weak_imcf(metric, rho0, t_max, n_samples=20)
-        # a generated metric is its own hull: its one scan has 256 nodes
-        points = (flow._OWN_HULL_POINTS if metric.label.startswith("masstep")
-                  else _SCAN_POINTS)
-        assert calls == [(rho0, min(DEFAULT_CFG.cutoff_radius, metric.r_max),
-                          points)]
-
-
-def find_jumps_loop(metric, grid, areas, hull_area, t_max, cfg):
-    """Reference for ``_find_jumps``: the skipped runs found node by node."""
-    envelope = flow._suffix_min(areas)
-    skipped = areas > envelope * (1.0 + 1e-10)
-    jumps, n, i = [], len(grid), 0
-    while i < n:
-        if not skipped[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and skipped[j]:
-            j += 1
-        # the neck bottom: the root of the area's slope a*a' on the
-        # bracket of the node before the run's end and the node after it
-        s2 = flow.find_root(lambda r: math.prod(metric.profile.eval_d2(r)[:2]),
-                            float(grid[j - 1]), float(grid[min(j + 1, n - 1)]),
-                            cfg)
-        area_j = metric.area(s2)
-        t_j = math.log(area_j / hull_area)
-        if 0.0 < t_j <= t_max:
-            try:
-                s1 = flow.find_root(lambda r: metric.area(r) - area_j,
-                                    float(grid[max(i - 2, 0)]),
-                                    float(grid[i]), cfg)
-            except NoBracket:
-                s1 = float(grid[i])
-            jumps.append(Jump(t=t_j, rho_before=s1, rho_after=s2))
-        i = j
-    return jumps
+        n_searches, scans = self.COUNTS[rho0, t_max]
+        assert len(searches) == n_searches
+        assert sizes == scans
 
 
 class TestFindJumps:
     TWO_NECKS = "r + 1.5*exp(-4*(r-3)^2) + 3*exp(-2*(r-9)^2)"
 
-    def scan(self, text, rho0):
-        metric = expr_metric(Gauge.GEODESIC, text)
-        rho_star, hull = outward_hull(metric, rho0)
-        grid, areas = flow._area_grid(metric, rho_star, 40.0)
-        return metric, grid, areas, hull
-
     @pytest.mark.parametrize("text, rho0, t_max, n_jumps", [
         (TWO_NECKS, 1.0, 6.0, 2), (TWO_NECKS, 1.0, 1.0, 0),
         (NECK, 2.0, 3.0, 1), ("r", 1.0, 3.0, 0)])
-    def test_equal_to_node_loop(self, text, rho0, t_max, n_jumps):
-        metric, grid, areas, hull = self.scan(text, rho0)
-        got = flow._find_jumps(metric, grid, areas, flow._suffix_min(areas),
-                               hull, t_max, DEFAULT_CFG)
-        want = find_jumps_loop(metric, grid, areas, hull, t_max, DEFAULT_CFG)
-        assert got == want
-        assert len(got) == n_jumps
+    def test_equal_to_node_loop(self, text, rho0, t_max, n_jumps, scan_jumps):
+        # the critical-point jumps against the skipped runs of the
+        # reference scan, found node by node
+        metric = expr_metric(Gauge.GEODESIC, text)
+        track = weak_imcf(metric, rho0, t_max, n_samples=5)
+        got = [j for j in track.jumps if j.t > 0.0]
+        want = scan_jumps(metric, rho0, t_max)
+        assert len(got) == len(want) == n_jumps
+        for jump, ref in zip(got, want):
+            assert abs(jump.t - ref.t) <= 1e-13
+            for x, y in ((jump.rho_before, ref.rho_before),
+                         (jump.rho_after, ref.rho_after)):
+                assert abs(x - y) <= 2.0 * DEFAULT_CFG.root_tol + 1.8e-15 * y
 
-    def test_root_errors(self, monkeypatch):
-        metric, grid, areas, hull = self.scan(NECK, 2.0)
-        run = list(np.flatnonzero(areas > flow._suffix_min(areas) * (1 + 1e-10)))
-        # the takeoff solve brackets the run's first node and the node two
-        # before it; the neck bottom's solve goes through unpatched
-        takeoff = (float(grid[max(run[0] - 2, 0)]), float(grid[run[0]]))
-        find_root = flow.find_root
-
-        def failing(error):
-            def solve(f, lo, hi, cfg):
-                if (lo, hi) == takeoff:
-                    raise error
-                return find_root(f, lo, hi, cfg)
-            return solve
-        monkeypatch.setattr(flow, "find_root",
-                            failing(NoBracket("no sign change")))
-        envelope = flow._suffix_min(areas)
-        (jump,) = flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
-                                   DEFAULT_CFG)
-        assert jump.rho_before == grid[run[0]]
-        assert jump.rho_after > grid[run[-1]]
-
-        # a programming error is not a missing bracket
-        monkeypatch.setattr(flow, "find_root", failing(ZeroDivisionError))
-        with pytest.raises(ZeroDivisionError):
-            flow._find_jumps(metric, grid, areas, envelope, hull, 3.0,
-                             DEFAULT_CFG)
+    def test_lands_on_the_lowest_later_minimum(self, scan_jumps):
+        # two necks, the outer one lower: the flow leaves the rising piece
+        # before the inner bump and lands past both on the outer bottom
+        metric = expr_metric(Gauge.GEODESIC, "r*(1 - 0.5*exp(-4*(r-3)^2) - "
+                             "0.9*exp(-2*(r-9)^2))")
+        points = metric.critical_points()
+        assert [p.minimum for p in points] == [False, True, False, True]
+        assert points[3].area < points[1].area
+        (jump,) = weak_imcf(metric, 0.5, 6.0, n_samples=5).jumps
+        assert jump.rho_after == points[3].rho
+        assert 0.5 < jump.rho_before < points[0].rho
+        assert metric.area(jump.rho_before) == pytest.approx(points[3].area,
+                                                             rel=1e-12)
+        (ref,) = scan_jumps(metric, 0.5, 6.0)
+        assert abs(jump.rho_before - ref.rho_before) <= 2.1e-12
 
 
 class TestSampleVolumes:
@@ -459,25 +503,18 @@ FLOW_CASES = {
 
 
 class TestOwnHullFlows:
-    """A flow from its own hull against the same flow on the 8192-node hull
-    scan, with the own-hull predicate patched off."""
+    """A flow from its own hull against the same flow through the critical
+    points, with the own-hull predicate patched off."""
 
     @pytest.mark.parametrize("name", ["converted", "scaled-tanh-step",
                                       "schwarzschild", "tanh-step"])
-    def test_samples_match_the_hull_scan(self, name, monkeypatch):
+    def test_samples_match_the_hull_scan(self, name, monkeypatch, searches):
         make, rho0, t_max = FLOW_CASES[name]
-        sizes = []
-        scan = flow._area_grid
-
-        def counted(*a):
-            grid, areas = scan(*a)
-            sizes.append(len(grid))
-            return grid, areas
-        monkeypatch.setattr(flow, "_area_grid", counted)
         track = weak_imcf(make(), rho0, t_max, n_samples=40)
+        assert searches == []
         monkeypatch.setattr(RadialMetric, "own_hull", lambda self, rho: False)
         ref = weak_imcf(make(), rho0, t_max, n_samples=40)
-        assert sizes == [flow._OWN_HULL_POINTS, _SCAN_POINTS]
+        assert len(searches) == 1
         assert (track.rho0, track.initial_area) == (ref.rho0, ref.initial_area)
         assert track.jumps == ref.jumps == []
         got = np.array([d.rho for _, d in track.samples])
@@ -491,6 +528,21 @@ class TestOwnHullFlows:
         assert close.all()
         end, ref_end = track.events[-1].rho_end, ref.events[-1].rho_end
         assert abs(end - ref_end) <= DEFAULT_CFG.root_tol + 8.9e-16 * ref_end
+
+    def test_benchmark_operations_search_nothing(self, searches, capsys):
+        # one operation of each benchmark workload: an areal
+        # Reissner-Nordstrom mass, a tanh-step flow, converted spheres
+        from isocap.cli import main
+        spec = ("expr:areal:1-2*m/r+q^2/r^2:m=1.3,q=0.6,"
+                "r_min=2.4532562594670795")
+        assert main(["mass", "--metric", spec,
+                     "--p-grid", "1,1.5,2,2.5,iso"]) == 0
+        track = weak_imcf(tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0,
+                          n_samples=40)
+        assert geroch_check(track).monotone
+        metric = to_geodesic(schwarzschild(1.0))
+        spheres(metric, [1e-2 * 1e5 ** (k / 19) for k in range(20)])
+        assert searches == []
 
 
 class TestNewtonSamples:

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.interpolate
 
-from isocap import flow, geometry, numerics
+from isocap import geometry, numerics
 from isocap.capacity import p_capacity
 from isocap.errors import (ConfigError, DomainError, EvalError,
                            NonIntegrableThroat)
@@ -128,6 +128,34 @@ class TestCylinder:
     def test_fails_largeness(self):
         issues = validate_metric(cylinder(2.0))
         assert any("largeness" in msg for msg in issues)
+
+    def test_plateau_has_no_critical_point(self):
+        # a' = 0 everywhere: the slope never changes sign
+        assert cylinder(1.0).critical_points() == []
+
+
+class TestStartSphere:
+    """A geodesic metric reports domain_start itself as a minimal sphere
+    when a' there is within root_tol."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: cylinder(1.0),
+        lambda: metric_from_spec("expr:geodesic:1+r^2"),
+        lambda: to_geodesic(schwarzschild(1.0)),  # the horizon
+    ], ids=["cylinder", "1+r^2", "converted"])
+    def test_reports_domain_start(self, make):
+        metric = make()
+        assert find_minimal_spheres(metric) == [metric.domain_start] == [0.0]
+        rep = check_hypotheses(metric)
+        assert rep.no_interior_minimal and rep.offending_radii == []
+        assert rep.minimal_boundary == (metric.boundary_kind
+                                        is BoundaryKind.MINIMAL)
+
+    @pytest.mark.parametrize("text, start", [("r", 0.0), ("r + 1", 0.0),
+                                             ("1 + (r-1)^2", 2.0)])
+    def test_sloped_start_is_not_minimal(self, text, start):
+        metric = expr_metric(Gauge.GEODESIC, text, domain_start=start)
+        assert find_minimal_spheres(metric) == []
 
 
 class TestNeck:
@@ -604,6 +632,22 @@ def walk_volumes(metric, radii, cfg=numerics.DEFAULT_CFG):
             for rho in radii]
 
 
+class TestSphereErrors:
+    @pytest.mark.parametrize("make, radii, error", [
+        (flat, [1.0, 0.0], DomainError),  # the pole has zero area
+        (lambda: expr_metric(Gauge.AREAL, "1 - 2/r", domain_start=1.0),
+         [3.0, 1.5], EvalError),  # f(1.5) < 0
+    ], ids=["zero-area", "negative-f"])
+    def test_raised_before_any_volume(self, make, radii, error):
+        metric = make()
+
+        def refuse(*args):
+            raise AssertionError("volume work before the sphere checks")
+        metric.volumes = refuse
+        with pytest.raises(error):
+            geometry.spheres(metric, radii)
+
+
 class TestBatchedVolumes:
     FAMILIES = {
         "flat": flat,
@@ -955,8 +999,8 @@ class TestArrayValues:
         monkeypatch.setattr(FuncProfile, "eval_d2", counted)
         for M in (tanh_step_mass_metric(1.0, 5.0, 1.0),
                   scaled(tanh_step_mass_metric(1.0, 5.0, 1.0), 2.0)):
-            grid, areas = flow._area_grid(M, 0.5, 100.0)
-            assert len(areas) == len(grid)
+            grid = np.geomspace(0.5, 100.0, 256)
+            assert len(M.area(grid)) == len(grid)
             assert find_minimal_spheres(M) == []
         assert calls == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocap import capacity, flow, numerics
+from isocap import capacity, numerics
 from isocap.errors import (BadExponent, ConfigError, DomainError,
                            InsufficientData)
 from isocap.geometry import (Gauge, cylinder, expr_metric, flat,
@@ -59,25 +59,17 @@ class TestSchwarzschild:
         for r, v in zip(GRID, rep.quasilocal):
             assert v == pytest.approx(quasilocal_mass(S, r, p), abs=1e-9)
 
-    def test_p1_sequence_scans_once(self, monkeypatch):
+    def test_p1_sequence_scans_once(self, searches):
         # an areal sphere, a converted one and a generated one are their own
-        # hulls: no scan; another geodesic metric reads every hull of the
-        # sequence off one scan from its first radius
-        starts = []
-        area_grid = flow._area_grid
-
-        def counted(metric, lo, hi):
-            starts.append(lo)
-            return area_grid(metric, lo, hi)
-        monkeypatch.setattr(flow, "_area_grid", counted)
-        for make, scans in [(lambda: schwarzschild(1.0), []),
-                            (lambda: to_geodesic(schwarzschild(1.0)), []),
-                            (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), []),
-                            (lambda: expr_metric(Gauge.GEODESIC, "r+1"),
-                             [GRID[0]])]:
-            starts.clear()
+        # hulls: no search; another geodesic metric reads every hull of the
+        # sequence off one critical-point search
+        for make, n in [(lambda: schwarzschild(1.0), 0),
+                        (lambda: to_geodesic(schwarzschild(1.0)), 0),
+                        (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0),
+                        (lambda: expr_metric(Gauge.GEODESIC, "r+1"), 1)]:
+            searches.clear()
             total_mass(make(), 1.0, GRID)
-            assert starts == scans
+            assert len(searches) == n
 
     def test_default_grid_overflow(self):
         cfg = numerics.ToleranceConfig(extrap_terms=2000)
@@ -180,22 +172,19 @@ class TestTotalMasses:
 
     @pytest.mark.parametrize("name", ["schwarzschild", "rn-0.5", "table"])
     def test_areal_p_grid_makes_no_scan(self, name, table_400, scan_read,
-                                        monkeypatch):
+                                        monkeypatch, searches):
         make = self.METRICS.get(
             name, lambda: table_metric(Gauge.AREAL, table_400))
-        # the scan read costs two scans: the default grid's boundary hull
-        # and the p = 1 row
-        p_grid, scans = [1.0, 1.5, 2.0, 2.5, None], []
-        area_grid = flow._area_grid
-        monkeypatch.setattr(flow, "_area_grid",
-                            lambda *a: scans.append(a[1]) or area_grid(*a))
+        # the reference scan reads two hull lists: the default grid's
+        # boundary hull and the p = 1 row
+        p_grid, reads = [1.0, 1.5, 2.0, 2.5, None], []
         with monkeypatch.context() as mp:
-            mp.setattr(capacity, "_outward_hulls", scan_read)
+            mp.setattr(capacity, "_outward_hulls",
+                       lambda *a: reads.append(a[1]) or scan_read(*a))
             scanned = total_masses(make(), p_grid)
-        assert len(scans) == 2
-        scans.clear()
+        assert len(reads) == 2
         assert total_masses(make(), p_grid) == scanned
-        assert scans == []
+        assert searches == []
 
     def test_one_volumes_call(self):
         M, calls = schwarzschild(1.0), []

@@ -21,7 +21,7 @@ from typing import IO, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData
+from .errors import DomainError, InsufficientData, NoBracket
 from .geometry import (FOUR_PI, CriticalPoint, Gauge, RadialMetric,
                        SphereData, Triples, spheres)
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
@@ -83,7 +83,7 @@ def _outward_hulls(metric: RadialMetric, radii: Sequence[float],
         return [(r, metric.area(r)) for r in radii]
     # the end of the probe range, then each area minimum, outermost first
     floors = [(limit, metric.area(limit))] + [
-        (p.rho, p.area) for p in reversed(metric.critical_points(cfg))
+        (p.rho, p.area) for p in reversed(metric.critical_points(cfg)[0])
         if p.minimum]
 
     def hull(r: float) -> Tuple[float, float]:
@@ -115,7 +115,7 @@ def _find_jumps(metric: RadialMetric, points: Sequence[CriticalPoint],
     area minimum past the hull that is lower than every later one, at the
     time its area is reached once above the hull's.  It leaves at the
     first crossing of that area past the previous landing, on the rising
-    piece up to the next maximum."""
+    piece up to the next maximum; NoBracket where no maximum comes first."""
     points = [p for p in points if p.rho > rho_star]
     landings, floor = [], math.inf
     for p in reversed(points):
@@ -128,8 +128,12 @@ def _find_jumps(metric: RadialMetric, points: Sequence[CriticalPoint],
         t = math.log(land.area / hull_area)
         if t > t_max:
             break
-        top = next(p.rho for p in points if p.rho > last and not p.minimum)
-        s1 = find_root(lambda r: metric.area(r) - land.area, last, top, cfg)
+        tops = [p.rho for p in points
+                if last < p.rho < land.rho and not p.minimum]
+        if not tops:  # the area never rose from last to fall onto land
+            raise NoBracket(f"no area maximum between {last} and {land.rho}")
+        s1 = find_root(lambda r: metric.area(r) - land.area, last, tops[0],
+                       cfg)
         jumps.append(Jump(t=t, rho_before=s1, rho_after=land.rho))
         last = land.rho
     return jumps
@@ -175,8 +179,8 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     (``RadialMetric.own_hull``) the hull is (rho0, area(rho0)) and there
     are none.  The radius at each of the n_samples times on [0, t_max] is
     bracketed on the area probes past the hull with the critical radii as
-    nodes (``RadialMetric.area_probes``), or on a 256-node scan from an own
-    hull.  Raises DomainError for t_max not positive, n_samples < 1, or a
+    nodes (``RadialMetric.critical_points``), or on a 256-node scan from an
+    own hull.  Raises DomainError for t_max not positive, n_samples < 1, or a
     domain that ends before the area reaches hull_area * exp(t_max).
     """
     if not t_max > 0.0:
@@ -198,10 +202,13 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
         grid[0] = rho0
         areas = metric.area(grid)
     else:
-        nodes, node_areas, points = metric.area_probes(cfg)
-        keep = nodes > rho_star
-        grid = np.concatenate(([rho_star], nodes[keep]))
-        areas = np.concatenate(([hull_area], node_areas[keep]))
+        points, probes, probe_areas = metric.critical_points(cfg)
+        # the hull, then the probes and critical radii past it, in order
+        past = [(rho_star, hull_area)] + [(p.rho, p.area) for p in points
+                                          if p.rho > rho_star]
+        at = np.searchsorted(probes, [x for x, _ in past], side="right")
+        grid = np.insert(probes, at, [x for x, _ in past])[at[0]:]
+        areas = np.insert(probe_areas, at, [y for _, y in past])[at[0]:]
     areas[0] = hull_area
     envelope = np.minimum.accumulate(areas[::-1])[::-1]  # least area past
     times = np.linspace(0.0, t_max, n_samples).tolist()

@@ -248,21 +248,18 @@ class RadialMetric:
         return self.profile.r_max
 
     def critical_points(self, cfg: ToleranceConfig = DEFAULT_CFG
-                        ) -> List[CriticalPoint]:
-        """The critical points of the area in increasing radius: the sign
-        changes of a*a' (a = r, a' = 1 in the areal gauge) between
-        neighbouring probes, refined by ``numerics.find_root``.  The 8192
-        probes are evenly spaced in log rho from max(domain_start, 1e-6) to
-        min(cutoff_radius, r_max), after domain_start below 1e-6: a neck
-        narrower than one spacing can be missed, and a plateau (a' = 0
-        throughout) has none.  A pole (a changes sign) has area 0."""
-        return self.area_probes(cfg)[2]
-
-    def area_probes(self, cfg: ToleranceConfig = DEFAULT_CFG
-                    ) -> Tuple[np.ndarray, np.ndarray, List[CriticalPoint]]:
-        """The probes and critical radii in increasing order, the area at
-        each (monotone between neighbours), and the critical points; one
-        search per cfg, whose arrays callers share and must not write."""
+                        ) -> Tuple[List[CriticalPoint], np.ndarray, np.ndarray]:
+        """The critical points of the area in increasing radius, the probes
+        read for them and the area there (read-only), searched once per cfg:
+        the sign changes of a*a' (a = r, a' = 1 in the areal gauge) between
+        probes, refined by ``numerics.find_root``.  8192 probes are evenly
+        spaced in log rho from max(domain_start, 1e-6) to min(cutoff_radius,
+        r_max), after domain_start below 1e-6, and 7 more split each pair
+        whose cubic through a and a' turns back although a' keeps its sign.
+        a' = 0 counts with the sign before it: a plateau between opposite
+        signs is a critical point at its outer end, one between equal signs
+        (the cylinder's a' = 0 throughout) none.  A pole (a changes sign)
+        has area 0."""
         if cfg not in self._critical:
             self._critical[cfg] = _area_probes(self, cfg)
         return self._critical[cfg]
@@ -645,26 +642,52 @@ def _probe_grid(metric: RadialMetric, cfg: ToleranceConfig,
     return grid
 
 
+def _turns(x: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The i where the cubic through a and its slope d at x[i] and x[i+1]
+    turns back between them although d has one strict sign at both: the
+    cubic's slope d0 + b*t + c*t^2 dips below 0 on t in [0, 1] (Fritsch and
+    Carlson 1980), which needs d0 + d1 > 3*m, m the secant slope."""
+    m = np.diff(a) / np.diff(x)
+    i = np.flatnonzero((d[:-1] + d[1:] - 3.0 * m) * d[:-1] > 0.0)
+    s = np.sign(d[i])
+    d0, d1, m = s * d[i], s * d[i + 1], s * m[i]
+    c = 3.0 * (d0 + d1 - 2.0 * m)
+    b = d1 - d0 - c
+    return i[(d1 > 0.0) & (0.0 < -b) & (-b < 2.0 * c) & (4.0 * c * d0 < b * b)]
+
+
 def _area_probes(metric: RadialMetric, cfg: ToleranceConfig
-                 ) -> Tuple[np.ndarray, np.ndarray, List[CriticalPoint]]:
-    """``RadialMetric.area_probes``, computed."""
+                 ) -> Tuple[List[CriticalPoint], np.ndarray, np.ndarray]:
+    """``RadialMetric.critical_points``, computed."""
     grid = _probe_grid(metric, cfg, _AREA_PROBES)
     geodesic = metric.gauge is Gauge.GEODESIC
-    a, ap = metric.profile.triple(grid)[:2] if geodesic else (grid, 1.0)
+    a, ap = (metric.profile.triple(grid)[:2] if geodesic
+             else (grid, np.ones_like(grid)))
+    i = _turns(grid, a, ap)  # never where a = r, the areal gauge
+    if len(i):  # a neck may hide between these probes: probe inside
+        sub = np.ravel(grid[i, None] + (grid[i + 1] - grid[i])[:, None]
+                       * np.arange(1.0, 8.0) / 8.0)
+        order = np.argsort(np.concatenate((grid, sub)), kind="stable")
+        grid, a, ap = (np.concatenate(z)[order] for z in zip(
+            (grid, a, ap), (sub, *metric.profile.triple(sub)[:2])))
     sign = np.sign(a * ap)
 
     def area_slope(x: float) -> float:
         return math.prod(metric.profile.eval_d2(x)[:2]) if geodesic else x
-    points = []
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
-        rho = find_root(area_slope, float(grid[i]), float(grid[i + 1]), cfg)
-        pole = (a[i] < 0.0) != (a[i + 1] < 0.0)  # a changes sign, not a'
+    points, last = [], None  # last: the last probe where a*a' != 0
+    for k in np.flatnonzero(sign[:-1] != sign[1:]).tolist():
+        last = k if sign[k] else last
+        if last is None or sign[k + 1] in (0.0, sign[last]):
+            continue
+        before = float(sign[last])
+        rho = find_root(lambda x: area_slope(x) or before,
+                        float(grid[last]), float(grid[k + 1]), cfg)
+        pole = (a[last] < 0.0) != (a[k + 1] < 0.0)  # a changes sign, not a'
         points.append(CriticalPoint(rho, 0.0 if pole else metric.area(rho),
-                                    bool(sign[i] < 0.0)))
-    nodes = np.concatenate((grid, [p.rho for p in points]))
-    order = np.argsort(nodes, kind="stable")
-    areas = np.concatenate((FOUR_PI * a * a, [p.area for p in points]))
-    return nodes[order], areas[order], points
+                                    before < 0.0))
+    areas = FOUR_PI * a * a
+    grid.flags.writeable = areas.flags.writeable = False
+    return points, grid, areas
 
 
 def find_minimal_spheres(metric: RadialMetric,
@@ -682,7 +705,8 @@ def find_minimal_spheres(metric: RadialMetric,
         start = metric.domain_start
         if abs(metric.profile.triple(np.array([start]))[1][0]) <= cfg.root_tol:
             roots.append(start)
-        roots += [p.rho for p in metric.critical_points(cfg) if p.area != 0.0]
+        roots += [p.rho for p in metric.critical_points(cfg)[0]
+                  if p.area != 0.0]
     else:
         grid = _probe_grid(metric, cfg, _AREA_PROBES)
         grid = grid[grid >= max(metric.domain_start, 1e-12)]

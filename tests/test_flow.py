@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from isocap import flow, numerics
 from isocap.errors import (DomainError, EvalError, InsufficientData,
-                           NonConvergence)
+                           NoBracket, NonConvergence)
 from isocap.flow import (Jump, SmoothSegment, _outward_hulls, flow_to_csv,
                          geroch_check, outward_hull, weak_imcf, willmore_limit)
-from isocap.geometry import (FuncProfile, Gauge, RadialMetric,
+from isocap.geometry import (CriticalPoint, FuncProfile, Gauge, RadialMetric,
                              check_hypotheses, expr_metric,
                              find_minimal_spheres, flat, mass_profile_metric,
                              metric_from_spec, scaled, schwarzschild, spheres,
@@ -250,10 +250,11 @@ NECK_FAMILY = "r - 2*w*exp(-((r-R)/w)^2)"
 class TestResolution:
     """The resolution contract on r - 2w*exp(-((r-R)/w)^2).  Its area
     falls on R + x*w for x in (-1.277, -0.269), a stretch of 1.008*w/R in
-    log rho; the probes are 3.9e-3 apart there, so a neck with w/R above
-    3.9e-3 is always found.  At R = 10 and 1000 the necks from w/R = 2e-3
-    up are found, which covers every neck the 8192-node hull scan of a flow
-    from rho0 = 2 jumped over; the hull, the flow's jumps and
+    log rho; the probes are 3.9e-3 apart there, and a pair of them whose
+    cubic through a and a' turns back is split in 8.  A neck from
+    w/R = 2e-3 up is found wherever R falls between the probes, which
+    covers every neck the 8192-node hull scan of a flow jumps over from
+    rho0 = 2 or from rho0 = R/8; the hull, the flow's jumps and
     check_hypotheses see a neck alike, or none of them does."""
 
     RATIOS = [1e-3, 1.5e-3, 2e-3, 2.78e-3, 5e-3, 1e-2]
@@ -276,14 +277,15 @@ class TestResolution:
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_hull_jumps_and_hypotheses_agree(self, R, ratio):
         metric, w = self.metric(R, ratio), ratio * R
-        seen = ratio >= 2e-3
         rep = check_hypotheses(metric)
         track = weak_imcf(metric, 2.0, 2.0 * math.log(R), n_samples=5)
         jumps = [j for j in track.jumps if j.t > 0.0]
         inside = R - 0.8 * w  # on the falling side
         rho, area = outward_hull(metric, inside)
-        if not seen:
-            assert rep.offending_radii == [] and rep.no_interior_minimal
+        if ratio >= 2e-3:
+            assert rep.offending_radii
+        if not rep.offending_radii:
+            assert rep.no_interior_minimal
             assert jumps == []
             assert (rho, area) == (inside, metric.area(inside))
             return
@@ -295,6 +297,27 @@ class TestResolution:
         assert area == metric.area(bottom)
         assert jump.rho_before < top
         assert jump.t == math.log(area / track.initial_area)
+
+    @pytest.mark.parametrize("ratio", [2e-3, 2.78e-3])
+    @pytest.mark.parametrize("start", ["2", "R/8"])
+    def test_every_grid_phase(self, ratio, start, scan_jumps):
+        # 25 values of R put the neck at 25 phases of the probe grid: the
+        # flow jumps it at each, wherever the reference scan does or not,
+        # and lands on mpmath's bottom, as the hull from the falling side
+        tol = 2.0 * DEFAULT_CFG.root_tol
+        for R in np.geomspace(10.0, 1e4, 25).tolist():
+            metric, w = self.metric(R, ratio), ratio * R
+            top, bottom = self.roots(R, w)
+            rho0 = 2.0 if start == "2" else R / 8.0
+            t_max = 2.0 * math.log(R / rho0)
+            (jump,) = [j for j in weak_imcf(metric, rho0, t_max, 3).jumps
+                       if j.t > 0.0]
+            assert len(scan_jumps(metric, rho0, t_max)) <= 1
+            assert abs(jump.rho_after - bottom) <= tol + 1.8e-15 * bottom
+            assert jump.rho_before < top
+            assert metric.area(jump.rho_before) == pytest.approx(
+                metric.area(jump.rho_after), rel=1e-12)
+            assert outward_hull(metric, R - 0.8 * w)[0] == jump.rho_after
 
     @pytest.mark.parametrize("make", [
         neck_metric,
@@ -314,6 +337,44 @@ class TestResolution:
         warm.critical_points()
         check_hypotheses(warm)
         assert results(warm) == results(make())
+
+
+class TestPlateaus:
+    """Runs of a' = 0 exactly, as min and max give them: one between
+    opposite slopes is one critical point, at its outer end."""
+
+    BASIN = "max(2,(r-3)^2)"  # area 16*pi on [3 - sqrt 2, 3 + sqrt 2]
+    RIDGE = "min(r,3)-0.5*max(0,r-5)+max(0,r-7)"  # a = 3 on [3, 5], 2 at 7
+
+    def test_hull_at_the_outer_end_of_a_basin(self):
+        metric = expr_metric(Gauge.GEODESIC, self.BASIN)
+        rho, area = outward_hull(metric, 0.5)
+        assert abs(rho - (3.0 + math.sqrt(2.0))) <= 2.0 * DEFAULT_CFG.root_tol
+        assert area == 16.0 * math.pi
+        (jump, _) = weak_imcf(metric, 0.5, 1.0, n_samples=3).events
+        assert jump == Jump(t=0.0, rho_before=0.5, rho_after=rho)
+
+    def test_ridge_then_neck(self, scan_jumps):
+        metric = expr_metric(Gauge.GEODESIC, self.RIDGE)
+        top, bottom = metric.critical_points()[0]
+        assert (top.minimum, bottom.minimum) == (False, True)
+        for got, want in ((top.rho, 5.0), (bottom.rho, 7.0)):
+            assert abs(got - want) <= 2.0 * DEFAULT_CFG.root_tol
+        (jump,) = weak_imcf(metric, 1.0, 3.0, n_samples=5).jumps
+        assert jump.t == pytest.approx(math.log(4.0), abs=DEFAULT_CFG.root_tol)
+        assert abs(jump.rho_before - 2.0) <= 2.0 * DEFAULT_CFG.root_tol
+        assert jump.rho_after == bottom.rho
+        (ref,) = scan_jumps(metric, 1.0, 3.0)
+        assert abs(jump.t - ref.t) <= 1e-13
+
+    def test_no_maximum_to_leave_from_raises(self):
+        # a landing with no maximum before it: the area never rose past
+        # the hull, so no sphere can jump onto it
+        metric = expr_metric(Gauge.GEODESIC, "r")
+        land = CriticalPoint(3.0, metric.area(3.0), True)
+        with pytest.raises(NoBracket):
+            flow._find_jumps(metric, [land], 1.0, metric.area(1.0), 5.0,
+                             DEFAULT_CFG)
 
 
 class TestAreaLaw:
@@ -433,7 +494,7 @@ class TestFindJumps:
         # before the inner bump and lands past both on the outer bottom
         metric = expr_metric(Gauge.GEODESIC, "r*(1 - 0.5*exp(-4*(r-3)^2) - "
                              "0.9*exp(-2*(r-9)^2))")
-        points = metric.critical_points()
+        points = metric.critical_points()[0]
         assert [p.minimum for p in points] == [False, True, False, True]
         assert points[3].area < points[1].area
         (jump,) = weak_imcf(metric, 0.5, 6.0, n_samples=5).jumps

@@ -131,7 +131,13 @@ class TestCylinder:
 
     def test_plateau_has_no_critical_point(self):
         # a' = 0 everywhere: the slope never changes sign
-        assert cylinder(1.0).critical_points() == []
+        assert cylinder(1.0).critical_points()[0] == []
+
+    def test_cached_probes_are_read_only(self):
+        _, probes, areas = cylinder(1.0).critical_points()
+        for arr in (probes, areas):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestStartSphere:

@@ -121,21 +121,25 @@ def _offsets(q1: float, span: float) -> np.ndarray:
 
 
 def _variable(metric: RadialMetric, r0: float
-              ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+              ) -> Tuple[float, Callable[[np.ndarray], np.ndarray],
                          Callable[[np.ndarray], Tuple[np.ndarray, ...]]]:
     """The variable t the capacity density is integrated in, from r0 out.
 
-    Geodesic gauge: t = y = log s.  Areal gauge: t = sqrt(y - log r_min)
-    with r_min the domain start (r0 if the start is not positive), which
-    removes the inverse square root of a throat at r_min; d(arclength)/ds
-    comes from ``RadialMetric._xi_density``, which is accurate there.
-    Returns t as a function of y, and t -> (s, dl/dt, ds/dt).
+    Panels are cut in y = log(s + c).  Geodesic gauge: t = y, c = a(0)
+    from r0 = 0 (log s has no start there) and c = 0 otherwise.  Areal
+    gauge: c = 0, t = sqrt(y - log r_min) with r_min the domain start (r0
+    if the start is not positive), which removes the inverse square root
+    of a throat at r_min; d(arclength)/ds comes from
+    ``RadialMetric._xi_density``, which is accurate there.  Returns c, t
+    as a function of y, and t -> (s, dl/dt, ds/dt).
     """
     if metric.gauge is Gauge.GEODESIC:
+        c = metric.profile.eval_d2(r0)[0] if r0 == 0.0 else 0.0
+
         def at(t: np.ndarray) -> Tuple[np.ndarray, ...]:
-            s = np.exp(t)
-            return s, s, s
-        return (lambda y: y), at
+            e = np.exp(t)
+            return e - c, e, e
+        return c, (lambda y: y), at
     start, xi_density = metric.domain_start, metric._xi_density
     r_min = start if start > 0.0 else r0
 
@@ -147,7 +151,7 @@ def _variable(metric: RadialMetric, r0: float
         # dl/dt = dl/dxi * dxi/dt, and dxi/dt = ds/dt / (2 xi)
         return s, xi_density(xi) * ds_dt / (2.0 * xi), ds_dt
     log_min = math.log(r_min)
-    return (lambda y: np.sqrt(np.maximum(y - log_min, 0.0))), at_u
+    return 0.0, (lambda y: np.sqrt(np.maximum(y - log_min, 0.0))), at_u
 
 
 def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
@@ -192,7 +196,7 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     if big <= lo or big / 4.0 < metric.domain_start:  # the probes reach big/4
         raise DomainError(f"metric domain [{metric.domain_start}, "
                           f"{metric.r_max}] too short for capacity")
-    t_of, at = _variable(metric, float(radii[0]))
+    c, t_of, at = _variable(metric, float(radii[0]))
     # an area that falls far below a gap's start, with p near 1
     overflow = "I_{} rescaled by the area of an inner radius overflows"
 
@@ -211,7 +215,8 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
         return out, ds_dt
 
     near = max(big / 10.0, lo)
-    probe, ds_dt = density(t_of(np.log([big, big / 2.0, big / 4.0, near])), ps)
+    y = np.log(np.add([big, big / 2.0, big / 4.0, near], c))
+    probe, ds_dt = density(t_of(y), ps)
     probe = (probe / ds_dt).tolist()  # dI/ds
     out = [(areas, np.full(n, math.inf), np.zeros(n))] * len(ps)
     live = [i for i, (g_big, _, _, g_near) in enumerate(probe) if not (
@@ -219,9 +224,9 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
         <= (1.0 + 4.3e-4) * math.log(big / near))]
     if not live:
         return out
-    if radii[0] <= 0.0:  # no panel in y = log s starts at s = 0
+    if radii[0] + c <= 0.0:  # no panel in y = log(s + c) starts at s + c = 0
         raise DomainError(f"capacity of the sphere at rho={radii[0]} needs rho > 0")
-    ends = np.log(np.append(radii, big))
+    ends = np.log(np.append(radii, big) + c)
     span = float(np.diff(ends).max())
     groups: dict = {}  # panel offsets -> indices of the p's they serve
     for i in live:

@@ -13,15 +13,15 @@ suite against finite differences):
               m_H  = (a/2)*(1-a'^2)         m_H  = (r/2)*(1-f)
               R    = 2*(1-a'^2-2*a*a'')/a^2 R    = 2*(1-f-r*f')/r^2
 
-Volumes are measured from ``domain_start``: ``RadialMetric.volumes`` walks
-the distinct radii of its list upward, each adding the increment from the
-one before on fixed Gauss-Legendre panels in rho (geodesic) or in
-xi = sqrt(r - domain_start) (areal), where the density stays smooth through
-a throat, all by one panel call.  A metric keeps no volumes between calls.
-``spheres``, ``RadialMetric.volume`` and ``sphere_data`` take theirs from
-one ``volumes`` call or, on a metric converted by ``to_geodesic``, from one
-Newton solve in xi that reads a(rho) and the volume off maps sharing their
-panels with the arclength (``_ConvertedProfile``).
+Volumes are measured from ``domain_start``: a converted or generated
+metric reads them off a series on the panels of a(rho); otherwise
+``RadialMetric.volumes`` walks the distinct radii of its list upward, each
+adding the increment from the one before on fixed Gauss-Legendre panels in
+rho (geodesic) or in xi = sqrt(r - domain_start) (areal), where the
+density stays smooth through a throat, all by one panel call.  A metric
+keeps no volumes between calls.  ``spheres``, ``RadialMetric.volume`` and
+``sphere_data`` take theirs from one ``volumes`` call or, on a converted
+metric, from the Newton solve in xi that gives a(rho) too.
 """
 
 from __future__ import annotations
@@ -83,9 +83,12 @@ def _mapped(fn: Callable[[float], Tuple[float, float, float]],
 
 
 class _Profile:
-    """The array forms of a profile, from its hook ``_arrays``."""
+    """The array forms of a profile, from its hook ``_arrays``.  A profile
+    that carries a volume map sets ``volumes`` to a function from a list
+    of radii, at or past domain_start, to the volume enclosed at each."""
 
     r_max = math.inf
+    volumes: Optional[Callable[[Sequence[float]], List[float]]] = None
 
     def values(self, rs: np.ndarray) -> np.ndarray:
         out = self._arrays(rs, 1)
@@ -123,15 +126,17 @@ class ExprProfile(_Profile):
 
 class FuncProfile(_Profile):
     """Profile backed by a callable returning (value, d1, d2), plus the
-    hook ``arrays(rs, parts)`` of ``_Profile``."""
+    hook ``arrays(rs, parts)`` and the volume map of ``_Profile``."""
 
     def __init__(self, fn: Callable[[float], Tuple[float, float, float]],
                  arrays: Callable[[np.ndarray, int], Optional[tuple]],
-                 label: str = "func", r_max: float = math.inf):
+                 label: str = "func", r_max: float = math.inf,
+                 volumes: Optional[Callable[[Sequence[float]], List[float]]] = None):
         self.fn = fn
         self._arrays = arrays
         self.label = label
         self.r_max = r_max
+        self.volumes = volumes
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self.fn(r)
@@ -332,8 +337,8 @@ class RadialMetric:
                 cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
         """Volume enclosed between domain_start and each radius of rhos.
 
-        A gauge-converted metric reads each volume off the volume map of its
-        profile, one solve for the whole list; see ``_ConvertedProfile``.
+        A profile with a volume map (``_Profile.volumes``; converted and
+        generated metrics) reads them off it, an EvalError past r_max.
         Otherwise each distinct radius, in ascending order, adds the
         increment from t_lo at the radius before (domain_start for the
         first) to t_hi at itself, in t = rho - domain_start (geodesic gauge,
@@ -347,8 +352,8 @@ class RadialMetric:
         """
         rhos = [self.check_start(rho) for rho in rhos]
         start = self.domain_start
-        if isinstance(self.profile, _ConvertedProfile):
-            return self.profile.solve_list(rhos)[1]
+        if self.profile.volumes is not None:
+            return self.profile.volumes(rhos)
         areal = self.gauge is Gauge.AREAL
         anchors = [start]  # domain_start and each radius with an increment
         lo: List[float] = []
@@ -591,6 +596,9 @@ class _ConvertedProfile(_Profile):
         if one:
             return [r], [vol if rho > 0.0 else 0.0]
         return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()
+
+    def volumes(self, rhos: Sequence[float]) -> List[float]:
+        return self.solve_list(rhos)[1]
 
     def spheres(self, rhos: Sequence[float]
                 ) -> Tuple[List[Tuple[float, float, float]], List[float]]:
@@ -897,12 +905,16 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     finite and positive (ConfigError otherwise); with a0 > 0 and a' >= 0
     the area never falls, so every sphere is its own outward-minimizing
     hull (``RadialMetric.own_hull``).  The ODE is solved once, on
-    [0, rho_max], by ``numerics.dormand_prince`` (rtol 1e-11, atol 1e-12);
-    a(rho) is its quartic dense output, the same bits from all three
-    profile forms, and a', a'' come from the right-hand side.  The array
-    hook (see ``_Profile``) serves ``triple`` by calling mu once per radius
-    on a Python float, as ``eval_d2`` does, and running the a', a''
-    arithmetic in numpy with the same bits; where any radius stalls,
+    [0, rho_max], by ``numerics.picard_panels`` from the panels [0, 1e-2]
+    and 4 geometric panels per decade beyond, calling mu once per node; an
+    error of mu's propagates, a failed solve is a ConfigError.  a(rho) and
+    the volume, the integral of 4*pi*a^2, are two rows of one per-panel
+    Legendre series, which ``eval_d2``, ``values`` and ``volumes`` read by
+    the same operations on a Python float and on an array; past rho_max
+    (by 1e-12 relative) they raise EvalError; a', a'' come from the ODE.
+    The array hook (see ``_Profile``) serves ``triple`` by calling mu once
+    per radius on a Python float, as ``eval_d2`` does, and running the a',
+    a'' arithmetic in numpy with the same bits; where any radius stalls,
     raises or gives a non-finite result it returns None, so ``eval_d2``
     runs radius by radius and raises the first error.  For ``values``
     (area scans, ``validate_metric``) it relies on mu being
@@ -919,18 +931,38 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     if not a0 > 2.0 * mu0:
         raise ConfigError(f"need a0 > 2*mu(0) = {2 * mu0}")
 
-    def rhs(rho: float, a: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - 2.0 * mu(rho)[0] / a))
-
+    edges = np.append(0.0, [rho_max] if rho_max <= 1e-2 else np.geomspace(
+        1e-2, rho_max, math.ceil(4.0 * math.log10(rho_max / 1e-2)) + 1))
     try:
-        dense = numerics.dormand_prince(rhs, 0.0, rho_max, a0,
-                                        rtol=1e-11, atol=1e-12)
+        lo, hi, coeffs = numerics.picard_panels(
+            lambda x: np.array([mu(rho)[0] for rho in x.tolist()], dtype=float),
+            lambda m, a: np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m / a)),
+            lambda a: FOUR_PI * a * a, a0, edges[:-1], edges[1:])
     except NonConvergence as exc:
         raise ConfigError(f"mass-profile integration failed: {exc}") from None
+    # one row per panel: its middle and half width, then the coefficients
+    # of a and of the volume
+    rows = np.column_stack((0.5 * (lo + hi), 0.5 * (hi - lo), *coeffs))
+    starts, lists, limit = lo.tolist(), rows.tolist(), rho_max * (1 + 1e-12)
+    warping, volume = slice(2, 13), slice(13, 24)
+
+    def read(rho, series: slice):
+        """A series of the rows at a Python float or at each element of an
+        array (no closure refers to itself: the profile dies by refcount)."""
+        if isinstance(rho, float):
+            first = None if 0.0 <= rho <= limit else rho
+            row = lists[bisect_right(starts, rho) - 1]
+        else:
+            outside = ~((rho >= 0.0) & (rho <= limit))
+            first = float(rho[outside][0]) if outside.any() else None
+            row = rows[np.searchsorted(lo, rho, side="right") - 1].T
+        if first is not None:
+            raise EvalError(f"rho={first} outside generated range [0, {rho_max}]")
+        return numerics.legendre((rho - row[0]) / row[1], row[series], slope=False)
 
     def fn(rho: float) -> Tuple[float, float, float]:
-        a = dense(rho)
-        m, mp = mu(rho)
+        m, mp = mu(rho)  # before the read: mu's error comes first
+        a = read(rho, warping)
         ap = math.sqrt(max(0.0, 1.0 - 2.0 * m / a))
         if ap <= 0.0:
             raise EvalError(f"warping factor stalls at rho={rho}")
@@ -938,24 +970,22 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
         return a, ap, app
 
     def arrays(rhos: np.ndarray, parts: int) -> Optional[tuple]:
-        if parts == 1:
-            # a' = 0 freezes a while mu cannot decrease: if any node stalls,
-            # the outermost one does; the scalar path raises at the first
-            if rhos.size:
-                try:
-                    fn(float(rhos.max()))
-                except EvalError:
-                    return None
-            return (dense.values(rhos),)
-        # mu runs on Python floats, as in fn: np.tanh and math.tanh round
-        # differently.  An element where mu raises, or that fn would reject
-        # or gives a non-finite value, leaves the array to the scalar path.
+        # An element where mu or the read raises, that fn would reject or
+        # that gives a non-finite value leaves the array to the scalar path.
         try:
+            if parts == 1:
+                # a' = 0 freezes a while mu cannot decrease: if any node
+                # stalls, the outermost one does
+                if rhos.size:
+                    fn(float(rhos.max()))
+                return (read(rhos, warping),)
+            # mu runs on Python floats, as in fn: np.tanh and math.tanh
+            # round differently
             m, mp = np.array([mu(rho) for rho in rhos.tolist()],
                              dtype=float).reshape(-1, 2).T
+            a = read(rhos, warping)
         except (IsocapError, ArithmeticError, ValueError):
             return None
-        a = dense.values(rhos)
         with np.errstate(all="ignore"):
             ap = np.sqrt(1.0 - 2.0 * m / a)
             app = (m * ap / (a * a) - mp / a) / ap
@@ -963,7 +993,14 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
             return None
         return a, ap, app
 
-    prof = FuncProfile(fn, arrays, label=label, r_max=rho_max)
+    def volumes(rhos: Sequence[float]) -> List[float]:
+        # the volume at rho = 0, the inner boundary, is exactly 0
+        if len(rhos) == 1:
+            return [read(float(rhos[0]), volume) if rhos[0] > 0.0 else 0.0]
+        rho = np.array(rhos, dtype=float)
+        return np.where(rho > 0.0, read(rho, volume), 0.0).tolist()
+
+    prof = FuncProfile(fn, arrays, label=label, r_max=rho_max, volumes=volumes)
     metric = RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
     metric._hull_from = 0.0  # a > 0 and a' >= 0: the area never falls
     return metric

@@ -5,9 +5,9 @@ adaptive refinement behind it, which halves the panels the fixed rule
 flags level by level on the 21-point Gauss-Kronrod rule, one integrand
 call per level for all of them, within ``ToleranceConfig.max_subdivisions``
 pieces per panel; ``integrate`` is that refinement on one finite interval.
-Antiderivatives as per-panel Legendre series and their inverse, piecewise
-cubic Hermite interpolation with monotone (PCHIP) slopes, a scalar
-Runge-Kutta ODE solver with dense output, bracketed root finding (Brent
+Antiderivatives as per-panel Legendre series, their inverse and ODE
+solutions as such series by Picard iteration, piecewise cubic Hermite
+interpolation with monotone (PCHIP) slopes, bracketed root finding (Brent
 1973) and a safeguarded Newton pass over many brackets at once, and Aitken
 limit extrapolation.  All routines are pure functions of their inputs;
 there is no shared mutable state, and none needs more than numpy.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -28,8 +28,8 @@ from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "legendre_panels", "legendre_integral",
-           "legendre", "legendre_inverse", "hermite", "HermiteSpline", "pchip_slopes",
-           "dormand_prince", "DenseSolution",
+           "legendre", "legendre_inverse", "picard_panels", "hermite",
+           "HermiteSpline", "pchip_slopes",
            "find_root", "newton_roots",
            "extrapolate_limit"]
 
@@ -351,6 +351,20 @@ def legendre_inverse(q, total, mid, slope0, slope_mid, c):
     return t
 
 
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Half widths of the panels [lo[k], hi[k]] and their 15 nodes, the
+    10-point Gauss nodes then the 5-point ones, shape (panels, 15)."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+
+
+def _panel_sums(half: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 10-point sums of samples y at the nodes of ``_panel_nodes`` (the
+    last axis) and their distances from the 5-point sums."""
+    sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
+    return sums, np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
+
+
 def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                     cfg: ToleranceConfig = DEFAULT_CFG
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -369,12 +383,10 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     10-point sums of the same samples, shape (rows, pieces).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+    half, nodes = _panel_nodes(lo, hi)
     y = density(nodes.ravel())
     y = y.reshape(y.shape[:-1] + nodes.shape)
-    sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
-    errs = np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
+    sums, errs = _panel_sums(half, y)
     good = np.all(errs <= cfg.quad_rel_tol * np.abs(sums), axis=0)
     if good.all():
         return lo, hi, half[:, None] * legendre_integral(y[..., :10]), sums
@@ -388,6 +400,80 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                           axis=1)
     order = np.argsort(lo)
     return lo[order], hi[order], coeffs[:, order], sums[:, order]
+
+
+# from a density's 10 Gauss samples to its antiderivative from -1 at the 15
+# nodes of _panel_nodes: legendre_integral, then P_0 to P_10 at the nodes
+_LEG_TO_NODES = np.einsum("jn,nk->jk", _LEG_INT,
+                          legendre(_GL_X, np.eye(11)[:, :, None], slope=False))
+_PICARD_RTOL, _PICARD_ATOL = 1e-11, 1e-12
+_PICARD_SWEEPS = 200
+
+
+def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
+                  rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  density: Callable[[np.ndarray], np.ndarray],
+                  y0: float, lo, hi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve y' = rate(d, y), y(lo[0]) = y0, by Picard iteration on
+    per-panel Legendre series over the contiguous panels [lo[k], hi[k]],
+    and integrate density(y) alongside.
+
+    sample maps a 1-D array of points to the data d there; it is called
+    once on the nodes of ``_panel_nodes`` of every panel.  From the guess
+    y = y0 + x - lo[0], each sweep sets y at every node to y0 plus the
+    integral of y': the antiderivative of the degree-9 interpolant of its
+    panel's 10 Gauss samples (``legendre_integral``) plus the running sum
+    of the 10-point sums of the panels before.  It halves each panel whose
+    10-point sum of y' is off its 5-point one by more than
+    1e-11*|y| + 1e-12, y at the panel's end; the halves start from the
+    panel's series.  (Relative to the panel's increment, the test would
+    halve without end where y' falls to 0 like a square root.)  The sweeps
+    end when none halves and none moves a node by more than 4 ulp.
+    Returns the panels' edges, sorted, and, in each panel's local variable
+    t = (2x - lo - hi)/(hi - lo), the 11 Legendre coefficients of y and of
+    the integral of density(y) from lo[0], shape (2, panels, 11).  Raises
+    NonConvergence where a rate is not finite, a panel to halve has no
+    float inside, or 200 sweeps do not settle.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half, x = _panel_nodes(lo, hi)
+    data, y = sample(x.ravel()).reshape(x.shape), y0 + (x - lo[0])
+    for _ in range(_PICARD_SWEEPS):
+        r = rate(data, y)
+        if not np.isfinite(r).all():
+            raise NonConvergence("a rate is not finite")
+        sums, errs = _panel_sums(half, r)
+        edges = np.cumsum(np.concatenate(([y0], sums)))  # y at each lo, hi[-1]
+        split = errs > _PICARD_RTOL * np.abs(edges[1:]) + _PICARD_ATOL
+        new = edges[:-1, None] + half[:, None] * np.einsum(
+            "pj,jk->pk", r[:, :10], _LEG_TO_NODES)
+        if not split.any():
+            if np.all(np.abs(new - y) <= 4.0 * _EPS * np.abs(new)):
+                v = density(new)
+                coeffs = half[:, None] * legendre_integral(np.stack((r, v))[..., :10])
+                coeffs[0, :, 0] += edges[:-1]
+                vsums = _panel_sums(half, v)[0]
+                coeffs[1, :, 0] += np.cumsum(np.concatenate(([0.0], vsums[:-1])))
+                return lo, hi, coeffs
+            y = new
+            continue
+        k = np.flatnonzero(split)
+        mid = 0.5 * (lo[k] + hi[k])
+        if not np.all((lo[k] < mid) & (mid < hi[k])):
+            raise NonConvergence(f"no float inside [{lo[k][0]}, {hi[k][0]}] to halve at")
+        new_lo, new_hi = np.concatenate((lo[k], mid)), np.concatenate((mid, hi[k]))
+        h, xs = _panel_nodes(new_lo, new_hi)
+        # the halves' nodes in the parent's local variable, left halves first
+        t = 0.5 * _GL_X + np.repeat([[-0.5], [0.5]], k.size, axis=0)
+        c = half[k, None] * legendre_integral(r[k, :10])
+        c[:, 0] += edges[k]
+        parts = zip((lo, hi, half, data, new),
+                    (new_lo, new_hi, h, sample(xs.ravel()).reshape(xs.shape),
+                     legendre(t, np.tile(c, (2, 1)).T[:, :, None], slope=False)))
+        lo, hi, half, data, y = (np.concatenate((v[~split], w)) for v, w in parts)
+        order = np.argsort(lo)
+        lo, hi, half, data, y = (v[order] for v in (lo, hi, half, data, y))
+    raise NonConvergence(f"{_PICARD_SWEEPS} Picard sweeps did not settle")
 
 
 def hermite(x, y0, d0, c2, c3):
@@ -471,135 +557,6 @@ def pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
             d = 3.0 * m[k]
         slopes[k] = d
     return slopes
-
-
-# Dormand-Prince RK5(4) tableau (Dormand & Prince 1980): stage nodes, stage
-# rows, the 5th-order weights, the error weights (5th minus 4th order; the
-# last multiplies the first-same-as-last stage), and Shampine's (1986)
-# quartic dense-output coefficients, one row of four per stage.
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)  # b2 = 0
-_DP_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-         1 / 40)  # e2 = 0
-_DP_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-
-
-class DenseSolution:
-    """Dense output of ``dormand_prince``: on step i, from node t_i with
-    y_i and width h_i, y(t) = y_i + h_i*x*(q0 + x*(q1 + x*(q2 + x*q3)))
-    with x = (t - t_i)/h_i.  A t at a node takes the step that ends there;
-    a t outside [t0, t1] extends the first or last step.  The scalar call
-    and ``values`` run the same operations on the same coefficients, so
-    they agree bit for bit."""
-
-    def __init__(self, ts: list, ys: list, stages: list):
-        self._t = np.array(ts)
-        self._y = np.array(ys)
-        self._h = np.diff(self._t)
-        self._q = (np.array(stages) @ _DP_P).T
-        # the same numbers as lists, which the scalar call indexes faster
-        self._ts, self._ys, self._hs = ts, ys, self._h.tolist()
-        self._qs = list(zip(*self._q.tolist()))
-        self.steps = len(stages)
-
-    def __call__(self, t: float) -> float:
-        i = min(max(bisect_left(self._ts, t) - 1, 0), self.steps - 1)
-        h = self._hs[i]
-        x = (t - self._ts[i]) / h
-        q0, q1, q2, q3 = self._qs[i]
-        return self._ys[i] + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(self._t, ts) - 1, 0, self.steps - 1)
-        h = self._h[i]
-        x = (ts - self._t[i]) / h
-        q0, q1, q2, q3 = self._q[:, i]
-        return self._y[i] + h * x * (q0 + x * (q1 + x * (q2 + x * q3)))
-
-
-def dormand_prince(fun: Callable[[float, float], float], t0: float,
-                   t1: float, y0: float, rtol: float,
-                   atol: float) -> DenseSolution:
-    """Solve the scalar ODE y' = fun(t, y), y(t0) = y0, on [t0, t1], t1 > t0.
-
-    Dormand-Prince RK5(4) on Python floats, with the step control of the
-    RK45 method of ``solve_ivp`` (Hairer, Norsett and Wanner, Sec. II.4):
-    the same initial-step rule, the local error of a step measured against
-    atol + rtol*max(|y|, |y_new|), step factors 0.9*err^(-1/5) limited to
-    [0.2, 10], and no growth right after a rejection.  Raises
-    NonConvergence when the step falls below ten times the spacing of
-    floats at t or is not finite (a NaN y0 or error estimate), DomainError
-    unless t0 < t1 are finite.
-    """
-    if not -math.inf < t0 < t1 < math.inf:
-        raise DomainError(f"need finite t0 < t1, got [{t0}, {t1}]")
-    c2, c3, c4, c5 = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _DP_A
-    b1, b3, b4, b5, b6 = _DP_B
-    e1, e3, e4, e5, e6, e7 = _DP_E
-    length = t1 - t0
-    f = fun(t0, y0)
-    scale = atol + abs(y0) * rtol
-    d0, d1 = abs(y0 / scale), abs(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    d2 = abs((fun(t0 + h0, y0 + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, length)
-
-    t, y = t0, y0
-    ts, ys, stages = [t], [y], []
-    while t < t1:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not min_step <= h_abs < math.inf:  # false for a NaN step
-                raise NonConvergence(f"step size {h_abs} is not finite or less "
-                                     f"than the spacing between numbers at t={t}")
-            t_new = min(t + h_abs, t1)
-            h = h_abs = t_new - t
-            k2 = fun(t + c2 * h, y + (a21 * f) * h)
-            k3 = fun(t + c3 * h, y + (a31 * f + a32 * k2) * h)
-            k4 = fun(t + c4 * h, y + (a41 * f + a42 * k2 + a43 * k3) * h)
-            k5 = fun(t + c5 * h,
-                     y + (a51 * f + a52 * k2 + a53 * k3 + a54 * k4) * h)
-            k6 = fun(t + h, y + (a61 * f + a62 * k2 + a63 * k3 + a64 * k4
-                                 + a65 * k5) * h)
-            y_new = y + h * (b1 * f + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            f_new = fun(t_new, y_new)
-            err = (e1 * f + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6
-                   + e7 * f_new) * h
-            err = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-        stages.append((f, k2, k3, k4, k5, k6, f_new))
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-    return DenseSolution(ts, ys, stages)
 
 
 _ROOT_RTOL = 8.9e-16  # relative step floor of root finding, about 4 ulp

@@ -70,11 +70,12 @@ def _area_slope(metric, x):
 
 def _refine_min(metric, lo, hi, cfg):
     """(rho, area) of the least area on [lo, hi] about a neck bottom: the
-    root of the area's slope where it rises through 0, else the end of
-    smaller area."""
+    root of the area's slope where it rises through 0, a slope of 0
+    counting as falling, so that a plateau gives its outer end; else the
+    end of smaller area."""
     s_lo, s_hi = _area_slope(metric, lo), _area_slope(metric, hi)
-    x = (numerics.find_root(lambda r: _area_slope(metric, r), lo, hi, cfg)
-         if s_lo < 0.0 < s_hi else min((lo, hi), key=metric.area))
+    x = (numerics.find_root(lambda r: _area_slope(metric, r) or -1.0, lo, hi, cfg)
+         if s_lo <= 0.0 < s_hi else min((lo, hi), key=metric.area))
     return x, metric.area(x)
 
 

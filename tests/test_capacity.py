@@ -260,15 +260,22 @@ class TestErrors:
             0.08873789782334478, rel=1e-12)
 
     def test_radius_zero_of_positive_area(self, monkeypatch):
-        # no panel in y = log s starts at s = 0: a typed failure, where the
-        # panel offsets of an infinite span once grew without bound
+        # a = r + 2 is flat space outside a ball of radius 2, whose
+        # capacity is 2^(3-p): from rho0 = 0 the panels run in
+        # y = log(s + a(0)), where log s has no start
+        M = expr_metric(Gauge.GEODESIC, "r + 2")
+        for p in (1.1, 1.5, 2.0, 2.5, 2.9):
+            cap = p_capacity(M, 0.0, p)
+            assert abs(cap.ncap - 2.0 ** (3.0 - p)) <= cap.err_estimate, p
+        # below 0 there is no shift: a typed failure, where the panel
+        # offsets of an infinite span once grew without bound
         def refuse(*args):
-            raise AssertionError("panel offsets from log(0)")
+            raise AssertionError("panel offsets from log of a negative radius")
         monkeypatch.setattr(capacity, "_offsets", refuse)
-        M = expr_metric(Gauge.GEODESIC, "r + 1")
+        M = expr_metric(Gauge.GEODESIC, "r + 2", domain_start=-1.0)
         for p in (1.5, 2.0):
-            with pytest.raises(DomainError, match="rho=0.0 needs rho > 0"):
-                p_capacity(M, 0.0, p)
+            with pytest.raises(DomainError, match="rho=-0.5 needs rho > 0"):
+                p_capacity(M, -0.5, p)
         # a p-parabolic end needs no panels
         assert p_capacity(cylinder(1.0), 0.0, 2.0).parabolic
 

@@ -641,8 +641,10 @@ class TestScipyOnDemand:
 
     def test_fallback_panels_run_without_it(self, run_isolated):
         # each of these sends panels that fail the fixed rule's check to
-        # the adaptive refinement numerics._refine, which is in-repo; the
-        # neck fails two of the hypothesis checks, so that command exits 1
+        # the adaptive refinement numerics._refine, which is in-repo (the
+        # flow on the generated metric reads its volumes off a series, so
+        # there its capacity refines); the neck fails two of the
+        # hypothesis checks, so that command exits 1
         out = run_isolated(
             "import contextlib, io, sys\n"
             "sys.modules['scipy'] = None\n"
@@ -668,6 +670,7 @@ class TestScipyOnDemand:
             "                                   5.7577886649501675,\n"
             "                                   0.5186770010559407)\n"
             "track = flow.weak_imcf(M, 0.5, 6.0, n_samples=40)\n"
+            "assert p_capacity(M, 3.0, 1.5).ncap > 0.0\n"
             "print(len(calls) > 0, len(track.samples))\n")
         assert out.split() == ["True"] * 4 + ["40"]
 

@@ -145,9 +145,10 @@ class TestMultiRadiusHull:
         assert _close_hulls(hulls, scan_read(metric, radii))
 
     @pytest.mark.parametrize("text", [NECK, "r + 1.5*exp(-4*(r-3)^2) + "
-                                      "3*exp(-2*(r-9)^2)", FAR_NECK])
+                                      "3*exp(-2*(r-9)^2)", FAR_NECK,
+                                      "max(2,(r-3)^2)"])
     def test_against_the_scan_read(self, text, scan_read):
-        # 23 start radii across every bump, dip and rising piece
+        # 23 start radii across every bump, dip, plateau and rising piece
         metric = expr_metric(Gauge.GEODESIC, text)
         radii = np.geomspace(0.5, 80.0, 23).tolist()
         assert _close_hulls([outward_hull(metric, r) for r in radii],
@@ -508,13 +509,19 @@ class TestFindJumps:
 
 class TestSampleVolumes:
     def test_one_panel_call_for_all_samples(self, monkeypatch):
+        # a scaled generated metric walks its volumes on panels; the
+        # generated metric reads them all off its volume series at once
         M = tanh_step_mass_metric(1.0, 5.0, 1.0)
-        calls = []
-        rule = numerics.gauss_legendre
+        calls, reads = [], []
+        rule, series = numerics.gauss_legendre, M.profile.volumes
         monkeypatch.setattr(numerics, "gauss_legendre",
                             lambda *a: calls.append(a[1].size) or rule(*a))
-        track = weak_imcf(M, 0.5, 6.0, n_samples=40)
+        track = weak_imcf(scaled(M, 2.0), 1.0, 6.0, n_samples=40)
         assert len(calls) == 1
+        assert len(track.samples) == 40
+        M.profile.volumes = lambda rhos: reads.append(len(rhos)) or series(rhos)
+        track = weak_imcf(M, 0.5, 6.0, n_samples=40)
+        assert len(calls) == 1 and reads == [40]
         assert len(track.samples) == 40
 
     @settings(max_examples=25, deadline=None)

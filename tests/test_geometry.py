@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import mpmath
@@ -613,14 +614,19 @@ def kinked():
 
 
 def walk_volumes(metric, radii, cfg=numerics.DEFAULT_CFG):
-    """Reference for ``volumes``: the distinct radii in ascending order,
-    each adding its increment from the one before with one
-    ``gauss_legendre`` call per increment; on a gauge-converted metric, one
-    xi solve per radius."""
+    """Reference for ``volumes``: on a profile with a volume map, one map
+    read per radius; otherwise ``walk``."""
+    if metric.profile.volumes is not None:
+        start = metric.domain_start
+        return [metric.profile.volumes([max(rho, start)])[0] for rho in radii]
+    return walk(metric, radii, cfg)
+
+
+def walk(metric, radii, cfg=numerics.DEFAULT_CFG):
+    """The distinct radii in ascending order, each adding its increment
+    from the one before with one ``gauss_legendre`` call per increment."""
     start = metric.domain_start
     radii = [max(rho, start) for rho in radii]
-    if isinstance(metric.profile, geometry._ConvertedProfile):
-        return [metric.profile.solve_list([rho])[1][0] for rho in radii]
     anchors, vals = [start], [0.0]
     for rho in sorted(set(radii)):
         if rho - anchors[-1] <= 1e-14 * max(1.0, rho):
@@ -840,19 +846,38 @@ class TestMassProfileGenerator:
         M = mass_profile_metric(mu, a0=2.0)
         assert sphere_data(M, 30.0).hawking_mass == pytest.approx(0.5, abs=1e-9)
 
-    def test_warping_is_the_dense_solution(self):
-        mass, center, width = 1.0, 5.0, 1.0
-        base = math.tanh(-center / width)
+    @pytest.mark.parametrize("make", [
+        lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
+        lambda: tanh_step_mass_metric(1.8, 7.0, 2.2, a0=3.7),
+        lambda: mass_profile_metric(lambda rho: (1.0, 0.0), a0=2.01),
+    ])
+    def test_volume_row_against_the_walk(self, make):
+        # the volume series against the quadrature walk over a(rho)
+        M = make()
+        radii = [0.0, 1e-3, 0.5, 3.0, 5.0, 7.5, 20.0, 1e3, 1e6]
+        got, want = M.volumes(radii), walk(M, radii)
+        assert got[0] == want[0] == 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-        def rhs(rho, a):
-            t = math.tanh((rho - center) / width)
-            mu = mass * (t - base) / (1.0 - base)
-            return math.sqrt(max(0.0, 1.0 - 2.0 * mu / a))
-        dense = numerics.dormand_prince(rhs, 0.0, 1e6, 3.0, rtol=1e-11,
-                                        atol=1e-12)
-        rs = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 500)))
-        M = tanh_step_mass_metric(mass, center, width)
-        assert np.array_equal(M.profile.values(rs), dense.values(rs))
+    def test_freed_by_refcount(self):
+        # a reference cycle would keep each dead metric's series until the
+        # cycle collector ran, and grow the peak memory of a long run
+        gc.collect()
+        gc.disable()
+        try:
+            sphere_data(tanh_step_mass_metric(1.0, 5.0, 1.0), 3.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_past_rho_max_raises(self):
+        M = tanh_step_mass_metric(1.0, 5.0, 1.0, rho_max=50.0)
+        assert M.volume(50.0) > 0.0 and sphere_data(M, 50.0).area > 0.0
+        for form in (lambda rho: M.volumes([1.0, rho]),
+                     lambda rho: M.area(np.array([1.0, rho])),
+                     lambda rho: M.profile.eval_d2(rho)):
+            with pytest.raises(EvalError, match="outside generated range"):
+                form(50.001)
 
     def test_integration_failure_is_a_config_error(self):
         # mu = -inf past rho = 1 makes every step past it non-finite

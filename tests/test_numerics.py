@@ -12,10 +12,11 @@ from numpy.polynomial import legendre
 from isocap import numerics
 from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket,
                            NonConvergence)
-from isocap.geometry import TableProfile, metric_from_spec
-from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, dormand_prince,
-                             extrapolate_limit, find_root, gauss_legendre,
-                             gauss_legendre_err, integrate, newton_roots)
+from isocap.geometry import (TableProfile, mass_profile_metric, metric_from_spec,
+                             tanh_step_mass_metric)
+from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
+                             find_root, gauss_legendre, gauss_legendre_err,
+                             integrate, newton_roots)
 
 
 def simpson_oracle(f, lo, hi, n=1_000_001):
@@ -533,94 +534,85 @@ class TestNewtonRoots:
                          np.array([10.0]))
 
 
-def warping_rhs(mass, center, width):
-    """a' = sqrt(1 - 2 mu/a) for the tanh-step mass profile of
-    ``geometry.tanh_step_mass_metric``."""
-    base = math.tanh(-center / width)
-
-    def rhs(rho, a):
-        mu = mass * (math.tanh((rho - center) / width) - base) / (1.0 - base)
-        return math.sqrt(max(0.0, 1.0 - 2.0 * mu / a))
-    return rhs
-
-
 def schwarzschild_rho(a, m):
     """Arclength of the Schwarzschild slice from its horizon a = 2m."""
     return (mpmath.sqrt(a * (a - 2 * m)) + 2 * m * mpmath.log(
         (mpmath.sqrt(a) + mpmath.sqrt(a - 2 * m)) / mpmath.sqrt(2 * m)))
 
 
-class TestDormandPrince:
-    RADII = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 1999)))
+class TestPicardPanels:
+    """``picard_panels`` through ``mass_profile_metric``: the warping a(rho)
+    against closed forms and mpmath, and builds that end."""
 
-    def test_matches_scipy_rk45(self):
-        # the same method and step control as solve_ivp's RK45.  scipy sums
-        # the stages by BLAS dot products (fused multiply-add here), and
-        # where a' is close to 1 the error estimate is a cancellation whose
-        # rounding moves later steps by up to 5e-4 relative; the dense
-        # outputs then differ by up to 5.5e-13 (120 metrics), 200 times
-        # below the 7e-11 error both carry against a DOP853 reference
-        rng = random.Random(9)
-        for _ in range(30):
-            mass, center = rng.uniform(0.3, 2.0), rng.uniform(2.0, 8.0)
-            rhs = warping_rhs(mass, center, rng.uniform(0.5, 2.5))
-            a0 = max(1.0, 3.0 * mass)
-            ours = dormand_prince(rhs, 0.0, 1e6, a0, rtol=1e-11, atol=1e-12)
-            sol = scipy.integrate.solve_ivp(
-                lambda rho, y: [rhs(rho, y[0])], (0.0, 1e6), [a0],
-                method="RK45", rtol=1e-11, atol=1e-12, dense_output=True)
-            assert ours.steps == sol.t.size - 1
-            want = sol.sol(self.RADII)[0]
-            assert np.max(np.abs(ours.values(self.RADII) - want) / want) <= 1e-12
+    RADII = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 1999)))
 
     @pytest.mark.parametrize("m, a0", [(0.5, 1.5), (1.0, 3.0), (2.0, 6.0),
                                        (1.0, 2.01)])
     def test_schwarzschild_closed_form(self, m, a0):
         # constant mu = m: a(rho) inverts rho(a) - rho(a0)
-        dense = dormand_prince(lambda rho, a: math.sqrt(1.0 - 2.0 * m / a),
-                               0.0, 1e6, a0, rtol=1e-11, atol=1e-12)
+        M = mass_profile_metric(lambda rho: (m, 0.0), a0=a0)
+        rs = self.RADII[::10]
+        got = M.profile.values(rs)
         with mpmath.workdps(30):
             start = schwarzschild_rho(mpmath.mpf(a0), m)
-            for rho in self.RADII[::10]:
-                a = dense(float(rho))
+            for rho, a in zip(rs.tolist(), got.tolist()):
                 want = mpmath.findroot(
                     lambda x: schwarzschild_rho(x, m) - start - rho, a)
-                assert abs(a / float(want) - 1.0) <= 1e-10, rho
+                assert abs(a / float(want) - 1.0) <= 1e-12, rho
 
-    def test_scalar_and_array_bit_identical(self):
-        dense = dormand_prince(warping_rhs(1.0, 5.0, 1.0), 0.0, 1e6, 3.0,
-                               rtol=1e-11, atol=1e-12)
-        nodes = np.array(dense._ts)
-        rs = np.concatenate((self.RADII, nodes, [-1.0, 2e6]))
-        scalar = np.array([dense(float(r)) for r in rs])
-        assert np.array_equal(dense.values(rs), scalar)
-        # the quartic of each step ends on the next node's y
-        assert np.allclose(dense.values(nodes), dense._ys, rtol=1e-15, atol=0.0)
+    @pytest.mark.parametrize("mass, center, width", [
+        (1.0, 5.0, 1.0), (0.4, 2.5, 0.6), (1.8, 7.0, 2.2)])
+    def test_tanh_steps_match_odefun(self, mass, center, width):
+        # mpmath's Taylor-series solver at 18 digits
+        M = tanh_step_mass_metric(mass, center, width)
+        rs = np.linspace(0.0, 30.0, 31)[1:]
+        with mpmath.workdps(18):
+            base = mpmath.tanh(-mpmath.mpf(center) / width)
 
-    def test_too_small_step(self):
-        def rhs(t, y):
-            return 1.0 if t < 1.0 else math.nan
-        with pytest.raises(NonConvergence, match="spacing between numbers"):
-            dormand_prince(rhs, 0.0, 10.0, 1.0, rtol=1e-11, atol=1e-12)
+            def rhs(rho, a):
+                mu = mass * (mpmath.tanh((rho - center) / width) - base) / (1 - base)
+                return mpmath.sqrt(1 - 2 * mu / a)
+            sol = mpmath.odefun(rhs, 0, mpmath.mpf(max(1.0, 3.0 * mass)))
+            want = np.array([float(sol(rho)) for rho in rs.tolist()])
+        assert np.max(np.abs(M.profile.values(rs) / want - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("t1, y0, error", [
-        ("10.0", "math.nan", "NonConvergence"),
-        ("math.inf", "1.0", "DomainError"), ("math.nan", "1.0", "DomainError"),
-        ("0.0", "1.0", "DomainError")])
-    def test_non_finite_arguments(self, run_isolated, t1, y0, error):
-        # a NaN step never fell below the floor, and an infinite end never
-        # came: both looped for good, and a run that hangs again fails at
-        # the timeout; an empty interval made no step to build output from
+    @pytest.mark.parametrize("build", [
+        # the stall: a' falls to 0 like a square root near rho = 0.4
+        "mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0, rho_max=50.0)",
+        "tanh_step_mass_metric(1.0, 5.0, 1.0, a0=2.01)",
+        # the custom profile of test_geometry: a ramp with a kink at 2
+        "mass_profile_metric(lambda rho: (0.25 * rho, 0.25) if rho < 2.0\n"
+        "                    else (0.5, 0.0), a0=2.0)",
+    ], ids=["stall", "near-stall", "kinked-ramp"])
+    def test_builds_end(self, run_isolated, build):
+        # a build that halves or sweeps without end fails at the timeout;
+        # each sweep makes one _panel_sums call, and the volume row one
+        # more.  These builds take 41 to 46 panels and 10 to 21 sweeps.
+        out = run_isolated(
+            "from isocap import numerics\n"
+            "from isocap.geometry import mass_profile_metric, tanh_step_mass_metric\n"
+            "sweeps, panels = [], []\n"
+            "rule, solve = numerics._panel_sums, numerics.picard_panels\n"
+            "numerics._panel_sums = lambda *a: sweeps.append(1) or rule(*a)\n"
+            "numerics.picard_panels = lambda *a: (\n"
+            "    lambda out: panels.append(out[0].size) or out)(solve(*a))\n"
+            f"{build}\n"
+            "print(panels[0], len(sweeps) - 1)\n", timeout=60)
+        panels, sweeps = map(int, out.split())
+        assert panels <= 60 and sweeps <= 30
+
+    def test_non_finite_rate_ends(self, run_isolated):
+        # mu = -inf past rho = 1 makes every rate past it infinite
         out = run_isolated(
             "import math\n"
-            "from isocap.errors import IsocapError\n"
-            "from isocap.numerics import dormand_prince\n"
+            "from isocap.errors import ConfigError\n"
+            "from isocap.geometry import mass_profile_metric\n"
             "try:\n"
-            f"    dormand_prince(lambda t, y: 1.0, 0.0, {t1}, {y0},\n"
-            "                   rtol=1e-11, atol=1e-12)\n"
-            "except IsocapError as exc:\n"
-            "    print(type(exc).__name__)\n", timeout=60)
-        assert out.strip() == error
+            "    mass_profile_metric(lambda rho: (0.0 if rho < 1.0 else -math.inf,\n"
+            "                                     0.0), a0=2.0, rho_max=10.0)\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n", timeout=60)
+        assert out.startswith("mass-profile integration failed: ")
 
 
 def pchip_tables():

@@ -14,14 +14,15 @@ suite against finite differences):
               R    = 2*(1-a'^2-2*a*a'')/a^2 R    = 2*(1-f-r*f')/r^2
 
 Volumes are measured from ``domain_start``: a converted or generated
-metric reads them off a series on the panels of a(rho); otherwise
-``RadialMetric.volumes`` walks the distinct radii of its list upward, each
-adding the increment from the one before on fixed Gauss-Legendre panels in
-rho (geodesic) or in xi = sqrt(r - domain_start) (areal), where the
-density stays smooth through a throat, all by one panel call.  A metric
-keeps no volumes between calls.  ``spheres``, ``RadialMetric.volume`` and
-``sphere_data`` take theirs from one ``volumes`` call or, on a converted
-metric, from the Newton solve in xi that gives a(rho) too.
+metric, or a scaled copy of one, reads them off a series on the panels of
+a(rho); otherwise ``RadialMetric.volumes`` walks the distinct radii of its
+list upward, each adding the increment from the one before on fixed
+Gauss-Legendre panels in rho (geodesic) or in xi = sqrt(r - domain_start)
+(areal), where the density stays smooth through a throat, all by one
+panel call.  A metric keeps no volumes between calls.  ``spheres``,
+``RadialMetric.volume`` and ``sphere_data`` take theirs from one
+``volumes`` call or, on a converted metric, from the Newton solve in xi
+that gives a(rho) too.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class BoundaryKind(enum.Enum):
 # triple once per array.  A family supplies eval_d2 and one hook,
 # _arrays(rs, parts), which computes the first parts (1 or 3) of the arrays
 # with in-repo code (tables through numerics.HermiteSpline, the conversion
-# through its Legendre series), or returns None where some radius fails;
+# through its per-panel series), or returns None where some radius fails;
 # _Profile then runs eval_d2 radius by radius, which raises the error of the
 # first failing radius.
 
@@ -338,7 +339,7 @@ class RadialMetric:
         """Volume enclosed between domain_start and each radius of rhos.
 
         A profile with a volume map (``_Profile.volumes``; converted and
-        generated metrics) reads them off it, an EvalError past r_max.
+        generated metrics and their scaled copies) reads them off it, an EvalError past r_max.
         Otherwise each distinct radius, in ascending order, adds the
         increment from t_lo at the radius before (domain_start for the
         first) to t_hi at itself, in t = rho - domain_start (geodesic gauge,
@@ -478,21 +479,22 @@ class _ConvertedProfile(_Profile):
     metric's ``_xi_density``, which stays smooth through a simple zero of f
     at r_min.  The build splits xi into ``_XI_PANELS`` geometric panels up
     to min(cutoff_radius, r_max), halving those that need it
-    (``numerics.legendre_panels``), and keeps two maps of xi as
-    per-panel Legendre series of degree 10, both read off one set of
-    density samples: the arclength rho(xi), the integral of that density,
-    and the enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Near
+    (``numerics.legendre_panels``), and keeps two maps of xi as per-panel
+    monomial series of degree 10, both from one set of density samples:
+    the arclength rho(xi), the integral of that density, and the
+    enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Near
     a throat both maps carry the error of the quadratic Taylor band of
     ``_xi_density``, up to about 1e-11 relative, and it cancels because
     they share their samples.
 
     ``_solve`` finds the panel of rho among the arclength nodes, inverts
     the panel's arclength series in its local variable
-    (``numerics.legendre_inverse``, from the series' value and slope at the
-    panel's start and middle, kept per panel; no quadrature and no profile
-    call: up to five Newton steps, which stop once the iterate repeats, at
-    a fixed point or on a 2-cycle, with the bits of all five) and reads the
-    volume off the other series there, its value alone.  So one solve gives
+    (``numerics.legendre_inverse``, from the series' slope at the panel's
+    start, kept per panel, and its middle value and slope c[0] and c[1]; no
+    quadrature and no profile call: up to five Newton steps, which stop
+    once the iterate repeats, at a fixed point or on a 2-cycle, with the
+    bits of all five) and reads the volume off the other series there, its
+    value alone, each read by ``numerics.horner``.  So one solve gives
     a(rho) and the volume of the sphere at rho, and a converted metric's
     ``volumes`` and ``spheres`` read them from here.  The same body runs on
     a Python float, for one radius, and on an array, for many, with equal
@@ -521,15 +523,13 @@ class _ConvertedProfile(_Profile):
         self._r_nodes = r_min + np.append(lo, hi[-1]) ** 2  # r at each rho node
         self._rho_nodes = rho_nodes
         self.r_max = float(rho_nodes[-1])
-        start_slope = numerics.legendre(-1.0, coeffs[0].T)[1]
-        mid, mid_slope = numerics.legendre(0.0, coeffs[0].T)
+        start_slope = numerics.horner(-1.0, coeffs[0].T)[1]
         # one row per panel: its first node's rho and V, the arclength
-        # across it and to its middle, the arclength's slope at its start
-        # and middle, its middle and half width in xi, and the coefficients
-        # of both maps
+        # across it, the arclength's slope at its start and middle (c[1]),
+        # its middle and half width in xi, and the coefficients of both maps
         self._rows = np.column_stack(
-            (rho_nodes[:-1], vol_nodes[:-1], sums[0], mid,
-             np.maximum(start_slope, 0.0), np.maximum(mid_slope, 0.0),
+            (rho_nodes[:-1], vol_nodes[:-1], sums[0],
+             np.maximum(start_slope, 0.0), np.maximum(coeffs[0][:, 1], 0.0),
              0.5 * (lo + hi), 0.5 * (hi - lo), coeffs[0], coeffs[1]))
         self._starts = rho_nodes[:-1].tolist()
 
@@ -553,14 +553,14 @@ class _ConvertedProfile(_Profile):
                 self._outside(float(rho[outside][0]))
             row = self._rows[np.searchsorted(self._rho_nodes[:-1], rho,
                                              side="right") - 1].T
-        return row, numerics.legendre_inverse(rho - row[0], *row[2:6], row[8:19])
+        return row, numerics.legendre_inverse(rho - row[0], *row[2:5], row[7:18])
 
     def _outside(self, rho: float):
         raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
 
     def _radius(self, row, t):
         """r = a(rho) = r_min + xi^2 at the local variable t of a row."""
-        xi = row[6] + row[7] * t
+        xi = row[5] + row[6] * t
         return self._areal.domain_start + xi * xi
 
     def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
@@ -592,7 +592,7 @@ class _ConvertedProfile(_Profile):
         rho = float(rhos[0]) if one else np.array(rhos, dtype=float)
         row, t = self._solve(rho)
         r = self._radius(row, t)
-        vol = row[1] + numerics.legendre(t, row[19:], slope=False)
+        vol = row[1] + numerics.horner(t, row[18:], slope=False)
         if one:
             return [r], [vol if rho > 0.0 else 0.0]
         return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()
@@ -861,8 +861,9 @@ def table_metric(gauge: Gauge, path: str,
 
 
 def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
-    """Homothety g -> lam^2 g, realized on the radial profile.  Raises
-    ConfigError unless lam is finite and positive."""
+    """Homothety g -> lam^2 g, realized on the radial profile; a base with
+    a volume map gives one too, lam^3 * V(rho/lam).  Raises ConfigError
+    unless lam is finite and positive."""
     if not 0.0 < lam < math.inf:
         raise ConfigError(f"need a finite scale lam > 0, got {lam}")
     base = metric.profile
@@ -881,8 +882,10 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
         v, d1, d2 = base.triple(rs / lam)
         return mul * v, d1 / div1, d2 / div2
 
+    volumes = None if base.volumes is None else (  # lam^3 * V(rho/lam)
+        lambda rhos: [lam ** 3 * v for v in base.volumes([rho / lam for rho in rhos])])
     prof = FuncProfile(fn, arrays, label=f"scaled({lam:g})*{base.describe()}",
-                       r_max=base.r_max * lam)
+                       r_max=base.r_max * lam, volumes=volumes)
     out = RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                        metric.boundary_kind,
                        label=f"scaled:{lam:g}:{metric.label}")
@@ -906,10 +909,12 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     the area never falls, so every sphere is its own outward-minimizing
     hull (``RadialMetric.own_hull``).  The ODE is solved once, on
     [0, rho_max], by ``numerics.picard_panels`` from the panels [0, 1e-2]
-    and 4 geometric panels per decade beyond, calling mu once per node; an
+    and 4 geometric panels per decade beyond, calling mu once per node
+    (``tanh_step_mass_metric`` samples its mass as one array instead); an
     error of mu's propagates, a failed solve is a ConfigError.  a(rho) and
     the volume, the integral of 4*pi*a^2, are two rows of one per-panel
-    Legendre series, which ``eval_d2``, ``values`` and ``volumes`` read by
+    series, 11 monomial coefficients in the panel's local variable, which
+    ``eval_d2``, ``values`` and ``volumes`` read by ``numerics.horner``,
     the same operations on a Python float and on an array; past rho_max
     (by 1e-12 relative) they raise EvalError; a', a'' come from the ODE.
     The array hook (see ``_Profile``) serves ``triple`` by calling mu once
@@ -923,6 +928,15 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     an inner radius goes unnoticed there, while ``eval_d2`` and ``triple``
     at that radius still raise.
     """
+    return _generated(mu, lambda x: np.array([mu(rho)[0] for rho in x.tolist()],
+                                             dtype=float), a0, rho_max, label)
+
+
+def _generated(mu: Callable[[float], Tuple[float, float]],
+               sample: Callable[[np.ndarray], np.ndarray],
+               a0: float, rho_max: float, label: str) -> RadialMetric:
+    """``mass_profile_metric`` with mu's mass at the build's nodes from
+    sample, which maps a 1-D array of radii to it."""
     if not 0.0 < a0 < math.inf:
         raise ConfigError(f"need a finite a0 > 0, got {a0}")
     if not 0.0 < rho_max < math.inf:
@@ -935,8 +949,7 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
         1e-2, rho_max, math.ceil(4.0 * math.log10(rho_max / 1e-2)) + 1))
     try:
         lo, hi, coeffs = numerics.picard_panels(
-            lambda x: np.array([mu(rho)[0] for rho in x.tolist()], dtype=float),
-            lambda m, a: np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m / a)),
+            sample, lambda m, a: np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m / a)),
             lambda a: FOUR_PI * a * a, a0, edges[:-1], edges[1:])
     except NonConvergence as exc:
         raise ConfigError(f"mass-profile integration failed: {exc}") from None
@@ -958,7 +971,7 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
             row = rows[np.searchsorted(lo, rho, side="right") - 1].T
         if first is not None:
             raise EvalError(f"rho={first} outside generated range [0, {rho_max}]")
-        return numerics.legendre((rho - row[0]) / row[1], row[series], slope=False)
+        return numerics.horner((rho - row[0]) / row[1], row[series], slope=False)
 
     def fn(rho: float) -> Tuple[float, float, float]:
         m, mp = mu(rho)  # before the read: mu's error comes first
@@ -1024,8 +1037,11 @@ def tanh_step_mass_metric(mass: float, center: float, width: float,
         return (mass * (t - base) / (1.0 - base),
                 mass * (1.0 - t * t) / (width * (1.0 - base)))
 
+    def sample(x: np.ndarray) -> np.ndarray:  # mu's mass at the build's nodes
+        return mass * (np.tanh((x - center) / width) - base) / (1.0 - base)
+
     label = f"masstep:m={mass:g},c={center:g},w={width:g}"
-    return mass_profile_metric(mu, a0=a0, rho_max=rho_max, label=label)
+    return _generated(mu, sample, a0, rho_max, label)
 
 
 # ---------------------------------------------------------------------------

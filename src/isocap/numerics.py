@@ -5,7 +5,8 @@ adaptive refinement behind it, which halves the panels the fixed rule
 flags level by level on the 21-point Gauss-Kronrod rule, one integrand
 call per level for all of them, within ``ToleranceConfig.max_subdivisions``
 pieces per panel; ``integrate`` is that refinement on one finite interval.
-Antiderivatives as per-panel Legendre series, their inverse and ODE
+Antiderivatives as per-panel series, built from Legendre coefficients and
+kept as monomial ones read by Horner's rule, their inverse and ODE
 solutions as such series by Picard iteration, piecewise cubic Hermite
 interpolation with monotone (PCHIP) slopes, bracketed root finding (Brent
 1973) and a safeguarded Newton pass over many brackets at once, and Aitken
@@ -28,7 +29,7 @@ from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "legendre_panels", "legendre_integral",
-           "legendre", "legendre_inverse", "picard_panels", "hermite",
+           "horner", "legendre_inverse", "picard_panels", "hermite",
            "HermiteSpline", "pchip_slopes",
            "find_root", "newton_roots",
            "extrapolate_limit"]
@@ -252,30 +253,37 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     return gauss_legendre_err(density, lo, hi, cfg)[0]
 
 
-def _legendre_integral_matrix() -> np.ndarray:
-    """The 10x11 matrix from the samples of a density at the nodes
-    _GL_X[:10] to the Legendre coefficients of its antiderivative from -1.
-    The samples fix the degree-9 interpolant sum_n c_n P_n, with
-    c_n = (2n+1)/2 * sum_j w_j P_n(x_j) y_j (the 10-point rule is exact on
-    P_n times the interpolant, of degree <= 18); its antiderivative is
-    c_0 (P_0 + P_1) plus c_n (P_{n+1} - P_{n-1})/(2n+1) for n >= 1."""
-    x = _GL_X[:10]
+def _legendre_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three constant matrices of the degree-10 series on [-1, 1]:
+
+    * 10x11, from the samples of a density at the nodes _GL_X[:10] to the
+      Legendre coefficients of its antiderivative from -1.  The samples fix
+      the degree-9 interpolant sum_n c_n P_n, with
+      c_n = (2n+1)/2 * sum_j w_j P_n(x_j) y_j (the 10-point rule is exact
+      on P_n times the interpolant, of degree <= 18); its antiderivative is
+      c_0 (P_0 + P_1) plus c_n (P_{n+1} - P_{n-1})/(2n+1) for n >= 1.
+    * 10x15, from the same samples to that antiderivative at the 15 nodes
+      _GL_X: the first matrix, then P_0 to P_10 at the nodes.
+    * 11x11, row n the monomial coefficients of P_n, all exact (dyadic
+      rationals, each step's quotient representable).
+
+    Each by the recurrence P_{n+1} = ((2n+1) t P_n - n P_{n-1})/(n+1)."""
+    x = _GL_X
     p = [np.ones_like(x), x]
-    for n in range(1, 9):
+    mono = [np.eye(11)[0], np.eye(11)[1]]
+    for n in range(1, 10):
         p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
-    to_c = np.array([(n + 0.5) * _GL10_W * p[n] for n in range(10)]).T
+        mono.append(((2 * n + 1) * np.roll(mono[n], 1) - n * mono[n - 1]) / (n + 1))
+    to_c = np.array([(n + 0.5) * _GL10_W * p[n][:10] for n in range(10)]).T
     integral = np.zeros((10, 11))
     integral[0, :2] = 1.0
     for n in range(1, 10):
         integral[n, n + 1], integral[n, n - 1] = 1 / (2 * n + 1), -1 / (2 * n + 1)
-    return np.einsum("jn,nk->jk", to_c, integral)
+    to_int = np.einsum("jn,nk->jk", to_c, integral)
+    return to_int, np.einsum("jn,nk->jk", to_int, np.array(p)), np.array(mono)
 
 
-_LEG_INT = _legendre_integral_matrix()
-# the recurrences P_{n+1} = (2n+1)/(n+1) t P_n - n/(n+1) P_{n-1} and
-# P'_{n+1} = P'_{n-1} + (2n+1) P_n, for n = 1 to 9
-_LEG_REC = [((2 * n + 1) / (n + 1), n / (n + 1), 2.0 * n + 1.0)
-            for n in range(1, 10)]
+_LEG_INT, _LEG_TO_NODES, _LEG_TO_MONO = _legendre_matrices()
 _NEWTON_STEPS = 5
 _SLOPE_FLOOR = 1e-10  # of the series' total, added to every Newton slope
 
@@ -290,29 +298,37 @@ def legendre_integral(y: np.ndarray) -> np.ndarray:
     return np.einsum("...j,jk->...k", y, _LEG_INT)
 
 
-def legendre(t, c, slope=True):
-    """The Legendre series sum_n c[n]*P_n(t), 2 to 11 terms, and its
-    derivative in t, by the three-term recurrence: on a Python float t with
-    a sequence of floats c, or on an array t with a sequence of arrays c,
-    with the same operations, so with the same bits.  With slope false, the
-    value alone, with the same bits, and the derivative is not formed."""
-    p0, p1, d0, d1 = 1.0, t, 0.0, 1.0
-    value, d = c[0] + c[1] * t, c[1]
-    for (a, b, k), cn in zip(_LEG_REC, c[2:]):
+def _antiderivative(half: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 11 monomial coefficients in t of ``legendre_integral`` of the
+    samples y times the half widths: Legendre first, then the constant
+    11x11 change of basis.  Folded into one matrix on the samples, the
+    change of basis, with entries up to 427 of alternating sign, would
+    cost digits."""
+    return np.einsum("...j,jk->...k", half[:, None] * legendre_integral(y),
+                     _LEG_TO_MONO)
+
+
+def horner(t, c, slope=True):
+    """The polynomial sum_k c[k]*t^k, 2 to 11 terms, and its derivative in
+    t, by Horner's rule: on a Python float t with a sequence of floats c,
+    or on an array t with a sequence of arrays c, with the same operations,
+    so with the same bits.  With slope false, the value alone, with the
+    same bits, and the derivative is not formed."""
+    value, d = c[-1], 0.0
+    for k, ck in enumerate(c[-2::-1]):
         if slope:
-            d0, d1 = d1, d0 + k * p1
-            d = d + cn * d1
-        p0, p1 = p1, a * t * p1 - b * p0
-        value = value + cn * p1
+            d = d * t + value if k else value
+        value = value * t + ck
     return (value, d) if slope else value
 
 
-def legendre_inverse(q, total, mid, slope0, slope_mid, c):
-    """The t in [-1, 1] where the increasing series c, 0 at t = -1, takes
-    the value q: on a Python float q with a sequence of floats c, or on an
-    array q with a sequence of arrays c, with the same bits.  total and
-    mid are the series at t = 1 and t = 0, slope0 >= 0 and
-    slope_mid >= 0 its slopes at -1 and 0.  The first guess inverts, on
+def legendre_inverse(q, total, slope0, slope_mid, c):
+    """The t in [-1, 1] where the increasing series c (monomial
+    coefficients in t, read by ``horner``), 0 at t = -1, takes the value q:
+    on a Python float q with a sequence of floats c, or on an array q with
+    a sequence of arrays c, with the same bits.  total is the series at
+    t = 1, c[0] its middle value, slope0 >= 0 and slope_mid >= 0 its slopes
+    at -1 and 0 (c[1], raised to 0).  The first guess inverts, on
     the half [-1, 0] or [0, 1] that holds q, the quadratic with the
     half's start value and slope and its end value: exact where the
     density is linear in t, also where it starts from 0, and otherwise off
@@ -334,6 +350,7 @@ def legendre_inverse(q, total, mid, slope0, slope_mid, c):
         sqrt, pick, every = np.sqrt, np.where, np.all
     else:
         sqrt, pick, every = math.sqrt, (lambda upper, a, b: a if upper else b), bool
+    mid = c[0]
     upper = q > mid
     start, s = pick(upper, mid, 0.0), pick(upper, slope_mid, slope0)
     rise = pick(upper, total - mid, mid)
@@ -343,7 +360,7 @@ def legendre_inverse(q, total, mid, slope0, slope_mid, c):
     t = u + pick(upper, 0.0, -1.0)
     before = math.nan  # the t before the current one; equal to no t
     for left in range(_NEWTON_STEPS - 1, -1, -1):
-        value, slope = legendre(t, c)
+        value, slope = horner(t, c)
         step = t - (value - q) / (slope + floor)
         if every((step == t) | (step == before)):
             return t if left % 2 else step
@@ -368,7 +385,7 @@ def _panel_sums(half: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
                     cfg: ToleranceConfig = DEFAULT_CFG
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Antiderivatives of density, panel by panel, as Legendre series.
+    """Antiderivatives of density, panel by panel, as polynomial series.
 
     density maps a 1-D array of points to a 2-D array with one row per
     integrand.  Each panel [lo[k], hi[k]] is sampled at the 15 nodes of
@@ -377,10 +394,11 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     The panels that fail go to ``_refine`` together, with their |10-point
     sums| as scale; the first 10 of a refined piece's 21 nodes are the
     Gauss nodes.  Returns the pieces sorted by lo: their edges lo and hi,
-    each row's antiderivative from lo as 11 coefficients in the local
-    t = (2x - lo - hi)/(hi - lo), ``legendre_integral`` of the 10 Gauss
-    samples times the half width, shape (rows, pieces, 11), and the
-    10-point sums of the same samples, shape (rows, pieces).
+    each row's antiderivative from lo as 11 monomial coefficients in the
+    local t = (2x - lo - hi)/(hi - lo), ``legendre_integral`` of the 10
+    Gauss samples times the half width converted once (read them by
+    ``horner``), shape (rows, pieces, 11), and the 10-point sums of the
+    same samples, shape (rows, pieces).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half, nodes = _panel_nodes(lo, hi)
@@ -389,23 +407,19 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     sums, errs = _panel_sums(half, y)
     good = np.all(errs <= cfg.quad_rel_tol * np.abs(sums), axis=0)
     if good.all():
-        return lo, hi, half[:, None] * legendre_integral(y[..., :10]), sums
-    coeffs = half[good, None] * legendre_integral(y[:, good, :10])
+        return lo, hi, _antiderivative(half, y[..., :10]), sums
+    coeffs = _antiderivative(half[good], y[:, good, :10])
     p_lo, p_hi, p_y, _, _ = _refine(density, lo[~good], hi[~good],
                                     np.abs(sums[:, ~good]), cfg)
     half, p_y = 0.5 * (p_hi - p_lo), p_y[..., :10].swapaxes(0, 1)
     lo, hi = np.concatenate((lo[good], p_lo)), np.concatenate((hi[good], p_hi))
-    coeffs = np.concatenate((coeffs, half[:, None] * legendre_integral(p_y)), axis=1)
+    coeffs = np.concatenate((coeffs, _antiderivative(half, p_y)), axis=1)
     sums = np.concatenate((sums[:, good], half * np.einsum("...j,j->...", p_y, _GL10_W)),
                           axis=1)
     order = np.argsort(lo)
     return lo[order], hi[order], coeffs[:, order], sums[:, order]
 
 
-# from a density's 10 Gauss samples to its antiderivative from -1 at the 15
-# nodes of _panel_nodes: legendre_integral, then P_0 to P_10 at the nodes
-_LEG_TO_NODES = np.einsum("jn,nk->jk", _LEG_INT,
-                          legendre(_GL_X, np.eye(11)[:, :, None], slope=False))
 _PICARD_RTOL, _PICARD_ATOL = 1e-11, 1e-12
 _PICARD_SWEEPS = 200
 
@@ -415,7 +429,7 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
                   density: Callable[[np.ndarray], np.ndarray],
                   y0: float, lo, hi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve y' = rate(d, y), y(lo[0]) = y0, by Picard iteration on
-    per-panel Legendre series over the contiguous panels [lo[k], hi[k]],
+    per-panel polynomial series over the contiguous panels [lo[k], hi[k]],
     and integrate density(y) alongside.
 
     sample maps a 1-D array of points to the data d there; it is called
@@ -426,12 +440,14 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     of the 10-point sums of the panels before.  It halves each panel whose
     10-point sum of y' is off its 5-point one by more than
     1e-11*|y| + 1e-12, y at the panel's end; the halves start from the
-    panel's series.  (Relative to the panel's increment, the test would
-    halve without end where y' falls to 0 like a square root.)  The sweeps
+    panel's series, read by ``horner``.  (Relative to the panel's
+    increment, the test would halve without end where y' falls to 0 like
+    a square root.)  The sweeps
     end when none halves and none moves a node by more than 4 ulp.
     Returns the panels' edges, sorted, and, in each panel's local variable
-    t = (2x - lo - hi)/(hi - lo), the 11 Legendre coefficients of y and of
-    the integral of density(y) from lo[0], shape (2, panels, 11).  Raises
+    t = (2x - lo - hi)/(hi - lo), the 11 monomial coefficients of y and of
+    the integral of density(y) from lo[0], shape (2, panels, 11), each
+    converted once from the Legendre series of ``legendre_integral``.  Raises
     NonConvergence where a rate is not finite, a panel to halve has no
     float inside, or 200 sweeps do not settle.
     """
@@ -450,7 +466,7 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         if not split.any():
             if np.all(np.abs(new - y) <= 4.0 * _EPS * np.abs(new)):
                 v = density(new)
-                coeffs = half[:, None] * legendre_integral(np.stack((r, v))[..., :10])
+                coeffs = _antiderivative(half, np.stack((r, v))[..., :10])
                 coeffs[0, :, 0] += edges[:-1]
                 vsums = _panel_sums(half, v)[0]
                 coeffs[1, :, 0] += np.cumsum(np.concatenate(([0.0], vsums[:-1])))
@@ -465,11 +481,11 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         h, xs = _panel_nodes(new_lo, new_hi)
         # the halves' nodes in the parent's local variable, left halves first
         t = 0.5 * _GL_X + np.repeat([[-0.5], [0.5]], k.size, axis=0)
-        c = half[k, None] * legendre_integral(r[k, :10])
+        c = _antiderivative(half[k], r[k, :10])
         c[:, 0] += edges[k]
         parts = zip((lo, hi, half, data, new),
                     (new_lo, new_hi, h, sample(xs.ravel()).reshape(xs.shape),
-                     legendre(t, np.tile(c, (2, 1)).T[:, :, None], slope=False)))
+                     horner(t, np.tile(c, (2, 1)).T[:, :, None], slope=False)))
         lo, hi, half, data, y = (np.concatenate((v[~split], w)) for v, w in parts)
         order = np.argsort(lo)
         lo, hi, half, data, y = (v[order] for v in (lo, hi, half, data, y))

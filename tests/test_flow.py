@@ -509,20 +509,19 @@ class TestFindJumps:
 
 class TestSampleVolumes:
     def test_one_panel_call_for_all_samples(self, monkeypatch):
-        # a scaled generated metric walks its volumes on panels; the
-        # generated metric reads them all off its volume series at once
+        # a generated metric and its scaled copy read all their sample
+        # volumes off the generated volume series at once, with no panel call
         M = tanh_step_mass_metric(1.0, 5.0, 1.0)
         calls, reads = [], []
         rule, series = numerics.gauss_legendre, M.profile.volumes
         monkeypatch.setattr(numerics, "gauss_legendre",
                             lambda *a: calls.append(a[1].size) or rule(*a))
-        track = weak_imcf(scaled(M, 2.0), 1.0, 6.0, n_samples=40)
-        assert len(calls) == 1
-        assert len(track.samples) == 40
         M.profile.volumes = lambda rhos: reads.append(len(rhos)) or series(rhos)
-        track = weak_imcf(M, 0.5, 6.0, n_samples=40)
-        assert len(calls) == 1 and reads == [40]
-        assert len(track.samples) == 40
+        for metric, rho0 in ((scaled(M, 2.0), 1.0), (M, 0.5)):
+            reads.clear()
+            track = weak_imcf(metric, rho0, 6.0, n_samples=40)
+            assert calls == [] and reads == [40]
+            assert len(track.samples) == 40
 
     @settings(max_examples=25, deadline=None)
     @given(mass=st.floats(0.3, 2.0), center=st.floats(2.0, 8.0),

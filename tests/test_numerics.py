@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.interpolate
 import scipy.optimize
-from numpy.polynomial import legendre
+from numpy.polynomial import legendre, polynomial
 
 from isocap import numerics
 from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket,
@@ -290,33 +290,43 @@ class TestGaussLegendre:
 
 
 class TestLegendreSeries:
-    """``legendre``, ``legendre_integral`` and ``legendre_inverse`` against
-    numpy.polynomial.legendre, and ``legendre_panels``."""
+    """``horner``, ``legendre_integral`` and ``legendre_inverse`` against
+    numpy.polynomial, and ``legendre_panels``."""
 
-    def test_series_matches_legval(self):
+    def test_horner_matches_polyval(self):
         rng = np.random.default_rng(5)
         t = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 500)))
         for n in range(2, 12):
             c = rng.normal(size=n)
-            value, slope = numerics.legendre(t, c)
+            value, slope = numerics.horner(t, c)
             size = np.abs(c).sum()
-            assert np.all(np.abs(value - legendre.legval(t, c)) <= 1e-14 * size)
-            assert np.all(np.abs(slope - legendre.legval(t, legendre.legder(c)))
+            assert np.all(np.abs(value - polynomial.polyval(t, c)) <= 1e-14 * size)
+            assert np.all(np.abs(slope - polynomial.polyval(t, polynomial.polyder(c)))
                           <= 1e-14 * n * n * size)
+
+    def test_monomial_matrix(self):
+        # row n holds the coefficients of P_n exactly, each an integer over
+        # a power of 2 up to 2^10, where numpy's leg2poly rounds
+        mono = numerics._LEG_TO_MONO
+        for n in range(11):
+            want = legendre.leg2poly(np.eye(11)[n])
+            assert np.all(np.abs(mono[n, :n + 1] - want) <= 1e-15 * np.abs(want).sum())
+            assert not mono[n, n + 1:].any()
+        assert np.array_equal(mono * 2.0 ** 10, np.round(mono * 2.0 ** 10))
 
     def test_float_and_array_bits(self):
         rng = np.random.default_rng(6)
         t = rng.uniform(-1.0, 1.0, 300)
         c = rng.normal(size=(11, t.size))  # one series per point
-        got = numerics.legendre(t, c)
-        assert np.array_equal(numerics.legendre(t, c, slope=False), got[0])
+        got = numerics.horner(t, c)
+        assert np.array_equal(numerics.horner(t, c, slope=False), got[0])
         for i in range(t.size):
-            one = numerics.legendre(float(t[i]), c[:, i].tolist())
+            one = numerics.horner(float(t[i]), c[:, i].tolist())
             assert (got[0][i], got[1][i]) == one
             assert all(type(v) is float for v in one)
-            assert numerics.legendre(float(t[i]), c[:, i].tolist(), False) == one[0]
+            assert numerics.horner(float(t[i]), c[:, i].tolist(), False) == one[0]
         q = rng.uniform(0.0, 2.0, t.size)
-        coeffs = numerics.legendre_integral(rng.uniform(0.5, 2.0, (t.size, 10))).T
+        coeffs = self.series(rng.uniform(0.5, 2.0, (t.size, 10))).T
         guide = self.guide(coeffs)
         many = numerics.legendre_inverse(q * guide[0] / 2.0, *guide, coeffs)
         for i in range(t.size):
@@ -325,12 +335,16 @@ class TestLegendreSeries:
                 coeffs[:, i].tolist())
 
     @staticmethod
+    def series(y):
+        """The monomial series of the antiderivative of each row of y, 10
+        samples at the Gauss nodes, on [-1, 1], as the builds keep it."""
+        return numerics._antiderivative(np.ones(len(y)), y)
+
+    @staticmethod
     def guide(c):
-        """The total, middle value and start and middle slopes of the series
-        c (one per column), as ``legendre_inverse`` takes them."""
-        total = numerics.legendre(1.0, c)[0]
-        mid, slope_mid = numerics.legendre(0.0, c)
-        return total, mid, numerics.legendre(-1.0, c)[1], slope_mid
+        """The total and start and middle slopes of the series c (one per
+        column), as ``legendre_inverse`` takes them."""
+        return numerics.horner(1.0, c)[0], numerics.horner(-1.0, c)[1], c[1]
 
     def test_half_panel_guess_bits(self, monkeypatch):
         # the first guess alone, on floats and on arrays, at the ends of the
@@ -340,12 +354,12 @@ class TestLegendreSeries:
         # which it meets up to the slope floor of 1e-10 of the total
         monkeypatch.setattr(numerics, "_NEWTON_STEPS", 0)
         k = np.random.default_rng(9).uniform(-0.9, 0.9, (50, 1))
-        coeffs = numerics.legendre_integral(np.exp(k * numerics._GL_X[:10])).T
-        total, mid, slope0, slope_mid = self.guide(coeffs)
-        for q, want in ((np.zeros(50), -1.0), (mid, 0.0), (total, 1.0)):
-            many = numerics.legendre_inverse(q, total, mid, slope0, slope_mid, coeffs)
+        coeffs = self.series(np.exp(k * numerics._GL_X[:10])).T
+        total, slope0, slope_mid = self.guide(coeffs)
+        for q, want in ((np.zeros(50), -1.0), (coeffs[0], 0.0), (total, 1.0)):
+            many = numerics.legendre_inverse(q, total, slope0, slope_mid, coeffs)
             one = [numerics.legendre_inverse(
-                float(q[i]), float(total[i]), float(mid[i]), float(slope0[i]),
+                float(q[i]), float(total[i]), float(slope0[i]),
                 float(slope_mid[i]), coeffs[:, i].tolist()) for i in range(50)]
             assert np.array_equal(many, one)
             assert all(type(t) is float for t in one)
@@ -368,14 +382,14 @@ class TestLegendreSeries:
     def test_inverse(self, density):
         # the root of each value, also where the density starts from 0, on
         # densities that change by more than those of panels that pass
-        c = numerics.legendre_integral(density(numerics._GL_X[:10]))
-        total, mid = legendre.legval(1.0, c), legendre.legval(0.0, c)
-        slope0, slope_mid = (max(legendre.legval(t, legendre.legder(c)), 0.0)
+        c = self.series(density(numerics._GL_X[:10])[None])[0]
+        total = polynomial.polyval(1.0, c)
+        slope0, slope_mid = (max(polynomial.polyval(t, polynomial.polyder(c)), 0.0)
                              for t in (-1.0, 0.0))
-        q = np.concatenate(([0.0, 1e-300, 1e-12 * total, mid, total],
+        q = np.concatenate(([0.0, 1e-300, 1e-12 * total, c[0], total],
                             np.linspace(0.0, total, 1001)))
-        t = numerics.legendre_inverse(q, total, mid, slope0, slope_mid, c)
-        assert np.all(np.abs(legendre.legval(t, c) - q) <= 1e-14 * total)
+        t = numerics.legendre_inverse(q, total, slope0, slope_mid, c)
+        assert np.all(np.abs(polynomial.polyval(t, c) - q) <= 1e-14 * total)
         # where the density starts from 0 the series is flat at t = -1, so
         # its rounding there moves the root by up to about sqrt(eps)
         assert np.all(np.abs(t) <= 1.0 + 1e-7)
@@ -393,7 +407,7 @@ class TestLegendreSeries:
         x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * t
         for row, exact in enumerate((lambda v: np.exp(v), lambda v: np.log1p(v))):
             want = exact(x) - exact(lo)[:, None]
-            got = np.array([legendre.legval(t, c) for c in coeffs[row]])
+            got = np.array([polynomial.polyval(t, c) for c in coeffs[row]])
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
             assert np.allclose(sums[row], want[:, -1], rtol=1e-14, atol=0.0)
 
@@ -416,7 +430,7 @@ class TestLegendreSeries:
             x = 0.5 * (lo[k] + hi[k]) + 0.5 * (hi[k] - lo[k]) * t
             exact = lambda v: np.where(v < 0.3, 0.3 * v - 0.5 * v * v,  # noqa: E731
                                        0.045 + 0.5 * (v - 0.3) ** 2)
-            got = legendre.legval(t, coeffs[1, k])
+            got = polynomial.polyval(t, coeffs[1, k])
             assert np.all(np.abs(got - (exact(x) - exact(lo[k]))) <= 1e-12)
 
     def test_panels_exhausted_budget(self):

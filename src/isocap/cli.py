@@ -287,9 +287,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler, fmt = _COMMANDS[args.command]
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        finally:  # --help writes its text, then exits: flush it in here
+            sys.stdout.flush()
+        handler, fmt = _COMMANDS[args.command]
         cp = _load_config(args.config)
         metric = _resolve_metric(args, cp)
         cfg = _resolve_tolerances(cp)

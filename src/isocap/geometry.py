@@ -468,8 +468,8 @@ def sphere_data(metric: RadialMetric, rho: float,
 # Gauge conversion
 
 # geometric panels of xi between the first offset and the conversion limit,
-# about 50 per decade of xi
-_XI_PANELS = 400
+# about 17 per decade, where the inverse's first guess misses a by < 5e-8
+_XI_PANELS = 134
 
 
 class _ConvertedProfile(_Profile):
@@ -489,11 +489,12 @@ class _ConvertedProfile(_Profile):
 
     ``_solve`` finds the panel of rho among the arclength nodes, inverts
     the panel's arclength series in its local variable
-    (``numerics.legendre_inverse``, from the series' slope at the panel's
-    start, kept per panel, and its middle value and slope c[0] and c[1]; no
-    quadrature and no profile call: up to five Newton steps, which stop
-    once the iterate repeats, at a fixed point or on a 2-cycle, with the
-    bits of all five) and reads the volume off the other series there, its
+    (``numerics.legendre_inverse``, from the series' slopes at the panel's
+    start and end, kept per panel, and its middle value and slope c[0] and
+    c[1], which give a cubic first guess on each half; no quadrature and no
+    profile call: up to five Newton steps, which stop once the iterate
+    repeats, at a fixed point or on a 2-cycle, with the bits of all five)
+    and reads the volume off the other series there, its
     value alone, each read by ``numerics.horner``.  So one solve gives
     a(rho) and the volume of the sphere at rho, and a converted metric's
     ``volumes`` and ``spheres`` read them from here.  The same body runs on
@@ -523,13 +524,13 @@ class _ConvertedProfile(_Profile):
         self._r_nodes = r_min + np.append(lo, hi[-1]) ** 2  # r at each rho node
         self._rho_nodes = rho_nodes
         self.r_max = float(rho_nodes[-1])
-        start_slope = numerics.horner(-1.0, coeffs[0].T)[1]
+        start, end = numerics.horner(np.array([[-1.0], [1.0]]), coeffs[0].T)[1]
         # one row per panel: its first node's rho and V, the arclength
-        # across it, the arclength's slope at its start and middle (c[1]),
-        # its middle and half width in xi, and the coefficients of both maps
+        # across it, the arclength's slope at its start, middle (c[1]) and
+        # end, its middle and half width in xi, and both maps' coefficients
         self._rows = np.column_stack(
             (rho_nodes[:-1], vol_nodes[:-1], sums[0],
-             np.maximum(start_slope, 0.0), np.maximum(coeffs[0][:, 1], 0.0),
+             *np.maximum((start, coeffs[0][:, 1], end), 0.0),
              0.5 * (lo + hi), 0.5 * (hi - lo), coeffs[0], coeffs[1]))
         self._starts = rho_nodes[:-1].tolist()
 
@@ -553,14 +554,14 @@ class _ConvertedProfile(_Profile):
                 self._outside(float(rho[outside][0]))
             row = self._rows[np.searchsorted(self._rho_nodes[:-1], rho,
                                              side="right") - 1].T
-        return row, numerics.legendre_inverse(rho - row[0], *row[2:5], row[7:18])
+        return row, numerics.legendre_inverse(rho - row[0], *row[2:6], row[8:19])
 
     def _outside(self, rho: float):
         raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
 
     def _radius(self, row, t):
         """r = a(rho) = r_min + xi^2 at the local variable t of a row."""
-        xi = row[5] + row[6] * t
+        xi = row[6] + row[7] * t
         return self._areal.domain_start + xi * xi
 
     def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
@@ -592,7 +593,7 @@ class _ConvertedProfile(_Profile):
         rho = float(rhos[0]) if one else np.array(rhos, dtype=float)
         row, t = self._solve(rho)
         r = self._radius(row, t)
-        vol = row[1] + numerics.horner(t, row[18:], slope=False)
+        vol = row[1] + numerics.horner(t, row[19:], slope=False)
         if one:
             return [r], [vol if rho > 0.0 else 0.0]
         return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()

@@ -322,23 +322,27 @@ def horner(t, c, slope=True):
     return (value, d) if slope else value
 
 
-def legendre_inverse(q, total, slope0, slope_mid, c):
+def legendre_inverse(q, total, slope0, slope_mid, slope1, c):
     """The t in [-1, 1] where the increasing series c (monomial
     coefficients in t, read by ``horner``), 0 at t = -1, takes the value q:
     on a Python float q with a sequence of floats c, or on an array q with
     a sequence of arrays c, with the same bits.  total is the series at
-    t = 1, c[0] its middle value, slope0 >= 0 and slope_mid >= 0 its slopes
-    at -1 and 0 (c[1], raised to 0).  The first guess inverts, on
-    the half [-1, 0] or [0, 1] that holds q, the quadratic with the
-    half's start value and slope and its end value: exact where the
-    density is linear in t, also where it starts from 0, and otherwise off
-    by about the cube of the panel width, an eighth of what the quadratic
-    across the whole panel misses.  Up to five Newton steps follow: they
-    settle to rounding a density exp(t), which changes by a factor of 7.4
-    across [-1, 1], while exp(a*t) passes the check of ``legendre_panels``
-    only for a below 0.9, a factor of 6.  Every slope is raised by 1e-10 of
-    total: that leaves the root where it is and barely slows the steps,
-    but keeps them finite where the density vanishes.
+    t = 1, c[0] its middle value, slope0, slope_mid and slope1 >= 0 its
+    slopes at -1, 0 (c[1]) and 1, each raised to 0.  The first guess
+    inverts, on the half [-1, 0] or [0, 1] that holds q, the quadratic with
+    the half's start value and slope and its end value, then takes one
+    Newton step on the half's cubic Hermite model, which adds the end
+    slope, unless the step is longer than u*(1 - u) in the half's variable
+    u in [0, 1], where the two models part.  It reads no series, and it is
+    exact where the density is quadratic in t but for that step's
+    residual, of second order in the quadratic's miss, and otherwise off
+    by about the fourth power of the panel width.  Up to five Newton steps
+    on the series follow: they settle to rounding a density exp(t), which
+    changes by a factor of 7.4 across [-1, 1], while exp(a*t) passes the
+    check of ``legendre_panels`` only for a below 0.9, a factor of 6.
+    Every slope is raised by 1e-10 of total: that leaves the root where it
+    is and barely slows the steps, but keeps them finite where the density
+    vanishes.
 
     A step is a function of t alone, so the steps stop, with the t that
     all five would end on, once each t repeats: a step that returns its
@@ -357,7 +361,11 @@ def legendre_inverse(q, total, slope0, slope_mid, c):
     floor = _SLOPE_FLOOR * total
     part = q - start
     u = 2.0 * part / (s + sqrt(abs(s * s + 4.0 * (rise - s) * part)) + floor)
-    t = u + pick(upper, 0.0, -1.0)
+    # the Hermite cubic exceeds that quadratic by cubic * u^2 * (u - 1)
+    cubic = s + pick(upper, slope1, slope_mid) - 2.0 * rise
+    rate = s + u * (2.0 * (rise - s) + cubic * (3.0 * u - 2.0)) + floor
+    step = u - cubic * u * u * (u - 1.0) / rate
+    t = pick(abs(cubic) * u <= rate, step, u) + pick(upper, 0.0, -1.0)
     before = math.nan  # the t before the current one; equal to no t
     for left in range(_NEWTON_STEPS - 1, -1, -1):
         value, slope = horner(t, c)

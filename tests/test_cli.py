@@ -606,6 +606,24 @@ class TestBrokenPipe:
         assert first == b"t,rho,area,volume,H,m_H,willmore,R,jump_flag\n"
         assert err == b""
 
+    @pytest.mark.parametrize("argv", [("--help",), ("mass", "--help")],
+                             ids=["top", "mass"])
+    def test_help_into_closed_pipe(self, argv):
+        # block-buffered standard output whose reader is gone before the
+        # start: the help text meets the closed pipe in main's flush
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "isocap", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
 
 class TestModuleEntry:
     def test_python_m_isocap(self):

@@ -364,8 +364,10 @@ class TestGaugeConversionAccuracy:
         sizes.clear()
         refined.clear()
         G = to_geodesic(schwarzschild(1.0))
-        # one density call on the 15 nodes of each of the 400 panels
-        assert sizes == [6000] and refined == []
+        # one density call on the 15 nodes of each of the 134 panels, and
+        # no panel refined
+        assert sizes == [2010]
+        assert refined == []
         for owner, name in ((numerics, "gauss_legendre_err"),
                             (numerics, "gauss_legendre"),
                             (numerics, "legendre_panels"),
@@ -381,6 +383,14 @@ class TestGaugeConversionAccuracy:
                 calls.clear()
                 call()
                 assert calls == ({"eval_d2": 1} if parent_calls else {})
+        # the Horner reads of the 20 sphere_data calls: at most the 70 of a
+        # quadratic first guess on 400 panels
+        reads, series = [], numerics.horner
+        monkeypatch.setattr(numerics, "horner", lambda t, c, slope=True: reads.append(
+            slope) or series(t, c, slope))
+        for k in range(20):
+            sphere_data(G, 1e-2 * 1e5 ** (k / 19))
+        assert len(reads) <= 70
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_in_panel_guess(self, m, monkeypatch):
@@ -433,7 +443,7 @@ class TestGaugeConversionAccuracy:
             assert type(got) is type(ts[-1])
             assert np.asarray(got).tobytes() == np.asarray(ts[-1]).tobytes()
             cycles[type(got)] += np.sum((ts[-1] == ts[-3]) & (ts[-1] != ts[-2]))
-        # on Horner's rule 168 (no throat) to 354 (rn) of the 4003 radii end
+        # on Horner's rule 182 (no throat) to 366 (rn) of the 4003 radii end
         # in a 2-cycle, on either path
         assert min(cycles.values()) >= 100
 

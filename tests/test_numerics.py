@@ -342,9 +342,10 @@ class TestLegendreSeries:
 
     @staticmethod
     def guide(c):
-        """The total and start and middle slopes of the series c (one per
-        column), as ``legendre_inverse`` takes them."""
-        return numerics.horner(1.0, c)[0], numerics.horner(-1.0, c)[1], c[1]
+        """The total and start, middle and end slopes of the series c (one
+        per column), as ``legendre_inverse`` takes them."""
+        total, end = numerics.horner(1.0, c)
+        return total, numerics.horner(-1.0, c)[1], c[1], end
 
     def test_half_panel_guess_bits(self, monkeypatch):
         # the first guess alone, on floats and on arrays, at the ends of the
@@ -355,15 +356,39 @@ class TestLegendreSeries:
         monkeypatch.setattr(numerics, "_NEWTON_STEPS", 0)
         k = np.random.default_rng(9).uniform(-0.9, 0.9, (50, 1))
         coeffs = self.series(np.exp(k * numerics._GL_X[:10])).T
-        total, slope0, slope_mid = self.guide(coeffs)
-        for q, want in ((np.zeros(50), -1.0), (coeffs[0], 0.0), (total, 1.0)):
-            many = numerics.legendre_inverse(q, total, slope0, slope_mid, coeffs)
+        guide = self.guide(coeffs)
+        for q, want in ((np.zeros(50), -1.0), (coeffs[0], 0.0), (guide[0], 1.0)):
+            many = numerics.legendre_inverse(q, *guide, coeffs)
             one = [numerics.legendre_inverse(
-                float(q[i]), float(total[i]), float(slope0[i]),
-                float(slope_mid[i]), coeffs[:, i].tolist()) for i in range(50)]
+                float(q[i]), *(float(g[i]) for g in guide), coeffs[:, i].tolist())
+                for i in range(50)]
             assert np.array_equal(many, one)
             assert all(type(t) is float for t in one)
             assert np.all(np.abs(many - want) <= 1e-9)
+
+    @pytest.mark.parametrize("b", [1e-1, 1e-2, 1e-3, 1e-4])
+    def test_cubic_guess(self, b, monkeypatch):
+        # the first guess alone on series of degree 3, densities 1 + a*t +
+        # b*t^2, where the half's cubic Hermite model is exact: what is left
+        # is the residual of the one Newton step on it, of second order in
+        # b where the quadratic misses by first order, and the slope floor's
+        # 1e-10; on both halves, with the same bits on floats and arrays
+        rng = np.random.default_rng(10)
+        x = numerics._GL_X[:10]
+        a = rng.uniform(-0.5, 0.5, (100, 1))
+        b = b * rng.choice([-1.0, 1.0], (100, 1))
+        coeffs = self.series(1.0 + a * x + b * x * x).T
+        guide = self.guide(coeffs)
+        q = rng.uniform(0.0, 1.0, 100) * guide[0]
+        assert np.any(q < coeffs[0]) and np.any(q > coeffs[0])
+        root = numerics.legendre_inverse(q, *guide, coeffs)
+        monkeypatch.setattr(numerics, "_NEWTON_STEPS", 0)
+        many = numerics.legendre_inverse(q, *guide, coeffs)
+        one = [numerics.legendre_inverse(
+            float(q[i]), *(float(g[i]) for g in guide), coeffs[:, i].tolist())
+            for i in range(100)]
+        assert np.array_equal(many, one)
+        assert np.all(np.abs(many - root) <= 0.01 * b[:, 0] ** 2 + 1e-9)
 
     def test_transform_exact_to_degree_9(self):
         rng = np.random.default_rng(8)
@@ -377,18 +402,19 @@ class TestLegendreSeries:
 
     @pytest.mark.parametrize("density", [
         lambda x: 1.0 + 0.5 * np.sin(3.0 * x), lambda x: x + 1.0,
-        lambda x: np.exp(x), lambda x: 1.0 / (1.0 + 4.0 * x * x)],
-        ids=["wavy", "from-zero", "exp", "bump"])
+        lambda x: np.exp(x), lambda x: 1.0 / (1.0 + 4.0 * x * x),
+        lambda x: (x + 1.0) * np.exp(1.5 * x)],
+        ids=["wavy", "from-zero", "exp", "bump", "from-zero-steep"])
     def test_inverse(self, density):
         # the root of each value, also where the density starts from 0, on
         # densities that change by more than those of panels that pass
         c = self.series(density(numerics._GL_X[:10])[None])[0]
         total = polynomial.polyval(1.0, c)
-        slope0, slope_mid = (max(polynomial.polyval(t, polynomial.polyder(c)), 0.0)
-                             for t in (-1.0, 0.0))
+        slopes = (max(polynomial.polyval(t, polynomial.polyder(c)), 0.0)
+                  for t in (-1.0, 0.0, 1.0))
         q = np.concatenate(([0.0, 1e-300, 1e-12 * total, c[0], total],
                             np.linspace(0.0, total, 1001)))
-        t = numerics.legendre_inverse(q, total, slope0, slope_mid, c)
+        t = numerics.legendre_inverse(q, total, *slopes, c)
         assert np.all(np.abs(polynomial.polyval(t, c) - q) <= 1e-14 * total)
         # where the density starts from 0 the series is flat at t = -1, so
         # its rounding there moves the root by up to about sqrt(eps)

@@ -68,10 +68,11 @@ class BoundaryKind(enum.Enum):
 # array; sphere data, critical-point probes and the flow's Newton steps call
 # triple once per array.  A family supplies eval_d2 and one hook,
 # _arrays(rs, parts), which computes the first parts (1 or 3) of the arrays
-# with in-repo code (tables through numerics.HermiteSpline, the conversion
-# through its per-panel series), or returns None where some radius fails;
-# _Profile then runs eval_d2 radius by radius, which raises the error of the
-# first failing radius.
+# with in-repo code (a numerics.PanelSeries for tables, conversions and
+# generated metrics, whose array read raises the error of the first radius
+# out of its range), or returns None where some radius fails; _Profile then
+# runs eval_d2 radius by radius, which raises the error of the first
+# failing radius.
 
 Triples = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -148,11 +149,12 @@ class FuncProfile(_Profile):
 
 class TableProfile(_Profile):
     """Monotone piecewise cubic interpolation of tabulated (radius, value)
-    pairs: ``numerics.HermiteSpline`` with the node slopes of
-    ``numerics.pchip_slopes`` (Fritsch and Carlson 1980), computed once.
-    It preserves the monotonicity of the data between nodes; its first
-    derivative is continuous and its second is not, so curvatures that use
-    f' or a'' are less accurate than values."""
+    pairs: the cubic Hermite form on a one-row ``numerics.PanelSeries``,
+    with the node slopes of ``numerics.pchip_slopes`` (Fritsch and Carlson
+    1980), computed once.  It preserves the monotonicity of the data
+    between nodes; its first derivative is continuous and its second is
+    not, so curvatures that use f' or a'' are less accurate than values.
+    Radii and values must be finite (ConfigError otherwise)."""
 
     def __init__(self, radii: Sequence[float], values: Sequence[float],
                  label: str = "table"):
@@ -160,26 +162,31 @@ class TableProfile(_Profile):
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 4:
             raise ConfigError("table profile needs >= 4 (radius, value) rows")
-        if np.any(np.diff(radii) <= 0):
+        if not (np.isfinite(radii).all() and np.isfinite(values).all()):
+            raise ConfigError("table radii and values must be finite")
+        h = np.diff(radii)
+        if np.any(h <= 0):
             raise ConfigError("table radii must be strictly increasing")
-        self._spline = numerics.HermiteSpline(
-            radii, values, numerics.pchip_slopes(radii, values))
-        self.r_min = float(radii[0])
+        dy, slopes = np.diff(values), numerics.pchip_slopes(radii, values)
+        d0, d1 = h * slopes[:-1], h * slopes[1:]
+        coeffs = np.stack((np.zeros_like(h), d0, 3.0 * dy - 2.0 * d0 - d1,
+                           d0 + d1 - 2.0 * dy), axis=-1)
+        self.series = numerics.PanelSeries(radii, radii[:-1], h, values[None],
+                                           coeffs[None], "table")
         self.r_max = float(radii[-1])
         self.label = label
 
-    def eval_d2(self, r: float) -> Tuple[float, float, float]:
-        if r < self.r_min - 1e-12 or r > self.r_max * (1 + 1e-12):
-            raise EvalError(f"radius {r} outside table range "
-                            f"[{self.r_min}, {self.r_max}]")
-        return self._spline(r)
+    def _arrays(self, r, parts: int) -> tuple:
+        """The first parts of (value, d1, d2) at a float or a 1-D array."""
+        p, t = self.series.at(r)
+        h, y0, (_, d0, c2, c3) = self.series.local(p)
+        v = y0 + t * (d0 + t * (c2 + t * c3))
+        if parts == 1:
+            return (v,)
+        return v, (d0 + t * (2.0 * c2 + 3.0 * t * c3)) / h, (2.0 * c2 + 6.0 * t * c3) / (h * h)
 
-    def _arrays(self, rs: np.ndarray, parts: int) -> Optional[tuple]:
-        if rs.size and (rs.min() < self.r_min - 1e-12
-                        or rs.max() > self.r_max * (1 + 1e-12)):
-            return None
-        return ((self._spline.values(rs),) if parts == 1
-                else self._spline.triple(rs))
+    def eval_d2(self, r: float) -> Tuple[float, float, float]:
+        return self._arrays(float(r), 3)
 
     def describe(self) -> str:
         return self.label
@@ -479,29 +486,23 @@ class _ConvertedProfile(_Profile):
     metric's ``_xi_density``, which stays smooth through a simple zero of f
     at r_min.  The build splits xi into ``_XI_PANELS`` geometric panels up
     to min(cutoff_radius, r_max), halving those that need it
-    (``numerics.legendre_panels``), and keeps two maps of xi as per-panel
-    monomial series of degree 10, both from one set of density samples:
-    the arclength rho(xi), the integral of that density, and the
-    enclosed volume V(xi), the integral of 4*pi*r^2 times it.  Near
-    a throat both maps carry the error of the quadratic Taylor band of
-    ``_xi_density``, up to about 1e-11 relative, and it cancels because
-    they share their samples.
+    (``numerics.legendre_panels``), and keeps two maps of xi, both from one
+    set of density samples, as the rows of one ``numerics.PanelSeries``:
+    the arclength rho(xi), the integral of that density, and the enclosed
+    volume V(xi), the integral of 4*pi*r^2 times it.  Near a throat both
+    maps carry the error of the quadratic Taylor band of ``_xi_density``,
+    up to about 1e-11 relative, and it cancels because they share their
+    samples.
 
-    ``_solve`` finds the panel of rho among the arclength nodes, inverts
-    the panel's arclength series in its local variable
-    (``numerics.legendre_inverse``, from the series' slopes at the panel's
-    start and end, kept per panel, and its middle value and slope c[0] and
-    c[1], which give a cubic first guess on each half; no quadrature and no
-    profile call: up to five Newton steps, which stop once the iterate
-    repeats, at a fixed point or on a 2-cycle, with the bits of all five)
-    and reads the volume off the other series there, its
-    value alone, each read by ``numerics.horner``.  So one solve gives
-    a(rho) and the volume of the sphere at rho, and a converted metric's
-    ``volumes`` and ``spheres`` read them from here.  The same body runs on
-    a Python float, for one radius, and on an array, for many, with equal
-    bits.  Derivatives use the closed forms a' = sqrt(f(a)), a'' = f'(a)/2,
-    which are exact along the gauge change, from one parent call: ``eval_d2``
-    for one radius, ``triple`` for many.
+    The sphere at rho has r = a(rho) = r_min + xi^2 where the series'
+    ``solve`` inverts the arclength (no quadrature and no profile call),
+    and its volume is the other row read there.  So one solve gives a(rho)
+    and the volume of the sphere at rho, and a converted metric's
+    ``volumes`` and ``spheres`` read them from here, on a Python float for
+    one radius and on an array for many, with equal bits.  Derivatives use
+    the closed forms a' = sqrt(f(a)), a'' = f'(a)/2, which are exact along
+    the gauge change, from one parent call: ``eval_d2`` for one radius,
+    ``triple`` for many.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
@@ -515,24 +516,12 @@ class _ConvertedProfile(_Profile):
         self._density = areal._xi_density
         offsets = np.geomspace(first, span - r_min, _XI_PANELS)
         xi = np.sqrt(np.concatenate(([r_min], r_min + offsets)) - r_min)
-        lo, hi, coeffs, sums = numerics.legendre_panels(
-            self._map_density, xi[:-1], xi[1:], cfg)
-        rho_nodes, vol_nodes = np.concatenate(
-            (np.zeros((2, 1)), np.cumsum(sums, axis=1)), axis=1)
-        if not np.all(np.diff(rho_nodes) > 0):
+        self.series = numerics.PanelSeries.integral(
+            *numerics.legendre_panels(self._map_density, xi[:-1], xi[1:], cfg),
+            (0.0, 0.0), "converted")
+        if not np.all(np.diff(self.series.nodes[0]) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
-        self._r_nodes = r_min + np.append(lo, hi[-1]) ** 2  # r at each rho node
-        self._rho_nodes = rho_nodes
-        self.r_max = float(rho_nodes[-1])
-        start, end = numerics.horner(np.array([[-1.0], [1.0]]), coeffs[0].T)[1]
-        # one row per panel: its first node's rho and V, the arclength
-        # across it, the arclength's slope at its start, middle (c[1]) and
-        # end, its middle and half width in xi, and both maps' coefficients
-        self._rows = np.column_stack(
-            (rho_nodes[:-1], vol_nodes[:-1], sums[0],
-             *np.maximum((start, coeffs[0][:, 1], end), 0.0),
-             0.5 * (lo + hi), 0.5 * (hi - lo), coeffs[0], coeffs[1]))
-        self._starts = rho_nodes[:-1].tolist()
+        self.r_max = float(self.series.nodes[0, -1])
 
     def _map_density(self, xi: np.ndarray) -> np.ndarray:
         """d(rho)/d(xi) and dV/d(xi) at each xi of a 1-D array, as two rows."""
@@ -540,35 +529,16 @@ class _ConvertedProfile(_Profile):
         r = self._areal.domain_start + xi * xi
         return np.stack((d, FOUR_PI * r * r * d))
 
-    def _solve(self, rho):
-        """The row of the panel that holds rho and the local variable t
-        there, on a Python float or on each element of a 1-D array alike."""
-        limit = self.r_max * (1 + 1e-12)
-        if isinstance(rho, float):
-            if not 0.0 <= rho <= limit:
-                self._outside(rho)
-            row = self._rows[bisect_right(self._starts, rho) - 1].tolist()
-        else:
-            outside = ~((rho >= 0.0) & (rho <= limit))
-            if np.any(outside):
-                self._outside(float(rho[outside][0]))
-            row = self._rows[np.searchsorted(self._rho_nodes[:-1], rho,
-                                             side="right") - 1].T
-        return row, numerics.legendre_inverse(rho - row[0], *row[2:6], row[8:19])
-
-    def _outside(self, rho: float):
-        raise EvalError(f"rho={rho} outside converted range [0, {self.r_max}]")
-
-    def _radius(self, row, t):
-        """r = a(rho) = r_min + xi^2 at the local variable t of a row."""
-        xi = row[6] + row[7] * t
-        return self._areal.domain_start + xi * xi
+    def _radius(self, rho):
+        """a(rho) and the series' piece and t, at a float or a 1-D array."""
+        p, t = self.series.solve(rho)
+        xi = self.series.point(p, t)
+        return self._areal.domain_start + xi * xi, p, t
 
     def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
         """``_triple`` at each rho of an array, from one array solve."""
         try:
-            return self._triples(self._radius(*self._solve(
-                np.asarray(rhos, dtype=float))))[:parts]
+            return self._triples(self._radius(np.asarray(rhos, dtype=float))[0])[:parts]
         except IsocapError:  # the scalar path raises its first error
             return None
 
@@ -583,7 +553,7 @@ class _ConvertedProfile(_Profile):
         return r, np.sqrt(np.where(f < 0.0, 0.0, f)), 0.5 * fp
 
     def eval_d2(self, rho: float) -> Tuple[float, float, float]:
-        return self._triple(self._radius(*self._solve(float(rho))))
+        return self._triple(self._radius(float(rho))[0])
 
     def solve_list(self, rhos: Sequence[float]) -> Tuple[List[float], List[float]]:
         """a(rho) and the enclosed volume at each rho of a list: on Python
@@ -591,9 +561,8 @@ class _ConvertedProfile(_Profile):
         rho = 0, the inner boundary, is exactly 0."""
         one = len(rhos) == 1
         rho = float(rhos[0]) if one else np.array(rhos, dtype=float)
-        row, t = self._solve(rho)
-        r = self._radius(row, t)
-        vol = row[1] + numerics.horner(t, row[19:], slope=False)
+        r, p, t = self._radius(rho)
+        vol = self.series.read(p, t, 1)
         if one:
             return [r], [vol if rho > 0.0 else 0.0]
         return r.tolist(), np.where(rho > 0.0, vol, 0.0).tolist()
@@ -913,11 +882,10 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     and 4 geometric panels per decade beyond, calling mu once per node
     (``tanh_step_mass_metric`` samples its mass as one array instead); an
     error of mu's propagates, a failed solve is a ConfigError.  a(rho) and
-    the volume, the integral of 4*pi*a^2, are two rows of one per-panel
-    series, 11 monomial coefficients in the panel's local variable, which
-    ``eval_d2``, ``values`` and ``volumes`` read by ``numerics.horner``,
-    the same operations on a Python float and on an array; past rho_max
-    (by 1e-12 relative) they raise EvalError; a', a'' come from the ODE.
+    the volume, the integral of 4*pi*a^2, are the two rows of one
+    ``numerics.PanelSeries``, which ``eval_d2``, ``values`` and
+    ``volumes`` read, with its range rule past rho_max; a', a'' come from
+    the ODE.
     The array hook (see ``_Profile``) serves ``triple`` by calling mu once
     per radius on a Python float, as ``eval_d2`` does, and running the a',
     a'' arithmetic in numpy with the same bits; where any radius stalls,
@@ -949,34 +917,16 @@ def _generated(mu: Callable[[float], Tuple[float, float]],
     edges = np.append(0.0, [rho_max] if rho_max <= 1e-2 else np.geomspace(
         1e-2, rho_max, math.ceil(4.0 * math.log10(rho_max / 1e-2)) + 1))
     try:
-        lo, hi, coeffs = numerics.picard_panels(
+        series = numerics.PanelSeries.integral(*numerics.picard_panels(
             sample, lambda m, a: np.sqrt(np.maximum(0.0, 1.0 - 2.0 * m / a)),
-            lambda a: FOUR_PI * a * a, a0, edges[:-1], edges[1:])
+            lambda a: FOUR_PI * a * a, a0, edges[:-1], edges[1:]), (a0, 0.0),
+            "generated")
     except NonConvergence as exc:
         raise ConfigError(f"mass-profile integration failed: {exc}") from None
-    # one row per panel: its middle and half width, then the coefficients
-    # of a and of the volume
-    rows = np.column_stack((0.5 * (lo + hi), 0.5 * (hi - lo), *coeffs))
-    starts, lists, limit = lo.tolist(), rows.tolist(), rho_max * (1 + 1e-12)
-    warping, volume = slice(2, 13), slice(13, 24)
-
-    def read(rho, series: slice):
-        """A series of the rows at a Python float or at each element of an
-        array (no closure refers to itself: the profile dies by refcount)."""
-        if isinstance(rho, float):
-            first = None if 0.0 <= rho <= limit else rho
-            row = lists[bisect_right(starts, rho) - 1]
-        else:
-            outside = ~((rho >= 0.0) & (rho <= limit))
-            first = float(rho[outside][0]) if outside.any() else None
-            row = rows[np.searchsorted(lo, rho, side="right") - 1].T
-        if first is not None:
-            raise EvalError(f"rho={first} outside generated range [0, {rho_max}]")
-        return numerics.horner((rho - row[0]) / row[1], row[series], slope=False)
 
     def fn(rho: float) -> Tuple[float, float, float]:
         m, mp = mu(rho)  # before the read: mu's error comes first
-        a = read(rho, warping)
+        a = series.read(*series.at(rho))
         ap = math.sqrt(max(0.0, 1.0 - 2.0 * m / a))
         if ap <= 0.0:
             raise EvalError(f"warping factor stalls at rho={rho}")
@@ -992,12 +942,12 @@ def _generated(mu: Callable[[float], Tuple[float, float]],
                 # stalls, the outermost one does
                 if rhos.size:
                     fn(float(rhos.max()))
-                return (read(rhos, warping),)
+                return (series.read(*series.at(rhos)),)
             # mu runs on Python floats, as in fn: np.tanh and math.tanh
             # round differently
             m, mp = np.array([mu(rho) for rho in rhos.tolist()],
                              dtype=float).reshape(-1, 2).T
-            a = read(rhos, warping)
+            a = series.read(*series.at(rhos))
         except (IsocapError, ArithmeticError, ValueError):
             return None
         with np.errstate(all="ignore"):
@@ -1010,9 +960,10 @@ def _generated(mu: Callable[[float], Tuple[float, float]],
     def volumes(rhos: Sequence[float]) -> List[float]:
         # the volume at rho = 0, the inner boundary, is exactly 0
         if len(rhos) == 1:
-            return [read(float(rhos[0]), volume) if rhos[0] > 0.0 else 0.0]
+            return [series.read(*series.at(float(rhos[0])), 1) if rhos[0] > 0.0
+                    else 0.0]
         rho = np.array(rhos, dtype=float)
-        return np.where(rho > 0.0, read(rho, volume), 0.0).tolist()
+        return np.where(rho > 0.0, series.read(*series.at(rho), 1), 0.0).tolist()
 
     prof = FuncProfile(fn, arrays, label=label, r_max=rho_max, volumes=volumes)
     metric = RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)

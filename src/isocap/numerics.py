@@ -7,11 +7,11 @@ call per level for all of them, within ``ToleranceConfig.max_subdivisions``
 pieces per panel; ``integrate`` is that refinement on one finite interval.
 Antiderivatives as per-panel series, built from Legendre coefficients and
 kept as monomial ones read by Horner's rule, their inverse and ODE
-solutions as such series by Picard iteration, piecewise cubic Hermite
-interpolation with monotone (PCHIP) slopes, bracketed root finding (Brent
-1973) and a safeguarded Newton pass over many brackets at once, and Aitken
-limit extrapolation.  All routines are pure functions of their inputs;
-there is no shared mutable state, and none needs more than numpy.
+solutions as such series by Picard iteration, held with the monotone
+(PCHIP) cubics of tables by one piecewise-polynomial type ``PanelSeries``,
+bracketed root finding (Brent 1973), a safeguarded Newton pass over many
+brackets at once, and Aitken limit extrapolation.  All routines are pure
+functions of their inputs, with no shared mutable state, and need only numpy.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, InsufficientData, NoBracket,
-                     NonConvergence)
+from .errors import (ConfigError, DomainError, EvalError, InsufficientData,
+                     NoBracket, NonConvergence)
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
            "gauss_legendre_err", "legendre_panels", "legendre_integral",
-           "horner", "legendre_inverse", "picard_panels", "hermite",
-           "HermiteSpline", "pchip_slopes",
+           "horner", "legendre_inverse", "picard_panels", "PanelSeries",
+           "pchip_slopes",
            "find_root", "newton_roots",
            "extrapolate_limit"]
 
@@ -435,7 +435,8 @@ _PICARD_SWEEPS = 200
 def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
                   rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   density: Callable[[np.ndarray], np.ndarray],
-                  y0: float, lo, hi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  y0: float, lo, hi
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve y' = rate(d, y), y(lo[0]) = y0, by Picard iteration on
     per-panel polynomial series over the contiguous panels [lo[k], hi[k]],
     and integrate density(y) alongside.
@@ -452,10 +453,11 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     increment, the test would halve without end where y' falls to 0 like
     a square root.)  The sweeps
     end when none halves and none moves a node by more than 4 ulp.
-    Returns the panels' edges, sorted, and, in each panel's local variable
-    t = (2x - lo - hi)/(hi - lo), the 11 monomial coefficients of y and of
-    the integral of density(y) from lo[0], shape (2, panels, 11), each
-    converted once from the Legendre series of ``legendre_integral``.  Raises
+    Returns, as ``legendre_panels`` does, the panels' edges, sorted, and
+    for y - y0 and the integral of density(y) the 11 monomial coefficients
+    of each panel's increase in its local variable t = (2x - lo - hi) /
+    (hi - lo), converted once from ``legendre_integral``, shape (2, panels,
+    11), and the panels' 10-point sums, shape (2, panels).  Raises
     NonConvergence where a rate is not finite, a panel to halve has no
     float inside, or 200 sweeps do not settle.
     """
@@ -474,11 +476,8 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         if not split.any():
             if np.all(np.abs(new - y) <= 4.0 * _EPS * np.abs(new)):
                 v = density(new)
-                coeffs = _antiderivative(half, np.stack((r, v))[..., :10])
-                coeffs[0, :, 0] += edges[:-1]
-                vsums = _panel_sums(half, v)[0]
-                coeffs[1, :, 0] += np.cumsum(np.concatenate(([0.0], vsums[:-1])))
-                return lo, hi, coeffs
+                return (lo, hi, _antiderivative(half, np.stack((r, v))[..., :10]),
+                        np.stack((sums, _panel_sums(half, v)[0])))
             y = new
             continue
         k = np.flatnonzero(split)
@@ -500,61 +499,109 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     raise NonConvergence(f"{_PICARD_SWEEPS} Picard sweeps did not settle")
 
 
-def hermite(x, y0, d0, c2, c3):
-    """The cubic y0 + x*(d0 + x*(c2 + x*c3)) and its first and second
-    derivatives in x, on Python floats or numpy arrays alike."""
-    return (y0 + x * (d0 + x * (c2 + x * c3)),
-            d0 + x * (2.0 * c2 + 3.0 * x * c3),
-            2.0 * c2 + 6.0 * x * c3)
+_RANGE_SLACK = 1e-12  # of max(1, |end|): how far past an end a series reads
 
 
-class HermiteSpline:
-    """Piecewise cubic Hermite interpolant of nodes t_i, values y_i and
-    slopes s_i.  On interval i, with width h, x = (t - t_i)/h, d0 = h*s_i,
-    d1 = h*s_{i+1} and dy = y_{i+1} - y_i, the cubic is ``hermite`` with
-    c2 = 3*dy - 2*d0 - d1 and c3 = d0 + d1 - 2*dy.  A t at a node takes the
-    interval that starts there; a t outside [t_0, t_n] extends the first or
-    last cubic.  The scalar call, which returns (y, y', y''), ``values``
-    and ``triple`` run the same operations on the same coefficients, so
-    they agree bit for bit."""
+class PanelSeries:
+    """A piecewise polynomial in rows on contiguous pieces, the one format
+    of tables, gauge conversions and generated metrics.  Piece k is
+    [edges[k], edges[k+1]], with the local variable t = (x - origin[k]) /
+    scale[k] (its middle and half width for the series of
+    ``legendre_panels`` and ``picard_panels``, its left edge and width for
+    a table's cubic); row r there is nodes[r, k] + sum_j coeffs[r, k, j]*t^j,
+    read by ``horner``, nodes[r] being the row's values at the edges.  A
+    point on an inner edge takes the piece that starts there.  Given
+    totals, the increase of row 0 across each piece, row 0 is increasing
+    and 0 at t = -1, and ``solve`` inverts it; the totals and the slopes at
+    t = -1, 0 and 1, raised to 0, are added to the pieces on the first
+    solve, so a series never solved does not pay for them.
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, slopes: np.ndarray):
-        self._t = t
-        self._h = np.diff(t)
-        dy = np.diff(y)
-        d0, d1 = self._h * slopes[:-1], self._h * slopes[1:]
-        self._c = (y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy)
+    ``at`` and ``solve`` return a piece p and t: p is the piece's numbers
+    as a Python list for a float (made on the piece's first read), or the
+    numbers of each element's piece as the rows of a 2-D array for a 1-D
+    array; ``read``, ``point`` and ``local`` run the same operations on
+    either, with the same bits.  One range rule: a point within
+    1e-12*max(1, |end|) past an end of [edges[0], edges[-1]] (of
+    [nodes[0, 0], nodes[0, -1]] for ``solve``) is read on the end piece;
+    any other, NaN too, raises EvalError naming it, an array's first."""
+
+    def __init__(self, edges, origin, scale, nodes, coeffs, label: str,
+                 totals=None):
+        self.edges, self.nodes, self.label = edges, nodes, label
+        rows, n = nodes.shape[0], coeffs.shape[-1]
+        # one column per piece: origin, scale, each row's start and
+        # coefficients (their column and slice here), after a solve the guide
+        self._rows = [(s, slice(s + 1, s + 1 + n)) for s in range(2, 2 + rows * (n + 1), n + 1)]
+        self._cols = np.concatenate([origin[None], scale[None]] + [
+            b for r in range(rows) for b in (nodes[r:r + 1, :-1], coeffs[r].T)])
+        self._pieces = [None] * (edges.size - 1)
+        self._x, self._totals = self._axis(edges), totals
+
+    @classmethod
+    def integral(cls, lo, hi, coeffs, sums, first, label: str) -> "PanelSeries":
+        """The solvable series of ``legendre_panels`` or ``picard_panels``
+        output, row r running from first[r] by the sums."""
+        nodes = np.cumsum(np.column_stack((first, sums)), axis=1)
+        return cls(np.append(lo, hi[-1]), 0.5 * (lo + hi), 0.5 * (hi - lo),
+                   nodes, coeffs, label, sums[0])
+
+    @staticmethod
+    def _axis(nodes: np.ndarray) -> list:
+        """Range with slack, ends, inner nodes (array; list once needed)."""
+        lo, hi = float(nodes[0]), float(nodes[-1])
+        return [lo - _RANGE_SLACK * max(1.0, abs(lo)),
+                hi + _RANGE_SLACK * max(1.0, abs(hi)), lo, hi, nodes[1:-1], None]
 
     @functools.cached_property
-    def _lists(self) -> tuple:
-        """The same numbers as lists, which the scalar call indexes faster;
-        built on the first scalar call."""
-        return (self._t.tolist(), self._h.tolist(),
-                list(zip(*(c.tolist() for c in self._c))))
+    def _y(self) -> list:
+        """The axis of row 0's values; adds the guide of ``solve``."""
+        c = self._cols[self._rows[0][1]]
+        first, last = horner(np.array([[-1.0], [1.0]]), c)[1]
+        self._cols = np.concatenate((self._cols, self._totals[None],
+                                     np.maximum((first, c[1], last), 0.0)))
+        self._pieces = [None] * len(self._pieces)
+        return self._axis(self.nodes[0])
 
-    def __call__(self, t: float) -> Tuple[float, float, float]:
-        t = float(t)
-        ts, hs, cs = self._lists
-        i = min(max(bisect_right(ts, t) - 1, 0), len(hs) - 1)
-        h = hs[i]
-        v, d1, d2 = hermite((t - ts[i]) / h, *cs[i])
-        return v, d1 / h, d2 / (h * h)
+    def _find(self, x, axis: list):
+        lo, hi, end0, end1, inner, listed = axis
+        if isinstance(x, np.ndarray):
+            if not x.size or lo <= x.min() and x.max() <= hi:
+                return np.take(self._cols, np.searchsorted(inner, x, side="right"), axis=1)
+            x = x[~((x >= lo) & (x <= hi))][0]
+        elif lo <= x <= hi:
+            if listed is None:
+                listed = axis[5] = inner.tolist()
+            k = bisect_right(listed, x)
+            p = self._pieces[k]
+            if p is None:
+                p = self._pieces[k] = self._cols[:, k].tolist()
+            return p
+        raise EvalError(f"radius {float(x)} outside {self.label} range [{end0}, {end1}]")
 
-    def _local(self, ts: np.ndarray) -> tuple:
-        """``hermite`` at each t of an array, in its interval's x, and the
-        interval widths."""
-        i = np.clip(np.searchsorted(self._t, ts, side="right") - 1, 0,
-                    self._h.size - 1)
-        h = self._h[i]
-        return hermite((ts - self._t[i]) / h, *(c[i] for c in self._c)), h
+    def at(self, x):
+        """The piece p of x and t there."""
+        p = self._find(x, self._x)
+        return p, (x - p[0]) / p[1]
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        return self._local(ts)[0][0]
+    def solve(self, y):
+        """The piece p and t where row 0 is y, by ``legendre_inverse``."""
+        p = self._find(y, self._y)
+        start, c = self._rows[0]
+        return p, legendre_inverse(y - p[start], *p[-4:], p[c])
 
-    def triple(self, ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(y, y', y'') at each t of a 1-D array."""
-        (v, d1, d2), h = self._local(ts)
-        return v, d1 / h, d2 / (h * h)
+    def read(self, p, t, row: int = 0):
+        """The row's value at t of the piece p."""
+        start, c = self._rows[row]
+        return p[start] + horner(t, p[c], slope=False)
+
+    def point(self, p, t):
+        """The x at t of the piece p."""
+        return p[0] + p[1] * t
+
+    def local(self, p, row: int = 0) -> tuple:
+        """The piece's scale, and the row's start value and coefficients."""
+        start, c = self._rows[row]
+        return p[1], p[start], p[c]
 
 
 def pchip_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -408,6 +408,23 @@ class TestConfig:
         assert code == 2
         assert f"bad table row {bad}" in err
 
+    @pytest.mark.parametrize("command", [
+        ("sphere", "--rho", "20"), ("hypotheses",), ("mass", "--p-grid", "2,iso")])
+    @pytest.mark.parametrize("bad", ["nan,0.5", "30.0,nan", "inf,1.0"])
+    def test_non_finite_table_row_exit_2(self, capsys, tmp_path, command, bad):
+        # a NaN radius slipped past the increasing-radii check: a NaN or
+        # infinite row printed nan, failed a check or ended in
+        # NonConvergence, with exit 0, 1 or 3
+        table = tmp_path / "t.csv"
+        radii = np.geomspace(2.0, 1e3, 50).tolist()
+        rows = [f"{r!r},{1.0 - 2.0 / r!r}\n" for r in radii]
+        rows.insert(25, bad + "\n")
+        table.write_text("r,f\n" + "".join(rows))
+        code, out, err = run(capsys, command[0], "--metric", f"table:areal:{table}",
+                             *command[1:])
+        assert code == 2 and out == ""
+        assert "table radii and values must be finite" in err
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[metric]\nspec = flat\n\n[output]\nformat = json\n")

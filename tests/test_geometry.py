@@ -12,7 +12,7 @@ from isocap import geometry, numerics
 from isocap.capacity import p_capacity
 from isocap.errors import (ConfigError, DomainError, EvalError,
                            NonIntegrableThroat)
-from isocap.geometry import (BoundaryKind, FuncProfile, Gauge,
+from isocap.geometry import (BoundaryKind, FuncProfile, Gauge, TableProfile,
                              check_hypotheses, cylinder,
                              expr_metric, find_minimal_spheres, flat,
                              mass_profile_metric, metric_from_spec, scaled,
@@ -259,8 +259,10 @@ def kinked_arclength(r):
 
 
 def arclength_nodes(metric):
-    """(r, rho) at the arclength nodes of a converted metric."""
-    return metric.profile._r_nodes, metric.profile._rho_nodes
+    """(r, rho) at the arclength nodes of a converted metric: the edges of
+    its series in xi = sqrt(r - r_min) and the arclength row there."""
+    series = metric.profile.series
+    return metric.profile._areal.domain_start + series.edges ** 2, series.nodes[0]
 
 
 class TestGaugeConversionAccuracy:
@@ -475,8 +477,8 @@ class TestGaugeConversionAccuracy:
         # one radius runs on Python floats, a list on one array
         G = to_geodesic(schwarzschild(1.0))
         calls = []
-        solve = geometry._ConvertedProfile._solve
-        monkeypatch.setattr(geometry._ConvertedProfile, "_solve",
+        solve = numerics.PanelSeries.solve
+        monkeypatch.setattr(numerics.PanelSeries, "solve",
                             lambda self, rho: calls.append(rho) or solve(self, rho))
         radii = [1e-2 * 1e5 ** (k / 19) for k in range(20)]
         for rho in radii:
@@ -824,6 +826,16 @@ class TestTableMetric:
         path.write_text("1,1\n2,1\n3,1\n")
         with pytest.raises(ConfigError):
             table_metric(Gauge.AREAL, str(path))
+
+    @pytest.mark.parametrize("where, bad", [
+        (0, math.nan), (1, math.nan), (0, math.inf), (1, -math.inf)])
+    def test_non_finite_rows_are_config_errors(self, where, bad):
+        # np.diff(radii) <= 0 is False at a NaN: the table was accepted
+        radii = np.geomspace(2.0, 1e3, 50)
+        columns = [radii, 1.0 - 2.0 / radii]
+        columns[where][20] = bad
+        with pytest.raises(ConfigError, match="must be finite"):
+            TableProfile(*columns)
 
     def test_outside_range_raises(self, tmp_path):
         path = tmp_path / "t.csv"

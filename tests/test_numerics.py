@@ -10,8 +10,8 @@ import scipy.optimize
 from numpy.polynomial import legendre, polynomial
 
 from isocap import numerics
-from isocap.errors import (ConfigError, DomainError, InsufficientData, NoBracket,
-                           NonConvergence)
+from isocap.errors import (ConfigError, DomainError, EvalError, InsufficientData,
+                           NoBracket, NonConvergence)
 from isocap.geometry import (TableProfile, mass_profile_metric, metric_from_spec,
                              tanh_step_mass_metric)
 from isocap.numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
@@ -669,8 +669,8 @@ def pchip_tables():
 
 
 class TestPchip:
-    """``pchip_slopes`` and ``HermiteSpline`` against scipy's
-    ``PchipInterpolator``, the same algorithm with other rounding."""
+    """``pchip_slopes`` and the table's cubics on a ``PanelSeries`` against
+    scipy's ``PchipInterpolator``, the same algorithm with other rounding."""
 
     @pytest.mark.parametrize("name, t, y", [
         pytest.param(*table, id=table[0]) for table in pchip_tables()])
@@ -687,11 +687,11 @@ class TestPchip:
             assert (slopes[1:-1] == 0.0).sum() == 14
             assert slopes[0] == 3.0 * m[0] and slopes[-1] == 0.0
 
-        spline = numerics.HermiteSpline(t, y, slopes)
+        table = TableProfile(t, y)
         rng = np.random.default_rng(11)
         pts = np.concatenate((rng.uniform(t[0], t[-1], 100_000), t))
-        got = np.array([spline(s) for s in pts]).T
-        assert np.array_equal(got[0], spline.values(pts))
+        got = np.array([table.eval_d2(s) for s in pts]).T
+        assert np.array_equal(got, table.triple(pts))
         # scipy's cubic in s = x - t_i: c0 s^3 + c1 s^2 + c2 s + c3
         i = np.clip(np.searchsorted(t, pts, side="right") - 1, 0, t.size - 2)
         h = np.diff(t)[i]
@@ -713,10 +713,114 @@ class TestPchip:
     def test_monotone_data_stay_monotone(self):
         t = np.array([0.0, 1.0, 1.1, 3.0, 3.05, 8.0])
         y = np.array([0.0, 0.1, 5.0, 5.1, 5.1, 9.0])
-        v = numerics.HermiteSpline(t, y, numerics.pchip_slopes(t, y)).values(
-            np.linspace(0.0, 8.0, 20001))
+        v = TableProfile(t, y).values(np.linspace(0.0, 8.0, 20001))
         assert np.all(np.diff(v) >= 0.0)
         assert v.min() == 0.0 and v.max() == 9.0
+
+
+class TestPanelSeries:
+    """``PanelSeries``: the same bits on floats and arrays, one range rule
+    and one error on both paths."""
+
+    @staticmethod
+    def series(seed):
+        """A two-row integral series on 30 random contiguous panels: row 0
+        the arclength of a positive density, row 1 another integral."""
+        rng = np.random.default_rng(seed)
+        edges = np.cumsum(np.concatenate(([rng.uniform(-3.0, 3.0)],
+                                          rng.uniform(0.05, 1.0, 30))))
+        a, b = rng.uniform(0.5, 3.0, 2)
+
+        def density(x):
+            return np.stack((1.5 + np.sin(a * x), x * x * np.cos(b * x)))
+        return numerics.PanelSeries.integral(
+            *numerics.legendre_panels(density, edges[:-1], edges[1:]),
+            (rng.normal(), rng.normal()), "test")
+
+    @staticmethod
+    def points(lo, hi, nodes, rng):
+        """Random points of [lo, hi], the nodes, and both ends with the
+        points just inside their slack."""
+        slack = [0.5e-12 * max(1.0, abs(end)) for end in (lo, hi)]
+        return np.concatenate((rng.uniform(lo, hi, 500), nodes,
+                               [lo, hi, lo - slack[0], hi + slack[1]]))
+
+    @staticmethod
+    def same(array, floats):
+        assert np.asarray(array).tobytes() == np.array(floats).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_and_array_bits(self, seed):
+        s = self.series(seed)
+        rng = np.random.default_rng(seed + 10)
+        for find, nodes in ((s.at, s.edges), (s.solve, s.nodes[0])):
+            x = self.points(nodes[0], nodes[-1], nodes, rng)
+            p, t = find(x)
+            one = [find(v) for v in x.tolist()]
+            assert all(type(u) is float for _, u in one)
+            self.same(t, [u for _, u in one])
+            self.same(s.point(p, t), [s.point(q, u) for q, u in one])
+            for row in (0, 1):
+                self.same(s.read(p, t, row), [s.read(q, u, row) for q, u in one])
+            h, start, c = s.local(p, 1)
+            for (hq, sq, cq), (q, _) in zip(zip(h, start, np.transpose(c)), one):
+                assert (hq, sq, list(cq)) == s.local(q, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_inverts_row_0(self, seed):
+        s = self.series(seed)
+        y = np.linspace(s.nodes[0, 0], s.nodes[0, -1], 1000)
+        p, t = s.solve(y)
+        assert np.all(np.abs(t) <= 1.0 + 1e-12)
+        x, q = s.point(p, t), s.at(s.point(p, t))
+        assert np.allclose(s.read(*q), y, rtol=0.0, atol=1e-13 * s.nodes[0, -1])
+        # at the nodes, the piece that starts there
+        p, t = s.solve(s.nodes[0, :-1])
+        assert np.array_equal(p, s.at(s.edges[:-1])[0])
+
+    def test_knots_take_the_piece_that_starts_there(self):
+        # the last edge takes the last piece
+        s = self.series(0)
+        p, t = s.at(s.edges)
+        mids = 0.5 * (s.edges[:-1] + s.edges[1:])
+        assert np.array_equal(s.point(p, 0.0), np.append(mids, mids[-1]))
+        assert np.allclose(t, np.append(np.full(mids.size, -1.0), 1.0),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["at", "solve"])
+    def test_range_rule(self, which):
+        s = self.series(1)
+        find = getattr(s, which)
+        lo, hi = (s.edges if which == "at" else s.nodes[0])[[0, -1]].tolist()
+        inside = [lo - 0.9e-12 * max(1.0, abs(lo)), hi + 0.9e-12 * max(1.0, abs(hi))]
+        outside = [lo - 2e-12 * max(1.0, abs(lo)), hi + 2e-12 * max(1.0, abs(hi)),
+                   math.nan, math.inf, -math.inf]
+        find(np.array(inside))
+        for x in inside:
+            find(x)
+        for x in outside:
+            with pytest.raises(EvalError) as one:
+                find(x)
+            assert str(one.value) == (f"radius {x} outside test range "
+                                      f"[{lo}, {hi}]")
+            # the array names its first element out of range
+            for xs in ([0.5 * (lo + hi), x, outside[0]], [x, math.nan]):
+                with pytest.raises(EvalError) as many:
+                    find(np.array(xs))
+                assert str(many.value) == str(one.value)
+        find(np.array([]))
+
+    @pytest.mark.parametrize("name, t, y", [
+        pytest.param(*table, id=table[0]) for table in pchip_tables()])
+    def test_table_nodes_and_horner_read(self, name, t, y):
+        # the table's cubic is exact at its nodes, and reading it by
+        # Horner's rule, from the start value y_i and the coefficients
+        # (0, d0, c2, c3), runs the cubic's own operations
+        T = TableProfile(t, y)
+        assert np.array_equal(T.values(t), y)
+        assert [T.eval_d2(x)[0] for x in t.tolist()] == y.tolist()
+        pts = np.concatenate((t, np.linspace(t[0], t[-1], 5001)))
+        assert np.array_equal(T.series.read(*T.series.at(pts)), T.values(pts))
 
 
 class TestExtrapolate:

@@ -9,8 +9,8 @@ The areas their search probes, past the hull and with the critical radii
 as nodes, bracket the radius at every sample time on one monotone piece,
 and one safeguarded Newton pass over all the brackets solves them.  Where
 the area cannot fall (``RadialMetric.own_hull``) each sphere is its own
-hull, no critical point is looked for, and a 256-node area scan from it
-gives the brackets.
+hull, no critical point is looked for, and the radius at each time is
+read off the exact inverse of the area, with no scan and no solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .geometry import (FOUR_PI, CriticalPoint, Gauge, RadialMetric,
 from .numerics import (DEFAULT_CFG, ToleranceConfig, extrapolate_limit,
                        find_root, newton_roots)
 
-_FLOW_POINTS = 256  # the scan of a flow from its own hull
 _WILLMORE_TAIL = 0.25  # share of the flow samples the Willmore limit reads
 GEROCH_TOL = 1e-8  # largest passing Hawking mass drop, over max(1, |m_H|)
 
@@ -103,7 +102,8 @@ def outward_hull(metric: RadialMetric, rho0: float,
     probe range, min(cutoff_radius, r_max); of equal least areas the
     outermost, unless area(rho0) is no larger.  A sphere where the area
     cannot fall (``RadialMetric.own_hull``) is its own hull and costs no
-    search; the critical points are searched once per metric and cfg.
+    search, and the flow from it reads its radii off the inverse of the
+    area; the critical points are searched once per metric and cfg.
     """
     return _outward_hulls(metric, [rho0], cfg)[0]
 
@@ -142,14 +142,14 @@ def _find_jumps(metric: RadialMetric, points: Sequence[CriticalPoint],
 def _sample_radii(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
                   envelope: np.ndarray, targets: np.ndarray,
                   cfg: ToleranceConfig) -> Tuple[List[float], Triples]:
-    """The outermost radius of each target area on a scan, and the
+    """The outermost radius of each target area on the probes, and the
     profile's (value, d1, d2) arrays there.
 
     Past the last node within a target every area exceeds it, so that node
     and the next bracket the radius.  All radii are solved together by
     ``numerics.newton_roots`` on area(rho) = target, with area' = 8*pi*a*a'
     from one ``profile.triple`` call per step, from the secant between the
-    bracketing nodes, whose areas the scan already holds.
+    bracketing nodes, whose areas the probes already hold.
     """
     k = np.minimum(np.searchsorted(envelope, targets, side="right") - 1,
                    len(grid) - 2)
@@ -179,9 +179,10 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     (``RadialMetric.own_hull``) the hull is (rho0, area(rho0)) and there
     are none.  The radius at each of the n_samples times on [0, t_max] is
     bracketed on the area probes past the hull with the critical radii as
-    nodes (``RadialMetric.critical_points``), or on a 256-node scan from an
-    own hull.  Raises DomainError for t_max not positive, n_samples < 1, or a
-    domain that ends before the area reaches hull_area * exp(t_max).
+    nodes (``RadialMetric.critical_points``) and solved by one Newton
+    pass, or read off the inverse of the area from an own hull.  Raises
+    DomainError for t_max not positive, n_samples < 1, or a domain that
+    ends before the area reaches hull_area * exp(t_max).
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max}")
@@ -196,11 +197,17 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     if rho0 >= limit:
         raise DomainError(too_short)
     rho_star, hull_area = _outward_hulls(metric, [rho0], cfg)[0]
+    times = np.linspace(0.0, t_max, n_samples).tolist()
+    targets = np.array([hull_area * math.exp(t) for t in times + [t_max]])
+    # checked before the own hull's inverse, whose range rule raises EvalError
+    if metric.area(limit) < targets[-1]:
+        raise DomainError(too_short)
     if metric.own_hull(rho0):
-        points: Sequence[CriticalPoint] = []
-        grid = np.geomspace(max(rho0, 1e-12), limit, _FLOW_POINTS)
-        grid[0] = rho0
-        areas = metric.area(grid)
+        a = np.sqrt(targets / FOUR_PI)  # the areal radius
+        radii = (a if metric.gauge is Gauge.AREAL  # else rho of a(rho) = a
+                 else metric.profile.radius_of(a)).tolist()
+        radii[0] = rho_star  # the t = 0 target is the hull's own area
+        jumps, triples = [], None
     else:
         points, probes, probe_areas = metric.critical_points(cfg)
         # the hull, then the probes and critical radii past it, in order
@@ -209,15 +216,12 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
         at = np.searchsorted(probes, [x for x, _ in past], side="right")
         grid = np.insert(probes, at, [x for x, _ in past])[at[0]:]
         areas = np.insert(probe_areas, at, [y for _, y in past])[at[0]:]
-    areas[0] = hull_area
-    envelope = np.minimum.accumulate(areas[::-1])[::-1]  # least area past
-    times = np.linspace(0.0, t_max, n_samples).tolist()
-    targets = [hull_area * math.exp(t) for t in times + [t_max]]
-    if areas[-1] < targets[-1]:
-        raise DomainError(too_short)
-    jumps = _find_jumps(metric, points, rho_star, hull_area, t_max, cfg)
-    radii, triples = _sample_radii(metric, grid, areas, envelope,
-                                   np.array(targets), cfg)
+        areas[0] = hull_area
+        envelope = np.minimum.accumulate(areas[::-1])[::-1]  # least area past
+        jumps = _find_jumps(metric, points, rho_star, hull_area, t_max, cfg)
+        radii, triples = _sample_radii(metric, grid, areas, envelope,
+                                       targets, cfg)
+        triples = [x[:-1] for x in triples]
 
     events: List[Union[Jump, SmoothSegment]] = []
     if rho_star > rho0 * (1.0 + 1e-12) + 1e-12:
@@ -228,8 +232,7 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
                    jump]
         t_start, rho_start = jump.t, jump.rho_after
     events.append(SmoothSegment(t_start, t_max, rho_start, radii[-1]))
-    samples = list(zip(times, spheres(metric, radii[:-1], cfg,
-                                      [x[:-1] for x in triples])))
+    samples = list(zip(times, spheres(metric, radii[:-1], cfg, triples)))
     return FlowTrack(rho0=rho0, initial_area=hull_area,
                      events=events, samples=samples)
 
@@ -258,8 +261,7 @@ def willmore_limit(track: FlowTrack,
     if n < cfg.extrap_terms:
         raise InsufficientData(f"flow track has only {n} samples")
     tail = track.samples[n - k:]
-    seq = [(t, d.willmore) for t, d in tail]
-    return extrapolate_limit(seq, cfg)
+    return extrapolate_limit([(t, d.willmore) for t, d in tail], cfg)
 
 
 def flow_to_csv(track: FlowTrack, stream: IO[str]) -> None:
@@ -268,9 +270,8 @@ def flow_to_csv(track: FlowTrack, stream: IO[str]) -> None:
     Columns: t, rho, area, volume, H, m_H, willmore, R, jump_flag.  The
     jump flag marks the first sample at or after each jump time.
     """
-    jump_times = [j.t for j in track.jumps if j.t > 0.0]
     stream.write("t,rho,area,volume,H,m_H,willmore,R,jump_flag\n")
-    pending = list(jump_times)
+    pending = [j.t for j in track.jumps if j.t > 0.0]
     for t, d in track.samples:
         flag = 0
         while pending and t >= pending[0] - 1e-15:

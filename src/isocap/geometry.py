@@ -13,16 +13,9 @@ suite against finite differences):
               m_H  = (a/2)*(1-a'^2)         m_H  = (r/2)*(1-f)
               R    = 2*(1-a'^2-2*a*a'')/a^2 R    = 2*(1-f-r*f')/r^2
 
-Volumes are measured from ``domain_start``: a converted or generated
-metric, or a scaled copy of one, reads them off a series on the panels of
-a(rho); otherwise ``RadialMetric.volumes`` walks the distinct radii of its
-list upward, each adding the increment from the one before on fixed
-Gauss-Legendre panels in rho (geodesic) or in xi = sqrt(r - domain_start)
-(areal), where the density stays smooth through a throat, all by one
-panel call.  A metric keeps no volumes between calls.  ``spheres``,
-``RadialMetric.volume`` and ``sphere_data`` take theirs from one
-``volumes`` call or, on a converted metric, from the Newton solve in xi
-that gives a(rho) too.
+Volumes are measured from ``domain_start`` (``RadialMetric.volumes``): a
+converted or generated metric, or a scaled copy of one, reads them off a
+series on the panels of a(rho), any other sums Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -87,10 +80,13 @@ def _mapped(fn: Callable[[float], Tuple[float, float, float]],
 class _Profile:
     """The array forms of a profile, from its hook ``_arrays``.  A profile
     that carries a volume map sets ``volumes`` to a function from a list
-    of radii, at or past domain_start, to the volume enclosed at each."""
+    of radii, at or past domain_start, to the volume enclosed at each; one
+    of a geodesic metric whose area never falls (``RadialMetric.own_hull``)
+    sets ``radius_of`` to the inverse of a(rho) on a 1-D array."""
 
     r_max = math.inf
     volumes: Optional[Callable[[Sequence[float]], List[float]]] = None
+    radius_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def values(self, rs: np.ndarray) -> np.ndarray:
         out = self._arrays(rs, 1)
@@ -128,17 +124,14 @@ class ExprProfile(_Profile):
 
 class FuncProfile(_Profile):
     """Profile backed by a callable returning (value, d1, d2), plus the
-    hook ``arrays(rs, parts)`` and the volume map of ``_Profile``."""
+    hook ``arrays(rs, parts)`` and the maps of ``_Profile``."""
 
     def __init__(self, fn: Callable[[float], Tuple[float, float, float]],
                  arrays: Callable[[np.ndarray, int], Optional[tuple]],
                  label: str = "func", r_max: float = math.inf,
-                 volumes: Optional[Callable[[Sequence[float]], List[float]]] = None):
-        self.fn = fn
-        self._arrays = arrays
-        self.label = label
-        self.r_max = r_max
-        self.volumes = volumes
+                 volumes: Optional[Callable] = None, radius_of: Optional[Callable] = None):
+        self.fn, self._arrays, self.label, self.r_max = fn, arrays, label, r_max
+        self.volumes, self.radius_of = volumes, radius_of
 
     def eval_d2(self, r: float) -> Tuple[float, float, float]:
         return self.fn(r)
@@ -253,7 +246,9 @@ class RadialMetric:
         because the area cannot fall from rho on: an areal sphere at
         r >= 0, any sphere of a ``mass_profile_metric`` (a' >= 0, a0 > 0)
         or of ``to_geodesic`` of an areal metric from r_min >= 0 (a = r
-        with a' = sqrt(f) >= 0), and ``scaled`` copies of these."""
+        with a' = sqrt(f) >= 0), and ``scaled`` copies of these.  Each maps
+        an area A to its radius exactly: sqrt(A/4pi) in the areal gauge,
+        ``_Profile.radius_of`` at a = sqrt(A/4pi) otherwise."""
         return rho >= self._hull_from
 
     @property
@@ -291,10 +286,8 @@ class RadialMetric:
         """Area of the sphere at rho, or of each sphere of a 1-D radius array."""
         if self.gauge is Gauge.AREAL:
             return FOUR_PI * rho * rho
-        if isinstance(rho, np.ndarray):
-            a = self.profile.values(rho)
-        else:
-            a = self.profile.eval_d2(rho)[0]
+        a = (self.profile.values(rho) if isinstance(rho, np.ndarray)
+             else self.profile.eval_d2(rho)[0])
         return FOUR_PI * a * a
 
     @functools.cached_property
@@ -496,13 +489,12 @@ class _ConvertedProfile(_Profile):
 
     The sphere at rho has r = a(rho) = r_min + xi^2 where the series'
     ``solve`` inverts the arclength (no quadrature and no profile call),
-    and its volume is the other row read there.  So one solve gives a(rho)
-    and the volume of the sphere at rho, and a converted metric's
-    ``volumes`` and ``spheres`` read them from here, on a Python float for
-    one radius and on an array for many, with equal bits.  Derivatives use
-    the closed forms a' = sqrt(f(a)), a'' = f'(a)/2, which are exact along
-    the gauge change, from one parent call: ``eval_d2`` for one radius,
-    ``triple`` for many.
+    and its volume is the other row read there: ``volumes`` and
+    ``spheres`` read both, on a Python float for one radius and on an
+    array for many, with equal bits.  ``radius_of`` reads rho(xi) forward
+    at xi = sqrt(a - r_min).  Derivatives use the closed forms
+    a' = sqrt(f(a)), a'' = f'(a)/2, exact along the gauge change, from one
+    parent call: ``eval_d2`` for one radius, ``triple`` for many.
     """
 
     def __init__(self, areal: RadialMetric, cfg: ToleranceConfig):
@@ -534,6 +526,10 @@ class _ConvertedProfile(_Profile):
         p, t = self.series.solve(rho)
         xi = self.series.point(p, t)
         return self._areal.domain_start + xi * xi, p, t
+
+    def radius_of(self, a: np.ndarray) -> np.ndarray:
+        xi = np.sqrt(np.maximum(a - self._areal.domain_start, 0.0))
+        return self.series.read(*self.series.at(xi))
 
     def _arrays(self, rhos: np.ndarray, parts: int) -> Optional[tuple]:
         """``_triple`` at each rho of an array, from one array solve."""
@@ -854,8 +850,10 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
 
     volumes = None if base.volumes is None else (  # lam^3 * V(rho/lam)
         lambda rhos: [lam ** 3 * v for v in base.volumes([rho / lam for rho in rhos])])
-    prof = FuncProfile(fn, arrays, label=f"scaled({lam:g})*{base.describe()}",
-                       r_max=base.r_max * lam, volumes=volumes)
+    radius_of = None if base.radius_of is None else (  # lam * rho(a/lam)
+        lambda a: lam * base.radius_of(a / lam))
+    prof = FuncProfile(fn, arrays, f"scaled({lam:g})*{base.describe()}",
+                       base.r_max * lam, volumes, radius_of)
     out = RadialMetric(metric.gauge, prof, metric.domain_start * lam,
                        metric.boundary_kind,
                        label=f"scaled:{lam:g}:{metric.label}")
@@ -881,11 +879,11 @@ def mass_profile_metric(mu: Callable[[float], Tuple[float, float]],
     [0, rho_max], by ``numerics.picard_panels`` from the panels [0, 1e-2]
     and 4 geometric panels per decade beyond, calling mu once per node
     (``tanh_step_mass_metric`` samples its mass as one array instead); an
-    error of mu's propagates, a failed solve is a ConfigError.  a(rho) and
-    the volume, the integral of 4*pi*a^2, are the two rows of one
-    ``numerics.PanelSeries``, which ``eval_d2``, ``values`` and
-    ``volumes`` read, with its range rule past rho_max; a', a'' come from
-    the ODE.
+    error of mu's propagates, a failed solve is a ConfigError.  a(rho),
+    increasing from a0, and the volume, the integral of 4*pi*a^2, are the
+    two rows of one ``numerics.PanelSeries``, which ``eval_d2``, ``values``
+    and ``volumes`` read, with its range rule past rho_max, and whose
+    ``solve`` is ``radius_of``; a', a'' come from the ODE.
     The array hook (see ``_Profile``) serves ``triple`` by calling mu once
     per radius on a Python float, as ``eval_d2`` does, and running the a',
     a'' arithmetic in numpy with the same bits; where any radius stalls,
@@ -965,7 +963,8 @@ def _generated(mu: Callable[[float], Tuple[float, float]],
         rho = np.array(rhos, dtype=float)
         return np.where(rho > 0.0, series.read(*series.at(rho), 1), 0.0).tolist()
 
-    prof = FuncProfile(fn, arrays, label=label, r_max=rho_max, volumes=volumes)
+    prof = FuncProfile(fn, arrays, label=label, r_max=rho_max, volumes=volumes,
+                       radius_of=lambda a: series.point(*series.solve(a)))
     metric = RadialMetric(Gauge.GEODESIC, prof, 0.0, label=label)
     metric._hull_from = 0.0  # a > 0 and a' >= 0: the area never falls
     return metric

@@ -237,12 +237,13 @@ class TestArealHull:
 
     def test_stalled_generated_flow_raises(self):
         # mu = rho outgrows a/2 near rho = 0.4: the warping stalls there,
-        # and the flow's scan meets the stall
-        metric = mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0,
-                                     rho_max=10.0)
-        assert metric.own_hull(0.1)
-        with pytest.raises(EvalError, match="stalls"):
-            weak_imcf(metric, 0.1, 2.0, n_samples=10)
+        # and the flow's check of the area at the end meets the stall
+        for rho_max in (10.0, 50.0):
+            metric = mass_profile_metric(lambda rho: (rho, 1.0), a0=1.0,
+                                         rho_max=rho_max)
+            assert metric.own_hull(0.1)
+            with pytest.raises(EvalError, match=f"stalls at rho={rho_max}"):
+                weak_imcf(metric, 0.1, 2.0, n_samples=10)
 
 
 NECK_FAMILY = "r - 2*w*exp(-((r-R)/w)^2)"
@@ -448,9 +449,10 @@ class TestJumps:
 
 class TestOneScan:
     # (searches, scans) by (rho0, t_max): a flow from its own hull (the
-    # generated metric) scans 256 nodes; any other reads the probes
+    # generated metric) reads its radii off the inverse of the area and
+    # scans nothing; any other reads the probes
     COUNTS = {(1.0, 3.0): (1, []), (3.0, 2.0): (1, []),
-              (2.0, 5.0): (1, []), (0.5, 6.0): (0, [256])}
+              (2.0, 5.0): (1, []), (0.5, 6.0): (0, [])}
 
     @pytest.mark.parametrize("make, rho0, t_max", [
         (flat, 1.0, 3.0),
@@ -459,7 +461,7 @@ class TestOneScan:
         (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0),
     ])
     def test_one_area_scan_per_flow(self, make, rho0, t_max, searches):
-        # one critical-point search, or one 256-node scan from an own hull
+        # one critical-point search, or none and no scan from an own hull
         metric, sizes = make(), []
         area = metric.area
         metric.area = lambda rho: (isinstance(rho, np.ndarray)
@@ -612,6 +614,84 @@ class TestOwnHullFlows:
         assert searches == []
 
 
+def schwarzschild_arclength(r, m=1.0):
+    """The geodesic radius of the areal sphere r of Schwarzschild, from the
+    horizon r = 2m."""
+    return (math.sqrt(r * (r - 2.0 * m)) + 2.0 * m * math.log(
+        (math.sqrt(r) + math.sqrt(r - 2.0 * m)) / math.sqrt(2.0 * m)))
+
+
+class TestAreaInverse:
+    """A flow from its own hull reads every radius off the inverse of the
+    area: no Newton pass, no array area call."""
+
+    def run(self, monkeypatch, metric, rho0, t_max):
+        """The flow's track and its radii, rho_end last."""
+        calls = []
+        newton, area = flow.newton_roots, RadialMetric.area
+
+        def counted_area(self, rho):
+            if isinstance(rho, np.ndarray):
+                calls.append("scan")
+            return area(self, rho)
+        monkeypatch.setattr(flow, "newton_roots",
+                            lambda *a: calls.append("newton") or newton(*a))
+        monkeypatch.setattr(RadialMetric, "area", counted_area)
+        track = weak_imcf(metric, rho0, t_max, n_samples=40)
+        assert calls == []
+        return track, ([d.rho for _, d in track.samples]
+                       + [track.events[-1].rho_end])
+
+    def test_areal_radius_is_the_square_root(self, monkeypatch):
+        track, radii = self.run(monkeypatch, schwarzschild(1.0), 3.0, 6.0)
+        times = [t for t, _ in track.samples] + [6.0]
+        for t, rho in zip(times, radii):
+            assert abs(rho - 3.0 * math.exp(0.5 * t)) <= 1e-15 * rho
+
+    def test_converted_matches_the_closed_form(self, monkeypatch):
+        # from the horizon, the sphere at time t has r = 2*exp(t/2)
+        track, radii = self.run(monkeypatch, to_geodesic(schwarzschild(1.0)),
+                                0.0, 6.0)
+        times = [t for t, _ in track.samples] + [6.0]
+        assert radii[0] == 0.0
+        for t, rho in zip(times[1:], radii[1:]):
+            want = schwarzschild_arclength(2.0 * math.exp(0.5 * t))
+            assert abs(rho - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", ["tanh-step", "scaled-tanh-step",
+                                      "scaled-converted", "table"])
+    def test_radii_match_brent(self, name, monkeypatch, table_400):
+        make, rho0 = {
+            "tanh-step": (lambda: tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5),
+            "scaled-tanh-step": (lambda: scaled(
+                tanh_step_mass_metric(1.0, 5.0, 1.0), 2.0), 1.0),
+            "scaled-converted": (lambda: scaled(
+                to_geodesic(schwarzschild(1.0)), 2.0), 0.5),
+            "table": (lambda: table_metric(Gauge.AREAL, table_400), 2.0),
+        }[name]
+        metric = make()
+        track, radii = self.run(monkeypatch, metric, rho0, 6.0)
+        limit = min(DEFAULT_CFG.cutoff_radius, metric.r_max)
+        for t, rho in zip([t for t, _ in track.samples] + [6.0], radii):
+            target = track.initial_area * math.exp(t)
+            want = numerics.find_root(lambda r: metric.area(r) - target,
+                                      rho0, limit)
+            assert abs(rho - want) <= DEFAULT_CFG.root_tol + 8.9e-16 * want
+
+    @pytest.mark.parametrize("rho0", [0.0, 0.5])
+    @pytest.mark.parametrize("make", [
+        lambda: tanh_step_mass_metric(1.0, 5.0, 1.0, a0=2.01),
+        lambda: mass_profile_metric(lambda rho: (1.0, 0.0), a0=2.01),
+    ], ids=["tanh-step", "constant-mass"])
+    def test_near_stall(self, make, rho0):
+        # a0 = 2.01 against a mass of 1: the near-stall build of
+        # TestPicardPanels, and a constant mass whose a' starts at 0.07
+        track = weak_imcf(make(), rho0, 6.0, n_samples=40)
+        assert geroch_check(track).monotone
+        for t, d in track.samples:
+            assert abs(d.area - track.initial_area * math.exp(t)) <= 1e-13 * d.area
+
+
 class TestNewtonSamples:
     """All sample radii of a flow from one ``numerics.newton_roots`` pass."""
 
@@ -624,7 +704,16 @@ class TestNewtonSamples:
                             lambda *a: seen.append(a) or solve(*a))
         metric = make()
         track = weak_imcf(metric, rho0, t_max, n_samples=40)
-        (args,) = seen
+        if metric.own_hull(rho0):
+            # read off the inverse of the area, with no Newton pass; Brent
+            # brackets each target on [rho0, limit], where the area rises
+            assert seen == []
+            grid = np.array([rho0, min(DEFAULT_CFG.cutoff_radius, metric.r_max)])
+            targets = track.initial_area * np.exp(
+                [t for t, _ in track.samples] + [t_max])
+            args = (metric, grid, None, metric.area(grid), targets, DEFAULT_CFG)
+        else:
+            (args,) = seen
         want = np.array(brent_radii(*args))
         got = np.array([d.rho for _, d in track.samples])
         tol = 2.0 * (DEFAULT_CFG.root_tol + 8.9e-16 * want[:-1])
@@ -669,29 +758,33 @@ class TestNewtonSamples:
                    for v in vars(d).values())
 
     def test_iteration_cap_raises(self, monkeypatch):
+        # the neck's critical points are searched at the default cap; short
+        # of its jump, the Newton pass is the flow's only root solve
+        metric = neck_metric()
+        metric.critical_points()
         monkeypatch.setattr(numerics, "_ROOT_MAX_ITER", 1)
-        with pytest.raises(NonConvergence, match="did not converge"):
-            weak_imcf(tanh_step_mass_metric(1.0, 5.0, 1.0), 0.5, 6.0,
-                      n_samples=40)
+        with pytest.raises(NonConvergence,
+                           match="Newton iteration .* did not converge"):
+            weak_imcf(metric, 2.0, 0.5, n_samples=40)
 
     def test_tanh_step_flow_counts(self, monkeypatch):
-        calls = {"find_root": 0, "triple": 0, "eval_d2": 0}
+        calls = {"find_root": 0, "newton_roots": 0, "triple": 0, "eval_d2": 0}
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(flow, "find_root",
-                            counted("find_root", flow.find_root))
+        for name in ("find_root", "newton_roots"):
+            monkeypatch.setattr(flow, name, counted(name, getattr(flow, name)))
         for name in ("triple", "eval_d2"):
             monkeypatch.setattr(FuncProfile, name,
                                 counted(name, getattr(FuncProfile, name)))
         metric = tanh_step_mass_metric(1.0, 5.0, 1.0)
         track = weak_imcf(metric, 0.5, 6.0, n_samples=40)
         assert geroch_check(track).monotone
-        assert calls["find_root"] == 0
-        assert 1 <= calls["triple"] <= 5
+        assert calls["find_root"] == calls["newton_roots"] == 0
+        assert calls["triple"] == 1  # the samples' sphere data
         assert calls["eval_d2"] <= 5
 
 

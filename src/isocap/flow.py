@@ -142,8 +142,10 @@ def _find_jumps(metric: RadialMetric, points: Sequence[CriticalPoint],
 def _sample_radii(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
                   envelope: np.ndarray, targets: np.ndarray,
                   cfg: ToleranceConfig) -> Tuple[List[float], Triples]:
-    """The outermost radius of each target area on the probes, and the
-    profile's (value, d1, d2) arrays there.
+    """The outermost radius of each target area on the probes of a
+    geodesic metric, and the profile's (a, a', a'') arrays there (an areal
+    flow starts from its own hull or from a hull of zero area, see
+    ``weak_imcf``).
 
     Past the last node within a target every area exceeds it, so that node
     and the next bracket the radius.  All radii are solved together by
@@ -156,13 +158,11 @@ def _sample_radii(metric: RadialMetric, grid: np.ndarray, areas: np.ndarray,
     lo, hi = grid[k], grid[k + 1]
     below, above = areas[k] - targets, areas[k + 1] - targets
     start = lo - below * (hi - lo) / (above - below)
-    geodesic = metric.gauge is Gauge.GEODESIC
     triples = np.empty((3, len(targets)))
 
     def area_slope(rhos: np.ndarray, ks: np.ndarray):
-        v, d1, d2 = metric.profile.triple(rhos)
-        triples[:, ks] = v, d1, d2
-        a, ap = (v, d1) if geodesic else (rhos, 1.0)
+        a, ap, app = metric.profile.triple(rhos)
+        triples[:, ks] = a, ap, app
         return FOUR_PI * a * a - targets[ks], 2.0 * FOUR_PI * a * ap
 
     radii = newton_roots(area_slope, start, lo, hi, cfg)
@@ -181,8 +181,9 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     bracketed on the area probes past the hull with the critical radii as
     nodes (``RadialMetric.critical_points``) and solved by one Newton
     pass, or read off the inverse of the area from an own hull.  Raises
-    DomainError for t_max not positive, n_samples < 1, or a domain that
-    ends before the area reaches hull_area * exp(t_max).
+    DomainError for t_max not positive, n_samples < 1, a hull of zero area
+    (a point, as at a pole), or a domain that ends before the area reaches
+    hull_area * exp(t_max).
     """
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max}")
@@ -197,6 +198,8 @@ def weak_imcf(metric: RadialMetric, rho0: float, t_max: float,
     if rho0 >= limit:
         raise DomainError(too_short)
     rho_star, hull_area = _outward_hulls(metric, [rho0], cfg)[0]
+    if hull_area == 0.0:
+        raise DomainError(f"the hull of rho0={rho0} at rho={rho_star} has zero area")
     times = np.linspace(0.0, t_max, n_samples).tolist()
     targets = np.array([hull_area * math.exp(t) for t in times + [t_max]])
     # checked before the own hull's inverse, whose range rule raises EvalError

@@ -15,7 +15,9 @@ suite against finite differences):
 
 Volumes are measured from ``domain_start`` (``RadialMetric.volumes``): a
 converted or generated metric, or a scaled copy of one, reads them off a
-series on the panels of a(rho), any other sums Gauss-Legendre panels.
+series on the panels of a(rho); any other sums Gauss-Legendre panels on
+edges fixed by the metric's variable alone, so the volume at a radius
+never depends on the other radii asked.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -39,6 +40,8 @@ SIXTEEN_PI = 16.0 * math.pi
 # |f(domain_start)| of an areal metric up to which f vanishes there (a
 # throat), so that a rounded f slightly below 0 still counts as 0
 _THROAT_TOL = 1e-10
+# the first panel edge past 0 of ``RadialMetric.volumes``; the edges double
+_VOLUME_EDGE = 2.0 ** -6
 
 
 class Gauge(enum.Enum):
@@ -339,52 +342,38 @@ class RadialMetric:
         """Volume enclosed between domain_start and each radius of rhos.
 
         A profile with a volume map (``_Profile.volumes``; converted and
-        generated metrics and their scaled copies) reads them off it, an EvalError past r_max.
-        Otherwise each distinct radius, in ascending order, adds the
-        increment from t_lo at the radius before (domain_start for the
-        first) to t_hi at itself, in t = rho - domain_start (geodesic gauge,
-        density 4*pi*a^2) or t = xi (areal gauge, density 4*pi*r^2 *
-        ``_xi_density``), split at t_hi/2, t_hi/4, ... as far as t_lo or
-        t_hi/32, so a density smooth at the scale of t is resolved from the
-        boundary out.  A radius within 1e-14 relative of the one before
-        takes its volume.  One ``numerics.gauss_legendre`` call, with one
-        ``profile.values`` call, sums all panels.  The result depends on
-        the set of radii alone, not on their order or on earlier calls.
+        generated metrics and their scaled copies) reads them off it, an
+        EvalError past r_max.  Otherwise the volume is integrated in
+        t = rho - domain_start (geodesic gauge, density 4*pi*a^2) or
+        t = xi (areal gauge, density 4*pi*r^2 * ``_xi_density``) on panels
+        with the fixed edges 0, E, 2E, 4E, ... (E = ``_VOLUME_EDGE``): a
+        radius' volume is the running sum of the whole panels below its t
+        plus the panel from the last edge below t to t.  One
+        ``numerics.gauss_legendre`` call, with one ``profile.values`` call,
+        sums all panels, each by itself, and ``np.cumsum`` adds the whole
+        ones in order, so each volume has the bits of its radius alone,
+        whatever the other radii, their order or earlier calls.
         """
         rhos = [self.check_start(rho) for rho in rhos]
-        start = self.domain_start
         if self.profile.volumes is not None:
             return self.profile.volumes(rhos)
-        areal = self.gauge is Gauge.AREAL
-        anchors = [start]  # domain_start and each radius with an increment
-        lo: List[float] = []
-        hi: List[float] = []
-        cuts = [0]  # anchors[k + 1] owns the panels cuts[k]:cuts[k + 1]
-        for rho in sorted(set(rhos)):
-            if rho - anchors[-1] <= 1e-14 * max(1.0, rho):
-                continue
-            t_lo, t_hi = anchors[-1] - start, rho - start
-            if areal:
-                t_lo, t_hi = math.sqrt(t_lo), math.sqrt(t_hi)
-            n = math.ceil(math.log2(t_hi / max(t_lo, t_hi / 64.0)))
-            edges = [t_lo] + [t_hi * 0.5 ** j for j in range(n - 1, -1, -1)]
-            lo += edges[:-1]
-            hi += edges[1:]
-            cuts.append(len(lo))
-            anchors.append(rho)
-        vals = [0.0]
-        if lo:
-            sums = numerics.gauss_legendre(self._volume_density(),
-                                           np.array(lo), np.array(hi),
-                                           cfg).tolist()
-            for a, b in zip(cuts, cuts[1:]):
-                # left to right, as numpy sums up to 7 elements (at most 6
-                # panels here); built-in sum compensates from Python 3.12
-                inc = 0.0
-                for panel in sums[a:b]:
-                    inc += panel
-                vals.append(vals[-1] + inc)
-        return [vals[bisect_right(anchors, rho) - 1] for rho in rhos]
+        t = np.array(rhos, dtype=float) - self.domain_start
+        if self.gauge is Gauge.AREAL:
+            t = np.sqrt(t)
+        inside = t > 0.0
+        if not inside.any():
+            return [0.0] * len(rhos)
+        top = max(math.frexp(float(t.max()) / _VOLUME_EDGE)[1], 0)
+        edges = np.append(0.0, _VOLUME_EDGE * 2.0 ** np.arange(top + 1))
+        k = np.searchsorted(edges, t[inside])  # edges[k-1] < t <= edges[k]
+        whole = int(k.max()) - 1  # the panels below the last partial one
+        sums = numerics.gauss_legendre(
+            self._volume_density(), np.append(edges[:whole], edges[k - 1]),
+            np.append(edges[1:whole + 1], t[inside]), cfg)
+        below = np.append(0.0, np.cumsum(sums[:whole]))
+        vols = np.zeros(len(rhos))
+        vols[inside] = below[k - 1] + sums[whole:]
+        return vols.tolist()
 
     def _volume_density(self) -> Callable[[np.ndarray], np.ndarray]:
         """The volume density in the variable t of ``volumes``."""

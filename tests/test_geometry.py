@@ -544,6 +544,42 @@ class TestVolumeOracles:
                 lambda r: 4 * mpmath.pi * r ** 2 / mpmath.sqrt(1 - 2 / r), [2, 9]))
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("m, q", [(1.0, 0.0), (1.0, 0.6), (1.3, 0.6),
+                                      (2.0, 1.9)])
+    def test_reissner_nordstrom_panels(self, m, q):
+        # f = (r - rp)(r - rm)/r^2, whose zero is the float horizon rp; in
+        # xi = sqrt(r - rp), dV = 8 pi (rp + xi^2)^3 / sqrt(xi^2 + rp - rm)
+        s = math.sqrt(m * m - q * q)
+        rp, rm = m + s, m - s
+        M = expr_metric(Gauge.AREAL, "(r-rp)*(r-rm)/r^2", {"rp": rp, "rm": rm},
+                        domain_start=rp)
+        radii = [rp + x for x in (1e-6, 1e-4, 1e-2, 1.0)] + [1e2, 1e4, 1e6, 1e8]
+        with mpmath.workdps(30):
+            p, d = mpmath.mpf(rp), mpmath.mpf(rp) - mpmath.mpf(rm)
+            for r, got in zip(radii, M.volumes(radii)):
+                xi = mpmath.sqrt(mpmath.mpf(r) - p)
+                cuts = [x for x in (mpmath.mpf(10) ** k for k in range(-3, 5))
+                        if x < xi]
+                want = 8 * mpmath.pi * mpmath.quad(
+                    lambda x: (p + x * x) ** 3 / mpmath.sqrt(x * x + d),
+                    [0] + cuts + [xi])
+                # within 1e-2 of the horizon the throat model of
+                # _xi_density (its Taylor band, and f rounded just past it)
+                # costs up to 1e-11, whatever the panels
+                tol = 1e-11 if r - rp <= 1e-2 else 1e-12
+                assert abs(got - want) <= tol * want, r
+
+    def test_neck_panels(self):
+        M = expr_metric(Gauge.GEODESIC, NECK)
+        radii = [0.01, 0.5, 2.0, 2.9, 3.0, 3.3, 4.0, 6.0, 50.0, 1e4, 1e8]
+        with mpmath.workdps(30):
+            def density(t):
+                return 4 * mpmath.pi * (t + 1.5 * mpmath.exp(-4 * (t - 3) ** 2)) ** 2
+            for rho, got in zip(radii, M.volumes(radii)):
+                want = mpmath.quad(density, [0] + [c for c in (2, 3, 4, 8)
+                                                   if c < rho] + [rho])
+                assert abs(got - want) <= 1e-12 * want, rho
+
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_converted(self, m):
         # rho(xi) = integral of 2 sqrt(2m + x^2) from 0 to xi, solved for xi
@@ -626,18 +662,10 @@ def kinked():
                        boundary_kind=BoundaryKind.MINIMAL)
 
 
-def walk_volumes(metric, radii, cfg=numerics.DEFAULT_CFG):
-    """Reference for ``volumes``: on a profile with a volume map, one map
-    read per radius; otherwise ``walk``."""
-    if metric.profile.volumes is not None:
-        start = metric.domain_start
-        return [metric.profile.volumes([max(rho, start)])[0] for rho in radii]
-    return walk(metric, radii, cfg)
-
-
 def walk(metric, radii, cfg=numerics.DEFAULT_CFG):
-    """The distinct radii in ascending order, each adding its increment
-    from the one before with one ``gauss_legendre`` call per increment."""
+    """A quadrature reference for the volume maps, on panels of its own:
+    the distinct radii in ascending order, each adding its increment from
+    the one before with one ``gauss_legendre`` call per increment."""
     start = metric.domain_start
     radii = [max(rho, start) for rho in radii]
     anchors, vals = [start], [0.0]
@@ -673,34 +701,54 @@ class TestSphereErrors:
             geometry.spheres(metric, radii)
 
 
+@pytest.fixture(scope="module")
+def neck_csv(tmp_path_factory):
+    """The geodesic neck a = r + 1.5*exp(-4*(r-3)^2) tabulated in 201 rows
+    on [0, 1e4].  With 2000 rows its knots, each a jump of a'', take more
+    than the refinement's 60 pieces on the volume panel [2, 4]."""
+    path = tmp_path_factory.mktemp("tables") / "neck.csv"
+    radii = np.append(0.0, np.geomspace(1e-3, 1e4, 200)).tolist()
+    path.write_text("".join(f"{r!r},{r + 1.5 * math.exp(-4 * (r - 3) ** 2)!r}\n"
+                            for r in radii))
+    return str(path)
+
+
 class TestBatchedVolumes:
     FAMILIES = {
         "flat": flat,
         "schwarzschild": lambda: schwarzschild(1.0),
+        "cylinder": lambda: cylinder(1.0),
+        "rn": rn_factored,
         "neck": lambda: expr_metric(Gauge.GEODESIC, NECK),
+        "kinked": kinked,
         "scaled": lambda: scaled(schwarzschild(1.0), 2.0),
+        "scaled-neck": lambda: scaled(expr_metric(Gauge.GEODESIC, NECK), 0.5),
         "generated": lambda: tanh_step_mass_metric(1.0, 5.0, 1.0),
         "converted": lambda: to_geodesic(schwarzschild(1.0)),
     }
     # unsorted, a repeat, a near repeat, the domain start and just below
-    # it, one next to the boundary and a gap of more than six panels
+    # it, one next to the boundary and one far past the others
     OFFSETS = (4.0, 1.0, 1.0, 0.0, -1e-13, 0.5, 4.0 + 1e-15, 1e-4, 9.0,
                2.0, 2e3, 3.0)
+    # three lists that ended V(400) in three different bits on Schwarzschild
+    LISTS = ([400.0], [100.0, 200.0, 400.0], [399.0, 400.0])
 
     def check(self, make):
         metric = make()
         start = metric.domain_start
-        radii = [start + x for x in self.OFFSETS]
-        assert np.array_equal(metric.volumes(radii), walk_volumes(metric, radii))
-        assert np.array_equal([metric.volume(r) for r in radii],
-                              [walk_volumes(metric, [r])[0] for r in radii])
+        for radii in ([start + x for x in self.OFFSETS], *self.LISTS):
+            got = metric.volumes(radii)
+            assert [v.hex() for v in got] == [make().volume(r).hex() for r in radii]
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_equal_to_one_radius_per_call(self, family):
         self.check(self.FAMILIES[family])
 
-    def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv):
-        self.check(lambda: table_metric(Gauge.AREAL, schwarzschild_csv))
+    def test_table_equal_to_one_radius_per_call(self, schwarzschild_csv,
+                                                neck_csv):
+        for gauge, path in ((Gauge.AREAL, schwarzschild_csv),
+                            (Gauge.GEODESIC, neck_csv)):
+            self.check(lambda: table_metric(gauge, path))
 
     @pytest.mark.parametrize("family", list(FAMILIES) + ["table"])
     def test_independent_of_call_history_and_order(self, family,

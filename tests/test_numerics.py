@@ -74,7 +74,7 @@ class TestIntegrate:
                              0.0, 1.0, cfg)
         assert abs(val - 0.29) <= err <= 1e-14
         assert len(sizes) < cfg.max_subdivisions / 2
-        # the volume panel [1.24, 2.47] of the kinked areal metric, in
+        # the volume panel [1, 2] of the kinked areal metric, in
         # xi = sqrt(r - 2), raised NonConvergence when every piece was halved
         spec = "expr:areal:min(1-2/r,0.5+0.01*r):r_min=2"
         tight = metric_from_spec(spec).volumes([8.125], ToleranceConfig(quad_rel_tol=1e-14))
@@ -149,8 +149,8 @@ class TestIntegrateOracle:
             assert err <= budget
 
     def test_flagged_neck_volume_panels(self, monkeypatch):
-        # the volume panels [0.75, 1.5] and [1.5, 3] of the neck, on the
-        # flank of its bump, fail the 5-point check
+        # the volume panels [1, 2] and [2, 3] of the neck, on the flank of
+        # its bump, fail the 5-point check
         panels = []
         core = numerics._refine
 
@@ -161,7 +161,7 @@ class TestIntegrateOracle:
         monkeypatch.setattr(numerics, "_refine", spy)
         metric = metric_from_spec("expr:geodesic:r+1.5*exp(-4*(r-3)^2)")
         volume = metric.volume(3.0)
-        assert [(lo, hi) for lo, hi, _, _ in panels] == [(0.75, 1.5), (1.5, 3.0)]
+        assert [(lo, hi) for lo, hi, _, _ in panels] == [(1.0, 2.0), (2.0, 3.0)]
         with mpmath.workdps(30):
             def density(t):
                 a = t + 1.5 * mpmath.exp(-4 * (t - 3) ** 2)
@@ -169,20 +169,20 @@ class TestIntegrateOracle:
             for lo, hi, val, err in panels:
                 want = mpmath.quad(density, [lo, hi])
                 assert abs(val - want) <= err <= 1e-10 * want
-            total = mpmath.quad(density, [0, 0.75, 1.5, 3])
+            total = mpmath.quad(density, [0, 1, 2, 3])
         assert volume == pytest.approx(float(total), rel=1e-12)
 
     def test_oscillating_volume_uses_the_whole_budget(self):
-        # the volume panel [300, 600] of r*(1 + 0.3*sin(r)) needs more
+        # the volume panel [256, 512] of r*(1 + 0.3*sin(r)) needs more
         # pieces than a power of two within the budget of 60: it converges
-        # by halving its largest estimates first; [400, 800] needs more than
-        # 60 and raises
+        # by halving its largest estimates first; [512, 1024] needs more
+        # than 60 and raises
         metric = metric_from_spec("expr:geodesic:r*(1+0.3*sin(r))")
         with mpmath.workdps(30):
             want = mpmath.quad(lambda t: 4 * mpmath.pi * (t * (1 + 0.3 * mpmath.sin(t))) ** 2,
-                               mpmath.linspace(0, 600, 201))
-        assert metric.volume(600.0) == pytest.approx(float(want), rel=1e-10)
-        with pytest.raises(NonConvergence, match=r"\[400.0, 800.0\].*after 60 pieces"):
+                               mpmath.linspace(0, 700, 201))
+        assert metric.volume(700.0) == pytest.approx(float(want), rel=1e-10)
+        with pytest.raises(NonConvergence, match=r"\[512.0, 1024.0\].*after 60 pieces"):
             metric_from_spec("expr:geodesic:r*(1+0.3*sin(r))").volume(1600.0)
 
 class TestGaussLegendre:

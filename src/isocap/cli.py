@@ -90,25 +90,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_config(path: Optional[str]) -> configparser.ConfigParser:
+def _load_config(path: Optional[str]) -> dict:
+    """The config file's sections, each a dict of its values; without a
+    file no sections, and no parser is built."""
+    if not path:
+        return {}
     cp = configparser.ConfigParser()
-    if path:
-        read = cp.read(path)
-        if not read:
+    try:
+        if not cp.read(path):
             raise ConfigError(f"config file not found: {path}")
-    for section in cp.sections():
-        for key in cp.options(section):
+        conf = {section: dict(cp.items(section)) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from None
+    for section, values in conf.items():
+        for key in values:
             if key not in _SECTIONS.get(section, ()):
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    fmt = cp.get("output", "format", fallback=None)
+    fmt = conf.get("output", {}).get("format")
     if fmt is not None and fmt not in _FORMATS:
         raise ConfigError(f"unknown output format {fmt!r}; use "
                           f"{', '.join(_FORMATS)}")
-    return cp
+    return conf
 
 
-def _resolve_metric(args, cp: configparser.ConfigParser):
-    spec = args.metric or cp.get("metric", "spec", fallback=None)
+def _resolve_metric(args, conf: dict):
+    spec = args.metric or conf.get("metric", {}).get("spec")
     if not spec:
         raise ConfigError("no metric given: use --metric or [metric] spec=...")
     try:
@@ -117,9 +123,9 @@ def _resolve_metric(args, cp: configparser.ConfigParser):
         raise ConfigError(f"bad metric spec {spec!r}: {exc}")
 
 
-def _resolve_tolerances(cp: configparser.ConfigParser) -> ToleranceConfig:
+def _resolve_tolerances(conf: dict) -> ToleranceConfig:
     kwargs = {}
-    for key, raw in cp.items("tolerances") if cp.has_section("tolerances") else ():
+    for key, raw in conf.get("tolerances", {}).items():
         try:
             kwargs[key] = _TOLERANCE_TYPES[key](raw)
         except ValueError:
@@ -293,13 +299,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finally:  # --help writes its text, then exits: flush it in here
             sys.stdout.flush()
         handler, fmt = _COMMANDS[args.command]
-        cp = _load_config(args.config)
-        metric = _resolve_metric(args, cp)
-        cfg = _resolve_tolerances(cp)
+        conf = _load_config(args.config)
+        output = conf.get("output", {})
+        metric = _resolve_metric(args, conf)
+        cfg = _resolve_tolerances(conf)
         if fmt:  # only these commands have --format
-            fmt = (args.format or cp.get("output", "format", fallback=None)
-                   or fmt)
-        out_path = args.out or cp.get("output", "path", fallback=None)
+            fmt = args.format or output.get("format") or fmt
+        out_path = args.out or output.get("path")
         if out_path:
             try:
                 stream = open(out_path, "w")

@@ -253,8 +253,8 @@ def gauss_legendre(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     return gauss_legendre_err(density, lo, hi, cfg)[0]
 
 
-def _legendre_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three constant matrices of the degree-10 series on [-1, 1]:
+def _legendre_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Four constant matrices of the degree-10 series on [-1, 1]:
 
     * 10x11, from the samples of a density at the nodes _GL_X[:10] to the
       Legendre coefficients of its antiderivative from -1.  The samples fix
@@ -262,13 +262,17 @@ def _legendre_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
       c_n = (2n+1)/2 * sum_j w_j P_n(x_j) y_j (the 10-point rule is exact
       on P_n times the interpolant, of degree <= 18); its antiderivative is
       c_0 (P_0 + P_1) plus c_n (P_{n+1} - P_{n-1})/(2n+1) for n >= 1.
-    * 10x15, from the same samples to that antiderivative at the 15 nodes
-      _GL_X: the first matrix, then P_0 to P_10 at the nodes.
+    * 15x17, one Picard sweep from the samples at the 15 nodes _GL_X: the
+      10-point weights, the 5-point weights, and that antiderivative at the
+      15 nodes (the first matrix, then P_0 to P_10 there), with zero rows
+      for the 5-point samples.
+    * 10x30, from the 10 samples to that antiderivative at the 15 nodes of
+      each half, [-1, 0] then [0, 1], in the variable of [-1, 1].
     * 11x11, row n the monomial coefficients of P_n, all exact (dyadic
       rationals, each step's quotient representable).
 
     Each by the recurrence P_{n+1} = ((2n+1) t P_n - n P_{n-1})/(n+1)."""
-    x = _GL_X
+    x = np.concatenate((_GL_X, 0.5 * _GL_X - 0.5, 0.5 * _GL_X + 0.5))
     p = [np.ones_like(x), x]
     mono = [np.eye(11)[0], np.eye(11)[1]]
     for n in range(1, 10):
@@ -280,10 +284,13 @@ def _legendre_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     for n in range(1, 10):
         integral[n, n + 1], integral[n, n - 1] = 1 / (2 * n + 1), -1 / (2 * n + 1)
     to_int = np.einsum("jn,nk->jk", to_c, integral)
-    return to_int, np.einsum("jn,nk->jk", to_int, np.array(p)), np.array(mono)
+    at = np.einsum("jn,nk->jk", to_int, np.array(p))
+    sweep = np.zeros((15, 17))
+    sweep[:10, 0], sweep[10:, 1], sweep[:10, 2:] = _GL10_W, _GL5_W, at[:, :15]
+    return to_int, sweep, at[:, 15:], np.array(mono)
 
 
-_LEG_INT, _LEG_TO_NODES, _LEG_TO_MONO = _legendre_matrices()
+_LEG_INT, _LEG_SWEEP, _LEG_TO_HALVES, _LEG_TO_MONO = _legendre_matrices()
 _NEWTON_STEPS = 5
 _SLOPE_FLOOR = 1e-10  # of the series' total, added to every Newton slope
 
@@ -446,12 +453,15 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     y = y0 + x - lo[0], each sweep sets y at every node to y0 plus the
     integral of y': the antiderivative of the degree-9 interpolant of its
     panel's 10 Gauss samples (``legendre_integral``) plus the running sum
-    of the 10-point sums of the panels before.  It halves each panel whose
-    10-point sum of y' is off its 5-point one by more than
-    1e-11*|y| + 1e-12, y at the panel's end; the halves start from the
-    panel's series, read by ``horner``.  (Relative to the panel's
-    increment, the test would halve without end where y' falls to 0 like
-    a square root.)  The sweeps
+    of the 10-point sums of the panels before: one contraction of the 15
+    samples of y' with the constant 15x17 matrix of ``_legendre_matrices``
+    gives both sums and the new y.  It halves each panel whose 10-point
+    sum of y' is off its 5-point one by more than 1e-11*|y| + 1e-12, y at
+    the panel's end.  (Relative to the panel's increment, the test would
+    halve without end where y' falls to 0 like a square root.)  The halves
+    take the panel's place in the arrays, and y at their nodes is the
+    panel's series there, one contraction of its 10 Gauss samples with the
+    constant 10x30 matrix; only their new nodes are sampled.  The sweeps
     end when none halves and none moves a node by more than 4 ulp.
     Returns, as ``legendre_panels`` does, the panels' edges, sorted, and
     for y - y0 and the integral of density(y) the 11 monomial coefficients
@@ -468,11 +478,11 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         r = rate(data, y)
         if not np.isfinite(r).all():
             raise NonConvergence("a rate is not finite")
-        sums, errs = _panel_sums(half, r)
+        sweep = half[:, None] * np.einsum("pj,jk->pk", r, _LEG_SWEEP)
+        sums, errs = sweep[:, 0], np.abs(sweep[:, 0] - sweep[:, 1])
         edges = np.cumsum(np.concatenate(([y0], sums)))  # y at each lo, hi[-1]
         split = errs > _PICARD_RTOL * np.abs(edges[1:]) + _PICARD_ATOL
-        new = edges[:-1, None] + half[:, None] * np.einsum(
-            "pj,jk->pk", r[:, :10], _LEG_TO_NODES)
+        new = edges[:-1, None] + sweep[:, 2:]
         if not split.any():
             if np.all(np.abs(new - y) <= 4.0 * _EPS * np.abs(new)):
                 v = density(new)
@@ -484,18 +494,17 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         mid = 0.5 * (lo[k] + hi[k])
         if not np.all((lo[k] < mid) & (mid < hi[k])):
             raise NonConvergence(f"no float inside [{lo[k][0]}, {hi[k][0]}] to halve at")
-        new_lo, new_hi = np.concatenate((lo[k], mid)), np.concatenate((mid, hi[k]))
-        h, xs = _panel_nodes(new_lo, new_hi)
-        # the halves' nodes in the parent's local variable, left halves first
-        t = 0.5 * _GL_X + np.repeat([[-0.5], [0.5]], k.size, axis=0)
-        c = _antiderivative(half[k], r[k, :10])
-        c[:, 0] += edges[k]
-        parts = zip((lo, hi, half, data, new),
-                    (new_lo, new_hi, h, sample(xs.ravel()).reshape(xs.shape),
-                     horner(t, np.tile(c, (2, 1)).T[:, :, None], slope=False)))
-        lo, hi, half, data, y = (np.concatenate((v[~split], w)) for v, w in parts)
-        order = np.argsort(lo)
-        lo, hi, half, data, y = (v[order] for v in (lo, hi, half, data, y))
+        # the halves' nodes on the parent's series, left half then right
+        start = edges[k, None] + half[k, None] * np.einsum(
+            "pj,jk->pk", r[k, :10], _LEG_TO_HALVES)
+        # each panel halved in place: its index taken twice, the left
+        # half ending and the right half starting at mid
+        take, left = np.repeat(np.arange(lo.size), split + 1), k + np.arange(k.size)
+        lo, hi, data, y, fresh = lo[take], hi[take], data[take], new[take], split[take]
+        hi[left], lo[left + 1] = mid, mid
+        half, x = _panel_nodes(lo, hi)
+        data[fresh] = sample(x[fresh].ravel()).reshape(-1, 15)
+        y[fresh] = start.reshape(-1, 15)
     raise NonConvergence(f"{_PICARD_SWEEPS} Picard sweeps did not settle")
 
 

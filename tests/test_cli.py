@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -550,6 +551,32 @@ class TestConfig:
         code, _, _ = run(capsys, "sphere", "--config", "/no/such.ini",
                          "--rho", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("ini", ["spec = flat\n", "[metric]\nspec = flat%x\n",
+                                     "[metric]\nspec = flat\n[metric]\n"],
+                             ids=["no-section", "interpolation", "twice"])
+    def test_unreadable_config_file_exit_2(self, capsys, tmp_path, ini):
+        # configparser's own errors, raised as tracebacks before
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        code, out, err = run(capsys, "sphere", "--config", str(cfg), "--rho", "2")
+        assert code == 2
+        assert out == "" and err.startswith("isocap: config error: bad config file")
+
+    def test_config_parser_only_with_a_file(self, capsys, tmp_path, monkeypatch):
+        # without --config no parser is built; a file that says what the
+        # options say gives the same bytes
+        built, parser = [], configparser.ConfigParser
+        monkeypatch.setattr(configparser, "ConfigParser",
+                            lambda *a: built.append(1) or parser(*a))
+        argv = ("mass", "--p-grid", "2,iso", "--r-grid", "50,100,200,400,800,1600")
+        code, inline, _ = run(capsys, *argv, "--metric", "schwarzschild:m=1",
+                              "--format", "csv")
+        assert code == 0 and built == []
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[metric]\nspec = schwarzschild:m=1\n\n[output]\nformat = csv\n")
+        code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and built == [1] and from_file == inline
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sphere.json"

@@ -626,20 +626,65 @@ class TestPicardPanels:
     ], ids=["stall", "near-stall", "kinked-ramp"])
     def test_builds_end(self, run_isolated, build):
         # a build that halves or sweeps without end fails at the timeout;
-        # each sweep makes one _panel_sums call, and the volume row one
-        # more.  These builds take 41 to 46 panels and 10 to 21 sweeps.
+        # each sweep makes one rate call.  These builds take 41 to 46
+        # panels and 10 to 21 sweeps.
         out = run_isolated(
             "from isocap import numerics\n"
             "from isocap.geometry import mass_profile_metric, tanh_step_mass_metric\n"
             "sweeps, panels = [], []\n"
-            "rule, solve = numerics._panel_sums, numerics.picard_panels\n"
-            "numerics._panel_sums = lambda *a: sweeps.append(1) or rule(*a)\n"
-            "numerics.picard_panels = lambda *a: (\n"
-            "    lambda out: panels.append(out[0].size) or out)(solve(*a))\n"
+            "solve = numerics.picard_panels\n"
+            "numerics.picard_panels = lambda sample, rate, *a: (\n"
+            "    lambda out: panels.append(out[0].size) or out)(solve(\n"
+            "        sample, lambda *b: sweeps.append(1) or rate(*b), *a))\n"
             f"{build}\n"
-            "print(panels[0], len(sweeps) - 1)\n", timeout=60)
+            "print(panels[0], len(sweeps))\n", timeout=60)
         panels, sweeps = map(int, out.split())
-        assert panels <= 60 and sweeps <= 30
+        assert panels <= 60 and 0 < sweeps <= 30
+
+    def test_halves_in_place(self):
+        # kinks in the first, the last and two adjacent panels of five:
+        # the panels that hold them halve round by round.  Each round's
+        # panels, halved in place, are the sorted concatenation of the
+        # panels kept and the halves, and y at the halves' nodes is the
+        # parent's series there read by Horner's rule, to 4 ulp of |y|
+        kinks = np.array([0.3, 2.3, 3.6, 4.7])
+        calls = []
+
+        def rate(x, y):
+            calls.append((x.copy(), y.copy(), 1.0 + 0.1 * np.abs(
+                x[..., None] - kinks).sum(axis=-1)))
+            return calls[-1][2]
+        lo, hi = np.arange(5.0), np.arange(1.0, 6.0)
+        got = numerics.picard_panels(lambda x: x, rate, lambda y: y, 1.0, lo, hi)
+        t = np.concatenate((0.5 * numerics._GL_X - 0.5, 0.5 * numerics._GL_X + 0.5))
+        halved = []
+        for (x0, _, r), (x1, y1, _) in zip(calls, calls[1:]):
+            k = ~np.array([(row == x1).all(axis=1).any() for row in x0])
+            if not k.any():
+                continue
+            halved.append(np.flatnonzero(k).tolist())
+            half = 0.5 * (hi - lo)
+            sums = numerics._panel_sums(half, r)[0]
+            c = numerics._antiderivative(half[k], r[k, :10])
+            c[:, 0] += np.cumsum(np.concatenate(([1.0], sums)))[:-1][k]
+            want = numerics.horner(t, c.T[:, :, None], slope=False).reshape(-1, 15)
+            mid = 0.5 * (lo[k] + hi[k])
+            order = np.argsort(np.concatenate((lo[~k], lo[k], mid)))
+            lo, hi = (np.concatenate(v)[order] for v in (
+                (lo[~k], lo[k], mid), (hi[~k], mid, hi[k])))
+            assert np.array_equal(numerics._panel_nodes(lo, hi)[1], x1)
+            y = y1[order >= (~k).sum()]
+            assert np.all(np.abs(y - want) <= 4.0 * numerics._EPS * np.abs(y))
+        assert halved[0] == [0, 2, 3, 4] and len(halved) > 5
+        assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+
+    def test_tanh_step_build_reads_no_series(self, monkeypatch):
+        # the halves start from a constant matrix, not from Horner reads
+        calls, series = [], numerics.horner
+        monkeypatch.setattr(numerics, "horner",
+                            lambda *a, **k: calls.append(1) or series(*a, **k))
+        tanh_step_mass_metric(1.0, 5.0, 1.0)
+        assert calls == []
 
     def test_non_finite_rate_ends(self, run_isolated):
         # mu = -inf past rho = 1 makes every rate past it infinite

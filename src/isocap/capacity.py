@@ -154,6 +154,24 @@ def _variable(metric: RadialMetric, r0: float
     return 0.0, (lambda y: np.sqrt(np.maximum(y - log_min, 0.0))), at_u
 
 
+def _panels(offsets: np.ndarray, ends: np.ndarray,
+            t_of: Callable[[np.ndarray], np.ndarray]
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every gap [ends[k], ends[k+1]] in y cut at ``_offsets`` past its
+    start: the panels' ends lo and hi in the variable t and the gap of each.
+    At a throat the areal variable starts from 0 like sqrt(y): the first
+    panel of the first gap is halved twice in that variable, quartered
+    twice in y."""
+    lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
+    inner = ends[:-1, None] + lead
+    keep = lead < np.diff(ends)[:, None] * (1.0 - 1e-9)
+    keep[1:, :2] = False
+    edge = np.ones((len(ends) - 1, 1), dtype=bool)
+    lo = t_of(np.hstack((ends[:-1, None], inner))[np.hstack((edge, keep))])
+    hi = t_of(np.hstack((inner, ends[1:, None]))[np.hstack((keep, edge))])
+    return lo, hi, np.repeat(np.arange(len(ends) - 1), keep.sum(axis=1) + 1)
+
+
 def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
                     ps: Sequence[float], cfg: ToleranceConfig
                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -162,14 +180,19 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     The only code that integrates the capacity density.  Every gap
     [r_k, r_{k+1}] and the head [r_last, big] are cut into the panels of
     ``_offsets`` in y = log s, which resolve the p -> 1 boundary layer at
-    each gap's start.  The panels of all p's with equal edges are summed by
-    one ``numerics.gauss_legendre_err`` call, one row per p, in the variable
-    of ``_variable``, each checked against its gap's total: the metric is
-    evaluated once per node for all of them, and each row has the bits of a
-    call with its p alone.  A node in gap k rescales the density by that
-    gap's area A_k, so p near 1 neither over- nor underflows.  Past the
-    anchor big the two-term closed form of ``_tail_past`` takes over, on
-    infinite and finite domains alike.  Then
+    each gap's start; the p's whose first panels are equally wide share
+    them, one ``_offsets`` call per such group.  One pass of the variable
+    of ``_variable`` samples the metric, with one profile evaluation, at
+    the four tail probes and at every node of every group, before the
+    probes tell which p's diverge: the group of a divergent p is sampled
+    but never summed.  A group's rows, one per live p, are built from
+    those samples and summed by one ``numerics.gauss_legendre_sampled``
+    call, each checked against its gap's total; only a panel that fails
+    that check evaluates the metric again, in ``numerics._refine``.  Each
+    row has the bits of a call with its p alone.  A node in gap k rescales
+    the density by that gap's area A_k, so p near 1 neither over- nor
+    underflows.  Past the anchor big the two-term closed form of
+    ``_tail_past`` takes over, on infinite and finite domains alike.  Then
     J_k = int_{r_k}^{r_{k+1}} g_k + (A_{k+1}/A_k)^(-1/(p-1)) J_{k+1};
     on growing areas the factor can only underflow (p near 1).  The error
     of J_k sums the panels' estimates, _DENSITY_REL of each gap's integral
@@ -178,7 +201,8 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     I_p diverges when the density decays like s^-k with k <= 1; k is read
     between big/10 and big, with the slack 4.3e-4 at which a next-decade
     >= 0.999 * last-decade test flags exact power laws.  A density that
-    underflows to 0 converges.
+    underflows to 0 converges.  An area that overflows, at a radius or at
+    big, raises DomainError.
 
     Returns arrays (A_k, J_k, err_k) per p; every J_k is inf when I_p diverges.
     """
@@ -188,9 +212,13 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
         return []
     radii = np.asarray(radii, dtype=float)
     metric.check_start(radii[0])
-    areas = np.asarray(metric.area(radii), dtype=float)
+    with np.errstate(over="ignore"):
+        areas = np.asarray(metric.area(radii), dtype=float)
     if np.any(areas == 0.0):
         raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")
+    if np.any(np.isinf(areas)):
+        raise DomainError(f"area of the sphere at rho={radii[np.isinf(areas)][0]} "
+                          "overflows")
     lo, n = float(radii[-1]), len(radii)
     big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
     if big <= lo or big / 4.0 < metric.domain_start:  # the probes reach big/4
@@ -200,71 +228,84 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     # an area that falls far below a gap's start, with p near 1
     overflow = "I_{} rescaled by the area of an inner radius overflows"
 
-    def density(t: np.ndarray, group: Sequence[float]) -> Tuple[np.ndarray, ...]:
-        """dI/dt of each p of group, one row each, rescaled by gap; ds/dt."""
+    def sample(t: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The metric at t, whatever p: area(s), its ratio to the area of
+        the gap's start, dl/dt and ds/dt."""
         s, dl_dt, ds_dt = at(t)
         k = np.searchsorted(radii, s, side="right") - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = metric.area(s) / areas[k]
+            area = metric.area(s)
+            return area, area / areas[k], dl_dt, ds_dt
+
+    def rows(ratio: np.ndarray, dl_dt: np.ndarray, group: Sequence[float]) -> np.ndarray:
+        """dI/dt of each p of group, one row each, rescaled by gap."""
+        with np.errstate(over="ignore", invalid="ignore"):
             # a Python float exponent per row: numpy takes 1/x for a scalar
             # -1.0, which pow on a column of exponents does not round alike
             out = np.stack([ratio ** (-1.0 / (p - 1.0)) * dl_dt for p in group])
         for p, ok in zip(group, np.isfinite(out).all(axis=1)):
             if not ok:
                 raise NonConvergence(overflow.format(p))
-        return out, ds_dt
+        return out
+
+    def density(t: np.ndarray, group: Sequence[float]) -> np.ndarray:
+        return rows(*sample(t)[1:3], group)
 
     near = max(big / 10.0, lo)
-    y = np.log(np.add([big, big / 2.0, big / 4.0, near], c))
-    probe, ds_dt = density(t_of(y), ps)
-    probe = (probe / ds_dt).tolist()  # dI/ds
+    nodes = [t_of(np.log(np.add([big, big / 2.0, big / 4.0, near], c)))]
+    # q - 1 without the cancellation of 2/(p-1) - 1 near p = 3, and the
+    # width of the first panel, which keys the group of each p
+    q1s = [(3.0 - p) / (p - 1.0) for p in ps]
+    widths = [min(_PANEL, 1.6 / q1) for q1 in q1s]
+    groups: dict = {}  # width -> panel ends in t, their gaps, first node
+    if radii[0] + c > 0.0:  # panels in y = log(s + c) start past s + c = 0
+        ends = np.log(np.append(radii, big) + c)
+        span = float(np.diff(ends).max())
+        for q1, width in zip(q1s, widths):
+            if width not in groups:
+                lo_t, hi_t, gap = _panels(_offsets(q1, span), ends, t_of)
+                groups[width] = (lo_t, hi_t, gap, sum(map(len, nodes)))
+                nodes.append(numerics.panel_nodes(lo_t, hi_t)[1].ravel())
+    area, ratio, dl_dt, ds_dt = sample(np.concatenate(nodes))
+    if math.isinf(area[0]):
+        raise DomainError(f"area of the sphere at rho={big} overflows")
+    probe = (rows(ratio[:4], dl_dt[:4], ps) / ds_dt[:4]).tolist()  # dI/ds
     out = [(areas, np.full(n, math.inf), np.zeros(n))] * len(ps)
-    live = [i for i, (g_big, _, _, g_near) in enumerate(probe) if not (
-        g_big > 0.0 and g_near > 0.0 and math.log(g_near / g_big)
-        <= (1.0 + 4.3e-4) * math.log(big / near))]
+    live: dict = {}  # width -> indices of the live p's of its group
+    for i, (g_big, _, _, g_near) in enumerate(probe):
+        if not (g_big > 0.0 and g_near > 0.0 and math.log(g_near / g_big)
+                <= (1.0 + 4.3e-4) * math.log(big / near)):
+            live.setdefault(widths[i], []).append(i)
     if not live:
         return out
-    if radii[0] + c <= 0.0:  # no panel in y = log(s + c) starts at s + c = 0
+    if not groups:
         raise DomainError(f"capacity of the sphere at rho={radii[0]} needs rho > 0")
-    ends = np.log(np.append(radii, big) + c)
-    span = float(np.diff(ends).max())
-    groups: dict = {}  # panel offsets -> indices of the p's they serve
-    for i in live:
-        offsets = _offsets((3.0 - ps[i]) / (ps[i] - 1.0), span)
-        groups.setdefault(offsets.tobytes(), (offsets, []))[1].append(i)
-
-    for offsets, members in groups.values():
-        # at a throat the areal variable starts from 0 like sqrt(y): the
-        # first panel is halved twice in that variable, quartered twice in y
-        lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
-        edges, gap = [], []
-        for k in range(n):
-            inner = lead if k == 0 else offsets
-            inner = ends[k] + inner[inner < (ends[k + 1] - ends[k]) * (1.0 - 1e-9)]
-            edges.append(t_of(np.concatenate(([ends[k]], inner, [ends[k + 1]]))))
-            gap.append(np.full(inner.size + 1, k))
-        gap = np.concatenate(gap)
+    with np.errstate(over="ignore"):
+        step = areas[1:] / areas[:-1]
+    for width, members in live.items():
+        lo_t, hi_t, gap, first = groups[width]
         group = [ps[i] for i in members]
-        sums, errs = numerics.gauss_legendre_err(
-            lambda t: density(t, group)[0], np.concatenate([e[:-1] for e in edges]),
-            np.concatenate([e[1:] for e in edges]), cfg, gap)
-        for i, p, row, row_err in zip(members, group, sums, errs):
-            # q - 1 without the cancellation of 2/(p-1) - 1 near p = 3
-            q, q1 = 2.0 / (p - 1.0), (3.0 - p) / (p - 1.0)
-            inc = np.bincount(gap, weights=row, minlength=n)
-            inc_err = np.bincount(gap, weights=row_err + _DENSITY_REL * np.abs(row),
-                                  minlength=n)
-            tail, tail_err = _tail_past(probe[i][:3], big, q, q1)
+        at_group = slice(first, first + 15 * lo_t.size)
+        sums, errs = numerics.gauss_legendre_sampled(
+            lambda t: density(t, group), lo_t, hi_t,
+            rows(ratio[at_group], dl_dt[at_group], group), cfg, gap)
+        # each row's gap sums by one bincount, row after row
+        bins = (n * np.arange(len(members))[:, None] + gap).ravel()
+        inc, inc_err = (np.bincount(bins, weights=w.ravel(), minlength=n * len(members))
+                        .reshape(-1, n).tolist()
+                        for w in (sums, errs + _DENSITY_REL * np.abs(sums)))
+        for i, p, inc_p, err_p in zip(members, group, inc, inc_err):
+            tail, tail_err = _tail_past(probe[i][:3], big, 2.0 / (p - 1.0), q1s[i])
             with np.errstate(over="ignore"):
-                carry = (areas[1:] / areas[:-1]) ** (-1.0 / (p - 1.0))
+                carry = step ** (-1.0 / (p - 1.0))
             if not np.all(np.isfinite(carry)):
                 raise NonConvergence(overflow.format(p))
-            tails, errs_out = np.empty(n), np.empty(n)
-            tails[-1], errs_out[-1] = inc[-1] + tail, inc_err[-1] + tail_err
+            carry = carry.tolist()
+            tails, errs_out = [inc_p[-1] + tail], [err_p[-1] + tail_err]
             for k in range(n - 2, -1, -1):
-                tails[k] = inc[k] + carry[k] * tails[k + 1]
-                errs_out[k] = inc_err[k] + carry[k] * errs_out[k + 1]
-            out[i] = (areas, tails, errs_out)
+                tails.append(inc_p[k] + carry[k] * tails[-1])
+                errs_out.append(err_p[k] + carry[k] * errs_out[-1])
+            out[i] = (areas, np.array(tails[::-1]), np.array(errs_out[::-1]))
     return out
 
 

@@ -20,7 +20,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, Optional, Sequence, Tuple
 
 from .capacity import _capacities, one_capacity, p_capacity
 from .errors import ConfigError, DomainError, InsufficientData
@@ -156,6 +156,28 @@ def default_r_grid(metric: RadialMetric,
                           "radius grid past the largest float") from None
 
 
+def _overflow(metric: RadialMetric, radii: Sequence[float]
+              ) -> Optional[Tuple[float, str]]:
+    """Where the quasilocal masses at increasing radii leave the floats, or
+    None: the first radius whose area, or the volume (4pi/3) R^3 of the
+    ball of area radius R, overflows, and which of the two.  Every mass
+    formula holds a volume of that size.  Read at the last radius, where
+    an exhaustion's areas are largest, and only where that one overflows
+    at the others."""
+    def why(rho: float) -> Optional[Tuple[float, str]]:
+        area = metric.area(rho)
+        if math.isinf(area):
+            return rho, "area"
+        try:
+            area ** 1.5
+        except OverflowError:
+            return rho, "volume of a ball of the area"
+        return None
+    if why(radii[-1]) is None:
+        return None
+    return next(filter(None, map(why, radii)))
+
+
 def _diverges(radii: Sequence[float], vals: Sequence[float],
               report_tol: float) -> bool:
     """True for a p-parabolic sequence, one that ends far above the median
@@ -187,11 +209,21 @@ def total_masses(metric: RadialMetric, p_grid: Sequence[Optional[float]],
     for p in p_grid:
         if p is not None and p != 1.0:
             check_p(p)
-    if r_grid is None:
+    default = r_grid is None
+    if default:
         r_grid = default_r_grid(metric, cfg)
     radii = [float(r) for r in r_grid]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientData("need non-empty, strictly increasing radii")
+    for rho in radii:
+        metric.check_start(rho)
+    too_big = _overflow(metric, radii)
+    if too_big and default:
+        raise ConfigError(f"extrap_terms = {cfg.extrap_terms} takes the default "
+                          f"radius grid to rho={too_big[0]!r}, where the {too_big[1]} "
+                          "of the sphere overflows")
+    if too_big:
+        raise DomainError(f"{too_big[1]} of the sphere at rho={too_big[0]!r} overflows")
     reports = []
     for p, vals in zip(p_grid, _quasilocal(metric, radii, p_grid, cfg)):
         lim, err, verdict = math.inf, math.inf, DIVERGENT

@@ -28,7 +28,8 @@ from .errors import (ConfigError, DomainError, EvalError, InsufficientData,
                      NoBracket, NonConvergence)
 
 __all__ = ["ToleranceConfig", "integrate", "gauss_legendre",
-           "gauss_legendre_err", "legendre_panels", "legendre_integral",
+           "gauss_legendre_err", "gauss_legendre_sampled", "panel_nodes",
+           "legendre_panels", "legendre_integral",
            "horner", "legendre_inverse", "picard_panels", "PanelSeries",
            "pchip_slopes",
            "find_root", "newton_roots",
@@ -214,22 +215,36 @@ def gauss_legendre_err(density: Callable[[np.ndarray], np.ndarray], lo, hi,
 
     density maps a 1-D array of points to the integrand there, or to a 2-D
     array with one row per integrand, and then the sums and estimates have
-    one row per integrand too; one call serves every node of every panel.
+    one row per integrand too; one call, at the nodes of ``panel_nodes``,
+    serves every node of every panel.  The fixed pass on those samples is
+    ``gauss_legendre_sampled``.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return gauss_legendre_sampled(density, lo, hi,
+                                  density(panel_nodes(lo, hi)[1].ravel()), cfg, group)
+
+
+def gauss_legendre_sampled(density: Callable[[np.ndarray], np.ndarray], lo, hi,
+                           y: np.ndarray, cfg: ToleranceConfig = DEFAULT_CFG,
+                           group: Optional[np.ndarray] = None
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The sums and estimates of ``gauss_legendre_err`` from samples y the
+    caller already has: density at the nodes of ``panel_nodes(lo, hi)``,
+    raveled, as one row or one row per integrand.
+
     Each panel is summed by the 10-point Gauss-Legendre rule, its estimate
     being the difference from the 5-point rule.  Where that is not within
     quad_rel_tol of the panel's |sum|, or, when ``group`` maps each panel
     to the index of a total it is added into, of that total's sum of
     |panel sums|, that row of the panel takes the sum and estimate of
-    ``_refine``, as a panel of its own refined in that row alone.  Without
-    ``group`` a panel's sum depends on that panel alone, bit for bit; with
-    it, on its group too.  A row's sums never depend on the other rows.
+    ``_refine``, as a panel of its own refined in that row alone: only
+    then is density called.  Without ``group`` a panel's sum depends on
+    that panel alone, bit for bit; with it, on its group too.  A row's
+    sums never depend on the other rows.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half = (0.5 * (hi - lo))[:, None]
-    nodes = (0.5 * (lo + hi))[:, None] + half * _GL_X
-    y = density(nodes.ravel())
     one_row = y.ndim == 1
-    y = half * y.reshape((-1,) + nodes.shape)
+    y = (0.5 * (hi - lo))[:, None] * y.reshape((-1, lo.size, _GL_X.size))
     # row sums by numpy's reduction, not a matrix product: BLAS may sum a
     # row in an order that depends on the number of rows
     sums = (y[..., :10] * _GL10_W).sum(axis=-1)
@@ -383,7 +398,7 @@ def legendre_inverse(q, total, slope0, slope_mid, slope1, c):
     return t
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Half widths of the panels [lo[k], hi[k]] and their 15 nodes, the
     10-point Gauss nodes then the 5-point ones, shape (panels, 15)."""
     half = 0.5 * (hi - lo)
@@ -391,7 +406,7 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 
 def _panel_sums(half: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 10-point sums of samples y at the nodes of ``_panel_nodes`` (the
+    """The 10-point sums of samples y at the nodes of ``panel_nodes`` (the
     last axis) and their distances from the 5-point sums."""
     sums = half * np.einsum("...j,j->...", y[..., :10], _GL10_W)
     return sums, np.abs(sums - half * np.einsum("...j,j->...", y[..., 10:], _GL5_W))
@@ -416,7 +431,7 @@ def legendre_panels(density: Callable[[np.ndarray], np.ndarray], lo, hi,
     same samples, shape (rows, pieces).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half, nodes = _panel_nodes(lo, hi)
+    half, nodes = panel_nodes(lo, hi)
     y = density(nodes.ravel())
     y = y.reshape(y.shape[:-1] + nodes.shape)
     sums, errs = _panel_sums(half, y)
@@ -449,7 +464,7 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     and integrate density(y) alongside.
 
     sample maps a 1-D array of points to the data d there; it is called
-    once on the nodes of ``_panel_nodes`` of every panel.  From the guess
+    once on the nodes of ``panel_nodes`` of every panel.  From the guess
     y = y0 + x - lo[0], each sweep sets y at every node to y0 plus the
     integral of y': the antiderivative of the degree-9 interpolant of its
     panel's 10 Gauss samples (``legendre_integral``) plus the running sum
@@ -472,7 +487,7 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
     float inside, or 200 sweeps do not settle.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half, x = _panel_nodes(lo, hi)
+    half, x = panel_nodes(lo, hi)
     data, y = sample(x.ravel()).reshape(x.shape), y0 + (x - lo[0])
     for _ in range(_PICARD_SWEEPS):
         r = rate(data, y)
@@ -502,7 +517,7 @@ def picard_panels(sample: Callable[[np.ndarray], np.ndarray],
         take, left = np.repeat(np.arange(lo.size), split + 1), k + np.arange(k.size)
         lo, hi, data, y, fresh = lo[take], hi[take], data[take], new[take], split[take]
         hi[left], lo[left + 1] = mid, mid
-        half, x = _panel_nodes(lo, hi)
+        half, x = panel_nodes(lo, hi)
         data[fresh] = sample(x[fresh].ravel()).reshape(-1, 15)
         y[fresh] = start.reshape(-1, 15)
     raise NonConvergence(f"{_PICARD_SWEEPS} Picard sweeps did not settle")

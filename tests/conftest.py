@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from isocap import geometry, numerics
+from isocap.capacity import _DENSITY_REL, _offsets, _tail_past, _variable
+from isocap.errors import DomainError, NonConvergence
 from isocap.flow import Jump
 from isocap.geometry import Gauge
+from isocap.specfun import check_p
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -192,3 +195,92 @@ def _run_isolated(code, timeout=120):
 @pytest.fixture
 def run_isolated():
     return _run_isolated
+
+
+def _reference_capacity_tails(metric, radii, ps, cfg):
+    """The capacity tails gap by gap and p group by p group: the probes
+    first, by themselves, then one ``numerics.gauss_legendre_err`` call per
+    group of live p's with equal panels, which samples its own nodes.
+    ``capacity._capacity_tails`` must give the same bits and raise the same
+    errors."""
+    for p in ps:
+        check_p(p)
+    if not ps:
+        return []
+    radii = np.asarray(radii, dtype=float)
+    metric.check_start(radii[0])
+    areas = np.asarray(metric.area(radii), dtype=float)
+    if np.any(areas == 0.0):
+        raise DomainError(f"sphere at rho={radii[areas == 0.0][0]} has zero area")
+    lo, n = float(radii[-1]), len(radii)
+    big = min(max(cfg.cutoff_radius, 100.0 * lo), 0.999 * metric.r_max)
+    if big <= lo or big / 4.0 < metric.domain_start:
+        raise DomainError(f"metric domain [{metric.domain_start}, "
+                          f"{metric.r_max}] too short for capacity")
+    c, t_of, at = _variable(metric, float(radii[0]))
+    overflow = "I_{} rescaled by the area of an inner radius overflows"
+
+    def density(t, group):
+        s, dl_dt, ds_dt = at(t)
+        k = np.searchsorted(radii, s, side="right") - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = metric.area(s) / areas[k]
+            out = np.stack([ratio ** (-1.0 / (p - 1.0)) * dl_dt for p in group])
+        for p, ok in zip(group, np.isfinite(out).all(axis=1)):
+            if not ok:
+                raise NonConvergence(overflow.format(p))
+        return out, ds_dt
+
+    near = max(big / 10.0, lo)
+    y = np.log(np.add([big, big / 2.0, big / 4.0, near], c))
+    probe, ds_dt = density(t_of(y), ps)
+    probe = (probe / ds_dt).tolist()
+    out = [(areas, np.full(n, math.inf), np.zeros(n))] * len(ps)
+    live = [i for i, (g_big, _, _, g_near) in enumerate(probe) if not (
+        g_big > 0.0 and g_near > 0.0 and math.log(g_near / g_big)
+        <= (1.0 + 4.3e-4) * math.log(big / near))]
+    if not live:
+        return out
+    if radii[0] + c <= 0.0:
+        raise DomainError(f"capacity of the sphere at rho={radii[0]} needs rho > 0")
+    ends = np.log(np.append(radii, big) + c)
+    span = float(np.diff(ends).max())
+    groups = {}
+    for i in live:
+        offsets = _offsets((3.0 - ps[i]) / (ps[i] - 1.0), span)
+        groups.setdefault(offsets.tobytes(), (offsets, []))[1].append(i)
+    for offsets, members in groups.values():
+        lead = np.concatenate((offsets[:1] / 16.0, offsets[:1] / 4.0, offsets))
+        edges, gap = [], []
+        for k in range(n):
+            inner = lead if k == 0 else offsets
+            inner = ends[k] + inner[inner < (ends[k + 1] - ends[k]) * (1.0 - 1e-9)]
+            edges.append(t_of(np.concatenate(([ends[k]], inner, [ends[k + 1]]))))
+            gap.append(np.full(inner.size + 1, k))
+        gap = np.concatenate(gap)
+        group = [ps[i] for i in members]
+        sums, errs = numerics.gauss_legendre_err(
+            lambda t: density(t, group)[0], np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]), cfg, gap)
+        for i, p, row, row_err in zip(members, group, sums, errs):
+            q, q1 = 2.0 / (p - 1.0), (3.0 - p) / (p - 1.0)
+            inc = np.bincount(gap, weights=row, minlength=n)
+            inc_err = np.bincount(gap, weights=row_err + _DENSITY_REL * np.abs(row),
+                                  minlength=n)
+            tail, tail_err = _tail_past(probe[i][:3], big, q, q1)
+            with np.errstate(over="ignore"):
+                carry = (areas[1:] / areas[:-1]) ** (-1.0 / (p - 1.0))
+            if not np.all(np.isfinite(carry)):
+                raise NonConvergence(overflow.format(p))
+            tails, errs_out = np.empty(n), np.empty(n)
+            tails[-1], errs_out[-1] = inc[-1] + tail, inc_err[-1] + tail_err
+            for k in range(n - 2, -1, -1):
+                tails[k] = inc[k] + carry[k] * tails[k + 1]
+                errs_out[k] = inc_err[k] + carry[k] * errs_out[k + 1]
+            out[i] = (areas, tails, errs_out)
+    return out
+
+
+@pytest.fixture
+def reference_capacity_tails():
+    return _reference_capacity_tails

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,8 +10,10 @@ from isocap.capacity import (_capacities, _tail_past, capacitary_potential,
                              one_capacity, p_capacity, verify_flux_holder)
 from isocap.errors import (BadExponent, DomainError, NonConvergence,
                            ParabolicMetric)
-from isocap.geometry import (Gauge, cylinder, expr_metric, flat, scaled,
-                             schwarzschild, table_metric, to_geodesic)
+from isocap.geometry import (ExprProfile, Gauge, cylinder, expr_metric, flat,
+                             metric_from_spec, scaled, schwarzschild,
+                             table_metric, to_geodesic)
+from isocap.masses import default_r_grid
 from isocap.numerics import DEFAULT_CFG
 from isocap.specfun import P_HIGH, P_LOW
 
@@ -271,12 +274,17 @@ class TestErrors:
         # offsets of an infinite span once grew without bound
         def refuse(*args):
             raise AssertionError("panel offsets from log of a negative radius")
-        monkeypatch.setattr(capacity, "_offsets", refuse)
-        M = expr_metric(Gauge.GEODESIC, "r + 2", domain_start=-1.0)
-        for p in (1.5, 2.0):
-            with pytest.raises(DomainError, match="rho=-0.5 needs rho > 0"):
-                p_capacity(M, -0.5, p)
-        # a p-parabolic end needs no panels
+        with monkeypatch.context() as patch:
+            patch.setattr(capacity, "_offsets", refuse)
+            M = expr_metric(Gauge.GEODESIC, "r + 2", domain_start=-1.0)
+            for p in (1.5, 2.0):
+                with pytest.raises(DomainError, match="rho=-0.5 needs rho > 0"):
+                    p_capacity(M, -0.5, p)
+
+        # a p-parabolic end's panels are sampled with the probes, never summed
+        def no_sums(*args):
+            raise AssertionError("panels of a divergent p summed")
+        monkeypatch.setattr(numerics, "gauss_legendre_sampled", no_sums)
         assert p_capacity(cylinder(1.0), 0.0, 2.0).parabolic
 
     def test_below_domain(self):
@@ -332,3 +340,86 @@ class TestContinuityTowardOne:
         gaps = [abs(p_capacity(metric, rho0, p).ncap - base)
                 for p in (1.5, 1.25, 1.1, 1.05)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def _rn_spec(m, q):
+    r_plus = m + math.sqrt(m * m - q * q)
+    return f"expr:areal:1-2*m/r+q^2/r^2:m={m!r},q={q!r},r_min={r_plus!r}"
+
+
+class TestOneSamplingPass:
+    """``_capacity_tails`` samples the tail probes and every panel node of
+    every p in one pass, with the bits and the errors of the probes-first,
+    group-by-group reference in conftest."""
+
+    SPECS = {
+        "rn-q0": _rn_spec(1.0, 0.0),
+        "rn-q0.8m": _rn_spec(1.0, 0.8),
+        "schwarzschild": "schwarzschild:m=1",
+        "flat": "flat",
+        "shifted": "expr:geodesic:r+2",
+        "cylinder": "cylinder:a=2",
+        "kinks": "expr:areal:min(1-2/r,0.5+0.01*r):r_min=2",
+        "neck": "expr:geodesic:" + NECK,
+    }
+    P_GRIDS = [(1.5, 2.0, 2.5), (1.05, 1.2, 1.5, 2.9), (1.01, 2.99)]
+
+    @staticmethod
+    def radii(metric, kind):
+        start = metric.domain_start
+        if kind == "default":
+            return default_r_grid(metric)
+        grid = np.geomspace(max(2.0 * start, 1.0), 1e4, 50)
+        return grid if kind == "geomspace" else np.append(start, grid)
+
+    @staticmethod
+    def outcome(tails, *args):
+        try:
+            return [tuple(a.tobytes() for a in row) for row in tails(*args)]
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    def check(self, metric, ps, kind, reference):
+        radii = self.radii(metric, kind)
+        got = self.outcome(capacity._capacity_tails, metric, radii, list(ps),
+                           DEFAULT_CFG)
+        assert got == self.outcome(reference, metric, radii, list(ps), DEFAULT_CFG)
+        return got
+
+    @pytest.mark.parametrize("kind", ["default", "geomspace", "start"])
+    @pytest.mark.parametrize("ps", P_GRIDS)
+    @pytest.mark.parametrize("name", [*SPECS, "table"])
+    def test_bits_and_errors_of_the_reference(self, name, ps, kind, table_400,
+                                              reference_capacity_tails):
+        spec = self.SPECS.get(name, f"table:areal:{table_400}")
+        self.check(metric_from_spec(spec), ps, kind, reference_capacity_tails)
+
+    @pytest.mark.parametrize("kind", ["default", "geomspace", "start"])
+    def test_divergent_p_in_a_group_of_its_own(self, kind, refined,
+                                               reference_capacity_tails):
+        # area ~ r^0.6: p = 1.2 converges, p = 2.5 diverges, and their first
+        # panels differ in width
+        metric = metric_from_spec("expr:geodesic:r^0.3:rho_min=1")
+        got = self.check(metric, (1.2, 2.5), kind, reference_capacity_tails)
+        assert isinstance(got, list)
+        assert np.isinf(np.frombuffer(got[1][1])).all()
+        assert np.isfinite(np.frombuffer(got[0][1])).all()
+
+    def test_one_profile_evaluation(self, monkeypatch):
+        metric = metric_from_spec(_rn_spec(1.3, 0.6))
+        radii = default_r_grid(metric)
+        calls = []
+        values = ExprProfile.values
+        monkeypatch.setattr(ExprProfile, "values",
+                            lambda self, x: calls.append(x.size) or values(self, x))
+        capacity._capacity_tails(metric, radii, [1.5, 2.0, 2.5], DEFAULT_CFG)
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho, where", [(1e160, 1e160), (1e152, 1e154)])
+    def test_overflowing_area(self, rho, where):
+        # past about 3.8e153 the area 4 pi r^2 leaves the floats; at 1e152
+        # the radius is fine but its tail anchor 100 times out is not
+        message = f"area of the sphere at rho={where!r} overflows"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            p_capacity(schwarzschild(1.0), rho, 2.0)

@@ -259,8 +259,9 @@ class TestMass:
         assert run(capsys, *argv) == (0, batched, "")
 
     def test_one_profile_pass_per_grid(self, capsys, monkeypatch):
-        # one probe, one panel pass for p = 1.5, 2, 2.5, one volumes call;
-        # the area scans of p = 1 are closed-form in the areal gauge
+        # one pass for the probes and the panels of p = 1.5, 2, 2.5, one
+        # volumes call; the area scans of p = 1 are closed-form in the
+        # areal gauge
         calls = []
         values = ExprProfile.values
         monkeypatch.setattr(ExprProfile, "values",
@@ -268,7 +269,7 @@ class TestMass:
         code, _, err = run(capsys, "mass", "--metric", RN_SPEC,
                            "--p-grid", "1,1.5,2,2.5,iso")
         assert code == 0, err
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("p_grid", ["iso", "1", "2", "1.5,2.5"])
     def test_zero_area_radius_exit_3(self, capsys, p_grid):
@@ -276,6 +277,27 @@ class TestMass:
                            "--p-grid", p_grid, "--r-grid", "0,1,2")
         assert code == 3
         assert "DomainError" in err and "rho=0.0" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_grid_one_line(self, capsys, tmp_path):
+        # a user grid whose masses leave the floats is a numerical failure,
+        # one the default grid reaches through extrap_terms a configuration
+        # error; one line each, no numpy warning
+        code, out, err = run(capsys, "mass", "--metric", "schwarzschild:m=1",
+                             "--p-grid", "2,iso", "--r-grid",
+                             "1e150,2e150,4e150,8e150,1.6e151,3.2e151")
+        assert (code, out) == (3, "")
+        assert err == ("isocap: DomainError: volume of a ball of the area of "
+                       "the sphere at rho=1e+150 overflows\n")
+        ini = tmp_path / "long.ini"
+        ini.write_text("[tolerances]\nextrap_terms = 1000\n")
+        code, out, err = run(capsys, "mass", "--metric", "schwarzschild:m=1",
+                             "--p-grid", "2", "--config", str(ini))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"isocap: config error: extrap_terms = 1000 takes "
+                            r"the default radius grid to rho=\S+, where the "
+                            r"volume of a ball of the area of the sphere "
+                            r"overflows\n", err)
 
     def test_zero_radius_in_grid_exit_3(self, capsys):
         # the sphere at 0 has area 4*pi here, but the extrapolation in

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from isocap import capacity, numerics
 from isocap.errors import (BadExponent, ConfigError, DomainError,
                            InsufficientData)
-from isocap.geometry import (Gauge, cylinder, expr_metric, flat,
+from isocap.geometry import (ExprProfile, Gauge, cylinder, expr_metric, flat,
                              metric_from_spec, scaled, schwarzschild,
                              table_metric, tanh_step_mass_metric, to_geodesic)
 from isocap.masses import (CONVERGED, DIVERGENT,
@@ -192,6 +192,39 @@ class TestTotalMasses:
         M.volumes = lambda *a: calls.append(list(a[0])) or volumes(*a)
         total_masses(M, [1.0, 1.5, 2.0, None], GRID)
         assert calls == [GRID]
+
+    def test_two_profile_evaluations(self, monkeypatch):
+        # one pass samples the capacity probes and panels of every p > 1,
+        # one the volumes; the default grid and the p = 1 hulls read the
+        # areal area in closed form
+        calls = []
+        values = ExprProfile.values
+        monkeypatch.setattr(ExprProfile, "values",
+                            lambda self, x: calls.append(x.size) or values(self, x))
+        total_masses(_reissner_nordstrom(1.3, 0.6)(), [1.0, 1.5, 2.0, 2.5, None])
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_grid, grid, message", [
+        ([2.0, None], [1e150 * 2.0 ** k for k in range(6)],
+         "volume of a ball of the area of the sphere at rho=1e+150 overflows"),
+        ([1.0], [1e100 * 10.0 ** k for k in range(6)],
+         "volume of a ball of the area of the sphere at rho=1e+103 overflows"),
+        ([None], [1e160 * 2.0 ** k for k in range(6)],
+         "area of the sphere at rho=1e+160 overflows"),
+    ])
+    def test_overflowing_grid(self, p_grid, grid, message):
+        with pytest.raises(DomainError) as info:
+            total_masses(schwarzschild(1.0), p_grid, grid)
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_default_grid(self):
+        cfg = numerics.ToleranceConfig(extrap_terms=1000)
+        with pytest.raises(ConfigError, match=r"^extrap_terms = 1000 takes the "
+                           r"default radius grid to rho=\S+, where the volume of "
+                           r"a ball of the area of the sphere overflows$"):
+            total_masses(schwarzschild(1.0), [2.0], cfg=cfg)
 
     @pytest.mark.parametrize("p_grid, bad", [
         ([1.0, 2.0, 3.0], "p=3.0"),

@@ -672,7 +672,7 @@ class TestPicardPanels:
             order = np.argsort(np.concatenate((lo[~k], lo[k], mid)))
             lo, hi = (np.concatenate(v)[order] for v in (
                 (lo[~k], lo[k], mid), (hi[~k], mid, hi[k])))
-            assert np.array_equal(numerics._panel_nodes(lo, hi)[1], x1)
+            assert np.array_equal(numerics.panel_nodes(lo, hi)[1], x1)
             y = y1[order >= (~k).sum()]
             assert np.all(np.abs(y - want) <= 4.0 * numerics._EPS * np.abs(y))
         assert halved[0] == [0, 2, 3, 4] and len(halved) > 5

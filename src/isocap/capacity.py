@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, NonConvergence, ParabolicMetric
+from .errors import ConfigError, DomainError, NonConvergence, ParabolicMetric
 from .flow import _outward_hulls
 from .geometry import FOUR_PI, Gauge, RadialMetric
 from .numerics import DEFAULT_CFG, ToleranceConfig
@@ -202,7 +202,7 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     between big/10 and big, with the slack 4.3e-4 at which a next-decade
     >= 0.999 * last-decade test flags exact power laws.  A density that
     underflows to 0 converges.  An area that overflows, at a radius or at
-    big, raises DomainError.
+    big, raises DomainError; ConfigError where big is ``cutoff_radius``.
 
     Returns arrays (A_k, J_k, err_k) per p; every J_k is inf when I_p diverges.
     """
@@ -267,6 +267,9 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
                 groups[width] = (lo_t, hi_t, gap, sum(map(len, nodes)))
                 nodes.append(numerics.panel_nodes(lo_t, hi_t)[1].ravel())
     area, ratio, dl_dt, ds_dt = sample(np.concatenate(nodes))
+    if math.isinf(area[0]) and big == cfg.cutoff_radius:
+        raise ConfigError(f"cutoff_radius = {big!r} puts the capacity tail anchor "
+                          "where the area of the sphere overflows")
     if math.isinf(area[0]):
         raise DomainError(f"area of the sphere at rho={big} overflows")
     probe = (rows(ratio[:4], dl_dt[:4], ps) / ds_dt[:4]).tolist()  # dI/ds

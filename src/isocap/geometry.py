@@ -328,7 +328,8 @@ class RadialMetric:
         def density(xi: np.ndarray) -> np.ndarray:
             h = xi * xi
             f = self.profile.values(r_min + h)
-            f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * h) * h, f)
+            near = np.minimum(h, taylor_band)  # no overflow where unused
+            f = np.where(h < taylor_band, (f0_d1 + 0.5 * f0_d2 * near) * near, f)
             return 2.0 * xi / np.sqrt(np.where(f > 0.0, f, np.inf))
 
         return density

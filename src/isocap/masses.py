@@ -84,12 +84,49 @@ class IsoperimetricReport:
     threshold: Optional[float]  # smallest grid radius past which all pass
 
 
+def _overflow(metric: RadialMetric, radii: Sequence[float]
+              ) -> Optional[Tuple[float, str]]:
+    """Where the quasilocal masses at increasing radii leave the floats, or
+    None: the first radius whose area, or the volume (4pi/3) R^3 of the
+    ball of area radius R, overflows, and which of the two.  Every mass
+    formula holds a volume of that size.  Read at the last radius, where
+    an exhaustion's areas are largest; the others are read only when that
+    one overflows."""
+    def why(rho: float) -> Optional[Tuple[float, str]]:
+        area = metric.area(rho)
+        if math.isinf(area):
+            return rho, "area"
+        try:
+            area ** 1.5
+        except OverflowError:
+            return rho, "volume of a ball of the area"
+        return None
+    if why(radii[-1]) is None:
+        return None
+    return next(filter(None, map(why, radii)))
+
+
 def _quasilocal(metric: RadialMetric, radii: Sequence[float],
                 p_grid: Sequence[Optional[float]],
-                cfg: ToleranceConfig) -> List[List[float]]:
+                cfg: ToleranceConfig, default_grid: bool = False
+                ) -> List[List[float]]:
     """Quasilocal masses at increasing radii, one list per entry of p_grid:
     iso-p-capacitary (+inf when p-parabolic), or isoperimetric for None.
-    One capacity pass serves every p, one ``volumes`` call every radius."""
+    One capacity pass serves every p, one ``volumes`` call every radius.
+
+    Before any of that work, a radius whose area, or the volume of a ball
+    of that area, overflows raises DomainError, or ConfigError on
+    ``default_r_grid``'s grid (default_grid), which ``extrap_terms`` sized.
+    """
+    for rho in radii:
+        metric.check_start(rho)
+    too_big = _overflow(metric, radii)
+    if too_big and default_grid:
+        raise ConfigError(f"extrap_terms = {cfg.extrap_terms} takes the default "
+                          f"radius grid to rho={too_big[0]!r}, where the {too_big[1]} "
+                          "of the sphere overflows")
+    if too_big:
+        raise DomainError(f"{too_big[1]} of the sphere at rho={too_big[0]!r} overflows")
     ps = list(dict.fromkeys(p for p in p_grid if p is not None))
     caps = dict(zip(ps, _capacities(metric, radii, ps, cfg)))
     if None in p_grid:
@@ -156,28 +193,6 @@ def default_r_grid(metric: RadialMetric,
                           "radius grid past the largest float") from None
 
 
-def _overflow(metric: RadialMetric, radii: Sequence[float]
-              ) -> Optional[Tuple[float, str]]:
-    """Where the quasilocal masses at increasing radii leave the floats, or
-    None: the first radius whose area, or the volume (4pi/3) R^3 of the
-    ball of area radius R, overflows, and which of the two.  Every mass
-    formula holds a volume of that size.  Read at the last radius, where
-    an exhaustion's areas are largest, and only where that one overflows
-    at the others."""
-    def why(rho: float) -> Optional[Tuple[float, str]]:
-        area = metric.area(rho)
-        if math.isinf(area):
-            return rho, "area"
-        try:
-            area ** 1.5
-        except OverflowError:
-            return rho, "volume of a ball of the area"
-        return None
-    if why(radii[-1]) is None:
-        return None
-    return next(filter(None, map(why, radii)))
-
-
 def _diverges(radii: Sequence[float], vals: Sequence[float],
               report_tol: float) -> bool:
     """True for a p-parabolic sequence, one that ends far above the median
@@ -215,17 +230,8 @@ def total_masses(metric: RadialMetric, p_grid: Sequence[Optional[float]],
     radii = [float(r) for r in r_grid]
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InsufficientData("need non-empty, strictly increasing radii")
-    for rho in radii:
-        metric.check_start(rho)
-    too_big = _overflow(metric, radii)
-    if too_big and default:
-        raise ConfigError(f"extrap_terms = {cfg.extrap_terms} takes the default "
-                          f"radius grid to rho={too_big[0]!r}, where the {too_big[1]} "
-                          "of the sphere overflows")
-    if too_big:
-        raise DomainError(f"{too_big[1]} of the sphere at rho={too_big[0]!r} overflows")
     reports = []
-    for p, vals in zip(p_grid, _quasilocal(metric, radii, p_grid, cfg)):
+    for p, vals in zip(p_grid, _quasilocal(metric, radii, p_grid, cfg, default)):
         lim, err, verdict = math.inf, math.inf, DIVERGENT
         if not _diverges(radii, vals, REPORT_TOL):
             lim, err = extrapolate_limit(list(zip(radii, vals)), cfg)

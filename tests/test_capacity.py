@@ -8,8 +8,8 @@ import pytest
 from isocap import capacity, numerics
 from isocap.capacity import (_capacities, _tail_past, capacitary_potential,
                              one_capacity, p_capacity, verify_flux_holder)
-from isocap.errors import (BadExponent, DomainError, NonConvergence,
-                           ParabolicMetric)
+from isocap.errors import (BadExponent, ConfigError, DomainError,
+                           NonConvergence, ParabolicMetric)
 from isocap.geometry import (ExprProfile, Gauge, cylinder, expr_metric, flat,
                              metric_from_spec, scaled, schwarzschild,
                              table_metric, to_geodesic)
@@ -423,3 +423,12 @@ class TestOneSamplingPass:
         message = f"area of the sphere at rho={where!r} overflows"
         with pytest.raises(DomainError, match=re.escape(message)):
             p_capacity(schwarzschild(1.0), rho, 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cutoff_radius(self):
+        # the anchor is the configured cutoff_radius, not a radius passed in
+        cfg = numerics.ToleranceConfig(cutoff_radius=1e160)
+        with pytest.raises(ConfigError, match=r"^cutoff_radius = 1e\+160 puts the "
+                           r"capacity tail anchor where the area of the sphere "
+                           r"overflows$"):
+            p_capacity(schwarzschild(1.0), 2.0, 2.0, cfg)

@@ -219,6 +219,19 @@ class TestTotalMasses:
         assert str(info.value) == message
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass", [
+        lambda M, rho: huisken_mass(M, rho),
+        lambda M, rho: quasilocal_mass(M, rho, 2.0),
+        lambda M, rho: quasilocal_mass(M, rho, 1.0),
+    ], ids=["iso", "p=2", "p=1"])
+    def test_overflowing_quasilocal_mass(self, mass):
+        # the same refusal as total_masses, not an OverflowError of a ** 1.5
+        with pytest.raises(DomainError) as info:
+            mass(schwarzschild(1.0), 2e102)
+        assert str(info.value) == ("volume of a ball of the area of the sphere "
+                                   "at rho=2e+102 overflows")
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_default_grid(self):
         cfg = numerics.ToleranceConfig(extrap_terms=1000)
         with pytest.raises(ConfigError, match=r"^extrap_terms = 1000 takes the "

@@ -12,7 +12,7 @@ from .errors import (BadExponent, ConfigError, DomainError, EvalError,
 from .flow import (FlowTrack, GerochReport, Jump, SmoothSegment,
                    flow_to_csv, geroch_check, outward_hull, weak_imcf,
                    willmore_limit)
-from .geometry import (BoundaryKind, Gauge, HypothesisReport, RadialMetric,
+from .geometry import (Gauge, HypothesisReport, RadialMetric,
                        SphereData, check_hypotheses, cylinder, expr_metric,
                        find_minimal_spheres, flat, mass_profile_metric,
                        metric_from_spec, scaled, schwarzschild, sphere_data,

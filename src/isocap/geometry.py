@@ -37,8 +37,8 @@ from .numerics import DEFAULT_CFG, ToleranceConfig, find_root
 
 FOUR_PI = 4.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
-# |f(domain_start)| of an areal metric up to which f vanishes there (a
-# throat), so that a rounded f slightly below 0 still counts as 0
+# |f| (areal) or a'^2 (geodesic) up to which H = 0 (``_is_minimal``), so
+# that f rounded slightly below 0 at a throat still counts as 0
 _THROAT_TOL = 1e-10
 # the first panel edge past 0 of ``RadialMetric.volumes``; the edges double
 _VOLUME_EDGE = 2.0 ** -6
@@ -47,11 +47,6 @@ _VOLUME_EDGE = 2.0 ** -6
 class Gauge(enum.Enum):
     GEODESIC = "geodesic"
     AREAL = "areal"
-
-
-class BoundaryKind(enum.Enum):
-    NONE = "none"
-    MINIMAL = "minimal"
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,6 @@ class RadialMetric:
     gauge: Gauge
     profile: object
     domain_start: float
-    boundary_kind: BoundaryKind = BoundaryKind.NONE
     label: str = ""
     # the area never falls from this radius on (see own_hull); set by the
     # constructors that know it, never by a caller
@@ -353,7 +347,9 @@ class RadialMetric:
         ``numerics.gauss_legendre`` call, with one ``profile.values`` call,
         sums all panels, each by itself, and ``np.cumsum`` adds the whole
         ones in order, so each volume has the bits of its radius alone,
-        whatever the other radii, their order or earlier calls.
+        whatever the other radii, their order or earlier calls.  A volume
+        that overflows, or a density or panel sum on the way to it, raises
+        DomainError naming the least radius whose volume does.
         """
         rhos = [self.check_start(rho) for rho in rhos]
         if self.profile.volumes is not None:
@@ -368,12 +364,19 @@ class RadialMetric:
         edges = np.append(0.0, _VOLUME_EDGE * 2.0 ** np.arange(top + 1))
         k = np.searchsorted(edges, t[inside])  # edges[k-1] < t <= edges[k]
         whole = int(k.max()) - 1  # the panels below the last partial one
-        sums = numerics.gauss_legendre(
-            self._volume_density(), np.append(edges[:whole], edges[k - 1]),
-            np.append(edges[1:whole + 1], t[inside]), cfg)
-        below = np.append(0.0, np.cumsum(sums[:whole]))
         vols = np.zeros(len(rhos))
-        vols[inside] = below[k - 1] + sums[whole:]
+        try:
+            with np.errstate(over="raise"):
+                sums = numerics.gauss_legendre(
+                    self._volume_density(), np.append(edges[:whole], edges[k - 1]),
+                    np.append(edges[1:whole + 1], t[inside]), cfg)
+                below = np.append(0.0, np.cumsum(sums[:whole]))
+                vols[inside] = below[k - 1] + sums[whole:]
+        except FloatingPointError:
+            for rho in sorted(rhos)[:-1]:  # the least radius that overflows
+                self.volumes((rho,), cfg)
+            raise DomainError(f"volume of the sphere at rho={max(rhos)!r} "
+                              "overflows") from None
         return vols.tolist()
 
     def _volume_density(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -581,7 +584,6 @@ def to_geodesic(metric: RadialMetric,
         return metric
     prof = _ConvertedProfile(metric, cfg)
     out = RadialMetric(gauge=Gauge.GEODESIC, profile=prof, domain_start=0.0,
-                       boundary_kind=metric.boundary_kind,
                        label=f"geodesic<{metric.label}>")
     if metric.own_hull(metric.domain_start):  # rho(r) keeps r's order
         out._hull_from = 0.0
@@ -658,49 +660,56 @@ def find_minimal_spheres(metric: RadialMetric,
                          cfg: ToleranceConfig = DEFAULT_CFG) -> List[float]:
     """Radii of all centered minimal spheres (H = 0), boundary included.
 
-    Geodesic gauge: domain_start when a' there is within root_tol, and the
-    critical points of the area (``RadialMetric.critical_points``) with
-    a != 0.  Areal gauge, where f >= 0 vanishes only tangentially: the
-    first probe when |f| <= root_tol * max(1, rho) there, and the sign
-    changes of f' on the same probes where f <= sqrt(root_tol).
+    One rule (``_is_minimal``) decides at domain_start in both gauges, so
+    a metric and its ``to_geodesic`` test the same number f(r_min), and at
+    the sign changes of f' between the probes of ``critical_points``,
+    where an areal f >= 0 can vanish only tangentially.  A geodesic
+    metric's other minimal spheres are its critical points with a != 0.
     """
-    roots: List[float] = []
+    start = metric.domain_start
+    v, d1 = (float(x[0]) for x in metric.profile.triple(np.array([start]))[:2])
     if metric.gauge is Gauge.GEODESIC:
-        start = metric.domain_start
-        if abs(metric.profile.triple(np.array([start]))[1][0]) <= cfg.root_tol:
-            roots.append(start)
+        roots = [start] if _is_minimal(v, d1 * d1) else []
         roots += [p.rho for p in metric.critical_points(cfg)[0]
                   if p.area != 0.0]
     else:
+        roots = [start] if _is_minimal(start, v) else []
         grid = _probe_grid(metric, cfg, _AREA_PROBES)
-        grid = grid[grid >= max(metric.domain_start, 1e-12)]
-        v, d1 = metric.profile.triple(grid)[:2]
-        if abs(v[0]) <= cfg.root_tol * max(1.0, grid[0]):
-            roots.append(float(grid[0]))
+        grid = grid[grid >= max(start, 1e-12)]
+        d1 = metric.profile.triple(grid)[1]
         for i in np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0):
             rc = find_root(lambda s: metric.profile.eval_d2(s)[1],
                            float(grid[i]), float(grid[i + 1]), cfg)
-            if metric.profile.eval_d2(rc)[0] <= math.sqrt(cfg.root_tol):
+            if _is_minimal(rc, metric.profile.eval_d2(rc)[0]):
                 roots.append(rc)
+    return [r for r, before in zip(roots, [-math.inf] + roots)  # increasing
+            if r - before > 1e-6 * max(1.0, r)]
 
-    dedup: List[float] = []
-    for r in sorted(roots):
-        if not dedup or r - dedup[-1] > 1e-6 * max(1.0, r):
-            dedup.append(r)
-    return dedup
+
+def _is_minimal(a: float, h2: float) -> bool:
+    """H = 0 on the sphere of area radius a > 0 (a = 0 is a pole) where
+    h2 = (H*a/2)^2, a'^2 geodesic and f areal, is within _THROAT_TOL of 0."""
+    return a != 0.0 and abs(h2) <= _THROAT_TOL
 
 
 def check_hypotheses(metric: RadialMetric,
                      cfg: ToleranceConfig = DEFAULT_CFG) -> HypothesisReport:
     """Grid-based certificate for the hypotheses of mass equivalence.
 
-    The isoperimetric constant is estimated over radial competitors only
+    The boundary is minimal when ``find_minimal_spheres`` finds
+    domain_start; any other minimal sphere is interior.  The spheres past
+    an areal metric's first interior one, where f vanishes to order 2 when
+    smooth, lie at infinite distance: the probes stop before it.  The
+    isoperimetric constant is estimated over radial competitors only
     (centered spheres); it is an upper bound certificate, not a proof.
     """
-    grid = _probe_grid(metric, cfg, _PROBES)
     start = metric.domain_start
-    interior = [s for s in grid if s > start
-                and (s > start * (1 + 1e-9) or start == 0.0)]
+    minimal = find_minimal_spheres(metric, cfg)
+    interior_minimal = [r for r in minimal if r != start]
+    grid = _probe_grid(metric, cfg, _PROBES)
+    if metric.gauge is Gauge.AREAL and interior_minimal:
+        grid = grid[grid < interior_minimal[0]]
+    interior = [s for s in grid if s > start + abs(start) * 1e-9]
     worst: Optional[Tuple[float, float]] = None
     kappa = math.inf
     for data in spheres(metric, interior, cfg):
@@ -709,21 +718,12 @@ def check_hypotheses(metric: RadialMetric,
             worst = (data.scalar_curvature, data.rho)
         if data.volume > 0.0:
             kappa = min(kappa, data.area ** 3 / data.volume ** 2)
-
-    minimal = find_minimal_spheres(metric, cfg)
-    boundary_tol = 1e-6 * max(1.0, metric.domain_start)
-    interior_minimal = [r for r in minimal
-                        if r > metric.domain_start + boundary_tol]
-    has_min_boundary = any(r <= metric.domain_start + boundary_tol
-                           for r in minimal)
-    minimal_boundary = (metric.boundary_kind is BoundaryKind.MINIMAL
-                        and has_min_boundary)
     return HypothesisReport(
         scalar_curvature_nonneg=worst is None,
         worst_scalar_violation=worst,
         no_interior_minimal=not interior_minimal,
         offending_radii=interior_minimal,
-        minimal_boundary=minimal_boundary,
+        minimal_boundary=start in minimal,
         radial_isoperimetric_constant=0.0 if math.isinf(kappa) else kappa,
         probe_grid=[float(s) for s in grid])
 
@@ -745,19 +745,11 @@ def validate_metric(metric: RadialMetric,
         if vals[-1] < 1e3 * max(1.0, float(vals[0])):
             issues.append("warping factor does not grow beyond every bound "
                           "(asymptotic largeness violated)")
-        if metric.boundary_kind is BoundaryKind.MINIMAL:
-            ap = metric.profile.eval_d2(metric.domain_start)[1]
-            if abs(ap) > math.sqrt(cfg.root_tol):
-                issues.append(f"minimal boundary requires a'(rho_min)=0, got {ap}")
     else:
         if metric.domain_start <= 0.0:
             issues.append("areal gauge requires r > 0")
         if np.any(vals < -1e-12):
             issues.append("areal coefficient f must be nonnegative")
-        if metric.boundary_kind is BoundaryKind.MINIMAL:
-            f0 = metric.profile.eval_d2(metric.domain_start)[0]
-            if abs(f0) > math.sqrt(cfg.root_tol):
-                issues.append(f"minimal boundary requires f(r_min)=0, got {f0}")
     return issues
 
 
@@ -774,8 +766,7 @@ def schwarzschild(m: float = 1.0) -> RadialMetric:
     if m <= 0.0:
         raise ConfigError("schwarzschild mass must be positive")
     return RadialMetric(Gauge.AREAL, ExprProfile("1 - 2*m/r", {"m": m}),
-                        2.0 * m, BoundaryKind.MINIMAL,
-                        label=f"schwarzschild:m={m:g}")
+                        2.0 * m, label=f"schwarzschild:m={m:g}")
 
 
 def cylinder(a: float = 1.0) -> RadialMetric:
@@ -787,14 +778,12 @@ def cylinder(a: float = 1.0) -> RadialMetric:
 
 
 def expr_metric(gauge: Gauge, text: str, params: Optional[dict] = None,
-                domain_start: float = 0.0,
-                boundary_kind: BoundaryKind = BoundaryKind.NONE) -> RadialMetric:
+                domain_start: float = 0.0) -> RadialMetric:
     prof = ExprProfile(profiles.parse(text), params)
-    return RadialMetric(gauge, prof, domain_start, boundary_kind)
+    return RadialMetric(gauge, prof, domain_start)
 
 
-def table_metric(gauge: Gauge, path: str,
-                 boundary_kind: BoundaryKind = BoundaryKind.NONE) -> RadialMetric:
+def table_metric(gauge: Gauge, path: str) -> RadialMetric:
     """Metric from a two-column CSV (radius, profile value)."""
     import csv
 
@@ -813,7 +802,7 @@ def table_metric(gauge: Gauge, path: str,
             radii.append(r)
             values.append(v)
     prof = TableProfile(radii, values, label=f"table:{path}")
-    return RadialMetric(gauge, prof, radii[0], boundary_kind)
+    return RadialMetric(gauge, prof, radii[0])
 
 
 def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
@@ -845,7 +834,6 @@ def scaled(metric: RadialMetric, lam: float) -> RadialMetric:
     prof = FuncProfile(fn, arrays, f"scaled({lam:g})*{base.describe()}",
                        base.r_max * lam, volumes, radius_of)
     out = RadialMetric(metric.gauge, prof, metric.domain_start * lam,
-                       metric.boundary_kind,
                        label=f"scaled:{lam:g}:{metric.label}")
     out._hull_from = lam * metric._hull_from
     return out

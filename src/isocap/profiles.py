@@ -217,19 +217,19 @@ def parse(text: str) -> ProfileExpr:
 
 def to_text(expr: ProfileExpr) -> str:
     """Canonical fully parenthesized rendering; parse(to_text(e)) == e."""
+    return _render(expr.ast)
 
-    def render(n: Node) -> str:
-        if isinstance(n, Num):  # 1e999 parses back to inf, "inf" to a name
-            return "1e999" if n.value == math.inf else repr(n.value)
-        if isinstance(n, Name):
-            return n.ident
-        if isinstance(n, Neg):
-            return f"(-{render(n.operand)})"
-        if isinstance(n, Bin):
-            return f"({render(n.left)}{n.op}{render(n.right)})"
-        return f"{n.func}({','.join(render(a) for a in n.args)})"
 
-    return render(expr.ast)
+def _render(n: Node) -> str:
+    if isinstance(n, Num):  # 1e999 parses back to inf, "inf" to a name
+        return "1e999" if n.value == math.inf else repr(n.value)
+    if isinstance(n, Name):
+        return n.ident
+    if isinstance(n, Neg):
+        return f"(-{_render(n.operand)})"
+    if isinstance(n, Bin):
+        return f"({_render(n.left)}{n.op}{_render(n.right)})"
+    return f"{n.func}({','.join(_render(a) for a in n.args)})"
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +363,11 @@ class _Emitter:
         self.slots: Dict[int, Tuple[str, Node]] = {}  # folded subtrees
         self.flags: Dict[int, Tuple[bool, bool]] = {}
         self.lines, self.pad, self.names = [], "", itertools.count()
+        self.note = ""  # a comment naming the node whose lines put writes
         self.params: set = set()  # parameter names read
 
     def put(self, template: str, **names) -> None:
-        self.lines += [self.pad + line
+        self.lines += [self.pad + line + self.note
                        for line in template.format(**names).split("\n")]
 
     def flag(self, n: Node) -> Tuple[bool, bool]:
@@ -406,6 +407,7 @@ class _Emitter:
             return o, "0.0", "0.0"
         op, kids = _operands(n)
         args = [self.walk(k, arr, fold) for k in kids]
+        self.note = "  # " + _render(n)
         return self.op(op, args, [arr and self.flag(k)[0] for k in kids])
 
     def op(self, op: str, args, arrs) -> Tuple[str, str, str]:
@@ -482,7 +484,9 @@ def _evaluators(em: _Emitter, ast: Node, fold: bool) -> list:
     v, d1, d2 = em.walk(ast, False, fold)
     lines = ["def scalar(r):", "    try:", "        x = float(r)",
              *("        " + s for s in em.lines),
-             "    except (OverflowError, ValueError, ZeroDivisionError) as exc:",
+             "    except OverflowError as exc:",
+             "        raise _overflow(exc, r) from None",
+             "    except (ValueError, ZeroDivisionError) as exc:",
              '        raise EvalError(f"{exc} at r={r}") from None',
              f"    if _isfinite({v}) and _isfinite({d1}) and _isfinite({d2}):",
              f"        return {v}, {d1}, {d2}",
@@ -502,6 +506,13 @@ def _evaluators(em: _Emitter, ast: Node, fold: bool) -> list:
         f"    return _whole(({v}, {d1}, {d2}), rs, parts) if finite else None"]
 
 
+def _overflow(src: list, exc: OverflowError, r) -> EvalError:
+    """The EvalError of an overflow in the lines src of ``bind``, naming the
+    subexpression in the comment of the line that raised, if it has one."""
+    site = src[exc.__traceback__.tb_lineno - 1].partition("  # ")[2]
+    return EvalError(f"overflow{' in ' + site if site else ''} at r={r}")
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _code(key: str, ast: Node, fold: bool = True
           ) -> Callable[[ParamSet], Callable[[float], Triple]]:
@@ -517,11 +528,11 @@ def _code(key: str, ast: Node, fold: bool = True
     if em.lines:
         body = ["try:", *("    " + s for s in em.lines),
                 "except Exception:", "    return _raw(P)", *body]
-    src = "\n".join(["def bind(P):", *("    " + s for s in body),
-                     "    scalar.array = array", "    return scalar"])
+    src = ["def bind(P):", *("    " + s for s in body),
+           "    scalar.array = array", "    return scalar"]
     namespace = dict(_NAMESPACE, _raw=lambda P: _code(key, ast, False)(P),
-                     **em.consts)
-    exec(builtins.compile(src, "<isocap profile>", "exec"), namespace)
+                     _overflow=functools.partial(_overflow, src), **em.consts)
+    exec(builtins.compile("\n".join(src), "<isocap profile>", "exec"), namespace)
     bind = namespace["bind"]
     bind.names = frozenset(em.params)
     return bind

@@ -108,7 +108,7 @@ class TestSphere:
         code, _, err = run(capsys, "sphere", "--metric",
                            "expr:geodesic:exp(r)", "--rho", "1000")
         assert code == 3
-        assert "EvalError" in err and "r=1000" in err
+        assert err == "isocap: EvalError: overflow in exp(r) at r=1000.0\n"
 
 
 class TestCapacity:
@@ -133,6 +133,17 @@ class TestCapacity:
                            f"table:geodesic:{table}", "--rho0", "2", "--p", "2")
         assert code == 3
         assert "DomainError: metric domain [1.0, 4.0] too short for capacity" in err
+
+    def test_overflowing_cutoff_probe_exit_3(self, capsys, tmp_path):
+        # the tail probes read f at 0.999 * cutoff_radius, where r^2 overflows
+        ini = tmp_path / "far.ini"
+        ini.write_text(f"[metric]\nspec = {RN_SPEC}\n"
+                       "[tolerances]\ncutoff_radius = 1e160\n")
+        code, out, err = run(capsys, "capacity", "--config", str(ini),
+                             "--rho0", "3", "--p", "2")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"isocap: EvalError: overflow in \(r\^2\.0\) "
+                            r"at r=9\.99\d*e\+159\n", err)
 
     def test_bad_exponent_exit_3(self, capsys):
         code, _, err = run(capsys, "capacity", "--metric", "flat",
@@ -299,6 +310,27 @@ class TestMass:
                             r"volume of a ball of the area of the sphere "
                             r"overflows\n", err)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_volume_one_line(self, capsys):
+        # areas and balls stay finite, the volume 2*pi*rho^2 does not
+        code, out, err = run(capsys, "mass", "--metric",
+                             "expr:geodesic:sqrt(r):rho_min=1", "--p-grid", "iso",
+                             "--r-grid", "1e155,2e155,4e155,8e155,1.6e156,3.2e156")
+        assert (code, out) == (3, "")
+        assert err == ("isocap: DomainError: volume of the sphere at "
+                       "rho=1e+155 overflows\n")
+
+    def test_indeterminate_verdicts(self, capsys):
+        # six radii about a neck: the extrapolation errs beyond 1e-2
+        code, out, err = run(capsys, "mass", "--metric",
+                             "expr:geodesic:r+1.5*exp(-4*(r-3)^2)", "--p-grid",
+                             "2,iso", "--r-grid", "3,4,5,6,7,8")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)
+        assert [rep["verdict"] for rep in reports] == [masses.INDETERMINATE] * 2
+        for rep in reports:
+            assert rep["err"] > masses.REPORT_TOL * max(1.0, abs(rep["extrapolated"]))
+
     def test_zero_radius_in_grid_exit_3(self, capsys):
         # the sphere at 0 has area 4*pi here, but the extrapolation in
         # 1/radius cannot take it
@@ -373,6 +405,20 @@ class TestHypotheses:
             ("scalar curvature >= 0", ">= -1e-10", scalar),
             ("no interior minimal sphere", "0", "pass"),
             ("radial isoperimetric constant", "> 0", "pass")]
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_areal_interior_minimal_exits_1(self, capsys):
+        # f = (1 - 1/r)^2 touches 0 at r = 1: one interior minimal sphere,
+        # past which no volume is read
+        code, out, err = run(capsys, "hypotheses", "--metric",
+                             "expr:areal:(1-1/r)^2:r_min=0.5")
+        assert (code, err) == (1, "")
+        assert check_rows(out) == [
+            ("scalar curvature >= 0", ">= -1e-10", "pass"),
+            ("no interior minimal sphere", "0", "FAIL"),
+            ("radial isoperimetric constant", "> 0", "pass")]
+        assert re.search(r"no interior minimal sphere +1 +0 +FAIL", out)
 
 
 class TestNonFiniteRadii:
@@ -548,9 +594,13 @@ class TestConfig:
         ("expr:geodesic:r:rho_min=-1", ">= 0"),
         ("schwarzschild:m=2,m=3", "twice"),
         ("expr:areal:1-2*m/r:m=1:r_min=3", "expr:<gauge>"),
+        ("schwarzschild:m", "expected key=value"),
+        ("schwarzschild:m=abc", "non-numeric"),
+        ("table:areal", "table:<gauge>:<path>"),
     ], ids=["schwarzschild-key", "cylinder-key", "flat-key", "both-starts",
             "expr-key", "negative-areal-start", "negative-geodesic-start",
-            "repeated-key", "extra-part"])
+            "repeated-key", "extra-part", "no-value", "non-numeric",
+            "table-without-path"])
     def test_bad_spec_key_exit_2(self, capsys, spec, word):
         code, out, err = run(capsys, "sphere", "--metric", spec, "--rho", "5")
         assert code == 2

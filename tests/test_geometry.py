@@ -12,7 +12,7 @@ from isocap import geometry, numerics
 from isocap.capacity import p_capacity
 from isocap.errors import (ConfigError, DomainError, EvalError,
                            NonIntegrableThroat)
-from isocap.geometry import (BoundaryKind, FuncProfile, Gauge, TableProfile,
+from isocap.geometry import (FuncProfile, Gauge, TableProfile,
                              check_hypotheses, cylinder,
                              expr_metric, find_minimal_spheres, flat,
                              mass_profile_metric, metric_from_spec, scaled,
@@ -55,26 +55,19 @@ class TestFlat:
 
 
 class TestValidateMetric:
-    @pytest.mark.parametrize("gauge, text, start, kind, issue", [
-        (Gauge.GEODESIC, "r + log(r-5)", 0.0, BoundaryKind.NONE,
+    @pytest.mark.parametrize("gauge, text, start, issue", [
+        (Gauge.GEODESIC, "r + log(r-5)", 0.0,
          "profile evaluation failed: log of non-positive value -5.0"),
-        (Gauge.GEODESIC, "r - 5", 0.0, BoundaryKind.NONE,
+        (Gauge.GEODESIC, "r - 5", 0.0,
          "warping factor must be positive on the probe grid"),
-        (Gauge.GEODESIC, "2", 0.0, BoundaryKind.NONE,
+        (Gauge.GEODESIC, "2", 0.0,
          "warping factor does not grow beyond every bound "
          "(asymptotic largeness violated)"),
-        (Gauge.GEODESIC, "r + 1", 0.0, BoundaryKind.MINIMAL,
-         "minimal boundary requires a'(rho_min)=0, got 1.0"),
-        (Gauge.AREAL, "1", 0.0, BoundaryKind.NONE,
-         "areal gauge requires r > 0"),
-        (Gauge.AREAL, "1 - 2/r", 1.0, BoundaryKind.NONE,
-         "areal coefficient f must be nonnegative"),
-        (Gauge.AREAL, "1 - 1/r", 2.0, BoundaryKind.MINIMAL,
-         "minimal boundary requires f(r_min)=0, got 0.5"),
-    ], ids=["evaluation", "positive", "largeness", "geodesic-minimal",
-            "areal-start", "areal-sign", "areal-minimal"])
-    def test_each_issue(self, gauge, text, start, kind, issue):
-        M = geometry.RadialMetric(gauge, geometry.ExprProfile(text), start, kind)
+        (Gauge.AREAL, "1", 0.0, "areal gauge requires r > 0"),
+        (Gauge.AREAL, "1 - 2/r", 1.0, "areal coefficient f must be nonnegative"),
+    ], ids=["evaluation", "positive", "largeness", "areal-start", "areal-sign"])
+    def test_each_issue(self, gauge, text, start, issue):
+        M = geometry.RadialMetric(gauge, geometry.ExprProfile(text), start)
         assert validate_metric(M) == [issue]
 
 
@@ -155,14 +148,65 @@ class TestStartSphere:
         assert find_minimal_spheres(metric) == [metric.domain_start] == [0.0]
         rep = check_hypotheses(metric)
         assert rep.no_interior_minimal and rep.offending_radii == []
-        assert rep.minimal_boundary == (metric.boundary_kind
-                                        is BoundaryKind.MINIMAL)
+        assert rep.minimal_boundary
 
     @pytest.mark.parametrize("text, start", [("r", 0.0), ("r + 1", 0.0),
                                              ("1 + (r-1)^2", 2.0)])
     def test_sloped_start_is_not_minimal(self, text, start):
         metric = expr_metric(Gauge.GEODESIC, text, domain_start=start)
         assert find_minimal_spheres(metric) == []
+
+
+# an areal Reissner-Nordstrom slice whose f at r_min rounds to 1.4e-16, so
+# that a' = sqrt(f) at its converted start is 1.2e-8
+RN_ROUNDED = ("expr:areal:1-2*m/r+q^2/r^2:m=1.7999450475864174,"
+              "q=0.8423764169447919,r_min=3.3906065912550023")
+
+
+class TestMinimalRule:
+    """One rule decides H = 0: |f| in the areal gauge, a'^2 in the
+    geodesic one, within 1e-10, on a sphere of positive area."""
+
+    @pytest.mark.parametrize("spec, minimal", [
+        (RN_ROUNDED, True), ("expr:areal:1-2/r+5e-11:r_min=2", True),
+        ("expr:areal:1-2/r+1e-9:r_min=2", False)],
+        ids=["rounded", "within", "beyond"])
+    def test_both_gauges_agree_at_the_start(self, spec, minimal):
+        M = metric_from_spec(spec)
+        for metric in (M, to_geodesic(M)):
+            roots = find_minimal_spheres(metric)
+            assert roots == ([metric.domain_start] if minimal else [])
+            assert check_hypotheses(metric).minimal_boundary is minimal
+
+    def test_declared_and_expression_schwarzschild_agree(self):
+        rep = check_hypotheses(schwarzschild(1.0))
+        assert rep.minimal_boundary and rep.no_interior_minimal
+        assert check_hypotheses(
+            metric_from_spec("expr:areal:1-2*m/r:m=1,r_min=2")) == rep
+
+    @pytest.mark.parametrize("spec", ["expr:geodesic:r^2",
+                                      "expr:areal:r^2:r_min=0"])
+    def test_zero_area_start_is_a_pole(self, spec):
+        # H = 0 by the numbers, but a sphere of zero area is not minimal
+        assert find_minimal_spheres(metric_from_spec(spec)) == []
+
+    def test_areal_interior_double_zero(self):
+        # f = (1 - 1/r)^2 touches 0 at r = 1, found between the probes
+        M = metric_from_spec("expr:areal:(1-1/r)^2:r_min=0.5")
+        roots = find_minimal_spheres(M)
+        assert roots == pytest.approx([1.0], abs=1e-9)
+        rep = check_hypotheses(M)
+        assert not rep.minimal_boundary
+        assert rep.offending_radii == roots and not rep.no_interior_minimal
+        # the spheres past r = 1 lie at infinite distance: no probe there
+        assert max(rep.probe_grid) < 1.0
+        assert rep.scalar_curvature_nonneg
+        assert rep.radial_isoperimetric_constant > 0.0
+
+    def test_areal_interior_near_miss(self):
+        # f dips to 1e-6 > 1e-10: H = 2e-3/r there, not a minimal sphere
+        M = metric_from_spec("expr:areal:(1-1/r)^2+1e-6:r_min=0.5")
+        assert find_minimal_spheres(M) == []
 
 
 class TestNeck:
@@ -189,6 +233,10 @@ class TestNeck:
 
 
 class TestGaugeConversion:
+    def test_geodesic_metric_is_its_own_conversion(self):
+        M = expr_metric(Gauge.GEODESIC, NECK)
+        assert to_geodesic(M) is M
+
     def test_geodesic_schwarzschild_matches(self):
         S = schwarzschild(1.0)
         G = to_geodesic(S)
@@ -210,8 +258,7 @@ class TestGaugeConversion:
 
     def test_throat_vanishing_order_rejected(self):
         # f ~ (r-1)^2 near the throat: infinite distance, not convertible
-        M = expr_metric(Gauge.AREAL, "(1 - 1/r)^2", domain_start=1.0,
-                        boundary_kind=BoundaryKind.MINIMAL)
+        M = expr_metric(Gauge.AREAL, "(1 - 1/r)^2", domain_start=1.0)
         with pytest.raises(NonIntegrableThroat):
             to_geodesic(M)
 
@@ -276,8 +323,7 @@ class TestGaugeConversionAccuracy:
         else:
             areal = expr_metric(Gauge.AREAL, "1 - 2*m/r + q^2/r^2",
                                 {"m": m, "q": q},
-                                domain_start=m + math.sqrt(m * m - q * q),
-                                boundary_kind=BoundaryKind.MINIMAL)
+                                domain_start=m + math.sqrt(m * m - q * q))
         G = to_geodesic(areal)
         rs, rhos = arclength_nodes(G)
         exact = np.array([rn_arclength(r, m, q) for r in rs[1:]])
@@ -650,7 +696,7 @@ class TestVolumeOracles:
 def rn_factored():
     """The Reissner-Nordstrom slice m = 1, q = 0.6 with f in factored form."""
     return expr_metric(Gauge.AREAL, "(r-rp)*(r-rm)/r^2", {"rp": 1.8, "rm": 0.2},
-                       domain_start=1.8, boundary_kind=BoundaryKind.MINIMAL)
+                       domain_start=1.8)
 
 
 def no_throat():
@@ -658,8 +704,7 @@ def no_throat():
 
 
 def kinked():
-    return expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)", domain_start=2.0,
-                       boundary_kind=BoundaryKind.MINIMAL)
+    return expr_metric(Gauge.AREAL, "min(1-2/r, 0.5+0.01*r)", domain_start=2.0)
 
 
 def walk(metric, radii, cfg=numerics.DEFAULT_CFG):
@@ -863,8 +908,7 @@ class TestTableMetric:
             fh.write("# schwarzschild f(r) samples\n")
             for r in rs:
                 fh.write(f"{r:.17g},{1.0 - 2.0 / r:.17g}\n")
-        T = table_metric(Gauge.AREAL, str(path),
-                         boundary_kind=BoundaryKind.MINIMAL)
+        T = table_metric(Gauge.AREAL, str(path))
         d = sphere_data(T, 50.0)
         assert d.area == pytest.approx(4 * math.pi * 2500, rel=1e-12)
         assert d.hawking_mass == pytest.approx(1.0, abs=1e-4)
@@ -874,6 +918,12 @@ class TestTableMetric:
         path.write_text("1,1\n2,1\n3,1\n")
         with pytest.raises(ConfigError):
             table_metric(Gauge.AREAL, str(path))
+
+    @pytest.mark.parametrize("radii", [[1.0, 2.0, 2.0, 3.0], [1.0, 3.0, 2.0, 4.0]],
+                             ids=["repeated", "falling"])
+    def test_radii_must_increase_strictly(self, radii):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            TableProfile(radii, [1.0, 2.0, 3.0, 4.0])
 
     @pytest.mark.parametrize("where, bad", [
         (0, math.nan), (1, math.nan), (0, math.inf), (1, -math.inf)])

@@ -232,6 +232,18 @@ class TestTotalMasses:
                                    "at rho=2e+102 overflows")
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_volume(self):
+        # the area and its ball stay finite, the volume 2*pi*rho^2 does not
+        M = metric_from_spec("expr:geodesic:sqrt(r):rho_min=1")
+        with pytest.raises(DomainError) as info:
+            huisken_mass(M, 1e160)
+        assert str(info.value) == "volume of the sphere at rho=1e+160 overflows"
+        with pytest.raises(DomainError) as info:  # the least that overflows
+            M.volumes([1e150, 1e155, 1e154, 3e153])
+        assert str(info.value) == "volume of the sphere at rho=1e+154 overflows"
+        assert M.volumes([3e153])[0] == pytest.approx(2 * math.pi * 9e306, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_default_grid(self):
         cfg = numerics.ToleranceConfig(extrap_terms=1000)
         with pytest.raises(ConfigError, match=r"^extrap_terms = 1000 takes the "

@@ -271,11 +271,26 @@ class TestErrorParity:
         ("(0-r)^r", 1.5, "variable exponent requires a positive base"),
         ("sqrt(r-2)", 2.0, "sqrt not differentiable at 0"),
         ("r*r", 1e200, "non-finite evaluation at r=1e+200"),
+        ("exp(r)", 1000.0, "overflow in exp(r) at r=1000.0"),
+        ("r^400", 1000.0, "overflow in (r^400.0) at r=1000.0"),
+        ("1+exp(r^2)", 100.0, "overflow in exp((r^2.0)) at r=100.0"),
+        ("r^0.5", 1e-320, "overflow in (r^0.5) at r=1e-320"),  # in d2
+        ("r^r", 1000.0, "overflow in (r^r) at r=1000.0"),
     ])
     def test_message(self, text, r, message):
         with pytest.raises(EvalError) as exc:
             eval_d2(parse(text), r)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("params", [{"m": 2.0}, {"m": 1.0}],
+                             ids=["folded", "unfolded"])
+    def test_overflow_names_its_site(self, params):
+        # at m = 1 the fold 1/(m-1) raises and the code that folds
+        # nothing runs; either way r^400, read first, overflows
+        prof = geometry.ExprProfile("r^400 + 1/(m-1)", params)
+        with pytest.raises(EvalError) as exc:
+            prof.eval_d2(1000.0)
+        assert str(exc.value) == "overflow in (r^400.0) at r=1000.0"
 
     def test_constant_errors_raise_on_every_evaluation(self):
         # building the profile succeeds; each evaluation raises

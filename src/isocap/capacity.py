@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, DomainError, NonConvergence, ParabolicMetric
 from .flow import _outward_hulls
-from .geometry import FOUR_PI, Gauge, RadialMetric
+from .geometry import FOUR_PI, Gauge, RadialMetric, _check_reach
 from .numerics import DEFAULT_CFG, ToleranceConfig
 from .specfun import check_p
 
@@ -202,7 +202,9 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
     between big/10 and big, with the slack 4.3e-4 at which a next-decade
     >= 0.999 * last-decade test flags exact power laws.  A density that
     underflows to 0 converges.  An area that overflows, at a radius or at
-    big, raises DomainError; ConfigError where big is ``cutoff_radius``.
+    big, raises DomainError; ConfigError where big is ``cutoff_radius``.  A
+    quadrature that fails past an areal metric's interior minimal sphere
+    raises DomainError naming it (``geometry._check_reach``).
 
     Returns arrays (A_k, J_k, err_k) per p; every J_k is inf when I_p diverges.
     """
@@ -289,9 +291,13 @@ def _capacity_tails(metric: RadialMetric, radii: Sequence[float],
         lo_t, hi_t, gap, first = groups[width]
         group = [ps[i] for i in members]
         at_group = slice(first, first + 15 * lo_t.size)
-        sums, errs = numerics.gauss_legendre_sampled(
-            lambda t: density(t, group), lo_t, hi_t,
-            rows(ratio[at_group], dl_dt[at_group], group), cfg, gap)
+        try:
+            sums, errs = numerics.gauss_legendre_sampled(
+                lambda t: density(t, group), lo_t, hi_t,
+                rows(ratio[at_group], dl_dt[at_group], group), cfg, gap)
+        except NonConvergence:
+            _check_reach(metric, big, cfg)
+            raise
         # each row's gap sums by one bincount, row after row
         bins = (n * np.arange(len(members))[:, None] + gap).ravel()
         inc, inc_err = (np.bincount(bins, weights=w.ravel(), minlength=n * len(members))

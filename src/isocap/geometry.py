@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -349,7 +350,11 @@ class RadialMetric:
         ones in order, so each volume has the bits of its radius alone,
         whatever the other radii, their order or earlier calls.  A volume
         that overflows, or a density or panel sum on the way to it, raises
-        DomainError naming the least radius whose volume does.
+        DomainError naming the least radius whose volume does; a quadrature
+        that fails past an areal metric's interior minimal sphere raises
+        DomainError naming that sphere (``_check_reach``).  The density
+        ignores ``profiles.NonSmoothTie``: a value at a min/max tie is
+        exact, and only its derivatives are one-sided.
         """
         rhos = [self.check_start(rho) for rho in rhos]
         if self.profile.volumes is not None:
@@ -365,10 +370,12 @@ class RadialMetric:
         k = np.searchsorted(edges, t[inside])  # edges[k-1] < t <= edges[k]
         whole = int(k.max()) - 1  # the panels below the last partial one
         vols = np.zeros(len(rhos))
+        density = self._volume_density()  # f' and f'' at a throat may warn
         try:
-            with np.errstate(over="raise"):
+            with np.errstate(over="raise"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", profiles.NonSmoothTie)
                 sums = numerics.gauss_legendre(
-                    self._volume_density(), np.append(edges[:whole], edges[k - 1]),
+                    density, np.append(edges[:whole], edges[k - 1]),
                     np.append(edges[1:whole + 1], t[inside]), cfg)
                 below = np.append(0.0, np.cumsum(sums[:whole]))
                 vols[inside] = below[k - 1] + sums[whole:]
@@ -377,6 +384,9 @@ class RadialMetric:
                 self.volumes((rho,), cfg)
             raise DomainError(f"volume of the sphere at rho={max(rhos)!r} "
                               "overflows") from None
+        except NonConvergence:
+            _check_reach(self, max(rhos), cfg)
+            raise
         return vols.tolist()
 
     def _volume_density(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -501,9 +511,12 @@ class _ConvertedProfile(_Profile):
         self._density = areal._xi_density
         offsets = np.geomspace(first, span - r_min, _XI_PANELS)
         xi = np.sqrt(np.concatenate(([r_min], r_min + offsets)) - r_min)
-        self.series = numerics.PanelSeries.integral(
-            *numerics.legendre_panels(self._map_density, xi[:-1], xi[1:], cfg),
-            (0.0, 0.0), "converted")
+        try:
+            panels = numerics.legendre_panels(self._map_density, xi[:-1], xi[1:], cfg)
+        except NonConvergence:
+            _check_reach(areal, span, cfg)
+            raise
+        self.series = numerics.PanelSeries.integral(*panels, (0.0, 0.0), "converted")
         if not np.all(np.diff(self.series.nodes[0]) > 0):
             raise NonIntegrableThroat("arclength map is not strictly increasing")
         self.r_max = float(self.series.nodes[0, -1])
@@ -578,7 +591,8 @@ def to_geodesic(metric: RadialMetric,
 
     Raises NonIntegrableThroat when the arclength to the inner boundary
     diverges, DomainError when domain_start leaves no range below
-    min(cutoff_radius, r_max) to convert.
+    min(cutoff_radius, r_max) to convert or an interior minimal sphere
+    below it puts the spheres past it at infinite distance.
     """
     if metric.gauge is Gauge.GEODESIC:
         return metric
@@ -684,6 +698,25 @@ def find_minimal_spheres(metric: RadialMetric,
                 roots.append(rc)
     return [r for r, before in zip(roots, [-math.inf] + roots)  # increasing
             if r - before > 1e-6 * max(1.0, r)]
+
+
+def _check_reach(metric: RadialMetric, reach: float,
+                 cfg: ToleranceConfig) -> None:
+    """On the error path of a quadrature that reached reach: raise
+    DomainError naming an areal metric's first interior minimal sphere at
+    or below reach, if it has one.  f vanishes there to order 2 when
+    smooth, so the spheres past it lie at infinite distance.  Where the
+    search itself fails, the quadrature's error stands."""
+    if metric.gauge is not Gauge.AREAL:
+        return
+    try:
+        inner = [r for r in find_minimal_spheres(metric, cfg)
+                 if metric.domain_start < r <= reach]
+    except IsocapError:
+        return
+    if inner:
+        raise DomainError(f"interior minimal sphere at r={inner[0]!r}: the "
+                          "spheres past it lie at infinite distance") from None
 
 
 def _is_minimal(a: float, h2: float) -> bool:

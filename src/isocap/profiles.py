@@ -240,12 +240,18 @@ def _render(n: Node) -> str:
 # on a 1-D numpy array of radii and bit-identical at each element.  IEEE
 # arithmetic rounds numpy's + - * / as it rounds floats; math and ** apply per
 # element, since numpy's exp, tanh and powers may round differently (sqrt is
-# correctly rounded in both).  Where the scalar code raises or branches at
-# some element, the array code raises _Defer and the caller runs the scalar
-# code per radius; min and max select per element.  ``bind(P)`` folds each
-# subtree free of r and of min/max with the parameters P, and returns the
-# scalar evaluator, carrying the array one as ``.array``.  A fold that raises
-# (1/(m-1) at m = 1, an unbound parameter) is left to every evaluation.
+# correctly rounded in both).  A square is x*x in both, one correctly rounded
+# product, at every power site (a value, a derivative's c-1 or c-2, tanh's
+# 1 - tanh^2), and needs no call per element.  This is a contract change:
+# pow(x, 2.0), used before, may differ from x*x by 1 ulp.  The scalar code
+# raises OverflowError where a finite x's square overflows, as ** does, and
+# the array code defers wherever a square is not finite.  Where the scalar
+# code raises or branches at some element, the array code raises _Defer and
+# the caller runs the scalar code per radius; min and max select per
+# element.  ``bind(P)`` folds each subtree free of r and of min/max with the
+# parameters P, and returns the scalar evaluator, carrying the array one as
+# ``.array``.  A fold that raises (1/(m-1) at m = 1, an unbound parameter)
+# is left to every evaluation.
 
 Triple = Tuple[float, float, float]
 _CACHE_SIZE = 128  # trees whose compiled code is kept
@@ -259,7 +265,23 @@ def _each(fn: Callable, v: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, v.tolist(), *args), float, v.size)
 
 
+def _pow(x: float, c: float) -> float:
+    """x ** c, a square x * x; OverflowError where a finite x's square does."""
+    if c != 2.0:
+        return x ** c
+    y = x * x
+    if y == math.inf and math.isfinite(x):
+        raise OverflowError("square overflows")
+    return y
+
+
 def _powers(v: np.ndarray, c: float) -> np.ndarray:
+    """_pow at each element; defers where a square is not finite."""
+    if c == 2.0:
+        y = v * v
+        if not np.isfinite(y).all():
+            raise _Defer
+        return y
     if c == 1.0:  # x ** 1.0 is x, and x ** 0.0 is 1.0, for every float x
         return v
     if c == 0.0:
@@ -292,8 +314,8 @@ _NAMESPACE = dict(
     UnknownIdentifier=UnknownIdentifier,
     _Defer=_Defer, _warn=warnings.warn, _sqrt_a=np.sqrt, _isfinite_a=np.isfinite,
     _any=np.any, _where=np.where, _asarray=np.asarray, _errstate=np.errstate,
-    _each=_each, _powers=_powers, _edge_power=_edge_power, _whole=_whole,
-    _no_array=lambda rs, parts=3: None)
+    _each=_each, _pow=_pow, _powers=_powers, _edge_power=_edge_power,
+    _whole=_whole, _no_array=lambda rs, parts=3: None)
 
 
 # Templates of the emitted lines.  A node's operands are name triples a, b
@@ -313,7 +335,7 @@ _MAPS = {
     "exp": ("{o}v = {exp}", "{o}v", "{o}v"),  # (e^v)' = e^v
     "sin": ("{o}v = {sin}\n{o}c = {cos}", "{o}c", "-{o}v"),
     "cos": ("{o}v = {cos}\n{o}s = {sin}", "-{o}s", "-{o}v"),
-    "tanh": ("{o}v = {tanh}\n{o}f1 = 1.0 - {square}\n"
+    "tanh": ("{o}v = {tanh}\n{o}f1 = 1.0 - {o}v * {o}v\n"
              "{o}f2 = -2.0 * {o}v * {o}f1", "{o}f1", "{o}f2"),
     "log": ("{o}v = {log}\n{o}f1 = 1.0 / {a[0]}\n"
             "{o}f2 = -1.0 / ({a[0]} * {a[0]})", "{o}f1", "{o}f2"),
@@ -332,9 +354,9 @@ _POWER = """\
 if {x} == 0.0 and {c} < 2.0 or {x} < 0.0 and {c} != round({c}):
     {o}v, {o}f1, {o}f2 = _edge_power({x}, {c})
 else:
-    {o}v = {x} ** {c}
-    {o}f1 = {c} * {x} ** ({c} - 1.0) if {c} != 0.0 else 0.0
-    {o}f2 = {c} * ({c} - 1.0) * {x} ** ({c} - 2.0) if {c} not in (0.0, 1.0) else 0.0"""
+    {o}v = _pow({x}, {c})
+    {o}f1 = {c} * _pow({x}, {c} - 1.0) if {c} != 0.0 else 0.0
+    {o}f2 = {c} * ({c} - 1.0) * _pow({x}, {c} - 2.0) if {c} not in (0.0, 1.0) else 0.0"""
 _POWER_A = """\
 if {c} < 2.0 and ({x} == 0.0).any() or ({x} < 0.0).any() and {c} != round({c}):
     raise _Defer
@@ -446,7 +468,7 @@ class _Emitter:
         fns = {f: f"_each(_{f}, {v})" if arr else f"_{f}({v})"
                for f in ("exp", "log", "sin", "cos", "tanh", "sqrt")}
         self.put(lines, **dict(fns, sqrt=f"_sqrt_a({v})") if arr else fns,
-                 o=o, a=a, square=f"_powers({o}v, 2)" if arr else f"{o}v ** 2")
+                 o=o, a=a)
         self.put(_CHAIN, o=o, a=a, f1=f1.format(o=o), f2=f2.format(o=o))
         if arr and op in ("log", "sqrt"):  # where the scalar code raises
             self.check(True, f"({v} <= 0.0) | ({v if op == 'log' else o + 'v'}"

@@ -421,6 +421,26 @@ class TestHypotheses:
         assert re.search(r"no interior minimal sphere +1 +0 +FAIL", out)
 
 
+class TestPastAnInteriorMinimalSphere:
+    # f = (1 - 1/r)^2 touches 0 at r = 1: the spheres past it lie at
+    # infinite distance, so a quadrature that crosses it cannot converge
+    SPEC = "expr:areal:(1-1/r)^2:r_min=0.5"
+
+    @pytest.mark.parametrize("args", [
+        ("sphere", "--rho", "2"), ("mass",),
+        ("capacity", "--rho0", "0.6", "--p", "2")],
+        ids=["sphere", "mass", "capacity"])
+    def test_exit_3_naming_the_sphere(self, capsys, args):
+        code, out, err = run(capsys, args[0], "--metric", self.SPEC, *args[1:])
+        assert (code, out) == (3, "")
+        assert err == ("isocap: DomainError: interior minimal sphere at r=1.0: "
+                       "the spheres past it lie at infinite distance\n")
+
+    def test_short_of_it_exit_0(self, capsys):
+        code, _, err = run(capsys, "sphere", "--metric", self.SPEC, "--rho", "0.9")
+        assert (code, err) == (0, "")
+
+
 class TestNonFiniteRadii:
     @pytest.mark.parametrize("args", [
         ("flow", "--rho0", "nan", "--tmax", "1"),

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.interpolate
 
-from isocap import geometry, numerics
+from isocap import geometry, numerics, profiles
 from isocap.capacity import p_capacity
 from isocap.errors import (ConfigError, DomainError, EvalError,
                            NonIntegrableThroat)
@@ -202,6 +203,30 @@ class TestMinimalRule:
         assert max(rep.probe_grid) < 1.0
         assert rep.scalar_curvature_nonneg
         assert rep.radial_isoperimetric_constant > 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda M: M.volume(2.0), lambda M: M.volume(1.0),
+        lambda M: geometry.spheres(M, [0.9, 2.0]),
+        lambda M: p_capacity(M, 0.6, 2.0), to_geodesic],
+        ids=["volume", "volume-at-the-sphere", "spheres", "capacity",
+             "conversion"])
+    def test_quadratures_past_the_double_zero(self, call):
+        # each fails crossing r = 1, where the spheres recede to infinite
+        # distance; the error path names that sphere
+        M = metric_from_spec("expr:areal:(1-1/r)^2:r_min=0.5")
+        with pytest.raises(DomainError, match=r"^interior minimal sphere at "
+                           r"r=1\.0: the spheres past it lie at infinite "
+                           r"distance$"):
+            call(M)
+
+    def test_quadratures_short_of_the_double_zero(self, monkeypatch):
+        # the search runs on the error path alone
+        def refuse(*args):
+            raise AssertionError("minimal sphere search on the success path")
+        monkeypatch.setattr(geometry, "find_minimal_spheres", refuse)
+        M = metric_from_spec("expr:areal:(1-1/r)^2:r_min=0.5")
+        assert M.volume(0.9) > 0.0 and sphere_data(M, 0.9).area > 0.0
+        assert p_capacity(schwarzschild(1.0), 3.0, 2.0).ncap > 0.0
 
     def test_areal_interior_near_miss(self):
         # f dips to 1e-6 > 1e-10: H = 2e-3/r there, not a minimal sphere
@@ -574,6 +599,17 @@ def schwarzschild_volume(m, xi):
 
 
 class TestVolumeOracles:
+    def test_across_a_tie_is_quiet(self):
+        # the panel [2, 4] has its midpoint node at the tie r = 3 of min,
+        # whose value is exact there: only its derivatives are one-sided
+        M = expr_metric(Gauge.GEODESIC, "min(r, 3)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = M.volume(4.0)
+        assert got == pytest.approx(72.0 * math.pi, rel=1e-12)  # 4 pi (9 + 9)
+        with pytest.warns(profiles.NonSmoothTie):
+            M.profile.values(np.array([3.0]))
+
     @pytest.mark.parametrize("offset", [1e-6, 1e-4, 1e-2, 1.0, 100.0])
     def test_areal_from_the_throat(self, offset):
         r = 2.0 + offset

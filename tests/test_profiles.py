@@ -218,6 +218,7 @@ class TestNames:
 # (value, d/dr, d^2/dr^2) as float.hex, recorded from the dual-number
 # interpreter that the compiled closures replaced.
 RN = {"m": 1.0, "q": 0.5}
+CI_RN = {"m": 1.3, "q": 0.6}
 PARITY = [
     ("1-2*m/r+q^2/r^2", 2.5, RN, ("0x1.eb851eb851eb7p-3", "0x1.26e978d4fdf3cp-2", "-0x1.bda5119ce0760p-3")),
     ("1-2*m/r+q^2/r^2", 7.0, RN, ("0x1.705397829cbc1p-1", "0x1.426cf7ca432c0p-5", "-0x1.69a9a2cfe9d29p-7")),
@@ -251,6 +252,17 @@ PARITY = [
     ("pi*r", 2.0, None, ("0x1.921fb54442d18p+2", "0x1.921fb54442d18p+1", "0x0.0p+0")),
     ("r/(r-1)", 0.0, None, ("-0x0.0p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+1")),
     ("-r^2", -0.0, None, ("-0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+1")),
+    # radii where pow(x, 2.0) is 1 ulp off x*x (glibc 2.36), pinned to the
+    # x*x bits of a square at each power site: a value, r^3's d1, r^4's d2,
+    # a bound exponent, 1 - tanh^2
+    ("r^2", 7.964, None, ("0x1.fb670196d8f51p+5", "0x1.fdb22d0e56042p+3", "0x1.0000000000000p+1")),
+    ("r^3", 7.964, None, ("0x1.f91e7a8ac6d43p+8", "0x1.7c8d413122b7dp+7", "0x1.7e45a1cac0832p+5")),
+    ("r^4", 7.964, None, ("0x1.f6d894dee35fdp+11", "0x1.f91e7a8ac6d43p+10", "0x1.7c8d413122b7dp+9")),
+    ("pow(r, 2)", 7.964, None, ("0x1.fb670196d8f51p+5", "0x1.fdb22d0e56042p+3", "0x1.0000000000000p+1")),
+    ("r^k", 7.964, {"k": 3.0}, ("0x1.f91e7a8ac6d43p+8", "0x1.7c8d413122b7dp+7", "0x1.7e45a1cac0832p+5")),
+    ("(r-3)^2", 0.241, None, ("0x1.e72c55c96030cp+2", "-0x1.6126e978d4fdfp+2", "0x1.0000000000000p+1")),
+    ("tanh(r)", 1.565, None, ("0x1.d51bad622f7d9p-1", "0x1.48c327706bb44p-3", "-0x1.2d3889400bc2ep-2")),
+    ("1-2*m/r+q^2/r^2", 2.759, CI_RN, ("0x1.adc38cdea487ap-4", "0x1.3aa7753aa05d3p-2", "-0x1.aebcd6a0d0e28p-3")),
 ]
 
 
@@ -495,6 +507,62 @@ def test_values_on_a_dense_grid(text):
 @settings(max_examples=400, deadline=None)
 def test_values_match_eval_d2(text, rs, a):
     check_values_match_scalar(text, rs, a)
+
+
+# every power site of a square: a value, r^3's d1, r^4's d2, an exponent
+# bound at run time (a = 2 and 3), pow(x, 2), a shifted base, 1 - tanh^2
+SQUARES = [("r^2", 2.0), ("r^3", 2.0), ("r^4", 2.0), ("pow(r, 2)", 2.0),
+           ("(r-3)^2", 2.0), ("r^a", 2.0), ("r^a", 3.0), ("tanh(r)", 2.0)]
+_SQRT_MAX = 1.3407807929942596e154  # the largest x whose x*x is finite
+
+
+class TestSquareRule:
+    """A square is x*x, one correctly rounded product, in both evaluators."""
+
+    @pytest.mark.parametrize("text,a", SQUARES)
+    def test_random_radii(self, text, a):
+        rng = np.random.default_rng(37)
+        rs = rng.choice([-1.0, 1.0], 20000) * np.exp(rng.uniform(-8.0, 8.0, 20000))
+        check_values_match_scalar(text, rs, a)
+
+    @pytest.mark.parametrize("text,a", SQUARES)
+    @pytest.mark.parametrize("r", [0.0, -0.0, 5e-324, -2.5e-310, math.inf,
+                                   -math.inf, math.nan, _SQRT_MAX,
+                                   math.nextafter(_SQRT_MAX, math.inf)])
+    def test_edge_radii(self, text, a, r):
+        check_values_match_scalar(text, [r], a)
+
+    def test_one_product_at_each_site(self):
+        rng = np.random.default_rng(37)
+        for x in np.exp(rng.uniform(-8.0, 8.0, 2000)).tolist():
+            t = math.tanh(x)
+            assert eval_d2(parse("r^2"), x)[0] == x * x
+            assert eval_d2(parse("r^3"), x)[1] == 3.0 * (x * x)
+            assert eval_d2(parse("r^4"), x)[2] == 12.0 * (x * x)
+            assert eval_d2(parse("tanh(r)"), x)[1] == 1.0 - t * t
+
+    @pytest.mark.parametrize("text", ["r^2", "1-2*m/r+q^2/r^2"])
+    def test_overflowing_square_names_its_site(self, text):
+        # the array code defers where a square is not finite, so q^2/r^2
+        # does not turn an infinite square into 0
+        prof = geometry.ExprProfile(text, CI_RN)
+        for call in (lambda: prof.eval_d2(1e160),
+                     lambda: prof.values(np.array([1.0e3, 1e160])),
+                     lambda: prof.triple(np.array([1e160]))):
+            with pytest.raises(EvalError) as exc:
+                call()
+            assert str(exc.value) == "overflow in (r^2.0) at r=1e+160"
+
+    def test_no_call_per_element(self, monkeypatch):
+        calls = []
+        each = profiles._each
+        monkeypatch.setattr(profiles, "_each",
+                            lambda *args: calls.append(1) or each(*args))
+        prof = geometry.ExprProfile("1-2*m/r+q^2/r^2", CI_RN)
+        rs = np.linspace(3.0, 9.0, 495)
+        prof.values(rs)
+        prof.triple(rs)
+        assert calls == []
 
 
 class TestEmitter:
